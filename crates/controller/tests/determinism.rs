@@ -1,5 +1,6 @@
 //! Determinism regression: a fixed-seed mixed workload must produce
-//! byte-identical completions, counters and trace output across runs.
+//! byte-identical completions, counters and lifecycle-span stream across
+//! runs — and across commits: the fingerprints are pinned to golden hashes.
 //! Event-ordering bugs — easy to introduce with multi-step merge machinery
 //! or with the slab/ready-queue dispatch structures — fail loudly here
 //! instead of as flaky experiment numbers.
@@ -60,13 +61,20 @@ impl Driver {
 /// Run a fixed-seed mixed write/trim/read workload (every fifth request
 /// priority-tagged) and render everything observable into one string:
 /// completion stream, controller counters, per-class issue counts, merge
-/// counters, array counters and the visual trace.
+/// counters, array counters and every lifecycle span in close order (the
+/// order-sensitive part: a reordered issue moves a span's stamps or slot).
 fn run_fingerprint(mapping: MappingKind, sched: SchedPolicy) -> String {
     run_fingerprint_on(mapping, sched, QueueKind::default())
 }
 
+/// Span collection on, sized so the 2000-op run drops nothing.
+const SPANS_ON: ObsConfig = ObsConfig {
+    span_capacity: 1 << 16,
+    timeline_interval_us: 0,
+};
+
 fn run_fingerprint_on(mapping: MappingKind, sched: SchedPolicy, queue: QueueKind) -> String {
-    run_fingerprint_obs(mapping, sched, queue, ObsConfig::default())
+    run_fingerprint_obs(mapping, sched, queue, SPANS_ON)
 }
 
 fn run_fingerprint_obs(
@@ -86,7 +94,6 @@ fn run_fingerprint_obs(
             idle_factor: 0.5,
             ..WlConfig::default()
         },
-        trace_events: 512,
         ..ControllerConfig::default()
     };
     let mut d = Driver::new(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap());
@@ -125,10 +132,64 @@ fn run_fingerprint_obs(
     out.push_str(&format!("{:?}\n", d.c.stats()));
     out.push_str(&format!("{:?}\n", d.c.merge_counters()));
     out.push_str(&format!("{:?}\n", d.c.array().counters()));
-    if let Some(trace) = d.c.trace() {
-        out.push_str(&trace.render_listing());
+    if let Some(obs) = d.c.obs() {
+        for span in obs.spans() {
+            out.push_str(&format!("{span:?}\n"));
+        }
+        out.push_str(&format!("dropped={} open={}\n", obs.dropped(), obs.open_count()));
     }
     out
+}
+
+/// FNV-1a (64-bit) of a fingerprint string.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden fingerprint hashes, generated from the simulator as it stood
+/// before the controller decomposition (PR 12's parent) and never
+/// regenerated since: a refactor that changes any completion time,
+/// counter or span fails here, not just a same-build nondeterminism.
+/// Rows: the three mapping schemes of `golden_mappings`; columns: the
+/// five policies of `all_policies`, in order.
+const GOLDEN: [[u64; 5]; 3] = [
+    [0xfb1b_655f_b319_7ce4, 0x262b_e2e3_4a17_141a, 0x262b_e2e3_4a17_141a,
+     0x262b_e2e3_4a17_141a, 0x11a7_1ab7_ac5e_4928],
+    [0xc066_4ad1_d960_043b, 0x2ae8_94ff_c8c1_0c68, 0x17a6_ddb1_f76d_5667,
+     0x2720_8451_2a7b_d756, 0xca0a_cb76_81a1_227b],
+    [0x2f9b_36cf_4007_8fd3, 0x8561_38bd_8835_8346, 0x7080_7406_906c_4971,
+     0x26ea_1c90_81f4_695f, 0xb6e8_abcf_f1c5_c43d],
+];
+
+fn golden_mappings() -> [MappingKind; 3] {
+    [
+        MappingKind::PageMap,
+        MappingKind::Dftl { cmt_entries: 24 },
+        MappingKind::Hybrid {
+            log_blocks: 3,
+            merge: MergePolicy::Fifo,
+        },
+    ]
+}
+
+#[test]
+fn fingerprints_match_committed_goldens() {
+    let got: Vec<Vec<u64>> = golden_mappings()
+        .into_iter()
+        .map(|mapping| {
+            all_policies()
+                .into_iter()
+                .map(|(_, policy)| fnv1a(&run_fingerprint(mapping, policy)))
+                .collect()
+        })
+        .collect();
+    let want: Vec<Vec<u64>> = GOLDEN.iter().map(|row| row.to_vec()).collect();
+    assert!(
+        got == want,
+        "fixed-seed behaviour changed since the goldens were committed; got\n{got:#018x?}"
+    );
 }
 
 fn all_policies() -> Vec<(&'static str, SchedPolicy)> {
@@ -195,7 +256,7 @@ fn heap_and_calendar_agendas_are_byte_identical() {
     // The calendar backend and the per-LUN lane split are pure event-
     // engine restructurings: for every mapping scheme and every
     // scheduling policy, a heap-backed agenda and a calendar-backed one
-    // must produce the same completion stream, counters and trace,
+    // must produce the same completion stream, counters and spans,
     // byte for byte.
     for mapping in [
         MappingKind::PageMap,
@@ -220,9 +281,10 @@ fn heap_and_calendar_agendas_are_byte_identical() {
 fn observability_never_perturbs_the_schedule() {
     // The span collector is a pure recorder: it schedules no events,
     // consults no RNG and steers no control flow, so the fixed-seed
-    // fingerprint (completions, counters, trace) of an instrumented run
-    // must be byte-identical to the uninstrumented one — across every
-    // mapping scheme and both event-queue backends.
+    // fingerprint (completions, counters) of an instrumented run must be
+    // byte-identical to the uninstrumented one — across every mapping
+    // scheme and both event-queue backends. The instrumented fingerprint
+    // only appends its span stream.
     let on = ObsConfig {
         span_capacity: 1 << 16,
         timeline_interval_us: 100,
@@ -241,7 +303,7 @@ fn observability_never_perturbs_the_schedule() {
             let with =
                 run_fingerprint_obs(mapping, SchedPolicy::Fifo, queue, on);
             assert!(
-                off == with,
+                with.starts_with(&off) && with.len() > off.len(),
                 "{mapping:?}/{queue:?}: enabling observability changed the simulation"
             );
         }

@@ -23,7 +23,7 @@ use eagletree_controller::{
     Completion, Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RecoveryMode,
     RequestKind, SchedPolicy, ScrubConfig, SsdRequest,
 };
-use eagletree_core::{QueueKind, SimRng, SimTime};
+use eagletree_core::{ObsConfig, QueueKind, SimRng, SimTime};
 use eagletree_flash::{FaultConfig, Geometry, PageState, TimingSpec};
 
 /// Widen sweeps when the CI fault-matrix job sets `FAULTS=on`.
@@ -125,7 +125,11 @@ fn faulty_cfg(mapping: MappingKind, sched: SchedPolicy, queue: QueueKind) -> Con
             retention_threshold_s: 0.05,
             max_inflight: 1,
         }),
-        trace_events: 512,
+        // Spans on (sized to drop nothing): the fingerprint folds them.
+        obs: ObsConfig {
+            span_capacity: 1 << 16,
+            timeline_interval_us: 0,
+        },
         ..ControllerConfig::default()
     }
 }
@@ -168,7 +172,8 @@ fn churn(cfg: ControllerConfig, ops: usize) -> Driver {
 }
 
 /// Everything observable, rendered to one string (the determinism
-/// fingerprint), reliability counters included.
+/// fingerprint), reliability counters and the lifecycle-span stream (in
+/// close order — the order-sensitive part) included.
 fn fingerprint(d: &Driver) -> String {
     let mut out = String::new();
     for c in &d.done {
@@ -178,11 +183,34 @@ fn fingerprint(d: &Driver) -> String {
     out.push_str(&format!("{:?}\n", d.c.merge_counters()));
     out.push_str(&format!("{:?}\n", d.c.array().counters()));
     out.push_str(&format!("{:?}\n", d.c.reliability()));
-    if let Some(trace) = d.c.trace() {
-        out.push_str(&trace.render_listing());
+    if let Some(obs) = d.c.obs() {
+        for span in obs.spans() {
+            out.push_str(&format!("{span:?}\n"));
+        }
+        out.push_str(&format!("dropped={} open={}\n", obs.dropped(), obs.open_count()));
     }
     out
 }
+
+/// FNV-1a (64-bit) of a fingerprint string.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden hashes of the faulty-run fingerprints (heap agenda, 2000 ops),
+/// generated from the simulator as it stood before the controller
+/// decomposition (PR 12's parent) and never regenerated since. Rows:
+/// `schemes()`; columns: `policies()`, in order.
+const GOLDEN: [[u64; 5]; 3] = [
+    [0x5ba9_95c8_b2ff_2fca, 0x6340_c428_9581_f505, 0xfa46_a58d_cad1_8e21,
+     0x4355_2b38_2773_dd05, 0xb6e7_5a22_b2a5_da0b],
+    [0xfb10_db39_e11c_2061, 0xc3c2_fcc0_d9fc_c958, 0xc984_fb10_62e0_6c1b,
+     0x5662_c313_5c66_bf1b, 0xfb10_db39_e11c_2061],
+    [0x9855_353a_440e_7673, 0x9f51_22ef_16a4_b195, 0x9f51_22ef_16a4_b195,
+     0x8852_2316_88ba_d236, 0x9855_353a_440e_7673],
+];
 
 fn schemes() -> Vec<MappingKind> {
     vec![
@@ -236,6 +264,36 @@ fn faulty_runs_are_byte_identical_across_repeats_and_agendas() {
             );
         }
     }
+}
+
+#[test]
+fn faulty_fingerprints_match_committed_goldens() {
+    // Cross-commit determinism: every fault-handling path (program-fail
+    // remap, erase retry/retire, read-retry, scrub) must keep producing
+    // the exact completion stream, counters and spans it did when the
+    // goldens were taken. Fifo only by default; `FAULTS=on` checks every
+    // policy column.
+    let cols = if full_matrix() { 5 } else { 1 };
+    let got: Vec<Vec<u64>> = schemes()
+        .into_iter()
+        .map(|mapping| {
+            policies()
+                .into_iter()
+                .take(cols)
+                .map(|(_, policy)| {
+                    fnv1a(&fingerprint(&churn(
+                        faulty_cfg(mapping, policy, QueueKind::Heap),
+                        2000,
+                    )))
+                })
+                .collect()
+        })
+        .collect();
+    let want: Vec<Vec<u64>> = GOLDEN.iter().map(|row| row[..cols].to_vec()).collect();
+    assert!(
+        got == want,
+        "faulty fixed-seed behaviour changed since the goldens were committed; got\n{got:#018x?}"
+    );
 }
 
 #[test]
@@ -353,11 +411,7 @@ fn remount_tolerates_grown_bad_blocks() {
 
 #[test]
 fn disabled_fault_model_reports_nothing() {
-    let cfg = ControllerConfig {
-        trace_events: 0,
-        ..ControllerConfig::default()
-    };
-    let d = churn(cfg, 500);
+    let d = churn(ControllerConfig::default(), 500);
     assert!(d.c.reliability().is_none());
     assert_eq!(d.c.lost_data().count(), 0);
     assert!(d.c.array().fault().is_none());

@@ -100,6 +100,25 @@ fn fingerprint(os: &Os, tenants: &[usize]) -> String {
     out
 }
 
+/// FNV-1a (64-bit) of a fingerprint string.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden hashes of the 3-tenant fingerprint under each of `policies()`,
+/// in order — generated from the simulator as it stood before the
+/// controller decomposition (PR 12's parent) and never regenerated since,
+/// so a behaviour change anywhere under the OS layer fails here even when
+/// it is perfectly repeatable within one build.
+const GOLDEN: [u64; 4] = [
+    0x7df0_7d97_1fad_07ec,
+    0x0cdd_b15e_bcaf_1db8,
+    0x5111_2767_f9a2_c155,
+    0x4fe4_ba1b_b6ce_e08f,
+];
+
 fn policies() -> Vec<QosPolicy> {
     vec![
         QosPolicy::None,
@@ -117,6 +136,18 @@ fn three_tenant_run_is_byte_identical_under_every_qos_policy() {
         assert_eq!(a, b, "fingerprint drift under {qos:?}");
         assert!(a.contains("tenant=zipf-reader"));
     }
+}
+
+#[test]
+fn tenant_fingerprints_match_committed_goldens() {
+    let got: Vec<u64> = policies()
+        .into_iter()
+        .map(|qos| fnv1a(&run_fingerprint(qos)))
+        .collect();
+    assert!(
+        got == GOLDEN,
+        "fixed-seed tenant behaviour changed since the goldens were committed; got\n{got:#018x?}"
+    );
 }
 
 #[test]
