@@ -3,7 +3,7 @@
 use crate::sched::SchedPolicy;
 use crate::types::OpClass;
 use eagletree_core::{ObsConfig, QueueKind};
-use eagletree_flash::FaultConfig;
+use eagletree_flash::{FaultConfig, Geometry};
 
 /// Which mapping scheme the FTL uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,9 +198,6 @@ pub struct ControllerConfig {
     pub checkpoint_interval_programs: u64,
     /// RNG seed for randomized policies (victim selection).
     pub seed: u64,
-    /// Capture a per-IO visual trace of up to this many events
-    /// (0 disables tracing; see `Controller::trace`).
-    pub trace_events: usize,
     /// Event-queue backend for the controller agenda. `Calendar` (the
     /// default) is amortized O(1) on the dense flash timeline; `Heap` is
     /// the O(log n) oracle. Pop order — and therefore every simulation
@@ -240,7 +237,6 @@ impl Default for ControllerConfig {
             ram_bytes: 64 << 20,
             battery_ram_bytes: 1 << 20,
             seed: 0xEA61E,
-            trace_events: 0,
             queue: QueueKind::default(),
             fault: None,
             scrub: None,
@@ -288,6 +284,13 @@ impl ControllerConfig {
             }
         }
         Ok(())
+    }
+
+    /// Logical pages a device of `geometry` exports under this config: the
+    /// `logical_capacity` share of its physical pages, rounded down. The
+    /// one definition every layer sizes namespaces and workloads from.
+    pub fn logical_pages(&self, geometry: &Geometry) -> u64 {
+        ((geometry.total_pages() as f64) * self.logical_capacity).floor() as u64
     }
 
     /// Deadline class table used by the EDF scheduler when enabled.

@@ -32,7 +32,6 @@ pub mod config;
 pub mod controller;
 pub mod ftl;
 pub mod gc;
-mod lanes;
 mod pend;
 pub mod recovery;
 pub mod sched;

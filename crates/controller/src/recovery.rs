@@ -46,7 +46,7 @@
 use std::collections::BTreeMap;
 
 use eagletree_core::{SimDuration, SimTime};
-use eagletree_flash::{BlockAddr, FlashArray, OobTag, PageState, PowerCutReport};
+use eagletree_flash::{BlockAddr, FlashArray, Geometry, OobTag, PageState, PowerCutReport};
 
 use crate::controller::PageContent;
 use crate::types::{Lpn, Ppn};
@@ -187,6 +187,26 @@ pub(crate) struct Recovered {
     pub blocks_probed: u64,
     pub blocks_erased: u64,
     pub mount_time: SimDuration,
+}
+
+impl Recovered {
+    /// The state of a factory-fresh medium: nothing mapped, nothing
+    /// stamped, nothing scanned. Mounting it is what `Controller::new`
+    /// does.
+    pub(crate) fn fresh(geometry: &Geometry, logical_pages: u64, tvpns: u64) -> Self {
+        Recovered {
+            data_map: vec![None; logical_pages as usize],
+            trans_map: vec![None; tvpns as usize],
+            reverse: vec![None; geometry.total_pages() as usize],
+            max_stamp: 0,
+            used_checkpoint: false,
+            oob_scanned: 0,
+            oob_uncorrectable: 0,
+            blocks_probed: 0,
+            blocks_erased: 0,
+            mount_time: SimDuration::ZERO,
+        }
+    }
 }
 
 /// Scan the medium, decide winners, and reconcile page validity to match:

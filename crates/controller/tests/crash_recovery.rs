@@ -452,3 +452,39 @@ fn remount_across_mapping_schemes() {
     }
     c2.check_invariants();
 }
+
+/// `remount` goes through the same assembly path as `new`, so it refuses
+/// the same configs: a cross-scheme remount whose hybrid log budget does
+/// not fit the spare blocks is an `Err` at mount — with `new`'s message —
+/// not a device that mounts and wedges once the log fills.
+#[test]
+fn remount_rejects_a_hybrid_log_budget_new_rejects() {
+    let g = Geometry::tiny();
+    let mut d = Driver::new(
+        Controller::new(g, TimingSpec::slc(), config(MappingKind::PageMap, 0)).unwrap(),
+    );
+    let logical = d.c.logical_pages();
+    for lpn in 0..64 {
+        d.submit(RequestKind::Write, lpn % logical);
+    }
+    d.step(u64::MAX);
+    let spare = g.total_blocks() - logical.div_ceil(g.pages_per_block as u64);
+    let oversized = config(
+        MappingKind::Hybrid {
+            log_blocks: spare as usize,
+            merge: MergePolicy::Fifo,
+        },
+        0,
+    );
+    let from_new = Controller::new(g, TimingSpec::slc(), oversized.clone())
+        .err()
+        .expect("new must reject a log budget that leaves no merge headroom");
+    assert!(from_new.contains("does not fit"), "{from_new}");
+    let image = d.c.power_cut(d.now);
+    for mode in [RecoveryMode::FullScan, RecoveryMode::Checkpoint] {
+        let from_remount = Controller::remount(image.clone(), oversized.clone(), mode)
+            .err()
+            .expect("remount must reject what new rejects");
+        assert_eq!(from_remount, from_new);
+    }
+}

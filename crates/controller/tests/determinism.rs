@@ -253,8 +253,8 @@ fn all_sched_policies_run_deterministically() {
 
 #[test]
 fn heap_and_calendar_agendas_are_byte_identical() {
-    // The calendar backend and the per-LUN lane split are pure event-
-    // engine restructurings: for every mapping scheme and every
+    // The calendar backend is a pure event-engine restructuring: for
+    // every mapping scheme and every
     // scheduling policy, a heap-backed agenda and a calendar-backed one
     // must produce the same completion stream, counters and spans,
     // byte for byte.

@@ -66,17 +66,6 @@ impl<E> Calendar<E> {
         Self::with_params(DEFAULT_NBUCKETS, DEFAULT_SHIFT)
     }
 
-    /// A calendar with a caller-sized ring at the default bucket width.
-    /// Small rings suit lane routers that keep many sparsely-populated
-    /// queues: 64 buckets is one occupancy word and a few cache lines of
-    /// `Vec` headers per queue, where the default ring's 1024 slots cost
-    /// more in cache misses than their scan savings are worth at a
-    /// handful of pending events. Callers re-tune the width via
-    /// [`Calendar::retune`]; ring size never affects pop order.
-    pub(crate) fn with_buckets(nbuckets: usize) -> Self {
-        Self::with_params(nbuckets, DEFAULT_SHIFT)
-    }
-
     pub(crate) fn with_params(nbuckets: usize, shift: u32) -> Self {
         assert!(
             nbuckets >= 64 && nbuckets.is_power_of_two(),

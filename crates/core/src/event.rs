@@ -174,25 +174,6 @@ impl<E> EventQueue<E> {
             QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
             QueueKind::Calendar => Backend::Calendar(Calendar::new()),
         };
-        Self::from_backend(backend)
-    }
-
-    /// Like [`EventQueue::with_kind`] but with a caller-sized calendar
-    /// ring (`nbuckets` must be a power of two >= 64; the heap backend
-    /// ignores it). Lane routers that hold one queue per LUN use a small
-    /// ring so a whole lane set stays cache-resident at the few events
-    /// per lane a real simulation keeps pending; the default 1024-bucket
-    /// ring suits a standalone queue with thousands pending. Ring size
-    /// never affects pop order, only speed.
-    pub fn with_kind_and_ring(kind: QueueKind, nbuckets: usize) -> Self {
-        let backend = match kind {
-            QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => Backend::Calendar(Calendar::with_buckets(nbuckets)),
-        };
-        Self::from_backend(backend)
-    }
-
-    fn from_backend(backend: Backend<E>) -> Self {
         EventQueue {
             backend,
             next_seq: 0,
@@ -236,23 +217,6 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_at(time, seq, payload);
-    }
-
-    /// Schedule with a caller-supplied sequence number.
-    ///
-    /// For lane routers that spread one logical event stream over several
-    /// queues but need a single total `(time, seq)` order across all of
-    /// them: the router allocates seqs from one counter and injects them
-    /// here. `seq` must be at least this queue's next auto-assigned value
-    /// (monotonic per queue), which a shared counter guarantees.
-    pub fn schedule_seq(&mut self, time: SimTime, seq: u64, payload: E) {
-        debug_assert!(seq >= self.next_seq, "non-monotonic injected seq");
-        self.next_seq = seq + 1;
-        self.push_at(time, seq, payload);
-    }
-
-    fn push_at(&mut self, time: SimTime, seq: u64, payload: E) {
         debug_assert!(
             time >= self.now,
             "scheduled an event in the past: {time:?} < {:?}",
@@ -287,8 +251,7 @@ impl<E> EventQueue<E> {
         self.peek_key().map(|(t, _)| t)
     }
 
-    /// `(time, seq)` of the next event without popping it. Lane routers
-    /// merge several queues by comparing these keys.
+    /// `(time, seq)` of the next event without popping it.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         match &self.backend {
             Backend::Heap(h) => h.peek().map(|e| (e.0.time, e.0.seq)),
@@ -388,22 +351,6 @@ mod tests {
             assert_eq!(q.pop().unwrap().payload, 3, "{kind}");
             assert_eq!(q.pop().unwrap().payload, 2, "{kind}");
             assert!(q.pop().is_none(), "{kind}");
-        }
-    }
-
-    #[test]
-    fn injected_seqs_merge_across_queues() {
-        for kind in KINDS {
-            let mut a = EventQueue::with_kind(kind);
-            let mut b = EventQueue::with_kind(kind);
-            let t = SimTime::from_nanos(9);
-            a.schedule_seq(t, 0, "a0");
-            b.schedule_seq(t, 1, "b1");
-            a.schedule_seq(t, 2, "a2");
-            assert_eq!(a.peek_key(), Some((t, 0)));
-            assert_eq!(b.peek_key(), Some((t, 1)));
-            assert_eq!(a.pop().unwrap().payload, "a0");
-            assert_eq!(a.peek_key(), Some((t, 2)), "{kind}");
         }
     }
 

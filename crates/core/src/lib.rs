@@ -30,7 +30,6 @@ pub mod obs;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use blkio::{BlkOp, BlkRecord};
 pub use event::{global_events_popped, thread_events_popped, EventQueue, QueueKind, ScheduledEvent};
@@ -40,4 +39,3 @@ pub use obs::{
 pub use rng::{SimRng, Zipf};
 pub use stats::{Histogram, OnlineStats, Tail, TimeSeries};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceKind, TraceLog};

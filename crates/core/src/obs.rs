@@ -3,7 +3,7 @@
 //!
 //! §2.3 of the paper promises "massive visual traces showing exactly how
 //! every IO was handled throughout the simulator components". This module
-//! is the structured successor to the flat [`crate::trace::TraceLog`]:
+//! is that capture, in structured form:
 //!
 //! * [`Span`] — the lifecycle of one operation (an application request or
 //!   an internal GC / wear-leveling / merge / mapping / scrub / checkpoint
@@ -25,7 +25,7 @@
 //!   (IOPS, write amplification, queue depths, GC/merge/scrub activity,
 //!   error rates), exportable as CSV or JSON.
 //! * [`Obs::to_perfetto`] — a Chrome-trace / Perfetto JSON exporter with
-//!   one track per event lane (misc + one per LUN) plus per-tenant tracks.
+//!   one track per LUN (plus a misc track) and one per tenant.
 //!
 //! Everything is gated behind [`ObsConfig`]; the default configuration
 //! disables all of it and costs one `Option` test per hook site.
@@ -543,7 +543,7 @@ impl Obs {
     }
 
     /// Export retained spans as Chrome-trace / Perfetto JSON: pid 1 is
-    /// the device (one thread per event lane — misc, then one per LUN),
+    /// the device (one thread per LUN track — misc, then one per LUN),
     /// pid 2 the tenants (one thread per tenant). Device tracks carry the
     /// flash busy windows; tenant tracks carry full host-request spans.
     /// Load the file at `ui.perfetto.dev` or `chrome://tracing`.
