@@ -157,6 +157,73 @@ fn bench_dispatch_qd(c: &mut Criterion) {
     }
 }
 
+/// Dispatch with a GC backlog: the repo benchmark's 4×4×128×64 device,
+/// filled sequentially and aged with one logical capacity of random
+/// overwrites (built once, on first use), then 4096 random overwrites per
+/// iteration in a closed loop at queue depth 512. Reclaim keeps every live
+/// page of every victim block queued as a relocation, which
+/// `dispatch_random_writes_qd*` — a fresh device — never has.
+fn bench_dispatch_aged(c: &mut Criterion) {
+    const QD: usize = 512;
+    const IOS: u64 = 4096;
+    let geometry = Geometry {
+        channels: 4,
+        luns_per_channel: 4,
+        planes_per_lun: 1,
+        blocks_per_plane: 128,
+        pages_per_block: 64,
+        page_size: 4096,
+    };
+    let mut cfg = ControllerConfig::default();
+    cfg.wl.static_enabled = false;
+    // `window` writes in flight, each completion submitting the next.
+    fn closed_loop(
+        ctrl: &mut Controller,
+        now: &mut SimTime,
+        next_id: &mut u64,
+        ios: u64,
+        window: usize,
+        mut lpn: impl FnMut() -> u64,
+    ) {
+        let (mut submitted, mut inflight) = (0u64, 0usize);
+        loop {
+            while inflight < window && submitted < ios {
+                let req = SsdRequest {
+                    id: *next_id,
+                    kind: RequestKind::Write,
+                    lpn: lpn(),
+                    tags: IoTags::none(),
+                };
+                ctrl.submit(req, *now);
+                *next_id += 1;
+                submitted += 1;
+                inflight += 1;
+            }
+            let Some(t) = ctrl.next_event_time() else { break };
+            *now = t;
+            inflight -= ctrl.advance(t).len();
+        }
+    }
+    let mut aged = None;
+    c.bench_function("dispatch_aged_gc_backlog", |b| {
+        let (ctrl, now, next_id, rng) = aged.get_or_insert_with(|| {
+            let mut ctrl = Controller::new(geometry, TimingSpec::slc(), cfg.clone()).unwrap();
+            let logical = ctrl.logical_pages();
+            let (mut now, mut next_id) = (SimTime::ZERO, 0u64);
+            let mut seq = 0..logical;
+            closed_loop(&mut ctrl, &mut now, &mut next_id, logical, 32, || seq.next().unwrap());
+            let mut rng = SimRng::new(0xA6ED);
+            closed_loop(&mut ctrl, &mut now, &mut next_id, logical, 1, || rng.gen_range(logical));
+            (ctrl, now, next_id, rng)
+        });
+        let logical = ctrl.logical_pages();
+        b.iter(|| {
+            closed_loop(ctrl, now, next_id, IOS, QD, || rng.gen_range(logical));
+            black_box(ctrl.stats().gc_moves)
+        })
+    });
+}
+
 /// GC-trigger-heavy steady state: fill the device, then overwrite so every
 /// few writes force victim selection. Exercises the incremental victim
 /// index rather than the dispatch loop (qd stays modest).
@@ -225,6 +292,7 @@ criterion_group!(
     bench_flash_issue,
     bench_full_sim,
     bench_dispatch_qd,
+    bench_dispatch_aged,
     bench_gc_steady_state
 );
 criterion_main!(benches);

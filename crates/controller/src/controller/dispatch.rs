@@ -4,14 +4,17 @@
 //! but not yet issued (`pending`), the single event agenda (`events`:
 //! flash completions and scheduler wake-ups), the arrival counter, the
 //! per-class service tallies the policies read, the observability context
-//! of the op being issued, and the reusable scratch of one scheduling
-//! round. Every subsystem queues flash work through
+//! of the op being issued, the superseded-while-queued bookkeeping of the
+//! relocation lanes ([`QueuedMoves`]), and the reusable scratch of one
+//! scheduling round. Every subsystem queues flash work through
 //! [`Controller::enqueue`]; [`Controller::run_sched`] decides what goes
 //! next under the configured `SchedPolicy`, and `issue.rs` turns the chosen
 //! op into a flash command.
 
 use eagletree_core::{Cause, EventQueue, QueueKind, SimDuration, SimTime, NO_SPAN};
-use eagletree_flash::{BlockAddr, FlashCommand, IssueOutcome, PhysicalAddr, TimingSpec};
+use eagletree_flash::{
+    BlockAddr, FlashCommand, Geometry, IssueOutcome, PhysicalAddr, TimingSpec,
+};
 
 use super::{Controller, PageContent};
 use crate::alloc::Stream;
@@ -172,11 +175,62 @@ impl Default for ObsCur {
     }
 }
 
+/// The one op-specific term of a queued `GcMove`'s issuability: its source
+/// page may be invalidated while it waits, after which it is consumed
+/// without flash IO whatever its LUN is doing. Counting those per LUN lets
+/// [`Controller::first_issuable`] trust a blocked lane head unless the
+/// lane's LUN has one.
+#[derive(Debug, PartialEq, Eq)]
+pub(super) struct QueuedMoves {
+    /// One bit per physical page: a `GcMove` reading it is queued.
+    queued: Vec<u64>,
+    /// Per LUN: queued `GcMove`s whose source page has been invalidated.
+    superseded: Vec<u32>,
+}
+
+impl QueuedMoves {
+    fn new(g: &Geometry) -> Self {
+        QueuedMoves {
+            queued: vec![0; (g.total_pages() as usize).div_ceil(64)],
+            superseded: vec![0; g.total_luns() as usize],
+        }
+    }
+
+    /// A `GcMove` reading the live page `ppn` entered the pending set.
+    fn enqueued(&mut self, ppn: Ppn) {
+        let (word, bit) = (ppn as usize / 64, 1u64 << (ppn % 64));
+        debug_assert_eq!(self.queued[word] & bit, 0, "two queued moves of page {ppn}");
+        self.queued[word] |= bit;
+    }
+
+    /// The live page `ppn` on `lun` was invalidated.
+    pub(super) fn invalidated(&mut self, ppn: Ppn, lun: u32) {
+        if self.queued[ppn as usize / 64] & (1u64 << (ppn % 64)) != 0 {
+            self.superseded[lun as usize] += 1;
+        }
+    }
+
+    /// Queued moves on `lun` consumable without flash IO.
+    pub(super) fn superseded_on(&self, lun: u32) -> u32 {
+        self.superseded[lun as usize]
+    }
+
+    /// The `GcMove` reading `ppn` on `lun` left the pending set;
+    /// `superseded`: consumed because its page was invalidated.
+    pub(super) fn issued(&mut self, ppn: Ppn, lun: u32, superseded: bool) {
+        self.queued[ppn as usize / 64] &= !(1u64 << (ppn % 64));
+        if superseded {
+            self.superseded[lun as usize] -= 1;
+        }
+    }
+}
+
 pub(super) struct Dispatch {
     /// The agenda: flash completions and wake-ups in `(time, seq)` order.
     /// Backend per `ControllerConfig::queue`.
     pub(super) events: EventQueue<CtrlEvent>,
     pub(super) pending: PendingSet<PendingOp>,
+    pub(super) moves: QueuedMoves,
     /// Reusable scratch for one scheduling round's head candidates
     /// (`(key, slot)`), keys-only view, write memo and LUN probe —
     /// kept here so steady-state dispatch never allocates.
@@ -194,7 +248,7 @@ impl Dispatch {
     /// An empty pending set over an empty agenda. The horizon hint covers
     /// the longest single flash op with slack so completions stay in the
     /// calendar's near ring.
-    pub(super) fn new(queue: QueueKind, timing: &TimingSpec) -> Self {
+    pub(super) fn new(queue: QueueKind, timing: &TimingSpec, geometry: &Geometry) -> Self {
         let mut events = EventQueue::with_kind(queue);
         let max_op = timing
             .t_erase
@@ -205,6 +259,7 @@ impl Dispatch {
         Dispatch {
             events,
             pending: PendingSet::new(),
+            moves: QueuedMoves::new(geometry),
             sched_cand: Vec::new(),
             sched_keys: Vec::new(),
             write_memo: Vec::new(),
@@ -259,9 +314,14 @@ impl Controller {
             PendKind::Transfer { .. } => QueueKey::Transfer,
             _ => QueueKey::Class(class, tag),
         };
+        if let PendKind::GcMove { from, .. } = kind {
+            let ppn = self.array.geometry().page_index(from);
+            debug_assert!(self.reverse[ppn as usize].is_some(), "move of a dead page queued");
+            self.disp.moves.enqueued(ppn);
+        }
         self.disp.pending.insert(
             key,
-            Self::write_lane(&kind),
+            self.lane_of(&kind),
             PendingOp {
                 seq,
                 class,
@@ -358,22 +418,18 @@ impl Controller {
         }
     }
 
-    /// Write-lane key for ops whose issuability is a pure function of
-    /// `(LUN, stream)` — the contract a `PendingSet` lane requires (the
-    /// lane head's verdict then covers the whole lane). Everything else
-    /// goes to the group's order-scan queue.
-    fn write_lane(kind: &PendKind) -> LaneKey {
-        match kind {
-            PendKind::Write { lun, stream, .. } => {
-                let s = match stream {
-                    Stream::Hot => 0u64,
-                    Stream::Cold => 1,
-                    Stream::Gc => 2,
-                    Stream::Translation => 3,
-                    Stream::Locality(g) => 4 + u64::from(*g),
-                };
-                Some((lun.map_or(0, |l| u64::from(l) + 1) << 40) | s)
-            }
+    /// Lane for ops whose issuability is a function of a [`LaneKey`] — the
+    /// contract a `PendingSet` lane requires (the lane head's verdict then
+    /// covers the whole lane): a page write's of `(LUN, stream)`, a
+    /// `GcMove`'s of its source LUN (`ReadStart` resources are per LUN;
+    /// its one per-op exception is tracked in [`QueuedMoves`]). Everything
+    /// else goes to the group's order-scan queue.
+    fn lane_of(&self, kind: &PendKind) -> Option<LaneKey> {
+        match *kind {
+            PendKind::Write { lun, stream, .. } => Some(LaneKey::Write { lun, stream }),
+            PendKind::GcMove { from, .. } => Some(LaneKey::MoveFrom {
+                lun: self.array.geometry().lun_index(from.channel, from.lun),
+            }),
             _ => None,
         }
     }
@@ -476,15 +532,31 @@ impl Controller {
         }
     }
 
+    /// `disp.moves` is exactly what a recount of the pending set gives —
+    /// with nothing pending, every bit clear and every count zero.
+    pub(super) fn check_queued_moves(&self) {
+        let g = self.array.geometry();
+        let mut recount = QueuedMoves::new(g);
+        for op in self.disp.pending.iter() {
+            if let PendKind::GcMove { from, .. } = op.kind {
+                recount.enqueued(g.page_index(from));
+                if self.move_superseded(from) {
+                    recount.superseded[g.lun_index(from.channel, from.lun) as usize] += 1;
+                }
+            }
+        }
+        assert!(self.disp.moves == recount, "queued-move bookkeeping drifted from the pending set");
+    }
+
+    /// Whether the source page of a queued `GcMove` has been invalidated
+    /// since it was queued (the op is then consumed without flash IO).
+    fn move_superseded(&self, from: PhysicalAddr) -> bool {
+        self.reverse[self.array.geometry().page_index(from) as usize].is_none()
+    }
+
     /// Whether `op` could issue (or be consumed) right now. `memo` caches
     /// write-issuability per `(LUN, stream)` within one scheduling round
     /// (the underlying state only changes when an op actually issues).
-    ///
-    /// Forced inline into `first_issuable`'s scan loop, which probes
-    /// thousands of ops per host IO on an aged deep-queue device: left to
-    /// the inliner's size heuristic it stays out and `overwrite_qd512`
-    /// loses 5% `host_ios_per_s`.
-    #[inline(always)]
     fn op_issuable(&self, op: &PendingOp, now: SimTime, memo: &mut WriteMemo) -> bool {
         match op.kind {
             PendKind::Transfer { addr, .. } => {
@@ -493,14 +565,10 @@ impl Controller {
             PendKind::Erase { block, .. } => {
                 self.cmd_resources_free(&FlashCommand::Erase(block), now)
             }
-            // Probed directly rather than through `read_source`: a victim's
-            // moves queue dozens deep behind one LUN, so this arm runs
-            // hundreds of times per host IO on an aged device.
             PendKind::GcMove { from, .. } => {
-                if self.reverse[self.array.geometry().page_index(from) as usize].is_none() {
-                    return true; // superseded: consumed without flash IO
-                }
-                self.cmd_resources_free(&FlashCommand::ReadStart(from), now)
+                // Superseded: consumed without flash IO.
+                self.move_superseded(from)
+                    || self.cmd_resources_free(&FlashCommand::ReadStart(from), now)
             }
             PendKind::AppRead { .. }
             | PendKind::MapFetchRead { .. }
@@ -556,9 +624,11 @@ impl Controller {
         self.maybe_scrub(now);
         // Each round compares at most one candidate per live group (the
         // group's first issuable op dominates the rest of it under every
-        // policy), so per-issue cost tracks the number of live (class,
-        // tag) groups — not the number of pending ops — and the reused
-        // scratch buffers keep the loop allocation-free.
+        // policy), and finding it probes one head per lane plus the
+        // blocked prefix of the scan queue — so per-issue cost tracks the
+        // live (class, tag) groups and their lanes, not the number of
+        // queued writes or relocations — and the reused scratch buffers
+        // keep the loop allocation-free.
         let mut memo = std::mem::take(&mut self.disp.write_memo);
         loop {
             memo.clear();
@@ -612,35 +682,94 @@ impl Controller {
 
     /// First op in `group` that could issue right now, or `NO_SLOT`.
     ///
-    /// The group's order-scan queue is probed in FIFO order; each write
-    /// lane contributes only its head (a blocked head proves the lane
-    /// blocked — all its ops share one issuability predicate). The
-    /// min-seq winner is exactly the op a single merged FIFO would have
-    /// yielded: a lane head has the smallest seq of its key, and any
-    /// issuable lane op implies its head (same predicate, smaller seq)
-    /// is issuable too.
+    /// The group's order-scan queue is probed in FIFO order; each lane
+    /// contributes its head (a blocked head proves the lane blocked — its
+    /// ops share one issuability predicate), except that a blocked
+    /// relocation lane whose LUN has superseded moves queued is walked for
+    /// its first one. The min-seq winner is exactly the op a single merged
+    /// FIFO would have yielded: a lane head has the smallest seq of its
+    /// key, and any issuable lane op is either superseded or implies its
+    /// head (same predicate, smaller seq) issuable too. Debug builds check
+    /// that against [`Self::first_issuable_reference`] on every call.
     fn first_issuable(&self, group: u32, now: SimTime, memo: &mut WriteMemo) -> u32 {
+        let pending = &self.disp.pending;
         let mut best = NO_SLOT;
         let mut best_seq = u64::MAX;
-        let mut cur = self.disp.pending.scan_head(group);
+        let mut cur = pending.scan_head(group);
         while cur != NO_SLOT {
-            let op = self.disp.pending.get(cur);
+            let op = pending.get(cur);
             if self.op_issuable(op, now, memo) {
                 best = cur;
                 best_seq = op.seq;
                 break;
             }
-            cur = self.disp.pending.next(cur);
+            cur = pending.next(cur);
         }
-        for li in 0..self.disp.pending.lane_count(group) {
-            let head = self.disp.pending.lane_head(group, li);
-            if head == NO_SLOT {
+        for li in 0..pending.lane_count(group) {
+            let head = pending.lane_head(group, li);
+            if head == NO_SLOT || pending.get(head).seq >= best_seq {
                 continue;
             }
-            let op = self.disp.pending.get(head);
-            if op.seq < best_seq && self.op_issuable(op, now, memo) {
-                best = head;
-                best_seq = op.seq;
+            let slot = if self.op_issuable(pending.get(head), now, memo) {
+                head
+            } else {
+                self.first_superseded_behind(head, pending.lane_key(group, li), best_seq)
+            };
+            if slot != NO_SLOT {
+                best = slot;
+                best_seq = pending.get(slot).seq;
+            }
+        }
+        #[cfg(debug_assertions)]
+        assert_eq!(best, self.first_issuable_reference(group, now), "lane ≠ merged FIFO");
+        best
+    }
+
+    /// The lane exception: the first op behind the blocked `head` of lane
+    /// `key`, with seq below `limit`, that can go although its lane is
+    /// blocked — a superseded move, which only a relocation lane whose LUN
+    /// counts one can hold (the count is per LUN, so the op may turn out to
+    /// sit in another group's lane). `NO_SLOT` if there is none.
+    fn first_superseded_behind(&self, head: u32, key: LaneKey, limit: u64) -> u32 {
+        let LaneKey::MoveFrom { lun } = key else { return NO_SLOT };
+        if self.disp.moves.superseded_on(lun) == 0 {
+            return NO_SLOT;
+        }
+        let pending = &self.disp.pending;
+        let mut cur = pending.next(head);
+        while cur != NO_SLOT {
+            let op = pending.get(cur);
+            if op.seq >= limit {
+                break;
+            }
+            if matches!(op.kind, PendKind::GcMove { from, .. } if self.move_superseded(from)) {
+                return cur;
+            }
+            cur = pending.next(cur);
+        }
+        NO_SLOT
+    }
+
+    /// The merged-FIFO semantics `first_issuable` must reproduce: the
+    /// min-seq op over every queue of the group, walked full length, for
+    /// which `op_issuable` holds.
+    #[cfg(debug_assertions)]
+    fn first_issuable_reference(&self, group: u32, now: SimTime) -> u32 {
+        let pending = &self.disp.pending;
+        let mut memo = WriteMemo::new();
+        let heads = std::iter::once(pending.scan_head(group))
+            .chain((0..pending.lane_count(group)).map(|li| pending.lane_head(group, li)));
+        let mut best = NO_SLOT;
+        let mut best_seq = u64::MAX;
+        for head in heads {
+            let mut cur = head;
+            while cur != NO_SLOT {
+                let op = pending.get(cur);
+                if op.seq < best_seq && self.op_issuable(op, now, &mut memo) {
+                    best = cur;
+                    best_seq = op.seq;
+                }
+                cur = pending.next(cur);
             }
         }
         best

@@ -130,8 +130,7 @@ impl Controller {
             return false;
         }
         let ppn = self.array.geometry().page_index(burned);
-        self.reverse[ppn as usize] = None;
-        self.array.invalidate(burned);
+        self.invalidate_ppn(ppn);
         match retry {
             PendKind::HybridWrite { .. } => self.hybrid_mut().abort_append(ppn),
             _ => self.alloc.retire_block(burned.block_addr()),
@@ -241,8 +240,12 @@ impl Controller {
                 self.finish_issue(op.class, done, out);
             }
             PendKind::GcMove { job, from } => {
-                let from_ppn = self.array.geometry().page_index(from);
-                let Some(content) = self.reverse[from_ppn as usize] else {
+                let g = self.array.geometry();
+                let from_ppn = g.page_index(from);
+                let content = self.reverse[from_ppn as usize];
+                let lun = g.lun_index(from.channel, from.lun);
+                self.disp.moves.issued(from_ppn, lun, content.is_none());
+                let Some(content) = content else {
                     // Superseded while queued: space reclaims for free.
                     self.obs_close_cur(now);
                     self.stats.gc_skipped += 1;

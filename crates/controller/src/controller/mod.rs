@@ -35,6 +35,8 @@ mod issue;
 mod mapio;
 mod merge;
 mod mount;
+#[cfg(test)]
+mod move_lane_tests;
 mod reclaim;
 mod stamps;
 mod stats;
@@ -243,10 +245,16 @@ impl Controller {
         std::mem::take(&mut self.host.completions)
     }
 
+    /// The single place a physical page's content dies — which is what
+    /// lets `disp.moves` count the queued `GcMove`s it supersedes.
     fn invalidate_ppn(&mut self, ppn: Ppn) {
-        let addr = self.array.geometry().page_at(ppn);
+        let g = self.array.geometry();
+        let addr = g.page_at(ppn);
+        let lun = g.lun_index(addr.channel, addr.lun);
         self.array.invalidate(addr);
-        self.reverse[ppn as usize] = None;
+        if self.reverse[ppn as usize].take().is_some() {
+            self.disp.moves.invalidated(ppn, lun);
+        }
     }
 
     /// Ledger an uncorrectable read of application data: `lpn` is the
@@ -363,6 +371,7 @@ impl Controller {
                 }
             }
         }
+        self.check_queued_moves();
         // Allocator free-block accounting matches the array.
         for lun in 0..g.total_luns() {
             let channel = lun / g.luns_per_channel;

@@ -11,17 +11,25 @@
 //!   (reads resolve their target at probe time, hybrid appends depend on
 //!   log-block state); finding its first issuable op probes the blocked
 //!   prefix in FIFO order, O(position of the first issuable op);
-//! * **write lanes** hold page writes, one lane per `(LUN, stream)` key.
-//!   Every op in a lane shares one issuability predicate, so the lane
-//!   *head* decides for the whole lane: a blocked head proves the entire
-//!   lane blocked, and one probe replaces an O(lane length) walk. This is
-//!   what keeps deep write backlogs (queue depth 512 and beyond) out of
+//! * **lanes** hold ops whose issuability is decided by their
+//!   [`LaneKey`]: page writes, one lane per `(LUN, stream)`, and
+//!   relocation reads, one lane per source LUN. The lane contract: the
+//!   issuability predicate is a function of the lane key, plus at most an
+//!   explicitly tracked per-op exception. So the lane *head* decides for
+//!   the whole lane — a blocked head proves every non-excepted op behind
+//!   it blocked, and one probe replaces an O(lane length) walk. Writes
+//!   have no exception. A relocation read has one: its source page may be
+//!   superseded while it waits, which makes it consumable regardless of
+//!   the LUN; the owner counts those per LUN and walks a blocked lane only
+//!   while its count is non-zero (`Controller::first_issuable`). This is
+//!   what keeps deep write backlogs (queue depth 512 and beyond) and the
+//!   GC backlog of an aged device (every live page of every victim) out of
 //!   the scheduler's inner loop.
 //!
 //! A group's first issuable op is the min-seq candidate over the scan
-//! queue's first issuable op and the issuable lane heads — exactly the op
-//! a single merged FIFO would have yielded, so scheduling decisions (and
-//! therefore simulation results) are byte-identical to the pre-lane
+//! queue's first issuable op and each lane's first issuable op — exactly
+//! the op a single merged FIFO would have yielded, so scheduling decisions
+//! (and therefore simulation results) are byte-identical to the pre-lane
 //! layout. Within a group both seq and enqueue time are monotonic per
 //! queue, so policies only ever compare group candidates (O(live
 //! groups), typically ≤ `OpClass::COUNT`). Insertion and removal are
@@ -34,6 +42,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::alloc::Stream;
 use crate::types::OpClass;
 
 /// Sentinel slot / queue / group id.
@@ -50,11 +59,18 @@ pub(crate) enum QueueKey {
     Class(OpClass, Option<u8>),
 }
 
-/// Issuability lane of an op within its group: `None` routes to the scan
-/// queue, `Some(key)` to the write lane for an opaque `(LUN, stream)`
-/// encoding. All ops sharing a lane key must share their issuability
-/// predicate — that is the contract that lets a lane's head speak for it.
-pub(crate) type LaneKey = Option<u64>;
+/// Issuability lane of an op within its group (`None` at
+/// [`PendingSet::insert`] routes to the scan queue instead). All ops
+/// sharing a lane key share their issuability predicate, up to the tracked
+/// per-op exception the module doc names — that is the contract that lets
+/// a lane's head speak for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum LaneKey {
+    /// Page writes of `stream` bound to `lun` (`None`: any LUN).
+    Write { lun: Option<u32>, stream: Stream },
+    /// Relocation reads whose source page sits on `lun` (linear index).
+    MoveFrom { lun: u32 },
+}
 
 #[derive(Debug)]
 struct Slot<T> {
@@ -73,9 +89,9 @@ struct Queue {
 struct Group {
     /// Queue id of the order-scan queue.
     scan: u32,
-    /// Write-lane keys and their queue ids, in first-use order. Small
+    /// Lane keys and their queue ids, in first-use order. Small
     /// (≤ LUNs × streams in play); linear search beats hashing here.
-    lane_keys: Vec<u64>,
+    lane_keys: Vec<LaneKey>,
     lane_queues: Vec<u32>,
 }
 
@@ -136,15 +152,20 @@ impl<T> PendingSet<T> {
         self.queues[self.groups[group as usize].scan as usize].head
     }
 
-    /// Number of write lanes a group has accumulated.
+    /// Number of lanes a group has accumulated.
     pub(crate) fn lane_count(&self, group: u32) -> usize {
         self.groups[group as usize].lane_queues.len()
     }
 
-    /// Head slot of a group's `idx`-th write lane (`NO_SLOT` when empty).
+    /// Head slot of a group's `idx`-th lane (`NO_SLOT` when empty).
     pub(crate) fn lane_head(&self, group: u32, idx: usize) -> u32 {
         let q = self.groups[group as usize].lane_queues[idx];
         self.queues[q as usize].head
+    }
+
+    /// Key of a group's `idx`-th lane.
+    pub(crate) fn lane_key(&self, group: u32, idx: usize) -> LaneKey {
+        self.groups[group as usize].lane_keys[idx]
     }
 
     /// Successor of `slot` within its queue (`NO_SLOT` at the tail).
@@ -170,7 +191,7 @@ impl<T> PendingSet<T> {
     }
 
     /// Append `item` to the FIFO for `key`/`lane`; returns its slot id.
-    pub(crate) fn insert(&mut self, key: QueueKey, lane: LaneKey, item: T) -> u32 {
+    pub(crate) fn insert(&mut self, key: QueueKey, lane: Option<LaneKey>, item: T) -> u32 {
         let g = match self.by_key.get(&key) {
             Some(&g) => g,
             None => {
@@ -301,12 +322,15 @@ mod tests {
     fn write_lanes_split_by_key_and_keep_fifo() {
         let mut set = PendingSet::new();
         let k = QueueKey::Class(OpClass::AppWrite, None);
-        set.insert(k, Some(7), 1);
-        set.insert(k, Some(9), 2);
-        set.insert(k, Some(7), 3);
+        let lane = |lun| LaneKey::Write { lun: Some(lun), stream: Stream::Hot };
+        set.insert(k, Some(lane(7)), 1);
+        set.insert(k, Some(lane(9)), 2);
+        set.insert(k, Some(lane(7)), 3);
         set.insert(k, None, 4); // order-scan op in the same group
         let g = 1;
         assert_eq!(set.lane_count(g), 2);
+        assert_eq!(set.lane_key(g, 0), lane(7));
+        assert_eq!(set.lane_key(g, 1), lane(9));
         assert_eq!(*set.get(set.lane_head(g, 0)), 1);
         assert_eq!(*set.get(set.lane_head(g, 1)), 2);
         assert_eq!(*set.get(set.scan_head(g)), 4);

@@ -489,7 +489,7 @@ impl FlashArray {
                 }
                 let channel_free = now + t.read_channel_time() * attempts;
                 let data_ready = now + t.read_lun_time() * attempts;
-                self.occupy(ch, slot, channel_free, data_ready);
+                self.occupy(now, ch, slot, channel_free, data_ready);
                 self.luns[slot].programming = None;
                 self.luns[slot].status = LunStatus::HoldingData(addr);
                 self.counters.reads += 1;
@@ -502,7 +502,7 @@ impl FlashArray {
             }
             FlashCommand::TransferOut(_) => {
                 let done = now + t.t_xfer;
-                self.occupy(ch, slot, done, done);
+                self.occupy(now, ch, slot, done, done);
                 self.luns[slot].programming = None;
                 self.luns[slot].status = LunStatus::Idle;
                 self.counters.transfers += 1;
@@ -526,7 +526,7 @@ impl FlashArray {
                 // completes — transfers hide behind array time.
                 let array_start = self.luns[slot].busy_until.max(channel_free);
                 let done = array_start + t.t_prog;
-                self.occupy(ch, slot, channel_free, done);
+                self.occupy(now, ch, slot, channel_free, done);
                 self.luns[slot].programming = Some(addr.block_addr());
                 self.mark_programmed(addr);
                 self.inflight_programs.push((addr, done));
@@ -548,7 +548,7 @@ impl FlashArray {
                 }
                 let channel_free = now + t.erase_channel_time();
                 let done = now + t.erase_lun_time();
-                self.occupy(ch, slot, channel_free, done);
+                self.occupy(now, ch, slot, channel_free, done);
                 self.luns[slot].programming = None;
                 // An erase failure leaves the block un-reset (the full
                 // erase pulse was still spent discovering that). A streak
@@ -609,7 +609,7 @@ impl FlashArray {
                 }
                 let channel_free = now + t.copyback_channel_time();
                 let done = now + t.copyback_lun_time() + t.read_lun_time() * (attempts - 1);
-                self.occupy(ch, slot, channel_free, done);
+                self.occupy(now, ch, slot, channel_free, done);
                 self.luns[slot].programming = None;
                 self.mark_programmed(to);
                 self.inflight_programs.push((to, done));
@@ -653,12 +653,22 @@ impl FlashArray {
         Some(FaultEvent::EraseFailed { retired })
     }
 
-    fn occupy(&mut self, ch: usize, lun_slot: usize, channel_until: SimTime, lun_until: SimTime) {
-        let now_ch = self.channels[ch];
-        self.channel_busy_accum[ch] += channel_until.saturating_since(now_ch.max(SimTime::ZERO));
+    /// Extend the channel's and the LUN's busy windows for a command
+    /// issued at `now`. Only the newly covered time counts as busy: the
+    /// idle gap since the previous window does not, nor does the part of a
+    /// pipelined command's window the LUN was already busy for.
+    fn occupy(
+        &mut self,
+        now: SimTime,
+        ch: usize,
+        lun_slot: usize,
+        channel_until: SimTime,
+        lun_until: SimTime,
+    ) {
+        self.channel_busy_accum[ch] += channel_until.saturating_since(self.channels[ch].max(now));
         self.channels[ch] = channel_until;
         let lun = &mut self.luns[lun_slot];
-        lun.busy_accum += lun_until.saturating_since(lun.busy_until);
+        lun.busy_accum += lun_until.saturating_since(lun.busy_until.max(now));
         lun.busy_until = lun_until;
     }
 
@@ -1332,8 +1342,13 @@ mod tests {
         let out = a.issue(FlashCommand::Program(addr(0, 0)), SimTime::ZERO).unwrap();
         assert_eq!(a.channel_busy_time(0), t.program_channel_time());
         assert_eq!(a.lun_busy_time(0, 0), t.program_lun_time());
-        a.issue(FlashCommand::Program(addr(0, 1)), out.lun_free_at).unwrap();
+        let out = a.issue(FlashCommand::Program(addr(0, 1)), out.lun_free_at).unwrap();
         assert_eq!(a.lun_busy_time(0, 0), t.program_lun_time() * 2);
+        // A command issued after an idle gap bills its own time, not the gap.
+        let later = out.lun_free_at + t.program_lun_time() * 10;
+        a.issue(FlashCommand::Program(addr(0, 2)), later).unwrap();
+        assert_eq!(a.channel_busy_time(0), t.program_channel_time() * 3);
+        assert_eq!(a.lun_busy_time(0, 0), t.program_lun_time() * 3);
     }
 
     #[test]
