@@ -1,8 +1,8 @@
 //! Criterion benches regenerating each experiment at smoke scale.
 //!
-//! One bench per table/figure in DESIGN.md's experiment index; `cargo
-//! bench` therefore re-derives the whole evaluation (at reduced size —
-//! use the `harness` binary for full-scale series).
+//! One bench per experiment in `suite::all()` (the index `harness --help`
+//! prints); `cargo bench` therefore re-derives the whole evaluation (at
+//! reduced size — use the `harness` binary for full-scale series).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eagletree_experiments::{suite, Scale};
@@ -16,7 +16,7 @@ fn bench_experiments(c: &mut Criterion) {
     for e in suite::all() {
         g.bench_function(e.id, |b| {
             b.iter(|| {
-                let t = suite::by_id(e.id).unwrap().run(Scale::Smoke);
+                let t = e.run(Scale::Smoke);
                 assert!(!t.rows.is_empty());
                 t
             })

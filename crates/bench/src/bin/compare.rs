@@ -1,80 +1,85 @@
 //! Bench-trajectory comparison: diff two harness `--json` files.
 //!
 //! ```text
-//! compare BASELINE.json CURRENT.json [--max-slowdown FACTOR] [--min-events-rate FACTOR]
+//! compare BASELINE.json CURRENT.json [--min-events-rate FACTOR]
 //! ```
 //!
-//! Prints a per-experiment delta report (wall seconds, speedup, events/sec
-//! where present) for CI to archive next to the raw JSON, an informational
-//! "event-count drift" section for experiments whose deterministic
-//! `events_simulated` changed (the simulation itself, not just its speed —
-//! counts are per-thread, so sequential and `--jobs N` runs agree), and an
-//! explicit "not comparable" section listing experiments present in only
-//! one of the two files (new experiments vs. an older baseline, or
-//! removed/renamed ones) — so additions like E19/E20 show up loudly
-//! instead of silently diffing as noise. With `--max-slowdown`, exits
-//! non-zero if any experiment common to both files ran slower than
-//! `base * FACTOR + 0.5s` — the absolute grace keeps millisecond-scale
-//! smoke experiments from flagging on runner noise. With
-//! `--min-events-rate`, exits non-zero if any experiment's simulator
-//! throughput (`events_per_sec`) fell below `base * FACTOR`; experiments
-//! faster than half a second in the baseline are exempt (their rate is
-//! dominated by startup, not the event engine). This is the event-engine
-//! regression gate: E18 is its main subject, but any experiment that got
-//! slower per event trips it. Experiments in only one file never trip
-//! either gate.
+//! Two gates, over the experiments present in both files:
 //!
-//! Result-row *columns* are never compared as values: only the
-//! timing/throughput fields above gate. Column *names* are scraped per
-//! experiment, and columns present in only one of the two files — the
-//! reliability columns (`uber`, `corrected_bits`, …) of fault-model runs,
-//! or the stage-attribution / timeline columns (`st_queue_us`,
-//! `explained_p999`, `tl_rows`, …) of observability-enabled runs — are
-//! listed in an informational "result-column drift" section: a baseline
-//! recorded before those subsystems existed stays a valid gate for a
-//! current file that has them, and a new stage column shows up loudly
-//! instead of silently diffing as noise.
+//! * **Result drift** (always on). Every simulated result is
+//!   deterministic, so any difference in `events_simulated` or in a row —
+//!   a label, a column name, a value, their order or count — exits 1,
+//!   naming experiment / label / column and both values. Only the
+//!   host-clock cells (`wall_ms`, `events_per_sec`) are skipped. Counts
+//!   are per-thread, so sequential and `--jobs N` runs agree. A change
+//!   that moves results on purpose regenerates the baseline.
+//! * **Simulator throughput** (`--min-events-rate FACTOR`). Exits 1 if
+//!   any experiment's `events_per_sec` fell below `base * FACTOR`;
+//!   experiments faster than half a second in the baseline are exempt
+//!   (their rate is dominated by startup, not the event engine). E18 is
+//!   its main subject, but any experiment that got slower per event trips
+//!   it.
+//!
+//! Also prints a per-experiment wall-seconds / events-per-second table
+//! for CI to archive, and lists experiments present in only one file
+//! (never gated). A file that yields no experiment, or two files that
+//! share none, is an error (exit 2) — a gate over nothing must not pass.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+
+/// Row cells that read the host clock — the only nondeterministic ones.
+const HOST_CLOCK: [&str; 2] = ["wall_ms", "events_per_sec"];
+
+/// One result row: its label, then (column, value text) in file order.
+/// Values stay text: the harness prints the shortest round-trip form of
+/// each `f64`, so equal text is equal bits.
+type Row = (String, Vec<(String, String)>);
 
 /// Per-experiment numbers scraped from harness JSON.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct Exp {
     wall_seconds: Option<f64>,
     events_simulated: Option<u64>,
     events_per_sec: Option<f64>,
-    /// Union of the result-row column names this experiment emitted —
-    /// reported as informational drift when the two files disagree,
-    /// never compared by value and never a gate.
-    columns: BTreeSet<String>,
+    rows: Vec<Row>,
 }
 
-impl Exp {
-    fn merge(&mut self, other: Exp) {
-        self.wall_seconds = other.wall_seconds.or(self.wall_seconds);
-        self.events_simulated = other.events_simulated.or(self.events_simulated);
-        self.events_per_sec = other.events_per_sec.or(self.events_per_sec);
-        self.columns.extend(other.columns);
+/// Split one single-line row object (`{"label": "x", "iops": 1, ...}`)
+/// into its label and cells. `None` if the line is not of that form.
+fn parse_row(line: &str) -> Option<Row> {
+    let mut rest = line.strip_prefix('{')?.strip_suffix('}')?;
+    let mut label = None;
+    let mut cells = Vec::new();
+    while !rest.is_empty() {
+        let (key, after) = take_string(rest)?;
+        let after = after.strip_prefix(':')?.trim_start();
+        let (value, after) = match take_string(after) {
+            Some(s) => s,
+            None => after.split_once(',').unwrap_or((after, "")),
+        };
+        if key == "label" {
+            label = Some(value.to_string());
+        } else {
+            cells.push((key.to_string(), value.trim().to_string()));
+        }
+        rest = after.trim_start_matches(',').trim_start();
     }
-
-    fn is_empty(&self) -> bool {
-        self.wall_seconds.is_none()
-            && self.events_simulated.is_none()
-            && self.events_per_sec.is_none()
-            && self.columns.is_empty()
-    }
+    Some((label?, cells))
 }
 
-/// Column names of one single-line row object (`{"label": "x", "iops":
-/// 1, ...}`): every quoted string immediately followed by a colon, except
-/// the row label itself.
-fn row_columns(line: &str) -> impl Iterator<Item = String> + '_ {
-    line.split('"').skip(1).step_by(2).zip(
-        line.split('"').skip(2).step_by(2),
-    )
-    .filter(|(_, after)| after.trim_start().starts_with(':'))
-    .map(|(name, _)| name.to_string())
-    .filter(|n| n != "label")
+/// Take a leading `"..."` (escapes left as written) off `s`.
+fn take_string(s: &str) -> Option<(&str, &str)> {
+    let body = s.strip_prefix('"')?;
+    let mut escaped = false;
+    for (i, c) in body.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' => escaped = true,
+            '"' => return Some((&body[..i], &body[i + 1..])),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Minimal scraper for the harness's own hand-rolled JSON: the fields of
@@ -83,101 +88,140 @@ fn row_columns(line: &str) -> impl Iterator<Item = String> + '_ {
 /// by `harness --json`. Fields are buffered per object (delimited by
 /// lone `{` / `}` lines) and attached to whichever `"id"` appears inside
 /// the same object, so reordered keys (`jq -S`-style) scrape identically.
-/// Fields with no `"id"` in their object — a truncated or hand-edited
-/// file — are a named diagnostic and a non-zero exit, never a panic.
-fn scrape(path: &str) -> BTreeMap<String, Exp> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
+/// Fields with no `"id"` in their object, an experiment without
+/// `wall_seconds`, or a file with no experiment at all — truncated,
+/// hand-edited or not harness output — are an `Err` naming the problem.
+fn scrape(path: &str, text: &str) -> Result<BTreeMap<String, Exp>, String> {
     let mut out: BTreeMap<String, Exp> = BTreeMap::new();
     let mut cur_id: Option<String> = None;
     let mut cur = Exp::default();
-    let mut last_flushed: Option<String> = None;
-    let mut flush = |id: &mut Option<String>, exp: &mut Exp, last: &mut Option<String>| {
-        let exp = std::mem::take(exp);
-        match id.take() {
-            Some(id) => {
-                out.entry(id.clone()).or_default().merge(exp);
-                *last = Some(id);
-            }
-            None if !exp.is_empty() => {
-                let after = last
-                    .as_deref()
-                    .map(|l| format!(" after experiment \"{l}\""))
-                    .unwrap_or_default();
-                eprintln!(
-                    "{path}: fields {exp:?} belong to no experiment (object{after} has no \"id\" — truncated or hand-edited file?)"
-                );
-                std::process::exit(2);
-            }
-            None => {}
-        }
-    };
-    for line in text.lines() {
-        let line = line.trim();
+    for line in text.lines().map(str::trim).chain(["}"]) {
         // Object boundaries: the harness opens each experiment object
-        // with a lone `{` and closes it with `}` / `},`. Single-line row
-        // objects (`{ ... }`) never carry the fields of interest, so the
-        // extra flushes they trigger are no-ops.
+        // with a lone `{` and closes it with `}` / `},` (the chained `}`
+        // closes whatever a truncated file left open).
         if line == "{" || line == "}" || line == "}," {
-            flush(&mut cur_id, &mut cur, &mut last_flushed);
+            let exp = std::mem::take(&mut cur);
+            match cur_id.take() {
+                Some(id) => {
+                    out.insert(id, exp);
+                }
+                None if exp != Exp::default() => {
+                    return Err(format!(
+                        "{path}: fields {exp:?} belong to no experiment (their object has no \"id\" — truncated or hand-edited file?)"
+                    ));
+                }
+                None => {}
+            }
             continue;
         }
         let line = line.trim_end_matches(',');
         if let Some(rest) = line.strip_prefix("\"id\": \"") {
-            if let Some(id) = rest.strip_suffix('"') {
-                cur_id = Some(id.to_string());
-            }
+            cur_id = rest.strip_suffix('"').map(str::to_string);
         } else if let Some(rest) = line.strip_prefix("\"wall_seconds\": ") {
-            if let Ok(v) = rest.parse::<f64>() {
-                cur.wall_seconds = Some(v);
-            }
+            cur.wall_seconds = rest.parse().ok();
         } else if let Some(rest) = line.strip_prefix("\"events_per_sec\": ") {
-            if let Ok(v) = rest.parse::<f64>() {
-                cur.events_per_sec = Some(v);
-            }
+            cur.events_per_sec = rest.parse().ok();
         } else if let Some(rest) = line.strip_prefix("\"events_simulated\": ") {
-            if let Ok(v) = rest.parse::<u64>() {
-                cur.events_simulated = Some(v);
-            }
+            cur.events_simulated = rest.parse().ok();
         } else if line.starts_with("{\"label\":") {
-            cur.columns.extend(row_columns(line));
+            let row = parse_row(line).ok_or(format!("{path}: malformed row `{line}`"))?;
+            cur.rows.push(row);
         }
     }
-    flush(&mut cur_id, &mut cur, &mut last_flushed);
-    for (id, exp) in &out {
-        if exp.wall_seconds.is_none() {
-            eprintln!("{path}: experiment \"{id}\" has no wall_seconds field");
-            std::process::exit(2);
+    if let Some((id, _)) = out.iter().find(|(_, e)| e.wall_seconds.is_none()) {
+        return Err(format!(
+            "{path}: experiment \"{id}\" has no wall_seconds field"
+        ));
+    }
+    if out.is_empty() {
+        return Err(format!(
+            "{path}: no experiment found (truncated, or not `harness --json` output?)"
+        ));
+    }
+    Ok(out)
+}
+
+/// Every way `cur`'s deterministic results differ from `base`'s, one
+/// line each: `id / label / column: base -> current`.
+fn drift(id: &str, base: &Exp, cur: &Exp) -> Vec<String> {
+    let mut out = Vec::new();
+    if base.events_simulated != cur.events_simulated {
+        let text = |n: Option<u64>| n.map_or("-".to_string(), |n| n.to_string());
+        let (b, c) = (text(base.events_simulated), text(cur.events_simulated));
+        out.push(format!("{id} events_simulated: {b} -> {c}"));
+    }
+    if base.rows.len() != cur.rows.len() {
+        out.push(format!(
+            "{id} rows: {} -> {}",
+            base.rows.len(),
+            cur.rows.len()
+        ));
+    }
+    let gated = |cells: &[(String, String)]| -> Vec<(String, String)> {
+        cells
+            .iter()
+            .filter(|(name, _)| !HOST_CLOCK.contains(&name.as_str()))
+            .cloned()
+            .collect()
+    };
+    for (i, ((bl, bc), (cl, cc))) in base.rows.iter().zip(&cur.rows).enumerate() {
+        if bl != cl {
+            out.push(format!("{id} row {i} label: {bl} -> {cl}"));
+            continue;
+        }
+        let (bc, cc) = (gated(bc), gated(cc));
+        if bc.len() != cc.len() {
+            out.push(format!("{id} / {bl} columns: {} -> {}", bc.len(), cc.len()));
+        }
+        for ((bn, bv), (cn, cv)) in bc.iter().zip(&cc) {
+            if bn != cn {
+                out.push(format!("{id} / {bl} column name: {bn} -> {cn}"));
+            } else if bv != cv {
+                out.push(format!("{id} / {bl} / {bn}: {bv} -> {cv}"));
+            }
         }
     }
     out
 }
 
+/// The ids both files hold; an error when there are none to gate.
+fn shared_ids<'a>(
+    base: &'a BTreeMap<String, Exp>,
+    cur: &BTreeMap<String, Exp>,
+) -> Result<Vec<&'a str>, String> {
+    let ids: Vec<&str> = base
+        .keys()
+        .filter(|id| cur.contains_key(*id))
+        .map(String::as_str)
+        .collect();
+    if ids.is_empty() {
+        return Err("the two files share no experiment — nothing to compare".to_string());
+    }
+    Ok(ids)
+}
+
+fn read(path: &str) -> Result<BTreeMap<String, Exp>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    scrape(path, &text)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<&str> = Vec::new();
-    let mut max_slowdown: Option<f64> = None;
     let mut min_events_rate: Option<f64> = None;
-    let usage = "usage: compare BASELINE.json CURRENT.json [--max-slowdown FACTOR] [--min-events-rate FACTOR]";
+    let usage = "usage: compare BASELINE.json CURRENT.json [--min-events-rate FACTOR]";
+    let fail = |msg: &str| -> ! {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--max-slowdown" => {
-                i += 1;
-                max_slowdown = args.get(i).and_then(|s| s.parse().ok());
-                if max_slowdown.is_none() {
-                    eprintln!("--max-slowdown needs a numeric factor");
-                    std::process::exit(2);
-                }
-            }
             "--min-events-rate" => {
                 i += 1;
                 min_events_rate = args.get(i).and_then(|s| s.parse().ok());
                 if min_events_rate.is_none() {
-                    eprintln!("--min-events-rate needs a numeric factor");
-                    std::process::exit(2);
+                    fail("--min-events-rate needs a numeric factor");
                 }
             }
             "--help" | "-h" => {
@@ -189,27 +233,24 @@ fn main() {
         i += 1;
     }
     if paths.len() != 2 {
-        eprintln!("{usage}");
-        std::process::exit(2);
+        fail(usage);
     }
-    let base = scrape(paths[0]);
-    let cur = scrape(paths[1]);
+    let base = read(paths[0]).unwrap_or_else(|e| fail(&e));
+    let cur = read(paths[1]).unwrap_or_else(|e| fail(&e));
+    let ids = shared_ids(&base, &cur).unwrap_or_else(|e| fail(&e));
 
     println!(
         "{:<6} {:>10} {:>10} {:>9}  {:>14} {:>14}",
         "exp", "base_s", "cur_s", "speedup", "base_ev/s", "cur_ev/s"
     );
-    let mut regressions = Vec::new();
+    let fmt_opt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.0}"));
+    let mut drifted = Vec::new();
     let mut rate_regressions = Vec::new();
-    let mut only_current: Vec<String> = Vec::new();
-    for (id, c) in &cur {
-        // `scrape` exits unless every experiment carried wall_seconds.
-        let cw = c.wall_seconds.expect("validated by scrape");
-        let Some(b) = base.get(id) else {
-            only_current.push(format!("{id} ({cw:.3}s)"));
-            continue;
-        };
+    for id in ids {
+        let (b, c) = (&base[id], &cur[id]);
+        // `scrape` fails unless every experiment carried wall_seconds.
         let bw = b.wall_seconds.expect("validated by scrape");
+        let cw = c.wall_seconds.expect("validated by scrape");
         let speedup = if cw > 0.0 { bw / cw } else { f64::INFINITY };
         println!(
             "{:<6} {:>10.3} {:>10.3} {:>8.2}x  {:>14} {:>14}",
@@ -220,73 +261,24 @@ fn main() {
             fmt_opt(b.events_per_sec),
             fmt_opt(c.events_per_sec)
         );
-        if let Some(factor) = max_slowdown {
-            if cw > bw * factor + 0.5 {
-                regressions.push((id.clone(), bw, cw));
-            }
-        }
-        if let Some(factor) = min_events_rate {
-            if let (Some(br), Some(cr)) = (b.events_per_sec, c.events_per_sec) {
-                if bw >= 0.5 && cr < br * factor {
-                    rate_regressions.push((id.clone(), br, cr));
-                }
+        drifted.extend(drift(id, b, c));
+        if let (Some(factor), Some(br), Some(cr)) =
+            (min_events_rate, b.events_per_sec, c.events_per_sec)
+        {
+            if bw >= 0.5 && cr < br * factor {
+                rate_regressions.push((id, br, cr));
             }
         }
     }
-    // Event counts are deterministic per experiment (and, since the
-    // per-thread counter, identical between sequential and parallel
-    // runs): a differing count means the simulation itself changed, which
-    // is worth calling out next to pure wall-clock noise. Informational
-    // only — never gates.
-    let drifted: Vec<String> = cur
-        .iter()
-        .filter_map(|(id, c)| {
-            let b = base.get(id)?;
-            match (b.events_simulated, c.events_simulated) {
-                (Some(be), Some(ce)) if be != ce => {
-                    Some(format!("{id} ({be} -> {ce} events)"))
-                }
-                _ => None,
-            }
-        })
-        .collect();
-    if !drifted.is_empty() {
-        println!("\nevent-count drift (simulation behavior changed, not just speed):");
-        for d in &drifted {
-            println!("  {d}");
-        }
-    }
-    // Column names one side emits and the other doesn't — observability
-    // (`st_*`, `explained_*`, `tl_rows`) or reliability columns recorded
-    // by only one build. Informational only — row values never gate.
-    let col_drift: Vec<String> = cur
-        .iter()
-        .filter_map(|(id, c)| {
-            let b = base.get(id)?;
-            let added: Vec<String> =
-                c.columns.difference(&b.columns).map(|s| format!("+{s}")).collect();
-            let removed: Vec<String> =
-                b.columns.difference(&c.columns).map(|s| format!("-{s}")).collect();
-            if added.is_empty() && removed.is_empty() {
-                None
-            } else {
-                Some(format!("{id}: {}", added.into_iter().chain(removed).collect::<Vec<_>>().join(" ")))
-            }
-        })
-        .collect();
-    if !col_drift.is_empty() {
-        println!("\nresult-column drift (informational only — row values never gate):");
-        for d in &col_drift {
-            println!("  {d}");
-        }
-    }
-    let only_base: Vec<String> = base
-        .iter()
-        .filter(|(id, _)| !cur.contains_key(*id))
-        .map(|(id, b)| format!("{id} ({:.3}s)", b.wall_seconds.unwrap_or(0.0)))
-        .collect();
+    let only_in = |a: &BTreeMap<String, Exp>, b: &BTreeMap<String, Exp>| -> Vec<String> {
+        a.iter()
+            .filter(|(id, _)| !b.contains_key(*id))
+            .map(|(id, e)| format!("{id} ({:.3}s)", e.wall_seconds.unwrap_or(0.0)))
+            .collect()
+    };
+    let (only_current, only_base) = (only_in(&cur, &base), only_in(&base, &cur));
     if !only_current.is_empty() || !only_base.is_empty() {
-        println!("\nnot comparable (present in one file only — excluded from the gate):");
+        println!("\nnot comparable (present in one file only — excluded from the gates):");
         if !only_current.is_empty() {
             println!(
                 "  only in current ({}): {}",
@@ -302,26 +294,142 @@ fn main() {
             );
         }
     }
+    if !drifted.is_empty() {
+        eprintln!(
+            "\nresult drift (deterministic values changed: experiment / label / column: baseline -> current):"
+        );
+        for d in &drifted {
+            eprintln!("  {d}");
+        }
+    }
     if !rate_regressions.is_empty() {
         eprintln!("\nsimulator-throughput regressions beyond tolerance:");
         for (id, b, c) in &rate_regressions {
             eprintln!("  {id}: {b:.0} ev/s -> {c:.0} ev/s");
         }
     }
-    if !regressions.is_empty() {
-        eprintln!("\nperformance regressions beyond tolerance:");
-        for (id, b, c) in &regressions {
-            eprintln!("  {id}: {b:.3}s -> {c:.3}s");
-        }
-    }
-    if !regressions.is_empty() || !rate_regressions.is_empty() {
+    if !drifted.is_empty() || !rate_regressions.is_empty() {
         std::process::exit(1);
     }
 }
 
-fn fmt_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.0}"),
-        None => "-".to_string(),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two experiments in the harness's own line layout.
+    const GOOD: &str = r#"{
+  "scale": "Smoke",
+  "experiments": [
+    {
+      "id": "E1",
+      "title": "t",
+      "wall_seconds": 0.700,
+      "events_simulated": 1000,
+      "events_per_sec": 1428.5,
+      "rows": [
+        {"label": "1x1", "luns_total": 1, "iops": 8273.5},
+        {"label": "a \"b\", c", "iops": 2, "wall_ms": 3.5}
+      ]
+    },
+    {
+      "id": "E2",
+      "wall_seconds": 0.100,
+      "events_simulated": 50,
+      "events_per_sec": 500,
+      "rows": [
+      ]
+    }
+  ]
+}
+"#;
+
+    #[test]
+    fn scrapes_fields_and_rows() {
+        let exps = scrape("good.json", GOOD).unwrap();
+        assert_eq!(exps.len(), 2);
+        let e1 = &exps["E1"];
+        assert_eq!(e1.wall_seconds, Some(0.7));
+        assert_eq!(e1.events_simulated, Some(1000));
+        assert_eq!(e1.rows.len(), 2);
+        assert_eq!(e1.rows[0].0, "1x1");
+        let cell = |n: &str, v: &str| (n.to_string(), v.to_string());
+        assert_eq!(
+            e1.rows[0].1,
+            vec![cell("luns_total", "1"), cell("iops", "8273.5")]
+        );
+        // Quotes, commas and colons inside a label do not split it.
+        assert_eq!(e1.rows[1].0, r#"a \"b\", c"#);
+        assert_eq!(
+            e1.rows[1].1,
+            vec![cell("iops", "2"), cell("wall_ms", "3.5")]
+        );
+    }
+
+    #[test]
+    fn a_truncated_file_is_an_error_not_an_empty_baseline() {
+        let err = scrape(
+            "bad.json",
+            r#"{"experiments":[{"id":"E1","wall_seconds":"x""#,
+        )
+        .unwrap_err();
+        assert!(err.contains("bad.json: no experiment found"), "{err}");
+        // Cut mid-experiment, in the harness layout: the open object
+        // still has its id, but never got its wall_seconds.
+        let cut = &GOOD[..GOOD.find("\"wall_seconds\"").unwrap()];
+        let err = scrape("cut.json", cut).unwrap_err();
+        assert!(err.contains("\"E1\" has no wall_seconds"), "{err}");
+    }
+
+    #[test]
+    fn json_outside_the_harness_layout_is_an_error() {
+        let minified: String = GOOD.split_whitespace().collect();
+        let err = scrape("min.json", &minified).unwrap_err();
+        assert!(err.contains("no experiment found"), "{err}");
+        assert!(scrape("empty.json", "").is_err());
+    }
+
+    #[test]
+    fn files_sharing_no_experiment_are_an_error() {
+        let base = scrape("a.json", GOOD).unwrap();
+        let other = scrape(
+            "b.json",
+            &GOOD.replace("\"E1\"", "\"E8\"").replace("\"E2\"", "\"E9\""),
+        )
+        .unwrap();
+        assert!(shared_ids(&base, &other).is_err());
+        assert_eq!(shared_ids(&base, &base).unwrap(), vec!["E1", "E2"]);
+    }
+
+    #[test]
+    fn value_drift_names_experiment_label_column_and_both_values() {
+        let base = scrape("a.json", GOOD).unwrap();
+        assert!(drift("E1", &base["E1"], &base["E1"]).is_empty());
+        // Host-clock cells and fields are not results.
+        let noisy = GOOD
+            .replace("\"wall_ms\": 3.5", "\"wall_ms\": 9.5")
+            .replace("1428.5", "7.0");
+        let cur = scrape("b.json", &noisy).unwrap();
+        assert!(drift("E1", &base["E1"], &cur["E1"]).is_empty());
+        let moved = GOOD
+            .replace("8273.5", "8273.6")
+            .replace("\"events_simulated\": 50,", "\"events_simulated\": 51,");
+        let cur = scrape("b.json", &moved).unwrap();
+        assert_eq!(
+            drift("E1", &base["E1"], &cur["E1"]),
+            vec!["E1 / 1x1 / iops: 8273.5 -> 8273.6"]
+        );
+        assert_eq!(
+            drift("E2", &base["E2"], &cur["E2"]),
+            vec!["E2 events_simulated: 50 -> 51"]
+        );
+        // A renamed, added or dropped column is drift too.
+        let renamed = scrape("c.json", &GOOD.replace("luns_total", "luns")).unwrap();
+        assert_eq!(
+            drift("E1", &base["E1"], &renamed["E1"]),
+            vec!["E1 / 1x1 column name: luns_total -> luns"]
+        );
+        let dropped = scrape("d.json", &GOOD.replace("\"luns_total\": 1, ", "")).unwrap();
+        assert!(!drift("E1", &base["E1"], &dropped["E1"]).is_empty());
     }
 }

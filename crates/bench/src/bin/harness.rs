@@ -9,8 +9,8 @@
 //! * `harness all --scale demo` — every experiment at demo size.
 //! * `harness e3 e9 --scale full` — GC greediness and advanced commands.
 //! * `harness game --csv` — the scheduling game as CSV.
-//! * `harness all --scale smoke --json BENCH_seed.json` — machine-readable
-//!   baseline (wall time + result rows per experiment) for perf tracking.
+//! * `harness all --scale smoke --json BENCH_now.json` — machine-readable
+//!   baseline (wall time + result rows per experiment) for `compare`.
 //! * `harness all --scale smoke --jobs 0` — run independent experiments on
 //!   parallel threads (`0` = all available cores). Every simulation is
 //!   self-contained and deterministic, so results are identical to a
@@ -30,9 +30,9 @@
 //! appear only in rows of fault-model-enabled runs (E25/E26), and the
 //! stage-attribution columns (`st_queue_us`, `explained_p999`, …) only in
 //! rows of observability-enabled runs (E27) — other experiments emit no
-//! such keys at all, keeping their JSON byte-identical to builds without
-//! those subsystems. `compare` treats absent-vs-present columns as
-//! informational drift, never a gate failure.
+//! such keys at all. Every cell except E18's host-clock pair (`wall_ms`,
+//! `events_per_sec`) is deterministic, and `compare` gates on all of
+//! them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -213,7 +213,7 @@ fn run_sequential(
     for e in experiments {
         eprintln!("running {} ({:?}) …", e.id, scale);
         let result = run_one(e, scale);
-        let (secs, events) = (result.wall_seconds, result.events_simulated.unwrap_or(0));
+        let (secs, events) = (result.wall_seconds, result.events_simulated);
         let eps = if secs > 0.0 { events as f64 / secs } else { 0.0 };
         eprintln!("  done in {secs:.1}s ({events} events, {eps:.0} events/s)");
         print(&result);
@@ -235,7 +235,7 @@ fn run_one(e: &eagletree_experiments::Experiment, scale: Scale) -> ExperimentRes
     ExperimentResult {
         table,
         wall_seconds: secs,
-        events_simulated: Some(events),
+        events_simulated: events,
     }
 }
 
@@ -275,7 +275,7 @@ fn run_parallel(
 struct ExperimentResult {
     table: Table,
     wall_seconds: f64,
-    events_simulated: Option<u64>,
+    events_simulated: u64,
 }
 
 /// Hand-rolled JSON (no serde in the offline build container): one
@@ -301,11 +301,10 @@ fn to_json(
         out.push_str(&format!("      \"title\": {},\n", json_str(&t.title)));
         out.push_str(&format!("      \"param\": {},\n", json_str(&t.param)));
         out.push_str(&format!("      \"wall_seconds\": {secs:.3},\n"));
-        if let Some(events) = r.events_simulated {
-            let eps = if secs > 0.0 { events as f64 / secs } else { 0.0 };
-            out.push_str(&format!("      \"events_simulated\": {events},\n"));
-            out.push_str(&format!("      \"events_per_sec\": {},\n", json_num(eps)));
-        }
+        let events = r.events_simulated;
+        let eps = if secs > 0.0 { events as f64 / secs } else { 0.0 };
+        out.push_str(&format!("      \"events_simulated\": {events},\n"));
+        out.push_str(&format!("      \"events_per_sec\": {},\n", json_num(eps)));
         out.push_str("      \"rows\": [\n");
         for (j, r) in t.rows.iter().enumerate() {
             let fields: Vec<String> = std::iter::once(format!("\"label\": {}", json_str(&r.label)))

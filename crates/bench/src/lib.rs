@@ -2,9 +2,11 @@
 //!
 //! Benchmark harness for EagleTree.
 //!
-//! * `harness` binary — regenerates every experiment series (E1–E17, G1)
-//!   from DESIGN.md's index: `cargo run --release -p eagletree-bench --bin
-//!   harness -- all --scale full`.
+//! * `harness` binary — regenerates every experiment series (E1–E27, G1;
+//!   `harness --help` lists them): `cargo run --release -p eagletree-bench
+//!   --bin harness -- all --scale full`.
+//! * `compare` binary — gates a harness `--json` file against a baseline:
+//!   any deterministic result that moved, or a lost events/sec factor.
 //! * `benches/experiments.rs` — Criterion benches running each experiment
 //!   at smoke scale, so `cargo bench` exercises the whole suite.
 //! * `benches/micro.rs` — microbenchmarks of the simulator's hot paths

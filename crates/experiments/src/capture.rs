@@ -8,10 +8,11 @@
 //! shows application IO interleaved with GC, erases and ECC retries
 //! rather than an idle device.
 
-use eagletree_workloads::{precondition::sequential_fill, Pumped, Region, SeqWriteGen, TenantProfile, ZipfGen, ZipfKind};
+use eagletree_os::QosPolicy;
 
 use crate::experiment::Scale;
-use crate::setup::Setup;
+use crate::point::{run_point, Point};
+use crate::suite::{flooder_tenant, reader_tenant, seq_flooder, shared};
 
 /// Everything one instrumented run exports.
 #[derive(Debug, Clone)]
@@ -32,36 +33,19 @@ pub struct ObsArtifacts {
 /// Run the capture workload at `scale` with spans + timeline enabled and
 /// export the artifacts.
 pub fn obs_capture(scale: Scale) -> ObsArtifacts {
-    let mut setup = Setup::small();
+    let mut setup = shared(QosPolicy::None);
     setup.ctrl.obs.span_capacity = 1 << 18;
     setup.ctrl.obs.timeline_interval_us = 500;
-    setup.ctrl.wl.static_enabled = false;
-    setup.os.queue_depth = 32;
     let logical = setup.logical_pages();
-    let mut os = setup.build();
-    os.add_thread(sequential_fill(32));
-    os.run();
-    let (_, _) = TenantProfile::new("reader", 2048)
-        .weight(8)
-        .tier(0)
-        .thread(
-            Pumped::new(
-                ZipfGen::new(Region::whole(), scale.ios(logical / 2), 0.99, ZipfKind::Reads),
-                4,
-                0xCA97,
-            )
-            .named("zipf-reader"),
-        )
-        .install(&mut os);
-    let (_, _) = TenantProfile::new("flooder", 4096)
-        .weight(1)
-        .tier(1)
-        .thread(
-            Pumped::new(SeqWriteGen::new(Region::whole(), scale.ios(logical * 2)), 128, 0x97CA)
-                .named("seq-flooder"),
-        )
-        .install(&mut os);
-    os.run();
+    let os = run_point(Point::filled(
+        "capture",
+        setup,
+        vec![
+            reader_tenant(scale.ios(logical / 2), 4, 0xCA97),
+            flooder_tenant(4096, seq_flooder(scale.ios(logical * 2), 128, 0x97CA)),
+        ],
+    ))
+    .os;
     let lanes = os.controller().obs_lane_names();
     let tenants = os.tenant_names();
     let obs = os.obs().expect("capture runs with spans enabled");

@@ -1,10 +1,10 @@
 //! The generic experiment template.
 //!
 //! Mirrors §2.3: an experiment = (parameter/policy, variation strategy,
-//! workload). [`Experiment`] couples a named sweep with a closure that
-//! builds, preconditions, runs and measures one point; [`Scale`] shrinks IO
-//! counts so the same experiment runs as a quick smoke test, a demo, or the
-//! full series.
+//! workload). [`Experiment`] names one and runs it to a [`Table`] — for
+//! most of the suite by sweeping values into points (`crate::point`);
+//! [`Scale`] shrinks IO counts so the same experiment runs as a quick
+//! smoke test, a demo, or the full series.
 
 use crate::metrics::Table;
 
@@ -47,7 +47,7 @@ impl Scale {
 
 /// A runnable experiment.
 pub struct Experiment {
-    /// Identifier (DESIGN.md index: "E1" … "G1").
+    /// Identifier ("E1" … "E27", "G1") — unique within `suite::all()`.
     pub id: &'static str,
     /// Human title.
     pub title: &'static str,

@@ -9,24 +9,32 @@
 //!   controller + OS config) and simulation construction.
 //! * [`metrics`] — per-run measurement extraction ([`metrics::Measured`])
 //!   and tabular output ([`metrics::Table`], aligned text and CSV).
-//! * [`experiment`] — the generic sweep template.
-//! * [`suite`] — the predefined experiments E1–E27 and the G1 "game"
-//!   (see DESIGN.md for the per-experiment index).
+//! * [`experiment`] — the [`Experiment`] handle and [`Scale`].
+//! * `point` — one `Point` of a sweep (label, setup, fill-first flag,
+//!   actors) and `run_point`, the only place a device is built, aged,
+//!   run and measured.
+//! * `columns` — the column vocabulary: each metric-derived column name
+//!   bound to its source once.
+//! * [`suite`] — the predefined experiments E1–E27 and the G1 "game" as
+//!   point lists + column sets ([`suite::all`] is the index; `harness
+//!   --help` prints it).
 //! * [`capture`] — the instrumented observability run behind the bench
 //!   harness `--trace` / `--timeline` flags (Perfetto + timeline export).
 
 #![forbid(unsafe_code)]
 
 pub mod capture;
+mod columns;
 pub mod experiment;
 pub mod metrics;
+mod point;
 pub mod setup;
 pub mod suite;
 
 pub use capture::{obs_capture, ObsArtifacts};
 pub use experiment::{Experiment, Scale};
 pub use metrics::{
-    downsample, measure, measure_since, merged_stage_breakdown, push_stage_columns, snapshot,
-    sparkline, CounterSnapshot, Measured, Row, Table,
+    downsample, measure, measure_since, merged_stage_breakdown, snapshot, sparkline,
+    CounterSnapshot, Measured, Row, Table,
 };
 pub use setup::Setup;

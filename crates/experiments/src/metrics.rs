@@ -7,8 +7,10 @@
 use eagletree_controller::{
     wear_summary, ClassTable, MergeCounters, OpClass, ReliabilityStats, RequestKind,
 };
-use eagletree_core::{Histogram, Stage, StageBreakdown};
+use eagletree_core::{Histogram, StageBreakdown};
 use eagletree_os::{Os, ThreadStats};
+
+use crate::columns::Col;
 
 /// Condensed metrics of one simulation run, over a set of measured threads.
 #[derive(Debug, Clone, Default)]
@@ -75,23 +77,6 @@ pub fn merged_stage_breakdown(os: &Os) -> Option<StageBreakdown> {
         }
     }
     merged
-}
-
-/// Append the stage-mean columns (`st_<stage>_us`) of a breakdown to a
-/// row — what experiments with observability enabled surface through
-/// the harness `--json` output.
-pub fn push_stage_columns(mut row: Row, b: &StageBreakdown) -> Row {
-    const COLS: [(&str, Stage); Stage::COUNT] = [
-        ("st_queue_us", Stage::QueueWait),
-        ("st_qos_us", Stage::QosHold),
-        ("st_pend_us", Stage::SchedPending),
-        ("st_media_us", Stage::Media),
-        ("st_retry_us", Stage::Retry),
-    ];
-    for (name, stage) in COLS {
-        row = row.push(name, b.mean_us(stage));
-    }
-    row
 }
 
 /// Controller counter snapshot, for measuring steady-state deltas after a
@@ -273,8 +258,18 @@ impl Row {
     }
 
     pub fn push(mut self, name: &'static str, value: f64) -> Self {
+        debug_assert!(
+            self.get(name).is_none(),
+            "row `{}` already has a column `{name}`",
+            self.label
+        );
         self.values.push((name, value));
         self
+    }
+
+    /// Append `cols`, in order, each read off `src`.
+    pub(crate) fn cols<S>(self, src: &S, cols: &[Col<S>]) -> Self {
+        cols.iter().fold(self, |row, c| row.push(c.name, (c.get)(src)))
     }
 
     /// Fetch a value by column name.
@@ -424,6 +419,13 @@ mod tests {
         assert_eq!(r.get("iops"), Some(100.0));
         assert_eq!(r.get("wa"), Some(1.5));
         assert_eq!(r.get("nope"), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already has a column `iops`")]
+    fn row_rejects_a_duplicate_column() {
+        let _ = Row::new("x=1").push("iops", 100.0).push("iops", 200.0);
     }
 
     #[test]

@@ -1,26 +1,32 @@
 //! The predefined experiment suite: E1–E27 and the G1 game.
 //!
-//! Each experiment reproduces one question the paper poses (see the
-//! per-experiment index in DESIGN.md, and EXPERIMENTS.md for measured
-//! results). All experiments are deterministic for a fixed [`Scale`].
+//! Each experiment reproduces one question the paper poses ([`all`] is
+//! the index: id, title and paper hook; `harness --help` prints it). An
+//! experiment is a list of [`Point`]s — one per swept value — and the
+//! columns it reads off each finished point, interpreted by [`sweep`] /
+//! [`run_point`]; only E10, E21, E22 and E23's `trace/profile` row drive
+//! the device by hand. All experiments are deterministic for a fixed
+//! [`Scale`].
 
 use eagletree_controller::{
     Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RecoveryMode, RequestKind,
     SchedPolicy, ScrubConfig, SsdRequest, TemperatureMode, WriteAllocPolicy,
 };
-use eagletree_core::{QueueKind, SimDuration, SimRng, SimTime};
-use eagletree_flash::{FaultConfig, Geometry, TimingSpec};
-use eagletree_os::{Os, OsSchedPolicy, QosPolicy, Workload};
+use eagletree_core::{QueueKind, SimDuration, SimRng, SimTime, Stage};
+use eagletree_flash::{FaultConfig, Geometry, MemoryKind, TimingSpec};
+use eagletree_os::{OsSchedPolicy, QosPolicy, Workload};
 use eagletree_workloads::{
-    characterize, precondition::sequential_fill, ChunkedSource, GraceHashJoin, MixedGen,
+    characterize, precondition::region_fill, ChunkedSource, GraceHashJoin, IoGen, MixedGen,
     MsrCsvSource, Pumped, RandReadGen, RandWriteGen, Region, Remap, ReplayThread, SeqWriteGen,
     SynthCsv, SynthShape, SyntheticTrace, TenantProfile, ZipfGen, ZipfKind,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::columns::*;
 use crate::experiment::{Experiment, Scale};
-use crate::metrics::{measure, measure_since, snapshot, Row, Table};
+use crate::metrics::{measure_since, snapshot, Measured, Row, Table};
+use crate::point::{run_point, sweep, Actor, Point, Ran};
 use crate::setup::Setup;
 
 /// All predefined experiments, in index order.
@@ -63,128 +69,81 @@ pub fn by_id(id: &str) -> Option<Experiment> {
 }
 
 // ---------------------------------------------------------------------
-// helpers
+// shared vocabulary: devices, actors, sweep axes, rows
 
-/// Run `measured` workloads after sequentially filling the logical space;
-/// returns `(os, tids, rows-ready Measured)` with controller counters
-/// measured as deltas over the steady phase only.
-fn run_preconditioned(
-    setup: &Setup,
-    measured: Vec<Box<dyn Workload>>,
-) -> (Os, Vec<usize>) {
-    let mut os = setup.build();
-    os.add_thread(sequential_fill(32));
-    os.run();
-    let tids: Vec<usize> = measured.into_iter().map(|w| os.add_thread(w)).collect();
-    (os, tids)
+/// [`Setup::small`] with static wear leveling off, so its background
+/// migrations do not blur the one knob a sweep turns — where nearly every
+/// experiment starts.
+fn small() -> Setup {
+    let mut setup = Setup::small();
+    setup.ctrl.wl.static_enabled = false;
+    setup
 }
 
-fn finish_point(mut os: Os, tids: &[usize], label: String) -> Row {
-    let base = snapshot(&os);
-    os.run();
-    let m = measure_since(&os, tids, &base);
-    Row::new(label)
-        .push("iops", m.iops)
-        .push("read_us", m.read_mean_us)
-        .push("read_p99_us", m.read_p99_us)
-        .push("read_sd_us", m.read_stddev_us)
-        .push("write_us", m.write_mean_us)
-        .push("write_p99_us", m.write_p99_us)
-        .push("write_sd_us", m.write_stddev_us)
-        .push("WA", m.write_amplification)
-        .push("gc_erases", m.gc_erases as f64)
+/// [`small`] shared by tenants: OS queue depth 32 under `qos`.
+pub(crate) fn shared(qos: QosPolicy) -> Setup {
+    let mut setup = small();
+    setup.os.qos = qos;
+    setup.os.queue_depth = 32;
+    setup
 }
 
-// ---------------------------------------------------------------------
-// E1 — parallelism
-
-fn e1_parallelism(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "E1",
-        "Random-write IOPS vs channels × LUNs/channel",
-        "geometry",
-    );
-    let dims = scale.thin(&[1u32, 2, 4, 8]);
-    let ios = scale.ios(8192);
-    for &ch in &dims {
-        for &luns in &dims {
-            let mut setup = Setup::demo();
-            setup.geometry = Geometry {
-                channels: ch,
-                luns_per_channel: luns,
-                planes_per_lun: 1,
-                blocks_per_plane: 64,
-                pages_per_block: 32,
-                page_size: 4096,
-            };
-            setup.os.queue_depth = 128;
-            let mut os = setup.build();
-            let w = Pumped::new(RandWriteGen::new(Region::whole(), ios), 128, 0xE1)
-                .named("rand-writer");
-            let tid = os.add_thread(Box::new(w));
-            let base = snapshot(&os);
-            os.run();
-            let m = measure_since(&os, &[tid], &base);
-            t.rows.push(
-                Row::new(format!("{ch}x{luns}"))
-                    .push("luns_total", (ch * luns) as f64)
-                    .push("iops", m.iops)
-                    .push("write_us", m.write_mean_us),
-            );
-        }
-    }
-    t
+/// One closed-loop thread: `gen` with up to `window` IOs in flight.
+fn pumped<G: IoGen + 'static>(gen: G, window: u64, seed: u64, name: &str) -> Actor {
+    Actor::thread(Pumped::new(gen, window, seed).named(name))
 }
 
-// ---------------------------------------------------------------------
-// E2 — queue depth
-
-fn e2_queue_depth(scale: Scale) -> Table {
-    let mut t = Table::new("E2", "Random-read IOPS and latency vs OS queue depth", "qd");
-    let ios = scale.ios(8192);
-    for qd in scale.thin(&[1usize, 2, 4, 8, 16, 32, 64]) {
-        let mut setup = Setup::small();
-        setup.os.queue_depth = qd;
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(RandReadGen::new(Region::whole(), ios), 256, 0xE2).named("reader"),
-            )],
-        );
-        t.rows.push(finish_point(os, &tids, format!("{qd}")));
-    }
-    t
+/// Uniform random writes over the whole logical space.
+fn rand_writer(ios: u64, window: u64, seed: u64, name: &str) -> Actor {
+    pumped(RandWriteGen::new(Region::whole(), ios), window, seed, name)
 }
 
-// ---------------------------------------------------------------------
-// E3 — GC greediness
-
-fn e3_gc_greediness(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "E3",
-        "Steady-state overwrite: throughput / WA / tails vs GC greediness",
-        "greediness",
-    );
-    for g in scale.thin(&[1u32, 2, 3, 4, 6, 8]) {
-        let mut setup = Setup::small();
-        setup.ctrl.gc.greediness = g;
-        setup.ctrl.wl.static_enabled = false;
-        let ios = scale.ios(setup.logical_pages() * 3);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(RandWriteGen::new(Region::whole(), ios), 32, 0xE3)
-                    .named("overwriter"),
-            )],
-        );
-        t.rows.push(finish_point(os, &tids, format!("{g}")));
-    }
-    t
+/// Uniform random reads over the whole logical space.
+fn rand_reader(ios: u64, window: u64, seed: u64, name: &str) -> Actor {
+    pumped(RandReadGen::new(Region::whole(), ios), window, seed, name)
 }
 
-// ---------------------------------------------------------------------
-// E4 — controller scheduling policies
+/// A 50/50 uniform random read/write mix over the whole logical space.
+fn mixed(ios: u64, window: u64, seed: u64, name: &str) -> Actor {
+    pumped(MixedGen::new(Region::whole(), ios, 0.5), window, seed, name)
+}
 
+/// Skewed (θ = 0.99) reads over the whole space or namespace.
+fn zipf_reader(ios: u64, window: u64, seed: u64) -> Pumped<ZipfGen> {
+    let gen = ZipfGen::new(Region::whole(), ios, 0.99, ZipfKind::Reads);
+    Pumped::new(gen, window, seed).named("zipf-reader")
+}
+
+/// A sequential write flood with a large window.
+pub(crate) fn seq_flooder(ios: u64, window: u64, seed: u64) -> Pumped<SeqWriteGen> {
+    Pumped::new(SeqWriteGen::new(Region::whole(), ios), window, seed).named("seq-flooder")
+}
+
+/// The latency-sensitive tenant: skewed reads, small in-flight window,
+/// high WFQ weight / top tier / no rate cap.
+pub(crate) fn reader_tenant(ios: u64, window: u64, seed: u64) -> Actor {
+    Actor::Tenant(
+        TenantProfile::new("reader", 2048)
+            .weight(8)
+            .tier(0)
+            .thread(zipf_reader(ios, window, seed)),
+    )
+}
+
+/// The misbehaving neighbor running `flood`: low weight / lower tier / a
+/// 4k-IOPS cap under the token bucket.
+pub(crate) fn flooder_tenant(pages: u64, flood: impl Workload + 'static) -> Actor {
+    Actor::Tenant(
+        TenantProfile::new("flooder", pages)
+            .weight(1)
+            .tier(1)
+            .iops_limit(4_000.0)
+            .burst(4.0)
+            .thread(flood),
+    )
+}
+
+/// The controller scheduling policies E4 and G1 sweep.
 fn policies() -> Vec<(&'static str, SchedPolicy)> {
     vec![
         ("fifo", SchedPolicy::Fifo),
@@ -195,306 +154,329 @@ fn policies() -> Vec<(&'static str, SchedPolicy)> {
     ]
 }
 
+/// The tenant QoS policies E19/E20/E24 sweep (every scale runs all of
+/// them — the whole point is the cross-policy comparison).
+fn qos_policies() -> Vec<(&'static str, QosPolicy)> {
+    vec![
+        ("none", QosPolicy::None),
+        ("wfq", QosPolicy::Wfq),
+        ("token_bucket", QosPolicy::TokenBucket),
+        (
+            "strict_tiers",
+            QosPolicy::StrictTiers {
+                starvation_us: 50_000,
+            },
+        ),
+    ]
+}
+
+/// A DFTL whose cached mapping table covers `percent` of `logical` pages.
+fn dftl_covering(logical: u64, percent: u64) -> MappingKind {
+    MappingKind::Dftl {
+        cmt_entries: ((logical * percent) / 100).max(8) as usize,
+    }
+}
+
+/// A hybrid log-block FTL merging its oldest log block first.
+fn hybrid(log_blocks: usize) -> MappingKind {
+    MappingKind::Hybrid {
+        log_blocks,
+        merge: MergePolicy::Fifo,
+    }
+}
+
+/// The three mapping families, given the DFTL and hybrid variants to use.
+fn schemes(dftl: MappingKind, hybrid: MappingKind) -> [(&'static str, MappingKind); 3] {
+    [
+        ("page_map", MappingKind::PageMap),
+        ("dftl", dftl),
+        ("hybrid", hybrid),
+    ]
+}
+
+/// Every pair of one value from `a` and one from `b`, `a` outermost.
+fn cross<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
+    a.iter()
+        .flat_map(|x| b.iter().map(move |y| (x.clone(), y.clone())))
+        .collect()
+}
+
+/// The standard row: throughput, latencies, WA and GC erases over all
+/// actors.
+fn standard(r: &Ran) -> Row {
+    r.row().cols(&r.all, &STANDARD)
+}
+
+// ---------------------------------------------------------------------
+// E1 — parallelism
+
+fn e1_parallelism(scale: Scale) -> Table {
+    let dims = scale.thin(&[1u32, 2, 4, 8]);
+    let ios = scale.ios(8192);
+    sweep(
+        "E1",
+        "Random-write IOPS vs channels × LUNs/channel",
+        "geometry",
+        cross(&dims, &dims),
+        |(ch, luns)| {
+            let mut setup = Setup::demo();
+            setup.geometry = Geometry {
+                channels: ch,
+                luns_per_channel: luns,
+                ..Setup::small().geometry
+            };
+            setup.os.queue_depth = 128;
+            let writer = rand_writer(ios, 128, 0xE1, "rand-writer");
+            Point::fresh(format!("{ch}x{luns}"), setup, vec![writer])
+        },
+        |r| {
+            let luns = r.os.controller().array().geometry().total_luns();
+            r.row()
+                .push("luns_total", luns as f64)
+                .cols(&r.all, &[IOPS, WRITE_US])
+        },
+    )
+}
+
+// ---------------------------------------------------------------------
+// E2 — queue depth
+
+fn e2_queue_depth(scale: Scale) -> Table {
+    let ios = scale.ios(8192);
+    sweep(
+        "E2",
+        "Random-read IOPS and latency vs OS queue depth",
+        "qd",
+        scale.thin(&[1usize, 2, 4, 8, 16, 32, 64]),
+        |qd| {
+            let mut setup = Setup::small();
+            setup.os.queue_depth = qd;
+            let reader = rand_reader(ios, 256, 0xE2, "reader");
+            Point::filled(format!("{qd}"), setup, vec![reader])
+        },
+        standard,
+    )
+}
+
+// ---------------------------------------------------------------------
+// E3 — GC greediness
+
+fn e3_gc_greediness(scale: Scale) -> Table {
+    sweep(
+        "E3",
+        "Steady-state overwrite: throughput / WA / tails vs GC greediness",
+        "greediness",
+        scale.thin(&[1u32, 2, 3, 4, 6, 8]),
+        |g| {
+            let mut setup = small();
+            setup.ctrl.gc.greediness = g;
+            let ios = scale.ios(setup.logical_pages() * 3);
+            let writer = rand_writer(ios, 32, 0xE3, "overwriter");
+            Point::filled(format!("{g}"), setup, vec![writer])
+        },
+        standard,
+    )
+}
+
+// ---------------------------------------------------------------------
+// E4 — controller scheduling policies
+
 fn e4_ctrl_sched(scale: Scale) -> Table {
-    let mut t = Table::new(
+    sweep(
         "E4",
         "Mixed 50/50 read-write under controller scheduling policies",
         "policy",
-    );
-    let pols = scale.thin(&policies());
-    for (name, pol) in pols {
-        let mut setup = Setup::small();
-        setup.ctrl.sched = pol;
-        setup.ctrl.wl.static_enabled = false;
-        setup.os.queue_depth = 64;
-        let ios = scale.ios(setup.logical_pages() * 2);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(MixedGen::new(Region::whole(), ios, 0.5), 64, 0xE4).named("mixed"),
-            )],
-        );
-        t.rows.push(finish_point(os, &tids, name.to_string()));
-    }
-    t
+        scale.thin(&policies()),
+        |(name, pol)| {
+            let mut setup = small();
+            setup.ctrl.sched = pol;
+            setup.os.queue_depth = 64;
+            let ios = scale.ios(setup.logical_pages() * 2);
+            Point::filled(name, setup, vec![mixed(ios, 64, 0xE4, "mixed")])
+        },
+        standard,
+    )
 }
 
 // ---------------------------------------------------------------------
 // E5 — internal-op (GC) priority
 
 fn e5_internal_priority(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "E5",
-        "Reader tail latency vs internal-op priority under overwrite load",
-        "gc_priority",
-    );
     let variants: Vec<(&str, SchedPolicy)> = vec![
         ("internal_low", SchedPolicy::app_first()),
         ("equal_fifo", SchedPolicy::Fifo),
         ("internal_high", SchedPolicy::internal_first()),
     ];
-    for (name, pol) in scale.thin(&variants) {
-        let mut setup = Setup::small();
-        setup.ctrl.sched = pol;
-        setup.ctrl.wl.static_enabled = false;
-        setup.os.queue_depth = 32;
-        let logical = setup.logical_pages();
-        let w_ios = scale.ios(logical * 2);
-        let r_ios = scale.ios(logical);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![
-                Box::new(
-                    Pumped::new(RandWriteGen::new(Region::whole(), w_ios), 16, 0xE5)
-                        .named("overwriter"),
-                ),
-                Box::new(
-                    Pumped::new(RandReadGen::new(Region::whole(), r_ios), 4, 0x5E)
-                        .named("reader"),
-                ),
-            ],
-        );
-        // Report the reader's view (tids[1]) plus global WA.
-        let base = snapshot(&os);
-        let mut os = os;
-        os.run();
-        let m = measure_since(&os, &[tids[1]], &base);
-        let all = measure_since(&os, &tids, &base);
-        t.rows.push(
-            Row::new(name.to_string())
-                .push("read_us", m.read_mean_us)
-                .push("read_p99_us", m.read_p99_us)
-                .push("read_sd_us", m.read_stddev_us)
-                .push("total_iops", all.iops)
-                .push("WA", all.write_amplification),
-        );
-    }
-    t
+    sweep(
+        "E5",
+        "Reader tail latency vs internal-op priority under overwrite load",
+        "gc_priority",
+        scale.thin(&variants),
+        |(name, pol)| {
+            let mut setup = small();
+            setup.ctrl.sched = pol;
+            setup.os.queue_depth = 32;
+            let logical = setup.logical_pages();
+            let writer = rand_writer(scale.ios(logical * 2), 16, 0xE5, "overwriter");
+            let reader = rand_reader(scale.ios(logical), 4, 0x5E, "reader");
+            Point::filled(name, setup, vec![writer, reader])
+        },
+        // The reader's view plus global throughput and WA.
+        |r| {
+            r.row()
+                .cols(&r.actors[1].m, &[READ_US, READ_P99_US, READ_SD_US])
+                .cols(&r.all, &[TOTAL_IOPS, WA])
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
 // E6 — mapping schemes
 
 fn e6_mapping(scale: Scale) -> Table {
-    let mut t = Table::new(
+    let logical = small().logical_pages();
+    let mut variants = vec![("page_map".to_string(), MappingKind::PageMap)];
+    for c in scale.thin(&[1u64, 5, 10, 25, 50, 100]) {
+        variants.push((format!("dftl_{c}%"), dftl_covering(logical, c)));
+    }
+    for b in scale.thin(&[4usize, 16]) {
+        variants.push((format!("hybrid_{b}"), hybrid(b)));
+    }
+    sweep(
         "E6",
         "Zipf mixed workload: page map vs DFTL (CMT coverage) vs hybrid (log budget)",
         "mapping",
-    );
-    let coverages = scale.thin(&[1u64, 5, 10, 25, 50, 100]);
-    let mut variants: Vec<(String, MappingKind)> =
-        vec![("page_map".into(), MappingKind::PageMap)];
-    let logical = Setup::small().logical_pages();
-    for c in coverages {
-        variants.push((
-            format!("dftl_{c}%"),
-            MappingKind::Dftl {
-                cmt_entries: ((logical * c) / 100).max(8) as usize,
-            },
-        ));
-    }
-    for b in scale.thin(&[4usize, 16]) {
-        variants.push((
-            format!("hybrid_{b}"),
-            MappingKind::Hybrid {
-                log_blocks: b,
-                merge: MergePolicy::Fifo,
-            },
-        ));
-    }
-    for (name, mapping) in variants {
-        let mut setup = Setup::small();
-        setup.ctrl.mapping = mapping;
-        setup.ctrl.wl.static_enabled = false;
-        let ios = scale.ios(logical * 2);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(
-                    ZipfGen::new(Region::whole(), ios, 0.99, ZipfKind::Mixed(50)),
-                    32,
-                    0xE6,
-                )
-                .named("zipf-mixed"),
-            )],
-        );
-        let base = snapshot(&os);
-        let mut os = os;
-        os.run();
-        let m = measure_since(&os, &tids, &base);
-        let map_ram_kb = os
-            .controller()
-            .memory()
-            .reserved_for(eagletree_flash::MemoryKind::Ram, "mapping")
-            .unwrap_or(0) as f64
-            / 1024.0;
-        t.rows.push(
-            Row::new(name)
-                .push("iops", m.iops)
-                .push("read_us", m.read_mean_us)
-                .push("write_us", m.write_mean_us)
-                .push("map_ram_kb", map_ram_kb)
-                .push("map_fetches", m.mapping_fetches as f64)
-                .push("map_writebacks", m.mapping_writebacks as f64)
-                .push("merges", (m.merges.switch_merges + m.merges.partial_merges
-                    + m.merges.full_merges) as f64)
-                .push("WA", m.write_amplification),
-        );
-    }
-    t
+        variants,
+        |(name, mapping)| {
+            let mut setup = small();
+            setup.ctrl.mapping = mapping;
+            let ios = scale.ios(logical * 2);
+            let gen = ZipfGen::new(Region::whole(), ios, 0.99, ZipfKind::Mixed(50));
+            Point::filled(name, setup, vec![pumped(gen, 32, 0xE6, "zipf-mixed")])
+        },
+        |r| {
+            let memory = r.os.controller().memory();
+            let map_ram = memory.reserved_for(MemoryKind::Ram, "mapping");
+            r.row()
+                .cols(&r.all, &[IOPS, READ_US, WRITE_US])
+                .push("map_ram_kb", map_ram.unwrap_or(0) as f64 / 1024.0)
+                .cols(&r.all, &[MAP_FETCHES, MAP_WRITEBACKS, MERGES, WA])
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
 // E7 — wear leveling
 
 fn e7_wear_leveling(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "E7",
-        "Skewed overwrite: wear distribution vs WL strategy",
-        "wl_mode",
-    );
     let variants: Vec<(&str, bool, bool, TemperatureMode)> = vec![
         ("off", false, false, TemperatureMode::Off),
         ("static", true, false, TemperatureMode::Off),
         ("static+dynamic", true, true, TemperatureMode::Detector),
     ];
-    for (name, stat, dyn_, temp) in scale.thin(&variants) {
-        let mut setup = Setup::small();
-        setup.ctrl.wl.static_enabled = stat;
-        setup.ctrl.wl.dynamic_enabled = dyn_;
-        setup.ctrl.wl.check_every_erases = 16;
-        setup.ctrl.wl.young_delta = 4;
-        // The conservative default idle factor only fires on much longer
-        // runs; sweep with an eager setting so the experiment shows the
-        // static-WL trade-off at this scale.
-        setup.ctrl.wl.idle_factor = 0.5;
-        setup.ctrl.temperature = temp;
-        let logical = setup.logical_pages();
-        let ios = scale.ios(logical * 6);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(
-                    ZipfGen::new(Region::whole(), ios, 1.1, ZipfKind::Writes),
-                    32,
-                    0xE7,
-                )
-                .named("zipf-writer"),
-            )],
-        );
-        let base = snapshot(&os);
-        let mut os = os;
-        os.run();
-        let m = measure_since(&os, &tids, &base);
-        t.rows.push(
-            Row::new(name.to_string())
-                .push("iops", m.iops)
-                .push("WA", m.write_amplification)
-                .push("wear_sd", m.wear_stddev)
-                .push("wear_max", m.wear_max as f64)
-                .push("wl_erases", m.wl_erases as f64),
-        );
-    }
-    t
+    sweep(
+        "E7",
+        "Skewed overwrite: wear distribution vs WL strategy",
+        "wl_mode",
+        scale.thin(&variants),
+        |(name, stat, dyn_, temp)| {
+            let mut setup = Setup::small();
+            setup.ctrl.wl.static_enabled = stat;
+            setup.ctrl.wl.dynamic_enabled = dyn_;
+            setup.ctrl.wl.check_every_erases = 16;
+            setup.ctrl.wl.young_delta = 4;
+            // The conservative default idle factor only fires on much
+            // longer runs; sweep with an eager setting so the experiment
+            // shows the static-WL trade-off at this scale.
+            setup.ctrl.wl.idle_factor = 0.5;
+            setup.ctrl.temperature = temp;
+            let ios = scale.ios(setup.logical_pages() * 6);
+            let gen = ZipfGen::new(Region::whole(), ios, 1.1, ZipfKind::Writes);
+            Point::filled(name, setup, vec![pumped(gen, 32, 0xE7, "zipf-writer")])
+        },
+        |r| {
+            r.row()
+                .cols(&r.all, &[IOPS, WA, WEAR_SD, WEAR_MAX, WL_ERASES])
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
 // E8 — open interface
 
 fn e8_open_interface(scale: Scale) -> Table {
-    let mut t = Table::new(
+    // Each open-interface mode is the one controller knob that honours
+    // its hint; "closed" leaves the OS interface shut as well.
+    type HonourHint = fn(&mut Setup);
+    let variants: [(&str, HonourHint); 4] = [
+        ("closed", |_| {}),
+        ("priority", |s| s.ctrl.sched = SchedPolicy::TagPriority),
+        ("temperature", |s| {
+            s.ctrl.temperature = TemperatureMode::Hints
+        }),
+        ("locality", |s| s.ctrl.honor_locality = true),
+    ];
+    sweep(
         "E8",
         "Open-interface hints vs the locked block device",
         "hints",
-    );
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mode {
-        Closed,
-        Priority,
-        Temperature,
-        Locality,
-    }
-    let variants = [
-        ("closed", Mode::Closed),
-        ("priority", Mode::Priority),
-        ("temperature", Mode::Temperature),
-        ("locality", Mode::Locality),
-    ];
-    for (name, mode) in scale.thin(&variants) {
-        let mut setup = Setup::small();
-        setup.ctrl.wl.static_enabled = false;
-        setup.os.queue_depth = 32;
-        setup.os.open_interface = mode != Mode::Closed;
-        match mode {
-            Mode::Priority => setup.ctrl.sched = SchedPolicy::TagPriority,
-            Mode::Temperature => setup.ctrl.temperature = TemperatureMode::Hints,
-            Mode::Locality => setup.ctrl.honor_locality = true,
-            Mode::Closed => {}
-        }
-        let logical = setup.logical_pages();
-        let w_ios = scale.ios(logical * 3);
-        let r_ios = scale.ios(logical / 2);
-        // Writer: skewed updates, hinted hot/cold + per-group locality.
-        let writer_gen = ZipfGen::new(Region::whole(), w_ios, 0.99, ZipfKind::Writes)
-            .with_temperature_hints(0.2);
-        let mut writer =
-            Pumped::new(writer_gen, 16, 0xE8).named("tenant-writer");
-        if mode == Mode::Locality {
-            writer = writer.tagged(IoTags::none().with_locality(1));
-        }
-        // Reader: latency sensitive, tagged urgent.
-        let reader = Pumped::new(RandReadGen::new(Region::whole(), r_ios), 4, 0x8E)
-            .named("urgent-reader")
-            .tagged(IoTags::none().with_priority(0));
-        let (os, tids) =
-            run_preconditioned(&setup, vec![Box::new(writer), Box::new(reader)]);
-        let base = snapshot(&os);
-        let mut os = os;
-        os.run();
-        let reader_m = measure_since(&os, &[tids[1]], &base);
-        let all = measure_since(&os, &tids, &base);
-        t.rows.push(
-            Row::new(name.to_string())
-                .push("total_iops", all.iops)
-                .push("WA", all.write_amplification)
-                .push("reader_p99_us", reader_m.read_p99_us)
-                .push("reader_us", reader_m.read_mean_us),
-        );
-    }
-    t
+        scale.thin(&variants),
+        |(name, honour_hint)| {
+            let mut setup = small();
+            setup.os.queue_depth = 32;
+            setup.os.open_interface = name != "closed";
+            honour_hint(&mut setup);
+            let logical = setup.logical_pages();
+            let (w_ios, r_ios) = (scale.ios(logical * 3), scale.ios(logical / 2));
+            // Writer: skewed updates, hinted hot/cold + per-group locality.
+            let writer_gen = ZipfGen::new(Region::whole(), w_ios, 0.99, ZipfKind::Writes)
+                .with_temperature_hints(0.2);
+            let mut writer = Pumped::new(writer_gen, 16, 0xE8).named("tenant-writer");
+            if name == "locality" {
+                writer = writer.tagged(IoTags::none().with_locality(1));
+            }
+            // Reader: latency sensitive, tagged urgent.
+            let reader = Pumped::new(RandReadGen::new(Region::whole(), r_ios), 4, 0x8E)
+                .named("urgent-reader")
+                .tagged(IoTags::none().with_priority(0));
+            let actors = vec![Actor::thread(writer), Actor::thread(reader)];
+            Point::filled(name, setup, actors)
+        },
+        |r| {
+            let reader = &r.actors[1];
+            r.row()
+                .cols(&r.all, &[TOTAL_IOPS, WA])
+                .cols(&reader.read_tail, &[READER_P99_US])
+                .cols(&reader.m, &[READER_US])
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
 // E9 — advanced commands
 
 fn e9_advanced_commands(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "E9",
-        "GC-heavy overwrite: copy-back × channel interleaving",
-        "commands",
-    );
     let variants = [
         ("neither", false, false),
         ("copyback", true, false),
         ("interleave", false, true),
         ("both", true, true),
     ];
-    for (name, cb, il) in scale.thin(&variants) {
-        let mut setup = Setup::small();
-        setup.ctrl.gc.use_copyback = cb;
-        setup.ctrl.interleaving = il;
-        setup.ctrl.wl.static_enabled = false;
-        let ios = scale.ios(setup.logical_pages() * 3);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(RandWriteGen::new(Region::whole(), ios), 32, 0xE9)
-                    .named("overwriter"),
-            )],
-        );
-        t.rows.push(finish_point(os, &tids, name.to_string()));
-    }
-    t
+    sweep(
+        "E9",
+        "GC-heavy overwrite: copy-back × channel interleaving",
+        "commands",
+        scale.thin(&variants),
+        |(name, cb, il)| {
+            let mut setup = small();
+            setup.ctrl.gc.use_copyback = cb;
+            setup.ctrl.interleaving = il;
+            let ios = scale.ios(setup.logical_pages() * 3);
+            let writer = rand_writer(ios, 32, 0xE9, "overwriter");
+            Point::filled(name, setup, vec![writer])
+        },
+        standard,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -512,9 +494,8 @@ fn e10_grace_join(scale: Scale) -> Table {
         ("striping", WriteAllocPolicy::Striping),
     ];
     for (name, alloc) in scale.thin(&variants) {
-        let mut setup = Setup::small();
+        let mut setup = small();
         setup.ctrl.write_alloc = alloc;
-        setup.ctrl.wl.static_enabled = false;
         setup.os.queue_depth = 64;
         let logical = setup.logical_pages();
         // Relations sized so inputs + 2x-slack partitions fit.
@@ -527,8 +508,8 @@ fn e10_grace_join(scale: Scale) -> Table {
         let out_len = ((r + s) * 2).div_ceil(8) * 8;
         let region_out = Region::new(r + s, out_len);
         // Pre-write the inputs.
-        os.add_thread(eagletree_workloads::precondition::region_fill(region_r, 32));
-        os.add_thread(eagletree_workloads::precondition::region_fill(region_s, 32));
+        os.add_thread(region_fill(region_r, 32));
+        os.add_thread(region_fill(region_s, 32));
         os.run();
         let join = GraceHashJoin::new(region_r, region_s, region_out, 8, 32)
             .with_phase_sink(sink.clone());
@@ -546,8 +527,7 @@ fn e10_grace_join(scale: Scale) -> Table {
             Row::new(name.to_string())
                 .push("partition_ms", part_ms)
                 .push("probe_ms", probe_ms)
-                .push("total_ms", m.makespan_s * 1000.0)
-                .push("iops", m.iops),
+                .cols(&m, &[TOTAL_MS, IOPS]),
         );
     }
     t
@@ -557,228 +537,156 @@ fn e10_grace_join(scale: Scale) -> Table {
 // E11 — OS scheduler fairness
 
 fn e11_os_fairness(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "E11",
-        "Three competing threads under OS dispatch policies",
-        "os_policy",
-    );
     let variants: Vec<(&str, OsSchedPolicy)> = vec![
         ("fifo", OsSchedPolicy::Fifo),
         ("round_robin", OsSchedPolicy::RoundRobin),
-        ("priority_t2", OsSchedPolicy::ThreadPriority(vec![2, 2, 0, 1])),
+        (
+            "priority_t2",
+            OsSchedPolicy::ThreadPriority(vec![2, 2, 0, 1]),
+        ),
     ];
-    for (name, pol) in scale.thin(&variants) {
-        let mut setup = Setup::small();
-        setup.os.policy = pol;
-        setup.os.queue_depth = 8;
-        setup.ctrl.wl.static_enabled = false;
-        let logical = setup.logical_pages();
-        let ios = scale.ios(logical);
-        // Thread 1 (after fill): aggressive writer with a huge window;
-        // threads 2 and 3: modest readers.
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![
-                Box::new(
-                    Pumped::new(RandWriteGen::new(Region::whole(), ios), 128, 0xB1)
-                        .named("aggressive"),
-                ),
-                Box::new(
-                    Pumped::new(RandReadGen::new(Region::whole(), ios / 2), 4, 0xB2)
-                        .named("modest-a"),
-                ),
-                Box::new(
-                    Pumped::new(RandReadGen::new(Region::whole(), ios / 2), 4, 0xB3)
-                        .named("modest-b"),
-                ),
-            ],
-        );
-        let mut os = os;
-        os.run();
-        let th: Vec<f64> = tids
-            .iter()
-            .map(|&t| os.thread_stats(t).throughput_iops())
-            .collect();
-        // Jain fairness index over per-thread throughput.
-        let sum: f64 = th.iter().sum();
-        let sumsq: f64 = th.iter().map(|x| x * x).sum();
-        let jain = if sumsq == 0.0 {
-            0.0
-        } else {
-            sum * sum / (th.len() as f64 * sumsq)
-        };
-        t.rows.push(
-            Row::new(name.to_string())
-                .push("aggressive_iops", th[0])
-                .push("modest_a_iops", th[1])
-                .push("modest_b_iops", th[2])
-                .push("jain", jain),
-        );
-    }
-    t
+    sweep(
+        "E11",
+        "Three competing threads under OS dispatch policies",
+        "os_policy",
+        scale.thin(&variants),
+        |(name, pol)| {
+            let mut setup = small();
+            setup.os.policy = pol;
+            setup.os.queue_depth = 8;
+            let ios = scale.ios(setup.logical_pages());
+            // Thread 1 (after fill): aggressive writer with a huge window;
+            // threads 2 and 3: modest readers.
+            let aggressive = rand_writer(ios, 128, 0xB1, "aggressive");
+            let modest_a = rand_reader(ios / 2, 4, 0xB2, "modest-a");
+            let modest_b = rand_reader(ios / 2, 4, 0xB3, "modest-b");
+            Point::filled(name, setup, vec![aggressive, modest_a, modest_b])
+        },
+        |r| {
+            r.row()
+                .cols(&r.actors[0].m, &[AGGRESSIVE_IOPS])
+                .cols(&r.actors[1].m, &[MODEST_A_IOPS])
+                .cols(&r.actors[2].m, &[MODEST_B_IOPS])
+                .cols(r, &[JAIN])
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
 // E12 — chip type
 
 fn e12_chip_type(scale: Scale) -> Table {
-    let mut t = Table::new("E12", "Mixed workload on SLC vs MLC flash", "chip");
-    for (name, timing) in [("slc", TimingSpec::slc()), ("mlc", TimingSpec::mlc())] {
-        let mut setup = Setup::small();
-        setup.timing = timing;
-        setup.ctrl.wl.static_enabled = false;
-        let ios = scale.ios(setup.logical_pages() * 2);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(MixedGen::new(Region::whole(), ios, 0.5), 32, 0xE12).named("mixed"),
-            )],
-        );
-        t.rows.push(finish_point(os, &tids, name.to_string()));
-    }
-    t
+    sweep(
+        "E12",
+        "Mixed workload on SLC vs MLC flash",
+        "chip",
+        [("slc", TimingSpec::slc()), ("mlc", TimingSpec::mlc())],
+        |(name, timing)| {
+            let mut setup = small();
+            setup.timing = timing;
+            let ios = scale.ios(setup.logical_pages() * 2);
+            Point::filled(name, setup, vec![mixed(ios, 32, 0xE12, "mixed")])
+        },
+        standard,
+    )
 }
 
 // ---------------------------------------------------------------------
 // E13 — write buffer
 
 fn e13_write_buffer(scale: Scale) -> Table {
-    let mut t = Table::new(
+    sweep(
         "E13",
         "Skewed overwrite vs battery-backed write-buffer size",
         "buffer_pages",
-    );
-    for pages in scale.thin(&[0u64, 16, 64, 256]) {
-        let mut setup = Setup::small();
-        setup.ctrl.write_buffer_pages = pages;
-        setup.ctrl.wl.static_enabled = false;
-        let ios = scale.ios(setup.logical_pages() * 3);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(
-                    ZipfGen::new(Region::whole(), ios, 0.99, ZipfKind::Writes),
-                    32,
-                    0xE13,
-                )
-                .named("zipf-writer"),
-            )],
-        );
+        scale.thin(&[0u64, 16, 64, 256]),
+        |pages| {
+            let mut setup = small();
+            setup.ctrl.write_buffer_pages = pages;
+            let ios = scale.ios(setup.logical_pages() * 3);
+            let gen = ZipfGen::new(Region::whole(), ios, 0.99, ZipfKind::Writes);
+            let writer = pumped(gen, 32, 0xE13, "zipf-writer");
+            Point::filled(format!("{pages}"), setup, vec![writer])
+        },
         // Buffered writes complete at RAM speed (zero virtual latency), so
         // IOPS over the completion window is not meaningful; the makespan
-        // until the device drains and the flash-side WA are.
-        let base = snapshot(&os);
-        let mut os = os;
-        let t0 = os.now();
-        os.run();
-        let m = measure_since(&os, &tids, &base);
-        t.rows.push(
-            Row::new(format!("{pages}"))
-                .push("makespan_ms", os.now().since(t0).as_millis_f64())
-                .push("WA", m.write_amplification)
-                .push("gc_erases", m.gc_erases as f64)
-                .push("write_p99_us", m.write_p99_us),
-        );
-    }
-    t
+        // of the measured phase until the device drains and the
+        // flash-side WA are.
+        |r| {
+            let phase = r.os.now().since(r.started);
+            r.row()
+                .push(MAKESPAN_MS.name, phase.as_millis_f64())
+                .cols(&r.all, &[WA, GC_ERASES, WRITE_P99_US])
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
 // E14 — over-provisioning
 
 fn e14_overprovisioning(scale: Scale) -> Table {
-    let mut t = Table::new(
+    sweep(
         "E14",
         "Steady-state overwrite vs exported-capacity fraction",
         "logical_frac",
-    );
-    for frac in scale.thin(&[0.70f64, 0.80, 0.85, 0.90, 0.95]) {
-        let mut setup = Setup::small();
-        setup.ctrl.logical_capacity = frac;
-        setup.ctrl.wl.static_enabled = false;
-        let ios = scale.ios(setup.logical_pages() * 3);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(RandWriteGen::new(Region::whole(), ios), 32, 0xE14)
-                    .named("overwriter"),
-            )],
-        );
-        t.rows.push(finish_point(os, &tids, format!("{frac:.2}")));
-    }
-    t
+        scale.thin(&[0.70f64, 0.80, 0.85, 0.90, 0.95]),
+        |frac| {
+            let mut setup = small();
+            setup.ctrl.logical_capacity = frac;
+            let ios = scale.ios(setup.logical_pages() * 3);
+            let writer = rand_writer(ios, 32, 0xE14, "overwriter");
+            Point::filled(format!("{frac:.2}"), setup, vec![writer])
+        },
+        standard,
+    )
 }
 
 // ---------------------------------------------------------------------
 // E15 — GC victim selection
 
 fn e15_victim_policy(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "E15",
-        "Hot/cold overwrite under GC victim-selection policies",
-        "victim",
-    );
     use eagletree_controller::VictimPolicy;
     let variants = [
         ("greedy", VictimPolicy::Greedy),
         ("random", VictimPolicy::Random),
         ("cost_benefit", VictimPolicy::CostBenefit),
     ];
-    for (name, victim) in scale.thin(&variants) {
-        let mut setup = Setup::small();
-        setup.ctrl.gc.victim = victim;
-        setup.ctrl.wl.static_enabled = false;
-        let ios = scale.ios(setup.logical_pages() * 4);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(
-                    ZipfGen::new(Region::whole(), ios, 1.0, ZipfKind::Writes),
-                    32,
-                    0xE15,
-                )
-                .named("hotcold-writer"),
-            )],
-        );
-        t.rows.push(finish_point(os, &tids, name.to_string()));
-    }
-    t
+    sweep(
+        "E15",
+        "Hot/cold overwrite under GC victim-selection policies",
+        "victim",
+        scale.thin(&variants),
+        |(name, victim)| {
+            let mut setup = small();
+            setup.ctrl.gc.victim = victim;
+            let ios = scale.ios(setup.logical_pages() * 4);
+            let gen = ZipfGen::new(Region::whole(), ios, 1.0, ZipfKind::Writes);
+            let writer = pumped(gen, 32, 0xE15, "hotcold-writer");
+            Point::filled(name, setup, vec![writer])
+        },
+        standard,
+    )
 }
 
 // ---------------------------------------------------------------------
 // E16 — cached-program pipelining
 
 fn e16_pipelining(scale: Scale) -> Table {
-    let mut t = Table::new(
+    sweep(
         "E16",
         "Sequential write throughput with and without cached programming",
         "pipelining",
-    );
-    for (name, on) in [("off", false), ("on", true)] {
-        let mut setup = Setup::small();
-        setup.ctrl.use_cached_program = on;
-        setup.ctrl.wl.static_enabled = false;
-        setup.os.queue_depth = 64;
-        let ios = scale.ios(setup.logical_pages());
-        let mut os = setup.build();
-        let w = Pumped::new(
-            eagletree_workloads::SeqWriteGen::new(Region::whole(), ios),
-            64,
-            0xE16,
-        )
-        .named("seq-writer");
-        let tid = os.add_thread(Box::new(w));
-        let base = snapshot(&os);
-        os.run();
-        let m = measure_since(&os, &[tid], &base);
-        t.rows.push(
-            Row::new(name.to_string())
-                .push("iops", m.iops)
-                .push("write_us", m.write_mean_us)
-                .push("makespan_ms", m.makespan_s * 1000.0),
-        );
-    }
-    t
+        [("off", false), ("on", true)],
+        |(name, on)| {
+            let mut setup = small();
+            setup.ctrl.use_cached_program = on;
+            setup.os.queue_depth = 64;
+            let ios = scale.ios(setup.logical_pages());
+            let gen = SeqWriteGen::new(Region::whole(), ios);
+            Point::fresh(name, setup, vec![pumped(gen, 64, 0xE16, "seq-writer")])
+        },
+        |r| r.row().cols(&r.all, &[IOPS, WRITE_US, MAKESPAN_MS]),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -788,44 +696,34 @@ fn e16_pipelining(scale: Scale) -> Table {
 /// full merges whose cost shrinks as the log pool grows — the §2.2 mapping
 /// axis measured at its extreme (merge storms vs RAM budget).
 fn e17_log_budget(scale: Scale) -> Table {
-    let mut t = Table::new(
+    sweep(
         "E17",
         "Random overwrite under the hybrid FTL vs log-block budget",
         "log_blocks",
-    );
-    for b in scale.thin(&[2usize, 4, 8, 16, 32]) {
-        let mut setup = Setup::small();
-        setup.ctrl.mapping = MappingKind::Hybrid {
-            log_blocks: b,
-            merge: MergePolicy::Fifo,
-        };
-        setup.ctrl.wl.static_enabled = false;
-        let logical = setup.logical_pages();
-        let ios = scale.ios(logical);
-        let (os, tids) = run_preconditioned(
-            &setup,
-            vec![Box::new(
-                Pumped::new(RandWriteGen::new(Region::whole(), ios), 32, 0xE17)
-                    .named("overwriter"),
-            )],
-        );
-        let base = snapshot(&os);
-        let mut os = os;
-        os.run();
-        let m = measure_since(&os, &tids, &base);
-        t.rows.push(
-            Row::new(format!("{b}"))
-                .push("iops", m.iops)
-                .push("write_us", m.write_mean_us)
-                .push("write_p99_us", m.write_p99_us)
-                .push("WA", m.write_amplification)
-                .push("full_merges", m.merges.full_merges as f64)
-                .push("switch_merges", m.merges.switch_merges as f64)
-                .push("merge_moves", m.merges.moves as f64)
-                .push("merge_erases", m.merges.erases as f64),
-        );
-    }
-    t
+        scale.thin(&[2usize, 4, 8, 16, 32]),
+        |b| {
+            let mut setup = small();
+            setup.ctrl.mapping = hybrid(b);
+            let ios = scale.ios(setup.logical_pages());
+            let writer = rand_writer(ios, 32, 0xE17, "overwriter");
+            Point::filled(format!("{b}"), setup, vec![writer])
+        },
+        |r| {
+            r.row().cols(
+                &r.all,
+                &[
+                    IOPS,
+                    WRITE_US,
+                    WRITE_P99_US,
+                    WA,
+                    FULL_MERGES,
+                    SWITCH_MERGES,
+                    MERGE_MOVES,
+                    MERGE_ERASES,
+                ],
+            )
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -842,169 +740,94 @@ fn e17_log_budget(scale: Scale) -> Table {
 /// (identical results, different host speed — `queue_ops` counts the
 /// schedules + pops the engine performed).
 fn e18_sim_throughput(scale: Scale) -> Table {
-    let mut t = Table::new(
+    let small_geometry = Setup::small().geometry;
+    let large_geometry = Geometry {
+        channels: 4,
+        luns_per_channel: 4,
+        blocks_per_plane: 128,
+        pages_per_block: 64,
+        ..small_geometry
+    };
+    let geoms = [
+        ("2x2x64x32", small_geometry),
+        ("4x4x128x64", large_geometry),
+    ];
+    let geoms_qds = cross(&scale.thin(&geoms), &scale.thin(&[1usize, 64, 512]));
+    sweep(
         "E18",
         "Host events/sec for GC-heavy overwrite vs geometry × queue depth × queue backend",
         "geometry/qd/queue",
-    );
-    let geoms: Vec<(&str, Geometry)> = vec![
-        (
-            "2x2x64x32",
-            Geometry {
-                channels: 2,
-                luns_per_channel: 2,
-                planes_per_lun: 1,
-                blocks_per_plane: 64,
-                pages_per_block: 32,
-                page_size: 4096,
-            },
-        ),
-        (
-            "4x4x128x64",
-            Geometry {
-                channels: 4,
-                luns_per_channel: 4,
-                planes_per_lun: 1,
-                blocks_per_plane: 128,
-                pages_per_block: 64,
-                page_size: 4096,
-            },
-        ),
-    ];
-    let qds: Vec<usize> = vec![1, 64, 512];
-    for (gname, g) in scale.thin(&geoms) {
-        for qd in scale.thin(&qds) {
-            for kind in [QueueKind::Calendar, QueueKind::Heap] {
-                let mut setup = Setup::small();
-                setup.geometry = g;
-                setup.os.queue_depth = qd;
-                setup.os.queue = kind;
-                setup.ctrl.queue = kind;
-                setup.ctrl.wl.static_enabled = false;
-                let logical = setup.logical_pages();
-                // Enough overwrite to reach GC steady state even at smoke
-                // scale (the fill leaves only the over-provisioning
-                // headroom free).
-                let ios = scale.ios(logical * 4);
-                let mut os = setup.build();
-                os.add_thread(sequential_fill(32));
-                os.run();
-                let tid = os.add_thread(Box::new(
-                    Pumped::new(RandWriteGen::new(Region::whole(), ios), qd.max(1) as u64, 0xE18)
-                        .named("overwriter"),
-                ));
-                let base = snapshot(&os);
-                let events_before = os.events_simulated();
-                let queue_ops_before = os.queue_ops();
-                #[allow(clippy::disallowed_methods)]
-                // lint:allow(R2) E18 measures host events/sec — wall-clock throughput of the simulator itself is the experiment's result column, never simulation state
-                let started = std::time::Instant::now();
-                os.run();
-                let wall_s = started.elapsed().as_secs_f64();
-                let events = os.events_simulated() - events_before;
-                let queue_ops = os.queue_ops() - queue_ops_before;
-                let m = measure_since(&os, &[tid], &base);
-                t.rows.push(
-                    Row::new(format!("{gname}/qd{qd}/{kind}"))
-                        .push("wall_ms", wall_s * 1000.0)
-                        .push("events", events as f64)
-                        .push(
-                            "events_per_sec",
-                            if wall_s > 0.0 { events as f64 / wall_s } else { 0.0 },
-                        )
-                        .push("queue_ops", queue_ops as f64)
-                        .push("iops", m.iops)
-                        .push("WA", m.write_amplification),
-                );
-            }
-        }
-    }
-    t
+        cross(&geoms_qds, &[QueueKind::Calendar, QueueKind::Heap]),
+        |(((gname, g), qd), kind)| {
+            let mut setup = small();
+            setup.geometry = g;
+            setup.os.queue_depth = qd;
+            setup.os.queue = kind;
+            setup.ctrl.queue = kind;
+            // Enough overwrite to reach GC steady state even at smoke
+            // scale (the fill leaves only the over-provisioning headroom
+            // free).
+            let ios = scale.ios(setup.logical_pages() * 4);
+            let writer = rand_writer(ios, qd as u64, 0xE18, "overwriter");
+            Point::filled(format!("{gname}/qd{qd}/{kind}"), setup, vec![writer])
+        },
+        |r| {
+            let events_per_sec = if r.wall_s > 0.0 {
+                r.events as f64 / r.wall_s
+            } else {
+                0.0
+            };
+            r.row()
+                .push("wall_ms", r.wall_s * 1000.0)
+                .push("events", r.events as f64)
+                .push("events_per_sec", events_per_sec)
+                .push("queue_ops", r.queue_ops as f64)
+                .cols(&r.all, &[IOPS, WA])
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
 // E19 — noisy neighbor
 
-/// The QoS policies E19/E20 sweep (every scale runs all of them — the
-/// whole point is the cross-policy comparison).
-fn qos_policies() -> Vec<(&'static str, QosPolicy)> {
-    vec![
-        ("none", QosPolicy::None),
-        ("wfq", QosPolicy::Wfq),
-        ("token_bucket", QosPolicy::TokenBucket),
-        ("strict_tiers", QosPolicy::StrictTiers { starvation_us: 50_000 }),
-    ]
+/// The row of a reader tenant (actor 0) beside a flooder tenant (actor
+/// 1): the reader's tail percentiles are the paper-style y-axis.
+fn neighbor_row(r: &Ran, flooder_cols: &[Col<Measured>]) -> Row {
+    let (reader, flooder) = (&r.actors[0], &r.actors[1]);
+    r.row()
+        .cols(&reader.read_tail, &READER_TAIL)
+        .cols(&reader.m, &[READER_IOPS])
+        .cols(&flooder.m, flooder_cols)
+        .push(
+            "reader_util",
+            r.os.namespace_utilization(reader.tenant_id()),
+        )
+        .push(
+            "flooder_util",
+            r.os.namespace_utilization(flooder.tenant_id()),
+        )
 }
 
 /// "What does tenant A's p99 look like when tenant B misbehaves?" — a
 /// latency-sensitive Zipf reader tenant shares the device with a
 /// sequential-flood writer tenant. Swept over the tenant QoS policy: flat
 /// dispatch (no isolation) vs WFQ vs token-bucket rate capping vs strict
-/// tiers. The reader's tail percentiles are the paper-style y-axis.
+/// tiers.
 fn e19_noisy_neighbor(scale: Scale) -> Table {
-    let mut t = Table::new(
+    sweep(
         "E19",
         "Reader-tenant tail latency under a flooding writer neighbor",
         "qos",
-    );
-    for (name, qos) in qos_policies() {
-        let mut setup = Setup::small();
-        setup.os.qos = qos;
-        setup.os.queue_depth = 32;
-        setup.ctrl.wl.static_enabled = false;
-        let logical = setup.logical_pages();
-        let mut os = setup.build();
-        os.add_thread(sequential_fill(32));
-        os.run();
-        // Latency-sensitive tenant: skewed reads, small in-flight window,
-        // high WFQ weight / top tier / no rate cap.
-        let r_ios = scale.ios(logical / 2);
-        let (reader, reader_tids) = TenantProfile::new("reader", 2048)
-            .weight(8)
-            .tier(0)
-            .thread(
-                Pumped::new(
-                    ZipfGen::new(Region::whole(), r_ios, 0.99, ZipfKind::Reads),
-                    4,
-                    0xE19,
-                )
-                .named("zipf-reader"),
-            )
-            .install(&mut os);
-        // Misbehaving neighbor: a sequential flood with a huge window,
-        // low weight / lower tier / a 4k-IOPS cap under the token bucket.
-        let w_ios = scale.ios(logical * 3);
-        let (writer, writer_tids) = TenantProfile::new("flooder", 4096)
-            .weight(1)
-            .tier(1)
-            .iops_limit(4_000.0)
-            .burst(4.0)
-            .thread(
-                Pumped::new(SeqWriteGen::new(Region::whole(), w_ios), 256, 0x91E)
-                    .named("seq-flooder"),
-            )
-            .install(&mut os);
-        let base = snapshot(&os);
-        os.run();
-        let rm = measure_since(&os, &reader_tids, &base);
-        let wm = measure_since(&os, &writer_tids, &base);
-        let tail = os
-            .tenant_stats(reader)
-            .tail(eagletree_controller::OpClass::AppRead);
-        t.rows.push(
-            Row::new(name.to_string())
-                .push("reader_p50_us", tail.p50.as_micros_f64())
-                .push("reader_p95_us", tail.p95.as_micros_f64())
-                .push("reader_p99_us", tail.p99.as_micros_f64())
-                .push("reader_p999_us", tail.p999.as_micros_f64())
-                .push("reader_iops", rm.iops)
-                .push("flooder_iops", wm.iops)
-                .push("internal_ops", wm.internal_ops as f64)
-                .push("reader_util", os.namespace_utilization(reader))
-                .push("flooder_util", os.namespace_utilization(writer)),
-        );
-    }
-    t
+        qos_policies(),
+        |(name, qos)| {
+            let setup = shared(qos);
+            let logical = setup.logical_pages();
+            let reader = reader_tenant(scale.ios(logical / 2), 4, 0xE19);
+            let flood = seq_flooder(scale.ios(logical * 3), 256, 0x91E);
+            Point::filled(name, setup, vec![reader, flooder_tenant(4096, flood)])
+        },
+        |r| neighbor_row(r, &[FLOODER_IOPS, INTERNAL_OPS]),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1016,99 +839,35 @@ fn e19_noisy_neighbor(scale: Scale) -> Table {
 /// throughput, and aggregate IOPS — the isolation-vs-utilization
 /// trade-off grid.
 fn e20_qos_sweep(scale: Scale) -> Table {
-    let mut t = Table::new(
+    let policies_weights = cross(&qos_policies(), &scale.thin(&[1u32, 2, 4]));
+    sweep(
         "E20",
         "Worst reader p99 / fairness / aggregate IOPS over the QoS grid",
         "policy/weight/tenants",
-    );
-    let weights = scale.thin(&[1u32, 2, 4]);
-    let counts = scale.thin(&[2usize, 3, 4]);
-    for (pname, qos) in qos_policies() {
-        for &w in &weights {
-            for &n in &counts {
-                let mut setup = Setup::small();
-                setup.os.qos = qos.clone();
-                setup.os.queue_depth = 32;
-                setup.ctrl.wl.static_enabled = false;
-                let logical = setup.logical_pages();
-                let mut os = setup.build();
-                os.add_thread(sequential_fill(32));
-                os.run();
-                let (_, writer_tids) = TenantProfile::new("flooder", 2048)
-                    .weight(1)
-                    .tier(1)
-                    .iops_limit(4_000.0)
-                    .burst(4.0)
-                    .thread(
-                        Pumped::new(
-                            SeqWriteGen::new(Region::whole(), scale.ios(logical * 2)),
-                            256,
-                            0x20,
-                        )
-                        .named("seq-flooder"),
-                    )
-                    .install(&mut os);
-                let readers: Vec<_> = (0..n - 1)
-                    .map(|i| {
-                        TenantProfile::new(format!("reader{i}"), 1024)
-                            .weight(w)
-                            .tier(0)
-                            .thread(
-                                Pumped::new(
-                                    ZipfGen::new(
-                                        Region::whole(),
-                                        scale.ios(logical / 4),
-                                        0.99,
-                                        ZipfKind::Reads,
-                                    ),
-                                    4,
-                                    0xE20 + i as u64,
-                                )
-                                .named("zipf-reader"),
-                            )
-                            .install(&mut os)
-                    })
-                    .collect();
-                let base = snapshot(&os);
-                os.run();
-                let worst_p99 = readers
-                    .iter()
-                    .map(|(tid, _)| {
-                        os.tenant_stats(*tid)
-                            .tail(eagletree_controller::OpClass::AppRead)
-                            .p99
-                            .as_micros_f64()
-                    })
-                    .fold(0.0f64, f64::max);
-                // Jain fairness over per-tenant throughput.
-                let th: Vec<f64> = std::iter::once(&writer_tids)
-                    .chain(readers.iter().map(|(_, tids)| tids))
-                    .map(|tids| measure(&os, tids).iops)
-                    .collect();
-                let sum: f64 = th.iter().sum();
-                let sumsq: f64 = th.iter().map(|x| x * x).sum();
-                let jain = if sumsq == 0.0 {
-                    0.0
-                } else {
-                    sum * sum / (th.len() as f64 * sumsq)
-                };
-                let all_tids: Vec<usize> = writer_tids
-                    .iter()
-                    .chain(readers.iter().flat_map(|(_, tids)| tids))
-                    .copied()
-                    .collect();
-                let all = measure_since(&os, &all_tids, &base);
-                t.rows.push(
-                    Row::new(format!("{pname}/w{w}/n{n}"))
-                        .push("worst_reader_p99_us", worst_p99)
-                        .push("jain", jain)
-                        .push("total_iops", all.iops)
-                        .push("WA", all.write_amplification),
-                );
-            }
-        }
-    }
-    t
+        cross(&policies_weights, &scale.thin(&[2u64, 3, 4])),
+        |(((pname, qos), w), n)| {
+            let setup = shared(qos);
+            let logical = setup.logical_pages();
+            let flood = seq_flooder(scale.ios(logical * 2), 256, 0x20);
+            let mut actors = vec![flooder_tenant(2048, flood)];
+            actors.extend((0..n - 1).map(|i| {
+                let reads = zipf_reader(scale.ios(logical / 4), 4, 0xE20 + i);
+                let reader = TenantProfile::new(format!("reader{i}"), 1024);
+                Actor::Tenant(reader.weight(w).tier(0).thread(reads))
+            }));
+            Point::filled(format!("{pname}/w{w}/n{n}"), setup, actors)
+        },
+        |r| {
+            let worst_p99 = r.actors[1..]
+                .iter()
+                .map(|reader| reader.read_tail.p99.as_micros_f64())
+                .fold(0.0f64, f64::max);
+            r.row()
+                .push("worst_reader_p99_us", worst_p99)
+                .cols(r, &[JAIN])
+                .cols(&r.all, &[TOTAL_IOPS, WA])
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1131,9 +890,8 @@ fn e21_mount_time(scale: Scale) -> Table {
     let intervals: Vec<u64> = vec![256, 512, 1024];
     for &fill in &scale.thin(&fills) {
         for &interval in &scale.thin(&intervals) {
-            let mut setup = Setup::small();
+            let mut setup = small();
             setup.ctrl.checkpoint_interval_programs = interval;
-            setup.ctrl.wl.static_enabled = false;
             let logical = setup.logical_pages();
             let pages = ((logical as f64) * fill) as u64;
             let region = Region::new(0, pages);
@@ -1285,17 +1043,6 @@ fn e22_crash_sweep(scale: Scale) -> Table {
         "Acknowledged writes surviving a power cut during GC/merge, per scheme × recovery mode",
         "scheme/mode",
     );
-    let schemes: Vec<(&str, MappingKind)> = vec![
-        ("page_map", MappingKind::PageMap),
-        ("dftl", MappingKind::Dftl { cmt_entries: 24 }),
-        (
-            "hybrid",
-            MappingKind::Hybrid {
-                log_blocks: 3,
-                merge: MergePolicy::Fifo,
-            },
-        ),
-    ];
     let points = match scale {
         Scale::Smoke => 6u64,
         Scale::Demo => 12,
@@ -1303,7 +1050,7 @@ fn e22_crash_sweep(scale: Scale) -> Table {
     };
     let ops = e22_ops(scale);
     let qd = 16;
-    for (sname, mapping) in schemes {
+    for (sname, mapping) in schemes(MappingKind::Dftl { cmt_entries: 24 }, hybrid(3)) {
         let cfg = ControllerConfig {
             mapping,
             checkpoint_interval_programs: 128,
@@ -1428,7 +1175,7 @@ fn e23_trace_vs_synth(scale: Scale) -> Table {
         "scheme/source",
     );
     let records = e23_records(scale);
-    let logical = Setup::small().logical_pages();
+    let logical = small().logical_pages();
     // Characterize one identical byte stream (same seed ⇒ same records).
     let mut probe_src = e23_stream(records, 0xE23, logical, Arc::new(AtomicUsize::new(0)));
     let profile = characterize(&mut probe_src);
@@ -1441,56 +1188,31 @@ fn e23_trace_vs_synth(scale: Scale) -> Table {
             .push("mean_gap_us", profile.mean_interarrival.as_micros_f64())
             .push("gap_cv", profile.interarrival_cv),
     );
-    let schemes: Vec<(&str, MappingKind)> = vec![
-        ("page_map", MappingKind::PageMap),
-        (
-            "dftl",
-            MappingKind::Dftl {
-                cmt_entries: ((logical * 25) / 100).max(8) as usize,
-            },
-        ),
-        (
-            "hybrid",
-            MappingKind::Hybrid {
-                log_blocks: 16,
-                merge: MergePolicy::Fifo,
-            },
-        ),
-    ];
-    for (sname, mapping) in schemes {
+    for (sname, mapping) in schemes(dftl_covering(logical, 25), hybrid(16)) {
         // Both arms: same device, same preconditioning, open-loop pacing
         // with the same warp — only the record source differs.
-        let mut run = |label: String, w: Box<dyn Workload>, probe: Option<Arc<AtomicUsize>>| {
-            let mut setup = Setup::small();
+        let probe = Arc::new(AtomicUsize::new(0));
+        let stream = e23_stream(records, 0xE23, logical, Arc::clone(&probe));
+        let replay = ReplayThread::open_loop(stream, 50.0).named("trace-replay");
+        let synth = profile.synthesize(records, 0x53E23);
+        let synth = ReplayThread::open_loop(synth, 50.0).named("synth");
+        for (arm, source, probe) in [
+            ("replay", Actor::thread(replay), Some(probe)),
+            ("synth", Actor::thread(synth), None),
+        ] {
+            let mut setup = small();
             setup.ctrl.mapping = mapping;
-            setup.ctrl.wl.static_enabled = false;
             setup.os.queue_depth = 64;
-            let (os, tids) = run_preconditioned(&setup, vec![w]);
-            let base = snapshot(&os);
-            let mut os = os;
-            os.run();
-            let m = measure_since(&os, &tids, &base);
-            let mut row = Row::new(label)
-                .push("iops", m.iops)
-                .push("read_p99_us", m.read_p99_us)
-                .push("write_p99_us", m.write_p99_us)
-                .push("WA", m.write_amplification)
-                .push("gc_erases", m.gc_erases as f64);
+            let label = format!("{sname}/{arm}");
+            let r = run_point(Point::filled(label, setup, vec![source]));
+            let cols = [IOPS, READ_P99_US, WRITE_P99_US, WA, GC_ERASES];
+            let mut row = r.row().cols(&r.all, &cols);
             if let Some(p) = probe {
-                row = row.push("peak_resident_recs", p.load(Ordering::Relaxed) as f64);
+                let peak = p.load(Ordering::Relaxed);
+                row = row.push("peak_resident_recs", peak as f64);
             }
             t.rows.push(row);
-        };
-        let probe = Arc::new(AtomicUsize::new(0));
-        let replay = ReplayThread::open_loop(
-            e23_stream(records, 0xE23, logical, Arc::clone(&probe)),
-            50.0,
-        )
-        .named("trace-replay");
-        run(format!("{sname}/replay"), Box::new(replay), Some(probe));
-        let synth =
-            ReplayThread::open_loop(profile.synthesize(records, 0x53E23), 50.0).named("synth");
-        run(format!("{sname}/synth"), Box::new(synth), None);
+        }
     }
     t
 }
@@ -1505,78 +1227,36 @@ fn e23_trace_vs_synth(scale: Scale) -> Table {
 /// acceptance bar as E19: WFQ / token bucket must still cut the reader's
 /// p99.
 fn e24_replayed_noisy_neighbor(scale: Scale) -> Table {
-    let mut t = Table::new(
+    sweep(
         "E24",
         "Reader-tenant tails vs a replayed bursty trace neighbor, per QoS policy",
         "qos",
-    );
-    for (name, qos) in qos_policies() {
-        let mut setup = Setup::small();
-        setup.os.qos = qos;
-        setup.os.queue_depth = 32;
-        setup.ctrl.wl.static_enabled = false;
-        let logical = setup.logical_pages();
-        let mut os = setup.build();
-        os.add_thread(sequential_fill(32));
-        os.run();
-        // Latency-sensitive tenant — identical to E19's reader.
-        let r_ios = scale.ios(logical / 2);
-        let (reader, reader_tids) = TenantProfile::new("reader", 2048)
-            .weight(8)
-            .tier(0)
-            .thread(
-                Pumped::new(
-                    ZipfGen::new(Region::whole(), r_ios, 0.99, ZipfKind::Reads),
-                    4,
-                    0xE19,
-                )
-                .named("zipf-reader"),
-            )
-            .install(&mut os);
-        // Misbehaving neighbor: an open-loop replay of a write-heavy
-        // bursty trace, parsed from CSV; the replay thread folds trace
-        // pages into the tenant's namespace.
-        let shape = SynthShape {
-            footprint_pages: 4_096,
-            read_fraction: 0.05,
-            trim_fraction: 0.0,
-            zipf_theta: 0.4,
-            pages_per_record: 1,
-            mean_interarrival: SimDuration::from_micros(10),
-            interarrival_cv: 2.5,
-        };
-        let w_ios = scale.ios(logical * 2);
-        let csv = SynthCsv::new(SyntheticTrace::new(shape, w_ios, 0xE24), 4096);
-        let parsed = MsrCsvSource::new(std::io::BufReader::new(csv), 4096);
-        let flood = ReplayThread::open_loop(ChunkedSource::new(parsed, E23_CHUNK), 20.0)
-            .named("trace-flooder");
-        let (writer, writer_tids) = TenantProfile::new("flooder", 4096)
-            .weight(1)
-            .tier(1)
-            .iops_limit(4_000.0)
-            .burst(4.0)
-            .thread(flood)
-            .install(&mut os);
-        let base = snapshot(&os);
-        os.run();
-        let rm = measure_since(&os, &reader_tids, &base);
-        let wm = measure_since(&os, &writer_tids, &base);
-        let tail = os
-            .tenant_stats(reader)
-            .tail(eagletree_controller::OpClass::AppRead);
-        t.rows.push(
-            Row::new(name.to_string())
-                .push("reader_p50_us", tail.p50.as_micros_f64())
-                .push("reader_p95_us", tail.p95.as_micros_f64())
-                .push("reader_p99_us", tail.p99.as_micros_f64())
-                .push("reader_p999_us", tail.p999.as_micros_f64())
-                .push("reader_iops", rm.iops)
-                .push("flooder_iops", wm.iops)
-                .push("reader_util", os.namespace_utilization(reader))
-                .push("flooder_util", os.namespace_utilization(writer)),
-        );
-    }
-    t
+        qos_policies(),
+        |(name, qos)| {
+            let setup = shared(qos);
+            let logical = setup.logical_pages();
+            // Misbehaving neighbor: an open-loop replay of a write-heavy
+            // bursty trace, parsed from CSV; the replay thread folds trace
+            // pages into the tenant's namespace.
+            let shape = SynthShape {
+                footprint_pages: 4_096,
+                read_fraction: 0.05,
+                trim_fraction: 0.0,
+                zipf_theta: 0.4,
+                pages_per_record: 1,
+                mean_interarrival: SimDuration::from_micros(10),
+                interarrival_cv: 2.5,
+            };
+            let trace = SyntheticTrace::new(shape, scale.ios(logical * 2), 0xE24);
+            let csv = std::io::BufReader::new(SynthCsv::new(trace, 4096));
+            let records = ChunkedSource::new(MsrCsvSource::new(csv, 4096), E23_CHUNK);
+            let flood = ReplayThread::open_loop(records, 20.0).named("trace-flooder");
+            // The latency-sensitive tenant is E19's reader, seed included.
+            let reader = reader_tenant(scale.ios(logical / 2), 4, 0xE19);
+            Point::filled(name, setup, vec![reader, flooder_tenant(4096, flood)])
+        },
+        |r| neighbor_row(r, &[FLOODER_IOPS]),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1611,68 +1291,43 @@ fn e25_scrub(check_every_ops: u64) -> ScrubConfig {
 /// refreshes disturbed blocks before their errors outgrow the ECC, at
 /// the cost of its own internal traffic.
 fn e25_reliability_aging(scale: Scale) -> Table {
-    let mut t = Table::new(
+    let scheme_ages = cross(
+        &schemes(MappingKind::Dftl { cmt_entries: 24 }, hybrid(8)),
+        &scale.thin(&[0u32, 2_500, 5_000]),
+    );
+    let scrubs = [("noscrub", None), ("scrub", Some(e25_scrub(64)))];
+    sweep(
         "E25",
         "UBER / corrected bits / ECC retries / read tails vs device age, per scheme, ± scrubbing",
         "scheme/age/scrub",
-    );
-    let ages = scale.thin(&[0u32, 2_500, 5_000]);
-    let schemes: Vec<(&str, MappingKind)> = vec![
-        ("page_map", MappingKind::PageMap),
-        ("dftl", MappingKind::Dftl { cmt_entries: 24 }),
-        (
-            "hybrid",
-            MappingKind::Hybrid {
-                log_blocks: 8,
-                merge: MergePolicy::Fifo,
-            },
-        ),
-    ];
-    for (sname, mapping) in schemes {
-        for &age in &ages {
-            for scrub_on in [false, true] {
-                let mut setup = Setup::small();
-                setup.ctrl.mapping = mapping;
-                setup.ctrl.wl.static_enabled = false;
-                setup.ctrl.fault = Some(e25_fault(age));
-                setup.ctrl.scrub = scrub_on.then(|| e25_scrub(64));
-                let ios = scale.ios(setup.logical_pages() * 2);
-                let (os, tids) = run_preconditioned(
-                    &setup,
-                    vec![Box::new(
-                        Pumped::new(
-                            ZipfGen::new(Region::whole(), ios, 0.99, ZipfKind::Reads),
-                            32,
-                            0xE25,
-                        )
-                        .named("zipf-reader"),
-                    )],
-                );
-                let base = snapshot(&os);
-                let mut os = os;
-                os.run();
-                let m = measure_since(&os, &tids, &base);
-                let rel = m.reliability.expect("fault model installed");
-                t.rows.push(
-                    Row::new(format!(
-                        "{sname}/pe{age}/{}",
-                        if scrub_on { "scrub" } else { "noscrub" }
-                    ))
-                    .push("read_us", m.read_mean_us)
-                    .push("read_p99_us", m.read_p99_us)
-                    .push("uber", rel.uber)
-                    .push("corrected_bits", rel.corrected_bits as f64)
-                    .push("retries", rel.read_retries as f64)
-                    .push("uncorrectable", rel.uncorrectable_reads as f64)
-                    .push("grown_bad", rel.grown_bad_blocks as f64)
-                    .push("remaps", rel.program_remaps as f64)
-                    .push("scrub_refreshes", rel.scrub_refreshes as f64)
-                    .push("lost_lpns", rel.lost_lpns as f64),
-                );
-            }
-        }
-    }
-    t
+        cross(&scheme_ages, &scrubs),
+        |(((sname, mapping), age), (scrub_name, scrub))| {
+            let mut setup = small();
+            setup.ctrl.mapping = mapping;
+            setup.ctrl.fault = Some(e25_fault(age));
+            setup.ctrl.scrub = scrub;
+            let ios = scale.ios(setup.logical_pages() * 2);
+            let reader = Actor::thread(zipf_reader(ios, 32, 0xE25));
+            let label = format!("{sname}/pe{age}/{scrub_name}");
+            Point::filled(label, setup, vec![reader])
+        },
+        |r| {
+            let rel = r.all.reliability.expect("fault model installed");
+            let rel_cols = [
+                UBER,
+                CORRECTED_BITS,
+                RETRIES,
+                UNCORRECTABLE,
+                GROWN_BAD,
+                REMAPS,
+                SCRUB_REFRESHES,
+                LOST_LPNS,
+            ];
+            r.row()
+                .cols(&r.all, &[READ_US, READ_P99_US])
+                .cols(&rel, &rel_cols)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1686,62 +1341,43 @@ fn e25_reliability_aging(scale: Scale) -> Table {
 /// tail percentiles; the reliability columns show what the interference
 /// buys.
 fn e26_scrub_interference(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "E26",
-        "Foreground reader tails and reliability vs scrub cadence (aged device)",
-        "scrub_cadence",
-    );
     let cadences: Vec<(&str, Option<u64>)> = vec![
         ("off", None),
         ("lazy", Some(1024)),
         ("steady", Some(256)),
         ("eager", Some(64)),
     ];
-    for (name, every) in scale.thin(&cadences) {
-        let mut setup = Setup::small();
-        setup.os.queue_depth = 32;
-        setup.ctrl.wl.static_enabled = false;
-        setup.ctrl.fault = Some(e25_fault(2_500));
-        setup.ctrl.scrub = every.map(e25_scrub);
-        let logical = setup.logical_pages();
-        let mut os = setup.build();
-        os.add_thread(sequential_fill(32));
-        os.run();
-        let (reader, reader_tids) = TenantProfile::new("reader", 2048)
-            .weight(8)
-            .tier(0)
-            .thread(
-                Pumped::new(
-                    ZipfGen::new(Region::whole(), scale.ios(logical), 0.99, ZipfKind::Reads),
-                    8,
-                    0xE26,
+    sweep(
+        "E26",
+        "Foreground reader tails and reliability vs scrub cadence (aged device)",
+        "scrub_cadence",
+        scale.thin(&cadences),
+        |(name, every)| {
+            let mut setup = shared(QosPolicy::None);
+            setup.ctrl.fault = Some(e25_fault(2_500));
+            setup.ctrl.scrub = every.map(e25_scrub);
+            let ios = scale.ios(setup.logical_pages());
+            Point::filled(name, setup, vec![reader_tenant(ios, 8, 0xE26)])
+        },
+        |r| {
+            let reader = &r.actors[0];
+            let rel = r.all.reliability.expect("fault model installed");
+            r.row()
+                .cols(&reader.read_tail, &READER_TAIL)
+                .cols(&reader.m, &[READER_IOPS])
+                .cols(
+                    &rel,
+                    &[
+                        SCRUB_REFRESHES,
+                        SCRUB_READS,
+                        SCRUB_WRITES,
+                        CORRECTED_BITS,
+                        RETRIES,
+                        UNCORRECTABLE,
+                    ],
                 )
-                .named("zipf-reader"),
-            )
-            .install(&mut os);
-        let base = snapshot(&os);
-        os.run();
-        let rm = measure_since(&os, &reader_tids, &base);
-        let tail = os
-            .tenant_stats(reader)
-            .tail(eagletree_controller::OpClass::AppRead);
-        let rel = rm.reliability.expect("fault model installed");
-        t.rows.push(
-            Row::new(name.to_string())
-                .push("reader_p50_us", tail.p50.as_micros_f64())
-                .push("reader_p95_us", tail.p95.as_micros_f64())
-                .push("reader_p99_us", tail.p99.as_micros_f64())
-                .push("reader_p999_us", tail.p999.as_micros_f64())
-                .push("reader_iops", rm.iops)
-                .push("scrub_refreshes", rel.scrub_refreshes as f64)
-                .push("scrub_reads", rel.scrub_reads as f64)
-                .push("scrub_writes", rel.scrub_writes as f64)
-                .push("corrected_bits", rel.corrected_bits as f64)
-                .push("retries", rel.read_retries as f64)
-                .push("uncorrectable", rel.uncorrectable_reads as f64),
-        );
-    }
-    t
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1756,108 +1392,83 @@ fn e26_scrub_interference(scale: Scale) -> Table {
 /// the p999 threshold is bucketed by its *dominant* stage, turning "the
 /// tail got worse" into "the tail is scheduler-pending time behind GC".
 fn e27_tail_forensics(scale: Scale) -> Table {
-    let mut t = Table::new(
+    let arms = qos_policies()
+        .into_iter()
+        .filter(|(name, _)| matches!(*name, "none" | "token_bucket"));
+    sweep(
         "E27",
         "Reader tail explained per stage; p999 outliers bucketed by dominant stage",
         "qos",
-    );
-    for (name, qos) in [
-        ("none", QosPolicy::None),
-        ("token_bucket", QosPolicy::TokenBucket),
-    ] {
-        let mut setup = Setup::small();
-        setup.os.qos = qos;
-        setup.os.queue_depth = 32;
-        setup.ctrl.wl.static_enabled = false;
-        setup.ctrl.fault = Some(e25_fault(2_500));
-        setup.ctrl.obs.span_capacity = 1 << 18;
-        setup.ctrl.obs.timeline_interval_us = 500;
-        let logical = setup.logical_pages();
-        let mut os = setup.build();
-        os.add_thread(sequential_fill(32));
-        os.run();
-        let (reader, _) = TenantProfile::new("reader", 2048)
-            .weight(8)
-            .tier(0)
-            .thread(
-                Pumped::new(
-                    ZipfGen::new(Region::whole(), scale.ios(logical / 2), 0.99, ZipfKind::Reads),
-                    4,
-                    0xE27,
-                )
-                .named("zipf-reader"),
-            )
-            .install(&mut os);
-        let (flooder, _) = TenantProfile::new("flooder", 4096)
-            .weight(1)
-            .tier(1)
-            .iops_limit(4_000.0)
-            .burst(4.0)
-            .thread(
-                Pumped::new(SeqWriteGen::new(Region::whole(), scale.ios(logical * 2)), 256, 0x72E)
-                    .named("seq-flooder"),
-            )
-            .install(&mut os);
-        os.run();
-        let tail = os.tenant_stats(reader).tail(eagletree_controller::OpClass::AppRead);
-        let bd = os
-            .tenant_stats(reader)
+        arms,
+        |(name, qos)| {
+            let mut setup = shared(qos);
+            setup.ctrl.fault = Some(e25_fault(2_500));
+            setup.ctrl.obs.span_capacity = 1 << 18;
+            setup.ctrl.obs.timeline_interval_us = 500;
+            let logical = setup.logical_pages();
+            let reader = reader_tenant(scale.ios(logical / 2), 4, 0xE27);
+            let flood = seq_flooder(scale.ios(logical * 2), 256, 0x72E);
+            Point::filled(name, setup, vec![reader, flooder_tenant(4096, flood)])
+        },
+        tail_forensics_row,
+    )
+}
+
+fn tail_forensics_row(r: &Ran) -> Row {
+    let (reader, flooder) = (&r.actors[0], &r.actors[1]);
+    let tail = reader.read_tail;
+    let bd =
+        r.os.tenant_stats(reader.tenant_id())
             .stage_breakdown(RequestKind::Read)
-            .expect("observability enabled")
-            .clone();
-        let fl_qos_us = os
-            .tenant_stats(flooder)
+            .expect("observability enabled");
+    let fl_qos_us =
+        r.os.tenant_stats(flooder.tenant_id())
             .stage_breakdown(RequestKind::Write)
-            .map_or(0.0, |b| b.mean_us(eagletree_core::Stage::QosHold));
-        // How much of the measured end-to-end tail the stage sums explain:
-        // both sides come from the same log-bucketed histogram family, so
-        // a lost stage shows up as a ratio well below 1.
-        let span_tail = bd.total_tail();
-        let explained = |span: SimDuration, measured: SimDuration| {
-            if measured == SimDuration::ZERO {
-                0.0
-            } else {
-                span.as_nanos() as f64 / measured.as_nanos() as f64
-            }
-        };
-        // Bucket the p999 outliers by their dominant stage.
-        let reader_tag = Some(reader as u32);
-        let threshold = tail.p999.as_nanos();
-        let mut outliers = [0u64; eagletree_core::Stage::COUNT];
-        let obs = os.obs().expect("observability enabled");
-        for s in obs.spans() {
-            if s.kind == "AppRead" && s.tenant == reader_tag && s.stages.total() >= threshold {
-                outliers[s.stages.dominant() as usize] += 1;
-            }
+            .map_or(0.0, |b| b.mean_us(Stage::QosHold));
+    // How much of the measured end-to-end tail the stage sums explain:
+    // both sides come from the same log-bucketed histogram family, so
+    // a lost stage shows up as a ratio well below 1.
+    let span_tail = bd.total_tail();
+    let explained = |span: SimDuration, measured: SimDuration| {
+        if measured == SimDuration::ZERO {
+            0.0
+        } else {
+            span.as_nanos() as f64 / measured.as_nanos() as f64
         }
-        let mut row = Row::new(name.to_string())
-            .push("reader_p50_us", tail.p50.as_micros_f64())
-            .push("reader_p99_us", tail.p99.as_micros_f64())
-            .push("reader_p999_us", tail.p999.as_micros_f64())
-            .push("explained_p50", explained(span_tail.p50, tail.p50))
-            .push("explained_p999", explained(span_tail.p999, tail.p999));
-        row = crate::metrics::push_stage_columns(row, &bd);
-        row = row.push("fl_qos_us", fl_qos_us);
-        row = row.push("p999_outliers", outliers.iter().sum::<u64>() as f64);
-        for (i, stage) in eagletree_core::Stage::ALL.iter().enumerate() {
-            row = row.push(
-                match stage {
-                    eagletree_core::Stage::QueueWait => "out_queue",
-                    eagletree_core::Stage::QosHold => "out_qos",
-                    eagletree_core::Stage::SchedPending => "out_pend",
-                    eagletree_core::Stage::Media => "out_media",
-                    eagletree_core::Stage::Retry => "out_retry",
-                },
-                outliers[i] as f64,
-            );
+    };
+    // Bucket the p999 outliers by their dominant stage.
+    let reader_tag = reader.tenant.map(|t| t as u32);
+    let threshold = tail.p999.as_nanos();
+    let mut outliers = [0u64; Stage::COUNT];
+    let obs = r.os.obs().expect("observability enabled");
+    for s in obs.spans() {
+        if s.kind == "AppRead" && s.tenant == reader_tag && s.stages.total() >= threshold {
+            outliers[s.stages.dominant() as usize] += 1;
         }
-        row = row
-            .push("spans", obs.closed_count() as f64)
-            .push("spans_dropped", obs.dropped() as f64)
-            .push("tl_rows", os.timeline().map_or(0, |tl| tl.len()) as f64);
-        t.rows.push(row);
     }
-    t
+    let mut row = r
+        .row()
+        .cols(&tail, &[READER_P50_US, READER_P99_US, READER_P999_US])
+        .push("explained_p50", explained(span_tail.p50, tail.p50))
+        .push("explained_p999", explained(span_tail.p999, tail.p999))
+        .cols(bd, &STAGES)
+        .push("fl_qos_us", fl_qos_us)
+        .push("p999_outliers", outliers.iter().sum::<u64>() as f64);
+    for (i, stage) in Stage::ALL.iter().enumerate() {
+        row = row.push(
+            match stage {
+                Stage::QueueWait => "out_queue",
+                Stage::QosHold => "out_qos",
+                Stage::SchedPending => "out_pend",
+                Stage::Media => "out_media",
+                Stage::Retry => "out_retry",
+            },
+            outliers[i] as f64,
+        );
+    }
+    row.push("spans", obs.closed_count() as f64)
+        .push("spans_dropped", obs.dropped() as f64)
+        .push("tl_rows", r.os.timeline().map_or(0, |tl| tl.len()) as f64)
 }
 
 // ---------------------------------------------------------------------
@@ -1867,68 +1478,46 @@ fn e27_tail_forensics(scale: Scale) -> Table {
 /// combination by throughput balanced against latency imbalance and
 /// variability between reads and writes (§3). Rows are sorted best-first.
 fn g1_game(scale: Scale) -> Table {
-    let mut t = Table::new(
+    let mut pols = policies();
+    pols.retain(|(name, _)| *name != "writes_first");
+    let pols_greeds = cross(&scale.thin(&pols), &scale.thin(&[1u32, 4]));
+    let mut t = sweep(
         "G1",
         "Scheduling game: score = iops/1k − imbalance − variability",
         "combo",
+        cross(&pols_greeds, &scale.thin(&[8usize, 32])),
+        |(((pname, pol), g), qd)| {
+            let mut setup = small();
+            setup.ctrl.sched = pol;
+            setup.ctrl.gc.greediness = g;
+            setup.os.queue_depth = qd;
+            let ios = scale.ios(setup.logical_pages() * 2);
+            let label = format!("{pname}/g{g}/qd{qd}");
+            Point::filled(label, setup, vec![mixed(ios, 64, 0x61, "game")])
+        },
+        |r| {
+            let m = &r.all;
+            let imbalance = (m.read_mean_us - m.write_mean_us).abs() / 100.0;
+            let variability = (m.read_stddev_us + m.write_stddev_us) / 200.0;
+            r.row()
+                .push("score", m.iops / 1000.0 - imbalance - variability)
+                .cols(m, &[IOPS, READ_US, WRITE_US, READ_SD_US, WRITE_SD_US])
+        },
     );
-    let pols: Vec<(&str, SchedPolicy)> = vec![
-        ("fifo", SchedPolicy::Fifo),
-        ("reads_first", SchedPolicy::reads_first()),
-        ("edf", SchedPolicy::edf_default()),
-        ("fair", SchedPolicy::fair_equal()),
-    ];
-    let pols = scale.thin(&pols);
-    let greeds = scale.thin(&[1u32, 4]);
-    let qds = scale.thin(&[8usize, 32]);
-    let mut rows = Vec::new();
-    for (pname, pol) in &pols {
-        for &g in &greeds {
-            for &qd in &qds {
-                let mut setup = Setup::small();
-                setup.ctrl.sched = pol.clone();
-                setup.ctrl.gc.greediness = g;
-                setup.ctrl.wl.static_enabled = false;
-                setup.os.queue_depth = qd;
-                let ios = scale.ios(setup.logical_pages() * 2);
-                let (os, tids) = run_preconditioned(
-                    &setup,
-                    vec![Box::new(
-                        Pumped::new(MixedGen::new(Region::whole(), ios, 0.5), 64, 0x61)
-                            .named("game"),
-                    )],
-                );
-                let base = snapshot(&os);
-                let mut os = os;
-                os.run();
-                let m = measure_since(&os, &tids, &base);
-                let imbalance = (m.read_mean_us - m.write_mean_us).abs() / 100.0;
-                let variability = (m.read_stddev_us + m.write_stddev_us) / 200.0;
-                let score = m.iops / 1000.0 - imbalance - variability;
-                rows.push(
-                    Row::new(format!("{pname}/g{g}/qd{qd}"))
-                        .push("score", score)
-                        .push("iops", m.iops)
-                        .push("read_us", m.read_mean_us)
-                        .push("write_us", m.write_mean_us)
-                        .push("read_sd_us", m.read_stddev_us)
-                        .push("write_sd_us", m.write_stddev_us),
-                );
-            }
-        }
-    }
-    rows.sort_by(|a, b| {
+    t.rows.sort_by(|a, b| {
         b.get("score")
             .partial_cmp(&a.get("score"))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    t.rows = rows;
     t
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn smoke(id: &str) -> Table {
+        by_id(id).expect("a suite id").run(Scale::Smoke)
+    }
 
     #[test]
     fn suite_is_complete_and_indexed() {
@@ -1950,7 +1539,7 @@ mod tests {
 
     #[test]
     fn smoke_e25_reliability_scales_with_age() {
-        let t = e25_reliability_aging(Scale::Smoke);
+        let t = smoke("E25");
         // 3 schemes x 2 ages (smoke keeps the sweep's ends) x ± scrub.
         assert_eq!(t.rows.len(), 12);
         let get = |label: String, col: &str| {
@@ -1986,7 +1575,7 @@ mod tests {
 
     #[test]
     fn smoke_e26_scrub_cadence_trades_interference() {
-        let t = e26_scrub_interference(Scale::Smoke);
+        let t = smoke("E26");
         // Smoke thins the cadence sweep to off + eager.
         assert_eq!(t.rows.len(), 2);
         let off = &t.rows[0];
@@ -2007,7 +1596,7 @@ mod tests {
 
     #[test]
     fn smoke_e21_checkpoint_cuts_mount_scan() {
-        let t = e21_mount_time(Scale::Smoke);
+        let t = smoke("E21");
         assert!(!t.rows.is_empty());
         for r in &t.rows {
             assert_eq!(
@@ -2038,7 +1627,7 @@ mod tests {
 
     #[test]
     fn smoke_e22_no_acknowledged_write_lost() {
-        let t = e22_crash_sweep(Scale::Smoke);
+        let t = smoke("E22");
         assert_eq!(t.rows.len(), 6, "3 schemes x 2 recovery modes");
         let mut torn_total = 0.0;
         for r in &t.rows {
@@ -2064,7 +1653,7 @@ mod tests {
 
     #[test]
     fn smoke_e19_qos_isolates_the_reader_tenant() {
-        let t = e19_noisy_neighbor(Scale::Smoke);
+        let t = smoke("E19");
         let p99 = |label: &str| {
             t.rows
                 .iter()
@@ -2089,7 +1678,7 @@ mod tests {
 
     #[test]
     fn smoke_e23_replays_and_matches_the_trace() {
-        let t = e23_trace_vs_synth(Scale::Smoke);
+        let t = smoke("E23");
         // 1 profile row + 3 schemes × {replay, synth}.
         assert_eq!(t.rows.len(), 7, "{}", t.render());
         let profile = t.rows.first().unwrap();
@@ -2118,7 +1707,7 @@ mod tests {
 
     #[test]
     fn smoke_e24_qos_still_isolates_under_replayed_traffic() {
-        let t = e24_replayed_noisy_neighbor(Scale::Smoke);
+        let t = smoke("E24");
         let p99 = |label: &str| {
             t.rows
                 .iter()
@@ -2141,7 +1730,7 @@ mod tests {
 
     #[test]
     fn smoke_e20_covers_the_policy_grid() {
-        let t = e20_qos_sweep(Scale::Smoke);
+        let t = smoke("E20");
         // 4 policies × thinned weights {1,4} × thinned counts {2,4}.
         assert_eq!(t.rows.len(), 16);
         for r in &t.rows {
@@ -2163,7 +1752,7 @@ mod tests {
 
     #[test]
     fn smoke_e6_covers_all_three_mapping_families() {
-        let t = e6_mapping(Scale::Smoke);
+        let t = smoke("E6");
         let labels: Vec<&str> = t.rows.iter().map(|r| r.label.as_str()).collect();
         assert!(labels.contains(&"page_map"));
         assert!(labels.iter().any(|l| l.starts_with("dftl_")));
@@ -2180,7 +1769,7 @@ mod tests {
 
     #[test]
     fn smoke_e17_bigger_log_pool_cuts_wa() {
-        let t = e17_log_budget(Scale::Smoke);
+        let t = smoke("E17");
         let small = t.rows.first().unwrap();
         let big = t.rows.last().unwrap();
         assert!(
@@ -2193,7 +1782,7 @@ mod tests {
 
     #[test]
     fn smoke_e16_pipelining_speeds_sequential_writes() {
-        let t = e16_pipelining(Scale::Smoke);
+        let t = smoke("E16");
         let off = t.rows[0].get("iops").unwrap();
         let on = t.rows[1].get("iops").unwrap();
         assert!(
@@ -2204,7 +1793,7 @@ mod tests {
 
     #[test]
     fn smoke_e13_buffer_absorbs_writes() {
-        let t = e13_write_buffer(Scale::Smoke);
+        let t = smoke("E13");
         let none = t.rows.first().unwrap().get("WA").unwrap();
         let big = t.rows.last().unwrap().get("WA").unwrap();
         assert!(
@@ -2215,7 +1804,7 @@ mod tests {
 
     #[test]
     fn smoke_e1_scales_with_parallelism() {
-        let t = e1_parallelism(Scale::Smoke);
+        let t = smoke("E1");
         assert!(t.rows.len() >= 2);
         let first = t.rows.first().unwrap();
         let last = t.rows.last().unwrap();
@@ -2228,7 +1817,7 @@ mod tests {
 
     #[test]
     fn smoke_e2_throughput_rises_with_qd() {
-        let t = e2_queue_depth(Scale::Smoke);
+        let t = smoke("E2");
         let qd1 = t.rows.first().unwrap().get("iops").unwrap();
         let qd64 = t.rows.last().unwrap().get("iops").unwrap();
         assert!(qd64 > qd1 * 2.0, "qd=64 ({qd64}) !> 2×qd=1 ({qd1})");
@@ -2236,7 +1825,7 @@ mod tests {
 
     #[test]
     fn smoke_e12_slc_beats_mlc() {
-        let t = e12_chip_type(Scale::Smoke);
+        let t = smoke("E12");
         let slc = t.rows[0].get("iops").unwrap();
         let mlc = t.rows[1].get("iops").unwrap();
         assert!(slc > mlc, "SLC {slc} should beat MLC {mlc}");
@@ -2244,7 +1833,7 @@ mod tests {
 
     #[test]
     fn smoke_e18_reports_simulator_throughput() {
-        let t = e18_sim_throughput(Scale::Smoke);
+        let t = smoke("E18");
         // Smoke thins to first/last of each axis: 2 geometries × 2 qds,
         // each under both queue backends.
         assert_eq!(t.rows.len(), 8);
@@ -2276,7 +1865,7 @@ mod tests {
 
     #[test]
     fn smoke_e27_stage_breakdown_explains_the_tail() {
-        let t = e27_tail_forensics(Scale::Smoke);
+        let t = smoke("E27");
         assert_eq!(t.rows.len(), 2);
         for r in &t.rows {
             // The acceptance bar: the stage sums must explain ≥95% of the
@@ -2318,7 +1907,7 @@ mod tests {
 
     #[test]
     fn smoke_g1_produces_sorted_leaderboard() {
-        let t = g1_game(Scale::Smoke);
+        let t = smoke("G1");
         assert!(t.rows.len() >= 4);
         let scores: Vec<f64> = t.rows.iter().map(|r| r.get("score").unwrap()).collect();
         let mut sorted = scores.clone();

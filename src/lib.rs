@@ -31,8 +31,9 @@
 //! The [`experiments`] module is the experimental suite: templates that
 //! sweep one parameter over a workload and report throughput, latency,
 //! latency variability, write amplification and wear — including the
-//! predefined series E1–E12 and the G1 scheduling game from the paper's
-//! demonstration scenario (see `DESIGN.md` / `EXPERIMENTS.md`).
+//! predefined series E1–E27 and the G1 scheduling game from the paper's
+//! demonstration scenario (`experiments::suite::all()` is the index;
+//! `harness --help` prints it).
 //!
 //! ## Quickstart
 //!
