@@ -1,46 +1,32 @@
-//! Bench-trajectory comparison: diff two harness `--json` files.
+//! Result-drift gate: diff two harness `--json` files.
 //!
 //! ```text
-//! compare BASELINE.json CURRENT.json [--min-events-rate FACTOR]
+//! compare BASELINE.json CURRENT.json
 //! ```
 //!
-//! Two gates, over the experiments present in both files:
+//! A harness file is a pure function of the code: every cell is a
+//! simulated result, and sequential and `--jobs N` runs write the same
+//! bytes. So over the experiments present in both files, any difference
+//! in `events_simulated` or in a row — a label, a column name, a value,
+//! their order or count — exits 1, naming experiment / label / column
+//! and both values. No cell is exempt and there is no option: a change
+//! that moves results on purpose regenerates the baseline.
 //!
-//! * **Result drift** (always on). Every simulated result is
-//!   deterministic, so any difference in `events_simulated` or in a row —
-//!   a label, a column name, a value, their order or count — exits 1,
-//!   naming experiment / label / column and both values. Only the
-//!   host-clock cells (`wall_ms`, `events_per_sec`) are skipped. Counts
-//!   are per-thread, so sequential and `--jobs N` runs agree. A change
-//!   that moves results on purpose regenerates the baseline.
-//! * **Simulator throughput** (`--min-events-rate FACTOR`). Exits 1 if
-//!   any experiment's `events_per_sec` fell below `base * FACTOR`;
-//!   experiments faster than half a second in the baseline are exempt
-//!   (their rate is dominated by startup, not the event engine). E18 is
-//!   its main subject, but any experiment that got slower per event trips
-//!   it.
-//!
-//! Also prints a per-experiment wall-seconds / events-per-second table
-//! for CI to archive, and lists experiments present in only one file
-//! (never gated). A file that yields no experiment, or two files that
-//! share none, is an error (exit 2) — a gate over nothing must not pass.
+//! Experiments present in only one file are listed, never gated. A file
+//! that yields no experiment, or two files that share none, is an error
+//! (exit 2) — a gate over nothing must not pass.
 
 use std::collections::BTreeMap;
-
-/// Row cells that read the host clock — the only nondeterministic ones.
-const HOST_CLOCK: [&str; 2] = ["wall_ms", "events_per_sec"];
 
 /// One result row: its label, then (column, value text) in file order.
 /// Values stay text: the harness prints the shortest round-trip form of
 /// each `f64`, so equal text is equal bits.
 type Row = (String, Vec<(String, String)>);
 
-/// Per-experiment numbers scraped from harness JSON.
+/// Per-experiment results scraped from harness JSON.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct Exp {
-    wall_seconds: Option<f64>,
     events_simulated: Option<u64>,
-    events_per_sec: Option<f64>,
     rows: Vec<Row>,
 }
 
@@ -89,7 +75,7 @@ fn take_string(s: &str) -> Option<(&str, &str)> {
 /// lone `{` / `}` lines) and attached to whichever `"id"` appears inside
 /// the same object, so reordered keys (`jq -S`-style) scrape identically.
 /// Fields with no `"id"` in their object, an experiment without
-/// `wall_seconds`, or a file with no experiment at all — truncated,
+/// `events_simulated`, or a file with no experiment at all — truncated,
 /// hand-edited or not harness output — are an `Err` naming the problem.
 fn scrape(path: &str, text: &str) -> Result<BTreeMap<String, Exp>, String> {
     let mut out: BTreeMap<String, Exp> = BTreeMap::new();
@@ -117,10 +103,6 @@ fn scrape(path: &str, text: &str) -> Result<BTreeMap<String, Exp>, String> {
         let line = line.trim_end_matches(',');
         if let Some(rest) = line.strip_prefix("\"id\": \"") {
             cur_id = rest.strip_suffix('"').map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("\"wall_seconds\": ") {
-            cur.wall_seconds = rest.parse().ok();
-        } else if let Some(rest) = line.strip_prefix("\"events_per_sec\": ") {
-            cur.events_per_sec = rest.parse().ok();
         } else if let Some(rest) = line.strip_prefix("\"events_simulated\": ") {
             cur.events_simulated = rest.parse().ok();
         } else if line.starts_with("{\"label\":") {
@@ -128,9 +110,9 @@ fn scrape(path: &str, text: &str) -> Result<BTreeMap<String, Exp>, String> {
             cur.rows.push(row);
         }
     }
-    if let Some((id, _)) = out.iter().find(|(_, e)| e.wall_seconds.is_none()) {
+    if let Some((id, _)) = out.iter().find(|(_, e)| e.events_simulated.is_none()) {
         return Err(format!(
-            "{path}: experiment \"{id}\" has no wall_seconds field"
+            "{path}: experiment \"{id}\" has no events_simulated field"
         ));
     }
     if out.is_empty() {
@@ -141,14 +123,14 @@ fn scrape(path: &str, text: &str) -> Result<BTreeMap<String, Exp>, String> {
     Ok(out)
 }
 
-/// Every way `cur`'s deterministic results differ from `base`'s, one
-/// line each: `id / label / column: base -> current`.
+/// Every way `cur`'s results differ from `base`'s, one line each: `id / label / column: base -> current`.
 fn drift(id: &str, base: &Exp, cur: &Exp) -> Vec<String> {
     let mut out = Vec::new();
-    if base.events_simulated != cur.events_simulated {
-        let text = |n: Option<u64>| n.map_or("-".to_string(), |n| n.to_string());
-        let (b, c) = (text(base.events_simulated), text(cur.events_simulated));
-        out.push(format!("{id} events_simulated: {b} -> {c}"));
+    // `scrape` fails unless every experiment carried events_simulated.
+    if let (Some(b), Some(c)) = (base.events_simulated, cur.events_simulated) {
+        if b != c {
+            out.push(format!("{id} events_simulated: {b} -> {c}"));
+        }
     }
     if base.rows.len() != cur.rows.len() {
         out.push(format!(
@@ -157,23 +139,15 @@ fn drift(id: &str, base: &Exp, cur: &Exp) -> Vec<String> {
             cur.rows.len()
         ));
     }
-    let gated = |cells: &[(String, String)]| -> Vec<(String, String)> {
-        cells
-            .iter()
-            .filter(|(name, _)| !HOST_CLOCK.contains(&name.as_str()))
-            .cloned()
-            .collect()
-    };
     for (i, ((bl, bc), (cl, cc))) in base.rows.iter().zip(&cur.rows).enumerate() {
         if bl != cl {
             out.push(format!("{id} row {i} label: {bl} -> {cl}"));
             continue;
         }
-        let (bc, cc) = (gated(bc), gated(cc));
         if bc.len() != cc.len() {
             out.push(format!("{id} / {bl} columns: {} -> {}", bc.len(), cc.len()));
         }
-        for ((bn, bv), (cn, cv)) in bc.iter().zip(&cc) {
+        for ((bn, bv), (cn, cv)) in bc.iter().zip(cc) {
             if bn != cn {
                 out.push(format!("{id} / {bl} column name: {bn} -> {cn}"));
             } else if bv != cv {
@@ -207,108 +181,51 @@ fn read(path: &str) -> Result<BTreeMap<String, Exp>, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<&str> = Vec::new();
-    let mut min_events_rate: Option<f64> = None;
-    let usage = "usage: compare BASELINE.json CURRENT.json [--min-events-rate FACTOR]";
+    let usage = "usage: compare BASELINE.json CURRENT.json";
     let fail = |msg: &str| -> ! {
         eprintln!("{msg}");
         std::process::exit(2);
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--min-events-rate" => {
-                i += 1;
-                min_events_rate = args.get(i).and_then(|s| s.parse().ok());
-                if min_events_rate.is_none() {
-                    fail("--min-events-rate needs a numeric factor");
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!("{usage}");
-                return;
-            }
-            p => paths.push(p),
-        }
-        i += 1;
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("{usage}");
+        return;
     }
-    if paths.len() != 2 {
-        fail(usage);
-    }
-    let base = read(paths[0]).unwrap_or_else(|e| fail(&e));
-    let cur = read(paths[1]).unwrap_or_else(|e| fail(&e));
+    let [base_path, cur_path] = args.as_slice() else {
+        fail(usage)
+    };
+    let base = read(base_path).unwrap_or_else(|e| fail(&e));
+    let cur = read(cur_path).unwrap_or_else(|e| fail(&e));
     let ids = shared_ids(&base, &cur).unwrap_or_else(|e| fail(&e));
 
-    println!(
-        "{:<6} {:>10} {:>10} {:>9}  {:>14} {:>14}",
-        "exp", "base_s", "cur_s", "speedup", "base_ev/s", "cur_ev/s"
-    );
-    let fmt_opt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.0}"));
-    let mut drifted = Vec::new();
-    let mut rate_regressions = Vec::new();
-    for id in ids {
-        let (b, c) = (&base[id], &cur[id]);
-        // `scrape` fails unless every experiment carried wall_seconds.
-        let bw = b.wall_seconds.expect("validated by scrape");
-        let cw = c.wall_seconds.expect("validated by scrape");
-        let speedup = if cw > 0.0 { bw / cw } else { f64::INFINITY };
-        println!(
-            "{:<6} {:>10.3} {:>10.3} {:>8.2}x  {:>14} {:>14}",
-            id,
-            bw,
-            cw,
-            speedup,
-            fmt_opt(b.events_per_sec),
-            fmt_opt(c.events_per_sec)
-        );
-        drifted.extend(drift(id, b, c));
-        if let (Some(factor), Some(br), Some(cr)) =
-            (min_events_rate, b.events_per_sec, c.events_per_sec)
-        {
-            if bw >= 0.5 && cr < br * factor {
-                rate_regressions.push((id, br, cr));
-            }
-        }
-    }
-    let only_in = |a: &BTreeMap<String, Exp>, b: &BTreeMap<String, Exp>| -> Vec<String> {
-        a.iter()
-            .filter(|(id, _)| !b.contains_key(*id))
-            .map(|(id, e)| format!("{id} ({:.3}s)", e.wall_seconds.unwrap_or(0.0)))
-            .collect()
+    let drifted: Vec<String> = ids
+        .iter()
+        .flat_map(|&id| drift(id, &base[id], &cur[id]))
+        .collect();
+    let rows: usize = ids.iter().map(|&id| base[id].rows.len()).sum();
+    println!("{} experiments, {rows} baseline rows compared", ids.len());
+    let only_in = |a: &BTreeMap<String, Exp>, b: &BTreeMap<String, Exp>| -> String {
+        let ids: Vec<&str> = a
+            .keys()
+            .filter(|id| !b.contains_key(*id))
+            .map(String::as_str)
+            .collect();
+        ids.join(", ")
     };
-    let (only_current, only_base) = (only_in(&cur, &base), only_in(&base, &cur));
-    if !only_current.is_empty() || !only_base.is_empty() {
-        println!("\nnot comparable (present in one file only — excluded from the gates):");
-        if !only_current.is_empty() {
-            println!(
-                "  only in current ({}): {}",
-                paths[1],
-                only_current.join(", ")
-            );
-        }
-        if !only_base.is_empty() {
-            println!(
-                "  only in baseline ({}): {}",
-                paths[0],
-                only_base.join(", ")
-            );
+    for (side, path, only) in [
+        ("current", cur_path, only_in(&cur, &base)),
+        ("baseline", base_path, only_in(&base, &cur)),
+    ] {
+        if !only.is_empty() {
+            println!("only in {side} ({path}), not compared: {only}");
         }
     }
     if !drifted.is_empty() {
         eprintln!(
-            "\nresult drift (deterministic values changed: experiment / label / column: baseline -> current):"
+            "\nresult drift (experiment / label / column: baseline -> current):"
         );
         for d in &drifted {
             eprintln!("  {d}");
         }
-    }
-    if !rate_regressions.is_empty() {
-        eprintln!("\nsimulator-throughput regressions beyond tolerance:");
-        for (id, b, c) in &rate_regressions {
-            eprintln!("  {id}: {b:.0} ev/s -> {c:.0} ev/s");
-        }
-    }
-    if !drifted.is_empty() || !rate_regressions.is_empty() {
         std::process::exit(1);
     }
 }
@@ -324,19 +241,15 @@ mod tests {
     {
       "id": "E1",
       "title": "t",
-      "wall_seconds": 0.700,
       "events_simulated": 1000,
-      "events_per_sec": 1428.5,
       "rows": [
         {"label": "1x1", "luns_total": 1, "iops": 8273.5},
-        {"label": "a \"b\", c", "iops": 2, "wall_ms": 3.5}
+        {"label": "a \"b\", c", "iops": 2, "WA": 3.5}
       ]
     },
     {
       "id": "E2",
-      "wall_seconds": 0.100,
       "events_simulated": 50,
-      "events_per_sec": 500,
       "rows": [
       ]
     }
@@ -349,7 +262,6 @@ mod tests {
         let exps = scrape("good.json", GOOD).unwrap();
         assert_eq!(exps.len(), 2);
         let e1 = &exps["E1"];
-        assert_eq!(e1.wall_seconds, Some(0.7));
         assert_eq!(e1.events_simulated, Some(1000));
         assert_eq!(e1.rows.len(), 2);
         assert_eq!(e1.rows[0].0, "1x1");
@@ -362,7 +274,7 @@ mod tests {
         assert_eq!(e1.rows[1].0, r#"a \"b\", c"#);
         assert_eq!(
             e1.rows[1].1,
-            vec![cell("iops", "2"), cell("wall_ms", "3.5")]
+            vec![cell("iops", "2"), cell("WA", "3.5")]
         );
     }
 
@@ -370,15 +282,15 @@ mod tests {
     fn a_truncated_file_is_an_error_not_an_empty_baseline() {
         let err = scrape(
             "bad.json",
-            r#"{"experiments":[{"id":"E1","wall_seconds":"x""#,
+            r#"{"experiments":[{"id":"E1","events_simulated":"x""#,
         )
         .unwrap_err();
         assert!(err.contains("bad.json: no experiment found"), "{err}");
         // Cut mid-experiment, in the harness layout: the open object
-        // still has its id, but never got its wall_seconds.
-        let cut = &GOOD[..GOOD.find("\"wall_seconds\"").unwrap()];
+        // still has its id, but never got its events_simulated.
+        let cut = &GOOD[..GOOD.find("\"events_simulated\"").unwrap()];
         let err = scrape("cut.json", cut).unwrap_err();
-        assert!(err.contains("\"E1\" has no wall_seconds"), "{err}");
+        assert!(err.contains("\"E1\" has no events_simulated"), "{err}");
     }
 
     #[test]
@@ -405,12 +317,6 @@ mod tests {
     fn value_drift_names_experiment_label_column_and_both_values() {
         let base = scrape("a.json", GOOD).unwrap();
         assert!(drift("E1", &base["E1"], &base["E1"]).is_empty());
-        // Host-clock cells and fields are not results.
-        let noisy = GOOD
-            .replace("\"wall_ms\": 3.5", "\"wall_ms\": 9.5")
-            .replace("1428.5", "7.0");
-        let cur = scrape("b.json", &noisy).unwrap();
-        assert!(drift("E1", &base["E1"], &cur["E1"]).is_empty());
         let moved = GOOD
             .replace("8273.5", "8273.6")
             .replace("\"events_simulated\": 50,", "\"events_simulated\": 51,");
@@ -431,5 +337,24 @@ mod tests {
         );
         let dropped = scrape("d.json", &GOOD.replace("\"luns_total\": 1, ", "")).unwrap();
         assert!(!drift("E1", &base["E1"], &dropped["E1"]).is_empty());
+    }
+
+    #[test]
+    fn no_column_name_is_exempt() {
+        // `wall_ms` was a host-clock cell older harnesses wrote and older
+        // compares skipped; on one side only it is an added column.
+        let base = scrape("a.json", GOOD).unwrap();
+        let with = GOOD.replace("\"WA\": 3.5", "\"WA\": 3.5, \"wall_ms\": 9.5");
+        let cur = scrape("b.json", &with).unwrap();
+        assert_eq!(
+            drift("E1", &base["E1"], &cur["E1"]),
+            vec![r#"E1 / a \"b\", c columns: 2 -> 3"#]
+        );
+        // On both sides with different values it is a moved value.
+        let other = scrape("c.json", &with.replace("9.5", "9.6")).unwrap();
+        assert_eq!(
+            drift("E1", &cur["E1"], &other["E1"]),
+            vec![r#"E1 / a \"b\", c / wall_ms: 9.5 -> 9.6"#]
+        );
     }
 }

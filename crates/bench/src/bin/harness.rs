@@ -10,14 +10,12 @@
 //! * `harness e3 e9 --scale full` — GC greediness and advanced commands.
 //! * `harness game --csv` — the scheduling game as CSV.
 //! * `harness all --scale smoke --json BENCH_now.json` — machine-readable
-//!   baseline (wall time + result rows per experiment) for `compare`.
+//!   results (event count + result rows per experiment) for `compare`.
 //! * `harness all --scale smoke --jobs 0` — run independent experiments on
 //!   parallel threads (`0` = all available cores). Every simulation is
-//!   self-contained and deterministic, so results are identical to a
-//!   sequential run; only wall time changes. Event counts are measured
-//!   with a per-thread counter, so `events_simulated` (and hence the JSON
-//!   shape) matches the sequential run; `events_per_sec` reflects the
-//!   parallel run's (contended) wall clock.
+//!   self-contained and deterministic and event counts are measured with a
+//!   per-thread counter, so the `--json` file is byte-identical to a
+//!   sequential run's.
 //! * `harness --trace trace.json --timeline timeline.csv` — run the
 //!   instrumented observability capture (a reader/flooder contention run
 //!   with lifecycle spans and the time-sliced timeline enabled) and write
@@ -30,14 +28,15 @@
 //! appear only in rows of fault-model-enabled runs (E25/E26), and the
 //! stage-attribution columns (`st_queue_us`, `explained_p999`, …) only in
 //! rows of observability-enabled runs (E27) — other experiments emit no
-//! such keys at all. Every cell except E18's host-clock pair (`wall_ms`,
-//! `events_per_sec`) is deterministic, and `compare` gates on all of
-//! them.
+//! such keys at all. Every cell is deterministic, and `compare` gates on
+//! all of them. The harness never reads the host clock: host-time
+//! measurement lives in the `benchmark/` package.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use eagletree_experiments::{suite, Scale, Table};
+use eagletree_bench::{run_one, to_json, ExperimentResult};
+use eagletree_experiments::{suite, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -146,10 +145,6 @@ fn main() {
             println!("{}", r.table.render());
         }
     };
-    // Host wall-clock: the harness reports events/sec of the simulator
-    // process itself; simulation results never depend on it.
-    #[allow(clippy::disallowed_methods)]
-    let total_started = std::time::Instant::now();
     let results = if jobs > 1 {
         // Buffered: tables print afterwards in suite order.
         let results = run_parallel(&experiments, scale, jobs);
@@ -159,14 +154,6 @@ fn main() {
         // Streamed: each table prints as its experiment finishes.
         run_sequential(&experiments, scale, &print)
     };
-    let total_wall_seconds = total_started.elapsed().as_secs_f64();
-    if !results.is_empty() {
-        eprintln!(
-            "{} experiments in {total_wall_seconds:.1}s ({jobs} job{})",
-            results.len(),
-            if jobs == 1 { "" } else { "s" }
-        );
-    }
     if trace_path.is_some() || timeline_path.is_some() {
         eprintln!("capturing observability artifacts ({scale:?}) …");
         let a = eagletree_experiments::obs_capture(scale);
@@ -195,7 +182,7 @@ fn main() {
         }
     }
     if let Some(path) = json_path {
-        let doc = to_json(&scale, jobs, total_wall_seconds, &results);
+        let doc = to_json(scale, &results);
         if let Err(e) = std::fs::write(&path, doc) {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
@@ -213,36 +200,17 @@ fn run_sequential(
     for e in experiments {
         eprintln!("running {} ({:?}) …", e.id, scale);
         let result = run_one(e, scale);
-        let (secs, events) = (result.wall_seconds, result.events_simulated);
-        let eps = if secs > 0.0 { events as f64 / secs } else { 0.0 };
-        eprintln!("  done in {secs:.1}s ({events} events, {eps:.0} events/s)");
+        eprintln!("  done ({} events)", result.events_simulated);
         print(&result);
         results.push(result);
     }
     results
 }
 
-/// Run one experiment, attributing exactly its own simulation events via
-/// the per-thread event counter — correct in both sequential and parallel
-/// modes (each experiment runs wholly on one worker thread).
-fn run_one(e: &eagletree_experiments::Experiment, scale: Scale) -> ExperimentResult {
-    let events_before = eagletree_core::thread_events_popped();
-    #[allow(clippy::disallowed_methods)]
-    let started = std::time::Instant::now();
-    let table = e.run(scale);
-    let secs = started.elapsed().as_secs_f64();
-    let events = eagletree_core::thread_events_popped() - events_before;
-    ExperimentResult {
-        table,
-        wall_seconds: secs,
-        events_simulated: events,
-    }
-}
-
 /// Run the experiments on `jobs` scoped worker threads pulling from a
 /// shared work list. Each simulation is self-contained, so results —
 /// including per-experiment event counts, measured per worker thread —
-/// are identical to the sequential run; only wall clock differs.
+/// are identical to the sequential run.
 fn run_parallel(
     experiments: &[eagletree_experiments::Experiment],
     scale: Scale,
@@ -258,7 +226,7 @@ fn run_parallel(
                 let Some(e) = experiments.get(i) else { break };
                 eprintln!("running {} ({:?}) …", e.id, scale);
                 let result = run_one(e, scale);
-                eprintln!("  {} done in {:.1}s", e.id, result.wall_seconds);
+                eprintln!("  {} done", e.id);
                 *slots[i].lock().unwrap() = Some(result);
             });
         }
@@ -267,89 +235,4 @@ fn run_parallel(
         .into_iter()
         .map(|slot| slot.into_inner().unwrap().expect("worker filled every slot"))
         .collect()
-}
-
-/// One experiment's outcome: its result table plus simulator-throughput
-/// metadata (host wall time and events processed, measured per thread so
-/// parallel runs report the same counts as sequential ones).
-struct ExperimentResult {
-    table: Table,
-    wall_seconds: f64,
-    events_simulated: u64,
-}
-
-/// Hand-rolled JSON (no serde in the offline build container): one
-/// object per experiment with wall time, simulator throughput and the
-/// full result rows.
-fn to_json(
-    scale: &Scale,
-    jobs: usize,
-    total_wall_seconds: f64,
-    results: &[ExperimentResult],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!(
-        "  \"total_wall_seconds\": {total_wall_seconds:.3},\n"
-    ));
-    out.push_str("  \"experiments\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let (t, secs) = (&r.table, r.wall_seconds);
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"id\": {},\n", json_str(&t.id)));
-        out.push_str(&format!("      \"title\": {},\n", json_str(&t.title)));
-        out.push_str(&format!("      \"param\": {},\n", json_str(&t.param)));
-        out.push_str(&format!("      \"wall_seconds\": {secs:.3},\n"));
-        let events = r.events_simulated;
-        let eps = if secs > 0.0 { events as f64 / secs } else { 0.0 };
-        out.push_str(&format!("      \"events_simulated\": {events},\n"));
-        out.push_str(&format!("      \"events_per_sec\": {},\n", json_num(eps)));
-        out.push_str("      \"rows\": [\n");
-        for (j, r) in t.rows.iter().enumerate() {
-            let fields: Vec<String> = std::iter::once(format!("\"label\": {}", json_str(&r.label)))
-                .chain(
-                    r.values
-                        .iter()
-                        .map(|(n, v)| format!("{}: {}", json_str(n), json_num(*v))),
-                )
-                .collect();
-            out.push_str(&format!("        {{{}}}", fields.join(", ")));
-            if j + 1 < t.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("      ]\n    }");
-        if i + 1 < results.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }

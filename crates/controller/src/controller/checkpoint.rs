@@ -16,7 +16,7 @@ use super::dispatch::{EraseOwner, PendKind};
 use super::Controller;
 use crate::alloc::Allocator;
 use crate::config::ControllerConfig;
-use crate::ftl::{Ftl, FtlKind};
+use crate::ftl::FtlKind;
 use crate::recovery::CheckpointRecord;
 use crate::types::{Lpn, OpClass, Ppn};
 

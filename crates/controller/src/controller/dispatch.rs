@@ -18,7 +18,7 @@ use eagletree_flash::{
 
 use super::{Controller, PageContent};
 use crate::alloc::Stream;
-use crate::ftl::{Ftl, FtlKind, HybridPlace};
+use crate::ftl::{FtlKind, HybridPlace};
 use crate::pend::{LaneKey, PendingSet, QueueKey, NO_SLOT};
 use crate::sched::{class_table, ClassTable};
 use crate::types::{IoSource, Lpn, OpClass, Ppn, RequestId};
@@ -40,7 +40,7 @@ pub(super) enum XferDone {
     Gc { job: usize, from: PhysicalAddr },
     MapFetch { tvpn: u64 },
     Wb { wb: usize },
-    Merge { mj: usize, from: PhysicalAddr },
+    Merge { from: PhysicalAddr },
 }
 
 /// Who an erase belongs to: decides what its completion releases.
@@ -48,9 +48,9 @@ pub(super) enum XferDone {
 pub(super) enum EraseOwner {
     /// A reclaim job's victim (GC, static WL or scrub).
     Reclaim { job: usize },
-    /// A merge-retired block. `job`: set for the victim log block whose
-    /// erase completes merge job `mj`.
-    Merge { source: IoSource, job: Option<usize> },
+    /// A merge-retired block. `completes_merge`: set for the victim log
+    /// block, whose erase is the running merge's last step.
+    Merge { source: IoSource, completes_merge: bool },
     /// A reserved block whose checkpoint a newer commit retired.
     Ckpt,
 }
@@ -68,7 +68,7 @@ pub(super) enum DoneWhat {
     EraseDone { block: BlockAddr, owner: EraseOwner },
     WbWrite { wb: usize, new: PhysicalAddr },
     FlushDone { lpn: Lpn, version: u64, ppn: Ppn },
-    MergeProgDone { mj: usize, from: Option<Ppn>, dest: Ppn },
+    MergeProgDone { from: Option<Ppn>, dest: Ppn },
     CkptWriteDone,
 }
 
@@ -133,11 +133,11 @@ pub(super) enum PendKind {
     HybridWrite { what: HostWrite },
     /// Read of the current merge-fold offset's live copy (source resolved
     /// at issue; a trimmed page reroutes to a filler program).
-    MergeRead { mj: usize },
+    MergeRead,
     /// Program of the current merge-fold offset into the destination
     /// block. `from` is the copied source (`None`: filler keeping the
     /// destination's NAND program order over an unmapped hole).
-    MergeProgram { mj: usize, from: Option<Ppn> },
+    MergeProgram { from: Option<Ppn> },
     /// Program of the in-flight checkpoint's next snapshot page into its
     /// reserved slot (destination derived from the checkpoint job).
     CkptWrite,
@@ -372,15 +372,11 @@ impl Controller {
     /// [`Cause::None`] so the ambient cause context set by
     /// [`Self::park_on_fetch`] (which links the stalled *request*) wins.
     fn pend_cause(&self, kind: &PendKind) -> Cause {
-        let job_cause = |job: usize| {
-            self.reclaim.jobs[job]
-                .as_ref()
-                .map_or(Cause::Policy("gc"), |j| Self::source_cause(j.source))
-        };
-        let merge_cause = |mj: usize| {
-            self.merge.jobs[mj]
-                .as_ref()
-                .map_or(Cause::Policy("merge"), |j| Self::source_cause(j.source))
+        // An op is enqueued on behalf of a job still in flight.
+        let job_cause = |job: usize| Self::source_cause(self.reclaim.jobs[job].source);
+        let merge_cause = || {
+            let job = self.merge.job.as_ref();
+            job.map_or(Cause::Policy("merge"), |j| Self::source_cause(j.source))
         };
         match kind {
             PendKind::GcMove { job, .. } => job_cause(*job),
@@ -405,13 +401,13 @@ impl Controller {
             | PendKind::HybridWrite {
                 what: HostWrite::Flush { .. },
             } => Cause::Policy("flush"),
-            PendKind::MergeRead { mj } | PendKind::MergeProgram { mj, .. } => merge_cause(*mj),
+            PendKind::MergeRead | PendKind::MergeProgram { .. } => merge_cause(),
             PendKind::CkptWrite => Cause::Policy("checkpoint"),
             PendKind::Transfer { done, .. } => match done {
                 XferDone::Gc { job, .. } => job_cause(*job),
                 XferDone::MapFetch { .. } => Cause::Policy("mapping"),
                 XferDone::Wb { .. } => Cause::Policy("mapping-writeback"),
-                XferDone::Merge { mj, .. } => merge_cause(*mj),
+                XferDone::Merge { .. } => merge_cause(),
                 XferDone::App { .. } => Cause::None,
             },
             _ => Cause::None,
@@ -523,8 +519,8 @@ impl Controller {
             }
             PendKind::WbRead { wb } => self.wb_read_source(wb),
             // `None`: trimmed since enqueue, reroutes to a filler program.
-            PendKind::MergeRead { mj } => {
-                let cur = self.merge.cur(mj);
+            PendKind::MergeRead => {
+                let cur = self.merge.cur();
                 let lpn = cur.lbn * self.ppb() + cur.next as u64;
                 self.ftl.peek(lpn).map(|p| g.page_at(p))
             }
@@ -573,7 +569,7 @@ impl Controller {
             PendKind::AppRead { .. }
             | PendKind::MapFetchRead { .. }
             | PendKind::WbRead { .. }
-            | PendKind::MergeRead { .. } => match self.read_source(&op.kind) {
+            | PendKind::MergeRead => match self.read_source(&op.kind) {
                 None => true, // nothing to read any more: consumed instantly
                 Some(addr) => self.cmd_resources_free(&FlashCommand::ReadStart(addr), now),
             },
@@ -596,8 +592,8 @@ impl Controller {
                     _ => false,
                 }
             }
-            PendKind::MergeProgram { mj, .. } => {
-                let cur = self.merge.cur(mj);
+            PendKind::MergeProgram { .. } => {
+                let cur = self.merge.cur();
                 let addr = self.array.geometry().page_at(cur.dest + cur.next as u64);
                 self.program_ok(addr, now)
             }

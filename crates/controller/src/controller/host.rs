@@ -19,7 +19,7 @@ use super::{Controller, PageContent};
 use crate::alloc::Stream;
 use crate::buffer::WriteBuffer;
 use crate::config::{ControllerConfig, TemperatureMode, WriteAllocPolicy};
-use crate::ftl::{Ftl, MapLookup};
+use crate::ftl::MapLookup;
 use crate::temperature::MultiBloomDetector;
 use crate::types::{
     Completion, IoTags, Lpn, OpClass, Ppn, RequestId, RequestKind, SsdRequest, Temperature,

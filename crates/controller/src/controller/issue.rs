@@ -258,7 +258,7 @@ impl Controller {
                     && self.array.timing().copyback
                     && self.cfg.gc.migrate_same_lun
                 {
-                    let lun = self.reclaim.jobs[job].as_ref().expect("live job").lun;
+                    let lun = self.reclaim.jobs[job].lun;
                     if let Some(to) = self.alloc.alloc_in_plane(lun, from.plane, Stream::Gc) {
                         self.reverse[self.array.geometry().page_index(to) as usize] =
                             Some(content);
@@ -291,30 +291,30 @@ impl Controller {
                 self.stamp_program(addr, OobTag::Data { lpn }, None);
                 self.finish_issue(op.class, what.landed(ppn), out);
             }
-            PendKind::MergeRead { mj } => {
-                let cur = self.merge.cur(mj);
+            PendKind::MergeRead => {
+                let cur = self.merge.cur();
                 let lpn = cur.lbn * self.ppb() + cur.next as u64;
                 match self.read_source(&op.kind) {
                     None => {
                         // Trimmed since enqueue: a filler program keeps the
                         // destination's page order instead.
                         self.obs_close_cur(now);
-                        let (_, write_class) = Self::merge_classes(self.merge.source(mj));
+                        let (_, write_class) = Self::merge_classes(self.merge.source());
                         self.enqueue(
                             write_class,
                             None,
                             now,
-                            PendKind::MergeProgram { mj, from: None },
+                            PendKind::MergeProgram { from: None },
                         );
                     }
                     Some(from) => {
-                        let then = XferDone::Merge { mj, from };
+                        let then = XferDone::Merge { from };
                         self.issue_read(&op, from, op.class, Some(lpn), then, now);
                     }
                 }
             }
-            PendKind::MergeProgram { mj, from } => {
-                let cur = self.merge.cur(mj);
+            PendKind::MergeProgram { from } => {
+                let cur = self.merge.cur();
                 let lpn = cur.lbn * self.ppb() + cur.next as u64;
                 let dest = cur.dest + cur.next as u64;
                 let addr = self.array.geometry().page_at(dest);
@@ -334,7 +334,7 @@ impl Controller {
                     // them.
                     None => self.stamp_unmapped(addr, OobTag::Filler),
                 }
-                self.finish_issue(op.class, DoneWhat::MergeProgDone { mj, from, dest }, out);
+                self.finish_issue(op.class, DoneWhat::MergeProgDone { from, dest }, out);
             }
             PendKind::CkptWrite => {
                 let (slot, addr) = self.ckpt_next_program();

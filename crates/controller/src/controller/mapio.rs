@@ -12,9 +12,10 @@ use eagletree_core::{Cause, SimTime};
 use eagletree_flash::{PageState, PhysicalAddr};
 
 use super::dispatch::{PendKind, WriteWhat};
+use super::jobs::JobTable;
 use super::{Controller, PageContent};
 use crate::alloc::Stream;
-use crate::ftl::{Ftl, FtlKind, HybridEvent, TranslationWriteback};
+use crate::ftl::{FtlKind, HybridEvent, TranslationWriteback};
 use crate::types::{IoSource, Lpn, OpClass, Ppn, RequestId};
 
 /// Something parked on a translation-page fetch.
@@ -28,7 +29,7 @@ struct FetchJob {
     waiting: Vec<Waiter>,
 }
 
-struct WbJob {
+pub(super) struct WbJob {
     tvpn: u64,
     old_ppn: Option<Ppn>,
 }
@@ -36,13 +37,13 @@ struct WbJob {
 #[derive(Default)]
 pub(super) struct MapIo {
     fetches: BTreeMap<u64, FetchJob>,
-    wb_jobs: Vec<Option<WbJob>>,
+    pub(super) wb_jobs: JobTable<WbJob>,
 }
 
 impl MapIo {
     /// The translation page writeback job `wb` programs.
     pub(super) fn wb_tvpn(&self, wb: usize) -> u64 {
-        self.wb_jobs[wb].as_ref().expect("live wb job").tvpn
+        self.wb_jobs[wb].tvpn
     }
 }
 
@@ -114,7 +115,7 @@ impl Controller {
         if let FtlKind::Hybrid(h) = &mut self.ftl {
             let events = h.take_events();
             for HybridEvent::EraseDataBlock { base } in events {
-                self.enqueue_merge_erase(IoSource::Merge, base, None, now);
+                self.enqueue_merge_erase(IoSource::Merge, base, false, now);
             }
         }
     }
@@ -122,11 +123,10 @@ impl Controller {
     fn spawn_writebacks(&mut self, wbs: Vec<TranslationWriteback>, now: SimTime) {
         for wb in wbs {
             self.stats.mapping_writebacks += 1;
-            let id = self.mapio.wb_jobs.len();
-            self.mapio.wb_jobs.push(Some(WbJob {
+            let id = self.mapio.wb_jobs.insert(WbJob {
                 tvpn: wb.tvpn,
                 old_ppn: wb.old_ppn,
-            }));
+            });
             if wb.old_ppn.is_some() {
                 self.enqueue(OpClass::MappingRead, None, now, PendKind::WbRead { wb: id });
             } else {
@@ -153,14 +153,14 @@ impl Controller {
     /// when there is none — or it was erased meanwhile — and the job skips
     /// straight to its program.
     pub(super) fn wb_read_source(&self, wb: usize) -> Option<PhysicalAddr> {
-        let old = self.mapio.wb_jobs[wb].as_ref().expect("live wb job").old_ppn?;
+        let old = self.mapio.wb_jobs[wb].old_ppn?;
         let addr = self.array.geometry().page_at(old);
         (self.array.page_state(addr) != PageState::Free).then_some(addr)
     }
 
     /// Writeback `wb`'s program landed at `new`: repoint the GTD.
     pub(super) fn wb_write_done(&mut self, wb: usize, new: PhysicalAddr) {
-        let job = self.mapio.wb_jobs[wb].take().expect("live wb job");
+        let job = self.mapio.wb_jobs.take(wb);
         let new_ppn = self.array.geometry().page_index(new);
         self.stamps.landed(new_ppn);
         let old = self.ftl.translation_written(job.tvpn, new_ppn);

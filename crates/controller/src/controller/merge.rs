@@ -1,8 +1,8 @@
 //! Hybrid log-block merges: the relocation engine of the hybrid mapping.
 //!
-//! Owns [`Merges`] — the merge jobs (fold sequences ending in the victim
-//! log block's erase), the one-merge-at-a-time flag, and the scratch of
-//! the per-pass pending-write scan. Under the hybrid scheme this replaces
+//! Owns [`Merges`] — the one merge job in flight (a fold sequence ending
+//! in the victim log block's erase) and the scratch of the per-pass
+//! pending-write scan. Under the hybrid scheme this replaces
 //! generic reclaim: log exhaustion, sequential-stream switches, static-WL
 //! and scrub refreshes all become merge jobs whose copies flow through
 //! the scheduler (`PendKind::MergeRead` / `MergeProgram`, erases owned by
@@ -16,7 +16,7 @@ use eagletree_flash::{BlockAddr, PhysicalAddr};
 use super::dispatch::{EraseOwner, PendKind};
 use super::reclaim::move_classes;
 use super::Controller;
-use crate::ftl::{Ftl, FtlKind, HybridPlace, SwMergePlan};
+use crate::ftl::{FtlKind, HybridPlace, SwMergePlan};
 use crate::gc::{FoldPlan, FoldState, MergeJob};
 use crate::scrub::pick_scrub_victim;
 use crate::types::{IoSource, Lpn, OpClass, Ppn};
@@ -24,27 +24,30 @@ use crate::wear::pick_wl_victim;
 
 #[derive(Default)]
 pub(super) struct Merges {
-    pub(super) jobs: Vec<Option<MergeJob>>,
     /// At most one merge runs at a time: it bounds destination-block use
     /// and keeps fold programs in NAND page order.
-    active: bool,
+    pub(super) job: Option<MergeJob>,
     /// Reusable scratch for the maintenance pass's hybrid-write scan.
     scratch: Vec<(u64, Lpn)>,
 }
 
 impl Merges {
-    /// What started merge job `mj`.
-    pub(super) fn source(&self, mj: usize) -> IoSource {
-        self.jobs[mj].as_ref().expect("live merge job").source
+    fn live(&self) -> &MergeJob {
+        self.job.as_ref().expect("live merge job")
     }
 
-    /// The merge fold step currently executing for job `mj`.
-    pub(super) fn cur(&self, mj: usize) -> FoldState {
-        self.jobs[mj]
-            .as_ref()
-            .expect("live merge job")
-            .cur
-            .expect("merge op without an active fold")
+    fn live_mut(&mut self) -> &mut MergeJob {
+        self.job.as_mut().expect("live merge job")
+    }
+
+    /// What started the running merge.
+    pub(super) fn source(&self) -> IoSource {
+        self.live().source
+    }
+
+    /// The fold step the running merge is executing.
+    pub(super) fn cur(&self) -> FoldState {
+        self.live().cur.expect("merge op without an active fold")
     }
 }
 
@@ -59,15 +62,8 @@ impl Controller {
     /// pending appends, and start (or un-stall) merge jobs when the log
     /// space is exhausted. Runs at the top of every scheduling pass.
     pub(super) fn hybrid_maintenance(&mut self, now: SimTime) {
-        if self.merge.active {
-            if let Some(mj) = self
-                .merge
-                .jobs
-                .iter()
-                .position(|j| j.as_ref().is_some_and(|j| j.waiting_for_block))
-            {
-                self.advance_merge(mj, now);
-            }
+        if self.merge.job.as_ref().is_some_and(|j| j.waiting_for_block) {
+            self.advance_merge(now);
         }
         // Scan in arrival order: opening log blocks / sealing streams for
         // one write changes what later writes need.
@@ -108,12 +104,12 @@ impl Controller {
                             break; // the empty SW block changed streams
                         }
                         self.hybrid_mut().seal_sw();
-                        if self.merge.active {
+                        if self.merge.job.is_some() {
                             break;
                         }
                         if let Some(plan) = self.hybrid_mut().take_sw_for_merge() {
                             self.start_sw_merge(plan, now);
-                            if !self.merge.active {
+                            if self.merge.job.is_none() {
                                 // Instant switch: the SW slot freed with
                                 // no event pending — re-place this write.
                                 continue;
@@ -121,7 +117,7 @@ impl Controller {
                         }
                     }
                     HybridPlace::NeedsMerge => {
-                        if self.merge.active {
+                        if self.merge.job.is_some() {
                             break;
                         }
                         if let Some(plan) = self.hybrid_mut().take_merge_victim() {
@@ -156,7 +152,7 @@ impl Controller {
     /// will never arrive. Merge the SW block so they fall back to the
     /// random path. Returns whether anything was kicked off.
     pub(super) fn unwedge_sequential_stream(&mut self, now: SimTime) -> bool {
-        if !self.is_hybrid() || !self.disp.events.is_empty() || self.merge.active {
+        if !self.is_hybrid() || !self.disp.events.is_empty() || self.merge.job.is_some() {
             return false;
         }
         let wedged = self.disp.pending.iter().any(|op| match op.kind {
@@ -191,18 +187,17 @@ impl Controller {
     }
 
     fn start_merge_job(&mut self, job: MergeJob, now: SimTime) {
-        let mj = self.merge.jobs.len();
-        self.merge.jobs.push(Some(job));
-        self.merge.active = true;
-        self.advance_merge(mj, now);
+        debug_assert!(self.merge.job.is_none(), "one merge at a time");
+        self.merge.job = Some(job);
+        self.advance_merge(now);
     }
 
-    /// Drive merge job `mj` forward: enqueue its next copy step, finish
+    /// Drive the running merge forward: enqueue its next copy step, finish
     /// folds, and finally enqueue the victim's erase. Copies run one at a
     /// time so destination programs stay in NAND page order.
-    fn advance_merge(&mut self, mj: usize, now: SimTime) {
+    fn advance_merge(&mut self, now: SimTime) {
         loop {
-            let job = self.merge.jobs[mj].as_mut().expect("live merge job");
+            let job = self.merge.live_mut();
             job.waiting_for_block = false;
             let source = job.source;
             let (read_class, write_class) = Self::merge_classes(source);
@@ -211,22 +206,22 @@ impl Controller {
                     let lpn = cur.lbn * self.ppb() + cur.next as u64;
                     match self.ftl.peek(lpn) {
                         Some(_) => {
-                            self.enqueue(read_class, None, now, PendKind::MergeRead { mj })
+                            self.enqueue(read_class, None, now, PendKind::MergeRead)
                         }
                         None => self.enqueue(
                             write_class,
                             None,
                             now,
-                            PendKind::MergeProgram { mj, from: None },
+                            PendKind::MergeProgram { from: None },
                         ),
                     }
                     return;
                 }
                 // Fold complete: the destination becomes the data block.
-                self.merge.jobs[mj].as_mut().unwrap().cur = None;
+                self.merge.live_mut().cur = None;
                 let old = self.hybrid_mut().fold_finished(cur.lbn, Some(cur.dest));
                 if let Some(old) = old {
-                    self.enqueue_merge_erase(source, old, None, now);
+                    self.enqueue_merge_erase(source, old, false, now);
                 }
                 continue;
             }
@@ -235,11 +230,11 @@ impl Controller {
                 if let Some(v) = job.victim {
                     if !job.victim_erase_enqueued {
                         job.victim_erase_enqueued = true;
-                        self.enqueue_merge_erase(source, v, Some(mj), now);
+                        self.enqueue_merge_erase(source, v, true, now);
                     }
                     return;
                 }
-                self.finish_merge(mj);
+                self.finish_merge();
                 return;
             };
             let end = {
@@ -253,11 +248,11 @@ impl Controller {
                     // Switch: the log block already holds everything live.
                     let old = self.hybrid_mut().fold_finished(plan.lbn, Some(base));
                     if let Some(old) = old {
-                        self.enqueue_merge_erase(source, old, None, now);
+                        self.enqueue_merge_erase(source, old, false, now);
                     }
                 }
                 Some(base) => {
-                    self.merge.jobs[mj].as_mut().unwrap().cur = Some(FoldState {
+                    self.merge.live_mut().cur = Some(FoldState {
                         lbn: plan.lbn,
                         dest: base,
                         next: plan.start,
@@ -268,13 +263,13 @@ impl Controller {
                     // Nothing live (trimmed away): drop the directory entry.
                     let old = self.hybrid_mut().fold_finished(plan.lbn, None);
                     if let Some(old) = old {
-                        self.enqueue_merge_erase(source, old, None, now);
+                        self.enqueue_merge_erase(source, old, false, now);
                     }
                 }
                 None => match self.alloc.take_block() {
                     Some((block, _)) => {
                         let dest = self.array.geometry().page_index(block.page(0));
-                        self.merge.jobs[mj].as_mut().unwrap().cur = Some(FoldState {
+                        self.merge.live_mut().cur = Some(FoldState {
                             lbn: plan.lbn,
                             dest,
                             next: 0,
@@ -283,7 +278,7 @@ impl Controller {
                     }
                     None => {
                         // Out of free blocks: park until an erase lands.
-                        let job = self.merge.jobs[mj].as_mut().unwrap();
+                        let job = self.merge.live_mut();
                         job.folds.push_front(plan);
                         job.waiting_for_block = true;
                         return;
@@ -297,18 +292,20 @@ impl Controller {
         &mut self,
         source: IoSource,
         base: Ppn,
-        job: Option<usize>,
+        completes_merge: bool,
         now: SimTime,
     ) {
         let block = self.array.geometry().page_at(base).block_addr();
-        let owner = EraseOwner::Merge { source, job };
+        let owner = EraseOwner::Merge {
+            source,
+            completes_merge,
+        };
         self.enqueue(OpClass::Erase, None, now, PendKind::Erase { block, owner });
     }
 
-    /// Merge job `mj` has nothing left to do.
-    pub(super) fn finish_merge(&mut self, mj: usize) {
-        self.merge.jobs[mj] = None;
-        self.merge.active = false;
+    /// The running merge has nothing left to do.
+    pub(super) fn finish_merge(&mut self) {
+        self.merge.job = None;
     }
 
     /// Refresh one hybrid *data* block by folding its logical block to a
@@ -318,7 +315,7 @@ impl Controller {
     /// ([`IoSource::Scrub`]) an at-risk one. Log blocks are skipped — their
     /// churn through merges refreshes them anyway.
     pub(super) fn refresh_merge(&mut self, source: IoSource, now: SimTime) {
-        if self.merge.active {
+        if self.merge.job.is_some() {
             return; // one merge at a time; retry at the next check
         }
         let lbn = {
@@ -361,15 +358,14 @@ impl Controller {
     }
 
     /// A merge source page crossed the channel: queue its program.
-    pub(super) fn merge_xfer_done(&mut self, mj: usize, from: PhysicalAddr, now: SimTime) {
-        let (_, write_class) = Self::merge_classes(self.merge.source(mj));
+    pub(super) fn merge_xfer_done(&mut self, from: PhysicalAddr, now: SimTime) {
+        let (_, write_class) = Self::merge_classes(self.merge.source());
         let from_ppn = self.array.geometry().page_index(from);
         self.enqueue(
             write_class,
             None,
             now,
             PendKind::MergeProgram {
-                mj,
                 from: Some(from_ppn),
             },
         );
@@ -377,10 +373,10 @@ impl Controller {
 
     /// A fold program landed at `dest`: commit, discard or count the
     /// filler, then drive the fold on.
-    pub(super) fn merge_prog_done(&mut self, mj: usize, from: Option<Ppn>, dest: Ppn, now: SimTime) {
+    pub(super) fn merge_prog_done(&mut self, from: Option<Ppn>, dest: Ppn, now: SimTime) {
         self.stamps.landed(dest);
-        let cur = self.merge.cur(mj);
-        let source = self.merge.source(mj);
+        let cur = self.merge.cur();
+        let source = self.merge.source();
         let lpn = cur.lbn * self.ppb() + cur.next as u64;
         match from {
             Some(f) if self.ftl.peek(lpn) == Some(f) => {
@@ -403,7 +399,8 @@ impl Controller {
                 self.invalidate_ppn(dest);
             }
         }
-        self.merge.jobs[mj].as_mut().unwrap().cur.as_mut().unwrap().next += 1;
-        self.advance_merge(mj, now);
+        let cur = self.merge.live_mut().cur.as_mut();
+        cur.expect("merge op without an active fold").next += 1;
+        self.advance_merge(now);
     }
 }

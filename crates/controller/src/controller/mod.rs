@@ -32,6 +32,7 @@ mod checkpoint;
 mod dispatch;
 mod host;
 mod issue;
+mod jobs;
 mod mapio;
 mod merge;
 mod mount;
@@ -43,13 +44,13 @@ mod stats;
 
 use std::collections::BTreeSet;
 
-use eagletree_core::{Obs, ObsConfig, SimDuration, SimTime};
+use eagletree_core::{Obs, ObsConfig, SimTime};
 use eagletree_flash::{BlockAddr, FaultEvent, FlashArray, IssueOutcome, MemoryManager, PageState};
 
 use crate::alloc::Allocator;
 use crate::buffer::WriteBuffer;
 use crate::config::ControllerConfig;
-use crate::ftl::{Ftl, FtlKind, Hybrid, HybridStats};
+use crate::ftl::{FtlKind, Hybrid, HybridStats};
 use crate::types::{Completion, Lpn, Ppn};
 use dispatch::{CtrlEvent, DoneWhat, PendKind, XferDone};
 
@@ -112,7 +113,6 @@ impl Controller {
     }
 
     /// Internal agenda events processed so far (completions + wake-ups).
-    /// One axis of the simulator-throughput metric (`events_per_sec`).
     pub fn events_processed(&self) -> u64 {
         self.disp.events.popped()
     }
@@ -124,7 +124,7 @@ impl Controller {
     }
 
     /// Total agenda queue operations (schedules + pops) so far: the
-    /// event-engine work metric the E18 throughput sweep reports.
+    /// event-engine work metric the E18 sweep reports.
     pub fn queue_ops(&self) -> u64 {
         self.disp.events.scheduled() + self.disp.events.popped()
     }
@@ -132,13 +132,6 @@ impl Controller {
     /// The event-queue backend the agenda runs on.
     pub fn queue_kind(&self) -> eagletree_core::QueueKind {
         self.disp.events.kind()
-    }
-
-    /// Declare the largest gap expected between now and future agenda
-    /// events (wake-source horizon). Forwarded to the calendar backend to
-    /// self-tune bucket width; never changes behavior, only speed.
-    pub fn hint_horizon(&mut self, horizon: SimDuration) {
-        self.disp.events.hint_horizon(horizon);
     }
 
     /// The memory manager (RAM budget introspection).
@@ -290,7 +283,7 @@ impl Controller {
             DoneWhat::Xfer(XferDone::Gc { job, from }) => self.gc_xfer_done(job, from, now),
             DoneWhat::Xfer(XferDone::MapFetch { tvpn }) => self.fetch_done(tvpn, now),
             DoneWhat::Xfer(XferDone::Wb { wb }) => self.enqueue_translation_write(wb, now),
-            DoneWhat::Xfer(XferDone::Merge { mj, from }) => self.merge_xfer_done(mj, from, now),
+            DoneWhat::Xfer(XferDone::Merge { from }) => self.merge_xfer_done(from, now),
             DoneWhat::AppWriteDone { id, lpn, ppn } => self.app_write_done(id, lpn, ppn, now),
             DoneWhat::MoveDone { job, from_ppn, content, new } => {
                 self.finalize_move(job, from_ppn, content, new, now);
@@ -298,8 +291,8 @@ impl Controller {
             DoneWhat::EraseDone { block, owner } => self.erase_done(block, owner, now),
             DoneWhat::WbWrite { wb, new } => self.wb_write_done(wb, new),
             DoneWhat::FlushDone { lpn, version, ppn } => self.flush_done(lpn, version, ppn, now),
-            DoneWhat::MergeProgDone { mj, from, dest } => {
-                self.merge_prog_done(mj, from, dest, now);
+            DoneWhat::MergeProgDone { from, dest } => {
+                self.merge_prog_done(from, dest, now);
             }
             DoneWhat::CkptWriteDone => self.ckpt_write_done(now),
         }

@@ -24,7 +24,7 @@ use super::stats::CtrlStats;
 use super::Controller;
 use crate::alloc::Allocator;
 use crate::config::{ControllerConfig, MappingKind};
-use crate::ftl::{Dftl, Ftl, FtlKind, Hybrid, PageMap};
+use crate::ftl::{Dftl, FtlKind, Hybrid, PageMap};
 use crate::recovery::{self, CrashImage, Recovered, RecoveryMode, RecoveryReport};
 use crate::types::Lpn;
 

@@ -134,7 +134,7 @@ fn move_of(c: &Controller, op: &PendingOp) -> (usize, Ppn) {
 }
 
 fn moves_left(c: &Controller, job: usize) -> u32 {
-    c.reclaim.jobs[job].as_ref().expect("live job").moves_left
+    c.reclaim.jobs[job].moves_left
 }
 
 /// Kill the page a mid-lane move reads, by `how`, while the lane's head is

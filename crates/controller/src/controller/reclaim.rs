@@ -14,16 +14,16 @@ use eagletree_core::{SimRng, SimTime};
 use eagletree_flash::{BlockAddr, PhysicalAddr};
 
 use super::dispatch::{EraseOwner, PendKind, WriteWhat};
+use super::jobs::JobTable;
 use super::{Controller, PageContent};
 use crate::alloc::Stream;
-use crate::ftl::Ftl;
 use crate::gc::{pick_victim, ReclaimJob};
 use crate::scrub::pick_scrub_victim;
 use crate::types::{IoSource, OpClass, Ppn};
 use crate::wear::pick_wl_victim;
 
 pub(super) struct Reclaim {
-    pub(super) jobs: Vec<Option<ReclaimJob>>,
+    pub(super) jobs: JobTable<ReclaimJob>,
     victims: BTreeSet<BlockAddr>,
     /// Reclaim jobs in flight per LUN (GC starts at most one).
     active: Vec<u32>,
@@ -39,7 +39,7 @@ pub(super) struct Reclaim {
 impl Reclaim {
     pub(super) fn new(total_luns: u32, seed: u64) -> Self {
         Reclaim {
-            jobs: Vec::new(),
+            jobs: JobTable::default(),
             victims: BTreeSet::new(),
             active: vec![0; total_luns as usize],
             rng: SimRng::new(seed),
@@ -146,9 +146,10 @@ impl Controller {
 
     fn start_reclaim(&mut self, victim: BlockAddr, lun: u32, source: IoSource, now: SimTime) {
         let valid = self.array.valid_pages_in(victim);
-        let job_id = self.reclaim.jobs.len();
-        self.reclaim.jobs
-            .push(Some(ReclaimJob::new(victim, lun, source, valid.len() as u32)));
+        let job_id = self
+            .reclaim
+            .jobs
+            .insert(ReclaimJob::new(victim, lun, source, valid.len() as u32));
         self.reclaim.victims.insert(victim);
         self.reclaim.active[lun as usize] += 1;
         if valid.is_empty() {
@@ -162,7 +163,7 @@ impl Controller {
     }
 
     fn enqueue_erase(&mut self, job: usize, block: BlockAddr, now: SimTime) {
-        self.reclaim.jobs[job].as_mut().expect("live job").erase_enqueued = true;
+        self.reclaim.jobs[job].erase_enqueued = true;
         let owner = EraseOwner::Reclaim { job };
         self.enqueue(OpClass::Erase, None, now, PendKind::Erase { block, owner });
     }
@@ -178,7 +179,7 @@ impl Controller {
                 self.move_done(job, now);
             }
             Some(content) => {
-                let j = self.reclaim.jobs[job].as_ref().expect("live job");
+                let j = &self.reclaim.jobs[job];
                 let lun = if self.cfg.gc.migrate_same_lun {
                     Some(j.lun)
                 } else {
@@ -235,7 +236,7 @@ impl Controller {
                 PageContent::Checkpoint(_) => unreachable!("checked above"),
             }
             self.invalidate_ppn(from_ppn);
-            match self.reclaim.jobs[job].as_ref().expect("live job").source {
+            match self.reclaim.jobs[job].source {
                 IoSource::WearLeveling => self.stats.wl_moves += 1,
                 _ => self.stats.gc_moves += 1,
             }
@@ -250,11 +251,11 @@ impl Controller {
 
     pub(super) fn move_done(&mut self, job: usize, now: SimTime) {
         let ready = {
-            let j = self.reclaim.jobs[job].as_mut().expect("live job");
+            let j = &mut self.reclaim.jobs[job];
             j.move_done() && !j.erase_enqueued
         };
         if ready {
-            let block = self.reclaim.jobs[job].as_ref().unwrap().victim;
+            let block = self.reclaim.jobs[job].victim;
             self.enqueue_erase(job, block, now);
         }
     }
@@ -279,14 +280,13 @@ impl Controller {
             }
             EraseOwner::Reclaim { job } => {
                 self.reclaim.victims.remove(&block);
-                let j = self.reclaim.jobs[job].take().expect("live job");
+                let j = self.reclaim.jobs.take(job);
                 self.reclaim.active[j.lun as usize] -= 1;
                 j.source
             }
-            EraseOwner::Merge { source, job } => {
-                if let Some(mj) = job {
-                    // The victim's erase completes the merge.
-                    self.finish_merge(mj);
+            EraseOwner::Merge { source, completes_merge } => {
+                if completes_merge {
+                    self.finish_merge();
                 }
                 source
             }

@@ -25,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ftl::lru::LruCache;
-use crate::ftl::{Ftl, MapLookup, TranslationWriteback};
+use crate::ftl::{MapLookup, TranslationWriteback};
 use crate::types::{Lpn, Ppn};
 
 /// DFTL mapping scheme.
@@ -114,7 +114,7 @@ impl Dftl {
         self.cmt.len()
     }
 
-    fn tvpn_of_internal(&self, lpn: Lpn) -> u64 {
+    pub fn tvpn_of(&self, lpn: Lpn) -> u64 {
         lpn / self.entries_per_tp
     }
 
@@ -125,7 +125,7 @@ impl Dftl {
         let siblings: Vec<Lpn> = self
             .cmt
             .keys()
-            .filter(|&l| self.tvpn_of_internal(l) == tvpn && self.cmt.is_dirty(l))
+            .filter(|&l| self.tvpn_of(l) == tvpn && self.cmt.is_dirty(l))
             .collect();
         for l in siblings {
             self.cmt.set_dirty(l, false);
@@ -142,16 +142,17 @@ impl Dftl {
     fn cmt_insert(&mut self, lpn: Lpn, dirty: bool) {
         if let Some((victim, was_dirty)) = self.cmt.insert(lpn, dirty) {
             if was_dirty {
-                let tvpn = self.tvpn_of_internal(victim);
+                let tvpn = self.tvpn_of(victim);
                 self.queue_writeback(tvpn);
             }
         }
     }
 }
 
-impl Ftl for Dftl {
-    fn lookup(&mut self, lpn: Lpn, pin: bool) -> MapLookup {
-        let tvpn = self.tvpn_of_internal(lpn);
+/// The scheme's share of [`FtlKind`]'s methods (documented there).
+impl Dftl {
+    pub fn lookup(&mut self, lpn: Lpn, pin: bool) -> MapLookup {
+        let tvpn = self.tvpn_of(lpn);
         if self.cmt.contains(lpn) {
             self.cmt.touch(lpn);
             if pin {
@@ -188,13 +189,13 @@ impl Ftl for Dftl {
         MapLookup::NeedsFetch(tvpn)
     }
 
-    fn unpin(&mut self, lpn: Lpn) {
+    pub fn unpin(&mut self, lpn: Lpn) {
         self.cmt.unpin(lpn);
     }
 
-    fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
+    pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
         let old = self.map[lpn as usize].replace(ppn);
-        let tvpn = self.tvpn_of_internal(lpn);
+        let tvpn = self.tvpn_of(lpn);
         if let Some(s) = self.pending.get_mut(&tvpn) {
             s.remove(&lpn);
         }
@@ -202,7 +203,7 @@ impl Ftl for Dftl {
         old
     }
 
-    fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
+    pub fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
         debug_assert!(
             self.map[lpn as usize].is_some(),
             "relocate of unmapped lpn {lpn}"
@@ -212,15 +213,15 @@ impl Ftl for Dftl {
             self.cmt.set_dirty(lpn, true);
             self.cmt.touch(lpn);
         } else {
-            let tvpn = self.tvpn_of_internal(lpn);
+            let tvpn = self.tvpn_of(lpn);
             self.pending.entry(tvpn).or_default().insert(lpn);
         }
     }
 
-    fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
+    pub fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
         let old = self.map[lpn as usize].take();
         if old.is_some() {
-            let tvpn = self.tvpn_of_internal(lpn);
+            let tvpn = self.tvpn_of(lpn);
             if let Some(s) = self.pending.get_mut(&tvpn) {
                 s.remove(&lpn);
             }
@@ -230,38 +231,34 @@ impl Ftl for Dftl {
         old
     }
 
-    fn fetch_complete(&mut self, _tvpn: u64, lpns: &[Lpn]) {
+    pub fn fetch_complete(&mut self, _tvpn: u64, lpns: &[Lpn]) {
         for &lpn in lpns {
             self.cmt_insert(lpn, false);
         }
     }
 
-    fn take_writebacks(&mut self) -> Vec<TranslationWriteback> {
+    pub fn take_writebacks(&mut self) -> Vec<TranslationWriteback> {
         std::mem::take(&mut self.queued)
     }
 
-    fn translation_location(&self, tvpn: u64) -> Option<Ppn> {
+    pub fn translation_location(&self, tvpn: u64) -> Option<Ppn> {
         self.gtd[tvpn as usize]
     }
 
-    fn translation_written(&mut self, tvpn: u64, new_ppn: Ppn) -> Option<Ppn> {
+    pub fn translation_written(&mut self, tvpn: u64, new_ppn: Ppn) -> Option<Ppn> {
         // A fresh flash copy subsumes any pending relocations of this page.
         self.pending.remove(&tvpn);
         self.gtd[tvpn as usize].replace(new_ppn)
     }
 
-    fn tvpn_of(&self, lpn: Lpn) -> u64 {
-        self.tvpn_of_internal(lpn)
-    }
-
-    fn ram_bytes(&self) -> u64 {
+    pub fn ram_bytes(&self) -> u64 {
         // CMT entries: 16 B (lpn + ppn); GTD: 8 B per tvpn; pending: 8 B.
         self.cmt.capacity() as u64 * 16
             + self.gtd.len() as u64 * 8
             + self.pending.values().map(|s| s.len() as u64 * 8).sum::<u64>()
     }
 
-    fn peek(&self, lpn: Lpn) -> Option<Ppn> {
+    pub fn peek(&self, lpn: Lpn) -> Option<Ppn> {
         self.map[lpn as usize]
     }
 }

@@ -34,7 +34,7 @@
 //! the scheme's selling point against a full page map).
 
 use crate::config::MergePolicy;
-use crate::ftl::{Ftl, MapLookup, TranslationWriteback};
+use crate::ftl::MapLookup;
 use crate::types::{Lpn, Ppn};
 
 /// Where the next write of an LPN must go, per the log-block discipline.
@@ -544,23 +544,22 @@ impl Hybrid {
     }
 }
 
-impl Ftl for Hybrid {
-    fn lookup(&mut self, lpn: Lpn, _pin: bool) -> MapLookup {
+/// The scheme's share of [`FtlKind`]'s methods (documented there).
+impl Hybrid {
+    pub fn lookup(&mut self, lpn: Lpn, _pin: bool) -> MapLookup {
         // The directory and log page tables fit in RAM: lookups never
         // require flash IOs (the scheme's cost sits in merges instead).
         MapLookup::Ready(self.map[lpn as usize])
     }
 
-    fn unpin(&mut self, _lpn: Lpn) {}
-
-    fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
+    pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
         let old = self.map[lpn as usize].replace(ppn);
         self.note_commit(ppn);
         self.maybe_switch();
         old
     }
 
-    fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
+    pub fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
         // Generic GC/WL relocation does not run under the hybrid scheme
         // (merges replace it), but keep the map authoritative if called.
         debug_assert!(
@@ -570,29 +569,11 @@ impl Ftl for Hybrid {
         self.map[lpn as usize] = Some(new_ppn);
     }
 
-    fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
+    pub fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
         self.map[lpn as usize].take()
     }
 
-    fn fetch_complete(&mut self, _tvpn: u64, _lpns: &[Lpn]) {}
-
-    fn take_writebacks(&mut self) -> Vec<TranslationWriteback> {
-        Vec::new()
-    }
-
-    fn translation_location(&self, _tvpn: u64) -> Option<Ppn> {
-        None
-    }
-
-    fn translation_written(&mut self, _tvpn: u64, _new_ppn: Ppn) -> Option<Ppn> {
-        None
-    }
-
-    fn tvpn_of(&self, _lpn: Lpn) -> u64 {
-        0
-    }
-
-    fn ram_bytes(&self) -> u64 {
+    pub fn ram_bytes(&self) -> u64 {
         // Directory: 8 B per logical block. Log page tables: 8 B per page
         // plus a small header per log block, at the static worst case
         // (full RW budget + the SW block) — the controller reserves this
@@ -603,7 +584,7 @@ impl Ftl for Hybrid {
         self.dir.len() as u64 * 8 + log_blocks * (self.ppb * 8 + 32)
     }
 
-    fn peek(&self, lpn: Lpn) -> Option<Ppn> {
+    pub fn peek(&self, lpn: Lpn) -> Option<Ppn> {
         self.map[lpn as usize]
     }
 }

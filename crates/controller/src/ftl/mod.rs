@@ -1,7 +1,7 @@
 //! Flash translation layer: logical-to-physical mapping schemes.
 //!
 //! The mapping scheme is the first axis of the paper's §2.2 design space.
-//! Three families are modeled, all behind [`Ftl`] / [`FtlKind`]:
+//! Three families are modeled, all behind [`FtlKind`]:
 //!
 //! | scheme | granularity | RAM cost | flash cost | design-space coordinate |
 //! |---|---|---|---|---|
@@ -53,68 +53,13 @@ pub enum MapLookup {
 /// Produced when a CMT eviction (or explicit flush) needs persistence. The
 /// controller turns each into a mapping-source read (of `old_ppn`, when the
 /// page already exists on flash) followed by a program, then calls
-/// [`Ftl::translation_written`].
+/// [`FtlKind::translation_written`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TranslationWriteback {
     /// Translation virtual page number.
     pub tvpn: u64,
     /// Current flash copy to read+merge (None on first persistence).
     pub old_ppn: Option<Ppn>,
-}
-
-/// Common interface of mapping schemes.
-pub trait Ftl {
-    /// Look up the mapping entry for `lpn` (for a read, or before a write).
-    ///
-    /// `pin` prevents the entry from being evicted while an IO that depends
-    /// on it is in flight; pair every `pin=true` lookup that returns
-    /// `Ready` with an eventual [`Ftl::unpin`].
-    fn lookup(&mut self, lpn: Lpn, pin: bool) -> MapLookup;
-
-    /// Release a pin taken by `lookup(.., true)`.
-    fn unpin(&mut self, lpn: Lpn);
-
-    /// Record that `lpn` now lives at `ppn` (application write committed).
-    /// Returns the superseded physical page (to invalidate).
-    fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn>;
-
-    /// Record that GC moved `lpn`'s live copy to `new_ppn` without changing
-    /// its contents. Never stalls: schemes absorb the update in RAM
-    /// (CMT or the batched pending-update set).
-    fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn);
-
-    /// Drop the mapping for `lpn` (trim). Returns the physical page to
-    /// invalidate, if one existed.
-    fn trim(&mut self, lpn: Lpn) -> Option<Ppn>;
-
-    /// A translation-page fetch issued for `NeedsFetch(tvpn)` finished;
-    /// entries of that page may now be inserted.
-    fn fetch_complete(&mut self, tvpn: u64, lpns: &[Lpn]);
-
-    /// Drain translation writebacks queued by any mutation since the last
-    /// drain. Every [`Ftl::lookup`], [`Ftl::update`], [`Ftl::trim`] or
-    /// [`Ftl::fetch_complete`] may evict dirty CMT entries; the controller
-    /// calls this after each batch of FTL activity and turns the results
-    /// into mapping-source flash IOs.
-    fn take_writebacks(&mut self) -> Vec<TranslationWriteback>;
-
-    /// Where translation page `tvpn` currently lives on flash.
-    fn translation_location(&self, tvpn: u64) -> Option<Ppn>;
-
-    /// A translation page was (re)programmed at `new_ppn` (writeback
-    /// completion or GC move). Returns the superseded flash copy.
-    fn translation_written(&mut self, tvpn: u64, new_ppn: Ppn) -> Option<Ppn>;
-
-    /// Translation virtual page covering `lpn` (DFTL); page-map returns 0.
-    fn tvpn_of(&self, lpn: Lpn) -> u64;
-
-    /// Current mapping-structure RAM footprint in bytes (for the memory
-    /// manager and RAM-budget experiments).
-    fn ram_bytes(&self) -> u64;
-
-    /// The authoritative location of `lpn`, bypassing the cost model.
-    /// For invariant checks and tests only.
-    fn peek(&self, lpn: Lpn) -> Option<Ppn>;
 }
 
 /// The available schemes behind one concrete type.
@@ -126,89 +71,109 @@ pub enum FtlKind {
     Hybrid(Box<Hybrid>),
 }
 
-impl Ftl for FtlKind {
-    fn lookup(&mut self, lpn: Lpn, pin: bool) -> MapLookup {
+/// `$call` on whichever scheme `$kind` holds, bound to `$m`.
+macro_rules! scheme {
+    ($kind:expr, $m:ident => $call:expr) => {
+        match $kind {
+            FtlKind::PageMap($m) => $call,
+            FtlKind::Dftl($m) => $call,
+            FtlKind::Hybrid($m) => $call,
+        }
+    };
+}
+
+/// What every scheme does.
+impl FtlKind {
+    /// Look up the mapping entry for `lpn` (for a read, or before a write).
+    ///
+    /// `pin` prevents the entry from being evicted while an IO that depends
+    /// on it is in flight; pair every `pin=true` lookup that returns
+    /// `Ready` with an eventual [`FtlKind::unpin`].
+    pub fn lookup(&mut self, lpn: Lpn, pin: bool) -> MapLookup {
+        scheme!(self, m => m.lookup(lpn, pin))
+    }
+
+    /// Record that `lpn` now lives at `ppn` (application write committed).
+    /// Returns the superseded physical page (to invalidate).
+    pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
+        scheme!(self, m => m.update(lpn, ppn))
+    }
+
+    /// Record that GC moved `lpn`'s live copy to `new_ppn` without changing
+    /// its contents. Never stalls: schemes absorb the update in RAM
+    /// (CMT or the batched pending-update set).
+    pub fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
+        scheme!(self, m => m.relocate(lpn, new_ppn))
+    }
+
+    /// Drop the mapping for `lpn` (trim). Returns the physical page to
+    /// invalidate, if one existed.
+    pub fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
+        scheme!(self, m => m.trim(lpn))
+    }
+
+    /// Current mapping-structure RAM footprint in bytes (for the memory
+    /// manager and RAM-budget experiments).
+    pub fn ram_bytes(&self) -> u64 {
+        scheme!(self, m => m.ram_bytes())
+    }
+
+    /// The authoritative location of `lpn`, bypassing the cost model.
+    /// For invariant checks and tests only.
+    pub fn peek(&self, lpn: Lpn) -> Option<Ppn> {
+        scheme!(self, m => m.peek(lpn))
+    }
+}
+
+/// What only DFTL does: the other schemes keep their whole map in RAM,
+/// so they pin nothing, fetch nothing and have no translation pages.
+impl FtlKind {
+    fn dftl(&self) -> Option<&Dftl> {
         match self {
-            FtlKind::PageMap(m) => m.lookup(lpn, pin),
-            FtlKind::Dftl(m) => m.lookup(lpn, pin),
-            FtlKind::Hybrid(m) => m.lookup(lpn, pin),
+            FtlKind::Dftl(m) => Some(m),
+            FtlKind::PageMap(_) | FtlKind::Hybrid(_) => None,
         }
     }
-    fn unpin(&mut self, lpn: Lpn) {
+
+    fn dftl_mut(&mut self) -> Option<&mut Dftl> {
         match self {
-            FtlKind::PageMap(m) => m.unpin(lpn),
-            FtlKind::Dftl(m) => m.unpin(lpn),
-            FtlKind::Hybrid(m) => m.unpin(lpn),
+            FtlKind::Dftl(m) => Some(m),
+            FtlKind::PageMap(_) | FtlKind::Hybrid(_) => None,
         }
     }
-    fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
-        match self {
-            FtlKind::PageMap(m) => m.update(lpn, ppn),
-            FtlKind::Dftl(m) => m.update(lpn, ppn),
-            FtlKind::Hybrid(m) => m.update(lpn, ppn),
+
+    /// Release a pin taken by `lookup(.., true)`.
+    pub fn unpin(&mut self, lpn: Lpn) {
+        if let Some(m) = self.dftl_mut() {
+            m.unpin(lpn);
         }
     }
-    fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        match self {
-            FtlKind::PageMap(m) => m.relocate(lpn, new_ppn),
-            FtlKind::Dftl(m) => m.relocate(lpn, new_ppn),
-            FtlKind::Hybrid(m) => m.relocate(lpn, new_ppn),
+
+    /// A translation-page fetch issued for `NeedsFetch(tvpn)` finished;
+    /// entries of that page may now be inserted.
+    pub fn fetch_complete(&mut self, tvpn: u64, lpns: &[Lpn]) {
+        if let Some(m) = self.dftl_mut() {
+            m.fetch_complete(tvpn, lpns);
         }
     }
-    fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
-        match self {
-            FtlKind::PageMap(m) => m.trim(lpn),
-            FtlKind::Dftl(m) => m.trim(lpn),
-            FtlKind::Hybrid(m) => m.trim(lpn),
-        }
+
+    /// Drain translation writebacks queued by any mutation since the last
+    /// drain. Every [`FtlKind::lookup`], [`FtlKind::update`],
+    /// [`FtlKind::trim`] or [`FtlKind::fetch_complete`] may evict dirty
+    /// CMT entries; the controller calls this after each batch of FTL
+    /// activity and turns the results into mapping-source flash IOs.
+    pub fn take_writebacks(&mut self) -> Vec<TranslationWriteback> {
+        self.dftl_mut().map_or_else(Vec::new, Dftl::take_writebacks)
     }
-    fn fetch_complete(&mut self, tvpn: u64, lpns: &[Lpn]) {
-        match self {
-            FtlKind::PageMap(m) => m.fetch_complete(tvpn, lpns),
-            FtlKind::Dftl(m) => m.fetch_complete(tvpn, lpns),
-            FtlKind::Hybrid(m) => m.fetch_complete(tvpn, lpns),
-        }
+
+    /// Where translation page `tvpn` currently lives on flash.
+    pub fn translation_location(&self, tvpn: u64) -> Option<Ppn> {
+        self.dftl()?.translation_location(tvpn)
     }
-    fn take_writebacks(&mut self) -> Vec<TranslationWriteback> {
-        match self {
-            FtlKind::PageMap(m) => m.take_writebacks(),
-            FtlKind::Dftl(m) => m.take_writebacks(),
-            FtlKind::Hybrid(m) => m.take_writebacks(),
-        }
-    }
-    fn translation_location(&self, tvpn: u64) -> Option<Ppn> {
-        match self {
-            FtlKind::PageMap(m) => m.translation_location(tvpn),
-            FtlKind::Dftl(m) => m.translation_location(tvpn),
-            FtlKind::Hybrid(m) => m.translation_location(tvpn),
-        }
-    }
-    fn translation_written(&mut self, tvpn: u64, new_ppn: Ppn) -> Option<Ppn> {
-        match self {
-            FtlKind::PageMap(m) => m.translation_written(tvpn, new_ppn),
-            FtlKind::Dftl(m) => m.translation_written(tvpn, new_ppn),
-            FtlKind::Hybrid(m) => m.translation_written(tvpn, new_ppn),
-        }
-    }
-    fn tvpn_of(&self, lpn: Lpn) -> u64 {
-        match self {
-            FtlKind::PageMap(m) => m.tvpn_of(lpn),
-            FtlKind::Dftl(m) => m.tvpn_of(lpn),
-            FtlKind::Hybrid(m) => m.tvpn_of(lpn),
-        }
-    }
-    fn ram_bytes(&self) -> u64 {
-        match self {
-            FtlKind::PageMap(m) => m.ram_bytes(),
-            FtlKind::Dftl(m) => m.ram_bytes(),
-            FtlKind::Hybrid(m) => m.ram_bytes(),
-        }
-    }
-    fn peek(&self, lpn: Lpn) -> Option<Ppn> {
-        match self {
-            FtlKind::PageMap(m) => m.peek(lpn),
-            FtlKind::Dftl(m) => m.peek(lpn),
-            FtlKind::Hybrid(m) => m.peek(lpn),
-        }
+
+    /// A translation page was (re)programmed at `new_ppn` (writeback
+    /// completion or GC move). Returns the superseded flash copy.
+    pub fn translation_written(&mut self, tvpn: u64, new_ppn: Ppn) -> Option<Ppn> {
+        self.dftl_mut()?.translation_written(tvpn, new_ppn)
     }
 }

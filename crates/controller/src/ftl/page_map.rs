@@ -5,7 +5,7 @@
 //! cost is RAM: 8 bytes per logical page, reported via
 //! [`PageMap::ram_bytes`] so experiments can compare against DFTL budgets.
 
-use crate::ftl::{Ftl, MapLookup, TranslationWriteback};
+use crate::ftl::MapLookup;
 use crate::types::{Lpn, Ppn};
 
 /// Full page-level map held in RAM.
@@ -33,18 +33,17 @@ impl PageMap {
     }
 }
 
-impl Ftl for PageMap {
-    fn lookup(&mut self, lpn: Lpn, _pin: bool) -> MapLookup {
+/// The scheme's share of [`FtlKind`]'s methods (documented there).
+impl PageMap {
+    pub fn lookup(&mut self, lpn: Lpn, _pin: bool) -> MapLookup {
         MapLookup::Ready(self.map[lpn as usize])
     }
 
-    fn unpin(&mut self, _lpn: Lpn) {}
-
-    fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
+    pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
         self.map[lpn as usize].replace(ppn)
     }
 
-    fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
+    pub fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
         debug_assert!(
             self.map[lpn as usize].is_some(),
             "relocate of unmapped lpn {lpn}"
@@ -52,33 +51,15 @@ impl Ftl for PageMap {
         self.map[lpn as usize] = Some(new_ppn);
     }
 
-    fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
+    pub fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
         self.map[lpn as usize].take()
     }
 
-    fn fetch_complete(&mut self, _tvpn: u64, _lpns: &[Lpn]) {}
-
-    fn take_writebacks(&mut self) -> Vec<TranslationWriteback> {
-        Vec::new()
-    }
-
-    fn translation_location(&self, _tvpn: u64) -> Option<Ppn> {
-        None
-    }
-
-    fn translation_written(&mut self, _tvpn: u64, _new_ppn: Ppn) -> Option<Ppn> {
-        None
-    }
-
-    fn tvpn_of(&self, _lpn: Lpn) -> u64 {
-        0
-    }
-
-    fn ram_bytes(&self) -> u64 {
+    pub fn ram_bytes(&self) -> u64 {
         self.map.len() as u64 * 8
     }
 
-    fn peek(&self, lpn: Lpn) -> Option<Ppn> {
+    pub fn peek(&self, lpn: Lpn) -> Option<Ppn> {
         self.map[lpn as usize]
     }
 }
@@ -100,7 +81,6 @@ mod tests {
     fn update_returns_superseded_ppn() {
         let mut m = PageMap::new(4);
         assert_eq!(m.update(0, 5), None);
-        assert!(m.take_writebacks().is_empty());
         assert_eq!(m.update(0, 9), Some(5));
     }
 

@@ -18,56 +18,26 @@
 //!   order as the heap by construction, so switching backends can never
 //!   change a simulation result — only how fast it runs.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::calendar::Calendar;
 use crate::time::{SimDuration, SimTime};
-
-/// Registry of per-thread pop counters. Keeping an `Arc` here lets
-/// [`global_events_popped`] sum the totals of threads that have already
-/// exited; the registry is only locked on thread birth and on reads, never
-/// in [`EventQueue::pop`].
-fn counter_registry() -> &'static Mutex<Vec<Arc<AtomicU64>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<AtomicU64>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
 
 std::thread_local! {
     /// Per-thread count of events popped. Each simulation runs wholly on
     /// one thread, so deltas of this attribute events to the *experiment*
     /// even when the harness runs several experiments on parallel worker
-    /// threads. The hot path does a plain load + store — no atomic RMW —
-    /// which is safe because each counter has exactly one writer (its
-    /// thread); other threads only ever read it.
-    static THREAD_EVENTS_POPPED: Arc<AtomicU64> = {
-        let c = Arc::new(AtomicU64::new(0));
-        counter_registry().lock().unwrap().push(Arc::clone(&c));
-        c
-    };
-}
-
-/// Total events popped across all queues and threads since process start.
-///
-/// Computed by summing the per-thread counters (including exited threads),
-/// so the per-pop cost is a thread-local increment rather than contended
-/// atomic traffic on one global cell.
-pub fn global_events_popped() -> u64 {
-    counter_registry()
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|c| c.load(AtomicOrdering::Relaxed))
-        .sum()
+    /// threads.
+    static THREAD_EVENTS_POPPED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Events popped by queues on the *calling thread* since it started.
 /// Deltas around a simulation give its exact event count regardless of
 /// what other worker threads run concurrently.
 pub fn thread_events_popped() -> u64 {
-    THREAD_EVENTS_POPPED.with(|c| c.load(AtomicOrdering::Relaxed))
+    THREAD_EVENTS_POPPED.with(Cell::get)
 }
 
 /// Which backend an [`EventQueue`] runs on.
@@ -87,17 +57,6 @@ impl std::fmt::Display for QueueKind {
             QueueKind::Heap => "heap",
             QueueKind::Calendar => "calendar",
         })
-    }
-}
-
-impl std::str::FromStr for QueueKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(QueueKind::Heap),
-            "calendar" => Ok(QueueKind::Calendar),
-            other => Err(format!("unknown queue kind {other:?} (heap|calendar)")),
-        }
     }
 }
 
@@ -162,8 +121,8 @@ impl<E> EventQueue<E> {
     /// An empty heap-backed queue positioned at `t = 0`.
     ///
     /// Bare queues default to the heap oracle; simulation configs opt into
-    /// [`QueueKind::Calendar`] explicitly (see `ControllerConfig` /
-    /// `OsConfig` downstream).
+    /// [`QueueKind::Calendar`] explicitly (see `ControllerConfig::queue`
+    /// downstream; the OS timer queue follows its controller).
     pub fn new() -> Self {
         Self::with_kind(QueueKind::Heap)
     }
@@ -239,10 +198,7 @@ impl<E> EventQueue<E> {
         }?;
         self.now = ev.time;
         self.popped += 1;
-        THREAD_EVENTS_POPPED.with(|c| {
-            // Single-writer counter: load + store beats an atomic RMW.
-            c.store(c.load(AtomicOrdering::Relaxed) + 1, AtomicOrdering::Relaxed);
-        });
+        THREAD_EVENTS_POPPED.with(|c| c.set(c.get() + 1));
         Some(ev)
     }
 
@@ -374,7 +330,6 @@ mod tests {
         q.schedule(SimTime::from_nanos(1), ());
         q.pop();
         assert_eq!(thread_events_popped(), before + 1);
-        assert!(global_events_popped() >= thread_events_popped());
     }
 
     #[test]

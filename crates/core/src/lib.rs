@@ -32,9 +32,9 @@ pub mod stats;
 pub mod time;
 
 pub use blkio::{BlkOp, BlkRecord};
-pub use event::{global_events_popped, thread_events_popped, EventQueue, QueueKind, ScheduledEvent};
+pub use event::{thread_events_popped, EventQueue, QueueKind, ScheduledEvent};
 pub use obs::{
-    Cause, Obs, ObsConfig, Span, Stage, StageBreakdown, StageNs, Timeline, NO_SPAN,
+    json_str, Cause, Obs, ObsConfig, Span, Stage, StageBreakdown, StageNs, Timeline, NO_SPAN,
 };
 pub use rng::{SimRng, Zipf};
 pub use stats::{Histogram, OnlineStats, Tail, TimeSeries};

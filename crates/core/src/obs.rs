@@ -553,7 +553,7 @@ impl Obs {
         for (i, name) in lane_names.iter().enumerate() {
             ev.push(format!(
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{i},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                jstr(name)
+                json_str(name)
             ));
         }
         if !tenant_names.is_empty() {
@@ -564,7 +564,7 @@ impl Obs {
             for (i, name) in tenant_names.iter().enumerate() {
                 ev.push(format!(
                     "{{\"ph\":\"M\",\"pid\":2,\"tid\":{i},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                    jstr(name)
+                    json_str(name)
                 ));
             }
         }
@@ -614,10 +614,10 @@ fn span_args(s: &Span) -> String {
         st.get(Stage::Retry),
     );
     if s.cause != Cause::None {
-        args.push_str(&format!(",\"cause\":{}", jstr(&s.cause.label())));
+        args.push_str(&format!(",\"cause\":{}", json_str(&s.cause.label())));
     }
     if let Some((sid, kind)) = s.stalled_behind {
-        args.push_str(&format!(",\"stalled_behind\":{}", jstr(&format!("{kind}#{sid}"))));
+        args.push_str(&format!(",\"stalled_behind\":{}", json_str(&format!("{kind}#{sid}"))));
     }
     args
 }
@@ -627,12 +627,13 @@ fn x_event(pid: u32, tid: u32, name: &str, from: SimTime, to: SimTime, args: &st
     let dur = (to.saturating_since(from).as_nanos() as f64 / 1_000.0).max(0.001);
     format!(
         "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":{},\"ts\":{ts:.3},\"dur\":{dur:.3},\"args\":{{{args}}}}}",
-        jstr(name)
+        json_str(name)
     )
 }
 
-/// Minimal JSON string escape (the build container has no serde).
-fn jstr(s: &str) -> String {
+/// `s` as a quoted, escaped JSON string (the build container has no
+/// serde).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -795,7 +796,7 @@ impl Timeline {
             self.interval.as_micros_f64(),
             self.columns
                 .iter()
-                .map(|c| jstr(c))
+                .map(|c| json_str(c))
                 .collect::<Vec<_>>()
                 .join(", ")
         );

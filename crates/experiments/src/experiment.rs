@@ -11,7 +11,7 @@ use crate::metrics::Table;
 /// How big to run an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Minutes-of-CPU → milliseconds: tiny IO counts for CI and Criterion.
+    /// Minutes-of-CPU → milliseconds: tiny IO counts for CI and tier-1.
     Smoke,
     /// The interactive-demo size.
     Demo,

@@ -93,9 +93,8 @@ pub(crate) struct Ran {
     pub all: Measured,
     /// Virtual time at which the measured phase began.
     pub started: SimTime,
-    /// Host seconds, simulation events and event-queue operations the
-    /// measured phase took — the simulator's own speed (E18).
-    pub wall_s: f64,
+    /// Simulation events and event-queue operations the measured phase
+    /// took — the event engine's work (E18).
     pub events: u64,
     pub queue_ops: u64,
 }
@@ -142,11 +141,7 @@ pub(crate) fn run_point(p: Point) -> Ran {
     let base = snapshot(&os);
     let (started, events_before, queue_ops_before) =
         (os.now(), os.events_simulated(), os.queue_ops());
-    #[allow(clippy::disallowed_methods)]
-    // lint:allow(R2) E18 reports host events/sec — wall-clock throughput of the simulator itself is a result column, never simulation state
-    let host_started = std::time::Instant::now();
     os.run();
-    let wall_s = host_started.elapsed().as_secs_f64();
     let everyone: Vec<ThreadId> = ids.iter().flat_map(|(_, t)| t).copied().collect();
     let all = measure_since(&os, &everyone, &base);
     let actors = ids
@@ -168,7 +163,6 @@ pub(crate) fn run_point(p: Point) -> Ran {
         actors,
         all,
         started,
-        wall_s,
     }
 }
 

@@ -49,7 +49,7 @@ pub fn all() -> Vec<Experiment> {
         Experiment::new("E15", "GC victim selection", "§2.2 GC strategies", e15_victim_policy),
         Experiment::new("E16", "Cached-program pipelining", "§2.2 advanced commands (pipelining)", e16_pipelining),
         Experiment::new("E17", "Hybrid log-block budget sweep", "§2.2 mapping design space (merge costs)", e17_log_budget),
-        Experiment::new("E18", "Simulator throughput: events/sec vs geometry × queue depth", "§1 'as fast as the hardware allows' (sweep affordability)", e18_sim_throughput),
+        Experiment::new("E18", "Event-engine work: events and queue ops vs geometry × queue depth", "§1 'as fast as the hardware allows' (sweep affordability)", e18_engine_work),
         Experiment::new("E19", "Noisy neighbor: reader-tenant tails vs a flooding writer, per QoS policy", "§2.2 OS scheduler × consolidation (tenant isolation)", e19_noisy_neighbor),
         Experiment::new("E20", "QoS design sweep: policy × weights × tenant count", "§1-Q1 design space, extended to the serving side", e20_qos_sweep),
         Experiment::new("E21", "Crash recovery: mount time vs checkpoint interval × device fill", "§2.2 controller modules, extended to crash consistency (durability vs mount-time trade-off)", e21_mount_time),
@@ -727,19 +727,21 @@ fn e17_log_budget(scale: Scale) -> Table {
 }
 
 // ---------------------------------------------------------------------
-// E18 — simulator throughput
+// E18 — event-engine work
 
-/// How fast does the *simulator* run? Host wall-seconds and simulation
-/// events per host second for a GC-heavy random overwrite, swept over
+/// How much work does the *simulator* do? Simulation events and
+/// event-queue operations for a GC-heavy random overwrite, swept over
 /// device geometry × OS queue depth × event-queue backend. This is the
 /// meta-experiment behind every other one: the design-space sweeps the
-/// paper calls for are affordable exactly in proportion to these numbers.
-/// Queue depth stresses the controller's dispatch path (pending-op
-/// selection), the overwrite phase stresses GC victim selection, and the
-/// backend axis pits the calendar agenda against the binary-heap oracle
-/// (identical results, different host speed — `queue_ops` counts the
-/// schedules + pops the engine performed).
-fn e18_sim_throughput(scale: Scale) -> Table {
+/// paper calls for cost host time in proportion to these counts (what a
+/// count costs on a given host is the `benchmark/` package's
+/// `core.queue_ns_per_op` and `core.events_per_s`). Queue depth stresses
+/// the controller's dispatch path (pending-op selection), the overwrite
+/// phase stresses GC victim selection, and the backend axis pits the
+/// calendar agenda against the binary-heap oracle: every column of a
+/// backend pair must be equal (`queue_ops` counts the schedules + pops
+/// the engine performed).
+fn e18_engine_work(scale: Scale) -> Table {
     let small_geometry = Setup::small().geometry;
     let large_geometry = Geometry {
         channels: 4,
@@ -755,14 +757,13 @@ fn e18_sim_throughput(scale: Scale) -> Table {
     let geoms_qds = cross(&scale.thin(&geoms), &scale.thin(&[1usize, 64, 512]));
     sweep(
         "E18",
-        "Host events/sec for GC-heavy overwrite vs geometry × queue depth × queue backend",
+        "Events and queue ops for GC-heavy overwrite vs geometry × queue depth × queue backend",
         "geometry/qd/queue",
         cross(&geoms_qds, &[QueueKind::Calendar, QueueKind::Heap]),
         |(((gname, g), qd), kind)| {
             let mut setup = small();
             setup.geometry = g;
             setup.os.queue_depth = qd;
-            setup.os.queue = kind;
             setup.ctrl.queue = kind;
             // Enough overwrite to reach GC steady state even at smoke
             // scale (the fill leaves only the over-provisioning headroom
@@ -772,15 +773,8 @@ fn e18_sim_throughput(scale: Scale) -> Table {
             Point::filled(format!("{gname}/qd{qd}/{kind}"), setup, vec![writer])
         },
         |r| {
-            let events_per_sec = if r.wall_s > 0.0 {
-                r.events as f64 / r.wall_s
-            } else {
-                0.0
-            };
             r.row()
-                .push("wall_ms", r.wall_s * 1000.0)
                 .push("events", r.events as f64)
-                .push("events_per_sec", events_per_sec)
                 .push("queue_ops", r.queue_ops as f64)
                 .cols(&r.all, &[IOPS, WA])
         },
@@ -1832,19 +1826,19 @@ mod tests {
     }
 
     #[test]
-    fn smoke_e18_reports_simulator_throughput() {
+    fn smoke_e18_reports_event_engine_work() {
         let t = smoke("E18");
         // Smoke thins to first/last of each axis: 2 geometries × 2 qds,
         // each under both queue backends.
         assert_eq!(t.rows.len(), 8);
         for r in &t.rows {
             assert!(r.get("events").unwrap() > 0.0, "no events simulated: {t}", t = t.render());
-            assert!(r.get("events_per_sec").unwrap() > 0.0);
+            assert_eq!(r.values.len(), 4, "events, queue_ops, iops, WA only");
             assert!(r.get("queue_ops").unwrap() > 0.0);
             assert!(r.get("WA").unwrap() >= 1.0, "overwrite phase must hit flash");
         }
         // Backend pairs must simulate the identical workload: same event
-        // count, same queue ops, same WA — only wall time may differ.
+        // count, same queue ops, same WA.
         for pair in t.rows.chunks(2) {
             for col in ["events", "queue_ops", "iops", "WA"] {
                 assert_eq!(

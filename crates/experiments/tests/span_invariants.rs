@@ -35,9 +35,7 @@ proptest! {
             timeline_interval_us: 250,
         };
         setup.ctrl.write_buffer_pages = buffer;
-        let kind = if heap { QueueKind::Heap } else { QueueKind::Calendar };
-        setup.ctrl.queue = kind;
-        setup.os.queue = kind;
+        setup.ctrl.queue = if heap { QueueKind::Heap } else { QueueKind::Calendar };
         setup.os.queue_depth = qd;
         let mut os = setup.build();
         os.add_thread(sequential_fill(32));

@@ -3,16 +3,11 @@
 //! was committed — same labels, same columns, same order, same bits.
 //!
 //! Every cell of every experiment is a deterministic function of the
-//! code except E18's two host-clock columns (`wall_ms`,
-//! `events_per_sec`), which are skipped. A mismatch therefore means the
-//! simulation, a sweep or a column binding changed; a refactor of the
-//! experiments crate must leave all 28 hashes alone.
+//! code. A mismatch therefore means the simulation, a sweep or a column
+//! binding changed; a refactor of the experiments crate must leave all
+//! 28 hashes alone.
 
 use eagletree_experiments::{suite, Scale};
-
-/// Host-clock columns — the only cells that differ between two runs of
-/// the same build.
-const HOST_CLOCK: [&str; 2] = ["wall_ms", "events_per_sec"];
 
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| {
@@ -30,9 +25,6 @@ fn fingerprint(id: &str) -> u64 {
     for r in &t.rows {
         h = fnv1a(fnv1a(h, &[0xff]), r.label.as_bytes());
         for (name, v) in &r.values {
-            if HOST_CLOCK.contains(name) {
-                continue;
-            }
             h = fnv1a(fnv1a(h, &[0xfe]), name.as_bytes());
             h = fnv1a(fnv1a(h, &[0xfd]), &v.to_bits().to_le_bytes());
         }

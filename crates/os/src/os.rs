@@ -23,7 +23,7 @@ use eagletree_controller::{
     SsdRequest,
 };
 use eagletree_core::{
-    EventQueue, Histogram, Obs, OnlineStats, QueueKind, SimDuration, SimTime, TimeSeries,
+    EventQueue, Histogram, Obs, OnlineStats, SimDuration, SimTime, TimeSeries,
     Timeline, NO_SPAN,
 };
 
@@ -49,10 +49,6 @@ pub struct OsConfig {
     /// (`None` disables). Feeds the "metric vs. virtual time" plots of the
     /// experimental suite (§2.3).
     pub timeline_interval: Option<SimDuration>,
-    /// Event-queue backend for the OS timer queue. Results are
-    /// byte-identical across backends; see `ControllerConfig::queue` for
-    /// the controller-agenda counterpart.
-    pub queue: QueueKind,
 }
 
 impl Default for OsConfig {
@@ -63,7 +59,6 @@ impl Default for OsConfig {
             qos: QosPolicy::None,
             open_interface: false,
             timeline_interval: None,
-            queue: QueueKind::default(),
         }
     }
 }
@@ -239,7 +234,9 @@ impl Os {
     /// An OS over a controller.
     pub fn new(ctrl: Controller, cfg: OsConfig) -> Self {
         assert!(cfg.queue_depth > 0, "queue depth must be positive");
-        let timers = EventQueue::with_kind(cfg.queue);
+        // The timer queue runs on the controller agenda's backend
+        // (`ControllerConfig::queue`): one knob for the whole stack.
+        let timers = EventQueue::with_kind(ctrl.queue_kind());
         let obs_cfg = ctrl.obs_config();
         let timeline = obs_cfg.timeline_enabled().then(|| {
             Timeline::new(
@@ -445,34 +442,16 @@ impl Os {
     }
 
     /// Simulation events processed so far: controller agenda events plus
-    /// OS timer firings. The numerator of `events_per_sec`.
+    /// OS timer firings.
     pub fn events_simulated(&self) -> u64 {
         self.ctrl.events_processed() + self.timers.popped()
     }
 
     /// Total event-queue operations (schedules + pops) across the
     /// controller agenda and the OS timer queue: the event-engine work
-    /// metric reported by the E18 throughput sweep.
+    /// metric reported by the E18 sweep.
     pub fn queue_ops(&self) -> u64 {
         self.ctrl.queue_ops() + self.timers.scheduled() + self.timers.popped()
-    }
-
-    /// The event-queue backend the simulation runs on (OS timer queue;
-    /// the controller agenda is configured independently but experiments
-    /// set both together).
-    pub fn queue_kind(&self) -> QueueKind {
-        self.timers.kind()
-    }
-
-    /// Declare the largest expected gap between now and future wake-ups
-    /// (timers and controller agenda). Behavior-neutral calendar tuning
-    /// for workloads with known long idle phases.
-    pub fn hint_horizon(&mut self, horizon: SimDuration) {
-        if horizon > self.timer_horizon {
-            self.timer_horizon = horizon;
-            self.timers.hint_horizon(horizon);
-        }
-        self.ctrl.hint_horizon(horizon);
     }
 
     /// Statistics of one thread.

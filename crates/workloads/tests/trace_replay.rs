@@ -112,7 +112,6 @@ fn stack(queue: QueueKind) -> Os {
     };
     let ctrl = Controller::new(Geometry::tiny(), TimingSpec::slc(), ctrl_cfg).unwrap();
     let os_cfg = OsConfig {
-        queue,
         queue_depth: 16,
         ..OsConfig::default()
     };
