@@ -138,6 +138,12 @@ fn main() {
         })
         .collect();
     let print = |r: &ExperimentResult| {
+        for (label, ops) in &r.table.stuck {
+            eprintln!(
+                "warning: {} {label}: the run stopped with {ops} ops the device can never issue",
+                r.table.id
+            );
+        }
         if csv {
             println!("# {} — {}", r.table.id, r.table.title);
             print!("{}", r.table.to_csv());

@@ -55,9 +55,6 @@ pub struct GcConfig {
     pub victim: VictimPolicy,
     /// Use copy-back for intra-plane migration when the chip supports it.
     pub use_copyback: bool,
-    /// Migrate victims' pages within the same LUN (true) or let the write
-    /// allocator spread them across LUNs (false).
-    pub migrate_same_lun: bool,
 }
 
 impl Default for GcConfig {
@@ -66,7 +63,6 @@ impl Default for GcConfig {
             greediness: 2,
             victim: VictimPolicy::Greedy,
             use_copyback: true,
-            migrate_same_lun: true,
         }
     }
 }

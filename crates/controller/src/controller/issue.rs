@@ -254,10 +254,7 @@ impl Controller {
                 };
                 // Copy-back when permitted, supported, and a same-plane
                 // destination exists.
-                if self.cfg.gc.use_copyback
-                    && self.array.timing().copyback
-                    && self.cfg.gc.migrate_same_lun
-                {
+                if self.cfg.gc.use_copyback && self.array.timing().copyback {
                     let lun = self.reclaim.jobs[job].lun;
                     if let Some(to) = self.alloc.alloc_in_plane(lun, from.plane, Stream::Gc) {
                         self.reverse[self.array.geometry().page_index(to) as usize] =

@@ -31,6 +31,11 @@ impl<T> JobTable<T> {
         self.0[id].take().expect("live job")
     }
 
+    /// The live jobs, in id order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().flatten()
+    }
+
     /// Slots ever allocated: the high-water mark of jobs in flight.
     #[cfg(test)]
     pub(super) fn capacity(&self) -> usize {

@@ -381,7 +381,7 @@ impl Controller {
         match from {
             Some(f) if self.ftl.peek(lpn) == Some(f) => {
                 // Still current: commit the move.
-                self.hybrid_mut().merge_committed(lpn, dest);
+                self.ftl.relocate(lpn, dest);
                 self.invalidate_ppn(f);
                 match source {
                     IoSource::WearLeveling => self.stats.wl_moves += 1,

@@ -54,7 +54,7 @@ use crate::ftl::{FtlKind, Hybrid, HybridStats};
 use crate::types::{Completion, Lpn, Ppn};
 use dispatch::{CtrlEvent, DoneWhat, PendKind, XferDone};
 
-pub use stats::{CtrlStats, MergeCounters, ReliabilityStats};
+pub use stats::{CtrlStats, MergeCounters, ReliabilityStats, Stuck};
 
 /// What a physical page holds (the controller's reverse map).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -180,11 +180,6 @@ impl Controller {
             }
             Some(content) => {
                 let j = &self.reclaim.jobs[job];
-                let lun = if self.cfg.gc.migrate_same_lun {
-                    Some(j.lun)
-                } else {
-                    None
-                };
                 let (_, class) = move_classes(j.source, GC_CLASSES);
                 let stream = match (j.source, content) {
                     (_, PageContent::Translation(_)) => Stream::Translation,
@@ -197,7 +192,8 @@ impl Controller {
                     None,
                     now,
                     PendKind::Write {
-                        lun,
+                        // Victims' pages migrate within their own LUN.
+                        lun: Some(j.lun),
                         stream,
                         what: WriteWhat::Gc { job, from_ppn, content },
                     },

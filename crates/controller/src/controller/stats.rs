@@ -5,11 +5,13 @@
 //! defines the counter structs and the derived reports (reliability,
 //! merge counters, write amplification).
 
+use std::fmt;
+
 use eagletree_core::OnlineStats;
 
 use super::Controller;
-use crate::sched::{class_index, ClassTable};
-use crate::types::OpClass;
+use crate::sched::{class_index, class_table, ClassTable};
+use crate::types::{IoSource, OpClass};
 
 /// Merge observability: scheme-level merge kinds (from the hybrid FTL)
 /// plus flash-level merge traffic (from the controller).
@@ -113,6 +115,45 @@ pub struct ReliabilityStats {
     pub uber: f64,
 }
 
+/// Work the device holds and can never issue: see [`Controller::stuck`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stuck {
+    /// Queued, unissued flash ops per class.
+    pub pending: ClassTable,
+    /// Wholly-free blocks per LUN, in linear LUN order.
+    pub free_blocks: Vec<usize>,
+    /// Live reclaim jobs: `(lun, source, page moves outstanding)`.
+    pub jobs: Vec<(u32, IoSource, u32)>,
+}
+
+impl Stuck {
+    /// Total ops that can never issue.
+    pub fn pending_ops(&self) -> u64 {
+        self.pending.iter().sum()
+    }
+}
+
+impl fmt::Display for Stuck {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `OpClass::ALL` is in `class_index` order.
+        let classes: Vec<String> = OpClass::ALL
+            .iter()
+            .zip(&self.pending)
+            .filter(|&(_, &n)| n > 0)
+            .map(|(c, n)| format!("{n} {}", c.name()))
+            .collect();
+        write!(
+            f,
+            "device stuck, agenda empty: {} pending ops can never issue ({}); \
+             free blocks per LUN {:?}; reclaim jobs (lun, source, moves left) {:?}",
+            self.pending_ops(),
+            classes.join(", "),
+            self.free_blocks,
+            self.jobs
+        )
+    }
+}
+
 impl CtrlStats {
     pub(super) fn new() -> Self {
         CtrlStats {
@@ -149,6 +190,27 @@ impl Controller {
             } else {
                 c.uncorrectable_reads as f64 / bits_read as f64
             },
+        })
+    }
+
+    /// `Some` exactly when ops are pending while the agenda is empty: no
+    /// completion or wake-up will ever run the scheduler again, so
+    /// without a new submission those ops — and the host requests and
+    /// reclaim jobs waiting on them — never finish. A run that ends this
+    /// way has not failed loudly anywhere else; this names what is left.
+    pub fn stuck(&self) -> Option<Stuck> {
+        if self.disp.pending.is_empty() || !self.disp.events.is_empty() {
+            return None;
+        }
+        let mut pending = class_table(0);
+        for op in self.disp.pending.iter() {
+            pending[class_index(op.class)] += 1;
+        }
+        let luns = self.array.geometry().total_luns();
+        Some(Stuck {
+            pending,
+            free_blocks: (0..luns).map(|l| self.alloc.free_blocks(l)).collect(),
+            jobs: self.reclaim.jobs.iter().map(|j| (j.lun, j.source, j.moves_left)).collect(),
         })
     }
 

@@ -109,11 +109,6 @@ impl Dftl {
         self.gtd.len() as u64
     }
 
-    /// Entries currently cached.
-    pub fn cmt_len(&self) -> usize {
-        self.cmt.len()
-    }
-
     pub fn tvpn_of(&self, lpn: Lpn) -> u64 {
         lpn / self.entries_per_tp
     }

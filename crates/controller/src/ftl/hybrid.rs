@@ -258,16 +258,6 @@ impl Hybrid {
         v
     }
 
-    /// The logical block whose data block starts at `base`, if any.
-    /// Linear in the directory — for repeated membership tests over many
-    /// blocks, build [`Hybrid::data_block_map`] once instead.
-    pub fn data_lbn(&self, base: Ppn) -> Option<u64> {
-        self.dir
-            .iter()
-            .position(|d| *d == Some(base))
-            .map(|i| i as u64)
-    }
-
     /// Invert the directory: base PPN → lbn for every registered data
     /// block, for O(1) membership tests in whole-array block scans.
     pub fn data_block_map(&self) -> std::collections::BTreeMap<Ppn, u64> {
@@ -481,11 +471,6 @@ impl Hybrid {
         self.stats.refresh_merges += 1;
     }
 
-    /// A merge copy of `lpn` landed at `new_ppn` and is still current.
-    pub fn merge_committed(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        self.map[lpn as usize] = Some(new_ppn);
-    }
-
     /// A fold of `lbn` finished with `dest` as its new data block (`None`:
     /// the logical block had no live pages and keeps no data block).
     /// Returns the superseded data block to erase, if any.
@@ -559,9 +544,10 @@ impl Hybrid {
         old
     }
 
+    /// A merge copy of `lpn` landed at `new_ppn` and is still current
+    /// (generic GC/WL relocation does not run under the hybrid scheme;
+    /// merges replace it).
     pub fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        // Generic GC/WL relocation does not run under the hybrid scheme
-        // (merges replace it), but keep the map authoritative if called.
         debug_assert!(
             self.map[lpn as usize].is_some(),
             "relocate of unmapped lpn {lpn}"
@@ -625,7 +611,7 @@ mod tests {
         // Full in-order block: switched for free, no data block existed.
         assert_eq!(h.stats().switch_merges, 1);
         assert!(h.take_events().is_empty());
-        assert_eq!(h.data_lbn(800), Some(0));
+        assert_eq!(h.data_block(0), Some(800));
         assert_eq!(h.peek(5), Some(805));
         // The SW slot is free again.
         assert_eq!(h.place(8), HybridPlace::NeedsLogBlock { sequential: true });
@@ -647,8 +633,8 @@ mod tests {
             h.take_events(),
             vec![HybridEvent::EraseDataBlock { base: 800 }]
         );
-        assert_eq!(h.data_lbn(900), Some(0));
-        assert_eq!(h.data_lbn(800), None);
+        assert_eq!(h.data_block(0), Some(900));
+        assert!(!h.data_block_map().contains_key(&800));
     }
 
     #[test]
@@ -771,11 +757,11 @@ mod tests {
         append(&mut h, 1);
         assert_eq!(h.fold_end(0), 2);
         // Fold lbn 0 into a fresh block at 1600.
-        h.merge_committed(1, 1601);
+        h.relocate(1, 1601);
         assert_eq!(h.fold_finished(0, Some(1600)), None);
-        assert_eq!(h.data_lbn(1600), Some(0));
+        assert_eq!(h.data_block(0), Some(1600));
         // A later fold supersedes it.
-        h.merge_committed(1, 1701);
+        h.relocate(1, 1701);
         assert_eq!(h.fold_finished(0, Some(1700)), Some(1600));
     }
 

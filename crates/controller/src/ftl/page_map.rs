@@ -21,11 +21,6 @@ impl PageMap {
         }
     }
 
-    /// Number of mapped logical pages.
-    pub fn mapped_count(&self) -> u64 {
-        self.map.iter().filter(|m| m.is_some()).count() as u64
-    }
-
     /// Rebuild a map from a recovered logical→physical table (mount-time
     /// OOB scan or checkpoint replay).
     pub fn restore(map: Vec<Option<Ppn>>) -> Self {
@@ -105,15 +100,5 @@ mod tests {
     fn ram_cost_is_8_bytes_per_page() {
         let m = PageMap::new(1000);
         assert_eq!(m.ram_bytes(), 8000);
-    }
-
-    #[test]
-    fn mapped_count_tracks() {
-        let mut m = PageMap::new(4);
-        assert_eq!(m.mapped_count(), 0);
-        m.update(0, 1);
-        m.update(1, 2);
-        m.trim(0);
-        assert_eq!(m.mapped_count(), 1);
     }
 }

@@ -148,11 +148,6 @@ impl ReclaimJob {
         self.moves_left -= 1;
         self.moves_left == 0
     }
-
-    /// Ready to erase right away (victim had no live pages).
-    pub fn ready_to_erase(&self) -> bool {
-        self.moves_left == 0
-    }
 }
 
 /// One fold of a hybrid merge: rebuild logical block `lbn` at a
@@ -344,10 +339,8 @@ mod tests {
             block: 0,
         };
         let mut j = ReclaimJob::new(victim, 0, IoSource::GarbageCollection, 3);
-        assert!(!j.ready_to_erase());
         assert!(!j.move_done());
         assert!(!j.move_done());
         assert!(j.move_done());
-        assert!(j.ready_to_erase());
     }
 }

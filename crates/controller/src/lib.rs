@@ -46,7 +46,9 @@ pub use config::{
     ControllerConfig, GcConfig, MappingKind, MergePolicy, ScrubConfig, TemperatureMode,
     VictimPolicy, WlConfig, WriteAllocPolicy,
 };
-pub use controller::{Controller, CtrlStats, MergeCounters, PageContent, ReliabilityStats};
+pub use controller::{
+    Controller, CtrlStats, MergeCounters, PageContent, ReliabilityStats, Stuck,
+};
 pub use ftl::HybridStats;
 pub use recovery::{CheckpointRecord, CrashImage, RecoveryMode, RecoveryReport};
 pub use sched::{class_index, class_table, ClassTable, SchedPolicy};

@@ -119,11 +119,6 @@ pub struct CrashImage {
 }
 
 impl CrashImage {
-    /// What the power cut destroyed.
-    pub fn cut_report(&self) -> PowerCutReport {
-        self.cut
-    }
-
     /// Whether a committed checkpoint survived the cut.
     pub fn has_checkpoint(&self) -> bool {
         self.checkpoint.is_some()

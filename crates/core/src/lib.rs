@@ -37,5 +37,5 @@ pub use obs::{
     json_str, Cause, Obs, ObsConfig, Span, Stage, StageBreakdown, StageNs, Timeline, NO_SPAN,
 };
 pub use rng::{SimRng, Zipf};
-pub use stats::{Histogram, OnlineStats, Tail, TimeSeries};
+pub use stats::{Histogram, OnlineStats, Tail};
 pub use time::{SimDuration, SimTime};

@@ -6,10 +6,9 @@
 //! simulation performance:
 //!
 //! * [`OnlineStats`] — Welford mean/variance plus min/max,
-//! * [`Histogram`] — log-bucketed latency histogram with quantile queries,
-//! * [`TimeSeries`] — fixed-interval samples of a metric over virtual time.
+//! * [`Histogram`] — log-bucketed latency histogram with quantile queries.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Welford-style streaming mean / variance / min / max.
 #[derive(Debug, Clone, Default)]
@@ -39,11 +38,6 @@ impl OnlineStats {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-    }
-
-    /// Convenience: record a duration in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros_f64());
     }
 
     pub fn count(&self) -> u64 {
@@ -307,54 +301,6 @@ pub struct Tail {
     pub p999: SimDuration,
 }
 
-/// Fixed-interval time series of a metric over virtual time.
-///
-/// The experiment suite uses this to plot "metric vs. time" curves (e.g.
-/// instantaneous throughput, queue length). Feed it observations with
-/// [`TimeSeries::observe`]; it accumulates per-interval sums.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    interval: SimDuration,
-    points: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// A series with the given sampling interval.
-    pub fn new(interval: SimDuration) -> Self {
-        assert!(interval > SimDuration::ZERO, "interval must be positive");
-        TimeSeries {
-            interval,
-            points: Vec::new(),
-        }
-    }
-
-    /// Add `value` to the interval containing `t`.
-    pub fn observe(&mut self, t: SimTime, value: f64) {
-        let idx = (t.as_nanos() / self.interval.as_nanos()) as usize;
-        if idx >= self.points.len() {
-            self.points.resize(idx + 1, 0.0);
-        }
-        self.points[idx] += value;
-    }
-
-    /// The sampling interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// Per-interval sums, in time order.
-    pub fn points(&self) -> &[f64] {
-        &self.points
-    }
-
-    /// Iterate `(interval_start, sum)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.points.iter().enumerate().map(move |(i, &v)| {
-            (SimTime::from_nanos(i as u64 * self.interval.as_nanos()), v)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,19 +428,5 @@ mod tests {
                 assert!(Histogram::value_of(idx + 1) > ns);
             }
         }
-    }
-
-    #[test]
-    fn time_series_accumulates_per_interval() {
-        let mut ts = TimeSeries::new(SimDuration::from_micros(10));
-        ts.observe(SimTime::from_nanos(0), 1.0);
-        ts.observe(SimTime::from_nanos(9_999), 1.0);
-        ts.observe(SimTime::from_nanos(10_000), 1.0);
-        ts.observe(SimTime::from_nanos(35_000), 2.0);
-        assert_eq!(ts.points(), &[2.0, 1.0, 0.0, 2.0]);
-        let pairs: Vec<_> = ts.iter().collect();
-        assert_eq!(pairs[3].0, SimTime::from_nanos(30_000));
-        assert_eq!(pairs[3].1, 2.0);
-        assert_eq!(ts.interval(), SimDuration::from_micros(10));
     }
 }

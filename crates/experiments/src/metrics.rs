@@ -285,6 +285,10 @@ pub struct Table {
     pub title: String,
     pub param: String,
     pub rows: Vec<Row>,
+    /// Points whose run ended with ops the device can never issue
+    /// (`Os::stalled`): `(label, unissuable ops)`. Not a result: kept out
+    /// of rows, CSV and JSON; the harness warns on stderr.
+    pub stuck: Vec<(String, usize)>,
 }
 
 impl Table {
@@ -294,6 +298,7 @@ impl Table {
             title: title.to_string(),
             param: param.to_string(),
             rows: Vec::new(),
+            stuck: Vec::new(),
         }
     }
 

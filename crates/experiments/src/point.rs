@@ -177,9 +177,12 @@ pub(crate) fn sweep<V>(
     row: impl Fn(&Ran) -> Row,
 ) -> Table {
     let mut t = Table::new(id, title, param);
-    t.rows = values
-        .into_iter()
-        .map(|v| row(&run_point(point(v))))
-        .collect();
+    for v in values {
+        let ran = run_point(point(v));
+        if let Some(s) = ran.os.stalled() {
+            t.stuck.push((ran.label.clone(), s.device.pending_ops() as usize));
+        }
+        t.rows.push(row(&ran));
+    }
     t
 }

@@ -6,6 +6,11 @@
 //! code. A mismatch therefore means the simulation, a sweep or a column
 //! binding changed; a refactor of the experiments crate must leave all
 //! 28 hashes alone.
+//!
+//! The same run is the suite's liveness ratchet: the points that end with
+//! ops the device can never issue (`Table::stuck`) are pinned too.
+
+use std::sync::OnceLock;
 
 use eagletree_experiments::{suite, Scale};
 
@@ -18,8 +23,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a over (id, label, column name, value bits) of every gated cell,
 /// in row and column order, with a separator byte after each string so
 /// that moving a character between a label and a column name changes the
-/// hash.
-fn fingerprint(id: &str) -> u64 {
+/// hash. Also returns the experiment's stuck points as `"id label"`.
+fn fingerprint(id: &str) -> (u64, Vec<String>) {
     let t = suite::by_id(id).expect("listed id resolves").run(Scale::Smoke);
     let mut h = fnv1a(0xcbf2_9ce4_8422_2325, id.as_bytes());
     for r in &t.rows {
@@ -29,7 +34,35 @@ fn fingerprint(id: &str) -> u64 {
             h = fnv1a(fnv1a(h, &[0xfd]), &v.to_bits().to_le_bytes());
         }
     }
-    h
+    let stuck = t.stuck.iter().map(|(label, _)| format!("{id} {label}"));
+    (h, stuck.collect())
+}
+
+/// One experiment's id, fingerprint and stuck points.
+type Outcome = (&'static str, u64, Vec<String>);
+
+/// One smoke-scale run of the whole suite, in suite order, shared by both
+/// tests.
+fn suite_run() -> &'static [Outcome] {
+    static RUN: OnceLock<Vec<Outcome>> = OnceLock::new();
+    RUN.get_or_init(|| {
+        // Each experiment is a self-contained simulation, so they run on
+        // one scoped thread each; `scope` joins them and re-raises a panic.
+        std::thread::scope(|s| {
+            let ids: Vec<&str> = suite::all().iter().map(|e| e.id).collect();
+            let handles: Vec<_> = ids
+                .into_iter()
+                .map(|id| (id, s.spawn(move || fingerprint(id))))
+                .collect();
+            handles
+                .into_iter()
+                .map(|(id, h)| {
+                    let (hash, stuck) = h.join().expect("experiment panicked");
+                    (id, hash, stuck)
+                })
+                .collect()
+        })
+    })
 }
 
 /// Generated from the suite as it stood before experiments became point
@@ -68,21 +101,10 @@ const GOLDEN: [(&str, u64); 28] = [
 
 #[test]
 fn every_experiment_reproduces_its_golden_rows() {
-    let ids: Vec<&str> = suite::all().iter().map(|e| e.id).collect();
+    let got: Vec<(&str, u64)> = suite_run().iter().map(|(id, h, _)| (*id, *h)).collect();
+    let ids: Vec<&str> = got.iter().map(|(id, _)| *id).collect();
     let golden_ids: Vec<&str> = GOLDEN.iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, golden_ids, "the suite's index changed");
-    // Each experiment is a self-contained simulation, so they run on one
-    // scoped thread each; `scope` joins them and re-raises a panic.
-    let got: Vec<(&str, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = ids
-            .iter()
-            .map(|&id| (id, s.spawn(move || fingerprint(id))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|(id, h)| (id, h.join().expect("experiment panicked")))
-            .collect()
-    });
     let drifted: Vec<&str> = got
         .iter()
         .zip(&GOLDEN)
@@ -93,4 +115,19 @@ fn every_experiment_reproduces_its_golden_rows() {
         drifted.is_empty(),
         "result rows changed for {drifted:?} since the goldens were committed; got\n{got:#018x?}"
     );
+}
+
+/// The liveness ratchet. These points end in ROADMAP item 1's stall (a
+/// relocation write bound to a LUN that can no longer allocate for it);
+/// a new entry is a new way to stop silently and fails tier-1, a fix
+/// shrinks the list.
+const STUCK: [&str; 2] = ["E25 dftl/pe5000/noscrub", "E25 dftl/pe5000/scrub"];
+
+#[test]
+fn only_the_pinned_points_end_stuck() {
+    let stuck: Vec<&str> = suite_run()
+        .iter()
+        .flat_map(|(_, _, stuck)| stuck.iter().map(String::as_str))
+        .collect();
+    assert_eq!(stuck, STUCK);
 }

@@ -227,11 +227,6 @@ impl PhysicalAddr {
             && self.lun == other.lun
             && self.plane == other.plane
     }
-
-    /// True if `other` lives in the same LUN.
-    pub fn same_lun(self, other: PhysicalAddr) -> bool {
-        self.channel == other.channel && self.lun == other.lun
-    }
 }
 
 impl fmt::Debug for PhysicalAddr {
@@ -313,12 +308,12 @@ mod tests {
         let mut b = a;
         b.block = 9;
         assert!(a.same_plane(b));
-        assert!(a.same_lun(b));
         b.plane = 1;
         assert!(!a.same_plane(b));
-        assert!(a.same_lun(b));
+        // Plane numbers repeat per LUN: plane 0 of another LUN is not it.
+        b.plane = 0;
         b.lun = 0;
-        assert!(!a.same_lun(b));
+        assert!(!a.same_plane(b));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! (torn), interrupted erases leave their block unusable until erased
 //! again, and everything already completed survives.
 
-use eagletree_core::{SimDuration, SimTime};
+use eagletree_core::SimTime;
 
 use crate::address::{BlockAddr, Geometry, PhysicalAddr};
 use crate::command::FlashCommand;
@@ -100,7 +100,6 @@ pub struct PowerCutReport {
 struct LunState {
     busy_until: SimTime,
     status: LunStatus,
-    busy_accum: SimDuration,
     /// Set while the LUN's current operation is an array-program of this
     /// block: a cached program of the block's next page may pipeline
     /// behind it. Cleared by any other operation.
@@ -244,7 +243,6 @@ pub struct FlashArray {
     geometry: Geometry,
     timing: TimingSpec,
     channels: Vec<SimTime>,
-    channel_busy_accum: Vec<SimDuration>,
     luns: Vec<LunState>,
     page_state: Vec<PageState>,
     blocks: Vec<BlockInfo>,
@@ -279,12 +277,10 @@ impl FlashArray {
             geometry,
             timing,
             channels: vec![SimTime::ZERO; geometry.channels as usize],
-            channel_busy_accum: vec![SimDuration::ZERO; geometry.channels as usize],
             luns: vec![
                 LunState {
                     busy_until: SimTime::ZERO,
                     status: LunStatus::Idle,
-                    busy_accum: SimDuration::ZERO,
                     programming: None,
                 };
                 geometry.total_luns() as usize
@@ -349,16 +345,6 @@ impl FlashArray {
         }
     }
 
-    /// Total busy time accumulated on a channel (utilization numerator).
-    pub fn channel_busy_time(&self, channel: u32) -> SimDuration {
-        self.channel_busy_accum[channel as usize]
-    }
-
-    /// Total busy time accumulated on a LUN.
-    pub fn lun_busy_time(&self, channel: u32, lun: u32) -> SimDuration {
-        self.luns[self.lun_slot(channel, lun)].busy_accum
-    }
-
     /// Whether `cmd`'s channel and LUN are both free at `now`.
     ///
     /// This is the resource test only; state validity (sequential program,
@@ -400,27 +386,6 @@ impl FlashArray {
         lun.busy_until > now
             && lun.status == LunStatus::Idle
             && lun.programming == Some(addr.block_addr())
-    }
-
-    /// The earliest time at or after `now` when `cmd`'s resources free up.
-    ///
-    /// A scheduler can use this to decide how long a candidate op would
-    /// have to wait. Returns `None` for a LUN stuck holding another page's
-    /// data (only the matching transfer can release it).
-    pub fn earliest_issue(&self, cmd: &FlashCommand, now: SimTime) -> Option<SimTime> {
-        let slot = self.lun_slot(cmd.channel(), cmd.lun());
-        let lun = &self.luns[slot];
-        match (lun.status, cmd) {
-            (LunStatus::HoldingData(held), FlashCommand::TransferOut(a)) if held == *a => {}
-            (LunStatus::Idle, FlashCommand::TransferOut(_)) => return None,
-            (LunStatus::HoldingData(_), _) => return None,
-            (LunStatus::Idle, _) => {}
-        }
-        Some(
-            self.channels[cmd.channel() as usize]
-                .max(lun.busy_until)
-                .max(now),
-        )
     }
 
     /// Issue a command whose resources are free at `now`.
@@ -489,7 +454,7 @@ impl FlashArray {
                 }
                 let channel_free = now + t.read_channel_time() * attempts;
                 let data_ready = now + t.read_lun_time() * attempts;
-                self.occupy(now, ch, slot, channel_free, data_ready);
+                self.occupy(ch, slot, channel_free, data_ready);
                 self.luns[slot].programming = None;
                 self.luns[slot].status = LunStatus::HoldingData(addr);
                 self.counters.reads += 1;
@@ -502,7 +467,7 @@ impl FlashArray {
             }
             FlashCommand::TransferOut(_) => {
                 let done = now + t.t_xfer;
-                self.occupy(now, ch, slot, done, done);
+                self.occupy(ch, slot, done, done);
                 self.luns[slot].programming = None;
                 self.luns[slot].status = LunStatus::Idle;
                 self.counters.transfers += 1;
@@ -526,7 +491,7 @@ impl FlashArray {
                 // completes — transfers hide behind array time.
                 let array_start = self.luns[slot].busy_until.max(channel_free);
                 let done = array_start + t.t_prog;
-                self.occupy(now, ch, slot, channel_free, done);
+                self.occupy(ch, slot, channel_free, done);
                 self.luns[slot].programming = Some(addr.block_addr());
                 self.mark_programmed(addr);
                 self.inflight_programs.push((addr, done));
@@ -548,7 +513,7 @@ impl FlashArray {
                 }
                 let channel_free = now + t.erase_channel_time();
                 let done = now + t.erase_lun_time();
-                self.occupy(now, ch, slot, channel_free, done);
+                self.occupy(ch, slot, channel_free, done);
                 self.luns[slot].programming = None;
                 // An erase failure leaves the block un-reset (the full
                 // erase pulse was still spent discovering that). A streak
@@ -609,7 +574,7 @@ impl FlashArray {
                 }
                 let channel_free = now + t.copyback_channel_time();
                 let done = now + t.copyback_lun_time() + t.read_lun_time() * (attempts - 1);
-                self.occupy(now, ch, slot, channel_free, done);
+                self.occupy(ch, slot, channel_free, done);
                 self.luns[slot].programming = None;
                 self.mark_programmed(to);
                 self.inflight_programs.push((to, done));
@@ -653,23 +618,10 @@ impl FlashArray {
         Some(FaultEvent::EraseFailed { retired })
     }
 
-    /// Extend the channel's and the LUN's busy windows for a command
-    /// issued at `now`. Only the newly covered time counts as busy: the
-    /// idle gap since the previous window does not, nor does the part of a
-    /// pipelined command's window the LUN was already busy for.
-    fn occupy(
-        &mut self,
-        now: SimTime,
-        ch: usize,
-        lun_slot: usize,
-        channel_until: SimTime,
-        lun_until: SimTime,
-    ) {
-        self.channel_busy_accum[ch] += channel_until.saturating_since(self.channels[ch].max(now));
+    /// Extend the channel's and the LUN's busy windows.
+    fn occupy(&mut self, ch: usize, lun_slot: usize, channel_until: SimTime, lun_until: SimTime) {
         self.channels[ch] = channel_until;
-        let lun = &mut self.luns[lun_slot];
-        lun.busy_accum += lun_until.saturating_since(lun.busy_until.max(now));
-        lun.busy_until = lun_until;
+        self.luns[lun_slot].busy_until = lun_until;
     }
 
     fn check_range(&self, cmd: &FlashCommand) -> Result<(), FlashError> {
@@ -1320,35 +1272,6 @@ mod tests {
         a.issue(FlashCommand::Program(addr(0, 0)), SimTime::ZERO).unwrap();
         a.invalidate(addr(0, 0));
         a.invalidate(addr(0, 0));
-    }
-
-    #[test]
-    fn earliest_issue_reports_wait() {
-        let mut a = array();
-        let out = a.issue(FlashCommand::Program(addr(0, 0)), SimTime::ZERO).unwrap();
-        let next = FlashCommand::Program(addr(0, 1));
-        assert_eq!(a.earliest_issue(&next, SimTime::ZERO), Some(out.lun_free_at));
-        // Transfers on an idle LUN can never issue.
-        assert_eq!(
-            a.earliest_issue(&FlashCommand::TransferOut(addr(0, 0)), out.lun_free_at),
-            None
-        );
-    }
-
-    #[test]
-    fn utilization_accumulates() {
-        let mut a = array();
-        let t = *a.timing();
-        let out = a.issue(FlashCommand::Program(addr(0, 0)), SimTime::ZERO).unwrap();
-        assert_eq!(a.channel_busy_time(0), t.program_channel_time());
-        assert_eq!(a.lun_busy_time(0, 0), t.program_lun_time());
-        let out = a.issue(FlashCommand::Program(addr(0, 1)), out.lun_free_at).unwrap();
-        assert_eq!(a.lun_busy_time(0, 0), t.program_lun_time() * 2);
-        // A command issued after an idle gap bills its own time, not the gap.
-        let later = out.lun_free_at + t.program_lun_time() * 10;
-        a.issue(FlashCommand::Program(addr(0, 2)), later).unwrap();
-        assert_eq!(a.channel_busy_time(0), t.program_channel_time() * 3);
-        assert_eq!(a.lun_busy_time(0, 0), t.program_lun_time() * 3);
     }
 
     #[test]

@@ -78,27 +78,6 @@ impl TimingSpec {
         }
     }
 
-    /// Spec for a cell type.
-    pub fn for_cell(cell: CellType) -> Self {
-        let spec = match cell {
-            CellType::Slc => Self::slc(),
-            CellType::Mlc => Self::mlc(),
-        };
-        // Presets must uphold `t_cmd < t_read < t_prog < t_erase`; a
-        // future preset that silently violates it would skew every
-        // experiment built on the ordering.
-        debug_assert!(spec.validate().is_ok(), "invalid preset for {cell:?}");
-        spec
-    }
-
-    /// Scale the channel transfer time for a different page size, keeping
-    /// the per-byte rate of the preset (presets assume 4 KiB pages).
-    pub fn with_page_size(mut self, page_size: u32) -> Self {
-        let base_ns = self.t_xfer.as_nanos();
-        self.t_xfer = SimDuration::from_nanos(base_ns * page_size as u64 / 4096);
-        self
-    }
-
     /// Total channel occupancy to start a read (command only; data comes
     /// back later via transfer-out).
     pub fn read_channel_time(&self) -> SimDuration {
@@ -168,8 +147,6 @@ mod tests {
         for spec in [
             TimingSpec::slc(),
             TimingSpec::mlc(),
-            TimingSpec::for_cell(CellType::Slc),
-            TimingSpec::for_cell(CellType::Mlc),
         ] {
             spec.validate().unwrap();
             assert!(spec.t_cmd < spec.t_read);
@@ -186,21 +163,6 @@ mod tests {
         assert!(mlc.t_prog > slc.t_prog);
         assert!(mlc.t_erase > slc.t_erase);
         assert!(mlc.endurance < slc.endurance);
-    }
-
-    #[test]
-    fn for_cell_dispatches() {
-        assert_eq!(TimingSpec::for_cell(CellType::Slc).cell, CellType::Slc);
-        assert_eq!(TimingSpec::for_cell(CellType::Mlc).cell, CellType::Mlc);
-    }
-
-    #[test]
-    fn page_size_scales_transfer_linearly() {
-        let base = TimingSpec::slc();
-        let doubled = base.with_page_size(8192);
-        assert_eq!(doubled.t_xfer.as_nanos(), base.t_xfer.as_nanos() * 2);
-        let halved = base.with_page_size(2048);
-        assert_eq!(halved.t_xfer.as_nanos(), base.t_xfer.as_nanos() / 2);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Syntax, inside a `//` line comment:
 //!
 //! ```text
-//! // lint:allow(R1) iteration feeds a commutative sum — order can't re-time
-//! // lint:allow(R2, R3) host wall-clock measurement is the experiment
+//! // lint:allow(R3) one-time quantization of a config knob, not per-event time math
+//! // lint:allow(R3, R4) reporting-only label; new variants fall into "other" on purpose
 //! ```
 //!
 //! An escape suppresses findings of the named rule(s) on the **same
@@ -71,7 +71,7 @@ pub fn parse(path: &str, comments: &[LineComment], findings: &mut Vec<Finding>) 
             match Rule::parse(name) {
                 Some(r) if r != Rule::AllowSyntax => rules.push(r),
                 _ => {
-                    bad(format!("unknown rule `{name}` in lint:allow (known: R1, R2, R3, R4, R5)"));
+                    bad(format!("unknown rule `{name}` in lint:allow (known: R3, R4, R5)"));
                     ok = false;
                 }
             }

@@ -4,16 +4,12 @@
 
 use std::fmt::Write as _;
 
-/// Rule identifiers. `R1..R5` are the determinism rule set from the
-/// lint charter; the two `Allow*` pseudo-rules police the escape hatch
-/// itself.
+/// Rule identifiers. `R3..R5` are the determinism rule set (the
+/// numbering is historical: R1/R2, the hash-iteration and wall-clock
+/// rules, are `clippy.toml`'s job); the two `Allow*` pseudo-rules
+/// police the escape hatch itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Iteration over `HashMap`/`HashSet` in a simulation path.
-    R1,
-    /// Ambient wall-clock or randomness (`Instant::now`, `SystemTime`,
-    /// `thread_rng`, `RandomState`, `DefaultHasher`).
-    R2,
     /// Floating-point arithmetic flowing into nanosecond/timestamp
     /// integers (the PR-5 token-bucket bug class).
     R3,
@@ -33,8 +29,6 @@ pub enum Rule {
 impl Rule {
     pub fn name(self) -> &'static str {
         match self {
-            Rule::R1 => "R1",
-            Rule::R2 => "R2",
             Rule::R3 => "R3",
             Rule::R4 => "R4",
             Rule::R5 => "R5",
@@ -45,8 +39,6 @@ impl Rule {
 
     pub fn parse(s: &str) -> Option<Rule> {
         match s {
-            "R1" => Some(Rule::R1),
-            "R2" => Some(Rule::R2),
             "R3" => Some(Rule::R3),
             "R4" => Some(Rule::R4),
             "R5" => Some(Rule::R5),
@@ -54,9 +46,7 @@ impl Rule {
         }
     }
 
-    pub const ALL: [Rule; 7] = [
-        Rule::R1,
-        Rule::R2,
+    pub const ALL: [Rule; 5] = [
         Rule::R3,
         Rule::R4,
         Rule::R5,

@@ -8,8 +8,6 @@
 //! rule documents exactly what shape it matches and the fixtures keep
 //! both the positive and negative space honest.
 
-pub mod r1_hash_iter;
-pub mod r2_ambient;
 pub mod r3_float_time;
 pub mod r4_wildcard;
 pub mod r5_debug_assert;
@@ -94,12 +92,4 @@ pub fn statements(toks: &[Tok]) -> Vec<(usize, usize)> {
         out.push((start, toks.len()));
     }
     out
-}
-
-/// True when `toks[i]` begins the path segment `a::b` (e.g.
-/// `Instant::now`).
-pub fn is_path2(toks: &[Tok], i: usize, a: &str, b: &str) -> bool {
-    toks[i].is_ident(a)
-        && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-        && toks.get(i + 2).is_some_and(|t| t.is_ident(b))
 }

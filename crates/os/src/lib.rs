@@ -39,7 +39,7 @@ pub mod tenant;
 pub mod thread;
 
 pub use interface::{tags_from_messages, Message};
-pub use os::{Os, OsConfig, ThreadStats};
+pub use os::{Os, OsConfig, Stalled, ThreadStats};
 pub use qos::{QosParams, QosPolicy};
 pub use sched::OsSchedPolicy;
 pub use tenant::{Namespace, TenantConfig, TenantId, TenantStats};

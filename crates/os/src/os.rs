@@ -17,14 +17,14 @@
 //! allocation per dispatched IO.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 use eagletree_controller::{
     class_index, Completion, Controller, CrashImage, IoTags, OpClass, RequestId, RequestKind,
-    SsdRequest,
+    SsdRequest, Stuck,
 };
 use eagletree_core::{
-    EventQueue, Histogram, Obs, OnlineStats, SimDuration, SimTime, TimeSeries,
-    Timeline, NO_SPAN,
+    EventQueue, Histogram, Obs, OnlineStats, SimDuration, SimTime, Timeline, NO_SPAN,
 };
 
 use crate::qos::{self, QosPolicy, QosSlot, TenantCand};
@@ -45,10 +45,6 @@ pub struct OsConfig {
     /// Unlock the open interface: pass tags/messages through to the SSD.
     /// When `false`, the OS strips all hints — a traditional block device.
     pub open_interface: bool,
-    /// Capture per-thread completion timelines at this resolution
-    /// (`None` disables). Feeds the "metric vs. virtual time" plots of the
-    /// experimental suite (§2.3).
-    pub timeline_interval: Option<SimDuration>,
 }
 
 impl Default for OsConfig {
@@ -58,7 +54,6 @@ impl Default for OsConfig {
             policy: OsSchedPolicy::Fifo,
             qos: QosPolicy::None,
             open_interface: false,
-            timeline_interval: None,
         }
     }
 }
@@ -83,9 +78,6 @@ pub struct ThreadStats {
     /// First and last completion instants (throughput window).
     pub first_completion: Option<SimTime>,
     pub last_completion: Option<SimTime>,
-    /// Completions per interval over virtual time, when the OS was
-    /// configured with a `timeline_interval`.
-    pub timeline: Option<TimeSeries>,
 }
 
 impl ThreadStats {
@@ -101,7 +93,6 @@ impl ThreadStats {
             queue_wait_us: OnlineStats::new(),
             first_completion: None,
             last_completion: None,
-            timeline: None,
         }
     }
 
@@ -118,6 +109,28 @@ impl ThreadStats {
             }
             _ => 0.0,
         }
+    }
+}
+
+/// A run that ended with work the device can never issue: see
+/// [`Os::stalled`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stalled {
+    /// What the device holds and why it cannot go.
+    pub device: Stuck,
+    /// Threads that have not declared themselves finished.
+    pub unfinished_threads: Vec<ThreadId>,
+    /// Requests dispatched to the device and never completed.
+    pub inflight: usize,
+}
+
+impl fmt::Display for Stalled {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "stalled: threads {:?} unfinished, {} requests in flight; {}",
+            self.unfinished_threads, self.inflight, self.device
+        )
     }
 }
 
@@ -147,11 +160,7 @@ struct TenantEntry {
     threads: Vec<ThreadId>,
     /// Queued (not yet dispatched) IOs across this tenant's threads.
     backlog: usize,
-    /// IOs dispatched to the device and not yet completed.
-    inflight: usize,
     stats: TenantStats,
-    /// The implicit whole-device tenant (identity translation).
-    is_default: bool,
     /// Instant this tenant became QoS rate-blocked with device slots
     /// free (span accounting only; `None` when dispatchable).
     held_since: Option<SimTime>,
@@ -291,58 +300,11 @@ impl Os {
             },
             threads: Vec::new(),
             backlog: 0,
-            inflight: 0,
             stats: TenantStats::new(cfg.namespace_pages),
-            is_default: false,
             held_since: None,
         });
         self.qos_slots.push(QosSlot::new(cfg.qos));
         self.tenants.len() - 1
-    }
-
-    /// Resize a tenant's namespace (setup-time: panics while the tenant
-    /// has queued or in-flight IOs). Grows in place when the namespace is
-    /// the most recently carved one, otherwise relocates it to fresh
-    /// logical pages; shrinking always happens in place. A relocated
-    /// namespace is a fresh, logically empty window — previously written
-    /// pages are left behind at the old location, so the tenant's
-    /// valid-page accounting is cleared.
-    pub fn resize_namespace(&mut self, t: TenantId, new_pages: u64) {
-        assert!(new_pages > 0, "namespace must have pages");
-        let e = &self.tenants[t];
-        assert!(!e.is_default, "the default tenant always spans the whole device");
-        assert!(
-            e.backlog == 0 && e.inflight == 0,
-            "resize is a setup-time operation: tenant `{}` has IOs outstanding",
-            e.name
-        );
-        let old = e.ns;
-        let last_carved = old.base + old.len == self.ns_watermark;
-        if new_pages <= old.len {
-            self.tenants[t].ns.len = new_pages;
-            if last_carved {
-                self.ns_watermark = old.base + new_pages;
-            }
-        } else if last_carved && old.base + new_pages <= self.ctrl.logical_pages() {
-            self.tenants[t].ns.len = new_pages;
-            self.ns_watermark = old.base + new_pages;
-        } else {
-            let base = self.ns_watermark;
-            assert!(
-                base + new_pages <= self.ctrl.logical_pages(),
-                "tenant `{}`: cannot grow namespace to {} pages",
-                self.tenants[t].name,
-                new_pages
-            );
-            self.ns_watermark = base + new_pages;
-            self.tenants[t].ns = Namespace {
-                base,
-                len: new_pages,
-            };
-            // The new window holds none of the tenant's old writes.
-            self.tenants[t].stats.clear_valid();
-        }
-        self.tenants[t].stats.resize(new_pages);
     }
 
     /// The implicit whole-device tenant (identity namespace), created on
@@ -360,9 +322,7 @@ impl Os {
             },
             threads: Vec::new(),
             backlog: 0,
-            inflight: 0,
             stats: TenantStats::new(self.ctrl.logical_pages()),
-            is_default: true,
             held_since: None,
         });
         self.qos_slots.push(QosSlot::new(crate::QosParams::default()));
@@ -464,12 +424,6 @@ impl Os {
         self.threads[t].finished
     }
 
-    /// Number of tenants (including the implicit default tenant, if any
-    /// thread was registered without an explicit tenant).
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// A tenant's name.
     pub fn tenant_name(&self, t: TenantId) -> &str {
         &self.tenants[t].name
@@ -491,9 +445,18 @@ impl Os {
         self.tenants[t].stats.utilization(self.tenants[t].ns.len)
     }
 
-    /// Threads owned by tenant `t`.
-    pub fn tenant_threads(&self, t: TenantId) -> &[ThreadId] {
-        &self.tenants[t].threads
+    /// `Some` when the device is [stuck](Controller::stuck): it holds ops
+    /// no event will ever issue, so [`Os::run`] returns "normally" with
+    /// these threads unfinished and these requests never completed. The
+    /// first thing to print when a run ends early.
+    pub fn stalled(&self) -> Option<Stalled> {
+        self.ctrl.stuck().map(|device| Stalled {
+            device,
+            unfinished_threads: (0..self.threads.len())
+                .filter(|&t| !self.threads[t].finished)
+                .collect(),
+            inflight: self.inflight.len(),
+        })
     }
 
     /// Pull the plug at the current virtual instant: the whole host dies
@@ -747,7 +710,6 @@ impl Os {
             let q = self.threads[tid].queue.pop_front().expect("head exists");
             let tenant = self.threads[tid].tenant;
             self.tenants[tenant].backlog -= 1;
-            self.tenants[tenant].inflight += 1;
             self.vclock = qos::charge(
                 &self.cfg.qos,
                 &mut self.qos_slots,
@@ -835,9 +797,8 @@ impl Os {
             if let Some(st) = self.ctrl.obs_mut().and_then(|o| o.take_finished(c.id)) {
                 self.tenants[tenant].stats.record_stages(inf.io.kind, st);
             }
-            let te = &mut self.tenants[tenant];
-            te.inflight -= 1;
-            te.stats
+            self.tenants[tenant]
+                .stats
                 .record_completion(inf.io.kind, inf.io.lpn, done.latency());
         }
         {
@@ -859,12 +820,6 @@ impl Os {
                 stats.first_completion = Some(c.at);
             }
             stats.last_completion = Some(c.at);
-            if let Some(interval) = self.cfg.timeline_interval {
-                stats
-                    .timeline
-                    .get_or_insert_with(|| TimeSeries::new(interval))
-                    .observe(c.at, 1.0);
-            }
         }
         self.call_workload(inf.thread, |w, ctx| w.call_back(ctx, done));
     }
@@ -1238,35 +1193,6 @@ mod tests {
     }
 
     #[test]
-    fn namespace_resize_at_setup_grows_and_relocates() {
-        use crate::tenant::TenantConfig;
-        let mut o = os(OsConfig::default());
-        let a = o.add_tenant(TenantConfig::new("a", 16));
-        let b = o.add_tenant(TenantConfig::new("b", 16));
-        // `b` is the last carved: grows in place.
-        o.resize_namespace(b, 32);
-        assert_eq!(o.namespace(b), crate::tenant::Namespace { base: 16, len: 32 });
-        // `a` is not: relocates past the watermark. Pages written before
-        // the relocation are left behind, so valid-page accounting resets.
-        let w = o.add_tenant_thread(a, Box::new(SeqWriter::new(4, 2)));
-        o.run();
-        assert_eq!(o.tenant_stats(a).valid_pages(), 4);
-        let _ = w;
-        o.resize_namespace(a, 24);
-        assert_eq!(o.namespace(a), crate::tenant::Namespace { base: 48, len: 24 });
-        assert_eq!(o.tenant_stats(a).valid_pages(), 0, "relocated window is empty");
-        // Shrink is always in place.
-        o.resize_namespace(a, 8);
-        assert_eq!(o.namespace(a), crate::tenant::Namespace { base: 48, len: 8 });
-        o.add_tenant_thread(a, Box::new(SeqWriter::new(8, 2)));
-        o.run();
-        // 4 pre-relocation writes + 8 in the new window (counters are
-        // cumulative; only the valid-page bitmap was reset).
-        assert_eq!(o.tenant_stats(a).writes_completed, 12);
-        assert_eq!(o.tenant_stats(a).valid_pages(), 8);
-    }
-
-    #[test]
     fn wfq_isolates_a_modest_tenant_from_a_flooder() {
         use crate::qos::QosPolicy;
         use crate::tenant::TenantConfig;
@@ -1377,7 +1303,6 @@ mod tests {
         o.run();
         assert_eq!(o.thread_stats(fill).writes_completed, 100);
         assert_eq!(o.tenant_stats(t).writes_completed, 32);
-        assert_eq!(o.tenant_count(), 2);
         assert_eq!(o.tenant_name(t), "t");
     }
 
@@ -1434,20 +1359,27 @@ mod tests {
 
     #[test]
     fn timeline_captures_completions_over_time() {
-        let mut o = os(OsConfig {
-            timeline_interval: Some(SimDuration::from_micros(500)),
-            ..OsConfig::default()
-        });
-        let t = o.add_thread(Box::new(SeqWriter::new(100, 4)));
+        // The `iops` column is the per-interval completion rate examples
+        // plot: rate × interval length must add back up to the run.
+        let mut ccfg = ControllerConfig::default();
+        ccfg.obs.timeline_interval_us = 500;
+        let ctrl = Controller::new(Geometry::tiny(), TimingSpec::slc(), ccfg).unwrap();
+        let mut o = Os::new(ctrl, OsConfig::default());
+        o.add_thread(Box::new(SeqWriter::new(100, 4)));
         o.run();
-        let tl = o.thread_stats(t).timeline.as_ref().expect("timeline on");
-        let total: f64 = tl.points().iter().sum();
-        assert_eq!(total, 100.0, "every completion lands in some interval");
-        assert!(tl.points().len() > 1, "run spans several intervals");
-        // Disabled by default.
-        let mut o2 = os(OsConfig::default());
-        let t2 = o2.add_thread(Box::new(SeqWriter::new(10, 2)));
-        o2.run();
-        assert!(o2.thread_stats(t2).timeline.is_none());
+        let tl = o.timeline().expect("timeline on");
+        assert_eq!(tl.columns()[0], "iops");
+        assert!(tl.len() > 1, "run spans several intervals");
+        let ends = tl.rows().iter().skip(1).map(|(at, _)| *at).chain([o.now()]);
+        let total: f64 = tl
+            .rows()
+            .iter()
+            .zip(ends)
+            .map(|((from, v), to)| v[0] * to.since(*from).as_secs_f64())
+            .sum();
+        assert!(
+            (total - 100.0).abs() < 1e-6,
+            "every completion lands in some interval, got {total}"
+        );
     }
 }

@@ -9,8 +9,8 @@
 //! every submission at the boundary, so no tenant can read or write
 //! another's pages no matter how buggy or hostile its workload.
 //!
-//! Namespaces are created (and may be resized) at setup time, carved from
-//! logical page 0 upward. The OS also keeps one implicit *default* tenant
+//! Namespaces are created at setup time, carved from logical page 0
+//! upward. The OS also keeps one implicit *default* tenant
 //! whose namespace is the whole device (identity translation) for
 //! preconditioning threads and single-tenant experiments — it overlays the
 //! carved namespaces by design, like an admin view.
@@ -196,26 +196,6 @@ impl TenantStats {
             }
         }
     }
-
-    /// Forget all valid pages (the namespace was relocated to a fresh,
-    /// logically empty window).
-    pub(crate) fn clear_valid(&mut self) {
-        self.valid.fill(0);
-        self.valid_pages = 0;
-    }
-
-    /// Resize the utilization bitmap (namespace resize at setup); bits past
-    /// the new length are dropped.
-    pub(crate) fn resize(&mut self, namespace_pages: u64) {
-        let words = namespace_pages.div_ceil(64) as usize;
-        self.valid.resize(words, 0);
-        if !namespace_pages.is_multiple_of(64) {
-            if let Some(last) = self.valid.last_mut() {
-                *last &= (1u64 << (namespace_pages % 64)) - 1;
-            }
-        }
-        self.valid_pages = self.valid.iter().map(|w| w.count_ones() as u64).sum();
-    }
 }
 
 #[cfg(test)]
@@ -260,17 +240,5 @@ mod tests {
         assert!(s.tail(OpClass::AppRead).p99 > SimDuration::ZERO);
         assert_eq!(s.tail(OpClass::AppWrite).count, 0);
         assert_eq!(s.tail(OpClass::GcRead), Tail::default());
-    }
-
-    #[test]
-    fn resize_preserves_low_bits_and_recounts() {
-        let mut s = TenantStats::new(128);
-        let d = SimDuration::from_micros(1);
-        s.record_completion(RequestKind::Write, 10, d);
-        s.record_completion(RequestKind::Write, 100, d);
-        s.resize(64); // shrink drops page 100
-        assert_eq!(s.valid_pages(), 1);
-        s.resize(256); // grow keeps page 10
-        assert_eq!(s.valid_pages(), 1);
     }
 }

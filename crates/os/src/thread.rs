@@ -80,11 +80,6 @@ impl CompletedIo {
     pub fn latency(&self) -> SimDuration {
         self.completed_at.since(self.enqueued_at)
     }
-
-    /// Device-level latency (dispatch → completion).
-    pub fn device_latency(&self) -> SimDuration {
-        self.completed_at.since(self.dispatched_at)
-    }
 }
 
 /// Actions a thread can take from its callbacks. Handed to the workload by
@@ -176,7 +171,6 @@ mod tests {
             completed_at: SimTime::from_nanos(500),
         };
         assert_eq!(c.latency().as_nanos(), 400);
-        assert_eq!(c.device_latency().as_nanos(), 350);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! layouts and allocation policies on the two very different patterns.
 
 use eagletree_core::SimTime;
-use eagletree_os::{CompletedIo, OsIo, ThreadCtx, ThreadId, Workload};
+use eagletree_os::{CompletedIo, OsIo, ThreadCtx, Workload};
 
 use crate::gen::Region;
 
@@ -206,30 +206,6 @@ impl Workload for GraceHashJoin {
     fn name(&self) -> &str {
         "grace-hash-join"
     }
-}
-
-/// Build the standard three-thread Grace join scenario: fill R, fill S
-/// (in parallel), then join once both finish. Returns the join thread id.
-pub fn build_grace_scenario(
-    os: &mut eagletree_os::Os,
-    r_pages: u64,
-    s_pages: u64,
-    partitions: u64,
-    window: u64,
-) -> ThreadId {
-    use crate::precondition::region_fill;
-    let region_r = Region::new(0, r_pages);
-    let region_s = Region::new(r_pages, s_pages);
-    // 2× slack per bucket: hash fan-out of sequential keys is roughly but
-    // not perfectly uniform, and a bucket overflow is a hard error.
-    let out_len = ((r_pages + s_pages) * 2).div_ceil(partitions) * partitions;
-    let region_out = Region::new(r_pages + s_pages, out_len);
-    let fill_r = os.add_thread(region_fill(region_r, window));
-    let fill_s = os.add_thread(region_fill(region_s, window));
-    os.add_thread_after(
-        Box::new(GraceHashJoin::new(region_r, region_s, region_out, partitions, window)),
-        vec![fill_r, fill_s],
-    )
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use eagletree_os::Workload;
 
-use crate::gen::{Pumped, RandWriteGen, Region, SeqWriteGen};
+use crate::gen::{Pumped, Region, SeqWriteGen};
 
 /// A thread that writes the entire logical space once, sequentially.
 pub fn sequential_fill(window: u64) -> Box<dyn Workload> {
@@ -81,11 +81,6 @@ pub fn region_fill(region: Region, window: u64) -> Box<dyn Workload> {
     )
 }
 
-/// Convenience: `count` random writes over a region (aging).
-pub fn region_age(region: Region, count: u64, window: u64, seed: u64) -> Box<dyn Workload> {
-    Box::new(Pumped::new(RandWriteGen::new(region, count), window, seed).named("region-age"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +118,5 @@ mod tests {
         assert_eq!(sequential_fill(8).name(), "seq-precondition");
         assert_eq!(random_fill(8, 1).name(), "rand-precondition");
         assert_eq!(region_fill(Region::new(0, 4), 2).name(), "region-precondition");
-        assert_eq!(region_age(Region::new(0, 4), 10, 2, 3).name(), "region-age");
     }
 }

@@ -13,7 +13,7 @@ fn main() {
     setup.ctrl.gc.greediness = 2;
     setup.ctrl.sched = SchedPolicy::reads_first();
     setup.os.queue_depth = 32;
-    setup.os.timeline_interval = Some(SimDuration::from_millis(20));
+    setup.ctrl.obs.timeline_interval_us = 20_000;
 
     println!(
         "SSD: {} channels x {} LUNs, {} pages of {} B ({} MiB), {:?} flash",
@@ -92,13 +92,10 @@ fn main() {
     println!("virtual time elapsed: {}", os.now());
 
     // … and how throughput evolved across virtual time (§2.3's
-    // metric-vs-time graphs, one sparkline per thread).
-    for (name, tid) in [("writer", writer), ("reader", reader)] {
-        if let Some(tl) = &os.thread_stats(tid).timeline {
-            println!(
-                "{name:>6} completions/20ms: {}",
-                sparkline(&downsample(tl.points(), 60))
-            );
-        }
+    // metric-vs-time graphs): the telemetry timeline's `iops` column.
+    if let Some(tl) = os.timeline() {
+        let col = tl.columns().iter().position(|c| *c == "iops").expect("iops column");
+        let iops: Vec<f64> = tl.rows().iter().map(|(_, row)| row[col]).collect();
+        println!("IOPS per 20ms: {}", sparkline(&downsample(&iops, 60)));
     }
 }

@@ -1,5 +1,6 @@
 //! Cross-crate integration tests: workloads → OS → controller → flash.
 
+use eagletree::controller::{class_index, IoSource, OpClass};
 use eagletree::prelude::*;
 
 fn small_setup() -> Setup {
@@ -266,4 +267,40 @@ fn wear_leveling_narrows_erase_distribution() {
         with < without,
         "static WL should narrow wear: with={with:.2} without={without:.2}"
     );
+}
+
+/// ROADMAP item 1's silent stop, at tier-1 size: DFTL, a sequential fill,
+/// then uniform random overwrites. `Os::run` returns normally with the
+/// writer unfinished — relocation writes bound to LUNs whose `Gc` stream
+/// has no block to allocate, and an empty agenda. `Os::stalled` names
+/// exactly that. When the stall is fixed this flips to "completes".
+#[test]
+fn dftl_random_overwrite_stall_is_named() {
+    let mut setup = Setup::small();
+    setup.ctrl.mapping = MappingKind::Dftl { cmt_entries: 256 };
+    let mut os = setup.build();
+    let fill = os.add_thread(precondition::sequential_fill(32));
+    let w = os.add_thread_after(
+        Box::new(Pumped::new(RandWriteGen::new(Region::whole(), 5000), 32, 42)),
+        vec![fill],
+    );
+    os.run();
+    assert!(os.thread_finished(fill) && !os.thread_finished(w));
+    let stalled = os.stalled().expect("the run stopped with work it cannot issue");
+    assert_eq!(stalled.unfinished_threads, vec![w]);
+    assert_eq!(stalled.inflight, 32);
+    let dev = &stalled.device;
+    let pending = |c: OpClass| dev.pending[class_index(c)];
+    assert_eq!((pending(OpClass::AppWrite), pending(OpClass::GcWrite)), (32, 32));
+    assert_eq!(dev.pending_ops(), 64, "{stalled}");
+    assert_eq!(dev.free_blocks, vec![1, 0, 0, 1]);
+    // Two GC jobs, each on a LUN with no block left for its destination.
+    assert_eq!(dev.jobs.len(), 2, "{stalled}");
+    for &(lun, source, moves_left) in &dev.jobs {
+        assert_eq!(source, IoSource::GarbageCollection);
+        assert_eq!(dev.free_blocks[lun as usize], 0);
+        assert!(moves_left > 0);
+    }
+    assert_eq!(dev.jobs.iter().map(|j| j.2).sum::<u32>(), 32, "one GcWrite per move left");
+    assert!(stalled.to_string().contains("32 AppWrite, 32 GcWrite"), "{stalled}");
 }
