@@ -5,7 +5,9 @@
 //! flash completions and scheduler wake-ups), the arrival counter, the
 //! per-class service tallies the policies read, the observability context
 //! of the op being issued, the superseded-while-queued bookkeeping of the
-//! relocation lanes ([`QueuedMoves`]), and the reusable scratch of one
+//! relocation lanes ([`QueuedMoves`]), the pages queued mapped reads may
+//! be waiting on ([`QueuedReads`] — what lets a read follow its page to
+//! another LUN's lane when the page dies), and the reusable scratch of one
 //! scheduling round. Every subsystem queues flash work through
 //! [`Controller::enqueue`]; [`Controller::run_sched`] decides what goes
 //! next under the configured `SchedPolicy`, and `issue.rs` turns the chosen
@@ -117,9 +119,11 @@ pub(super) enum PendKind {
     /// Erase `block` on behalf of `owner` (a reclaimed victim, a
     /// merge-retired block, or a retired checkpoint block).
     Erase { block: BlockAddr, owner: EraseOwner },
-    /// Application read; physical target resolved at issue time.
+    /// Application read; physical target resolved at issue time (while it
+    /// waits it rides the read lane of the LUN its page is on).
     AppRead { id: RequestId, lpn: Lpn },
-    /// DFTL translation-page fetch; location resolved at issue time.
+    /// DFTL translation-page fetch; location resolved at issue time (laned
+    /// like an `AppRead`).
     MapFetchRead { tvpn: u64 },
     /// Read-merge source of a translation writeback.
     WbRead { wb: usize },
@@ -175,6 +179,28 @@ impl Default for ObsCur {
     }
 }
 
+/// One bit per physical page.
+#[derive(Debug, PartialEq, Eq)]
+struct PageBits(Vec<u64>);
+
+impl PageBits {
+    fn new(g: &Geometry) -> Self {
+        PageBits(vec![0; (g.total_pages() as usize).div_ceil(64)])
+    }
+
+    fn get(&self, ppn: Ppn) -> bool {
+        self.0[ppn as usize / 64] & (1u64 << (ppn % 64)) != 0
+    }
+
+    fn set(&mut self, ppn: Ppn) {
+        self.0[ppn as usize / 64] |= 1u64 << (ppn % 64);
+    }
+
+    fn clear(&mut self, ppn: Ppn) {
+        self.0[ppn as usize / 64] &= !(1u64 << (ppn % 64));
+    }
+}
+
 /// The one op-specific term of a queued `GcMove`'s issuability: its source
 /// page may be invalidated while it waits, after which it is consumed
 /// without flash IO whatever its LUN is doing. Counting those per LUN lets
@@ -182,8 +208,8 @@ impl Default for ObsCur {
 /// lane's LUN has one.
 #[derive(Debug, PartialEq, Eq)]
 pub(super) struct QueuedMoves {
-    /// One bit per physical page: a `GcMove` reading it is queued.
-    queued: Vec<u64>,
+    /// Per physical page: a `GcMove` reading it is queued.
+    queued: PageBits,
     /// Per LUN: queued `GcMove`s whose source page has been invalidated.
     superseded: Vec<u32>,
 }
@@ -191,21 +217,20 @@ pub(super) struct QueuedMoves {
 impl QueuedMoves {
     fn new(g: &Geometry) -> Self {
         QueuedMoves {
-            queued: vec![0; (g.total_pages() as usize).div_ceil(64)],
+            queued: PageBits::new(g),
             superseded: vec![0; g.total_luns() as usize],
         }
     }
 
     /// A `GcMove` reading the live page `ppn` entered the pending set.
     fn enqueued(&mut self, ppn: Ppn) {
-        let (word, bit) = (ppn as usize / 64, 1u64 << (ppn % 64));
-        debug_assert_eq!(self.queued[word] & bit, 0, "two queued moves of page {ppn}");
-        self.queued[word] |= bit;
+        debug_assert!(!self.queued.get(ppn), "two queued moves of page {ppn}");
+        self.queued.set(ppn);
     }
 
     /// The live page `ppn` on `lun` was invalidated.
     pub(super) fn invalidated(&mut self, ppn: Ppn, lun: u32) {
-        if self.queued[ppn as usize / 64] & (1u64 << (ppn % 64)) != 0 {
+        if self.queued.get(ppn) {
             self.superseded[lun as usize] += 1;
         }
     }
@@ -218,9 +243,34 @@ impl QueuedMoves {
     /// The `GcMove` reading `ppn` on `lun` left the pending set;
     /// `superseded`: consumed because its page was invalidated.
     pub(super) fn issued(&mut self, ppn: Ppn, lun: u32, superseded: bool) {
-        self.queued[ppn as usize / 64] &= !(1u64 << (ppn % 64));
+        self.queued.clear(ppn);
         if superseded {
             self.superseded[lun as usize] -= 1;
+        }
+    }
+}
+
+/// The one thing that changes a queued mapped read's lane key: the page
+/// its source resolves to dies (overwrite, trim, relocation, writeback),
+/// and the mapping now points elsewhere — perhaps at another LUN. Every
+/// such change passes through [`Controller::invalidate_ppn`], so marking
+/// the pages laned reads resolved to lets that hook find the reads to
+/// re-lane by one bit test on the dying page.
+#[derive(Debug, PartialEq, Eq)]
+pub(super) struct QueuedReads {
+    /// Per physical page, a superset: a laned read that resolved to it
+    /// *may* be queued. Set at enqueue and at re-lane, cleared only when
+    /// the page dies — a read that issued leaves its bit stale.
+    noted: PageBits,
+    /// Reusable scratch of one re-lane walk: `(slot, new lane)`.
+    moving: Vec<(u32, LaneKey)>,
+}
+
+impl QueuedReads {
+    pub(super) fn new(g: &Geometry) -> Self {
+        QueuedReads {
+            noted: PageBits::new(g),
+            moving: Vec::new(),
         }
     }
 }
@@ -231,6 +281,7 @@ pub(super) struct Dispatch {
     pub(super) events: EventQueue<CtrlEvent>,
     pub(super) pending: PendingSet<PendingOp>,
     pub(super) moves: QueuedMoves,
+    pub(super) reads: QueuedReads,
     /// Reusable scratch for one scheduling round's head candidates
     /// (`(key, slot)`), keys-only view, write memo and LUN probe —
     /// kept here so steady-state dispatch never allocates.
@@ -260,6 +311,7 @@ impl Dispatch {
             events,
             pending: PendingSet::new(),
             moves: QueuedMoves::new(geometry),
+            reads: QueuedReads::new(geometry),
             sched_cand: Vec::new(),
             sched_keys: Vec::new(),
             write_memo: Vec::new(),
@@ -314,10 +366,18 @@ impl Controller {
             PendKind::Transfer { .. } => QueueKey::Transfer,
             _ => QueueKey::Class(class, tag),
         };
-        if let PendKind::GcMove { from, .. } = kind {
-            let ppn = self.array.geometry().page_index(from);
-            debug_assert!(self.reverse[ppn as usize].is_some(), "move of a dead page queued");
-            self.disp.moves.enqueued(ppn);
+        match kind {
+            PendKind::GcMove { from, .. } => {
+                let ppn = self.array.geometry().page_index(from);
+                debug_assert!(self.reverse[ppn as usize].is_some(), "move of a dead page queued");
+                self.disp.moves.enqueued(ppn);
+            }
+            PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } => {
+                if let Some(ppn) = self.mapped_read_page(&kind) {
+                    self.disp.reads.noted.set(ppn);
+                }
+            }
+            _ => {}
         }
         self.disp.pending.insert(
             key,
@@ -418,16 +478,83 @@ impl Controller {
     /// contract a `PendingSet` lane requires (the lane head's verdict then
     /// covers the whole lane): a page write's of `(LUN, stream)`, a
     /// `GcMove`'s of its source LUN (`ReadStart` resources are per LUN;
-    /// its one per-op exception is tracked in [`QueuedMoves`]). Everything
-    /// else goes to the group's order-scan queue.
+    /// its one per-op exception is tracked in [`QueuedMoves`]), a mapped
+    /// read's of the LUN its source resolves to now (when that changes,
+    /// [`Self::reads_follow`] moves the op). Everything else goes to the
+    /// group's order-scan queue.
     fn lane_of(&self, kind: &PendKind) -> Option<LaneKey> {
         match *kind {
             PendKind::Write { lun, stream, .. } => Some(LaneKey::Write { lun, stream }),
             PendKind::GcMove { from, .. } => Some(LaneKey::MoveFrom {
                 lun: self.array.geometry().lun_index(from.channel, from.lun),
             }),
+            PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } => {
+                Some(self.read_lane(self.mapped_read_page(kind)))
+            }
             _ => None,
         }
+    }
+
+    /// The page a mapped read (`AppRead`, `MapFetchRead`) would read right
+    /// now. `None`: nothing (left) to read — trimmed while queued, or a
+    /// fetch resolvable from RAM structures.
+    fn mapped_read_page(&self, kind: &PendKind) -> Option<Ppn> {
+        match *kind {
+            PendKind::AppRead { lpn, .. } => self.ftl.peek(lpn),
+            PendKind::MapFetchRead { tvpn } => self.ftl.translation_location(tvpn),
+            _ => unreachable!("{kind:?} is not a mapped read"),
+        }
+    }
+
+    /// The lane of a mapped read whose source resolves to `page`.
+    fn read_lane(&self, page: Option<Ppn>) -> LaneKey {
+        LaneKey::ReadFrom {
+            lun: page.map(|p| self.array.geometry().lun_of_page(p)),
+        }
+    }
+
+    /// The page `ppn` on `lun` no longer holds what the mapping points at
+    /// (called after the mapping moved): queued mapped reads that resolved
+    /// to it follow their page, to another lane if it changed LUN. One bit
+    /// test unless such a read may be queued.
+    #[inline]
+    pub(super) fn reads_follow(&mut self, ppn: Ppn, lun: u32) {
+        debug_assert_eq!(lun, self.array.geometry().lun_of_page(ppn));
+        if self.disp.reads.noted.get(ppn) {
+            self.relane_reads(ppn, lun);
+        }
+    }
+
+    /// The noted page `dead` on `lun` died: re-resolve every mapped read
+    /// queued on `lun`'s read lanes and move those whose LUN changed to
+    /// their new lane, in seq order. Every op walked is noted at the page
+    /// it resolves to *now*, not only the ones that move: a read whose
+    /// page moved within the LUN keeps its lane but must still be found
+    /// when the new page dies.
+    #[cold]
+    fn relane_reads(&mut self, dead: Ppn, lun: u32) {
+        self.disp.reads.noted.clear(dead);
+        let here = LaneKey::ReadFrom { lun: Some(lun) };
+        let mut moving = std::mem::take(&mut self.disp.reads.moving);
+        for group in 1..self.disp.pending.group_count() {
+            let pending = &self.disp.pending;
+            let Some(li) = pending.lane_index(group, here) else { continue };
+            moving.clear();
+            for slot in pending.walk(pending.lane_head(group, li)) {
+                let page = self.mapped_read_page(&pending.get(slot).kind);
+                let lane = self.read_lane(page);
+                if let Some(ppn) = page {
+                    self.disp.reads.noted.set(ppn);
+                }
+                if lane != here {
+                    moving.push((slot, lane));
+                }
+            }
+            for &(slot, lane) in &moving {
+                self.disp.pending.move_to_lane(slot, lane, |op| op.seq);
+            }
+        }
+        self.disp.reads.moving = moving;
     }
 
     /// Channel usable under the interleaving policy: with interleaving off
@@ -448,8 +575,9 @@ impl Controller {
         self.array.can_issue(cmd, now) && self.channel_ok(cmd.channel(), cmd.lun(), now)
     }
 
-    /// LUN (linear) free for a new program right now.
-    fn lun_free_for_program(&self, lun: u32, now: SimTime) -> bool {
+    /// LUN (linear) free to start a new array operation right now: the
+    /// resources of a program, and exactly those of a `ReadStart`.
+    fn lun_idle(&self, lun: u32, now: SimTime) -> bool {
         let g = self.array.geometry();
         let channel = lun / g.luns_per_channel;
         let l = lun % g.luns_per_channel;
@@ -477,7 +605,7 @@ impl Controller {
         if !self.alloc.can_alloc(lun, stream) {
             return false;
         }
-        if self.lun_free_for_program(lun, now) {
+        if self.lun_idle(lun, now) {
             return true;
         }
         if !self.cfg.use_cached_program {
@@ -505,17 +633,15 @@ impl Controller {
     }
 
     /// Where a read op's source page sits right now — resolved when the
-    /// scheduler probes the op and again when it issues, since the mapping
-    /// moves while the op waits. `None`: there is nothing (left) to read
-    /// and the op is consumed without flash IO. Not a read op: `None`.
+    /// op issues (and when the scan queue or the debug oracle probes it),
+    /// since the mapping moves while the op waits. `None`: there is
+    /// nothing (left) to read and the op is consumed without flash IO.
+    /// Not a read op: `None`.
     pub(super) fn read_source(&self, kind: &PendKind) -> Option<PhysicalAddr> {
         let g = self.array.geometry();
         match *kind {
-            // `None`: trimmed mid-flight, the read completes instantly.
-            PendKind::AppRead { lpn, .. } => self.ftl.peek(lpn).map(|p| g.page_at(p)),
-            // `None`: resolvable from RAM structures.
-            PendKind::MapFetchRead { tvpn } => {
-                self.ftl.translation_location(tvpn).map(|p| g.page_at(p))
+            PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } => {
+                self.mapped_read_page(kind).map(|p| g.page_at(p))
             }
             PendKind::WbRead { wb } => self.wb_read_source(wb),
             // `None`: trimmed since enqueue, reroutes to a filler program.
@@ -542,6 +668,48 @@ impl Controller {
             }
         }
         assert!(self.disp.moves == recount, "queued-move bookkeeping drifted from the pending set");
+    }
+
+    /// Every queued mapped read sits where [`Self::reads_follow`] will
+    /// find it: in the read lane of the LUN its source resolves to now, in
+    /// seq order, with that page noted — and nowhere else. Between
+    /// scheduling rounds no `ReadFrom { lun: None }` lane holds an op: such
+    /// an op is always issuable, so the round that follows the handler
+    /// that made it drains it, and "`None` becomes `Some` later" cannot
+    /// happen to a queued op.
+    pub(super) fn check_queued_reads(&self) {
+        let pending = &self.disp.pending;
+        let mapped = |op: &PendingOp| {
+            matches!(op.kind, PendKind::AppRead { .. } | PendKind::MapFetchRead { .. })
+        };
+        let walk = |head: u32| pending.walk(head).map(|s| pending.get(s));
+        for group in 0..pending.group_count() {
+            assert!(
+                !walk(pending.scan_head(group)).any(mapped),
+                "a scan queue holds a mapped read"
+            );
+            for li in 0..pending.lane_count(group) {
+                let key = pending.lane_key(group, li);
+                let ops = || walk(pending.lane_head(group, li));
+                let LaneKey::ReadFrom { lun } = key else {
+                    assert!(!ops().any(mapped), "{key:?} holds a mapped read");
+                    continue;
+                };
+                assert!(
+                    lun.is_some() || ops().next().is_none(),
+                    "a read with nothing to read outlived its scheduling round"
+                );
+                let mut last = None;
+                for op in ops() {
+                    assert!(mapped(op), "{:?} in a read lane", op.kind);
+                    let page = self.mapped_read_page(&op.kind);
+                    assert_eq!(self.read_lane(page), key, "read in another LUN's lane: {op:?}");
+                    assert!(page.is_none_or(|p| self.disp.reads.noted.get(p)), "unnoted: {op:?}");
+                    assert!(last < Some(op.seq), "read lane out of seq order");
+                    last = Some(op.seq);
+                }
+            }
+        }
     }
 
     /// Whether the source page of a queued `GcMove` has been invalidated
@@ -623,22 +791,29 @@ impl Controller {
         // policy), and finding it probes one head per lane plus the
         // blocked prefix of the scan queue — so per-issue cost tracks the
         // live (class, tag) groups and their lanes, not the number of
-        // queued writes or relocations — and the reused scratch buffers
-        // keep the loop allocation-free.
+        // queued writes, relocations or reads — and the reused scratch
+        // buffers keep the loop allocation-free.
         let mut memo = std::mem::take(&mut self.disp.write_memo);
         loop {
             memo.clear();
             // Hardware necessity: pending transfers hold LUN registers
             // hostage, so they always go first (from their own group —
             // no scan over non-transfer ops).
-            let t = self.first_issuable(PendingSet::<PendingOp>::TRANSFER_GROUP, now, &mut memo);
-            if t != NO_SLOT {
-                self.issue(t, now);
-                continue;
+            const TRANSFERS: u32 = PendingSet::<PendingOp>::TRANSFER_GROUP;
+            if self.disp.pending.group_len(TRANSFERS) != 0 {
+                let t = self.first_issuable(TRANSFERS, now, &mut memo);
+                if t != NO_SLOT {
+                    self.issue(t, now);
+                    continue;
+                }
             }
             let mut cand = std::mem::take(&mut self.disp.sched_cand);
             cand.clear();
             for q in 1..self.disp.pending.group_count() {
+                // Groups outlive their ops; most are empty most rounds.
+                if self.disp.pending.group_len(q) == 0 {
+                    continue;
+                }
                 let slot = self.first_issuable(q, now, &mut memo);
                 if slot != NO_SLOT {
                     let op = self.disp.pending.get(slot);
@@ -674,6 +849,8 @@ impl Controller {
             self.issue(slot, now);
         }
         self.disp.write_memo = memo;
+        #[cfg(debug_assertions)]
+        self.check_queued_reads();
     }
 
     /// First op in `group` that could issue right now, or `NO_SLOT`.
@@ -682,7 +859,9 @@ impl Controller {
     /// contributes its head (a blocked head proves the lane blocked — its
     /// ops share one issuability predicate), except that a blocked
     /// relocation lane whose LUN has superseded moves queued is walked for
-    /// its first one. The min-seq winner is exactly the op a single merged
+    /// its first one. A read lane is answered from its key alone — nothing
+    /// to read, or the LUN free for a `ReadStart` — without resolving the
+    /// head's mapping. The min-seq winner is exactly the op a single merged
     /// FIFO would have yielded: a lane head has the smallest seq of its
     /// key, and any issuable lane op is either superseded or implies its
     /// head (same predicate, smaller seq) issuable too. Debug builds check
@@ -703,13 +882,28 @@ impl Controller {
         }
         for li in 0..pending.lane_count(group) {
             let head = pending.lane_head(group, li);
-            if head == NO_SLOT || pending.get(head).seq >= best_seq {
+            if head == NO_SLOT {
                 continue;
             }
-            let slot = if self.op_issuable(pending.get(head), now, memo) {
-                head
-            } else {
-                self.first_superseded_behind(head, pending.lane_key(group, li), best_seq)
+            let op = pending.get(head);
+            if op.seq >= best_seq {
+                continue;
+            }
+            // By the head's kind first: the key is loaded only where it
+            // decides (write-only workloads run this loop ~23× per IO).
+            let slot = match op.kind {
+                PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } => {
+                    let LaneKey::ReadFrom { lun } = pending.lane_key(group, li) else {
+                        unreachable!("mapped read outside a read lane");
+                    };
+                    if lun.is_none_or(|l| self.lun_idle(l, now)) {
+                        head
+                    } else {
+                        NO_SLOT
+                    }
+                }
+                _ if self.op_issuable(op, now, memo) => head,
+                _ => self.first_superseded_behind(head, pending.lane_key(group, li), best_seq),
             };
             if slot != NO_SLOT {
                 best = slot;

@@ -30,7 +30,7 @@ struct FetchJob {
 }
 
 pub(super) struct WbJob {
-    tvpn: u64,
+    pub(super) tvpn: u64,
     old_ppn: Option<Ppn>,
 }
 
@@ -167,6 +167,11 @@ impl Controller {
         if let Some(old) = old {
             if self.reverse[old as usize] == Some(PageContent::Translation(job.tvpn)) {
                 self.invalidate_ppn(old);
+            } else {
+                // Already dead, but the GTD pointed at it until just now:
+                // a queued fetch of `tvpn` may still be laned on its LUN.
+                let lun = self.array.geometry().lun_of_page(old);
+                self.reads_follow(old, lun);
             }
         }
     }

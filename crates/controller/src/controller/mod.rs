@@ -38,6 +38,8 @@ mod merge;
 mod mount;
 #[cfg(test)]
 mod move_lane_tests;
+#[cfg(test)]
+mod read_lane_tests;
 mod reclaim;
 mod stamps;
 mod stats;
@@ -239,7 +241,10 @@ impl Controller {
     }
 
     /// The single place a physical page's content dies — which is what
-    /// lets `disp.moves` count the queued `GcMove`s it supersedes.
+    /// lets `disp.moves` count the queued `GcMove`s it supersedes, and
+    /// queued mapped reads follow their page: every handler that moves a
+    /// mapping away from a live page calls this for the old page before
+    /// the next scheduling round.
     fn invalidate_ppn(&mut self, ppn: Ppn) {
         let g = self.array.geometry();
         let addr = g.page_at(ppn);
@@ -248,6 +253,7 @@ impl Controller {
         if self.reverse[ppn as usize].take().is_some() {
             self.disp.moves.invalidated(ppn, lun);
         }
+        self.reads_follow(ppn, lun);
     }
 
     /// Ledger an uncorrectable read of application data: `lpn` is the
@@ -365,26 +371,34 @@ impl Controller {
             }
         }
         self.check_queued_moves();
+        self.check_queued_reads();
         // Allocator free-block accounting matches the array.
         for lun in 0..g.total_luns() {
             let channel = lun / g.luns_per_channel;
             let l = lun % g.luns_per_channel;
             let free_in_alloc = self.alloc.free_blocks(lun);
-            let empty_blocks = (0..g.planes_per_lun)
-                .flat_map(|p| (0..g.blocks_per_plane).map(move |b| (p, b)))
-                .filter(|&(p, b)| {
-                    let info = self.array.block_info(BlockAddr {
+            let blocks = || {
+                (0..g.planes_per_lun).flat_map(move |plane| {
+                    (0..g.blocks_per_plane).map(move |block| BlockAddr {
                         channel,
                         lun: l,
-                        plane: p,
-                        block: b,
-                    });
-                    info.write_ptr == 0
+                        plane,
+                        block,
+                    })
                 })
+            };
+            let empty_blocks = blocks()
+                .filter(|&b| self.array.block_info(b).write_ptr == 0)
                 .count();
             assert!(
                 free_in_alloc <= empty_blocks,
                 "allocator believes more blocks free than are empty on lun {lun}"
+            );
+            // The count that lets GC skip a victim search matches the blocks.
+            assert_eq!(
+                self.array.reclaimable_on(lun) as usize,
+                blocks().filter(|&b| self.array.is_reclaimable(b)).count(),
+                "reclaimable-block count drifted on lun {lun}"
             );
         }
     }

@@ -2,7 +2,8 @@
 //! lane: superseded behind a blocked head, re-queued after a copy-back
 //! program failure, and dropped with the pending set at a power cut.
 //! Driven mid-flight, one agenda instant at a time, with the bookkeeping
-//! recounted from the pending set after every step.
+//! recounted from the pending set after every step. The [`Driver`] also
+//! serves `read_lane_tests`.
 
 use eagletree_core::SimTime;
 use eagletree_flash::{FaultConfig, Geometry, TimingSpec};
@@ -10,13 +11,13 @@ use eagletree_flash::{FaultConfig, Geometry, TimingSpec};
 use super::dispatch::{PendKind, PendingOp};
 use super::{Controller, PageContent};
 use crate::config::{ControllerConfig, WlConfig};
-use crate::pend::{LaneKey, NO_SLOT};
+use crate::pend::LaneKey;
 use crate::recovery::RecoveryMode;
 use crate::types::{Completion, IoTags, Lpn, Ppn, RequestKind, SsdRequest};
 
 /// GC is the only reclaim trigger, so a LUN has at most one victim and a
 /// relocation lane holds one job's moves.
-fn cfg() -> ControllerConfig {
+pub(super) fn cfg() -> ControllerConfig {
     ControllerConfig {
         wl: WlConfig {
             static_enabled: false,
@@ -26,14 +27,14 @@ fn cfg() -> ControllerConfig {
     }
 }
 
-struct Driver {
-    c: Controller,
-    now: SimTime,
-    next_id: u64,
+pub(super) struct Driver {
+    pub(super) c: Controller,
+    pub(super) now: SimTime,
+    pub(super) next_id: u64,
 }
 
 impl Driver {
-    fn new(cfg: ControllerConfig) -> Self {
+    pub(super) fn new(cfg: ControllerConfig) -> Self {
         let c = Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap();
         Driver {
             c,
@@ -42,7 +43,13 @@ impl Driver {
         }
     }
 
-    fn submit(&mut self, kind: RequestKind, lpn: Lpn) -> u64 {
+    /// Recount the lane bookkeeping from the pending set.
+    fn check_queued(&self) {
+        self.c.check_queued_moves();
+        self.c.check_queued_reads();
+    }
+
+    pub(super) fn submit(&mut self, kind: RequestKind, lpn: Lpn) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.c.submit(
@@ -54,26 +61,26 @@ impl Driver {
             },
             self.now,
         );
-        self.c.check_queued_moves();
+        self.check_queued();
         id
     }
 
     /// Process the next agenda instant; `None` once the agenda is dry.
-    fn step(&mut self) -> Option<Vec<Completion>> {
+    pub(super) fn step(&mut self) -> Option<Vec<Completion>> {
         self.now = self.c.next_event_time()?;
         let done = self.c.advance(self.now);
-        self.c.check_queued_moves();
+        self.check_queued();
         Some(done)
     }
 
-    fn run(&mut self) {
+    pub(super) fn run(&mut self) {
         while self.step().is_some() {}
     }
 
     /// Fill the logical space, then overwrite every eighth page — each
     /// block keeps most of its pages live, so the victims GC picks queue
     /// long lanes — stepping until `stop` holds. Panics if it never does.
-    fn age_until(&mut self, mut stop: impl FnMut(&Controller, SimTime) -> bool) {
+    pub(super) fn age_until(&mut self, mut stop: impl FnMut(&Controller, SimTime) -> bool) {
         let n = self.c.logical_pages();
         for lpn in 0..n {
             self.submit(RequestKind::Write, lpn);
@@ -92,7 +99,7 @@ impl Driver {
 }
 
 /// Every relocation lane of `c`: its source LUN and its ops, head first.
-fn move_lanes(c: &Controller) -> Vec<(u32, Vec<PendingOp>)> {
+pub(super) fn move_lanes(c: &Controller) -> Vec<(u32, Vec<PendingOp>)> {
     let pending = &c.disp.pending;
     let mut lanes = Vec::new();
     for group in 1..pending.group_count() {
@@ -100,33 +107,28 @@ fn move_lanes(c: &Controller) -> Vec<(u32, Vec<PendingOp>)> {
             let LaneKey::MoveFrom { lun } = pending.lane_key(group, li) else {
                 continue;
             };
-            let mut ops = Vec::new();
-            let mut cur = pending.lane_head(group, li);
-            while cur != NO_SLOT {
-                ops.push(*pending.get(cur));
-                cur = pending.next(cur);
-            }
-            lanes.push((lun, ops));
+            let lane = pending.walk(pending.lane_head(group, li));
+            lanes.push((lun, lane.map(|slot| *pending.get(slot)).collect()));
         }
     }
     lanes
 }
 
-fn lun_busy(c: &Controller, lun: u32, now: SimTime) -> bool {
+pub(super) fn lun_busy(c: &Controller, lun: u32, now: SimTime) -> bool {
     let per_channel = c.array.geometry().luns_per_channel;
     c.array.lun_free_at(lun / per_channel, lun % per_channel) > now
 }
 
 /// A lane of at least four moves whose LUN is busy: a blocked head with
 /// ops that are neither head nor tail behind it.
-fn deep_blocked_lane(c: &Controller, now: SimTime) -> Option<(u32, Vec<PendingOp>)> {
+pub(super) fn deep_blocked_lane(c: &Controller, now: SimTime) -> Option<(u32, Vec<PendingOp>)> {
     move_lanes(c)
         .into_iter()
         .find(|(lun, ops)| ops.len() >= 4 && lun_busy(c, *lun, now))
 }
 
 /// `(job, source page)` of a queued move.
-fn move_of(c: &Controller, op: &PendingOp) -> (usize, Ppn) {
+pub(super) fn move_of(c: &Controller, op: &PendingOp) -> (usize, Ppn) {
     match op.kind {
         PendKind::GcMove { job, from } => (job, c.array.geometry().page_index(from)),
         other => panic!("{other:?} in a relocation lane"),

@@ -42,6 +42,11 @@ pub fn pick_victim(
     rng: &mut SimRng,
     now: SimTime,
 ) -> Option<BlockAddr> {
+    // Nothing reclaimable (a freshly filled LUN: every block fully live):
+    // no policy finds a victim, and none draws from `rng` before knowing.
+    if array.reclaimable_on(lun) == 0 {
+        return None;
+    }
     let g = *array.geometry();
     let channel = lun / g.luns_per_channel;
     let lun_in_ch = lun % g.luns_per_channel;

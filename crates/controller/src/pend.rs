@@ -8,23 +8,32 @@
 //! for register transfers, the hardware-necessity fast path):
 //!
 //! * the group's **scan queue** holds ops whose issuability is op-specific
-//!   (reads resolve their target at probe time, hybrid appends depend on
-//!   log-block state); finding its first issuable op probes the blocked
-//!   prefix in FIFO order, O(position of the first issuable op);
+//!   and rare enough not to earn a lane: register transfers (in their own
+//!   group), erases, `WbRead` (its source dies at an erase, not at an
+//!   invalidation), `HybridWrite` (log-block state), `MergeRead` /
+//!   `MergeProgram` (one in flight) and `CkptWrite`; finding its first
+//!   issuable op probes the blocked prefix in FIFO order, O(position of
+//!   the first issuable op);
 //! * **lanes** hold ops whose issuability is decided by their
-//!   [`LaneKey`]: page writes, one lane per `(LUN, stream)`, and
-//!   relocation reads, one lane per source LUN. The lane contract: the
-//!   issuability predicate is a function of the lane key, plus at most an
-//!   explicitly tracked per-op exception. So the lane *head* decides for
-//!   the whole lane — a blocked head proves every non-excepted op behind
-//!   it blocked, and one probe replaces an O(lane length) walk. Writes
-//!   have no exception. A relocation read has one: its source page may be
-//!   superseded while it waits, which makes it consumable regardless of
-//!   the LUN; the owner counts those per LUN and walks a blocked lane only
-//!   while its count is non-zero (`Controller::first_issuable`). This is
-//!   what keeps deep write backlogs (queue depth 512 and beyond) and the
-//!   GC backlog of an aged device (every live page of every victim) out of
-//!   the scheduler's inner loop.
+//!   [`LaneKey`]: page writes, one lane per `(LUN, stream)`; relocation
+//!   reads, one lane per source LUN; and mapped reads (`AppRead`,
+//!   `MapFetchRead`), one lane per LUN their source resolves to. The lane
+//!   contract: the issuability predicate is a function of the lane key,
+//!   plus at most an explicitly tracked per-op exception; an op whose key
+//!   changes while it waits is moved, in seq order, at the one site that
+//!   changes it ([`PendingSet::move_to_lane`]). So the lane *head* — the
+//!   min seq of its key — decides for the whole lane: a blocked head
+//!   proves every non-excepted op behind it blocked, and one probe
+//!   replaces an O(lane length) walk. Writes and mapped reads have no
+//!   exception (a mapped read whose page moves follows it to the lane of
+//!   its new LUN when the old page dies). A relocation read has one: its
+//!   source page may be superseded while it waits, which makes it
+//!   consumable regardless of the LUN; the owner counts those per LUN and
+//!   walks a blocked lane only while its count is non-zero
+//!   (`Controller::first_issuable`). This is what keeps deep write
+//!   backlogs (queue depth 512 and beyond), the GC backlog of an aged
+//!   device (every live page of every victim) and the read backlog of a
+//!   read-heavy host out of the scheduler's inner loop.
 //!
 //! A group's first issuable op is the min-seq candidate over the scan
 //! queue's first issuable op and each lane's first issuable op — exactly
@@ -70,6 +79,9 @@ pub(crate) enum LaneKey {
     Write { lun: Option<u32>, stream: Stream },
     /// Relocation reads whose source page sits on `lun` (linear index).
     MoveFrom { lun: u32 },
+    /// Mapped reads whose source currently resolves to a page on `lun`
+    /// (`None`: nothing left to read, consumable at once).
+    ReadFrom { lun: Option<u32> },
 }
 
 #[derive(Debug)]
@@ -83,6 +95,8 @@ struct Slot<T> {
 struct Queue {
     head: u32,
     tail: u32,
+    /// Owning group.
+    group: u32,
 }
 
 #[derive(Debug)]
@@ -93,6 +107,8 @@ struct Group {
     /// (≤ LUNs × streams in play); linear search beats hashing here.
     lane_keys: Vec<LaneKey>,
     lane_queues: Vec<u32>,
+    /// Live items over all of the group's queues.
+    len: u32,
 }
 
 /// Slab + intrusive FIFO queues of pending items, grouped per `QueueKey`.
@@ -122,11 +138,13 @@ impl<T> PendingSet<T> {
             queues: vec![Queue {
                 head: NO_SLOT,
                 tail: NO_SLOT,
+                group: Self::TRANSFER_GROUP,
             }],
             groups: vec![Group {
                 scan: 0,
                 lane_keys: Vec::new(),
                 lane_queues: Vec::new(),
+                len: 0,
             }],
             by_key,
             live: 0,
@@ -145,6 +163,11 @@ impl<T> PendingSet<T> {
     /// groups are kept for reuse, so ids are stable for a set's lifetime.
     pub(crate) fn group_count(&self) -> u32 {
         self.groups.len() as u32
+    }
+
+    /// Live items in `group`, over its scan queue and every lane.
+    pub(crate) fn group_len(&self, group: u32) -> u32 {
+        self.groups[group as usize].len
     }
 
     /// Head slot of a group's scan queue (`NO_SLOT` when empty).
@@ -173,6 +196,15 @@ impl<T> PendingSet<T> {
         self.slots[slot as usize].next
     }
 
+    /// The slots of a queue from `head` (a scan or lane head) to its tail.
+    /// For maintenance walks and checks; the scheduler's own probes stop
+    /// early and follow `next` themselves.
+    pub(crate) fn walk(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors((head != NO_SLOT).then_some(head), |&s| {
+            Some(self.next(s)).filter(|&n| n != NO_SLOT)
+        })
+    }
+
     /// The item in `slot`. Panics on a freed slot.
     pub(crate) fn get(&self, slot: u32) -> &T {
         self.slots[slot as usize]
@@ -181,81 +213,57 @@ impl<T> PendingSet<T> {
             .expect("read of freed pending slot")
     }
 
-    fn new_queue(queues: &mut Vec<Queue>) -> u32 {
+    fn new_queue(queues: &mut Vec<Queue>, group: u32) -> u32 {
         let q = queues.len() as u32;
         queues.push(Queue {
             head: NO_SLOT,
             tail: NO_SLOT,
+            group,
         });
         q
     }
 
-    /// Append `item` to the FIFO for `key`/`lane`; returns its slot id.
-    pub(crate) fn insert(&mut self, key: QueueKey, lane: Option<LaneKey>, item: T) -> u32 {
-        let g = match self.by_key.get(&key) {
-            Some(&g) => g,
-            None => {
-                let g = self.groups.len() as u32;
-                let scan = Self::new_queue(&mut self.queues);
-                self.groups.push(Group {
-                    scan,
-                    lane_keys: Vec::new(),
-                    lane_queues: Vec::new(),
-                });
-                self.by_key.insert(key, g);
-                g
-            }
-        };
-        let q = match lane {
-            None => self.groups[g as usize].scan,
-            Some(lk) => {
-                let group = &self.groups[g as usize];
-                match group.lane_keys.iter().position(|&k| k == lk) {
-                    Some(i) => group.lane_queues[i],
-                    None => {
-                        let q = Self::new_queue(&mut self.queues);
-                        let group = &mut self.groups[g as usize];
-                        group.lane_keys.push(lk);
-                        group.lane_queues.push(q);
-                        q
-                    }
-                }
-            }
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].item = Some(item);
-                s
-            }
-            None => {
-                self.slots.push(Slot {
-                    item: Some(item),
-                    prev: NO_SLOT,
-                    next: NO_SLOT,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let queue = &mut self.queues[q as usize];
-        let tail = queue.tail;
-        self.slots[slot as usize].prev = tail;
-        self.slots[slot as usize].next = NO_SLOT;
-        if tail == NO_SLOT {
-            queue.head = slot;
-        } else {
-            self.slots[tail as usize].next = slot;
-        }
-        queue.tail = slot;
-        self.slot_queue.resize(self.slots.len(), NO_SLOT);
-        self.slot_queue[slot as usize] = q;
-        self.live += 1;
-        slot
+    /// Index of `group`'s lane for `key`, if it has one.
+    pub(crate) fn lane_index(&self, group: u32, key: LaneKey) -> Option<usize> {
+        self.groups[group as usize].lane_keys.iter().position(|&k| k == key)
     }
 
-    /// Detach `slot` from its queue and free it, returning the item.
-    pub(crate) fn remove(&mut self, slot: u32) -> T {
+    /// Queue id of `group`'s lane for `key`, created on first use.
+    fn lane_queue(&mut self, group: u32, key: LaneKey) -> u32 {
+        match self.lane_index(group, key) {
+            Some(i) => self.groups[group as usize].lane_queues[i],
+            None => {
+                let q = Self::new_queue(&mut self.queues, group);
+                let g = &mut self.groups[group as usize];
+                g.lane_keys.push(key);
+                g.lane_queues.push(q);
+                q
+            }
+        }
+    }
+
+    /// Link `slot` into queue `q` between `prev` and `next` (either may be
+    /// `NO_SLOT`: the queue's ends).
+    fn link(&mut self, q: u32, slot: u32, prev: u32, next: u32) {
+        self.slots[slot as usize].prev = prev;
+        self.slots[slot as usize].next = next;
+        if prev == NO_SLOT {
+            self.queues[q as usize].head = slot;
+        } else {
+            self.slots[prev as usize].next = slot;
+        }
+        if next == NO_SLOT {
+            self.queues[q as usize].tail = slot;
+        } else {
+            self.slots[next as usize].prev = slot;
+        }
+        self.slot_queue[slot as usize] = q;
+    }
+
+    /// Detach `slot` from its queue, which is returned.
+    fn unlink(&mut self, slot: u32) -> u32 {
         let q = self.slot_queue[slot as usize];
-        debug_assert_ne!(q, NO_SLOT, "remove of freed pending slot");
+        debug_assert_ne!(q, NO_SLOT, "unlink of freed pending slot");
         let (prev, next) = {
             let s = &self.slots[slot as usize];
             (s.prev, s.next)
@@ -271,6 +279,71 @@ impl<T> PendingSet<T> {
         } else {
             self.slots[next as usize].prev = prev;
         }
+        q
+    }
+
+    /// Append `item` to the FIFO for `key`/`lane`; returns its slot id.
+    pub(crate) fn insert(&mut self, key: QueueKey, lane: Option<LaneKey>, item: T) -> u32 {
+        let g = match self.by_key.get(&key) {
+            Some(&g) => g,
+            None => {
+                let g = self.groups.len() as u32;
+                let scan = Self::new_queue(&mut self.queues, g);
+                self.groups.push(Group {
+                    scan,
+                    lane_keys: Vec::new(),
+                    lane_queues: Vec::new(),
+                    len: 0,
+                });
+                self.by_key.insert(key, g);
+                g
+            }
+        };
+        let q = match lane {
+            None => self.groups[g as usize].scan,
+            Some(lk) => self.lane_queue(g, lk),
+        };
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize].item = Some(item);
+                s
+            }
+            None => {
+                self.slots.push(Slot {
+                    item: Some(item),
+                    prev: NO_SLOT,
+                    next: NO_SLOT,
+                });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.slot_queue.resize(self.slots.len(), NO_SLOT);
+        self.link(q, slot, self.queues[q as usize].tail, NO_SLOT);
+        self.groups[g as usize].len += 1;
+        self.live += 1;
+        slot
+    }
+
+    /// Move `slot` to its group's lane for `key`, keeping that lane sorted
+    /// by `seq` — its head stays the min seq of its key, which is the lane
+    /// contract. For the one site that changes a queued op's lane key.
+    pub(crate) fn move_to_lane(&mut self, slot: u32, key: LaneKey, seq: impl Fn(&T) -> u64) {
+        let from = self.unlink(slot);
+        let q = self.lane_queue(self.queues[from as usize].group, key);
+        let at = seq(self.get(slot));
+        let mut next = NO_SLOT;
+        let mut prev = self.queues[q as usize].tail;
+        while prev != NO_SLOT && seq(self.get(prev)) > at {
+            next = prev;
+            prev = self.slots[prev as usize].prev;
+        }
+        self.link(q, slot, prev, next);
+    }
+
+    /// Detach `slot` from its queue and free it, returning the item.
+    pub(crate) fn remove(&mut self, slot: u32) -> T {
+        let q = self.unlink(slot);
+        self.groups[self.queues[q as usize].group as usize].len -= 1;
         self.slot_queue[slot as usize] = NO_SLOT;
         self.free.push(slot);
         self.live -= 1;
@@ -341,6 +414,74 @@ mod tests {
         assert_eq!(set.lane_head(g, 0), NO_SLOT, "drained lane stays");
         assert_eq!(set.lane_count(g), 2, "lane ids are stable");
         assert_eq!(set.len(), 2);
+    }
+
+    /// Items of a group's `idx`-th lane, head first, then checked tail
+    /// first through the back links.
+    fn lane(set: &PendingSet<u64>, group: u32, idx: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        let (mut cur, mut last) = (set.lane_head(group, idx), NO_SLOT);
+        while cur != NO_SLOT {
+            assert_eq!(set.slots[cur as usize].prev, last, "back link");
+            out.push(*set.get(cur));
+            last = cur;
+            cur = set.next(cur);
+        }
+        let q = set.groups[group as usize].lane_queues[idx];
+        assert_eq!(set.queues[q as usize].tail, last, "tail");
+        out
+    }
+
+    #[test]
+    fn move_to_lane_inserts_in_seq_order_and_keeps_links() {
+        let mut set = PendingSet::new();
+        let k = QueueKey::Class(OpClass::AppRead, None);
+        let from = |lun| LaneKey::ReadFrom { lun: Some(lun) };
+        // Items are their own seq. Lane 0: 1 3 5 7 9; lane 1: 2 6.
+        let a: Vec<u32> = [1, 3, 5, 7, 9].iter().map(|&i| set.insert(k, Some(from(0)), i)).collect();
+        set.insert(k, Some(from(1)), 2);
+        set.insert(k, Some(from(1)), 6);
+        let other = set.insert(QueueKey::Class(OpClass::AppWrite, None), None, 4);
+        let g = 1;
+        let seq = |i: &u64| *i;
+
+        // Middle of its lane, into the middle of a populated lane.
+        set.move_to_lane(a[2], from(1), seq);
+        assert_eq!(lane(&set, g, 0), vec![1, 3, 7, 9]);
+        assert_eq!(lane(&set, g, 1), vec![2, 5, 6]);
+        // Head of its lane, to the head of a populated lane: the source
+        // lane's head moves on.
+        set.move_to_lane(a[0], from(1), seq);
+        assert_eq!(lane(&set, g, 0), vec![3, 7, 9]);
+        assert_eq!(lane(&set, g, 1), vec![1, 2, 5, 6]);
+        // Tail of its lane, to the tail of a populated lane.
+        set.move_to_lane(a[4], from(1), seq);
+        assert_eq!(lane(&set, g, 0), vec![3, 7]);
+        assert_eq!(lane(&set, g, 1), vec![1, 2, 5, 6, 9]);
+        // Into a lane that does not exist yet.
+        set.move_to_lane(a[3], LaneKey::ReadFrom { lun: None }, seq);
+        assert_eq!(set.lane_count(g), 3);
+        assert_eq!(set.lane_key(g, 2), LaneKey::ReadFrom { lun: None });
+        assert_eq!(lane(&set, g, 2), vec![7]);
+        // The last op of a lane, into a drained lane and back.
+        assert_eq!(set.remove(a[3]), 7);
+        set.move_to_lane(a[1], LaneKey::ReadFrom { lun: None }, seq);
+        assert_eq!(lane(&set, g, 0), Vec::<u64>::new());
+        assert_eq!(lane(&set, g, 2), vec![3]);
+        set.move_to_lane(a[1], from(0), seq);
+        assert_eq!(lane(&set, g, 0), vec![3]);
+
+        // Moves change neither the counts nor another group.
+        assert_eq!(set.len(), 7);
+        assert_eq!(set.group_len(g), 6);
+        assert_eq!(set.group_len(2), 1);
+        assert_eq!(*set.get(set.scan_head(2)), 4);
+        set.remove(other);
+        assert_eq!(set.group_len(2), 0);
+        // A moved op leaves through its new lane.
+        assert_eq!(set.remove(set.lane_head(g, 1)), 1);
+        assert_eq!(lane(&set, g, 1), vec![2, 5, 6, 9]);
+        assert_eq!(set.group_len(g), 5);
     }
 
     #[test]

@@ -13,13 +13,18 @@
 //! The same generator drives all three schemes (plus cross-structure
 //! `Controller::check_invariants`), so a regression in any scheme's
 //! bookkeeping — easy to introduce with multi-step merge machinery — fails
-//! here first.
+//! here first. One property queues a burst of reads ahead of every window
+//! under a reads-last policy, so that dozens of reads wait in their LUN's
+//! lane while the window's overwrites and trims, and the GC or merges they
+//! trigger, move the pages under them (debug builds check after every
+//! scheduling round that each queued read sits in the lane of the LUN its
+//! page is on now).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use eagletree_controller::{
-    Completion, Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RequestKind,
-    SsdRequest, WlConfig,
+    class_index, class_table, Completion, Controller, ControllerConfig, IoTags, MappingKind,
+    MergePolicy, OpClass, RequestKind, SchedPolicy, SsdRequest, WlConfig,
 };
 use eagletree_core::SimTime;
 use eagletree_flash::{Geometry, PageState, TimingSpec};
@@ -91,9 +96,10 @@ fn schemes() -> Vec<(&'static str, MappingKind)> {
     ]
 }
 
-fn build(mapping: MappingKind) -> Driver {
+fn build(mapping: MappingKind, sched: SchedPolicy) -> Driver {
     let cfg = ControllerConfig {
         mapping,
+        sched,
         // Keep static WL on for the hybrid refresh-merge path; it is
         // deterministic and exercises more machinery.
         wl: WlConfig {
@@ -110,12 +116,35 @@ fn build(mapping: MappingKind) -> Driver {
 /// Drive `ops` in windows, tracking the model state; then check all three
 /// invariant families at the quiescent point.
 fn check_scheme(name: &str, mapping: MappingKind, ops: &[Op], qd: usize) -> Result<(), TestCaseError> {
-    let mut d = build(mapping);
+    check_scheme_with(name, build(mapping, SchedPolicy::Fifo), ops, qd, 0)
+}
+
+/// `check_scheme` on a prepared device, with `read_burst` reads of the
+/// pages each window is about to touch queued ahead of it.
+fn check_scheme_with(
+    name: &str,
+    mut d: Driver,
+    ops: &[Op],
+    qd: usize,
+    read_burst: usize,
+) -> Result<(), TestCaseError> {
     let logical = d.c.logical_pages();
     // Model: the set of logical pages whose last operation was a write.
-    let mut written: BTreeSet<u64> = BTreeSet::new();
+    let mut written: BTreeSet<u64> =
+        (0..logical).filter(|&l| d.c.peek_mapping(l).is_some()).collect();
     let mut read_ids: Vec<u64> = Vec::new();
+    let luns = d.c.array().geometry().total_luns();
+    let mut most_waiting = 0;
     for chunk in ops.chunks(qd) {
+        // A LUN reads one page at a time, so of a burst's reads of mapped
+        // pages all but one per LUN wait in the pending set.
+        let mut mapped = 0;
+        for op in chunk.iter().cycle().take(read_burst) {
+            let (Op::Write(l) | Op::Trim(l) | Op::Read(l)) = *op;
+            mapped += written.contains(&(l % logical)) as u32;
+            read_ids.push(d.submit(RequestKind::Read, l % logical));
+        }
+        most_waiting = most_waiting.max(mapped.saturating_sub(luns));
         for op in chunk {
             match *op {
                 Op::Write(l) => {
@@ -146,6 +175,12 @@ fn check_scheme(name: &str, mapping: MappingKind, ops: &[Op], qd: usize) -> Resu
         d.run();
     }
     d.run();
+    prop_assert!(
+        read_burst == 0 || most_waiting >= 32,
+        "{}: at most {} reads waited at once",
+        name,
+        most_waiting
+    );
 
     // Every submitted request completed.
     let done_ids: BTreeSet<u64> = d.done.iter().map(|c| c.id).collect();
@@ -251,6 +286,36 @@ proptest! {
     ) {
         for (name, mapping) in schemes() {
             check_scheme(name, mapping, &ops, qd)?;
+        }
+    }
+
+    /// A burst of reads of the hot range waits (reads rank last) while each
+    /// window's overwrites and trims land on the pages they read, on a full
+    /// device where every few writes trigger GC or a merge.
+    #[test]
+    fn queued_reads_follow_their_pages(
+        ops in prop::collection::vec(
+            prop_oneof![
+                6 => (0u64..96).prop_map(Op::Write),
+                1 => (0u64..96).prop_map(Op::Trim),
+            ],
+            300..500,
+        ),
+        qd in 8usize..24,
+    ) {
+        let mut rank = class_table(0);
+        rank[class_index(OpClass::AppRead)] = 1;
+        rank[class_index(OpClass::MappingRead)] = 1;
+        for (name, mapping) in schemes() {
+            let mut d = build(mapping, SchedPolicy::ClassPriority(rank));
+            for lpn in 0..d.c.logical_pages() {
+                d.submit(RequestKind::Write, lpn);
+                if lpn % 32 == 31 {
+                    d.run();
+                }
+            }
+            d.run();
+            check_scheme_with(name, d, &ops, qd, 48)?;
         }
     }
 

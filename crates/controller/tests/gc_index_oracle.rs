@@ -6,7 +6,9 @@
 //! The oracle below is the pre-index implementation of `pick_victim`
 //! verbatim: build the candidate list by scanning every block of the LUN,
 //! then select. Any divergence — a stale bucket, a missed unlink, a
-//! changed tie-break — fails here with the generating seed.
+//! changed tie-break — fails here with the generating seed. The per-LUN
+//! reclaimable count that lets `pick_victim` return `None` without
+//! looking is recounted from the blocks after every step.
 
 use eagletree_controller::{gc::pick_victim, VictimPolicy};
 use eagletree_core::{SimRng, SimTime};
@@ -144,6 +146,7 @@ fn random_history(array: &mut FlashArray, steps: &[u64]) -> SimTime {
                 }
             }
         }
+        check_reclaimable_counts(array);
     }
     for ch in 0..g.channels {
         now = now.max(array.channel_free_at(ch));
@@ -152,6 +155,25 @@ fn random_history(array: &mut FlashArray, steps: &[u64]) -> SimTime {
         }
     }
     now
+}
+
+/// `reclaimable_on` against a recount over every block of every LUN.
+fn check_reclaimable_counts(array: &FlashArray) {
+    let g = *array.geometry();
+    let mut recount = vec![0u32; g.total_luns() as usize];
+    for b in g.blocks() {
+        let info = array.block_info(b);
+        if !info.bad && info.write_ptr > 0 && info.live_pages < g.pages_per_block {
+            recount[g.lun_index(b.channel, b.lun) as usize] += 1;
+        }
+    }
+    for lun in 0..g.total_luns() {
+        assert_eq!(
+            array.reclaimable_on(lun),
+            recount[lun as usize],
+            "reclaimable count of lun {lun} drifted from the blocks"
+        );
+    }
 }
 
 fn pick<'a, T>(items: &'a [T], rng: &mut SimRng) -> Option<&'a T> {
@@ -229,6 +251,7 @@ proptest! {
         }
         prop_assert!(array.block_info(b).bad);
         prop_assert!(!array.is_reclaimable(b));
+        check_reclaimable_counts(&array);
         let mut rng = SimRng::new(1);
         for policy in POLICIES {
             prop_assert_eq!(

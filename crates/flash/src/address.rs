@@ -100,6 +100,13 @@ impl Geometry {
         channel * self.luns_per_channel + lun
     }
 
+    /// Linear LUN index of the page with linear index `idx`: what
+    /// `lun_index` gives for `page_at(idx)`, in one division.
+    pub fn lun_of_page(&self, idx: u64) -> u32 {
+        debug_assert!(idx < self.total_pages());
+        (idx / (self.blocks_per_lun() as u64 * self.pages_per_block as u64)) as u32
+    }
+
     /// Iterate all block addresses, channel-major.
     pub fn blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
         let g = *self;
@@ -276,6 +283,7 @@ mod tests {
         for idx in 0..g.total_pages() {
             let p = g.page_at(idx);
             assert_eq!(g.page_index(p), idx);
+            assert_eq!(g.lun_of_page(idx), g.lun_index(p.channel, p.lun));
         }
     }
 

@@ -155,12 +155,16 @@ struct VictimNode {
 /// bucket without rescanning the device; Random and CostBenefit still
 /// walk a LUN's blocks in address order (their historical candidate
 /// numbering) but test membership here in O(1) instead of fetching
-/// `BlockInfo` per block. Moves between buckets are O(1).
+/// `BlockInfo` per block. Moves between buckets are O(1). A per-LUN count
+/// of the indexed blocks that are not fully live answers "is anything
+/// reclaimable here at all" without walking the buckets.
 #[derive(Debug, Clone)]
 struct VictimIndex {
     /// Bucket heads, `lun * (ppb + 1) + live`.
     heads: Vec<u32>,
     nodes: Vec<VictimNode>,
+    /// Per LUN: indexed blocks with `live < ppb`.
+    reclaimable: Vec<u32>,
     buckets_per_lun: u32,
     blocks_per_lun: u32,
 }
@@ -178,6 +182,7 @@ impl VictimIndex {
                 };
                 g.total_blocks() as usize
             ],
+            reclaimable: vec![0; g.total_luns() as usize],
             buckets_per_lun,
             blocks_per_lun: g.blocks_per_lun(),
         }
@@ -187,13 +192,18 @@ impl VictimIndex {
         (block / self.blocks_per_lun) * self.buckets_per_lun + live
     }
 
+    /// The live count of a fully valid block: the one bucket whose blocks
+    /// are not reclaimable.
+    fn full(&self) -> u32 {
+        self.buckets_per_lun - 1
+    }
+
     fn contains(&self, block: u32) -> bool {
         self.nodes[block as usize].bucket != NO_BLOCK
     }
 
-    fn link(&mut self, block: u32, live: u32) {
-        debug_assert!(!self.contains(block), "double-link of block {block}");
-        let bucket = self.bucket_slot(block, live);
+    /// Push `block` onto the list of `bucket`.
+    fn attach(&mut self, block: u32, bucket: u32) {
         let head = self.heads[bucket as usize];
         self.nodes[block as usize] = VictimNode {
             prev: NO_BLOCK,
@@ -206,9 +216,9 @@ impl VictimIndex {
         self.heads[bucket as usize] = block;
     }
 
-    fn unlink(&mut self, block: u32) {
+    /// Take `block` off its bucket's list.
+    fn detach(&mut self, block: u32) {
         let node = self.nodes[block as usize];
-        debug_assert!(node.bucket != NO_BLOCK, "unlink of unindexed block {block}");
         if node.prev == NO_BLOCK {
             self.heads[node.bucket as usize] = node.next;
         } else {
@@ -217,6 +227,23 @@ impl VictimIndex {
         if node.next != NO_BLOCK {
             self.nodes[node.next as usize].prev = node.prev;
         }
+    }
+
+    fn link(&mut self, block: u32, live: u32) {
+        debug_assert!(!self.contains(block), "double-link of block {block}");
+        if live < self.full() {
+            self.reclaimable[(block / self.blocks_per_lun) as usize] += 1;
+        }
+        self.attach(block, self.bucket_slot(block, live));
+    }
+
+    fn unlink(&mut self, block: u32) {
+        let bucket = self.nodes[block as usize].bucket;
+        debug_assert!(bucket != NO_BLOCK, "unlink of unindexed block {block}");
+        if bucket % self.buckets_per_lun < self.full() {
+            self.reclaimable[(block / self.blocks_per_lun) as usize] -= 1;
+        }
+        self.detach(block);
         self.nodes[block as usize] = VictimNode {
             prev: NO_BLOCK,
             next: NO_BLOCK,
@@ -224,9 +251,24 @@ impl VictimIndex {
         };
     }
 
-    fn move_to(&mut self, block: u32, live: u32) {
-        self.unlink(block);
-        self.link(block, live);
+    /// `block`'s live count went from `was` to `live`. Runs on every
+    /// program and every invalidate, so it divides nothing: the block
+    /// stays on its LUN, whose bucket range the old bucket gives, and the
+    /// reclaimable count is touched only when the move enters or leaves
+    /// the fully-live bucket.
+    fn move_to(&mut self, block: u32, was: u32, live: u32) {
+        let full = self.full();
+        if (was == full) != (live == full) {
+            let n = &mut self.reclaimable[(block / self.blocks_per_lun) as usize];
+            if live == full {
+                *n -= 1;
+            } else {
+                *n += 1;
+            }
+        }
+        let bucket = self.nodes[block as usize].bucket - was + live;
+        self.detach(block);
+        self.attach(block, bucket);
     }
 
     fn bucket_head(&self, lun: u32, live: u32) -> u32 {
@@ -676,7 +718,7 @@ impl FlashArray {
             // First program since erase: the block enters the index.
             self.victim_index.link(bi as u32, live);
         } else {
-            self.victim_index.move_to(bi as u32, live);
+            self.victim_index.move_to(bi as u32, live - 1, live);
         }
     }
 
@@ -814,8 +856,8 @@ impl FlashArray {
                 let bi = self.geometry.block_index(addr.block_addr()) as usize;
                 debug_assert!(self.blocks[bi].live_pages > 0);
                 self.blocks[bi].live_pages -= 1;
-                self.victim_index
-                    .move_to(bi as u32, self.blocks[bi].live_pages);
+                let live = self.blocks[bi].live_pages;
+                self.victim_index.move_to(bi as u32, live + 1, live);
             }
             report.torn_pages += 1;
         }
@@ -870,8 +912,8 @@ impl FlashArray {
         self.page_state[pi] = PageState::Valid;
         let bi = self.geometry.block_index(addr.block_addr()) as usize;
         self.blocks[bi].live_pages += 1;
-        self.victim_index
-            .move_to(bi as u32, self.blocks[bi].live_pages);
+        let live = self.blocks[bi].live_pages;
+        self.victim_index.move_to(bi as u32, live - 1, live);
     }
 
     /// State of one physical page.
@@ -899,8 +941,8 @@ impl FlashArray {
         let bi = self.geometry.block_index(addr.block_addr()) as usize;
         debug_assert!(self.blocks[bi].live_pages > 0);
         self.blocks[bi].live_pages -= 1;
-        self.victim_index
-            .move_to(bi as u32, self.blocks[bi].live_pages);
+        let live = self.blocks[bi].live_pages;
+        self.victim_index.move_to(bi as u32, live + 1, live);
     }
 
     /// Blocks on linear LUN `lun` currently holding exactly `live` valid
@@ -920,6 +962,13 @@ impl FlashArray {
             cur = self.victim_index.nodes[cur as usize].next;
             Some(b)
         })
+    }
+
+    /// Number of blocks on linear LUN `lun` for which
+    /// [`FlashArray::is_reclaimable`] holds. Zero: no victim policy can
+    /// find anything there.
+    pub fn reclaimable_on(&self, lun: u32) -> u32 {
+        self.victim_index.reclaimable[lun as usize]
     }
 
     /// Whether reclaiming `block` could gain space right now: programmed
