@@ -286,7 +286,7 @@ impl Controller {
     /// An application write's program landed at `ppn`: commit the mapping
     /// and acknowledge.
     pub(super) fn app_write_done(&mut self, id: RequestId, lpn: Lpn, ppn: Ppn, now: SimTime) {
-        self.stamps.landed(ppn);
+        self.landed(ppn);
         let old = self.ftl.update(lpn, ppn);
         if let Some(old) = old {
             debug_assert_eq!(
@@ -303,7 +303,7 @@ impl Controller {
     /// A background flush's program landed at `ppn`: commit it if the
     /// buffered `version` is still current, discard the copy otherwise.
     pub(super) fn flush_done(&mut self, lpn: Lpn, version: u64, ppn: Ppn, now: SimTime) {
-        self.stamps.landed(ppn);
+        self.landed(ppn);
         self.ftl.unpin(lpn);
         self.host.flushes_inflight -= 1;
         let current = self

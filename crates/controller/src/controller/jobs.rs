@@ -58,31 +58,20 @@ impl<T> IndexMut<usize> for JobTable<T> {
 
 #[cfg(test)]
 mod tests {
-    use eagletree_core::SimTime;
-    use eagletree_flash::{Geometry, TimingSpec};
-
     use super::super::Controller;
     use crate::config::{ControllerConfig, MappingKind};
-    use crate::types::{IoTags, RequestKind, SsdRequest};
+    use crate::driver::Driver;
+    use crate::types::RequestKind;
 
     /// Fill the logical space of a tiny device, then overwrite it four
     /// times over in a scattered order, eight writes in flight.
     fn churn(cfg: ControllerConfig) -> Controller {
-        let mut c = Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap();
-        let n = c.logical_pages();
+        let mut d = Driver::tiny(cfg);
+        let n = d.c.logical_pages();
         let lpns = (0..n).chain((0..4 * n).map(|i| i * 7 % n));
-        let mut now = SimTime::ZERO;
-        for (id, lpn) in lpns.enumerate() {
-            let (id, kind, tags) = (id as u64, RequestKind::Write, IoTags::none());
-            c.submit(SsdRequest { id, kind, lpn, tags }, now);
-            if id % 8 == 7 {
-                while let Some(t) = c.next_event_time() {
-                    now = t;
-                    c.advance(now);
-                }
-            }
-        }
-        c
+        let writes: Vec<_> = lpns.map(|lpn| (RequestKind::Write, lpn)).collect();
+        d.submit_windowed(&writes, 8);
+        d.c
     }
 
     #[test]

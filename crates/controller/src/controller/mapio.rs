@@ -162,7 +162,7 @@ impl Controller {
     pub(super) fn wb_write_done(&mut self, wb: usize, new: PhysicalAddr) {
         let job = self.mapio.wb_jobs.take(wb);
         let new_ppn = self.array.geometry().page_index(new);
-        self.stamps.landed(new_ppn);
+        self.landed(new_ppn);
         let old = self.ftl.translation_written(job.tvpn, new_ppn);
         if let Some(old) = old {
             if self.reverse[old as usize] == Some(PageContent::Translation(job.tvpn)) {

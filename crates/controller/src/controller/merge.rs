@@ -374,7 +374,7 @@ impl Controller {
     /// A fold program landed at `dest`: commit, discard or count the
     /// filler, then drive the fold on.
     pub(super) fn merge_prog_done(&mut self, from: Option<Ppn>, dest: Ppn, now: SimTime) {
-        self.stamps.landed(dest);
+        self.landed(dest);
         let cur = self.merge.cur();
         let source = self.merge.source();
         let lpn = cur.lbn * self.ppb() + cur.next as u64;

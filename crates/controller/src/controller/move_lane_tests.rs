@@ -2,18 +2,19 @@
 //! lane: superseded behind a blocked head, re-queued after a copy-back
 //! program failure, and dropped with the pending set at a power cut.
 //! Driven mid-flight, one agenda instant at a time, with the bookkeeping
-//! recounted from the pending set after every step. The [`Driver`] also
-//! serves `read_lane_tests`.
+//! recounted from the pending set after every step ([`submit`], [`step`],
+//! [`run`] and [`age_until`], which also serve `read_lane_tests`).
 
 use eagletree_core::SimTime;
-use eagletree_flash::{FaultConfig, Geometry, TimingSpec};
+use eagletree_flash::FaultConfig;
 
 use super::dispatch::{PendKind, PendingOp};
 use super::{Controller, PageContent};
 use crate::config::{ControllerConfig, WlConfig};
+use crate::driver::Driver;
 use crate::pend::LaneKey;
 use crate::recovery::RecoveryMode;
-use crate::types::{Completion, IoTags, Lpn, Ppn, RequestKind, SsdRequest};
+use crate::types::{Completion, Lpn, Ppn, RequestKind};
 
 /// GC is the only reclaim trigger, so a LUN has at most one victim and a
 /// relocation lane holds one job's moves.
@@ -27,75 +28,51 @@ pub(super) fn cfg() -> ControllerConfig {
     }
 }
 
-pub(super) struct Driver {
-    pub(super) c: Controller,
-    pub(super) now: SimTime,
-    pub(super) next_id: u64,
+/// Recount the lane bookkeeping from the pending set.
+fn check_queued(c: &Controller) {
+    c.check_queued_moves();
+    c.check_queued_reads();
 }
 
-impl Driver {
-    pub(super) fn new(cfg: ControllerConfig) -> Self {
-        let c = Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap();
-        Driver {
-            c,
-            now: SimTime::ZERO,
-            next_id: 0,
-        }
-    }
+/// `d.submit`, then the recount.
+pub(super) fn submit(d: &mut Driver, kind: RequestKind, lpn: Lpn) -> u64 {
+    let id = d.submit(kind, lpn);
+    check_queued(&d.c);
+    id
+}
 
-    /// Recount the lane bookkeeping from the pending set.
-    fn check_queued(&self) {
-        self.c.check_queued_moves();
-        self.c.check_queued_reads();
-    }
+/// `d.step`, then the recount.
+pub(super) fn step(d: &mut Driver) -> Option<&[Completion]> {
+    let from = d.done.len();
+    d.step()?;
+    check_queued(&d.c);
+    Some(&d.done[from..])
+}
 
-    pub(super) fn submit(&mut self, kind: RequestKind, lpn: Lpn) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.c.submit(
-            SsdRequest {
-                id,
-                kind,
-                lpn,
-                tags: IoTags::none(),
-            },
-            self.now,
-        );
-        self.check_queued();
-        id
-    }
+/// Run the agenda dry, recounting after every instant.
+pub(super) fn run(d: &mut Driver) {
+    while step(d).is_some() {}
+    d.run();
+}
 
-    /// Process the next agenda instant; `None` once the agenda is dry.
-    pub(super) fn step(&mut self) -> Option<Vec<Completion>> {
-        self.now = self.c.next_event_time()?;
-        let done = self.c.advance(self.now);
-        self.check_queued();
-        Some(done)
+/// Fill the logical space, then overwrite every eighth page — each
+/// block keeps most of its pages live, so the victims GC picks queue
+/// long lanes — stepping until `stop` holds. Panics if it never does.
+pub(super) fn age_until(d: &mut Driver, mut stop: impl FnMut(&Controller, SimTime) -> bool) {
+    let n = d.c.logical_pages();
+    for lpn in 0..n {
+        submit(d, RequestKind::Write, lpn);
+        run(d);
     }
-
-    pub(super) fn run(&mut self) {
-        while self.step().is_some() {}
-    }
-
-    /// Fill the logical space, then overwrite every eighth page — each
-    /// block keeps most of its pages live, so the victims GC picks queue
-    /// long lanes — stepping until `stop` holds. Panics if it never does.
-    pub(super) fn age_until(&mut self, mut stop: impl FnMut(&Controller, SimTime) -> bool) {
-        let n = self.c.logical_pages();
-        for lpn in 0..n {
-            self.submit(RequestKind::Write, lpn);
-            self.run();
-        }
-        for lpn in (0..n).step_by(8).cycle().take(4 * n as usize) {
-            self.submit(RequestKind::Write, lpn);
-            while self.step().is_some() {
-                if stop(&self.c, self.now) {
-                    return;
-                }
+    for lpn in (0..n).step_by(8).cycle().take(4 * n as usize) {
+        submit(d, RequestKind::Write, lpn);
+        while step(d).is_some() {
+            if stop(&d.c, d.now) {
+                return;
             }
         }
-        panic!("aging never reached the wanted state");
     }
+    panic!("aging never reached the wanted state");
 }
 
 /// Every relocation lane of `c`: its source LUN and its ops, head first.
@@ -145,8 +122,8 @@ fn moves_left(c: &Controller, job: usize) -> u32 {
 /// (in debug builds already at the reference-scan assertion) if
 /// `first_issuable` trusts the blocked head alone.
 fn supersede_mid_lane(how: RequestKind) {
-    let mut d = Driver::new(cfg());
-    d.age_until(|c, now| deep_blocked_lane(c, now).is_some());
+    let mut d = Driver::tiny(cfg());
+    age_until(&mut d, |c, now| deep_blocked_lane(c, now).is_some());
     let (lun, ops) = deep_blocked_lane(&d.c, d.now).unwrap();
     let target = ops[ops.len() - 2];
     let (job, ppn) = move_of(&d.c, &target);
@@ -156,14 +133,14 @@ fn supersede_mid_lane(how: RequestKind) {
     let skipped = d.c.stats.gc_skipped;
     let mut left = moves_left(&d.c, job);
 
-    let id = d.submit(how, lpn);
+    let id = submit(&mut d, how, lpn);
     if how == RequestKind::Write {
         // The old page dies when the new copy's program completes; until
         // then the move stays queued.
         loop {
             assert_eq!(d.c.stats.gc_skipped, skipped);
             left = moves_left(&d.c, job);
-            let done = d.step().expect("overwrite never completed");
+            let done = step(&mut d).expect("overwrite never completed");
             if done.iter().any(|c| c.id == id) {
                 break;
             }
@@ -184,7 +161,7 @@ fn supersede_mid_lane(how: RequestKind) {
     assert!(!after.is_empty());
     assert!(after.iter().all(|op| op.seq != target.seq));
 
-    d.run();
+    run(&mut d);
     d.c.check_invariants();
 }
 
@@ -211,14 +188,14 @@ fn failed_copy_back_requeues_its_move_at_the_lane_tail() {
         raw_bits_base: 0.0,
         ..FaultConfig::default()
     };
-    let mut d = Driver::new(cfg());
-    d.age_until(|c, now| deep_blocked_lane(c, now).is_some());
+    let mut d = Driver::tiny(cfg());
+    age_until(&mut d, |c, now| deep_blocked_lane(c, now).is_some());
     let (lun, before) = deep_blocked_lane(&d.c, d.now).unwrap();
     let remaps = d.c.stats.program_remaps;
     // From here every program fails, so the head's copy-back will.
     d.c.array.install_fault_model(programs_fail(1.0));
     let after = loop {
-        d.step().expect("the lane never moved");
+        step(&mut d).expect("the lane never moved");
         let lanes = move_lanes(&d.c);
         let (_, ops) = lanes.into_iter().find(|(l, _)| *l == lun).unwrap();
         if ops[0].seq != before[0].seq {
@@ -244,7 +221,7 @@ fn failed_copy_back_requeues_its_move_at_the_lane_tail() {
     );
 
     d.c.array.install_fault_model(programs_fail(0.0));
-    d.run();
+    run(&mut d);
     d.c.check_invariants();
 }
 
@@ -253,21 +230,19 @@ fn failed_copy_back_requeues_its_move_at_the_lane_tail() {
 #[test]
 fn power_cut_with_moves_queued_remounts_with_clean_bookkeeping() {
     for mode in [RecoveryMode::FullScan, RecoveryMode::Checkpoint] {
-        let mut d = Driver::new(cfg());
-        d.age_until(|c, now| deep_blocked_lane(c, now).is_some());
+        let mut d = Driver::tiny(cfg());
+        age_until(&mut d, |c, now| deep_blocked_lane(c, now).is_some());
         let image = d.c.power_cut(d.now);
         let (c, _) = Controller::remount(image, cfg(), mode).unwrap();
         assert!(c.disp.pending.is_empty());
         c.check_invariants();
-        let mut d = Driver {
-            c,
-            now: d.now,
-            next_id: d.next_id,
-        };
+        let cut_at = d.now;
+        let mut d = Driver::new(c);
+        d.now = cut_at;
         let n = d.c.logical_pages();
         for lpn in (0..n).step_by(8) {
-            d.submit(RequestKind::Write, lpn);
-            d.run();
+            submit(&mut d, RequestKind::Write, lpn);
+            run(&mut d);
         }
         assert!(
             d.c.stats.gc_moves + d.c.stats.gc_skipped > 0,

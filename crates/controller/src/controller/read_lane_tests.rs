@@ -2,7 +2,7 @@
 //! while it waits: its page is relocated by GC (within its LUN, or to
 //! another after a failed program), overwritten by the host, trimmed, or —
 //! for a translation page — rewritten by a writeback; and a power cut drops
-//! it with the pending set. Same [`Driver`] as `move_lane_tests`: one
+//! it with the pending set. Driven with `move_lane_tests`' helpers: one
 //! agenda instant at a time, `check_queued_reads` after every step, so a
 //! read left in a stale lane, out of seq order or un-noted fails at the
 //! step that did it.
@@ -13,9 +13,12 @@
 use eagletree_flash::FaultConfig;
 
 use super::dispatch::{PendKind, PendingOp, QueuedReads, WriteWhat};
-use super::move_lane_tests::{cfg, deep_blocked_lane, lun_busy, move_lanes, move_of, Driver};
+use super::move_lane_tests::{
+    age_until, cfg, deep_blocked_lane, lun_busy, move_lanes, move_of, run, step, submit,
+};
 use super::{Controller, PageContent};
 use crate::config::{ControllerConfig, GcConfig, MappingKind};
+use crate::driver::Driver;
 use crate::pend::LaneKey;
 use crate::recovery::RecoveryMode;
 use crate::sched::{class_index, class_table, SchedPolicy};
@@ -83,8 +86,8 @@ fn read_lane(c: &Controller, lun: u32) -> Vec<u64> {
 /// An aged page-map device with GC mid-victim on a busy LUN: that LUN, and
 /// the queued moves of its victim (head first).
 fn aged() -> (Driver, u32, Vec<PendingOp>) {
-    let mut d = Driver::new(reads_last(MappingKind::PageMap));
-    d.age_until(|c, now| deep_blocked_lane(c, now).is_some());
+    let mut d = Driver::tiny(reads_last(MappingKind::PageMap));
+    age_until(&mut d, |c, now| deep_blocked_lane(c, now).is_some());
     let (lun, ops) = deep_blocked_lane(&d.c, d.now).unwrap();
     (d, lun, ops)
 }
@@ -126,7 +129,7 @@ fn step_until_remapped(d: &mut Driver, lpn: Lpn, from: Ppn, id: u64) -> Ppn {
             queued_read_of(&d.c, id).is_some(),
             "the read issued before its page moved"
         );
-        d.step().expect("the page never moved");
+        step(d).expect("the page never moved");
         match d.c.peek_mapping(lpn) {
             Some(p) if p == from => {}
             Some(p) => return p,
@@ -151,18 +154,18 @@ fn overwritten_read_follows_the_new_page() {
     let (mut d, lun, _) = aged();
     let x = lpn_on(&d.c, lun, &[]);
     let old = d.c.peek_mapping(x).unwrap();
-    let r = d.submit(RequestKind::Read, x);
+    let r = submit(&mut d, RequestKind::Read, x);
     let (lane, seq) = queued_read_of(&d.c, r).unwrap();
     assert_eq!(lane, Some(lun));
 
-    d.submit(RequestKind::Write, x);
+    submit(&mut d, RequestKind::Write, x);
     let new = step_until_remapped(&mut d, x, old, r);
     // The source LUN was busy, so the unbound write went elsewhere.
     assert_ne!(lun_of(&d.c, new), lun);
     assert_followed(&d, r, seq, lun_of(&d.c, new));
 
     let reads = d.c.stats.app_reads_completed;
-    d.run();
+    run(&mut d);
     assert_eq!(d.c.stats.app_reads_completed, reads + 1);
     d.c.check_invariants();
 }
@@ -175,12 +178,12 @@ fn overwritten_read_follows_the_new_page() {
 fn trimmed_read_completes_in_the_same_round_without_flash_io() {
     let (mut d, lun, _) = aged();
     let x = lpn_on(&d.c, lun, &[]);
-    let r = d.submit(RequestKind::Read, x);
+    let r = submit(&mut d, RequestKind::Read, x);
     assert_eq!(queued_read_of(&d.c, r).unwrap().0, Some(lun));
     let flash_reads = d.c.array.counters().reads;
     let reads = d.c.stats.app_reads_completed;
 
-    d.submit(RequestKind::Trim, x);
+    submit(&mut d, RequestKind::Trim, x);
     assert!(queued_read_of(&d.c, r).is_none());
     assert_eq!(d.c.stats.app_reads_completed, reads + 1);
     assert_eq!(d.c.array.counters().reads, flash_reads);
@@ -188,7 +191,7 @@ fn trimmed_read_completes_in_the_same_round_without_flash_io() {
     let at = d.now;
     assert!(d.c.host.completions.iter().any(|c| c.id == r && c.at == at));
 
-    d.run();
+    run(&mut d);
     d.c.check_invariants();
 }
 
@@ -203,19 +206,19 @@ fn read_follows_a_cross_lun_move_after_a_same_lun_move() {
     let target = &moves[1];
     let x = lpn_moved_by(&d.c, target);
     let first = move_of(&d.c, target).1;
-    let r = d.submit(RequestKind::Read, x);
+    let r = submit(&mut d, RequestKind::Read, x);
     let seq = queued_read_of(&d.c, r).unwrap().1;
 
     let second = step_until_remapped(&mut d, x, first, r);
     assert_eq!(lun_of(&d.c, second), lun, "GC relocates within the LUN");
     assert_eq!(queued_read_of(&d.c, r), Some((Some(lun), seq)));
 
-    d.submit(RequestKind::Write, x);
+    submit(&mut d, RequestKind::Write, x);
     let third = step_until_remapped(&mut d, x, second, r);
     assert_ne!(lun_of(&d.c, third), lun);
     assert_followed(&d, r, seq, lun_of(&d.c, third));
 
-    d.run();
+    run(&mut d);
     d.c.check_invariants();
 }
 
@@ -237,7 +240,7 @@ fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
     let mut cfg = reads_last(MappingKind::PageMap);
     cfg.logical_capacity = 0.7;
     cfg.gc.greediness = 8;
-    let mut d = Driver::new(cfg);
+    let mut d = Driver::tiny(cfg);
     let luns = d.c.array.geometry().total_luns();
     let deep_everywhere = |c: &Controller| {
         move_lanes(c).iter().filter(|(_, ops)| ops.len() >= 8).count() == luns as usize
@@ -245,15 +248,15 @@ fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
     // Eight overwrites in flight, so that the LUNs run out of blocks together.
     let n = d.c.logical_pages();
     for lpn in 0..n {
-        d.submit(RequestKind::Write, lpn);
-        d.run();
+        submit(&mut d, RequestKind::Write, lpn);
+        run(&mut d);
     }
     let mut inflight = 0;
     for lpn in (0..n).step_by(8).cycle() {
-        d.submit(RequestKind::Write, lpn);
+        submit(&mut d, RequestKind::Write, lpn);
         inflight += 1;
         while inflight >= 8 && !deep_everywhere(&d.c) {
-            inflight -= d.step().expect("writes in flight").len();
+            inflight -= step(&mut d).expect("writes in flight").len();
         }
         if deep_everywhere(&d.c) {
             break;
@@ -275,12 +278,12 @@ fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
             .map(|&l| {
                 let lpn = lpn_on(&d.c, l, &used);
                 used.push(lpn);
-                d.submit(RequestKind::Read, lpn)
+                submit(d, RequestKind::Read, lpn)
             })
             .collect()
     };
     let older = neighbours(&mut d);
-    let r = d.submit(RequestKind::Read, x);
+    let r = submit(&mut d, RequestKind::Read, x);
     let younger = neighbours(&mut d);
     assert_eq!(queued_read_of(&d.c, r).unwrap().0, Some(lun));
 
@@ -293,11 +296,11 @@ fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
         })
     };
     while !queued_write(&d.c, true) {
-        d.step().expect("the move's program was never queued");
+        step(&mut d).expect("the move's program was never queued");
     }
     d.c.array.install_fault_model(programs_fail(1.0));
     while !queued_write(&d.c, false) {
-        d.step().expect("the relocation program never failed");
+        step(&mut d).expect("the relocation program never failed");
     }
     d.c.array.install_fault_model(programs_fail(0.0));
 
@@ -311,7 +314,7 @@ fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
         vec![seq_of(older[i]), seq_of(r), seq_of(younger[i])]
     );
 
-    d.run();
+    run(&mut d);
     d.c.check_invariants();
 }
 
@@ -324,24 +327,24 @@ fn dftl_churn(mut each: impl FnMut(&mut Driver) -> bool) {
     let mut cfg = reads_last(MappingKind::Dftl { cmt_entries: 16 });
     cfg.logical_capacity = 0.7;
     cfg.gc.greediness = 8;
-    let mut d = Driver::new(cfg);
+    let mut d = Driver::tiny(cfg);
     let n = d.c.logical_pages();
     for lpn in 0..n {
-        d.submit(RequestKind::Write, lpn);
-        d.run();
+        submit(&mut d, RequestKind::Write, lpn);
+        run(&mut d);
     }
     let mut inflight = 0;
     for i in 0..40_000u64 {
         let kind = if i % 3 == 0 { RequestKind::Write } else { RequestKind::Read };
-        d.submit(kind, i * 7919 % n);
+        submit(&mut d, kind, i * 7919 % n);
         inflight += 1;
         while inflight >= 16 {
             if each(&mut d) {
-                d.run();
+                run(&mut d);
                 d.c.check_invariants();
                 return;
             }
-            inflight -= d.step().expect("requests in flight").len();
+            inflight -= step(&mut d).expect("requests in flight").len();
         }
     }
     panic!("the churn never produced the wanted state");
@@ -458,7 +461,7 @@ fn power_cut_with_reads_queued_remounts_with_clean_bookkeeping() {
         for _ in 0..4 {
             let lpn = lpn_on(&d.c, lun, &used);
             used.push(lpn);
-            d.submit(RequestKind::Read, lpn);
+            submit(&mut d, RequestKind::Read, lpn);
         }
         assert_eq!(queued_reads(&d.c).len(), 4);
         let image = d.c.power_cut(d.now);
@@ -470,15 +473,13 @@ fn power_cut_with_reads_queued_remounts_with_clean_bookkeeping() {
             "{mode:?}: a page is still noted"
         );
         c.check_invariants();
-        let mut d = Driver {
-            c,
-            now: d.now,
-            next_id: d.next_id,
-        };
+        let cut_at = d.now;
+        let mut d = Driver::new(c);
+        d.now = cut_at;
         for lpn in used {
-            d.submit(RequestKind::Read, lpn);
+            submit(&mut d, RequestKind::Read, lpn);
         }
-        d.run();
+        run(&mut d);
         assert_eq!(d.c.stats.app_reads_completed, 4);
         d.c.check_invariants();
     }

@@ -213,7 +213,7 @@ impl Controller {
         now: SimTime,
     ) {
         let new_ppn = self.array.geometry().page_index(new);
-        self.stamps.landed(new_ppn);
+        self.landed(new_ppn);
         let still_current = match content {
             PageContent::Data(lpn) => self.ftl.peek(lpn) == Some(from_ppn),
             PageContent::Translation(tvpn) => {

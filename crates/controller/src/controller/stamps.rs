@@ -6,7 +6,7 @@
 //! released when its completion is handled; the minimum outstanding stamp
 //! bounds the checkpoint watermark.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use eagletree_flash::{OobEntry, OobTag, PhysicalAddr};
 
@@ -21,7 +21,6 @@ pub(super) struct Stamps {
     /// landed yet; their minimum bounds the checkpoint watermark, so a
     /// snapshot never claims to cover an entry it cannot contain.
     inflight: BTreeSet<u64>,
-    by_ppn: BTreeMap<Ppn, u64>,
 }
 
 impl Stamps {
@@ -31,7 +30,6 @@ impl Stamps {
         Stamps {
             next: max_stamp + 1,
             inflight: BTreeSet::new(),
-            by_ppn: BTreeMap::new(),
         }
     }
 
@@ -39,14 +37,6 @@ impl Stamps {
         let s = self.next;
         self.next += 1;
         s
-    }
-
-    /// The program at `ppn` has landed (mapping effect applied or
-    /// discarded): release its stamp from the watermark bound.
-    pub(super) fn landed(&mut self, ppn: Ppn) {
-        if let Some(s) = self.by_ppn.remove(&ppn) {
-            self.inflight.remove(&s);
-        }
     }
 
     /// The checkpoint watermark: held below every outstanding
@@ -61,6 +51,15 @@ impl Stamps {
 }
 
 impl Controller {
+    /// The program at `ppn` has landed (mapping effect applied or
+    /// discarded): release the stamp it left in the page's OOB from the
+    /// watermark bound. A filler's or checkpoint page's stamp was never
+    /// held there, so releasing it changes nothing.
+    pub(super) fn landed(&mut self, ppn: Ppn) {
+        let oob = self.array.oob(self.array.geometry().page_at(ppn));
+        self.stamps.inflight.remove(&oob.expect("a landed program carries OOB").stamp);
+    }
+
     /// The content version a relocation inherits from its source page.
     pub(super) fn source_seq(&self, src_ppn: Ppn) -> u64 {
         self.array
@@ -79,10 +78,7 @@ impl Controller {
         let stamp = self.stamps.fresh();
         let seq = seq.unwrap_or(stamp);
         self.array.set_oob(addr, OobEntry { tag, seq, stamp });
-        let ppn = self.array.geometry().page_index(addr);
         self.stamps.inflight.insert(stamp);
-        let prev = self.stamps.by_ppn.insert(ppn, stamp);
-        debug_assert!(prev.is_none(), "page programmed twice without landing");
     }
 
     /// Stamp a program that carries no mapping entry of its own (merge

@@ -117,10 +117,12 @@ impl Dftl {
     /// folding its pending GC relocations into the same program.
     fn queue_writeback(&mut self, tvpn: u64) {
         self.stats.writebacks += 1;
+        // The entries of one translation page are one run of keys.
+        let first = tvpn * self.entries_per_tp;
         let siblings: Vec<Lpn> = self
             .cmt
-            .keys()
-            .filter(|&l| self.tvpn_of(l) == tvpn && self.cmt.is_dirty(l))
+            .keys_in(first..first + self.entries_per_tp)
+            .filter(|&l| self.cmt.is_dirty(l))
             .collect();
         for l in siblings {
             self.cmt.set_dirty(l, false);

@@ -5,6 +5,7 @@
 //! in-flight IOs cannot disappear under them.
 
 use std::collections::BTreeMap;
+use std::ops::RangeBounds;
 
 const NIL: usize = usize::MAX;
 
@@ -188,9 +189,9 @@ impl LruCache {
         }
     }
 
-    /// Iterate all keys (unspecified order).
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.map.keys().copied()
+    /// The keys present within `range`, ascending.
+    pub fn keys_in(&self, range: impl RangeBounds<u64>) -> impl Iterator<Item = u64> + '_ {
+        self.map.range(range).map(|(&key, _)| key)
     }
 }
 
@@ -268,9 +269,9 @@ mod tests {
         c.insert(3, false);
         c.insert(4, false);
         assert_eq!(c.len(), 3);
-        let mut keys: Vec<_> = c.keys().collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![2, 3, 4]);
+        assert_eq!(c.keys_in(..).collect::<Vec<_>>(), [2, 3, 4]);
+        assert_eq!(c.keys_in(3..4).collect::<Vec<_>>(), [3]);
+        assert_eq!(c.keys_in(5..).count(), 0);
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //!   read-disturbed / retention-aged blocks before their raw bit errors
 //!   outgrow the ECC (pairs with `eagletree_flash::fault`).
 //! * [`Controller`] — the orchestrator tying it all to the flash array.
+//! * [`Driver`] / [`Ledger`] — the minimal host of a bare controller (ids,
+//!   clock, agenda stepping) and the acknowledged-write reference model.
 
 #![forbid(unsafe_code)]
 
@@ -30,6 +32,7 @@ pub mod alloc;
 pub mod buffer;
 pub mod config;
 pub mod controller;
+mod driver;
 pub mod ftl;
 pub mod gc;
 mod pend;
@@ -49,6 +52,7 @@ pub use config::{
 pub use controller::{
     Controller, CtrlStats, MergeCounters, PageContent, ReliabilityStats, Stuck,
 };
+pub use driver::{Driver, Ledger};
 pub use ftl::HybridStats;
 pub use recovery::{CheckpointRecord, CrashImage, RecoveryMode, RecoveryReport};
 pub use sched::{class_index, class_table, ClassTable, SchedPolicy};

@@ -2,79 +2,15 @@
 //! wear-leveling / scheduling pipeline against the simulated flash array.
 
 use eagletree_controller::{
-    Completion, Controller, ControllerConfig, GcConfig, IoTags, MappingKind, RequestKind,
-    SchedPolicy, SsdRequest, TemperatureMode, VictimPolicy, WlConfig, WriteAllocPolicy,
+    Controller, ControllerConfig, Driver, GcConfig, IoTags, MappingKind, RequestKind, SchedPolicy,
+    TemperatureMode, VictimPolicy, WlConfig, WriteAllocPolicy,
 };
 use eagletree_core::{SimRng, SimTime};
 use eagletree_flash::{Geometry, TimingSpec};
 
-/// A minimal OS stand-in: submits requests and drains the event agenda.
-struct Driver {
-    c: Controller,
-    now: SimTime,
-    next_id: u64,
-    done: Vec<Completion>,
-}
-
-impl Driver {
-    fn new(c: Controller) -> Self {
-        Driver {
-            c,
-            now: SimTime::ZERO,
-            next_id: 0,
-            done: Vec::new(),
-        }
-    }
-
-    fn submit(&mut self, kind: RequestKind, lpn: u64) -> u64 {
-        self.submit_tagged(kind, lpn, IoTags::none())
-    }
-
-    fn submit_tagged(&mut self, kind: RequestKind, lpn: u64, tags: IoTags) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.c.submit(
-            SsdRequest {
-                id,
-                kind,
-                lpn,
-                tags,
-            },
-            self.now,
-        );
-        id
-    }
-
-    /// Run the agenda dry, collecting completions.
-    fn run(&mut self) {
-        while let Some(t) = self.c.next_event_time() {
-            self.now = t;
-            let batch = self.c.advance(t);
-            self.done.extend(batch);
-        }
-        let tail = self.c.advance(self.now);
-        self.done.extend(tail);
-    }
-
-    /// Submit a batch in windows of `qd`, running the agenda between
-    /// windows (approximates a bounded device queue).
-    fn submit_windowed(&mut self, reqs: &[(RequestKind, u64)], qd: usize) {
-        for chunk in reqs.chunks(qd) {
-            for &(kind, lpn) in chunk {
-                self.submit(kind, lpn);
-            }
-            self.run();
-        }
-    }
-}
-
-fn controller(cfg: ControllerConfig) -> Controller {
-    Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap()
-}
-
 #[test]
 fn write_then_read_round_trip() {
-    let mut d = Driver::new(controller(ControllerConfig::default()));
+    let mut d = Driver::tiny(ControllerConfig::default());
     let w = d.submit(RequestKind::Write, 7);
     d.run();
     assert!(d.done.iter().any(|c| c.id == w));
@@ -91,7 +27,7 @@ fn write_then_read_round_trip() {
 
 #[test]
 fn read_of_unwritten_page_completes_instantly() {
-    let mut d = Driver::new(controller(ControllerConfig::default()));
+    let mut d = Driver::tiny(ControllerConfig::default());
     let r = d.submit(RequestKind::Read, 3);
     d.run();
     let c = d.done.iter().find(|c| c.id == r).unwrap();
@@ -101,7 +37,7 @@ fn read_of_unwritten_page_completes_instantly() {
 
 #[test]
 fn trim_invalidates_and_read_returns_zero_fill() {
-    let mut d = Driver::new(controller(ControllerConfig::default()));
+    let mut d = Driver::tiny(ControllerConfig::default());
     d.submit(RequestKind::Write, 5);
     d.run();
     d.submit(RequestKind::Trim, 5);
@@ -117,7 +53,7 @@ fn trim_invalidates_and_read_returns_zero_fill() {
 
 #[test]
 fn sequential_fill_has_unit_write_amplification() {
-    let mut d = Driver::new(controller(ControllerConfig::default()));
+    let mut d = Driver::tiny(ControllerConfig::default());
     let n = d.c.logical_pages() / 2;
     let reqs: Vec<_> = (0..n).map(|l| (RequestKind::Write, l)).collect();
     d.submit_windowed(&reqs, 16);
@@ -137,7 +73,7 @@ fn steady_state_overwrites_trigger_gc_and_stay_consistent() {
         },
         ..ControllerConfig::default()
     };
-    let mut d = Driver::new(controller(cfg));
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     // Precondition: fill the logical space.
     let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
@@ -176,7 +112,7 @@ fn copyback_used_when_enabled_and_absent_when_disabled() {
             },
             ..ControllerConfig::default()
         };
-        let mut d = Driver::new(controller(cfg));
+        let mut d = Driver::tiny(cfg);
         let logical = d.c.logical_pages();
         let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
         d.submit_windowed(&fill, 16);
@@ -205,7 +141,7 @@ fn dftl_generates_mapping_traffic() {
         },
         ..ControllerConfig::default()
     };
-    let mut d = Driver::new(controller(cfg));
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
     d.submit_windowed(&fill, 8);
@@ -239,7 +175,7 @@ fn dftl_and_page_map_agree_on_semantics() {
         ..ControllerConfig::default()
     };
     let mut rng = SimRng::new(31);
-    let logical_tmp = controller(mk(MappingKind::PageMap)).logical_pages();
+    let logical_tmp = Driver::tiny(mk(MappingKind::PageMap)).c.logical_pages();
     let workload: Vec<_> = (0..600)
         .map(|i| {
             if i % 3 == 0 {
@@ -251,7 +187,7 @@ fn dftl_and_page_map_agree_on_semantics() {
         .collect();
     let mut ids = Vec::new();
     for mapping in [MappingKind::PageMap, MappingKind::Dftl { cmt_entries: 32 }] {
-        let mut d = Driver::new(controller(mk(mapping)));
+        let mut d = Driver::tiny(mk(mapping));
         d.submit_windowed(&workload, 8);
         let mut completed: Vec<u64> = d.done.iter().map(|c| c.id).collect();
         completed.sort_unstable();
@@ -265,7 +201,7 @@ fn dftl_and_page_map_agree_on_semantics() {
 fn identical_seeds_give_identical_runs() {
     let run = || {
         let cfg = ControllerConfig::default();
-        let mut d = Driver::new(controller(cfg));
+        let mut d = Driver::tiny(cfg);
         let logical = d.c.logical_pages();
         let mut rng = SimRng::new(11);
         let reqs: Vec<_> = (0..800)
@@ -291,7 +227,7 @@ fn reads_first_policy_reduces_read_wait_under_mixed_load() {
             },
             ..ControllerConfig::default()
         };
-        let mut d = Driver::new(controller(cfg));
+        let mut d = Driver::tiny(cfg);
         let logical = d.c.logical_pages();
         let fill: Vec<_> = (0..logical / 2).map(|l| (RequestKind::Write, l)).collect();
         d.submit_windowed(&fill, 16);
@@ -324,7 +260,7 @@ fn striping_policy_still_completes_everything() {
         write_alloc: WriteAllocPolicy::Striping,
         ..ControllerConfig::default()
     };
-    let mut d = Driver::new(controller(cfg));
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     let reqs: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
     d.submit_windowed(&reqs, 16);
@@ -350,7 +286,7 @@ fn victim_policies_all_reach_steady_state() {
             },
             ..ControllerConfig::default()
         };
-        let mut d = Driver::new(controller(cfg));
+        let mut d = Driver::tiny(cfg);
         let logical = d.c.logical_pages();
         let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
         d.submit_windowed(&fill, 16);
@@ -377,7 +313,7 @@ fn static_wear_leveling_migrates_cold_data() {
         temperature: TemperatureMode::Off,
         ..ControllerConfig::default()
     };
-    let mut d = Driver::new(controller(cfg));
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     // Fill everything (cold tail), then hammer a small hot range.
     let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
@@ -402,7 +338,7 @@ fn priority_tags_favor_tagged_ios() {
         sched: SchedPolicy::TagPriority,
         ..ControllerConfig::default()
     };
-    let mut d = Driver::new(controller(cfg));
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     let fill: Vec<_> = (0..logical / 2).map(|l| (RequestKind::Write, l)).collect();
     d.submit_windowed(&fill, 16);
@@ -431,7 +367,7 @@ fn interleaving_off_slows_throughput() {
             interleaving,
             ..ControllerConfig::default()
         };
-        let mut d = Driver::new(controller(cfg));
+        let mut d = Driver::tiny(cfg);
         let reqs: Vec<_> = (0..200u64).map(|l| (RequestKind::Write, l)).collect();
         d.submit_windowed(&reqs, 64);
         d.now
@@ -450,7 +386,7 @@ fn locality_groups_share_blocks() {
         honor_locality: true,
         ..ControllerConfig::default()
     };
-    let mut d = Driver::new(controller(cfg));
+    let mut d = Driver::tiny(cfg);
     // Two groups alternating; writes within one group should co-locate,
     // which we observe indirectly: it still completes and stays consistent.
     for i in 0..64u64 {
@@ -467,7 +403,7 @@ fn locality_groups_share_blocks() {
 
 #[test]
 fn overlapping_writes_to_same_lpn_are_safe() {
-    let mut d = Driver::new(controller(ControllerConfig::default()));
+    let mut d = Driver::tiny(ControllerConfig::default());
     // Submit several concurrent writes to one lpn without draining.
     for _ in 0..8 {
         d.submit(RequestKind::Write, 1);

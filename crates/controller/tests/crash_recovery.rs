@@ -24,11 +24,11 @@
 use std::collections::BTreeMap;
 
 use eagletree_controller::{
-    Completion, Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RecoveryMode,
-    RequestKind, SsdRequest, WlConfig,
+    Controller, ControllerConfig, Driver, Ledger, MappingKind, MergePolicy, RecoveryMode,
+    RequestKind, WlConfig,
 };
 use eagletree_core::SimTime;
-use eagletree_flash::{Geometry, OobTag, PageState, TimingSpec};
+use eagletree_flash::{Geometry, OobTag, TimingSpec};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -66,91 +66,6 @@ fn config(mapping: MappingKind, checkpoint_interval: u64) -> ControllerConfig {
     }
 }
 
-/// Per-lpn acknowledgment ledger: what the host may rely on at the cut.
-#[derive(Default)]
-struct Ledger {
-    /// Completion instant of the last acknowledged write per lpn.
-    write_ack: BTreeMap<u64, SimTime>,
-    /// Submission (= completion) instant of the last trim per lpn.
-    trim_ack: BTreeMap<u64, SimTime>,
-}
-
-impl Ledger {
-    /// Logical pages whose last acknowledged operation was a write —
-    /// recovery must map them. Ties (write ack and trim at the same
-    /// instant) are ambiguous and not required either way.
-    fn must_be_mapped(&self) -> Vec<u64> {
-        self.write_ack
-            .iter()
-            .filter(|(lpn, &w)| self.trim_ack.get(lpn).is_none_or(|&t| w > t))
-            .map(|(&lpn, _)| lpn)
-            .collect()
-    }
-}
-
-struct Driver {
-    c: Controller,
-    now: SimTime,
-    next_id: u64,
-    writes: BTreeMap<u64, u64>, // request id -> lpn
-    ledger: Ledger,
-}
-
-impl Driver {
-    fn new(c: Controller) -> Self {
-        Driver {
-            c,
-            now: SimTime::ZERO,
-            next_id: 0,
-            writes: BTreeMap::new(),
-            ledger: Ledger::default(),
-        }
-    }
-
-    fn submit(&mut self, kind: RequestKind, lpn: u64) {
-        let id = self.next_id;
-        self.next_id += 1;
-        if kind == RequestKind::Write {
-            self.writes.insert(id, lpn);
-        }
-        if kind == RequestKind::Trim {
-            // Trims acknowledge instantly at submission.
-            self.ledger.trim_ack.insert(lpn, self.now);
-        }
-        self.c.submit(
-            SsdRequest {
-                id,
-                kind,
-                lpn,
-                tags: IoTags::none(),
-            },
-            self.now,
-        );
-    }
-
-    fn note(&mut self, batch: Vec<Completion>) {
-        for comp in batch {
-            if let Some(&lpn) = self.writes.get(&comp.id) {
-                let slot = self.ledger.write_ack.entry(lpn).or_insert(comp.at);
-                *slot = (*slot).max(comp.at);
-            }
-        }
-    }
-
-    /// Process up to `budget` event boundaries; returns the unused budget
-    /// (zero means the cut point was reached mid-stream).
-    fn step(&mut self, mut budget: u64) -> u64 {
-        while budget > 0 {
-            let Some(t) = self.c.next_event_time() else { break };
-            budget -= 1;
-            self.now = t;
-            let batch = self.c.advance(t);
-            self.note(batch);
-        }
-        budget
-    }
-}
-
 /// Drive `ops`, cut power after `crash_step` event boundaries (or at
 /// quiescence if the workload is shorter), and verify both recovery modes
 /// from the same captured medium.
@@ -163,9 +78,7 @@ fn check_crash(
     crash_step: u64,
 ) -> Result<(), TestCaseError> {
     let cfg = config(mapping, checkpoint_interval);
-    let mut d = Driver::new(
-        Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg.clone()).unwrap(),
-    );
+    let mut d = Driver::tiny(cfg.clone());
     let logical = d.c.logical_pages();
     let mut budget = crash_step;
     'drive: for chunk in ops.chunks(qd) {
@@ -174,16 +87,16 @@ fn check_crash(
                 Op::Write(l) => d.submit(RequestKind::Write, l % logical),
                 Op::Trim(l) => d.submit(RequestKind::Trim, l % logical),
                 Op::Read(l) => d.submit(RequestKind::Read, l % logical),
-            }
+            };
         }
-        budget = d.step(budget);
+        budget = d.step_n(budget);
         if budget == 0 {
             break 'drive;
         }
     }
     if budget > 0 {
         // Workload ended first: cut at quiescence (every write acked).
-        d.step(u64::MAX);
+        d.run();
     }
     let cut_at = d.now;
     let must_mapped = d.ledger.must_be_mapped();
@@ -200,11 +113,9 @@ fn check_crash(
         );
 
         // 1. No acknowledged write lost, and every mapping is readable.
-        let g = *c2.array().geometry();
         for &lpn in &must_mapped {
-            let mapped = c2.peek_mapping(lpn);
             prop_assert!(
-                mapped.is_some(),
+                Ledger::survives(&c2, lpn),
                 "{}/{:?}: acknowledged write of lpn {} lost (cut at {:?}, step {})",
                 name,
                 mode,
@@ -213,25 +124,17 @@ fn check_crash(
                 crash_step
             );
         }
+        let g = *c2.array().geometry();
         for lpn in 0..logical {
             let Some(ppn) = c2.peek_mapping(lpn) else { continue };
-            let addr = g.page_at(ppn);
-            prop_assert_eq!(
-                c2.array().page_state(addr),
-                PageState::Valid,
-                "{}/{:?}: lpn {} maps to a non-valid page",
-                name,
-                mode,
-                lpn
-            );
             prop_assert!(
-                !c2.array().is_torn(addr),
-                "{}/{:?}: lpn {} maps to a torn page",
+                Ledger::survives(&c2, lpn),
+                "{}/{:?}: lpn {} maps to a non-valid or torn page",
                 name,
                 mode,
                 lpn
             );
-            let oob = c2.array().oob(addr);
+            let oob = c2.array().oob(g.page_at(ppn));
             prop_assert!(
                 matches!(oob, Some(e) if e.tag == (OobTag::Data { lpn })),
                 "{}/{:?}: lpn {} maps to a page whose OOB says {:?}",
@@ -262,7 +165,7 @@ fn check_crash(
             d2.submit(RequestKind::Write, (i as u64 * 37) % logical);
         }
         d2.submit(RequestKind::Write, 0);
-        d2.step(u64::MAX);
+        d2.run();
         prop_assert!(
             d2.c.is_quiescent(),
             "{}/{:?}: post-recovery IO did not drain",
@@ -330,9 +233,7 @@ proptest! {
 fn checkpoint_recovery_keeps_trimmed_pages_dead() {
     for (name, mapping) in schemes() {
         let cfg = config(mapping, 64);
-        let mut d = Driver::new(
-            Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg.clone()).unwrap(),
-        );
+        let mut d = Driver::tiny(cfg.clone());
         let logical = d.c.logical_pages();
         // Victims live in the upper half of the address space; filler
         // churn stays in the lower half so nothing rewrites a trimmed
@@ -344,7 +245,7 @@ fn checkpoint_recovery_keeps_trimmed_pages_dead() {
                 d.submit(RequestKind::Write, *filler % (logical / 2));
                 *filler += 1;
             }
-            d.step(u64::MAX);
+            d.run();
         };
         // Park right after a commit so the interval phase is known.
         let fill_until_commit =
@@ -366,11 +267,11 @@ fn checkpoint_recovery_keeps_trimmed_pages_dead() {
         for &v in &victims {
             d.submit(RequestKind::Write, v);
         }
-        d.step(u64::MAX);
+        d.run();
         for &v in &victims {
             d.submit(RequestKind::Trim, v);
         }
-        d.step(u64::MAX);
+        d.run();
         // The next commit journals the trims; its watermark covers the
         // victims' copies.
         fill_until_commit(&mut d, &mut filler, &fill);
@@ -405,9 +306,7 @@ fn battery_backed_buffer_survives_power_cut() {
         write_buffer_pages: 8,
         ..ControllerConfig::default()
     };
-    let mut d = Driver::new(
-        Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg.clone()).unwrap(),
-    );
+    let mut d = Driver::tiny(cfg.clone());
     for lpn in 0..4 {
         d.submit(RequestKind::Write, lpn);
     }
@@ -425,19 +324,12 @@ fn battery_backed_buffer_survives_power_cut() {
 /// remounts under DFTL (and vice versa) with the same mapping.
 #[test]
 fn remount_across_mapping_schemes() {
-    let mut d = Driver::new(
-        Controller::new(
-            Geometry::tiny(),
-            TimingSpec::slc(),
-            config(MappingKind::PageMap, 0),
-        )
-        .unwrap(),
-    );
+    let mut d = Driver::tiny(config(MappingKind::PageMap, 0));
     let logical = d.c.logical_pages();
     for lpn in 0..64 {
         d.submit(RequestKind::Write, lpn % logical);
     }
-    d.step(u64::MAX);
+    d.run();
     let expected: Vec<Option<u64>> = (0..logical).map(|l| d.c.peek_mapping(l)).collect();
     let image = d.c.power_cut(d.now);
     let (c2, report) = Controller::remount(
@@ -460,14 +352,12 @@ fn remount_across_mapping_schemes() {
 #[test]
 fn remount_rejects_a_hybrid_log_budget_new_rejects() {
     let g = Geometry::tiny();
-    let mut d = Driver::new(
-        Controller::new(g, TimingSpec::slc(), config(MappingKind::PageMap, 0)).unwrap(),
-    );
+    let mut d = Driver::tiny(config(MappingKind::PageMap, 0));
     let logical = d.c.logical_pages();
     for lpn in 0..64 {
         d.submit(RequestKind::Write, lpn % logical);
     }
-    d.step(u64::MAX);
+    d.run();
     let spare = g.total_blocks() - logical.div_ceil(g.pages_per_block as u64);
     let oversized = config(
         MappingKind::Hybrid {

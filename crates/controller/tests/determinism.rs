@@ -10,53 +10,9 @@
 //! workload carries priority tags so `TagPriority` actually discriminates).
 
 use eagletree_controller::{
-    Completion, Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RequestKind,
-    SchedPolicy, SsdRequest, WlConfig,
+    ControllerConfig, Driver, IoTags, MappingKind, MergePolicy, RequestKind, SchedPolicy, WlConfig,
 };
-use eagletree_core::{ObsConfig, QueueKind, SimRng, SimTime};
-use eagletree_flash::{Geometry, TimingSpec};
-
-struct Driver {
-    c: Controller,
-    now: SimTime,
-    next_id: u64,
-    done: Vec<Completion>,
-}
-
-impl Driver {
-    fn new(c: Controller) -> Self {
-        Driver {
-            c,
-            now: SimTime::ZERO,
-            next_id: 0,
-            done: Vec::new(),
-        }
-    }
-
-    fn submit(&mut self, kind: RequestKind, lpn: u64, tags: IoTags) {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.c.submit(
-            SsdRequest {
-                id,
-                kind,
-                lpn,
-                tags,
-            },
-            self.now,
-        );
-    }
-
-    fn run(&mut self) {
-        while let Some(t) = self.c.next_event_time() {
-            self.now = t;
-            let batch = self.c.advance(t);
-            self.done.extend(batch);
-        }
-        let tail = self.c.advance(self.now);
-        self.done.extend(tail);
-    }
-}
+use eagletree_core::{ObsConfig, QueueKind, SimRng};
 
 /// Run a fixed-seed mixed write/trim/read workload (every fifth request
 /// priority-tagged) and render everything observable into one string:
@@ -96,7 +52,7 @@ fn run_fingerprint_obs(
         },
         ..ControllerConfig::default()
     };
-    let mut d = Driver::new(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap());
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     let mut rng = SimRng::new(0xD17E_2B11);
     let ops: Vec<(RequestKind, u64, IoTags)> = (0..2000)
@@ -119,7 +75,7 @@ fn run_fingerprint_obs(
     // rankings disagree) while the whole suite stays fast.
     for chunk in ops.chunks(96) {
         for &(kind, lpn, tags) in chunk {
-            d.submit(kind, lpn, tags);
+            d.submit_tagged(kind, lpn, tags);
         }
         d.run();
     }

@@ -17,71 +17,18 @@
 //!   a power-cut + remount of a medium that already carries grown bad
 //!   blocks (the wear-out × recovery composition).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use eagletree_controller::{
-    Completion, Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RecoveryMode,
-    RequestKind, SchedPolicy, ScrubConfig, SsdRequest,
+    Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, MergePolicy, RecoveryMode,
+    RequestKind, SchedPolicy, ScrubConfig,
 };
-use eagletree_core::{ObsConfig, QueueKind, SimRng, SimTime};
-use eagletree_flash::{FaultConfig, Geometry, PageState, TimingSpec};
+use eagletree_core::{ObsConfig, QueueKind, SimRng};
+use eagletree_flash::FaultConfig;
 
 /// Widen sweeps when the CI fault-matrix job sets `FAULTS=on`.
 fn full_matrix() -> bool {
     std::env::var("FAULTS").is_ok_and(|v| v == "on")
-}
-
-struct Driver {
-    c: Controller,
-    now: SimTime,
-    next_id: u64,
-    done: Vec<Completion>,
-    writes: BTreeMap<u64, u64>,
-    acked: BTreeSet<u64>,
-}
-
-impl Driver {
-    fn new(c: Controller) -> Self {
-        Driver {
-            c,
-            now: SimTime::ZERO,
-            next_id: 0,
-            done: Vec::new(),
-            writes: BTreeMap::new(),
-            acked: BTreeSet::new(),
-        }
-    }
-
-    fn submit(&mut self, kind: RequestKind, lpn: u64, tags: IoTags) {
-        let id = self.next_id;
-        self.next_id += 1;
-        if kind == RequestKind::Write {
-            self.writes.insert(id, lpn);
-        }
-        self.c.submit(
-            SsdRequest {
-                id,
-                kind,
-                lpn,
-                tags,
-            },
-            self.now,
-        );
-    }
-
-    fn run(&mut self) {
-        while let Some(t) = self.c.next_event_time() {
-            self.now = t;
-            for comp in self.c.advance(t) {
-                if let Some(&lpn) = self.writes.get(&comp.id) {
-                    self.acked.insert(lpn);
-                }
-                self.done.push(comp);
-            }
-        }
-        let tail = self.c.advance(self.now);
-        self.done.extend(tail);
-    }
 }
 
 /// A fault profile hot enough that a 2k-op run on the tiny array sees
@@ -140,7 +87,7 @@ fn faulty_cfg(mapping: MappingKind, sched: SchedPolicy, queue: QueueKind) -> Con
 /// path, so every fault domain actually gets exercised. Returns the
 /// driver for property checks.
 fn churn(cfg: ControllerConfig, ops: usize) -> Driver {
-    let mut d = Driver::new(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap());
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     let mut rng = SimRng::new(0xFA01_77E5);
     let hot = (logical / 4).max(1);
@@ -163,7 +110,7 @@ fn churn(cfg: ControllerConfig, ops: usize) -> Driver {
         .collect();
     for chunk in script.chunks(96) {
         for &(kind, lpn, tags) in chunk {
-            d.submit(kind, lpn, tags);
+            d.submit_tagged(kind, lpn, tags);
         }
         d.run();
     }
@@ -325,12 +272,9 @@ fn no_acknowledged_write_is_lost_without_a_ledger_entry() {
             2000,
         );
         let lost: BTreeSet<u64> = d.c.lost_data().collect();
-        let g = *d.c.array().geometry();
         let mut verified = 0u64;
-        for &lpn in &d.acked {
-            let survives = d.c.peek_mapping(lpn).is_some_and(|ppn| {
-                d.c.array().page_state(g.page_at(ppn)) == PageState::Valid
-            });
+        for lpn in d.ledger.acked_writes() {
+            let survives = Ledger::survives(&d.c, lpn);
             assert!(
                 survives || lost.contains(&lpn),
                 "{mapping:?}: acked lpn {lpn} neither mapped-valid nor ledgered"
@@ -382,7 +326,7 @@ fn remount_tolerates_grown_bad_blocks() {
             rel.grown_bad_blocks > 0,
             "churn must retire blocks before the cut: {rel:?}"
         );
-        let acked = std::mem::take(&mut d.acked);
+        let ledger = std::mem::take(&mut d.ledger);
         let pre_lost: BTreeSet<u64> = d.c.lost_data().collect();
         let image = d.c.power_cut(d.now);
         let (c2, rep) = Controller::remount(image, cfg, mode).expect("remount scarred medium");
@@ -391,14 +335,9 @@ fn remount_tolerates_grown_bad_blocks() {
         let rel2 = c2.reliability().expect("fault model carried across");
         assert_eq!(rel2.grown_bad_blocks, rel.grown_bad_blocks);
         // Acked writes still survive (or were already ledgered pre-cut).
-        let g = *c2.array().geometry();
-        for &lpn in &acked {
-            let survives = c2.peek_mapping(lpn).is_some_and(|ppn| {
-                let addr = g.page_at(ppn);
-                c2.array().page_state(addr) == PageState::Valid && !c2.array().is_torn(addr)
-            });
+        for lpn in ledger.acked_writes() {
             assert!(
-                survives || pre_lost.contains(&lpn),
+                Ledger::survives(&c2, lpn) || pre_lost.contains(&lpn),
                 "{mode:?}: acked lpn {lpn} lost across remount of scarred medium"
             );
         }

@@ -23,55 +23,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use eagletree_controller::{
-    class_index, class_table, Completion, Controller, ControllerConfig, IoTags, MappingKind,
-    MergePolicy, OpClass, RequestKind, SchedPolicy, SsdRequest, WlConfig,
+    class_index, class_table, ControllerConfig, Driver, MappingKind, MergePolicy, OpClass,
+    RequestKind, SchedPolicy, WlConfig,
 };
-use eagletree_core::SimTime;
-use eagletree_flash::{Geometry, PageState, TimingSpec};
+use eagletree_flash::PageState;
 use proptest::prelude::*;
-
-struct Driver {
-    c: Controller,
-    now: SimTime,
-    next_id: u64,
-    done: Vec<Completion>,
-}
-
-impl Driver {
-    fn new(c: Controller) -> Self {
-        Driver {
-            c,
-            now: SimTime::ZERO,
-            next_id: 0,
-            done: Vec::new(),
-        }
-    }
-
-    fn submit(&mut self, kind: RequestKind, lpn: u64) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.c.submit(
-            SsdRequest {
-                id,
-                kind,
-                lpn,
-                tags: IoTags::none(),
-            },
-            self.now,
-        );
-        id
-    }
-
-    fn run(&mut self) {
-        while let Some(t) = self.c.next_event_time() {
-            self.now = t;
-            let batch = self.c.advance(t);
-            self.done.extend(batch);
-        }
-        let tail = self.c.advance(self.now);
-        self.done.extend(tail);
-    }
-}
 
 /// One step of the generated workload.
 #[derive(Debug, Clone, Copy)]
@@ -110,11 +66,11 @@ fn build(mapping: MappingKind, sched: SchedPolicy) -> Driver {
         },
         ..ControllerConfig::default()
     };
-    Driver::new(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap())
+    Driver::tiny(cfg)
 }
 
-/// Drive `ops` in windows, tracking the model state; then check all three
-/// invariant families at the quiescent point.
+/// Drive `ops` in windows; then check all three invariant families at the
+/// quiescent point, the first against the driver's own ledger.
 fn check_scheme(name: &str, mapping: MappingKind, ops: &[Op], qd: usize) -> Result<(), TestCaseError> {
     check_scheme_with(name, build(mapping, SchedPolicy::Fifo), ops, qd, 0)
 }
@@ -129,9 +85,8 @@ fn check_scheme_with(
     read_burst: usize,
 ) -> Result<(), TestCaseError> {
     let logical = d.c.logical_pages();
-    // Model: the set of logical pages whose last operation was a write.
-    let mut written: BTreeSet<u64> =
-        (0..logical).filter(|&l| d.c.peek_mapping(l).is_some()).collect();
+    // A prepared device arrives run dry: everything submitted is done.
+    let prepared = d.done.len();
     let mut read_ids: Vec<u64> = Vec::new();
     let luns = d.c.array().geometry().total_luns();
     let mut most_waiting = 0;
@@ -141,7 +96,7 @@ fn check_scheme_with(
         let mut mapped = 0;
         for op in chunk.iter().cycle().take(read_burst) {
             let (Op::Write(l) | Op::Trim(l) | Op::Read(l)) = *op;
-            mapped += written.contains(&(l % logical)) as u32;
+            mapped += d.c.peek_mapping(l % logical).is_some() as u32;
             read_ids.push(d.submit(RequestKind::Read, l % logical));
         }
         most_waiting = most_waiting.max(mapped.saturating_sub(luns));
@@ -158,20 +113,7 @@ fn check_scheme_with(
                 }
             }
         }
-        // Model semantics per window: trims complete instantly at submit,
-        // writes commit by the end of the window — so within one window a
-        // write of an lpn always outlives a trim of it.
-        for op in chunk {
-            if let Op::Trim(l) = *op {
-                written.remove(&(l % logical));
-            }
-        }
-        for op in chunk {
-            if let Op::Write(l) = *op {
-                written.insert(l % logical);
-            }
-        }
-        // Window boundary: quiesce so the model set is exact.
+        // Window boundary: quiesce, so the next burst knows what is mapped.
         d.run();
     }
     d.run();
@@ -184,9 +126,10 @@ fn check_scheme_with(
 
     // Every submitted request completed.
     let done_ids: BTreeSet<u64> = d.done.iter().map(|c| c.id).collect();
+    let writes_and_trims = ops.iter().filter(|op| !matches!(op, Op::Read(_))).count();
     prop_assert_eq!(
-        done_ids.len() as u64,
-        d.next_id,
+        done_ids.len(),
+        prepared + read_ids.len() + writes_and_trims,
         "{}: lost completions",
         name
     );
@@ -194,25 +137,24 @@ fn check_scheme_with(
         prop_assert!(done_ids.contains(id), "{}: read {} never completed", name, id);
     }
 
-    // 1. No lost writes: model and mapping agree page by page.
-    for lpn in 0..logical {
+    // 1. No lost writes: ledger and mapping agree page by page.
+    for lpn in d.ledger.must_be_mapped() {
+        prop_assert!(
+            d.c.peek_mapping(lpn).is_some(),
+            "{}: lpn {} written but unmapped (lost write)",
+            name,
+            lpn
+        );
+    }
+    for lpn in d.ledger.must_be_unmapped(logical) {
         let mapped = d.c.peek_mapping(lpn);
-        if written.contains(&lpn) {
-            prop_assert!(
-                mapped.is_some(),
-                "{}: lpn {} written but unmapped (lost write)",
-                name,
-                lpn
-            );
-        } else {
-            prop_assert!(
-                mapped.is_none(),
-                "{}: lpn {} trimmed/unwritten but mapped to {:?}",
-                name,
-                lpn,
-                mapped
-            );
-        }
+        prop_assert!(
+            mapped.is_none(),
+            "{}: lpn {} trimmed/unwritten but mapped to {:?}",
+            name,
+            lpn,
+            mapped
+        );
     }
 
     // 2. Bijectivity: no two logical pages share a physical page.

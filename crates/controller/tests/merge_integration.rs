@@ -3,64 +3,11 @@
 //! (visible per `OpClass`), not bypass it.
 
 use eagletree_controller::{
-    class_index, Completion, Controller, ControllerConfig, IoTags, MappingKind, MergePolicy,
-    OpClass, RequestKind, SchedPolicy, SsdRequest, WlConfig,
+    class_index, Controller, ControllerConfig, Driver, MappingKind, MergePolicy, OpClass,
+    RequestKind, SchedPolicy, WlConfig,
 };
-use eagletree_core::{SimRng, SimTime};
+use eagletree_core::SimRng;
 use eagletree_flash::{Geometry, TimingSpec};
-
-/// A minimal OS stand-in: submits requests and drains the event agenda.
-struct Driver {
-    c: Controller,
-    now: SimTime,
-    next_id: u64,
-    done: Vec<Completion>,
-}
-
-impl Driver {
-    fn new(c: Controller) -> Self {
-        Driver {
-            c,
-            now: SimTime::ZERO,
-            next_id: 0,
-            done: Vec::new(),
-        }
-    }
-
-    fn submit(&mut self, kind: RequestKind, lpn: u64) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.c.submit(
-            SsdRequest {
-                id,
-                kind,
-                lpn,
-                tags: IoTags::none(),
-            },
-            self.now,
-        );
-        id
-    }
-
-    fn run(&mut self) {
-        while let Some(t) = self.c.next_event_time() {
-            self.now = t;
-            let batch = self.c.advance(t);
-            self.done.extend(batch);
-        }
-        let tail = self.c.advance(self.now);
-        self.done.extend(tail);
-    }
-
-    fn submit_windowed(&mut self, reqs: &[(RequestKind, u64)], qd: usize) {
-        for chunk in reqs.chunks(qd) {
-            for &(kind, lpn) in chunk {
-                self.submit(kind, lpn);
-            }
-            self.run();
-        }
-    }
-}
 
 fn hybrid_cfg(log_blocks: usize, merge: MergePolicy) -> ControllerConfig {
     ControllerConfig {
@@ -74,10 +21,7 @@ fn hybrid_cfg(log_blocks: usize, merge: MergePolicy) -> ControllerConfig {
 }
 
 fn hybrid_driver(log_blocks: usize, merge: MergePolicy) -> Driver {
-    Driver::new(
-        Controller::new(Geometry::tiny(), TimingSpec::slc(), hybrid_cfg(log_blocks, merge))
-            .unwrap(),
-    )
+    Driver::tiny(hybrid_cfg(log_blocks, merge))
 }
 
 #[test]
@@ -159,7 +103,7 @@ fn merges_compete_with_reads_under_class_priority() {
             sched: policy,
             ..hybrid_cfg(2, MergePolicy::Fifo)
         };
-        let mut d = Driver::new(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap());
+        let mut d = Driver::tiny(cfg);
         let logical = d.c.logical_pages();
         let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
         d.submit_windowed(&fill, 16);
@@ -230,7 +174,7 @@ fn static_wl_refreshes_cold_data_blocks_via_merges() {
         },
         ..hybrid_cfg(3, MergePolicy::Fifo)
     };
-    let mut d = Driver::new(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap());
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
     d.submit_windowed(&fill, 16);
@@ -260,7 +204,7 @@ fn write_buffer_flushes_through_the_log_blocks() {
         write_buffer_pages: 8,
         ..hybrid_cfg(3, MergePolicy::Fifo)
     };
-    let mut d = Driver::new(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap());
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     let mut rng = SimRng::new(0xBF);
     // Skewed overwrites so buffered pages are re-dirtied mid-flush.

@@ -1,9 +1,7 @@
 //! End-of-life behavior: blocks exhaust their erase endurance, get masked,
 //! and the device keeps operating on the surviving pool.
 
-use eagletree_controller::{
-    Completion, Controller, ControllerConfig, IoTags, RequestKind, SsdRequest, WlConfig,
-};
+use eagletree_controller::{Controller, ControllerConfig, Driver, RequestKind, WlConfig};
 use eagletree_core::{SimRng, SimTime};
 use eagletree_flash::{FlashArray, FlashCommand, Geometry, PhysicalAddr, TimingSpec};
 
@@ -54,36 +52,13 @@ fn controller_survives_device_end_of_life() {
         logical_capacity: 0.25,
         ..ControllerConfig::default()
     };
-    let mut c = Controller::new(Geometry::tiny(), timing, cfg).unwrap();
-    let logical = c.logical_pages();
-    let mut now = SimTime::ZERO;
-    let mut id = 0u64;
-    let mut done: Vec<Completion> = Vec::new();
+    let mut d = Driver::new(Controller::new(Geometry::tiny(), timing, cfg).unwrap());
+    let logical = d.c.logical_pages();
     let mut rng = SimRng::new(42);
-    let drain = |c: &mut Controller, now: &mut SimTime, done: &mut Vec<Completion>| {
-        while let Some(t) = c.next_event_time() {
-            *now = t;
-            done.extend(c.advance(t));
-        }
-        done.extend(c.advance(*now));
-    };
     let total = logical * 24;
-    for i in 0..total {
-        c.submit(
-            SsdRequest {
-                id,
-                kind: RequestKind::Write,
-                lpn: rng.gen_range(logical),
-                tags: IoTags::none(),
-            },
-            now,
-        );
-        id += 1;
-        if i % 16 == 15 {
-            drain(&mut c, &mut now, &mut done);
-        }
-    }
-    drain(&mut c, &mut now, &mut done);
+    let writes: Vec<_> = (0..total).map(|_| (RequestKind::Write, rng.gen_range(logical))).collect();
+    d.submit_windowed(&writes, 16);
+    let (c, done) = (d.c, d.done);
     assert!(
         c.stats().bad_blocks_retired > 0,
         "endurance 5 under 24x overwrite must wear out blocks (total erases {})",

@@ -1,66 +1,26 @@
 //! Write-buffer integration: durability-on-arrival semantics, overwrite
 //! absorption, buffered reads, flush correctness under races.
 
-use eagletree_controller::{
-    Completion, Controller, ControllerConfig, IoTags, RequestKind, SsdRequest, WlConfig,
-};
+use eagletree_controller::{Controller, ControllerConfig, Driver, RequestKind, WlConfig};
 use eagletree_core::{SimRng, SimTime};
 use eagletree_flash::{Geometry, TimingSpec};
 
-struct Driver {
-    c: Controller,
-    now: SimTime,
-    next_id: u64,
-    done: Vec<Completion>,
-}
-
-impl Driver {
-    fn new(write_buffer_pages: u64) -> Self {
-        let cfg = ControllerConfig {
-            write_buffer_pages,
-            wl: WlConfig {
-                static_enabled: false,
-                ..WlConfig::default()
-            },
-            ..ControllerConfig::default()
-        };
-        Driver {
-            c: Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap(),
-            now: SimTime::ZERO,
-            next_id: 0,
-            done: Vec::new(),
-        }
-    }
-
-    fn submit(&mut self, kind: RequestKind, lpn: u64) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.c.submit(
-            SsdRequest {
-                id,
-                kind,
-                lpn,
-                tags: IoTags::none(),
-            },
-            self.now,
-        );
-        id
-    }
-
-    fn run(&mut self) {
-        while let Some(t) = self.c.next_event_time() {
-            self.now = t;
-            let batch = self.c.advance(t);
-            self.done.extend(batch);
-        }
-        let tail = self.c.advance(self.now);
-        self.done.extend(tail);
-    }
+/// A tiny device with a write buffer of `write_buffer_pages`, GC the only
+/// background activity.
+fn buffered(write_buffer_pages: u64) -> Driver {
+    Driver::tiny(ControllerConfig {
+        write_buffer_pages,
+        wl: WlConfig {
+            static_enabled: false,
+            ..WlConfig::default()
+        },
+        ..ControllerConfig::default()
+    })
 }
 
 #[test]
 fn buffered_writes_complete_instantly() {
-    let mut d = Driver::new(16);
+    let mut d = buffered(16);
     let w = d.submit(RequestKind::Write, 3);
     d.run();
     let c = d.done.iter().find(|c| c.id == w).unwrap();
@@ -71,7 +31,7 @@ fn buffered_writes_complete_instantly() {
 
 #[test]
 fn overwrites_are_absorbed_in_ram() {
-    let mut d = Driver::new(32);
+    let mut d = buffered(32);
     for _ in 0..20 {
         d.submit(RequestKind::Write, 7);
     }
@@ -86,7 +46,7 @@ fn overwrites_are_absorbed_in_ram() {
 
 #[test]
 fn reads_of_buffered_pages_served_from_ram() {
-    let mut d = Driver::new(16);
+    let mut d = buffered(16);
     d.submit(RequestKind::Write, 5);
     d.run();
     let reads_before = d.c.array().counters().reads;
@@ -99,7 +59,7 @@ fn reads_of_buffered_pages_served_from_ram() {
 
 #[test]
 fn full_buffer_flushes_to_flash_and_publishes_mapping() {
-    let mut d = Driver::new(8);
+    let mut d = buffered(8);
     for lpn in 0..8 {
         d.submit(RequestKind::Write, lpn);
     }
@@ -114,7 +74,7 @@ fn full_buffer_flushes_to_flash_and_publishes_mapping() {
 
 #[test]
 fn trim_drops_buffered_entry() {
-    let mut d = Driver::new(16);
+    let mut d = buffered(16);
     d.submit(RequestKind::Write, 9);
     d.submit(RequestKind::Trim, 9);
     d.run();
@@ -129,7 +89,7 @@ fn trim_drops_buffered_entry() {
 
 #[test]
 fn sustained_buffered_overwrites_stay_consistent() {
-    let mut d = Driver::new(64);
+    let mut d = buffered(64);
     let logical = d.c.logical_pages();
     let mut rng = SimRng::new(77);
     for i in 0..logical * 3 {
@@ -155,7 +115,7 @@ fn sustained_buffered_overwrites_stay_consistent() {
 #[test]
 fn skewed_writes_absorb_most_traffic() {
     // Hot/cold 90/10: most writes hit 16 hot pages that fit in the buffer.
-    let mut d = Driver::new(64);
+    let mut d = buffered(64);
     let logical = d.c.logical_pages();
     let mut rng = SimRng::new(5);
     for i in 0..4000u64 {
@@ -189,12 +149,7 @@ fn buffer_with_dftl_flushes_through_mapping() {
         },
         ..ControllerConfig::default()
     };
-    let mut d = Driver {
-        c: Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap(),
-        now: SimTime::ZERO,
-        next_id: 0,
-        done: Vec::new(),
-    };
+    let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     let mut rng = SimRng::new(3);
     for i in 0..1000u64 {

@@ -30,10 +30,8 @@ pub struct Measured {
     /// measured threads (unlike `read_p99_us`/`write_p99_us`, which keep
     /// their historical per-thread-max semantics).
     pub read_p50_us: f64,
-    pub read_p95_us: f64,
     pub read_p999_us: f64,
     pub write_p50_us: f64,
-    pub write_p95_us: f64,
     pub write_p999_us: f64,
     /// Internal (non-application) flash ops issued: GC + WL + mapping +
     /// merge traffic, the interference QoS experiments trace.
@@ -221,10 +219,8 @@ pub fn measure(os: &Os, threads: &[usize]) -> Measured {
         write_p99_us: write_p99,
         write_stddev_us: if wn > 0.0 { write_sd / wn } else { 0.0 },
         read_p50_us: rt.p50.as_micros_f64(),
-        read_p95_us: rt.p95.as_micros_f64(),
         read_p999_us: rt.p999.as_micros_f64(),
         write_p50_us: wt.p50.as_micros_f64(),
-        write_p95_us: wt.p95.as_micros_f64(),
         write_p999_us: wt.p999.as_micros_f64(),
         internal_ops: internal_ops(&cs.issued),
         queue_wait_us: if n_stats > 0.0 { wait / n_stats } else { 0.0 },

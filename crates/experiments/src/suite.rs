@@ -9,8 +9,8 @@
 //! [`Scale`].
 
 use eagletree_controller::{
-    Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RecoveryMode, RequestKind,
-    SchedPolicy, ScrubConfig, SsdRequest, TemperatureMode, WriteAllocPolicy,
+    Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, MergePolicy, RecoveryMode,
+    RequestKind, SchedPolicy, ScrubConfig, TemperatureMode, WriteAllocPolicy,
 };
 use eagletree_core::{QueueKind, SimDuration, SimRng, SimTime, Stage};
 use eagletree_flash::{FaultConfig, Geometry, MemoryKind, TimingSpec};
@@ -931,89 +931,31 @@ fn e21_mount_time(scale: Scale) -> Table {
 // ---------------------------------------------------------------------
 // E22 — crash-point sweep during GC/merge
 
-/// Controller-level crash driver: submits a scripted workload in windows
-/// and advances one event boundary at a time, so a power cut can land at
-/// any chosen point of the event stream — including mid-GC and mid-merge.
-struct CrashDriver {
-    c: Controller,
-    now: SimTime,
-    next_id: u64,
-    writes: std::collections::BTreeMap<u64, u64>,
-    /// Logical pages with at least one acknowledged write.
-    acked: std::collections::BTreeSet<u64>,
+/// Sequentially fill the whole logical space of `d` (GC
+/// preconditioning); the ledger starts over after it, so a crash point
+/// is judged on the churn phase alone.
+fn e22_fill(d: &mut Driver) {
+    let fill: Vec<_> = (0..d.c.logical_pages()).map(|lpn| (RequestKind::Write, lpn)).collect();
+    d.submit_windowed(&fill, 32);
+    d.ledger.clear();
 }
 
-impl CrashDriver {
-    fn new(cfg: ControllerConfig) -> Self {
-        CrashDriver {
-            c: Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg)
-                .expect("E22 setup"),
-            now: SimTime::ZERO,
-            next_id: 0,
-            writes: std::collections::BTreeMap::new(),
-            acked: std::collections::BTreeSet::new(),
+/// Overwrite `ops` in windows of `qd`, one agenda instant at a time, so a
+/// power cut can land anywhere in the event stream — mid-GC and mid-merge
+/// included: stop after `crash_step` instants (`u64::MAX` = run to
+/// quiescence). Returns the instants left of `crash_step`.
+fn e22_churn(d: &mut Driver, ops: &[u64], qd: usize, crash_step: u64) -> u64 {
+    let mut budget = crash_step;
+    for window in ops.chunks(qd) {
+        for &lpn in window {
+            d.submit(RequestKind::Write, lpn);
+        }
+        budget = d.step_n(budget);
+        if budget == 0 {
+            break;
         }
     }
-
-    fn write(&mut self, lpn: u64) {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.writes.insert(id, lpn);
-        self.c.submit(
-            SsdRequest {
-                id,
-                kind: RequestKind::Write,
-                lpn,
-                tags: IoTags::none(),
-            },
-            self.now,
-        );
-    }
-
-    /// Advance up to `budget` event boundaries; returns the unused budget.
-    fn step(&mut self, mut budget: u64) -> u64 {
-        while budget > 0 {
-            let Some(t) = self.c.next_event_time() else { break };
-            budget -= 1;
-            self.now = t;
-            for comp in self.c.advance(t) {
-                if let Some(&lpn) = self.writes.get(&comp.id) {
-                    self.acked.insert(lpn);
-                }
-            }
-        }
-        budget
-    }
-
-    /// Sequentially fill the whole logical space (GC preconditioning).
-    fn fill(&mut self) {
-        let logical = self.c.logical_pages();
-        for chunk_start in (0..logical).step_by(32) {
-            for lpn in chunk_start..(chunk_start + 32).min(logical) {
-                self.write(lpn);
-            }
-            self.step(u64::MAX);
-        }
-        self.acked.clear(); // measure only the churn phase
-        self.writes.clear();
-    }
-
-    /// Run the churn workload, cutting after `crash_step` event
-    /// boundaries (`u64::MAX` = run to quiescence). Returns remaining
-    /// budget.
-    fn churn(&mut self, ops: &[u64], qd: usize, crash_step: u64) -> u64 {
-        let mut budget = crash_step;
-        for chunk in ops.chunks(qd) {
-            for &lpn in chunk {
-                self.write(lpn);
-            }
-            budget = self.step(budget);
-            if budget == 0 {
-                return 0;
-            }
-        }
-        budget
-    }
+    budget
 }
 
 /// The churn script: clustered overwrites on a full device — every write
@@ -1051,10 +993,9 @@ fn e22_crash_sweep(scale: Scale) -> Table {
             ..ControllerConfig::default()
         };
         // Rehearsal: total event boundaries of the churn phase.
-        let mut d = CrashDriver::new(cfg.clone());
-        d.fill();
-        let left = d.churn(&ops, qd, u64::MAX);
-        let total_steps = u64::MAX - left;
+        let mut d = Driver::tiny(cfg.clone());
+        e22_fill(&mut d);
+        let total_steps = u64::MAX - e22_churn(&mut d, &ops, qd, u64::MAX);
         let internal_erases =
             d.c.stats().gc_erases + d.c.stats().merge_erases + d.c.stats().wl_erases;
         for mode in [RecoveryMode::FullScan, RecoveryMode::Checkpoint] {
@@ -1066,21 +1007,15 @@ fn e22_crash_sweep(scale: Scale) -> Table {
             let mut oob = 0u64;
             for k in 1..=points {
                 let crash_step = (k * total_steps / (points + 1)).max(1);
-                let mut d = CrashDriver::new(cfg.clone());
-                d.fill();
-                d.churn(&ops, qd, crash_step);
-                let acked = std::mem::take(&mut d.acked);
+                let mut d = Driver::tiny(cfg.clone());
+                e22_fill(&mut d);
+                e22_churn(&mut d, &ops, qd, crash_step);
+                let ledger = std::mem::take(&mut d.ledger);
                 let image = d.c.power_cut(d.now);
                 let (c2, rep) = Controller::remount(image, cfg.clone(), mode)
                     .expect("E22 remount");
-                let g = *c2.array().geometry();
-                for &lpn in &acked {
-                    let survives = c2.peek_mapping(lpn).is_some_and(|ppn| {
-                        let addr = g.page_at(ppn);
-                        c2.array().page_state(addr) == eagletree_flash::PageState::Valid
-                            && !c2.array().is_torn(addr)
-                    });
-                    if survives {
+                for lpn in ledger.acked_writes() {
+                    if Ledger::survives(&c2, lpn) {
                         verified += 1;
                     } else {
                         lost += 1;

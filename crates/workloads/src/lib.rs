@@ -22,9 +22,8 @@
 //!   parsing behind the [`TraceSource`] trait, chunked bounded-memory
 //!   prefetch, LBA remapping into a namespace, a trace characterizer
 //!   (footprint / mix / Zipf skew / burstiness) and matched synthesis.
-//! * [`trace`] — replay: the closed-loop [`TraceThread`] list replayer and
-//!   the production [`ReplayThread`] (open-loop at recorded timestamps
-//!   with time-warp, or closed-loop preserving think times).
+//! * [`trace`] — replay: [`ReplayThread`] (open-loop at recorded
+//!   timestamps with time-warp, or closed-loop preserving think times).
 //! * [`tenant`] — the tenant-profile builder: declare a tenant's
 //!   namespace, QoS parameters and member threads, then install the whole
 //!   profile onto an [`Os`](eagletree_os::Os) in one call (the
@@ -54,4 +53,4 @@ pub use grace_join::GraceHashJoin;
 pub use lsm::LsmTreeThread;
 pub use precondition::{random_fill, sequential_fill};
 pub use tenant::TenantProfile;
-pub use trace::{ReplayMode, ReplayThread, TraceEntry, TraceThread};
+pub use trace::{ReplayMode, ReplayThread};

@@ -1,103 +1,18 @@
-//! IO-trace record and replay.
+//! IO-trace replay.
 //!
-//! Two replayers live here:
-//!
-//! * [`TraceThread`] — the original closed-loop list replayer: an explicit
-//!   in-memory list of IOs with per-entry think times, dispatched serially
-//!   (each entry after the previous completion plus its delay). Useful for
-//!   regression experiments where the exact IO sequence must be pinned.
-//! * [`ReplayThread`] — the production-trace replayer over any streaming
-//!   [`TraceSource`] (see [`crate::blktrace`]). In **open-loop** mode IOs
-//!   dispatch at their recorded arrival timestamps via the OS timer
-//!   machinery — load is what the trace says, regardless of device
-//!   latency, so queues can actually build — with a time-warp factor to
-//!   accelerate (or stretch) the recorded clock. In **closed-loop** mode
-//!   the recorded inter-arrival gaps are preserved as think times after
-//!   each record's completions, the classic feedback-limited replay.
+//! [`ReplayThread`] replays any streaming [`TraceSource`] (see
+//! [`crate::blktrace`]). In **open-loop** mode IOs dispatch at their
+//! recorded arrival timestamps via the OS timer machinery — load is what
+//! the trace says, regardless of device latency, so queues can actually
+//! build — with a time-warp factor to accelerate (or stretch) the recorded
+//! clock. In **closed-loop** mode the recorded inter-arrival gaps are
+//! preserved as think times after each record's completions, the classic
+//! feedback-limited replay.
 
 use eagletree_core::{BlkOp, BlkRecord, SimDuration, SimTime};
 use eagletree_os::{CompletedIo, OsIo, ThreadCtx, Workload};
 
 use crate::blktrace::TraceSource;
-
-/// One replayed IO with its preceding think time.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceEntry {
-    /// Think time after the previous completion (zero = immediately).
-    pub delay: SimDuration,
-    /// The IO to issue.
-    pub io: OsIo,
-}
-
-impl TraceEntry {
-    /// An entry with no think time.
-    pub fn immediate(io: OsIo) -> Self {
-        TraceEntry {
-            delay: SimDuration::ZERO,
-            io,
-        }
-    }
-
-    /// An entry issued `delay` after the previous completion.
-    pub fn after(delay: SimDuration, io: OsIo) -> Self {
-        TraceEntry { delay, io }
-    }
-}
-
-/// Serial trace replayer.
-pub struct TraceThread {
-    entries: Vec<TraceEntry>,
-    next: usize,
-}
-
-impl TraceThread {
-    pub fn new(entries: Vec<TraceEntry>) -> Self {
-        TraceThread { entries, next: 0 }
-    }
-
-    fn advance(&mut self, ctx: &mut ThreadCtx) {
-        match self.entries.get(self.next) {
-            None => ctx.finish(),
-            Some(e) => {
-                if e.delay == SimDuration::ZERO {
-                    let io = e.io;
-                    self.next += 1;
-                    ctx.submit(io);
-                } else {
-                    ctx.set_timer(e.delay);
-                }
-            }
-        }
-    }
-}
-
-impl Workload for TraceThread {
-    fn init(&mut self, ctx: &mut ThreadCtx) {
-        self.advance(ctx);
-    }
-
-    fn call_back(&mut self, ctx: &mut ThreadCtx, _done: CompletedIo) {
-        self.advance(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut ThreadCtx) {
-        // Bounds-checked like `advance`: a timer that fires after the
-        // entry list is exhausted (e.g. a duplicate timer from a wrapping
-        // workload) finishes the thread instead of panicking.
-        match self.entries.get(self.next) {
-            None => ctx.finish(),
-            Some(e) => {
-                let io = e.io;
-                self.next += 1;
-                ctx.submit(io);
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "trace-replay"
-    }
-}
 
 /// How a [`ReplayThread`] paces the trace.
 #[derive(Debug, Clone, Copy)]
@@ -310,14 +225,6 @@ impl<S: TraceSource> Workload for ReplayThread<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builders() {
-        let e = TraceEntry::immediate(OsIo::write(3));
-        assert_eq!(e.delay, SimDuration::ZERO);
-        let e = TraceEntry::after(SimDuration::from_micros(10), OsIo::read(1));
-        assert_eq!(e.delay.as_nanos(), 10_000);
-    }
 
     #[test]
     fn replay_warp_scales_the_recorded_clock() {

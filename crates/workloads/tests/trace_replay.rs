@@ -8,12 +8,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use eagletree_controller::{Controller, ControllerConfig};
-use eagletree_core::{BlkOp, BlkRecord, QueueKind, SimDuration};
+use eagletree_core::{BlkOp, BlkRecord, QueueKind, SimDuration, SimTime};
 use eagletree_flash::{Geometry, TimingSpec};
-use eagletree_os::{CompletedIo, Os, OsConfig, OsIo, ThreadCtx, Workload};
+use eagletree_os::{CompletedIo, Os, OsConfig, ThreadCtx, Workload};
 use eagletree_workloads::{
     characterize, to_msr_csv_line, ChunkedSource, MsrCsvSource, Remap, ReplayThread, SynthCsv,
-    SynthShape, SyntheticTrace, TraceEntry, TraceSource, TraceThread,
+    SynthShape, SyntheticTrace, TraceSource,
 };
 
 use proptest::prelude::*;
@@ -234,12 +234,21 @@ fn closed_loop_preserves_think_times_and_warp_compresses() {
 // ---------------------------------------------------------------------
 // the on_timer regression (stray timer after trace exhaustion)
 
-/// Wraps a [`TraceThread`] and registers one extra short timer in `init` —
-/// the shape of any composite workload that mixes its own timers with the
-/// replayer's. The stray timer fires after the (zero-think-time) trace has
-/// already submitted its last entry.
+/// An in-memory trace.
+struct Records(std::vec::IntoIter<BlkRecord>);
+
+impl TraceSource for Records {
+    fn next_record(&mut self) -> Option<BlkRecord> {
+        self.0.next()
+    }
+}
+
+/// Wraps a closed-loop [`ReplayThread`] and registers one extra short
+/// timer in `init` — the shape of any composite workload that mixes its
+/// own timers with the replayer's. The stray timer fires after the
+/// (zero-think-time) trace has already submitted its last record.
 struct ExtraTimer {
-    inner: TraceThread,
+    inner: ReplayThread<Records>,
 }
 
 impl Workload for ExtraTimer {
@@ -261,15 +270,16 @@ impl Workload for ExtraTimer {
     }
 }
 
-/// Regression: a timer that fires after the entry list is exhausted used
-/// to index `entries[next]` out of bounds and panic the simulation; it
-/// must finish the thread instead.
+/// Regression: a timer that fires with no record waiting on it (the list
+/// replayer this test was written for indexed past its last entry and
+/// panicked the simulation) is ignored, and the thread still finishes on
+/// its last completion.
 #[test]
 fn stray_timer_after_trace_exhaustion_finishes_instead_of_panicking() {
     let mut os = stack(QueueKind::Heap);
-    let entries = vec![TraceEntry::immediate(OsIo::write(3))];
+    let records = vec![BlkRecord::new(SimTime::ZERO, BlkOp::Write, 3)];
     let tid = os.add_thread(Box::new(ExtraTimer {
-        inner: TraceThread::new(entries),
+        inner: ReplayThread::closed_loop(Records(records.into_iter()), 1.0),
     }));
     os.run();
     assert!(os.thread_finished(tid));

@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use eagletree_workloads::{
         precondition, FileSystemThread, GraceHashJoin, LsmTreeThread, MixedGen, Pumped,
-        RandReadGen, RandWriteGen, Region, SeqReadGen, SeqWriteGen, TenantProfile, TraceEntry,
-        TraceThread, ZipfGen, ZipfKind,
+        RandReadGen, RandWriteGen, Region, SeqReadGen, SeqWriteGen, TenantProfile, ZipfGen,
+        ZipfKind,
     };
 }

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: workloads → OS → controller → flash.
 
 use eagletree::controller::{class_index, IoSource, OpClass};
+use eagletree::core::{BlkOp, BlkRecord};
 use eagletree::prelude::*;
+use eagletree::workloads::{ReplayThread, TraceSource};
 
 fn small_setup() -> Setup {
     let mut s = Setup::tiny();
@@ -178,13 +180,22 @@ fn grace_join_completes_both_phases() {
 #[test]
 fn trace_replay_is_exact_and_serial() {
     let mut os = small_setup().build();
+    /// An in-memory trace.
+    struct Records(std::vec::IntoIter<BlkRecord>);
+    impl TraceSource for Records {
+        fn next_record(&mut self) -> Option<BlkRecord> {
+            self.0.next()
+        }
+    }
+    // One 500 µs gap in the recorded clock: a 500 µs think time.
+    let later = SimTime::from_nanos(500_000);
     let trace = vec![
-        TraceEntry::immediate(OsIo::write(1)),
-        TraceEntry::after(SimDuration::from_micros(500), OsIo::write(2)),
-        TraceEntry::immediate(OsIo::read(1)),
-        TraceEntry::immediate(OsIo::trim(1)),
+        BlkRecord::new(SimTime::ZERO, BlkOp::Write, 1),
+        BlkRecord::new(later, BlkOp::Write, 2),
+        BlkRecord::new(later, BlkOp::Read, 1),
+        BlkRecord::new(later, BlkOp::Trim, 1),
     ];
-    let t = os.add_thread(Box::new(TraceThread::new(trace)));
+    let t = os.add_thread(Box::new(ReplayThread::closed_loop(Records(trace.into_iter()), 1.0)));
     os.run();
     let s = os.thread_stats(t);
     assert_eq!(s.writes_completed, 2);

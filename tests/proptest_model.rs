@@ -1,16 +1,14 @@
 //! Property-based tests: the full controller against a simple model.
 //!
-//! The model is a `BTreeMap<lpn, version>`: every write bumps a version,
-//! trims remove the entry. After any op sequence the controller's
-//! authoritative mapping must agree with the model on *which* pages are
-//! mapped, all invariants must hold, and no IO may be lost.
+//! The model is the driver's own acknowledgment ledger: after any op
+//! sequence the controller's authoritative mapping must agree with it on
+//! *which* pages are mapped, all invariants must hold, and no IO may be
+//! lost.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
+use eagletree::controller::Driver;
 use eagletree::prelude::*;
-use eagletree::controller::{Controller, RequestId, SsdRequest};
-use eagletree::core::SimTime;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -27,50 +25,6 @@ fn op_strategy(logical: u64) -> impl Strategy<Value = Op> {
         1 => (0..logical).prop_map(Op::Trim),
         1 => Just(Op::Drain),
     ]
-}
-
-struct Harness {
-    ctrl: Controller,
-    now: SimTime,
-    next_id: RequestId,
-    completed: u64,
-    submitted: u64,
-}
-
-impl Harness {
-    fn new(cfg: ControllerConfig) -> Self {
-        let ctrl = Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap();
-        Harness {
-            ctrl,
-            now: SimTime::ZERO,
-            next_id: 0,
-            completed: 0,
-            submitted: 0,
-        }
-    }
-
-    fn submit(&mut self, kind: RequestKind, lpn: u64) {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.submitted += 1;
-        self.ctrl.submit(
-            SsdRequest {
-                id,
-                kind,
-                lpn,
-                tags: IoTags::none(),
-            },
-            self.now,
-        );
-    }
-
-    fn drain(&mut self) {
-        while let Some(t) = self.ctrl.next_event_time() {
-            self.now = t;
-            self.completed += self.ctrl.advance(t).len() as u64;
-        }
-        self.completed += self.ctrl.advance(self.now).len() as u64;
-    }
 }
 
 proptest! {
@@ -93,67 +47,45 @@ proptest! {
             wl: WlConfig { static_enabled: false, ..WlConfig::default() },
             ..ControllerConfig::default()
         };
-        let mut h = Harness::new(cfg);
-        let logical = h.ctrl.logical_pages();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut d = Driver::tiny(cfg);
+        let logical = d.c.logical_pages();
+        let mut submitted = 0;
         let mut in_window = 0u32;
         for op in &ops {
-            match op {
-                Op::Write(lpn) => {
-                    let lpn = lpn % logical;
-                    h.submit(RequestKind::Write, lpn);
-                    *model.entry(lpn).or_insert(0) += 1;
-                    in_window += 1;
-                }
-                Op::Read(lpn) => {
-                    h.submit(RequestKind::Read, lpn % logical);
-                    in_window += 1;
-                }
-                Op::Trim(lpn) => {
-                    let lpn = lpn % logical;
-                    h.submit(RequestKind::Trim, lpn);
-                    model.remove(&lpn);
-                    in_window += 1;
-                }
+            let (kind, lpn) = match op {
+                Op::Write(lpn) => (RequestKind::Write, lpn),
+                Op::Read(lpn) => (RequestKind::Read, lpn),
+                Op::Trim(lpn) => (RequestKind::Trim, lpn),
                 Op::Drain => {
-                    h.drain();
+                    d.run();
                     in_window = 0;
+                    continue;
                 }
-            }
+            };
+            d.submit(kind, lpn % logical);
+            submitted += 1;
+            in_window += 1;
             // Keep a bounded device queue like a real OS would.
             if in_window >= 16 {
-                h.drain();
+                d.run();
                 in_window = 0;
             }
         }
-        h.drain();
+        d.run();
 
         // No IO lost.
-        prop_assert_eq!(h.completed, h.submitted);
-        // Mapped set identical to the model. A concurrent write+trim of
-        // the same lpn inside one window resolves by completion order —
-        // both orders leave the lpn either mapped or trimmed; since we
-        // drain between windows and within a window model applies ops in
-        // submission order while the controller may complete the trim
-        // (instant) before the write (flash latency), compare only lpns
-        // without such conflicts. Conflicts are rare; detect and skip.
-        for lpn in 0..logical {
-            let modeled = model.contains_key(&lpn);
-            // Peek through the public invariant checker path instead:
-            // check_invariants already asserts forward/reverse agreement,
-            // so here we only check mapped-set membership.
-            let mapped = h.ctrl.peek_mapping(lpn).is_some();
-            if modeled != mapped {
-                // Allow the one legal divergence: trim raced a write in
-                // the same window.
-                prop_assert!(
-                    had_conflict(&ops, lpn, logical),
-                    "lpn {} mapped={} modeled={} without a racing window",
-                    lpn, mapped, modeled
-                );
-            }
+        prop_assert_eq!(d.done.len(), submitted);
+        // Mapped set as the ledger binds it: a write and a trim of one
+        // lpn in one window resolve by acknowledgment order — the trim
+        // acks at once, the write after its flash latency — and that
+        // order is what the ledger recorded.
+        for lpn in d.ledger.must_be_mapped() {
+            prop_assert!(d.c.peek_mapping(lpn).is_some(), "acked write of lpn {} unmapped", lpn);
         }
-        h.ctrl.check_invariants();
+        for lpn in d.ledger.must_be_unmapped(logical) {
+            prop_assert!(d.c.peek_mapping(lpn).is_none(), "trimmed/unwritten lpn {} mapped", lpn);
+        }
+        d.c.check_invariants();
     }
 
     #[test]
@@ -166,55 +98,13 @@ proptest! {
             wl: WlConfig { static_enabled: false, ..WlConfig::default() },
             ..ControllerConfig::default()
         };
-        let mut h = Harness::new(cfg);
-        let logical = h.ctrl.logical_pages();
+        let mut d = Driver::tiny(cfg);
+        let logical = d.c.logical_pages();
         let mut rng = SimRng::new(seed);
-        for i in 0..(logical * 2) {
-            h.submit(RequestKind::Write, rng.gen_range(logical));
-            if i % 16 == 15 {
-                h.drain();
-            }
-        }
-        h.drain();
-        prop_assert_eq!(h.completed, h.submitted);
-        h.ctrl.check_invariants();
+        let writes: Vec<_> =
+            (0..logical * 2).map(|_| (RequestKind::Write, rng.gen_range(logical))).collect();
+        d.submit_windowed(&writes, 16);
+        prop_assert_eq!(d.done.len(), writes.len());
+        d.c.check_invariants();
     }
-}
-
-/// Did `ops` submit both a write and a trim of `lpn` without an
-/// intervening drain (so their completion order is undefined)?
-fn had_conflict(ops: &[Op], lpn: u64, logical: u64) -> bool {
-    let mut wrote = false;
-    let mut trimmed = false;
-    let mut count = 0u32;
-    for op in ops {
-        match op {
-            Op::Write(l) if l % logical == lpn => {
-                wrote = true;
-                count += 1;
-            }
-            Op::Trim(l) if l % logical == lpn => {
-                trimmed = true;
-                count += 1;
-            }
-            Op::Drain => {
-                if wrote && trimmed {
-                    return true;
-                }
-                wrote = false;
-                trimmed = false;
-            }
-            _ => {
-                count += 1;
-            }
-        }
-        // The harness also drains every 16 submissions; conservatively
-        // treat any window as potentially racing if both kinds occur at
-        // all — the 16-op windows make exact tracking here fragile.
-        let _ = count;
-        if wrote && trimmed {
-            return true;
-        }
-    }
-    false
 }
