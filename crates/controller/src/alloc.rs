@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use eagletree_flash::{BlockAddr, Geometry, PhysicalAddr};
 
+use crate::bits::BitSet;
 use crate::config::WriteAllocPolicy;
 
 /// A write stream: pages in one stream share active blocks.
@@ -45,11 +46,57 @@ struct ActiveBlock {
     next_page: u32,
 }
 
-#[derive(Debug, Clone)]
+/// A LUN's open block per stream. The scheduler asks `can_alloc` of every
+/// candidate LUN of every probe, so the four fixed streams get a direct
+/// slot each — no search on that path — and only the open-interface
+/// locality groups, unbounded in number, a small map (of slots too: a
+/// group's entry stays, empty, once its block is full).
+#[derive(Debug, Clone, Default)]
+struct ActiveBlocks {
+    fixed: [Option<ActiveBlock>; 4],
+    locality: BTreeMap<u32, Option<ActiveBlock>>,
+}
+
+impl ActiveBlocks {
+    /// The fixed slot of `stream`, or its locality group.
+    fn index(stream: Stream) -> Result<usize, u32> {
+        match stream {
+            Stream::Hot => Ok(0),
+            Stream::Cold => Ok(1),
+            Stream::Gc => Ok(2),
+            Stream::Translation => Ok(3),
+            Stream::Locality(g) => Err(g),
+        }
+    }
+
+    fn get(&self, stream: Stream) -> Option<&ActiveBlock> {
+        match Self::index(stream) {
+            Ok(i) => self.fixed[i].as_ref(),
+            Err(g) => self.locality.get(&g)?.as_ref(),
+        }
+    }
+
+    fn slot(&mut self, stream: Stream) -> &mut Option<ActiveBlock> {
+        match Self::index(stream) {
+            Ok(i) => &mut self.fixed[i],
+            Err(g) => self.locality.entry(g).or_default(),
+        }
+    }
+
+    fn slots(&mut self) -> impl Iterator<Item = &mut Option<ActiveBlock>> {
+        self.fixed.iter_mut().chain(self.locality.values_mut())
+    }
+
+    fn values(&self) -> impl Iterator<Item = &ActiveBlock> {
+        self.fixed.iter().chain(self.locality.values()).flatten()
+    }
+}
+
+#[derive(Debug, Clone, Default)]
 struct LunAlloc {
     /// Free blocks with their erase counts (for age-aware allocation).
     free: Vec<(BlockAddr, u32)>,
-    active: BTreeMap<Stream, ActiveBlock>,
+    active: ActiveBlocks,
 }
 
 /// Per-LUN free-space manager.
@@ -65,13 +112,7 @@ pub struct Allocator {
 impl Allocator {
     /// All blocks start free with erase count zero.
     pub fn new(geometry: Geometry, policy: WriteAllocPolicy, dynamic_wl: bool) -> Self {
-        let mut luns = vec![
-            LunAlloc {
-                free: Vec::new(),
-                active: BTreeMap::new(),
-            };
-            geometry.total_luns() as usize
-        ];
+        let mut luns = vec![LunAlloc::default(); geometry.total_luns() as usize];
         for b in geometry.blocks() {
             luns[geometry.lun_index(b.channel, b.lun) as usize]
                 .free
@@ -92,13 +133,7 @@ impl Allocator {
     pub fn empty(geometry: Geometry, policy: WriteAllocPolicy, dynamic_wl: bool) -> Self {
         Allocator {
             geometry,
-            luns: vec![
-                LunAlloc {
-                    free: Vec::new(),
-                    active: BTreeMap::new(),
-                };
-                geometry.total_luns() as usize
-            ],
+            luns: vec![LunAlloc::default(); geometry.total_luns() as usize],
             policy,
             dynamic_wl,
             rr_cursor: 0,
@@ -136,7 +171,7 @@ impl Allocator {
     /// Whether a page could be allocated right now on `lun` for `stream`.
     pub fn can_alloc(&self, lun: u32, stream: Stream) -> bool {
         let l = &self.luns[lun as usize];
-        if let Some(a) = l.active.get(&stream) {
+        if let Some(a) = l.active.get(stream) {
             if a.next_page < self.geometry.pages_per_block {
                 return true;
             }
@@ -155,7 +190,7 @@ impl Allocator {
     /// would have to be opened). Used to probe for pipelined programs.
     pub fn peek_active(&self, lun: u32, stream: Stream) -> Option<PhysicalAddr> {
         let l = &self.luns[lun as usize];
-        let a = l.active.get(&stream)?;
+        let a = l.active.get(stream)?;
         if a.next_page < self.geometry.pages_per_block {
             Some(a.addr.page(a.next_page))
         } else {
@@ -173,12 +208,13 @@ impl Allocator {
         }
         let ppb = self.geometry.pages_per_block;
         let l = &mut self.luns[lun as usize];
-        if let Some(a) = l.active.get_mut(&stream) {
+        let slot = l.active.slot(stream);
+        if let Some(a) = slot {
             if a.next_page < ppb {
                 let addr = a.addr.page(a.next_page);
                 a.next_page += 1;
                 if a.next_page == ppb {
-                    l.active.remove(&stream);
+                    *slot = None;
                 }
                 return Some(addr);
             }
@@ -186,13 +222,10 @@ impl Allocator {
         let block = Self::pop_free(l, stream, self.dynamic_wl)?;
         let addr = block.page(0);
         if ppb > 1 {
-            l.active.insert(
-                stream,
-                ActiveBlock {
-                    addr: block,
-                    next_page: 1,
-                },
-            );
+            *l.active.slot(stream) = Some(ActiveBlock {
+                addr: block,
+                next_page: 1,
+            });
         }
         Some(addr)
     }
@@ -201,12 +234,13 @@ impl Allocator {
     pub fn alloc_in_plane(&mut self, lun: u32, plane: u32, stream: Stream) -> Option<PhysicalAddr> {
         let ppb = self.geometry.pages_per_block;
         let l = &mut self.luns[lun as usize];
-        if let Some(a) = l.active.get_mut(&stream) {
+        let slot = l.active.slot(stream);
+        if let Some(a) = slot {
             if a.addr.plane == plane && a.next_page < ppb {
                 let addr = a.addr.page(a.next_page);
                 a.next_page += 1;
                 if a.next_page == ppb {
-                    l.active.remove(&stream);
+                    *slot = None;
                 }
                 return Some(addr);
             }
@@ -225,13 +259,10 @@ impl Allocator {
         let (block, _) = l.free.swap_remove(pos);
         let addr = block.page(0);
         if ppb > 1 {
-            l.active.insert(
-                stream,
-                ActiveBlock {
-                    addr: block,
-                    next_page: 1,
-                },
-            );
+            *l.active.slot(stream) = Some(ActiveBlock {
+                addr: block,
+                next_page: 1,
+            });
         }
         Some(addr)
     }
@@ -301,7 +332,9 @@ impl Allocator {
         let lun = self.geometry.lun_index(block.channel, block.lun) as usize;
         let l = &mut self.luns[lun];
         l.free.retain(|(b, _)| *b != block);
-        l.active.retain(|_, a| a.addr != block);
+        for slot in l.active.slots() {
+            *slot = slot.filter(|a| a.addr != block);
+        }
     }
 
     /// Return an erased block to its LUN's free list.
@@ -315,33 +348,32 @@ impl Allocator {
     }
 
     /// Choose a LUN for an unbound write per the write-allocation policy,
-    /// considering only LUNs for which `usable` holds (resources free) and
-    /// allocation is possible.
-    pub fn choose_lun(
+    /// among `ready` — the LUNs whose resources could take a program now —
+    /// for which `usable` holds (the stream can allocate there and its
+    /// program can start). Costs the members of `ready` it looks at, not
+    /// the LUNs of the device.
+    pub(crate) fn choose_lun(
         &mut self,
-        stream: Stream,
-        usable: impl Fn(u32) -> bool,
+        ready: &BitSet,
+        usable: impl Fn(&Allocator, u32) -> bool,
     ) -> Option<u32> {
-        let n = self.geometry.total_luns();
+        let usable = |l: &u32| usable(self, *l);
         match self.policy {
             WriteAllocPolicy::RoundRobin => {
-                for off in 0..n {
-                    let lun = (self.rr_cursor as u32 + off) % n;
-                    if usable(lun) && self.can_alloc(lun, stream) {
-                        self.rr_cursor = (lun as usize + 1) % n as usize;
-                        return Some(lun);
-                    }
-                }
-                None
+                // From the cursor upwards, then around.
+                let from = self.rr_cursor as u32;
+                let upwards = ready.ones().filter(|&l| l >= from);
+                let around = ready.ones().take_while(|&l| l < from);
+                let lun = upwards.chain(around).find(usable)?;
+                self.rr_cursor = ((lun + 1) % self.geometry.total_luns()) as usize;
+                Some(lun)
             }
-            WriteAllocPolicy::LeastUtilized => (0..n)
-                .filter(|&l| usable(l) && self.can_alloc(l, stream))
-                .max_by_key(|&l| self.free_pages(l)),
+            WriteAllocPolicy::LeastUtilized => {
+                ready.ones().filter(usable).max_by_key(|&l| self.free_pages(l))
+            }
             // Striping binds the LUN from the LPN before ops are enqueued;
             // an unbound chooser falls back to round-robin order.
-            WriteAllocPolicy::Striping => {
-                (0..n).find(|&l| usable(l) && self.can_alloc(l, stream))
-            }
+            WriteAllocPolicy::Striping => ready.ones().find(usable),
         }
     }
 
@@ -357,6 +389,13 @@ mod tests {
 
     fn alloc() -> Allocator {
         Allocator::new(Geometry::tiny(), WriteAllocPolicy::RoundRobin, false)
+    }
+
+    fn every_lun() -> BitSet {
+        let n = Geometry::tiny().total_luns();
+        let mut all = BitSet::new(n.into());
+        (0..n).for_each(|l| all.set(l));
+        all
     }
 
     #[test]
@@ -485,13 +524,22 @@ mod tests {
     #[test]
     fn choose_lun_round_robin_rotates() {
         let mut a = alloc();
-        let l1 = a.choose_lun(Stream::Hot, |_| true).unwrap();
-        let l2 = a.choose_lun(Stream::Hot, |_| true).unwrap();
-        assert_ne!(l1, l2);
-        // Unusable LUNs are skipped.
-        let l3 = a.choose_lun(Stream::Hot, |l| l == 0).unwrap();
+        let all = every_lun();
+        let l1 = a.choose_lun(&all, |_, _| true).unwrap();
+        let l2 = a.choose_lun(&all, |_, _| true).unwrap();
+        assert_eq!((l1, l2), (0, 1));
+        // Unusable LUNs are skipped, and so are LUNs that are not ready.
+        let l3 = a.choose_lun(&all, |_, l| l == 0).unwrap();
         assert_eq!(l3, 0);
-        assert_eq!(a.choose_lun(Stream::Hot, |_| false), None);
+        assert_eq!(a.choose_lun(&all, |_, _| false), None);
+        let mut only = BitSet::new(Geometry::tiny().total_luns().into());
+        only.set(3u32);
+        assert_eq!(a.choose_lun(&only, |_, _| true), Some(3));
+        assert_eq!(a.choose_lun(&only, |_, _| true), Some(3), "around the cursor");
+        only.set(1u32);
+        assert_eq!(a.choose_lun(&only, |_, _| true), Some(1), "the cursor wrapped to 0");
+        assert_eq!(a.choose_lun(&only, |_, _| true), Some(3));
+        assert_eq!(a.choose_lun(&BitSet::new(4), |_, _| true), None);
     }
 
     #[test]
@@ -501,7 +549,7 @@ mod tests {
         for _ in 0..Geometry::tiny().pages_per_block {
             a.alloc(0, Stream::Hot).unwrap();
         }
-        let l = a.choose_lun(Stream::Hot, |_| true).unwrap();
+        let l = a.choose_lun(&every_lun(), |a, l| a.can_alloc(l, Stream::Hot)).unwrap();
         assert_ne!(l, 0);
     }
 

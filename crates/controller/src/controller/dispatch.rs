@@ -7,21 +7,37 @@
 //! of the op being issued, the superseded-while-queued bookkeeping of the
 //! relocation lanes ([`QueuedMoves`]), the pages queued mapped reads may
 //! be waiting on ([`QueuedReads`] — what lets a read follow its page to
-//! another LUN's lane when the page dies), and the reusable scratch of one
-//! scheduling round. Every subsystem queues flash work through
-//! [`Controller::enqueue`]; [`Controller::run_sched`] decides what goes
-//! next under the configured `SchedPolicy`, and `issue.rs` turns the chosen
-//! op into a flash command.
+//! another LUN's lane when the page dies), the LUNs that can take a command
+//! now ([`ReadySet`]), and the reusable scratch of one scheduling round.
+//! Every subsystem queues flash work through [`Controller::enqueue`];
+//! [`Controller::run_sched`] decides what goes next under the configured
+//! `SchedPolicy`, and `issue.rs` turns the chosen op into a flash command.
+//!
+//! **Ready-set dispatch.** A lane is addressed by (family, LUN) and its
+//! group knows which LUNs have one non-empty (`pend.rs`); this module knows
+//! which LUNs can take a command. "Has work" and "can take a command" are
+//! two sparse boolean arrays keyed by LUN, and a family's candidates are
+//! their element-wise product: [`Controller::first_issuable`] visits
+//! `waiting ∩ eligible` and nothing else, where eligible is the idle LUNs
+//! for mapped reads, the idle LUNs and those with a superseded move queued
+//! for relocation reads, and the LUNs that can take a program for writes.
+//! Both sides are maintained, not recomputed: the waiting sets where ops
+//! are linked and unlinked, the ready sets for the issued channel at the
+//! one `issue_cmd` site and, when a round starts later than the last one,
+//! for the busy LUNs whose answer the array said would run out by now
+//! ([`Controller::refresh_ready`]).
 
 use eagletree_core::{Cause, EventQueue, QueueKind, SimDuration, SimTime, NO_SPAN};
 use eagletree_flash::{
-    BlockAddr, FlashCommand, Geometry, IssueOutcome, PhysicalAddr, TimingSpec,
+    BlockAddr, FlashArray, FlashCommand, Geometry, IssueOutcome, LunReady, PhysicalAddr,
+    TimingSpec,
 };
 
 use super::{Controller, PageContent};
-use crate::alloc::Stream;
+use crate::alloc::{Allocator, Stream};
+use crate::bits::{ones, BitSet};
 use crate::ftl::{FtlKind, HybridPlace};
-use crate::pend::{LaneKey, PendingSet, QueueKey, NO_SLOT};
+use crate::pend::{Family, LaneKey, PendingSet, QueueKey, NO_SLOT};
 use crate::sched::{class_table, ClassTable};
 use crate::types::{IoSource, Lpn, OpClass, Ppn, RequestId};
 
@@ -29,9 +45,10 @@ use crate::types::{IoSource, Lpn, OpClass, Ppn, RequestId};
 /// priority tag, enqueue time, arrival sequence.
 type SchedKey = (OpClass, Option<u8>, SimTime, u64);
 
-/// Per-scheduling-round memo of write-issuability results, keyed by the
-/// op-independent `(bound LUN, stream)` pair: every unbound write of one
-/// stream shares one probe per round instead of re-scanning all LUNs.
+/// The reference scan's memo of write-issuability results, keyed by the
+/// op-independent `(bound LUN, stream)` pair: every write of one lane
+/// shares one all-LUN probe per scan.
+#[cfg(debug_assertions)]
 type WriteMemo = Vec<((Option<u32>, Stream), bool)>;
 
 /// What a finished register transfer hands its data to: the second half
@@ -179,28 +196,6 @@ impl Default for ObsCur {
     }
 }
 
-/// One bit per physical page.
-#[derive(Debug, PartialEq, Eq)]
-struct PageBits(Vec<u64>);
-
-impl PageBits {
-    fn new(g: &Geometry) -> Self {
-        PageBits(vec![0; (g.total_pages() as usize).div_ceil(64)])
-    }
-
-    fn get(&self, ppn: Ppn) -> bool {
-        self.0[ppn as usize / 64] & (1u64 << (ppn % 64)) != 0
-    }
-
-    fn set(&mut self, ppn: Ppn) {
-        self.0[ppn as usize / 64] |= 1u64 << (ppn % 64);
-    }
-
-    fn clear(&mut self, ppn: Ppn) {
-        self.0[ppn as usize / 64] &= !(1u64 << (ppn % 64));
-    }
-}
-
 /// The one op-specific term of a queued `GcMove`'s issuability: its source
 /// page may be invalidated while it waits, after which it is consumed
 /// without flash IO whatever its LUN is doing. Counting those per LUN lets
@@ -209,16 +204,19 @@ impl PageBits {
 #[derive(Debug, PartialEq, Eq)]
 pub(super) struct QueuedMoves {
     /// Per physical page: a `GcMove` reading it is queued.
-    queued: PageBits,
+    queued: BitSet,
     /// Per LUN: queued `GcMove`s whose source page has been invalidated.
     superseded: Vec<u32>,
+    /// The LUNs whose `superseded` count is non-zero.
+    superseded_luns: BitSet,
 }
 
 impl QueuedMoves {
     fn new(g: &Geometry) -> Self {
         QueuedMoves {
-            queued: PageBits::new(g),
+            queued: BitSet::new(g.total_pages()),
             superseded: vec![0; g.total_luns() as usize],
+            superseded_luns: BitSet::new(g.total_luns().into()),
         }
     }
 
@@ -232,10 +230,12 @@ impl QueuedMoves {
     pub(super) fn invalidated(&mut self, ppn: Ppn, lun: u32) {
         if self.queued.get(ppn) {
             self.superseded[lun as usize] += 1;
+            self.superseded_luns.set(lun);
         }
     }
 
     /// Queued moves on `lun` consumable without flash IO.
+    #[cfg(test)]
     pub(super) fn superseded_on(&self, lun: u32) -> u32 {
         self.superseded[lun as usize]
     }
@@ -246,6 +246,9 @@ impl QueuedMoves {
         self.queued.clear(ppn);
         if superseded {
             self.superseded[lun as usize] -= 1;
+            if self.superseded[lun as usize] == 0 {
+                self.superseded_luns.clear(lun);
+            }
         }
     }
 }
@@ -261,7 +264,7 @@ pub(super) struct QueuedReads {
     /// Per physical page, a superset: a laned read that resolved to it
     /// *may* be queued. Set at enqueue and at re-lane, cleared only when
     /// the page dies — a read that issued leaves its bit stale.
-    noted: PageBits,
+    noted: BitSet,
     /// Reusable scratch of one re-lane walk: `(slot, new lane)`.
     moving: Vec<(u32, LaneKey)>,
 }
@@ -269,9 +272,98 @@ pub(super) struct QueuedReads {
 impl QueuedReads {
     pub(super) fn new(g: &Geometry) -> Self {
         QueuedReads {
-            noted: PageBits::new(g),
+            noted: BitSet::new(g.total_pages()),
             moving: Vec::new(),
         }
+    }
+}
+
+/// The ready side of ready-set dispatch: what each LUN could take at the
+/// instant of the last scheduling round. Membership is a function of the
+/// array's occupancy and the clock alone — never of what is queued.
+#[derive(Debug)]
+pub(super) struct ReadySet {
+    /// LUNs free to start a new array operation ([`Controller::lun_idle`]):
+    /// where a relocation read, a mapped read or any program can go.
+    idle: BitSet,
+    /// LUNs that could take a program: the idle ones and, with cached
+    /// programming, those busy array-programming some block while their
+    /// channel is free — a superset for any one stream, whose next page
+    /// must extend that very block ([`ReadySet::can_program`] confirms).
+    program: BitSet,
+    /// The instant the sets describe; `None` until the first round.
+    at: Option<SimTime>,
+    /// Per LUN: the first instant its membership may change without a
+    /// command going to its channel (`SimTime::MAX`: never; zero before
+    /// the first round) — a LUN is asked again only once this has passed.
+    until: Vec<SimTime>,
+}
+
+impl ReadySet {
+    fn new(g: &Geometry) -> Self {
+        ReadySet {
+            idle: BitSet::new(g.total_luns().into()),
+            program: BitSet::new(g.total_luns().into()),
+            at: None,
+            until: vec![SimTime::ZERO; g.total_luns() as usize],
+        }
+    }
+
+    /// A program of `stream` could start right now on `lun`, a member of
+    /// `program`: the LUN is idle and the stream can allocate there, or it
+    /// is array-programming the open block the stream's next page extends
+    /// (an open block with room is itself the proof that the stream can
+    /// allocate).
+    pub(super) fn can_program(
+        &self,
+        lun: u32,
+        stream: Stream,
+        alloc: &Allocator,
+        array: &FlashArray,
+        now: SimTime,
+    ) -> bool {
+        debug_assert!(self.at == Some(now) && self.program.get(lun));
+        if self.idle.get(lun) {
+            alloc.can_alloc(lun, stream)
+        } else {
+            alloc.peek_active(lun, stream).is_some_and(|a| array.can_pipeline(a, now))
+        }
+    }
+
+    /// The LUNs an unbound write may be placed on, before
+    /// [`ReadySet::can_program`] asks its stream.
+    pub(super) fn program(&self) -> &BitSet {
+        &self.program
+    }
+}
+
+/// The min-seq candidate of one [`Controller::first_issuable`] probe.
+struct Oldest {
+    slot: u32,
+    seq: u64,
+}
+
+impl Oldest {
+    /// Keep the op in `slot` (`NO_SLOT`: none) if it is older than the one
+    /// held and `can_go` — asked only of an op that would win.
+    fn offer_if(
+        &mut self,
+        pending: &PendingSet<PendingOp>,
+        slot: u32,
+        can_go: impl FnOnce() -> bool,
+    ) {
+        if slot == NO_SLOT {
+            return;
+        }
+        let seq = pending.get(slot).seq;
+        if seq < self.seq && can_go() {
+            *self = Oldest { slot, seq };
+        }
+    }
+
+    /// [`Self::offer_if`] for an op already known to be able to go.
+    fn offer(&mut self, pending: &PendingSet<PendingOp>, slot: u32) {
+        self.offer_if(pending, slot, || true);
     }
 }
 
@@ -282,13 +374,12 @@ pub(super) struct Dispatch {
     pub(super) pending: PendingSet<PendingOp>,
     pub(super) moves: QueuedMoves,
     pub(super) reads: QueuedReads,
+    pub(super) ready: ReadySet,
     /// Reusable scratch for one scheduling round's head candidates
-    /// (`(key, slot)`), keys-only view, write memo and LUN probe —
-    /// kept here so steady-state dispatch never allocates.
+    /// (`(key, slot)`) and their keys-only view — kept here so
+    /// steady-state dispatch never allocates.
     sched_cand: Vec<(SchedKey, u32)>,
     sched_keys: Vec<SchedKey>,
-    write_memo: WriteMemo,
-    pub(super) lun_scratch: Vec<bool>,
     op_seq: u64,
     pub(super) serviced: ClassTable,
     /// Context of the op currently being issued (see [`ObsCur`]).
@@ -309,13 +400,12 @@ impl Dispatch {
         events.hint_horizon(SimDuration::from_nanos(max_op.saturating_mul(2).max(1)));
         Dispatch {
             events,
-            pending: PendingSet::new(),
+            pending: PendingSet::new(geometry.total_luns()),
             moves: QueuedMoves::new(geometry),
             reads: QueuedReads::new(geometry),
+            ready: ReadySet::new(geometry),
             sched_cand: Vec::new(),
             sched_keys: Vec::new(),
-            write_memo: Vec::new(),
-            lun_scratch: Vec::new(),
             op_seq: 0,
             serviced: class_table(0),
             obs_cur: ObsCur::default(),
@@ -538,9 +628,8 @@ impl Controller {
         let mut moving = std::mem::take(&mut self.disp.reads.moving);
         for group in 1..self.disp.pending.group_count() {
             let pending = &self.disp.pending;
-            let Some(li) = pending.lane_index(group, here) else { continue };
             moving.clear();
-            for slot in pending.walk(pending.lane_head(group, li)) {
+            for slot in pending.walk(pending.lane_head(group, here)) {
                 let page = self.mapped_read_page(&pending.get(slot).kind);
                 let lane = self.read_lane(page);
                 if let Some(ppn) = page {
@@ -576,7 +665,8 @@ impl Controller {
     }
 
     /// LUN (linear) free to start a new array operation right now: the
-    /// resources of a program, and exactly those of a `ReadStart`.
+    /// resources of a program, and exactly those of a `ReadStart`. The long
+    /// way, for the checks; dispatch reads `ReadySet::idle`.
     fn lun_idle(&self, lun: u32, now: SimTime) -> bool {
         let g = self.array.geometry();
         let channel = lun / g.luns_per_channel;
@@ -585,6 +675,68 @@ impl Controller {
             && self.array.lun_free_at(channel, l) <= now
             && self.array.lun_holding(channel, l).is_none()
             && self.channel_ok(channel, l, now)
+    }
+
+    /// What `lun` (linear) could take at `now` and until when, barring a
+    /// command to its channel: the array's answer, under the interleaving
+    /// policy. With interleaving off a LUN the array calls ready is still
+    /// busy while a sibling is in flight (`channel_ok`), for as long as
+    /// the sibling says — so that answer holds for this instant only. The
+    /// siblings are all on the LUN's channel, so the sites that refresh a
+    /// LUN's channel stay exact.
+    fn lun_ready(&self, lun: u32, now: SimTime) -> (LunReady, SimTime) {
+        let (ready, until) = self.array.lun_ready(lun, now);
+        if self.cfg.interleaving || ready == LunReady::Busy {
+            return (ready, until);
+        }
+        let per_channel = self.array.geometry().luns_per_channel;
+        if self.channel_ok(lun / per_channel, lun % per_channel, now) {
+            (ready, until)
+        } else {
+            (LunReady::Busy, now)
+        }
+    }
+
+    /// Re-derive `lun`'s membership of the ready sets at `now` — the one
+    /// place they are written.
+    fn refresh_lun(&mut self, lun: u32, now: SimTime) {
+        let (ready, until) = self.lun_ready(lun, now);
+        let idle = ready == LunReady::ArrayOp;
+        let cached = ready == LunReady::CachedProgram && self.cfg.use_cached_program;
+        self.disp.ready.idle.assign(lun, idle);
+        self.disp.ready.program.assign(lun, idle || cached);
+        self.disp.ready.until[lun as usize] = until;
+    }
+
+    /// A command went to `channel` at `now`, the instant of the running
+    /// round: its LUNs are the only ones whose readiness it can change.
+    pub(super) fn refresh_channel(&mut self, channel: u32, now: SimTime) {
+        debug_assert_eq!(self.disp.ready.at, Some(now), "a command issued outside a round");
+        let per_channel = self.array.geometry().luns_per_channel;
+        for lun in channel * per_channel..(channel + 1) * per_channel {
+            self.refresh_lun(lun, now);
+        }
+    }
+
+    /// Bring the ready sets to `now` at the start of a scheduling round:
+    /// ask again the LUNs whose answer has run out, and only those. A LUN
+    /// idle at the last round stays idle until a command goes to its
+    /// channel (its answer never runs out, and that site refreshes it), a
+    /// busy one is left alone until the instant the array named, and a
+    /// round at the instant of the last one asks nothing — all of which
+    /// holds only while the clock does not run backwards, so a round
+    /// earlier than the last asks every LUN.
+    fn refresh_ready(&mut self, now: SimTime) {
+        if self.disp.ready.at == Some(now) {
+            return;
+        }
+        let backwards = self.disp.ready.at > Some(now);
+        for lun in 0..self.array.geometry().total_luns() {
+            if backwards || self.disp.ready.until[lun as usize] <= now {
+                self.refresh_lun(lun, now);
+            }
+        }
+        self.disp.ready.at = Some(now);
     }
 
     /// Resources free for a program at exactly `addr` right now, honoring
@@ -596,40 +748,6 @@ impl Controller {
             && self.channel_ok(addr.channel, addr.lun, now)
             && (self.cfg.use_cached_program
                 || self.array.lun_free_at(addr.channel, addr.lun) <= now)
-    }
-
-    /// A program for `stream` could start on `lun` right now: either the
-    /// LUN is idle, or (cached programming) the stream's next page extends
-    /// the block the LUN is currently programming.
-    pub(super) fn can_program_on(&self, lun: u32, stream: Stream, now: SimTime) -> bool {
-        if !self.alloc.can_alloc(lun, stream) {
-            return false;
-        }
-        if self.lun_idle(lun, now) {
-            return true;
-        }
-        if !self.cfg.use_cached_program {
-            return false;
-        }
-        let g = self.array.geometry();
-        let channel = lun / g.luns_per_channel;
-        let l = lun % g.luns_per_channel;
-        self.channel_ok(channel, l, now)
-            && self
-                .alloc
-                .peek_active(lun, stream)
-                .is_some_and(|addr| self.array.can_pipeline(addr, now))
-    }
-
-    /// Whether an unbound (or LUN-bound) write could start right now.
-    fn write_can_issue(&self, lun: Option<u32>, stream: Stream, now: SimTime) -> bool {
-        match lun {
-            Some(l) => self.can_program_on(l, stream, now),
-            None => {
-                let g = self.array.geometry();
-                (0..g.total_luns()).any(|l| self.can_program_on(l, stream, now))
-            }
-        }
     }
 
     /// Where a read op's source page sits right now — resolved when the
@@ -661,9 +779,10 @@ impl Controller {
         let mut recount = QueuedMoves::new(g);
         for op in self.disp.pending.iter() {
             if let PendKind::GcMove { from, .. } = op.kind {
-                recount.enqueued(g.page_index(from));
+                let ppn = g.page_index(from);
+                recount.enqueued(ppn);
                 if self.move_superseded(from) {
-                    recount.superseded[g.lun_index(from.channel, from.lun) as usize] += 1;
+                    recount.invalidated(ppn, g.lun_index(from.channel, from.lun));
                 }
             }
         }
@@ -688,19 +807,17 @@ impl Controller {
                 !walk(pending.scan_head(group)).any(mapped),
                 "a scan queue holds a mapped read"
             );
-            for li in 0..pending.lane_count(group) {
-                let key = pending.lane_key(group, li);
-                let ops = || walk(pending.lane_head(group, li));
+            for (key, head) in pending.lanes(group) {
                 let LaneKey::ReadFrom { lun } = key else {
-                    assert!(!ops().any(mapped), "{key:?} holds a mapped read");
+                    assert!(!walk(head).any(mapped), "{key:?} holds a mapped read");
                     continue;
                 };
                 assert!(
-                    lun.is_some() || ops().next().is_none(),
+                    lun.is_some() || head == NO_SLOT,
                     "a read with nothing to read outlived its scheduling round"
                 );
                 let mut last = None;
-                for op in ops() {
+                for op in walk(head) {
                     assert!(mapped(op), "{:?} in a read lane", op.kind);
                     let page = self.mapped_read_page(&op.kind);
                     assert_eq!(self.read_lane(page), key, "read in another LUN's lane: {op:?}");
@@ -712,16 +829,39 @@ impl Controller {
         }
     }
 
+    /// Both sides of ready-set dispatch are what a recount gives: every
+    /// family's waiting set is the LUNs whose lane holds an op, and the
+    /// ready sets are, LUN by LUN, what the array answers at the instant
+    /// of the last round (nothing but that round's own issues, which
+    /// refresh their channel, has touched the array since). Allocation-free:
+    /// debug builds run it after every scheduling round.
+    pub(super) fn check_ready_sets(&self) {
+        self.disp.pending.check_waiting();
+        let ready = &self.disp.ready;
+        let Some(at) = ready.at else { return };
+        let g = self.array.geometry();
+        for lun in 0..g.total_luns() {
+            let idle = self.lun_idle(lun, at);
+            let cached = self.cfg.use_cached_program
+                && self.lun_ready(lun, at).0 == LunReady::CachedProgram;
+            assert_eq!(ready.idle.get(lun), idle, "idle set stale at LUN {lun}, {at:?}");
+            assert_eq!(
+                ready.program.get(lun),
+                idle || cached,
+                "program set stale at LUN {lun}, {at:?}"
+            );
+        }
+    }
+
     /// Whether the source page of a queued `GcMove` has been invalidated
     /// since it was queued (the op is then consumed without flash IO).
     fn move_superseded(&self, from: PhysicalAddr) -> bool {
         self.reverse[self.array.geometry().page_index(from) as usize].is_none()
     }
 
-    /// Whether `op` could issue (or be consumed) right now. `memo` caches
-    /// write-issuability per `(LUN, stream)` within one scheduling round
-    /// (the underlying state only changes when an op actually issues).
-    fn op_issuable(&self, op: &PendingOp, now: SimTime, memo: &mut WriteMemo) -> bool {
+    /// Whether `op`, of a kind that waits in a scan queue, could issue
+    /// right now: each asks about exactly the address it will use.
+    fn scan_op_issuable(&self, op: &PendingOp, now: SimTime) -> bool {
         match op.kind {
             PendKind::Transfer { addr, .. } => {
                 self.cmd_resources_free(&FlashCommand::TransferOut(addr), now)
@@ -729,26 +869,10 @@ impl Controller {
             PendKind::Erase { block, .. } => {
                 self.cmd_resources_free(&FlashCommand::Erase(block), now)
             }
-            PendKind::GcMove { from, .. } => {
-                // Superseded: consumed without flash IO.
-                self.move_superseded(from)
-                    || self.cmd_resources_free(&FlashCommand::ReadStart(from), now)
-            }
-            PendKind::AppRead { .. }
-            | PendKind::MapFetchRead { .. }
-            | PendKind::WbRead { .. }
-            | PendKind::MergeRead => match self.read_source(&op.kind) {
+            PendKind::WbRead { .. } | PendKind::MergeRead => match self.read_source(&op.kind) {
                 None => true, // nothing to read any more: consumed instantly
                 Some(addr) => self.cmd_resources_free(&FlashCommand::ReadStart(addr), now),
             },
-            PendKind::Write { lun, stream, .. } => {
-                if let Some(&(_, ok)) = memo.iter().find(|&&(k, _)| k == (lun, stream)) {
-                    return ok;
-                }
-                let ok = self.write_can_issue(lun, stream, now);
-                memo.push(((lun, stream), ok));
-                ok
-            }
             PendKind::HybridWrite { what } => {
                 let FtlKind::Hybrid(h) = &self.ftl else { return false };
                 match h.place(what.lpn()) {
@@ -766,6 +890,10 @@ impl Controller {
                 self.program_ok(addr, now)
             }
             PendKind::CkptWrite => self.program_ok(self.ckpt_next_program().1, now),
+            PendKind::Write { .. }
+            | PendKind::GcMove { .. }
+            | PendKind::AppRead { .. }
+            | PendKind::MapFetchRead { .. } => unreachable!("{:?} waits in a lane", op.kind),
         }
     }
 
@@ -786,22 +914,22 @@ impl Controller {
         }
         self.maybe_checkpoint(now);
         self.maybe_scrub(now);
+        self.refresh_ready(now);
         // Each round compares at most one candidate per live group (the
         // group's first issuable op dominates the rest of it under every
-        // policy), and finding it probes one head per lane plus the
-        // blocked prefix of the scan queue — so per-issue cost tracks the
-        // live (class, tag) groups and their lanes, not the number of
+        // policy), and finding it visits the lanes that hold an op *and*
+        // whose LUN can take it, plus the blocked prefix of the scan queue
+        // — so per-issue cost tracks the live (class, tag) groups and the
+        // candidates found, not the lanes that exist nor the number of
         // queued writes, relocations or reads — and the reused scratch
         // buffers keep the loop allocation-free.
-        let mut memo = std::mem::take(&mut self.disp.write_memo);
         loop {
-            memo.clear();
             // Hardware necessity: pending transfers hold LUN registers
             // hostage, so they always go first (from their own group —
             // no scan over non-transfer ops).
             const TRANSFERS: u32 = PendingSet::<PendingOp>::TRANSFER_GROUP;
             if self.disp.pending.group_len(TRANSFERS) != 0 {
-                let t = self.first_issuable(TRANSFERS, now, &mut memo);
+                let t = self.first_issuable(TRANSFERS, now);
                 if t != NO_SLOT {
                     self.issue(t, now);
                     continue;
@@ -814,7 +942,7 @@ impl Controller {
                 if self.disp.pending.group_len(q) == 0 {
                     continue;
                 }
-                let slot = self.first_issuable(q, now, &mut memo);
+                let slot = self.first_issuable(q, now);
                 if slot != NO_SLOT {
                     let op = self.disp.pending.get(slot);
                     cand.push(((op.class, op.tag, op.enqueued_at, op.seq), slot));
@@ -848,85 +976,90 @@ impl Controller {
             self.disp.sched_cand = cand;
             self.issue(slot, now);
         }
-        self.disp.write_memo = memo;
         #[cfg(debug_assertions)]
-        self.check_queued_reads();
+        {
+            self.check_queued_reads();
+            self.check_ready_sets();
+        }
     }
 
     /// First op in `group` that could issue right now, or `NO_SLOT`.
     ///
-    /// The group's order-scan queue is probed in FIFO order; each lane
-    /// contributes its head (a blocked head proves the lane blocked — its
-    /// ops share one issuability predicate), except that a blocked
-    /// relocation lane whose LUN has superseded moves queued is walked for
-    /// its first one. A read lane is answered from its key alone — nothing
-    /// to read, or the LUN free for a `ReadStart` — without resolving the
-    /// head's mapping. The min-seq winner is exactly the op a single merged
-    /// FIFO would have yielded: a lane head has the smallest seq of its
-    /// key, and any issuable lane op is either superseded or implies its
-    /// head (same predicate, smaller seq) issuable too. Debug builds check
-    /// that against [`Self::first_issuable_reference`] on every call.
-    fn first_issuable(&self, group: u32, now: SimTime, memo: &mut WriteMemo) -> u32 {
+    /// The group's order-scan queue is probed in FIFO order. Of each lane
+    /// family only the lanes in `waiting ∩ eligible` are visited, each
+    /// contributing its head (the LUN being eligible proves the head
+    /// issuable, as every other lane's not being so proves it blocked —
+    /// its ops share one issuability predicate): mapped reads on idle LUNs
+    /// (and the unbound lane, whose ops have nothing left to read);
+    /// relocation reads on idle LUNs and, walked for its first superseded
+    /// move, on LUNs that count one queued; bound writes on LUNs that can
+    /// take a program and on which their stream can place one; the unbound
+    /// write lane if there is any such LUN. The min-seq winner is exactly
+    /// the op a single merged FIFO would have yielded: a lane head has the
+    /// smallest seq of its key, and any issuable lane op is either
+    /// superseded or implies its head (same predicate, smaller seq)
+    /// issuable too. Debug builds check that against
+    /// [`Self::first_issuable_reference`] on every call.
+    fn first_issuable(&self, group: u32, now: SimTime) -> u32 {
         let pending = &self.disp.pending;
-        let mut best = NO_SLOT;
-        let mut best_seq = u64::MAX;
+        let ready = &self.disp.ready;
+        let mut best = Oldest { slot: NO_SLOT, seq: u64::MAX };
         let mut cur = pending.scan_head(group);
         while cur != NO_SLOT {
-            let op = pending.get(cur);
-            if self.op_issuable(op, now, memo) {
-                best = cur;
-                best_seq = op.seq;
+            if self.scan_op_issuable(pending.get(cur), now) {
+                best.offer(pending, cur);
                 break;
             }
             cur = pending.next(cur);
         }
-        for li in 0..pending.lane_count(group) {
-            let head = pending.lane_head(group, li);
-            if head == NO_SLOT {
-                continue;
-            }
-            let op = pending.get(head);
-            if op.seq >= best_seq {
-                continue;
-            }
-            // By the head's kind first: the key is loaded only where it
-            // decides (write-only workloads run this loop ~23× per IO).
-            let slot = match op.kind {
-                PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } => {
-                    let LaneKey::ReadFrom { lun } = pending.lane_key(group, li) else {
-                        unreachable!("mapped read outside a read lane");
-                    };
-                    if lun.is_none_or(|l| self.lun_idle(l, now)) {
-                        head
-                    } else {
-                        NO_SLOT
+        for lanes in pending.families(group) {
+            let head = |lun| pending.head(lanes, lun);
+            let waiting = lanes.waiting().words().iter();
+            let idle = ready.idle.words().iter();
+            match lanes.family() {
+                Family::ReadFrom => {
+                    // Nothing left to read: consumed whatever the LUNs do.
+                    best.offer(pending, head(None));
+                    for lun in ones(waiting.zip(idle).map(|(w, i)| w & i)) {
+                        best.offer(pending, head(Some(lun)));
                     }
                 }
-                _ if self.op_issuable(op, now, memo) => head,
-                _ => self.first_superseded_behind(head, pending.lane_key(group, li), best_seq),
-            };
-            if slot != NO_SLOT {
-                best = slot;
-                best_seq = pending.get(slot).seq;
+                Family::MoveFrom => {
+                    let superseded = self.disp.moves.superseded_luns.words().iter();
+                    let eligible = idle.zip(superseded).map(|(i, s)| i | s);
+                    for lun in ones(waiting.zip(eligible).map(|(w, e)| w & e)) {
+                        let slot = match head(Some(lun)) {
+                            head if ready.idle.get(lun) => head,
+                            head => self.first_superseded(head, best.seq),
+                        };
+                        best.offer(pending, slot);
+                    }
+                }
+                Family::Write(stream) => {
+                    let can_program =
+                        |lun| ready.can_program(lun, stream, &self.alloc, &self.array, now);
+                    let program = ready.program.words().iter();
+                    for lun in ones(waiting.zip(program).map(|(w, p)| w & p)) {
+                        best.offer_if(pending, head(Some(lun)), || can_program(lun));
+                    }
+                    // Unbound: wherever the stream could place a page now.
+                    best.offer_if(pending, head(None), || ready.program.ones().any(can_program));
+                }
             }
         }
         #[cfg(debug_assertions)]
-        assert_eq!(best, self.first_issuable_reference(group, now), "lane ≠ merged FIFO");
-        best
+        assert_eq!(best.slot, self.first_issuable_reference(group, now), "lane ≠ merged FIFO");
+        best.slot
     }
 
-    /// The lane exception: the first op behind the blocked `head` of lane
-    /// `key`, with seq below `limit`, that can go although its lane is
-    /// blocked — a superseded move, which only a relocation lane whose LUN
-    /// counts one can hold (the count is per LUN, so the op may turn out to
+    /// The lane exception: the first op from `head` on, in a relocation
+    /// lane whose LUN is busy but counts a superseded move queued, with
+    /// seq below `limit`, that can go although its lane is blocked — a
+    /// superseded move (the count is per LUN, so the op may turn out to
     /// sit in another group's lane). `NO_SLOT` if there is none.
-    fn first_superseded_behind(&self, head: u32, key: LaneKey, limit: u64) -> u32 {
-        let LaneKey::MoveFrom { lun } = key else { return NO_SLOT };
-        if self.disp.moves.superseded_on(lun) == 0 {
-            return NO_SLOT;
-        }
+    fn first_superseded(&self, head: u32, limit: u64) -> u32 {
         let pending = &self.disp.pending;
-        let mut cur = pending.next(head);
+        let mut cur = head;
         while cur != NO_SLOT {
             let op = pending.get(cur);
             if op.seq >= limit {
@@ -939,16 +1072,77 @@ impl Controller {
         }
         NO_SLOT
     }
+}
+
+/// The reference the lanes and sets must reproduce, kept out of release
+/// builds: every predicate asked per op, of the array, the long way.
+#[cfg(debug_assertions)]
+impl Controller {
+    /// A program for `stream` could start on `lun` right now: either the
+    /// LUN is idle, or (cached programming) the stream's next page extends
+    /// the block the LUN is currently programming.
+    fn can_program_on(&self, lun: u32, stream: Stream, now: SimTime) -> bool {
+        if !self.alloc.can_alloc(lun, stream) {
+            return false;
+        }
+        if self.lun_idle(lun, now) {
+            return true;
+        }
+        if !self.cfg.use_cached_program {
+            return false;
+        }
+        let g = self.array.geometry();
+        let channel = lun / g.luns_per_channel;
+        let l = lun % g.luns_per_channel;
+        self.channel_ok(channel, l, now)
+            && self
+                .alloc
+                .peek_active(lun, stream)
+                .is_some_and(|addr| self.array.can_pipeline(addr, now))
+    }
+
+    /// Whether `op` could issue (or be consumed) right now. `memo` caches
+    /// write-issuability per `(LUN, stream)` within one reference scan.
+    fn op_issuable(&self, op: &PendingOp, now: SimTime, memo: &mut WriteMemo) -> bool {
+        match op.kind {
+            PendKind::GcMove { from, .. } => {
+                // Superseded: consumed without flash IO.
+                self.move_superseded(from)
+                    || self.cmd_resources_free(&FlashCommand::ReadStart(from), now)
+            }
+            PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } => {
+                match self.read_source(&op.kind) {
+                    None => true, // nothing to read any more: consumed instantly
+                    Some(addr) => self.cmd_resources_free(&FlashCommand::ReadStart(addr), now),
+                }
+            }
+            PendKind::Write { lun, stream, .. } => {
+                if let Some(&(_, ok)) = memo.iter().find(|&&(k, _)| k == (lun, stream)) {
+                    return ok;
+                }
+                let ok = match lun {
+                    Some(l) => self.can_program_on(l, stream, now),
+                    None => {
+                        let g = self.array.geometry();
+                        (0..g.total_luns()).any(|l| self.can_program_on(l, stream, now))
+                    }
+                };
+                memo.push(((lun, stream), ok));
+                ok
+            }
+            _ => self.scan_op_issuable(op, now),
+        }
+    }
 
     /// The merged-FIFO semantics `first_issuable` must reproduce: the
     /// min-seq op over every queue of the group, walked full length, for
-    /// which `op_issuable` holds.
-    #[cfg(debug_assertions)]
+    /// which `op_issuable` holds. Reads neither the waiting sets nor the
+    /// ready sets.
     fn first_issuable_reference(&self, group: u32, now: SimTime) -> u32 {
         let pending = &self.disp.pending;
         let mut memo = WriteMemo::new();
         let heads = std::iter::once(pending.scan_head(group))
-            .chain((0..pending.lane_count(group)).map(|li| pending.lane_head(group, li)));
+            .chain(pending.lanes(group).map(|(_, head)| head));
         let mut best = NO_SLOT;
         let mut best_seq = u64::MAX;
         for head in heads {

@@ -27,6 +27,7 @@ impl Controller {
             .array
             .issue(cmd, now)
             .unwrap_or_else(|e| panic!("scheduler issued invalid command: {e}"));
+        self.refresh_channel(cmd.channel(), now);
         if self.disp.obs_cur.span != NO_SPAN {
             if let Some(o) = &mut self.obs {
                 // Span busy slices are keyed by LUN track: 0 = misc, then
@@ -350,13 +351,12 @@ impl Controller {
         }
     }
 
+    /// The LUN an unbound write of `stream` lands on: the allocation
+    /// policy's pick among the very set that made the write issuable.
     fn choose_write_lun(&mut self, stream: Stream, now: SimTime) -> Option<u32> {
-        let g = *self.array.geometry();
-        let mut free = std::mem::take(&mut self.disp.lun_scratch);
-        free.clear();
-        free.extend((0..g.total_luns()).map(|l| self.can_program_on(l, stream, now)));
-        let chosen = self.alloc.choose_lun(stream, |l| free[l as usize]);
-        self.disp.lun_scratch = free;
-        chosen
+        let (ready, array) = (&self.disp.ready, &self.array);
+        self.alloc.choose_lun(ready.program(), |alloc, lun| {
+            ready.can_program(lun, stream, alloc, array, now)
+        })
     }
 }

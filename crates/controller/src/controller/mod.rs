@@ -40,6 +40,8 @@ mod mount;
 mod move_lane_tests;
 #[cfg(test)]
 mod read_lane_tests;
+#[cfg(test)]
+mod ready_set_tests;
 mod reclaim;
 mod stamps;
 mod stats;
@@ -372,6 +374,7 @@ impl Controller {
         }
         self.check_queued_moves();
         self.check_queued_reads();
+        self.check_ready_sets();
         // Allocator free-block accounting matches the array.
         for lun in 0..g.total_luns() {
             let channel = lun / g.luns_per_channel;

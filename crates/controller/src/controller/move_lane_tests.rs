@@ -32,6 +32,7 @@ pub(super) fn cfg() -> ControllerConfig {
 fn check_queued(c: &Controller) {
     c.check_queued_moves();
     c.check_queued_reads();
+    c.check_ready_sets();
 }
 
 /// `d.submit`, then the recount.
@@ -75,16 +76,17 @@ pub(super) fn age_until(d: &mut Driver, mut stop: impl FnMut(&Controller, SimTim
     panic!("aging never reached the wanted state");
 }
 
-/// Every relocation lane of `c`: its source LUN and its ops, head first.
+/// Every relocation lane of `c`, drained ones included: its source LUN
+/// and its ops, head first.
 pub(super) fn move_lanes(c: &Controller) -> Vec<(u32, Vec<PendingOp>)> {
     let pending = &c.disp.pending;
     let mut lanes = Vec::new();
     for group in 1..pending.group_count() {
-        for li in 0..pending.lane_count(group) {
-            let LaneKey::MoveFrom { lun } = pending.lane_key(group, li) else {
+        for (key, head) in pending.lanes(group) {
+            let LaneKey::MoveFrom { lun } = key else {
                 continue;
             };
-            let lane = pending.walk(pending.lane_head(group, li));
+            let lane = pending.walk(head);
             lanes.push((lun, lane.map(|slot| *pending.get(slot)).collect()));
         }
     }

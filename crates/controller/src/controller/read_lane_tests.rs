@@ -55,11 +55,11 @@ fn queued_reads(c: &Controller) -> Vec<(Option<u32>, PendingOp)> {
     let pending = &c.disp.pending;
     let mut out = Vec::new();
     for group in 1..pending.group_count() {
-        for li in 0..pending.lane_count(group) {
-            let LaneKey::ReadFrom { lun } = pending.lane_key(group, li) else {
+        for (key, head) in pending.lanes(group) {
+            let LaneKey::ReadFrom { lun } = key else {
                 continue;
             };
-            let lane = pending.walk(pending.lane_head(group, li));
+            let lane = pending.walk(head);
             out.extend(lane.map(|slot| (lun, *pending.get(slot))));
         }
     }
@@ -264,7 +264,8 @@ fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
     }
     // From this victim the retry lands on another LUN while both of that
     // LUN's neighbours still wait (asserted below); not every victim's does.
-    let (lun, moves) = move_lanes(&d.c).swap_remove(2);
+    let (lun, moves) = move_lanes(&d.c).swap_remove(1);
+    assert_eq!(lun, 1);
     let target = moves[1];
     let x = lpn_moved_by(&d.c, &target);
     let from = move_of(&d.c, &target).1;

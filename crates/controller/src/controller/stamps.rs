@@ -54,10 +54,16 @@ impl Controller {
     /// The program at `ppn` has landed (mapping effect applied or
     /// discarded): release the stamp it left in the page's OOB from the
     /// watermark bound. A filler's or checkpoint page's stamp was never
-    /// held there, so releasing it changes nothing.
+    /// held there, so releasing it changes nothing; any other page lands
+    /// exactly once per program.
     pub(super) fn landed(&mut self, ppn: Ppn) {
         let oob = self.array.oob(self.array.geometry().page_at(ppn));
-        self.stamps.inflight.remove(&oob.expect("a landed program carries OOB").stamp);
+        let oob = oob.expect("a landed program carries OOB");
+        let held = self.stamps.inflight.remove(&oob.stamp);
+        debug_assert!(
+            held || matches!(oob.tag, OobTag::Filler | OobTag::Checkpoint { .. }),
+            "page {ppn} landed twice, or was programmed again without landing: {oob:?}"
+        );
     }
 
     /// The content version a relocation inherits from its source page.
@@ -78,7 +84,8 @@ impl Controller {
         let stamp = self.stamps.fresh();
         let seq = seq.unwrap_or(stamp);
         self.array.set_oob(addr, OobEntry { tag, seq, stamp });
-        self.stamps.inflight.insert(stamp);
+        let fresh = self.stamps.inflight.insert(stamp);
+        debug_assert!(fresh, "program stamp {stamp} handed out twice");
     }
 
     /// Stamp a program that carries no mapping entry of its own (merge

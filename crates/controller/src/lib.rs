@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod alloc;
+mod bits;
 pub mod buffer;
 pub mod config;
 pub mod controller;

@@ -35,6 +35,18 @@
 //!   device (every live page of every victim) and the read backlog of a
 //!   read-heavy host out of the scheduler's inner loop.
 //!
+//! A lane is addressed by `(family, LUN)`, and its group knows which LUNs
+//! have one non-empty. A [`Family`] is a lane key without its LUN — the
+//! writes of one stream, the relocation reads, the mapped reads; a group
+//! that meets a family lays out one lane per LUN plus an unbound one
+//! ([`Lanes`]), so reaching a lane is an index, not a search, and keeps per
+//! family the set of LUNs whose lane holds an op ([`Lanes::waiting`],
+//! maintained where ops are linked and unlinked, so `insert`, `remove` and
+//! `move_to_lane` all keep it). The scheduler intersects that set with the
+//! LUNs that can take the family's command now and touches only those
+//! lanes: what a round costs follows the candidates it finds, not the
+//! lanes that exist.
+//!
 //! A group's first issuable op is the min-seq candidate over the scan
 //! queue's first issuable op and each lane's first issuable op — exactly
 //! the op a single merged FIFO would have yielded, so scheduling decisions
@@ -42,9 +54,10 @@
 //! layout. Within a group both seq and enqueue time are monotonic per
 //! queue, so policies only ever compare group candidates (O(live
 //! groups), typically ≤ `OpClass::COUNT`). Insertion and removal are
-//! O(1) and never allocate after warm-up (slots and queues are recycled).
+//! O(1) and never allocate after warm-up (slots are recycled; a family's
+//! lanes are laid out once, when its group first meets it).
 //!
-//! Determinism: groups and lanes are discovered in first-use order and
+//! Determinism: groups and families are discovered in first-use order and
 //! slots are recycled LIFO, but selection never depends on either —
 //! candidates are compared by `(class, tag, enqueue-time, seq)` keys, and
 //! callers sort head candidates by `seq` before handing them to a policy.
@@ -52,6 +65,7 @@
 use std::collections::BTreeMap;
 
 use crate::alloc::Stream;
+use crate::bits::BitSet;
 use crate::types::OpClass;
 
 /// Sentinel slot / queue / group id.
@@ -84,6 +98,33 @@ pub(crate) enum LaneKey {
     ReadFrom { lun: Option<u32> },
 }
 
+/// A lane key without its LUN: the lanes that share one kind of
+/// issuability test, differing only in the LUN it is asked of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Family {
+    Write(Stream),
+    MoveFrom,
+    ReadFrom,
+}
+
+impl LaneKey {
+    fn split(self) -> (Family, Option<u32>) {
+        match self {
+            LaneKey::Write { lun, stream } => (Family::Write(stream), lun),
+            LaneKey::MoveFrom { lun } => (Family::MoveFrom, Some(lun)),
+            LaneKey::ReadFrom { lun } => (Family::ReadFrom, lun),
+        }
+    }
+
+    fn join(family: Family, lun: Option<u32>) -> Option<LaneKey> {
+        Some(match family {
+            Family::Write(stream) => LaneKey::Write { lun, stream },
+            Family::MoveFrom => LaneKey::MoveFrom { lun: lun? },
+            Family::ReadFrom => LaneKey::ReadFrom { lun },
+        })
+    }
+}
+
 #[derive(Debug)]
 struct Slot<T> {
     item: Option<T>,
@@ -97,16 +138,40 @@ struct Queue {
     tail: u32,
     /// Owning group.
     group: u32,
+    /// For a LUN's lane: the family (index within the group) and the LUN
+    /// whose `waiting` bit follows this queue's emptiness. `NO_SLOT` twice
+    /// for scan queues and unbound lanes, which no set tracks.
+    family: u32,
+    lun: u32,
+}
+
+/// The lanes of one family within one group.
+#[derive(Debug)]
+pub(crate) struct Lanes {
+    family: Family,
+    /// Queue id of LUN 0's lane; LUN `l`'s is `base + l`, the unbound
+    /// lane's `base + luns`.
+    base: u32,
+    waiting: BitSet,
+}
+
+impl Lanes {
+    pub(crate) fn family(&self) -> Family {
+        self.family
+    }
+
+    /// The LUNs whose lane holds at least one op.
+    pub(crate) fn waiting(&self) -> &BitSet {
+        &self.waiting
+    }
 }
 
 #[derive(Debug)]
 struct Group {
     /// Queue id of the order-scan queue.
     scan: u32,
-    /// Lane keys and their queue ids, in first-use order. Small
-    /// (≤ LUNs × streams in play); linear search beats hashing here.
-    lane_keys: Vec<LaneKey>,
-    lane_queues: Vec<u32>,
+    /// In first-use order. Few (the streams in play, or one).
+    families: Vec<Lanes>,
     /// Live items over all of the group's queues.
     len: u32,
 }
@@ -114,6 +179,8 @@ struct Group {
 /// Slab + intrusive FIFO queues of pending items, grouped per `QueueKey`.
 #[derive(Debug)]
 pub(crate) struct PendingSet<T> {
+    /// LUNs a lane can be keyed by: `0..luns`.
+    luns: u32,
     slots: Vec<Slot<T>>,
     /// Owning queue per slot (`NO_SLOT` for freed slots).
     slot_queue: Vec<u32>,
@@ -128,27 +195,21 @@ impl<T> PendingSet<T> {
     /// Group id of the transfer fast-path group (always present).
     pub(crate) const TRANSFER_GROUP: u32 = 0;
 
-    pub(crate) fn new() -> Self {
-        let mut by_key = BTreeMap::new();
-        by_key.insert(QueueKey::Transfer, Self::TRANSFER_GROUP);
-        PendingSet {
+    /// An empty set whose lanes are keyed by the LUNs `0..luns`.
+    pub(crate) fn new(luns: u32) -> Self {
+        let mut set = PendingSet {
+            luns,
             slots: Vec::new(),
             slot_queue: Vec::new(),
             free: Vec::new(),
-            queues: vec![Queue {
-                head: NO_SLOT,
-                tail: NO_SLOT,
-                group: Self::TRANSFER_GROUP,
-            }],
-            groups: vec![Group {
-                scan: 0,
-                lane_keys: Vec::new(),
-                lane_queues: Vec::new(),
-                len: 0,
-            }],
-            by_key,
+            queues: Vec::new(),
+            groups: Vec::new(),
+            by_key: BTreeMap::new(),
             live: 0,
-        }
+        };
+        let transfers = set.group_of(QueueKey::Transfer);
+        debug_assert_eq!(transfers, Self::TRANSFER_GROUP);
+        set
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -175,20 +236,38 @@ impl<T> PendingSet<T> {
         self.queues[self.groups[group as usize].scan as usize].head
     }
 
-    /// Number of lanes a group has accumulated.
-    pub(crate) fn lane_count(&self, group: u32) -> usize {
-        self.groups[group as usize].lane_queues.len()
+    /// The families a group has met, in first-use order.
+    pub(crate) fn families(&self, group: u32) -> &[Lanes] {
+        &self.groups[group as usize].families
     }
 
-    /// Head slot of a group's `idx`-th lane (`NO_SLOT` when empty).
-    pub(crate) fn lane_head(&self, group: u32, idx: usize) -> u32 {
-        let q = self.groups[group as usize].lane_queues[idx];
-        self.queues[q as usize].head
+    /// Head slot of the lane of `lanes` for `lun` (`None`: the unbound
+    /// lane); `NO_SLOT` when empty.
+    #[inline]
+    pub(crate) fn head(&self, lanes: &Lanes, lun: Option<u32>) -> u32 {
+        debug_assert!(lun.is_none_or(|l| l < self.luns), "lane of LUN {lun:?} of {}", self.luns);
+        self.queues[(lanes.base + lun.unwrap_or(self.luns)) as usize].head
     }
 
-    /// Key of a group's `idx`-th lane.
-    pub(crate) fn lane_key(&self, group: u32, idx: usize) -> LaneKey {
-        self.groups[group as usize].lane_keys[idx]
+    /// Head slot of `group`'s lane for `key` (`NO_SLOT` when empty or when
+    /// the group never met the key's family).
+    pub(crate) fn lane_head(&self, group: u32, key: LaneKey) -> u32 {
+        let (family, lun) = key.split();
+        let lanes = self.families(group).iter().find(|l| l.family == family);
+        lanes.map_or(NO_SLOT, |l| self.head(l, lun))
+    }
+
+    /// Every lane `group` has laid out — one per LUN of each family it
+    /// met, plus the unbound one where the family has such a key — with
+    /// its head slot, empty lanes included. For checks and the reference
+    /// scan, which must not depend on the `waiting` sets.
+    pub(crate) fn lanes(&self, group: u32) -> impl Iterator<Item = (LaneKey, u32)> + '_ {
+        self.families(group).iter().flat_map(move |lanes| {
+            let luns = (0..self.luns).map(Some).chain([None]);
+            luns.filter_map(move |lun| {
+                Some((LaneKey::join(lanes.family, lun)?, self.head(lanes, lun)))
+            })
+        })
     }
 
     /// Successor of `slot` within its queue (`NO_SLOT` at the tail).
@@ -213,38 +292,90 @@ impl<T> PendingSet<T> {
             .expect("read of freed pending slot")
     }
 
-    fn new_queue(queues: &mut Vec<Queue>, group: u32) -> u32 {
-        let q = queues.len() as u32;
-        queues.push(Queue {
+    /// Every family's `waiting` set is what a recount of its lanes gives.
+    /// Allocation-free.
+    pub(crate) fn check_waiting(&self) {
+        for group in &self.groups {
+            for lanes in &group.families {
+                for lun in 0..self.luns {
+                    assert_eq!(
+                        lanes.waiting.get(lun),
+                        self.head(lanes, Some(lun)) != NO_SLOT,
+                        "waiting set of {:?} drifted from its lanes at LUN {lun}",
+                        lanes.family
+                    );
+                }
+            }
+        }
+    }
+
+    fn new_queue(&mut self, group: u32, family: u32, lun: u32) -> u32 {
+        self.queues.push(Queue {
             head: NO_SLOT,
             tail: NO_SLOT,
             group,
+            family,
+            lun,
         });
-        q
+        (self.queues.len() - 1) as u32
     }
 
-    /// Index of `group`'s lane for `key`, if it has one.
-    pub(crate) fn lane_index(&self, group: u32, key: LaneKey) -> Option<usize> {
-        self.groups[group as usize].lane_keys.iter().position(|&k| k == key)
+    /// Group id for `key`, created on first use.
+    fn group_of(&mut self, key: QueueKey) -> u32 {
+        if let Some(&g) = self.by_key.get(&key) {
+            return g;
+        }
+        let g = self.groups.len() as u32;
+        let scan = self.new_queue(g, NO_SLOT, NO_SLOT);
+        self.groups.push(Group {
+            scan,
+            families: Vec::new(),
+            len: 0,
+        });
+        self.by_key.insert(key, g);
+        g
     }
 
-    /// Queue id of `group`'s lane for `key`, created on first use.
+    /// Queue id of `group`'s lane for `key`; the family's lanes are laid
+    /// out when the group first meets it.
     fn lane_queue(&mut self, group: u32, key: LaneKey) -> u32 {
-        match self.lane_index(group, key) {
-            Some(i) => self.groups[group as usize].lane_queues[i],
+        let (family, lun) = key.split();
+        debug_assert!(lun.is_none_or(|l| l < self.luns), "{key:?} beyond {} LUNs", self.luns);
+        let families = &self.groups[group as usize].families;
+        let base = match families.iter().find(|l| l.family == family) {
+            Some(lanes) => lanes.base,
             None => {
-                let q = Self::new_queue(&mut self.queues, group);
-                let g = &mut self.groups[group as usize];
-                g.lane_keys.push(key);
-                g.lane_queues.push(q);
-                q
+                let fi = families.len() as u32;
+                let base = self.queues.len() as u32;
+                for l in 0..self.luns {
+                    self.new_queue(group, fi, l);
+                }
+                self.new_queue(group, NO_SLOT, NO_SLOT);
+                self.groups[group as usize].families.push(Lanes {
+                    family,
+                    base,
+                    waiting: BitSet::new(self.luns.into()),
+                });
+                base
             }
+        };
+        base + lun.unwrap_or(self.luns)
+    }
+
+    /// Queue `q` went from empty to non-empty or back: its `waiting` bit,
+    /// if a set tracks it, follows.
+    fn emptiness_changed(&mut self, q: u32) {
+        let Queue { head, group, family, lun, .. } = self.queues[q as usize];
+        if lun != NO_SLOT {
+            let lanes = &mut self.groups[group as usize].families[family as usize];
+            lanes.waiting.assign(lun, head != NO_SLOT);
         }
     }
 
     /// Link `slot` into queue `q` between `prev` and `next` (either may be
     /// `NO_SLOT`: the queue's ends).
     fn link(&mut self, q: u32, slot: u32, prev: u32, next: u32) {
+        let was_empty = self.queues[q as usize].head == NO_SLOT;
         self.slots[slot as usize].prev = prev;
         self.slots[slot as usize].next = next;
         if prev == NO_SLOT {
@@ -258,6 +389,9 @@ impl<T> PendingSet<T> {
             self.slots[next as usize].prev = slot;
         }
         self.slot_queue[slot as usize] = q;
+        if was_empty {
+            self.emptiness_changed(q);
+        }
     }
 
     /// Detach `slot` from its queue, which is returned.
@@ -279,26 +413,15 @@ impl<T> PendingSet<T> {
         } else {
             self.slots[next as usize].prev = prev;
         }
+        if self.queues[q as usize].head == NO_SLOT {
+            self.emptiness_changed(q);
+        }
         q
     }
 
     /// Append `item` to the FIFO for `key`/`lane`; returns its slot id.
     pub(crate) fn insert(&mut self, key: QueueKey, lane: Option<LaneKey>, item: T) -> u32 {
-        let g = match self.by_key.get(&key) {
-            Some(&g) => g,
-            None => {
-                let g = self.groups.len() as u32;
-                let scan = Self::new_queue(&mut self.queues, g);
-                self.groups.push(Group {
-                    scan,
-                    lane_keys: Vec::new(),
-                    lane_queues: Vec::new(),
-                    len: 0,
-                });
-                self.by_key.insert(key, g);
-                g
-            }
-        };
+        let g = self.group_of(key);
         let q = match lane {
             None => self.groups[g as usize].scan,
             Some(lk) => self.lane_queue(g, lk),
@@ -377,7 +500,7 @@ mod tests {
 
     #[test]
     fn scan_queues_are_fifo_and_isolated() {
-        let mut set = PendingSet::new();
+        let mut set = PendingSet::new(16);
         let ka = QueueKey::Class(OpClass::AppRead, None);
         let kb = QueueKey::Class(OpClass::AppWrite, Some(1));
         for i in 0..4 {
@@ -393,7 +516,7 @@ mod tests {
 
     #[test]
     fn write_lanes_split_by_key_and_keep_fifo() {
-        let mut set = PendingSet::new();
+        let mut set = PendingSet::new(16);
         let k = QueueKey::Class(OpClass::AppWrite, None);
         let lane = |lun| LaneKey::Write { lun: Some(lun), stream: Stream::Hot };
         set.insert(k, Some(lane(7)), 1);
@@ -401,40 +524,48 @@ mod tests {
         set.insert(k, Some(lane(7)), 3);
         set.insert(k, None, 4); // order-scan op in the same group
         let g = 1;
-        assert_eq!(set.lane_count(g), 2);
-        assert_eq!(set.lane_key(g, 0), lane(7));
-        assert_eq!(set.lane_key(g, 1), lane(9));
-        assert_eq!(*set.get(set.lane_head(g, 0)), 1);
-        assert_eq!(*set.get(set.lane_head(g, 1)), 2);
+        let waiting =
+            |set: &PendingSet<u64>| set.families(g)[0].waiting().ones().collect::<Vec<_>>();
+        assert_eq!(set.families(g).len(), 1, "one stream, one family");
+        assert_eq!(set.families(g)[0].family(), Family::Write(Stream::Hot));
+        assert_eq!(waiting(&set), [7, 9]);
+        assert_eq!(*set.get(set.lane_head(g, lane(7))), 1);
+        assert_eq!(*set.get(set.lane_head(g, lane(9))), 2);
         assert_eq!(*set.get(set.scan_head(g)), 4);
-        // Lane FIFO: removing lane 0's head exposes the next same-key op.
-        set.remove(set.lane_head(g, 0));
-        assert_eq!(*set.get(set.lane_head(g, 0)), 3);
-        set.remove(set.lane_head(g, 0));
-        assert_eq!(set.lane_head(g, 0), NO_SLOT, "drained lane stays");
-        assert_eq!(set.lane_count(g), 2, "lane ids are stable");
+        assert_eq!(set.lane_head(g, lane(8)), NO_SLOT, "laid out, never used");
+        assert_eq!(set.lane_head(g, LaneKey::MoveFrom { lun: 7 }), NO_SLOT, "no such family");
+        // Lane FIFO: removing LUN 7's head exposes the next same-key op.
+        set.remove(set.lane_head(g, lane(7)));
+        assert_eq!(*set.get(set.lane_head(g, lane(7))), 3);
+        assert_eq!(waiting(&set), [7, 9]);
+        set.remove(set.lane_head(g, lane(7)));
+        assert_eq!(set.lane_head(g, lane(7)), NO_SLOT, "drained lane stays");
+        assert_eq!(waiting(&set), [9], "and leaves the waiting set");
+        assert_eq!(set.lanes(g).count(), 17, "a lane per LUN and the unbound one");
         assert_eq!(set.len(), 2);
+        set.check_waiting();
     }
 
-    /// Items of a group's `idx`-th lane, head first, then checked tail
-    /// first through the back links.
-    fn lane(set: &PendingSet<u64>, group: u32, idx: usize) -> Vec<u64> {
+    /// Items of a group's read lane for `lun`, head first, then checked
+    /// tail first through the back links — and the waiting sets recounted.
+    fn lane(set: &PendingSet<u64>, group: u32, lun: Option<u32>) -> Vec<u64> {
         let mut out = Vec::new();
-        let (mut cur, mut last) = (set.lane_head(group, idx), NO_SLOT);
+        let (mut cur, mut last) = (set.lane_head(group, LaneKey::ReadFrom { lun }), NO_SLOT);
         while cur != NO_SLOT {
             assert_eq!(set.slots[cur as usize].prev, last, "back link");
             out.push(*set.get(cur));
             last = cur;
             cur = set.next(cur);
         }
-        let q = set.groups[group as usize].lane_queues[idx];
+        let q = set.families(group)[0].base + lun.unwrap_or(set.luns);
         assert_eq!(set.queues[q as usize].tail, last, "tail");
+        set.check_waiting();
         out
     }
 
     #[test]
     fn move_to_lane_inserts_in_seq_order_and_keeps_links() {
-        let mut set = PendingSet::new();
+        let mut set = PendingSet::new(16);
         let k = QueueKey::Class(OpClass::AppRead, None);
         let from = |lun| LaneKey::ReadFrom { lun: Some(lun) };
         // Items are their own seq. Lane 0: 1 3 5 7 9; lane 1: 2 6.
@@ -447,29 +578,28 @@ mod tests {
 
         // Middle of its lane, into the middle of a populated lane.
         set.move_to_lane(a[2], from(1), seq);
-        assert_eq!(lane(&set, g, 0), vec![1, 3, 7, 9]);
-        assert_eq!(lane(&set, g, 1), vec![2, 5, 6]);
+        assert_eq!(lane(&set, g, Some(0)), vec![1, 3, 7, 9]);
+        assert_eq!(lane(&set, g, Some(1)), vec![2, 5, 6]);
         // Head of its lane, to the head of a populated lane: the source
         // lane's head moves on.
         set.move_to_lane(a[0], from(1), seq);
-        assert_eq!(lane(&set, g, 0), vec![3, 7, 9]);
-        assert_eq!(lane(&set, g, 1), vec![1, 2, 5, 6]);
+        assert_eq!(lane(&set, g, Some(0)), vec![3, 7, 9]);
+        assert_eq!(lane(&set, g, Some(1)), vec![1, 2, 5, 6]);
         // Tail of its lane, to the tail of a populated lane.
         set.move_to_lane(a[4], from(1), seq);
-        assert_eq!(lane(&set, g, 0), vec![3, 7]);
-        assert_eq!(lane(&set, g, 1), vec![1, 2, 5, 6, 9]);
-        // Into a lane that does not exist yet.
+        assert_eq!(lane(&set, g, Some(0)), vec![3, 7]);
+        assert_eq!(lane(&set, g, Some(1)), vec![1, 2, 5, 6, 9]);
+        // Into a lane never used yet: the unbound one.
         set.move_to_lane(a[3], LaneKey::ReadFrom { lun: None }, seq);
-        assert_eq!(set.lane_count(g), 3);
-        assert_eq!(set.lane_key(g, 2), LaneKey::ReadFrom { lun: None });
-        assert_eq!(lane(&set, g, 2), vec![7]);
+        assert_eq!(set.families(g).len(), 1);
+        assert_eq!(lane(&set, g, None), vec![7]);
         // The last op of a lane, into a drained lane and back.
         assert_eq!(set.remove(a[3]), 7);
         set.move_to_lane(a[1], LaneKey::ReadFrom { lun: None }, seq);
-        assert_eq!(lane(&set, g, 0), Vec::<u64>::new());
-        assert_eq!(lane(&set, g, 2), vec![3]);
+        assert_eq!(lane(&set, g, Some(0)), Vec::<u64>::new());
+        assert_eq!(lane(&set, g, None), vec![3]);
         set.move_to_lane(a[1], from(0), seq);
-        assert_eq!(lane(&set, g, 0), vec![3]);
+        assert_eq!(lane(&set, g, Some(0)), vec![3]);
 
         // Moves change neither the counts nor another group.
         assert_eq!(set.len(), 7);
@@ -479,14 +609,14 @@ mod tests {
         set.remove(other);
         assert_eq!(set.group_len(2), 0);
         // A moved op leaves through its new lane.
-        assert_eq!(set.remove(set.lane_head(g, 1)), 1);
-        assert_eq!(lane(&set, g, 1), vec![2, 5, 6, 9]);
+        assert_eq!(set.remove(set.lane_head(g, from(1))), 1);
+        assert_eq!(lane(&set, g, Some(1)), vec![2, 5, 6, 9]);
         assert_eq!(set.group_len(g), 5);
     }
 
     #[test]
     fn removal_from_middle_keeps_links() {
-        let mut set = PendingSet::new();
+        let mut set = PendingSet::new(16);
         let k = QueueKey::Transfer;
         let slots: Vec<u32> = (0..5).map(|i| set.insert(k, None, i)).collect();
         assert_eq!(set.remove(slots[2]), 2);
@@ -500,7 +630,7 @@ mod tests {
 
     #[test]
     fn slots_and_groups_are_recycled() {
-        let mut set = PendingSet::new();
+        let mut set = PendingSet::new(16);
         let k = QueueKey::Class(OpClass::Erase, None);
         let a = set.insert(k, None, 1);
         set.remove(a);
@@ -513,7 +643,7 @@ mod tests {
 
     #[test]
     fn iter_sees_exactly_the_live_items() {
-        let mut set = PendingSet::new();
+        let mut set = PendingSet::new(16);
         let k = QueueKey::Class(OpClass::GcRead, None);
         let s0 = set.insert(k, None, 7);
         set.insert(QueueKey::Transfer, None, 8);

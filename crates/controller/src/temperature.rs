@@ -8,12 +8,13 @@
 //! when it appears in at least `threshold` filters — i.e., it was written
 //! in several recent windows.
 
+use crate::bits::BitSet;
 use crate::types::{Lpn, Temperature};
 
 /// A fixed-size bloom filter over LPNs.
 #[derive(Debug, Clone)]
 struct Bloom {
-    bits: Vec<u64>,
+    bits: BitSet,
     mask: u64,
     hashes: u32,
 }
@@ -22,7 +23,7 @@ impl Bloom {
     fn new(bits_pow2: u32, hashes: u32) -> Self {
         let nbits = 1u64 << bits_pow2;
         Bloom {
-            bits: vec![0; (nbits / 64) as usize],
+            bits: BitSet::new(nbits),
             mask: nbits - 1,
             hashes,
         }
@@ -38,17 +39,16 @@ impl Bloom {
     fn insert(&mut self, lpn: Lpn) {
         let positions: Vec<u64> = self.positions(lpn).collect();
         for p in positions {
-            self.bits[(p / 64) as usize] |= 1 << (p % 64);
+            self.bits.set(p);
         }
     }
 
     fn contains(&self, lpn: Lpn) -> bool {
-        self.positions(lpn)
-            .all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
+        self.positions(lpn).all(|p| self.bits.get(p))
     }
 
     fn clear(&mut self) {
-        self.bits.fill(0);
+        self.bits.clear_all();
     }
 }
 

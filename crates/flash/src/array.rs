@@ -106,6 +106,23 @@ struct LunState {
     programming: Option<BlockAddr>,
 }
 
+/// What a LUN could accept at an instant: the resource test of
+/// [`FlashArray::can_issue`] for every command but a register transfer,
+/// asked of the LUN instead of a command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LunReady {
+    /// Channel and LUN free, register empty: any array operation — read,
+    /// program, erase, copy-back — can start.
+    ArrayOp,
+    /// Channel free and the LUN busy array-programming a block on a chip
+    /// with cached programming: only a program of that block's next page
+    /// can join it ([`FlashArray::can_pipeline`] says whether an address
+    /// is that page's).
+    CachedProgram,
+    /// Nothing but, once its data is ready, the transfer of a held page.
+    Busy,
+}
+
 /// Raw operation counters (all sources combined).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
@@ -384,6 +401,29 @@ impl FlashArray {
         match self.luns[self.lun_slot(channel, lun)].status {
             LunStatus::HoldingData(a) => Some(a),
             LunStatus::Idle => None,
+        }
+    }
+
+    /// What the LUN with linear index `lun` ([`Geometry::lun_index`]) could
+    /// accept at `now`, without naming a command, and the first instant
+    /// that answer may change unless a command goes to the LUN's channel
+    /// first ([`SimTime::MAX`]: only such a command changes it). A
+    /// scheduler that tracks which LUNs are ready asks this once per LUN
+    /// whose answer has run out instead of [`Self::can_issue`] once per
+    /// queued operation.
+    pub fn lun_ready(&self, lun: u32, now: SimTime) -> (LunReady, SimTime) {
+        let state = &self.luns[lun as usize];
+        let channel_free_at = self.channels[(lun / self.geometry.luns_per_channel) as usize];
+        if channel_free_at > now {
+            (LunReady::Busy, channel_free_at)
+        } else if state.status != LunStatus::Idle {
+            (LunReady::Busy, SimTime::MAX)
+        } else if state.busy_until <= now {
+            (LunReady::ArrayOp, SimTime::MAX)
+        } else if self.timing.cached_program && state.programming.is_some() {
+            (LunReady::CachedProgram, state.busy_until)
+        } else {
+            (LunReady::Busy, state.busy_until)
         }
     }
 
@@ -1197,6 +1237,66 @@ mod tests {
             a.issue(other, o1.channel_free_at),
             Err(FlashError::LunBusy { .. })
         ));
+    }
+
+    /// `lun_ready` is `can_issue` asked of the LUN: `ArrayOp` exactly when
+    /// a read, a program of a fresh block and an erase would be accepted,
+    /// `CachedProgram` exactly when only the pipelined program would — and
+    /// the answer holds up to the instant it names.
+    #[test]
+    fn lun_ready_agrees_with_can_issue() {
+        let mut a = array();
+        let t = *a.timing();
+        let agree = |a: &FlashArray, now: SimTime, next_page: u32| {
+            let (ready, until) = a.lun_ready(0, now);
+            assert!(until > now);
+            if until != SimTime::MAX {
+                let just_before = SimTime::from_nanos(until.as_nanos() - 1);
+                assert_eq!(a.lun_ready(0, just_before).0, ready, "changed before {until:?}");
+                assert_ne!(a.lun_ready(0, until), (ready, until), "nothing changed at {until:?}");
+            } else {
+                assert_eq!(a.lun_ready(0, now + t.t_erase * 100), (ready, until));
+            }
+            let array_ops = [
+                FlashCommand::ReadStart(addr(0, 0)),
+                FlashCommand::Program(addr(1, 0)),
+                FlashCommand::Erase(addr(2, 0).block_addr()),
+            ];
+            for cmd in array_ops {
+                let can = a.can_issue(&cmd, now);
+                assert_eq!(can, ready == LunReady::ArrayOp, "{cmd:?} at {now:?}");
+            }
+            let pipelined = FlashCommand::Program(addr(0, next_page));
+            assert_eq!(a.can_issue(&pipelined, now), ready != LunReady::Busy, "{now:?}");
+            ready
+        };
+        assert_eq!(agree(&a, SimTime::ZERO, 0), LunReady::ArrayOp);
+        let o0 = a.issue(FlashCommand::Program(addr(0, 0)), SimTime::ZERO).unwrap();
+        assert_eq!(agree(&a, SimTime::ZERO, 1), LunReady::Busy, "channel busy");
+        assert_eq!(agree(&a, o0.channel_free_at, 1), LunReady::CachedProgram);
+        // The sibling LUN shares the channel, not the program.
+        assert_eq!(a.lun_ready(1, SimTime::ZERO), (LunReady::Busy, o0.channel_free_at));
+        assert_eq!(a.lun_ready(1, o0.channel_free_at).0, LunReady::ArrayOp);
+        assert_eq!(a.lun_ready(2, SimTime::ZERO).0, LunReady::ArrayOp, "another channel");
+        let o1 = a.issue(FlashCommand::Program(addr(0, 1)), o0.channel_free_at).unwrap();
+        assert_eq!(agree(&a, o1.channel_free_at, 2), LunReady::CachedProgram);
+        assert_eq!(agree(&a, o1.lun_free_at, 2), LunReady::ArrayOp);
+        // A read ends the pipeline and then holds the register.
+        let r = a.issue(FlashCommand::ReadStart(addr(0, 0)), o1.lun_free_at).unwrap();
+        assert_eq!(agree(&a, r.channel_free_at, 2), LunReady::Busy);
+        assert_eq!(agree(&a, r.done_at + t.t_prog, 2), LunReady::Busy, "holding data");
+        let x = a.issue(FlashCommand::TransferOut(addr(0, 0)), r.done_at).unwrap();
+        assert_eq!(agree(&a, x.done_at, 2), LunReady::ArrayOp);
+        // An erase in flight takes no cached program.
+        let e = a.issue(FlashCommand::Erase(addr(2, 0).block_addr()), x.done_at).unwrap();
+        assert_eq!(agree(&a, e.channel_free_at.max(x.done_at), 2), LunReady::Busy);
+
+        let mut spec = TimingSpec::slc();
+        spec.cached_program = false;
+        let mut plain = FlashArray::new(Geometry::tiny(), spec);
+        let o = plain.issue(FlashCommand::Program(addr(0, 0)), SimTime::ZERO).unwrap();
+        assert_eq!(agree(&plain, o.channel_free_at, 1), LunReady::Busy);
+        assert_eq!(agree(&plain, o.lun_free_at, 1), LunReady::ArrayOp);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod oob;
 pub mod timing;
 
 pub use address::{BlockAddr, Geometry, PhysicalAddr};
-pub use array::{BlockInfo, FlashArray, IssueOutcome, PageState, PowerCutReport};
+pub use array::{BlockInfo, FlashArray, IssueOutcome, LunReady, PageState, PowerCutReport};
 pub use command::FlashCommand;
 pub use error::FlashError;
 pub use fault::{FaultConfig, FaultCounters, FaultEvent, FaultModel, ReadOutcome};
