@@ -435,11 +435,7 @@ impl Controller {
         } else {
             match Self::pend_request(&kind) {
                 // Host-bound phase: continue the request's lifecycle span.
-                Some(id) => self
-                    .obs
-                    .as_ref()
-                    .and_then(|o| o.request_span(id))
-                    .unwrap_or(NO_SPAN),
+                Some(id) => self.host.span_of(id),
                 // Internal op: open a fresh span, causally linked to the
                 // job/policy that spawned it.
                 None => {

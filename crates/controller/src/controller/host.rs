@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use eagletree_core::SimTime;
+use eagletree_core::{SimTime, NO_SPAN};
 use eagletree_flash::{Geometry, MemoryKind, MemoryManager};
 
 use super::dispatch::{HostWrite, PendKind, WriteWhat};
@@ -28,6 +28,8 @@ use crate::types::{
 struct AppIo {
     req: SsdRequest,
     pinned: bool,
+    /// The request's lifecycle span ([`NO_SPAN`] with obs off).
+    span: u64,
 }
 
 pub(super) struct HostIo {
@@ -84,32 +86,45 @@ impl HostIo {
     pub(super) fn lpn_of(&self, id: RequestId) -> Lpn {
         self.app[&id].req.lpn
     }
+
+    /// The lifecycle span of in-flight request `id`.
+    pub(super) fn span_of(&self, id: RequestId) -> u64 {
+        self.app[&id].span
+    }
 }
 
 impl Controller {
     /// Submit a request. Completions (possibly instant) are collected by
     /// the next [`Controller::advance`] call.
     pub fn submit(&mut self, req: SsdRequest, now: SimTime) {
+        self.submit_spanned(req, NO_SPAN, now);
+    }
+
+    /// [`Controller::submit`] for a host that opened the request's
+    /// lifecycle span itself (the OS layer does, at enqueue time, so the
+    /// span captures queue wait): the device continues `span`, an open
+    /// span of [`Controller::obs_mut`]'s collector, and closes it when it
+    /// acknowledges the request. With [`NO_SPAN`] — a controller-only
+    /// driver — a span covering the device portion is opened here.
+    pub fn submit_spanned(&mut self, req: SsdRequest, span: u64, now: SimTime) {
         assert!(
             req.lpn < self.logical_pages,
             "lpn {} beyond logical capacity {}",
             req.lpn,
             self.logical_pages
         );
-        if let Some(o) = &mut self.obs {
-            // The OS layer opens (and binds) host spans at enqueue time so
-            // they capture queue wait; for controller-only drivers, open
-            // one here covering the device portion.
-            if o.request_span(req.id).is_none() {
+        let span = match &mut self.obs {
+            Some(o) if span == NO_SPAN => {
                 let kind = match req.kind {
                     RequestKind::Read => "AppRead",
                     RequestKind::Write => "AppWrite",
                     RequestKind::Trim => "Trim",
                 };
-                let span = o.open(kind, None, now);
-                o.bind_request(req.id, span);
+                o.open(kind, None, now)
             }
-        }
+            Some(_) => span,
+            None => NO_SPAN,
+        };
         match req.kind {
             RequestKind::Trim => {
                 if let Some(b) = &mut self.host.buffer {
@@ -120,21 +135,21 @@ impl Controller {
                     self.invalidate_ppn(old);
                 }
                 self.stats.trims_completed += 1;
-                self.ack(req.id, now);
+                self.ack(req.id, span, now);
             }
             RequestKind::Write if self.host.buffer.is_some() => {
                 // Battery-backed buffering: durable on arrival.
                 self.host.detector.record_write(req.lpn);
                 self.host.buffer.as_mut().unwrap().write(req.lpn);
                 self.stats.app_writes_completed += 1;
-                self.ack(req.id, now);
+                self.ack(req.id, span, now);
                 self.maybe_flush(now);
             }
             RequestKind::Read if self.is_buffered(req.lpn) => {
                 // Served from the buffer: no flash IO.
                 self.host.buffer.as_mut().unwrap().note_read_hit();
                 self.stats.app_reads_completed += 1;
-                self.ack(req.id, now);
+                self.ack(req.id, span, now);
             }
             RequestKind::Read | RequestKind::Write => {
                 if req.kind == RequestKind::Write {
@@ -145,6 +160,7 @@ impl Controller {
                     AppIo {
                         req,
                         pinned: false,
+                        span,
                     },
                 );
                 assert!(prev.is_none(), "duplicate in-flight request id {}", req.id);
@@ -261,12 +277,13 @@ impl Controller {
         }
     }
 
-    /// Acknowledge request `id` to the host at `now`: the one place a
-    /// completion is produced (instant and flash-backed alike).
-    fn ack(&mut self, id: RequestId, now: SimTime) {
+    /// Acknowledge request `id` to the host at `now`, ending its `span`:
+    /// the one place a completion is produced (instant and flash-backed
+    /// alike).
+    fn ack(&mut self, id: RequestId, span: u64, now: SimTime) {
         self.host.completions.push(Completion { id, at: now });
         if let Some(o) = &mut self.obs {
-            o.close_request(id, now);
+            o.close_host(span, id, now);
         }
     }
 
@@ -280,7 +297,7 @@ impl Controller {
             RequestKind::Write => self.stats.app_writes_completed += 1,
             RequestKind::Trim => {}
         }
-        self.ack(id, now);
+        self.ack(id, io.span, now);
     }
 
     /// An application write's program landed at `ppn`: commit the mapping

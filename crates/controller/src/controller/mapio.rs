@@ -57,9 +57,7 @@ impl Controller {
                 // Link the fetch span to the request it stalls (or the
                 // flush policy) rather than the generic mapping policy.
                 let cause = match waiter {
-                    Waiter::Request(id) => o
-                        .request_span(id)
-                        .map_or(Cause::Policy("mapping"), Cause::Op),
+                    Waiter::Request(id) => Cause::Op(self.host.span_of(id)),
                     Waiter::Flush { .. } => Cause::Policy("flush"),
                 };
                 o.set_cause(cause);

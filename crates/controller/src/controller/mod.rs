@@ -239,6 +239,16 @@ impl Controller {
             }
             self.run_sched(ev.time);
         }
+        if let Some(o) = &mut self.obs {
+            // The breakdowns the host may now collect are those of the
+            // completions it is handed.
+            o.rotate_finished();
+            debug_assert_eq!(
+                o.uncollected(),
+                self.host.completions.len(),
+                "a request was acknowledged without its span"
+            );
+        }
         std::mem::take(&mut self.host.completions)
     }
 

@@ -263,6 +263,35 @@ mod tests {
     }
 
     #[test]
+    fn a_host_that_never_collects_breakdowns_holds_one_advance_of_them() {
+        let mut cfg = ControllerConfig::default();
+        cfg.obs.span_capacity = 64;
+        let mut d = Driver::tiny(cfg);
+        let n = d.c.logical_pages();
+        for burst in 0..1_250 {
+            for i in 0..8 {
+                d.submit(RequestKind::Write, (burst * 8 + i) * 7 % n);
+            }
+            while let Some(done) = d.step().map(<[Completion]>::len) {
+                // Nobody calls `take_finished`: what waits is what this
+                // `advance` returned, however many went before.
+                assert_eq!(d.c.obs().unwrap().uncollected(), done);
+            }
+        }
+        assert_eq!(d.done.len(), 10_000);
+        assert!(d.c.is_quiescent());
+        // Ids are dense: the next one counts the spans opened so far,
+        // and at quiescence all of them have closed.
+        let now = d.now;
+        let o = d.c.obs_mut().unwrap();
+        assert_eq!(o.open_count(), 0);
+        let opened = o.open("probe", None, now) - 1;
+        assert!(opened > 10_000, "relocations and erases open spans too");
+        assert_eq!(o.closed_count() as u64 + o.dropped(), opened);
+        assert_eq!(o.closed_count(), 64);
+    }
+
+    #[test]
     fn the_later_acknowledgment_binds_and_a_tie_binds_neither() {
         let mut l = Ledger::default();
         // lpn 1: write acked at 10, trimmed at 10.

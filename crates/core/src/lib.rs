@@ -11,6 +11,8 @@
 //! * [`EventQueue`] — a deterministic priority queue of timestamped events,
 //! * [`SimRng`] — a reproducible, platform-independent PRNG plus the
 //!   distributions the workload generators need (uniform, [`Zipf`]),
+//! * [`Slab`] — values under small stable slot numbers that later inserts
+//!   reuse: the O(1), deterministic stand-in for a tree keyed by dense ids,
 //! * [`stats`] — streaming statistics (mean/variance, log-bucketed latency
 //!   histograms with quantiles, time-series samplers) used by the
 //!   experimental suite.
@@ -28,6 +30,7 @@ pub mod calendar;
 pub mod event;
 pub mod obs;
 pub mod rng;
+pub mod slab;
 pub mod stats;
 pub mod time;
 
@@ -37,5 +40,6 @@ pub use obs::{
     json_str, Cause, Obs, ObsConfig, Span, Stage, StageBreakdown, StageNs, Timeline, NO_SPAN,
 };
 pub use rng::{SimRng, Zipf};
+pub use slab::Slab;
 pub use stats::{Histogram, OnlineStats, Tail};
 pub use time::{SimDuration, SimTime};

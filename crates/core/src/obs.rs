@@ -11,12 +11,20 @@
 //!   *where* its latency went, a [`Cause`] link to whatever triggered it,
 //!   and an interference annotation when it was stalled behind an internal
 //!   op on its LUN.
-//! * [`Obs`] — the collector: open-span cursors keyed by span id, a ring
-//!   buffer of the most recent closed spans, request-id bindings for the
-//!   host layer, and per-lane "last internal op" memory for interference
-//!   attribution. Pure observation: it never schedules events, never
-//!   consults the RNG, and never influences control flow, so enabling it
-//!   cannot perturb a simulation (fingerprints stay byte-identical).
+//! * [`Obs`] — the collector: open-span cursors in a [`Slab`], found
+//!   from a span id through a sliding window over the ids from the oldest
+//!   open span on; a ring buffer of the most recent closed spans, whose
+//!   evicted busy lists the next opens reuse; the host breakdowns of one
+//!   [`Obs::rotate_finished`] period; and per-lane "last internal op"
+//!   memory for interference attribution. Nothing is keyed by a host
+//!   request id: whoever holds the request holds its span id. The
+//!   contract: *ids are dense, monotone and never reused; handles to
+//!   closed spans are inert* — every call on a closed, never-issued or
+//!   [`NO_SPAN`] id is a silent no-op. A span costs a handful of array
+//!   accesses and, once the ring is full, no allocation. Pure
+//!   observation: it never schedules events, never consults the RNG, and
+//!   never influences control flow, so enabling it cannot perturb a
+//!   simulation (fingerprints stay byte-identical).
 //! * [`StageBreakdown`] — per-stage latency histograms whose stage sums
 //!   equal end-to-end latency *by construction*: every attribution call
 //!   advances a single cursor (`last`), so no nanosecond is counted twice
@@ -30,8 +38,9 @@
 //! Everything is gated behind [`ObsConfig`]; the default configuration
 //! disables all of it and costs one `Option` test per hook site.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
+use crate::slab::Slab;
 use crate::stats::{Histogram, Tail};
 use crate::time::{SimDuration, SimTime};
 
@@ -195,19 +204,27 @@ pub struct Span {
     pub busy: Vec<(u32, SimTime, SimTime)>,
 }
 
-/// An open span's cursor state.
+/// An open span: the [`Span`] it will close as (`end` still unset) and
+/// its cursor.
 struct OpenSpan {
-    kind: &'static str,
-    tenant: Option<u32>,
-    start: SimTime,
+    span: Span,
     /// The last attributed boundary; the next attribution call charges
     /// `now - last` to its stage and advances the cursor.
     last: SimTime,
-    stages: StageNs,
-    cause: Cause,
-    stalled_behind: Option<(u64, &'static str)>,
-    busy: Vec<(u32, SimTime, SimTime)>,
 }
+
+impl OpenSpan {
+    /// Charge the time since the cursor to `stage`, up to `now`.
+    fn charge(&mut self, stage: Stage, now: SimTime) {
+        self.span
+            .stages
+            .add(stage, now.saturating_since(self.last).as_nanos());
+        self.last = now;
+    }
+}
+
+/// [`Obs::window`] entry of a span that has closed.
+const CLOSED: u32 = u32::MAX;
 
 /// The span collector. Owned by the controller (one per device); the OS
 /// layer reaches it through the controller to open host-request spans and
@@ -215,15 +232,26 @@ struct OpenSpan {
 pub struct Obs {
     capacity: usize,
     next_id: u64,
-    open: BTreeMap<u64, OpenSpan>,
-    /// Host request id → open span id.
-    req_spans: BTreeMap<u64, u64>,
-    /// Closed host breakdowns awaiting pickup by the completion path.
-    finished: BTreeMap<u64, StageNs>,
+    /// The open spans' cursors; a closed span's slot goes to a later open.
+    open: Slab<OpenSpan>,
+    /// The `open` slot of every id from the oldest open span on
+    /// (`window[i]` is id `next_id - window.len() + i`), [`CLOSED`] once
+    /// that span closed. Its front is always an open span, so it is empty
+    /// whenever nothing is open; an id before its front closed long ago.
+    window: VecDeque<u32>,
+    /// Host breakdowns closed since the last [`Obs::rotate_finished`], as
+    /// `(request id, stages)` in close order: their completions have not
+    /// been handed to the host yet.
+    acked: VecDeque<(u64, StageNs)>,
+    /// Those of the period before, which [`Obs::take_finished`] serves.
+    returned: VecDeque<(u64, StageNs)>,
     /// Ring buffer of the most recent closed spans.
     closed: Vec<Span>,
     ring_start: usize,
     dropped: u64,
+    /// Busy lists of spans evicted from the ring, emptied: the next opens
+    /// take them, so a full ring's spans allocate nothing.
+    spare_busy: Vec<Vec<(u32, SimTime, SimTime)>>,
     /// Cause applied to internal spans opened via [`Obs::open_internal`];
     /// set by the triggering policy code around its enqueues.
     cause_ctx: Cause,
@@ -233,17 +261,20 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A collector retaining up to `capacity` closed spans.
+    /// A collector retaining up to `capacity` (at least one) closed spans.
     pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "a span collector retains at least one span");
         Obs {
             capacity,
             next_id: 1,
-            open: BTreeMap::new(),
-            req_spans: BTreeMap::new(),
-            finished: BTreeMap::new(),
+            open: Slab::default(),
+            window: VecDeque::new(),
+            acked: VecDeque::new(),
+            returned: VecDeque::new(),
             closed: Vec::new(),
             ring_start: 0,
             dropped: 0,
+            spare_busy: Vec::new(),
             cause_ctx: Cause::None,
             lane_internal: Vec::new(),
         }
@@ -276,20 +307,39 @@ impl Obs {
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.open.insert(
-            id,
-            OpenSpan {
+        let slot = self.open.insert(OpenSpan {
+            span: Span {
+                id,
                 kind,
                 tenant,
                 start: now,
-                last: now,
+                end: now,
                 stages: StageNs::default(),
                 cause,
                 stalled_behind: None,
-                busy: Vec::new(),
+                busy: self.spare_busy.pop().unwrap_or_default(),
             },
-        );
+            last: now,
+        });
+        assert!(slot < CLOSED as usize, "open spans fit a u32");
+        self.window.push_back(slot as u32);
         id
+    }
+
+    /// Where open span `span` is: its index in the id window and its slot.
+    /// `None` for an id never issued (that covers [`NO_SPAN`]), one the
+    /// window has moved past, and one marked [`CLOSED`].
+    fn locate(&self, span: u64) -> Option<(usize, usize)> {
+        let oldest = self.next_id - self.window.len() as u64;
+        let i = usize::try_from(span.checked_sub(oldest)?).ok()?;
+        let slot = *self.window.get(i)?;
+        (slot != CLOSED).then_some((i, slot as usize))
+    }
+
+    /// The cursor of `span` while it is open.
+    fn cursor(&mut self, span: u64) -> Option<&mut OpenSpan> {
+        let (_, slot) = self.locate(span)?;
+        Some(&mut self.open[slot])
     }
 
     /// Set the cause attached to subsequently opened internal spans. The
@@ -301,9 +351,8 @@ impl Obs {
 
     /// Charge `now - last` to `stage` and advance the cursor.
     pub fn acc(&mut self, span: u64, stage: Stage, now: SimTime) {
-        if let Some(s) = self.open.get_mut(&span) {
-            s.stages.add(stage, now.saturating_since(s.last).as_nanos());
-            s.last = now;
+        if let Some(s) = self.cursor(span) {
+            s.charge(stage, now);
         }
     }
 
@@ -311,12 +360,10 @@ impl Obs {
     /// up to `qos_hold` of it to [`Stage::QosHold`], the rest to
     /// [`Stage::QueueWait`]; advance the cursor to `now`.
     pub fn acc_queue(&mut self, span: u64, now: SimTime, qos_hold: SimDuration) {
-        if let Some(s) = self.open.get_mut(&span) {
-            let wait = now.saturating_since(s.last);
-            let hold = qos_hold.min(wait);
-            s.stages.add(Stage::QosHold, hold.as_nanos());
-            s.stages.add(Stage::QueueWait, (wait - hold).as_nanos());
-            s.last = now;
+        if let Some(s) = self.cursor(span) {
+            let hold = qos_hold.min(now.saturating_since(s.last));
+            s.charge(Stage::QosHold, s.last + hold);
+            s.charge(Stage::QueueWait, now);
         }
     }
 
@@ -340,33 +387,33 @@ impl Obs {
         waited_since: SimTime,
         host_bound: bool,
     ) {
-        let Some(s) = self.open.get_mut(&span) else {
+        let Some((at, slot)) = self.locate(span) else {
             return;
         };
-        s.stages
-            .add(Stage::SchedPending, now.saturating_since(s.last).as_nanos());
+        let s = &mut self.open[slot];
+        s.charge(Stage::SchedPending, now);
         let busy = done_at.saturating_since(now);
         let retry = retry.min(busy);
-        s.stages.add(Stage::Media, (busy - retry).as_nanos());
-        s.stages.add(Stage::Retry, retry.as_nanos());
+        s.span.stages.add(Stage::Media, (busy - retry).as_nanos());
+        s.span.stages.add(Stage::Retry, retry.as_nanos());
         s.last = done_at;
-        s.busy.push((lane, now, done_at));
+        s.span.busy.push((lane, now, done_at));
         let li = lane as usize;
         if host_bound {
-            if s.stalled_behind.is_none() {
+            if s.span.stalled_behind.is_none() {
                 if let Some(Some((sid, kind, until))) = self.lane_internal.get(li) {
                     if *until > waited_since {
-                        s.stalled_behind = Some((*sid, kind));
+                        s.span.stalled_behind = Some((*sid, kind));
                     }
                 }
             }
         } else {
-            let kind = s.kind;
+            let kind = s.span.kind;
             if self.lane_internal.len() <= li {
                 self.lane_internal.resize(li + 1, None);
             }
             self.lane_internal[li] = Some((span, kind, done_at));
-            self.close(span, done_at);
+            self.close_at(at, slot, done_at);
         }
     }
 
@@ -374,58 +421,73 @@ impl Obs {
     /// [`Stage::SchedPending`], and push it to the closed ring. Returns
     /// the final breakdown (zeroes if the span was unknown).
     pub fn close(&mut self, span: u64, end: SimTime) -> StageNs {
-        let Some(mut s) = self.open.remove(&span) else {
-            return StageNs::default();
-        };
-        s.stages
-            .add(Stage::SchedPending, end.saturating_since(s.last).as_nanos());
-        let stages = s.stages;
-        let closed = Span {
-            id: span,
-            kind: s.kind,
-            tenant: s.tenant,
-            start: s.start,
-            end,
-            stages,
-            cause: s.cause,
-            stalled_behind: s.stalled_behind,
-            busy: s.busy,
-        };
+        self.close_open(span, end).unwrap_or_default()
+    }
+
+    /// [`Obs::close`]; `None` when `span` is not open.
+    fn close_open(&mut self, span: u64, end: SimTime) -> Option<StageNs> {
+        let (at, slot) = self.locate(span)?;
+        Some(self.close_at(at, slot, end))
+    }
+
+    /// Close the open span found at window index `at` in slot `slot`.
+    fn close_at(&mut self, at: usize, slot: usize, end: SimTime) -> StageNs {
+        self.window[at] = CLOSED;
+        while self.window.front() == Some(&CLOSED) {
+            self.window.pop_front();
+        }
+        let mut s = self.open.remove(slot);
+        s.charge(Stage::SchedPending, end);
+        let mut closed = s.span;
+        closed.end = end;
+        let stages = closed.stages;
         if self.closed.len() < self.capacity {
             self.closed.push(closed);
-        } else if self.capacity > 0 {
-            self.closed[self.ring_start] = closed;
-            self.ring_start = (self.ring_start + 1) % self.capacity;
-            self.dropped += 1;
         } else {
+            let evicted = std::mem::replace(&mut self.closed[self.ring_start], closed);
+            let mut busy = evicted.busy;
+            busy.clear();
+            self.spare_busy.push(busy);
+            self.ring_start += 1;
+            if self.ring_start == self.capacity {
+                self.ring_start = 0;
+            }
             self.dropped += 1;
         }
         stages
     }
 
-    /// Bind a host request id to its span (set before the request reaches
-    /// the controller, so the device layers find it).
-    pub fn bind_request(&mut self, req: u64, span: u64) {
-        self.req_spans.insert(req, span);
-    }
-
-    /// The span bound to a host request id, if any.
-    pub fn request_span(&self, req: u64) -> Option<u64> {
-        self.req_spans.get(&req).copied()
-    }
-
-    /// Close the span bound to host request `req` at `end`; the final
-    /// breakdown is stashed for [`Obs::take_finished`].
-    pub fn close_request(&mut self, req: u64, end: SimTime) {
-        if let Some(span) = self.req_spans.remove(&req) {
-            let stages = self.close(span, end);
-            self.finished.insert(req, stages);
+    /// Close the span of host request `req` at `end`, the instant the
+    /// request is acknowledged; the final breakdown waits for
+    /// [`Obs::take_finished`] under the request's id.
+    pub fn close_host(&mut self, span: u64, req: u64, end: SimTime) {
+        if let Some(stages) = self.close_open(span, end) {
+            self.acked.push_back((req, stages));
         }
     }
 
-    /// Drain the finished breakdown of a completed host request.
+    /// The device hands the host the completions acknowledged so far (the
+    /// end of a `Controller::advance`): their breakdowns become the ones
+    /// [`Obs::take_finished`] serves, and whatever the host left of the
+    /// hand-over before is forgotten — so a host that never collects
+    /// holds one hand-over's breakdowns, not one per request it ever made.
+    pub fn rotate_finished(&mut self) {
+        self.returned.clear();
+        std::mem::swap(&mut self.acked, &mut self.returned);
+    }
+
+    /// Drain the finished breakdown of host request `req`, one of the
+    /// completions the device last handed over.
     pub fn take_finished(&mut self, req: u64) -> Option<StageNs> {
-        self.finished.remove(&req)
+        // A host collecting in completion order finds it at the front.
+        let i = self.returned.iter().position(|&(r, _)| r == req)?;
+        self.returned.remove(i).map(|(_, stages)| stages)
+    }
+
+    /// Breakdowns acknowledged or handed over that no
+    /// [`Obs::take_finished`] has collected.
+    pub fn uncollected(&self) -> usize {
+        self.acked.len() + self.returned.len()
     }
 
     /// Closed spans, oldest retained first.
@@ -841,7 +903,6 @@ mod tests {
     fn host_span_stage_sums_equal_end_to_end() {
         let mut o = Obs::new(16);
         let span = o.open("AppRead", Some(1), t(0));
-        o.bind_request(7, span);
         // 10us in the OS queue, 4 of them QoS-held.
         o.acc_queue(span, t(10), SimDuration::from_micros(4));
         // Issues at 25us, media until 75us with 20us of retry.
@@ -854,7 +915,9 @@ mod tests {
             t(10),
             true,
         );
-        o.close_request(7, t(75));
+        o.close_host(span, 7, t(75));
+        assert!(o.take_finished(7).is_none(), "not handed to the host yet");
+        o.rotate_finished();
         let st = o.take_finished(7).unwrap();
         assert_eq!(st.get(Stage::QueueWait), 6_000);
         assert_eq!(st.get(Stage::QosHold), 4_000);
@@ -868,6 +931,34 @@ mod tests {
         assert_eq!(s.tenant, Some(1));
         assert_eq!(o.open_count(), 0);
         assert!(o.take_finished(7).is_none(), "finished drains once");
+    }
+
+    #[test]
+    fn finished_breakdowns_last_one_hand_over() {
+        let mut o = Obs::new(4);
+        for req in 0..3u64 {
+            let s = o.open("AppWrite", None, t(req));
+            o.close_host(s, req, t(req + 1));
+        }
+        o.rotate_finished();
+        assert_eq!(o.uncollected(), 3);
+        // Collected out of order, each once.
+        assert_eq!(o.take_finished(1).unwrap().total(), 1_000);
+        assert!(o.take_finished(1).is_none());
+        assert!(o.take_finished(0).is_some());
+        // Request 2 is never collected: the next hand-over forgets it.
+        let s = o.open("AppWrite", None, t(5));
+        o.close_host(s, 9, t(6));
+        assert_eq!(o.uncollected(), 2);
+        o.rotate_finished();
+        assert!(o.take_finished(2).is_none());
+        assert!(o.take_finished(9).is_some());
+        assert_eq!(o.uncollected(), 0);
+        // A span that is not open acknowledges nothing.
+        o.close_host(s, 10, t(7));
+        o.close_host(NO_SPAN, 11, t(7));
+        assert_eq!(o.uncollected(), 0);
+        assert_eq!(o.closed_count() as u64 + o.dropped(), 4);
     }
 
     #[test]
@@ -1003,5 +1094,170 @@ mod tests {
     fn timeline_rejects_wrong_arity() {
         let mut tl = Timeline::new(SimDuration::from_micros(1), vec!["a"]);
         tl.push_row(SimTime::ZERO, vec![1.0, 2.0]);
+    }
+
+    /// What the property test below remembers of the spans it opened — a
+    /// plain log of its own calls, not a second table of cursors.
+    #[derive(Default)]
+    struct Script {
+        now: SimTime,
+        /// Per id − 1: open instant and `on_issue` calls made while open.
+        opened: Vec<(SimTime, usize)>,
+        /// Ids opened and not yet closed, in open order.
+        live: Vec<u64>,
+        /// Ids in close order, each with its close instant.
+        closes: Vec<(u64, SimTime)>,
+        /// `(request, total ns)` of host closes since the last rotation.
+        acked: Vec<(u64, u64)>,
+    }
+
+    impl Script {
+        /// A live id: mostly one of the newest four, so the old ones stay
+        /// open while thousands open and close after them.
+        fn pick(&self, rng: &mut crate::SimRng) -> Option<u64> {
+            let n = self.live.len() as u64;
+            let among = if rng.gen_bool(0.9) { n.min(4) } else { n };
+            let back = rng.gen_range(among.max(1));
+            self.live.get(n.checked_sub(1 + back)? as usize).copied()
+        }
+
+        /// An id no call may act on: closed, never issued, or a sentinel.
+        fn stale(&self, rng: &mut crate::SimRng) -> u64 {
+            match rng.gen_range(4) {
+                0 => NO_SPAN,
+                1 => u64::MAX,
+                2 => self.opened.len() as u64 + 1 + rng.gen_range(1 << 40),
+                _ => match self.closes.len() as u64 {
+                    0 => NO_SPAN,
+                    n => self.closes[rng.gen_range(n) as usize].0,
+                },
+            }
+        }
+
+        fn closed(&mut self, id: u64) {
+            self.live.retain(|&l| l != id);
+            self.closes.push((id, self.now));
+        }
+    }
+
+    /// Every call that takes a span id, aimed at `id`; busy windows are
+    /// labelled with the id they were issued for (the lane).
+    fn call(o: &mut Obs, which: u64, id: u64, req: u64, now: SimTime, done_at: SimTime) {
+        match which {
+            0 => o.acc(id, Stage::SchedPending, now),
+            1 => o.acc_queue(id, now, SimDuration::from_nanos(req % 700)),
+            2 => o.on_issue(id, id as u32, now, done_at, SimDuration::from_nanos(req % 300), now, true),
+            3 => o.on_issue(id, id as u32, now, done_at, SimDuration::ZERO, now, false),
+            4 => {
+                o.close(id, now);
+            }
+            _ => o.close_host(id, req, now),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24, ..Default::default() })]
+
+        #[test]
+        fn the_span_table_does_what_it_must(
+            seed in proptest::prelude::any::<u64>(),
+            capacity in proptest::prop_oneof![
+                proptest::prelude::Just(1usize),
+                proptest::prelude::Just(2usize),
+                proptest::prelude::Just(64usize)
+            ],
+            steps in 500usize..5000,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let mut rng = crate::SimRng::new(seed);
+            let mut o = Obs::new(capacity);
+            let mut sc = Script::default();
+            for _ in 0..steps {
+                sc.now += SimDuration::from_nanos(rng.gen_range(2_000));
+                let done_at = sc.now + SimDuration::from_nanos(1 + rng.gen_range(5_000));
+                let req = [rng.gen_range(6), u64::MAX][rng.gen_bool(0.1) as usize];
+                let footprint = |o: &Obs| {
+                    let closes = o.closed_count() as u64 + o.dropped();
+                    (o.open_count(), closes, o.window.len(), o.open.slots(), o.uncollected())
+                };
+                let before = footprint(&o);
+                match rng.gen_range(10) {
+                    // Ids are 1, 2, 3 … in open order.
+                    0..=2 => {
+                        let id = if rng.gen_bool(0.5) {
+                            o.open("AppRead", Some(1), sc.now)
+                        } else {
+                            o.open_internal("GcRead", sc.now)
+                        };
+                        sc.opened.push((sc.now, 0));
+                        sc.live.push(id);
+                        prop_assert_eq!(id, sc.opened.len() as u64);
+                    }
+                    // A call on an id that is not open changes nothing,
+                    // and reserves nothing for it.
+                    3 => {
+                        call(&mut o, rng.gen_range(6), sc.stale(&mut rng), req, sc.now, done_at);
+                        prop_assert_eq!(before, footprint(&o));
+                    }
+                    // The host collects what the last rotation handed over.
+                    4 => {
+                        o.rotate_finished();
+                        prop_assert_eq!(o.uncollected(), sc.acked.len());
+                        for (req, total) in sc.acked.drain(..) {
+                            prop_assert_eq!(o.take_finished(req).map(|st| st.total()), Some(total));
+                        }
+                        prop_assert_eq!(o.uncollected(), 0);
+                        prop_assert!(o.take_finished(req).is_none());
+                    }
+                    _ => {
+                        let Some(id) = sc.pick(&mut rng) else { continue };
+                        let which = rng.gen_range(6);
+                        call(&mut o, which, id, req, sc.now, done_at);
+                        if which == 2 || which == 3 {
+                            // The cursor moved to `done_at`; so does the clock.
+                            sc.opened[id as usize - 1].1 += 1;
+                            sc.now = done_at;
+                        }
+                        if which >= 3 {
+                            sc.closed(id);
+                            let s = o.spans().last().expect("just closed");
+                            prop_assert_eq!(s.id, id);
+                            if which == 5 {
+                                sc.acked.push((req, s.stages.total()));
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(o.open_count(), sc.live.len());
+                prop_assert_eq!(o.open.len(), sc.live.len());
+                if sc.live.is_empty() {
+                    prop_assert!(o.window.is_empty(), "the id window outlived its spans");
+                } else {
+                    prop_assert_eq!(o.next_id - o.window.len() as u64, sc.live[0]);
+                }
+                prop_assert_eq!(o.closed_count() as u64 + o.dropped(), sc.closes.len() as u64);
+                // The ring is the last `capacity` closes, in close order,
+                // and each retained span is whole and its own.
+                let kept = &sc.closes[sc.closes.len().saturating_sub(capacity)..];
+                prop_assert_eq!(o.closed_count(), kept.len());
+                for (s, &(id, end)) in o.spans().zip(kept) {
+                    let (start, issues) = sc.opened[id as usize - 1];
+                    prop_assert_eq!((s.id, s.start, s.end), (id, start, end));
+                    prop_assert_eq!(s.stages.total(), end.since(start).as_nanos());
+                    prop_assert_eq!(s.busy.len(), issues, "span #{} carries another span's windows", id);
+                    for &(lane, from, to) in &s.busy {
+                        prop_assert_eq!(lane, id as u32, "window of another span in #{}", id);
+                        prop_assert!(start <= from && from < to && to <= end);
+                    }
+                }
+            }
+            // Close whatever is still open: window and slab drain with it.
+            for id in sc.live.clone() {
+                o.close(id, sc.now);
+            }
+            prop_assert_eq!(o.open_count(), 0);
+            prop_assert!(o.window.is_empty() && o.open.is_empty());
+            prop_assert!(o.spare_busy.iter().all(Vec::is_empty));
+        }
     }
 }

@@ -11,6 +11,9 @@
 //! * every acknowledged application IO has a closed span, and the
 //!   per-tenant stage breakdowns saw exactly the completed IOs;
 //! * nothing stays open once the simulation quiesces.
+//!
+//! Half the cases run with a ring of 64: spans are evicted and their busy
+//! lists reused all run long, and every retained span must still be whole.
 
 use eagletree_core::{ObsConfig, QueueKind};
 use eagletree_experiments::Setup;
@@ -27,11 +30,12 @@ proptest! {
         read_pct in 0u32..101,
         buffer in prop_oneof![Just(0u64), Just(16u64)],
         heap in any::<bool>(),
+        span_capacity in prop_oneof![Just(1usize << 16), Just(64usize)],
         seed in 0u64..1_000_000,
     ) {
         let mut setup = Setup::tiny();
         setup.ctrl.obs = ObsConfig {
-            span_capacity: 1 << 16,
+            span_capacity,
             timeline_interval_us: 250,
         };
         setup.ctrl.write_buffer_pages = buffer;
@@ -53,7 +57,9 @@ proptest! {
         let (reads, writes) = (stats.reads_completed, stats.writes_completed);
         let obs = os.obs().expect("observability enabled");
         prop_assert_eq!(obs.open_count(), 0, "spans left open at quiescence");
-        prop_assert_eq!(obs.dropped(), 0, "ring sized to keep every span");
+        let evicting = span_capacity == 64;
+        prop_assert_eq!(obs.dropped() > 0, evicting, "the large ring keeps every span");
+        prop_assert!(!evicting || obs.closed_count() == span_capacity);
 
         let (mut app_reads, mut app_writes) = (0u64, 0u64);
         for s in obs.spans() {
@@ -85,9 +91,12 @@ proptest! {
         }
         // Every acknowledged application IO closed a span (the fill thread
         // and the measured thread both run in the default tenant).
-        prop_assert_eq!(app_reads, reads, "acked reads without a closed span");
-        prop_assert_eq!(app_writes, writes, "acked writes without a closed span");
-        // …and the tenant stage breakdowns saw exactly those IOs.
+        if !evicting {
+            prop_assert_eq!(app_reads, reads, "acked reads without a closed span");
+            prop_assert_eq!(app_writes, writes, "acked writes without a closed span");
+        }
+        // …and the tenant stage breakdowns saw exactly those IOs, whatever
+        // the ring has dropped since.
         use eagletree_controller::RequestKind;
         let bd_reads = stats.stage_breakdown(RequestKind::Read).map_or(0, |b| b.count());
         let bd_writes = stats.stage_breakdown(RequestKind::Write).map_or(0, |b| b.count());

@@ -730,15 +730,13 @@ impl Os {
             self.tenants[tenant].stats.queue_wait_us.record(wait_us);
             if q.span != NO_SPAN {
                 // The span's host wait splits into QoS hold (while the
-                // tenant was rate-blocked) and plain queue wait; bind the
-                // device request id so the controller continues the span.
+                // tenant was rate-blocked) and plain queue wait.
                 let hold = match self.tenants[tenant].held_since.take() {
                     Some(since) => self.now.saturating_since(since),
                     None => SimDuration::ZERO,
                 };
                 if let Some(o) = self.ctrl.obs_mut() {
                     o.acc_queue(q.span, self.now, hold);
-                    o.bind_request(id, q.span);
                 }
             }
             // Namespace translation: queues hold tenant-relative LBAs
@@ -753,13 +751,15 @@ impl Os {
                     dispatched_at: self.now,
                 },
             );
-            self.ctrl.submit(
+            // The controller continues the span the IO was queued under.
+            self.ctrl.submit_spanned(
                 SsdRequest {
                     id,
                     kind: q.io.kind,
                     lpn,
                     tags,
                 },
+                q.span,
                 self.now,
             );
         }
@@ -1355,6 +1355,44 @@ mod tests {
             .tenant_stats(0)
             .stage_breakdown(RequestKind::Write)
             .is_none());
+    }
+
+    #[test]
+    fn every_completion_of_a_wfq_run_finds_its_breakdown() {
+        use crate::qos::QosPolicy;
+        use crate::tenant::TenantConfig;
+        // A ring of 64 is far smaller than the run: breakdowns reach the
+        // tenants through the hand-over at `advance`, not through the ring.
+        let mut ccfg = ControllerConfig::default();
+        ccfg.obs.span_capacity = 64;
+        let ctrl = Controller::new(Geometry::tiny(), TimingSpec::slc(), ccfg).unwrap();
+        let mut o = Os::new(
+            ctrl,
+            OsConfig {
+                queue_depth: 8,
+                qos: QosPolicy::Wfq,
+                ..OsConfig::default()
+            },
+        );
+        let mut heavy = TenantConfig::new("heavy", 32);
+        heavy.qos.weight = 3;
+        let tenants = [o.add_tenant(heavy), o.add_tenant(TenantConfig::new("light", 32))];
+        // Twelve threads overwriting the heavy tenant's 32 pages, four the
+        // light one's.
+        for i in 0..16 {
+            let (tenant, inflight) = if i < 12 { (tenants[0], 4) } else { (tenants[1], 1) };
+            o.add_tenant_thread(tenant, Box::new(SeqWriter::new(32, inflight)));
+        }
+        o.run();
+        for (t, writes) in tenants.into_iter().zip([12 * 32, 4 * 32]) {
+            let stats = o.tenant_stats(t);
+            assert_eq!(stats.writes_completed, writes);
+            let bd = stats.stage_breakdown(RequestKind::Write).expect("breakdowns recorded");
+            assert_eq!(bd.count(), writes, "tenant {t}: a completion lost its breakdown");
+        }
+        let obs = o.obs().expect("spans enabled");
+        assert_eq!((obs.open_count(), obs.uncollected()), (0, 0));
+        assert_eq!(obs.closed_count(), 64);
     }
 
     #[test]
