@@ -1,5 +1,5 @@
 //! Golden result rows for the whole suite: every experiment, run at
-//! `Scale::Smoke`, must reproduce the committed `BENCH_pr15.json` line for
+//! `Scale::Smoke`, must reproduce the committed `BENCH_pr22.json` line for
 //! line — same labels, same columns, same order, same digits, same event
 //! counts. It is the file `compare` and CI's release-mode gate read, so
 //! there is one result baseline, and a failure shows the cell that moved.
@@ -39,7 +39,7 @@ fn suite_run() -> &'static [ExperimentResult] {
 
 /// Recorded by one `harness all --scale smoke --json` run at PR 15 and
 /// never regenerated to make a refactor pass.
-const BASELINE: &str = include_str!("../../../BENCH_pr15.json");
+const BASELINE: &str = include_str!("../../../BENCH_pr22.json");
 
 /// The first line on which `got` leaves `want`, both sides quoted under
 /// the last `"id":` line they still agreed on.
@@ -56,7 +56,7 @@ fn first_difference(got: &str, want: &str) -> Option<String> {
             }
             (g, w) => {
                 let (g, w) = (g.unwrap_or("<end of file>"), w.unwrap_or("<end of file>"));
-                return Some(format!("under {id}\n  BENCH_pr15.json: {w}\n  this run:        {g}"));
+                return Some(format!("under {id}\n  BENCH_pr22.json: {w}\n  this run:        {g}"));
             }
         }
     }
@@ -66,7 +66,7 @@ fn first_difference(got: &str, want: &str) -> Option<String> {
 fn every_experiment_reproduces_its_golden_rows() {
     let got = to_json(Scale::Smoke, suite_run());
     if let Some(moved) = first_difference(&got, BASELINE) {
-        panic!("results moved since BENCH_pr15.json was recorded: first difference {moved}");
+        panic!("results moved since BENCH_pr22.json was recorded: first difference {moved}");
     }
 }
 
@@ -90,7 +90,7 @@ fn a_moved_line_is_quoted_under_its_experiment() {
     let want = "{\n  \"id\": \"E1\",\n  a\n  \"id\": \"E2\",\n  b\n}\n";
     assert_eq!(first_difference(want, want), None);
     let moved = first_difference(&want.replace("  b", "  c"), want).unwrap();
-    assert_eq!(moved, "under \"id\": \"E2\",\n  BENCH_pr15.json:   b\n  this run:          c");
+    assert_eq!(moved, "under \"id\": \"E2\",\n  BENCH_pr22.json:   b\n  this run:          c");
     let cut = first_difference("{\n  \"id\": \"E1\",\n", want).unwrap();
-    assert_eq!(cut, "under \"id\": \"E1\",\n  BENCH_pr15.json:   a\n  this run:        <end of file>");
+    assert_eq!(cut, "under \"id\": \"E1\",\n  BENCH_pr22.json:   a\n  this run:        <end of file>");
 }

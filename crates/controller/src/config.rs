@@ -194,10 +194,8 @@ pub struct ControllerConfig {
     pub checkpoint_interval_programs: u64,
     /// RNG seed for randomized policies (victim selection).
     pub seed: u64,
-    /// Event-queue backend for the controller agenda. `Calendar` (the
-    /// default) is amortized O(1) on the dense flash timeline; `Heap` is
-    /// the O(log n) oracle. Pop order — and therefore every simulation
-    /// result — is byte-identical between the two.
+    // named by `benchmark/src/trace.rs`; delete with ROADMAP 1(b)
+    #[doc(hidden)]
     pub queue: QueueKind,
     /// Media-fault model installed into the flash array. `None` (the
     /// default) simulates perfect media — byte-identical to pre-fault
@@ -233,7 +231,7 @@ impl Default for ControllerConfig {
             ram_bytes: 64 << 20,
             battery_ram_bytes: 1 << 20,
             seed: 0xEA61E,
-            queue: QueueKind::default(),
+            queue: QueueKind,
             fault: None,
             scrub: None,
             obs: ObsConfig::default(),

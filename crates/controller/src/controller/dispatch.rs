@@ -27,10 +27,9 @@
 //! for the busy LUNs whose answer the array said would run out by now
 //! ([`Controller::refresh_ready`]).
 
-use eagletree_core::{Cause, EventQueue, QueueKind, SimDuration, SimTime, NO_SPAN};
+use eagletree_core::{Cause, EventQueue, SimTime, NO_SPAN};
 use eagletree_flash::{
     BlockAddr, FlashArray, FlashCommand, Geometry, IssueOutcome, LunReady, PhysicalAddr,
-    TimingSpec,
 };
 
 use super::{Controller, PageContent};
@@ -387,19 +386,10 @@ pub(super) struct Dispatch {
 }
 
 impl Dispatch {
-    /// An empty pending set over an empty agenda. The horizon hint covers
-    /// the longest single flash op with slack so completions stay in the
-    /// calendar's near ring.
-    pub(super) fn new(queue: QueueKind, timing: &TimingSpec, geometry: &Geometry) -> Self {
-        let mut events = EventQueue::with_kind(queue);
-        let max_op = timing
-            .t_erase
-            .as_nanos()
-            .max(timing.t_prog.as_nanos())
-            .max(timing.t_read.as_nanos());
-        events.hint_horizon(SimDuration::from_nanos(max_op.saturating_mul(2).max(1)));
+    /// An empty pending set over an empty agenda.
+    pub(super) fn new(geometry: &Geometry) -> Self {
         Dispatch {
-            events,
+            events: EventQueue::new(),
             pending: PendingSet::new(geometry.total_luns()),
             moves: QueuedMoves::new(geometry),
             reads: QueuedReads::new(geometry),

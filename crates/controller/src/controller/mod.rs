@@ -133,11 +133,6 @@ impl Controller {
         self.disp.events.scheduled() + self.disp.events.popped()
     }
 
-    /// The event-queue backend the agenda runs on.
-    pub fn queue_kind(&self) -> eagletree_core::QueueKind {
-        self.disp.events.kind()
-    }
-
     /// The memory manager (RAM budget introspection).
     pub fn memory(&self) -> &MemoryManager {
         &self.mem

@@ -163,7 +163,7 @@ impl Controller {
             .spans_enabled()
             .then(|| Box::new(Obs::new(cfg.obs.span_capacity)));
         let mut c = Controller {
-            disp: Dispatch::new(cfg.queue, array.timing(), &geometry),
+            disp: Dispatch::new(&geometry),
             reclaim: Reclaim::new(geometry.total_luns(), cfg.seed),
             merge: Merges::default(),
             mapio: MapIo::default(),

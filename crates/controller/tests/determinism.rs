@@ -12,7 +12,7 @@
 use eagletree_controller::{
     ControllerConfig, Driver, IoTags, MappingKind, MergePolicy, RequestKind, SchedPolicy, WlConfig,
 };
-use eagletree_core::{ObsConfig, QueueKind, SimRng};
+use eagletree_core::{ObsConfig, SimRng};
 
 /// Run a fixed-seed mixed write/trim/read workload (every fifth request
 /// priority-tagged) and render everything observable into one string:
@@ -20,7 +20,7 @@ use eagletree_core::{ObsConfig, QueueKind, SimRng};
 /// counters, array counters and every lifecycle span in close order (the
 /// order-sensitive part: a reordered issue moves a span's stamps or slot).
 fn run_fingerprint(mapping: MappingKind, sched: SchedPolicy) -> String {
-    run_fingerprint_on(mapping, sched, QueueKind::default())
+    run_fingerprint_obs(mapping, sched, SPANS_ON)
 }
 
 /// Span collection on, sized so the 2000-op run drops nothing.
@@ -29,20 +29,10 @@ const SPANS_ON: ObsConfig = ObsConfig {
     timeline_interval_us: 0,
 };
 
-fn run_fingerprint_on(mapping: MappingKind, sched: SchedPolicy, queue: QueueKind) -> String {
-    run_fingerprint_obs(mapping, sched, queue, SPANS_ON)
-}
-
-fn run_fingerprint_obs(
-    mapping: MappingKind,
-    sched: SchedPolicy,
-    queue: QueueKind,
-    obs: ObsConfig,
-) -> String {
+fn run_fingerprint_obs(mapping: MappingKind, sched: SchedPolicy, obs: ObsConfig) -> String {
     let cfg = ControllerConfig {
         mapping,
         sched,
-        queue,
         obs,
         wl: WlConfig {
             check_every_erases: 16,
@@ -208,39 +198,12 @@ fn all_sched_policies_run_deterministically() {
 }
 
 #[test]
-fn heap_and_calendar_agendas_are_byte_identical() {
-    // The calendar backend is a pure event-engine restructuring: for
-    // every mapping scheme and every
-    // scheduling policy, a heap-backed agenda and a calendar-backed one
-    // must produce the same completion stream, counters and spans,
-    // byte for byte.
-    for mapping in [
-        MappingKind::PageMap,
-        MappingKind::Dftl { cmt_entries: 24 },
-        MappingKind::Hybrid {
-            log_blocks: 3,
-            merge: MergePolicy::Fifo,
-        },
-    ] {
-        for (name, policy) in all_policies() {
-            let heap = run_fingerprint_on(mapping, policy.clone(), QueueKind::Heap);
-            let cal = run_fingerprint_on(mapping, policy, QueueKind::Calendar);
-            assert!(
-                heap == cal,
-                "{mapping:?}/{name}: calendar agenda diverged from heap oracle"
-            );
-        }
-    }
-}
-
-#[test]
 fn observability_never_perturbs_the_schedule() {
     // The span collector is a pure recorder: it schedules no events,
     // consults no RNG and steers no control flow, so the fixed-seed
     // fingerprint (completions, counters) of an instrumented run must be
     // byte-identical to the uninstrumented one — across every mapping
-    // scheme and both event-queue backends. The instrumented fingerprint
-    // only appends its span stream.
+    // scheme. The instrumented fingerprint only appends its span stream.
     let on = ObsConfig {
         span_capacity: 1 << 16,
         timeline_interval_us: 100,
@@ -253,16 +216,12 @@ fn observability_never_perturbs_the_schedule() {
             merge: MergePolicy::Fifo,
         },
     ] {
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            let off =
-                run_fingerprint_obs(mapping, SchedPolicy::Fifo, queue, ObsConfig::default());
-            let with =
-                run_fingerprint_obs(mapping, SchedPolicy::Fifo, queue, on);
-            assert!(
-                with.starts_with(&off) && with.len() > off.len(),
-                "{mapping:?}/{queue:?}: enabling observability changed the simulation"
-            );
-        }
+        let off = run_fingerprint_obs(mapping, SchedPolicy::Fifo, ObsConfig::default());
+        let with = run_fingerprint_obs(mapping, SchedPolicy::Fifo, on);
+        assert!(
+            with.starts_with(&off) && with.len() > off.len(),
+            "{mapping:?}: enabling observability changed the simulation"
+        );
     }
 }
 

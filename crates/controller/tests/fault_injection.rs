@@ -5,8 +5,7 @@
 //!
 //! * **Determinism.** The fault model draws from per-op hashes, not a
 //!   shared RNG stream: a fixed-seed faulty run is byte-identical across
-//!   repeats and across both agenda backends, exactly like a fault-free
-//!   one. (`FAULTS=on` widens the matrix to every scheme × policy — the
+//!   repeats, exactly like a fault-free one. (`FAULTS=on` widens the matrix to every scheme × policy — the
 //!   CI fault-matrix job sets it.)
 //! * **No silent loss.** Every acknowledged write either remains mapped
 //!   to a valid page or its logical page appears in the controller's
@@ -23,7 +22,7 @@ use eagletree_controller::{
     Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, MergePolicy, RecoveryMode,
     RequestKind, SchedPolicy, ScrubConfig,
 };
-use eagletree_core::{ObsConfig, QueueKind, SimRng};
+use eagletree_core::{ObsConfig, SimRng};
 use eagletree_flash::FaultConfig;
 
 /// Widen sweeps when the CI fault-matrix job sets `FAULTS=on`.
@@ -60,11 +59,10 @@ fn remount_faults() -> FaultConfig {
     }
 }
 
-fn faulty_cfg(mapping: MappingKind, sched: SchedPolicy, queue: QueueKind) -> ControllerConfig {
+fn faulty_cfg(mapping: MappingKind, sched: SchedPolicy) -> ControllerConfig {
     ControllerConfig {
         mapping,
         sched,
-        queue,
         fault: Some(test_faults()),
         scrub: Some(ScrubConfig {
             check_every_ops: 128,
@@ -146,7 +144,7 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// Golden hashes of the faulty-run fingerprints (heap agenda, 2000 ops),
+/// Golden hashes of the faulty-run fingerprints (2000 ops),
 /// generated from the simulator as it stood before the controller
 /// decomposition (PR 12's parent) and never regenerated since. Rows:
 /// `schemes()`; columns: `policies()`, in order.
@@ -181,7 +179,7 @@ fn policies() -> Vec<(&'static str, SchedPolicy)> {
 }
 
 #[test]
-fn faulty_runs_are_byte_identical_across_repeats_and_agendas() {
+fn faulty_runs_are_byte_identical_across_repeats() {
     for mapping in schemes() {
         let pols = if full_matrix() {
             policies()
@@ -189,25 +187,11 @@ fn faulty_runs_are_byte_identical_across_repeats_and_agendas() {
             vec![policies().remove(0)]
         };
         for (name, policy) in pols {
-            let heap_a = fingerprint(&churn(
-                faulty_cfg(mapping, policy.clone(), QueueKind::Heap),
-                2000,
-            ));
-            let heap_b = fingerprint(&churn(
-                faulty_cfg(mapping, policy.clone(), QueueKind::Heap),
-                2000,
-            ));
+            let a = fingerprint(&churn(faulty_cfg(mapping, policy.clone()), 2000));
+            let b = fingerprint(&churn(faulty_cfg(mapping, policy), 2000));
             assert!(
-                heap_a == heap_b,
+                a == b,
                 "{mapping:?}/{name}: faulty fingerprints diverged across repeats"
-            );
-            let cal = fingerprint(&churn(
-                faulty_cfg(mapping, policy, QueueKind::Calendar),
-                2000,
-            ));
-            assert!(
-                heap_a == cal,
-                "{mapping:?}/{name}: faulty calendar agenda diverged from heap"
             );
         }
     }
@@ -227,12 +211,7 @@ fn faulty_fingerprints_match_committed_goldens() {
             policies()
                 .into_iter()
                 .take(cols)
-                .map(|(_, policy)| {
-                    fnv1a(&fingerprint(&churn(
-                        faulty_cfg(mapping, policy, QueueKind::Heap),
-                        2000,
-                    )))
-                })
+                .map(|(_, policy)| fnv1a(&fingerprint(&churn(faulty_cfg(mapping, policy), 2000))))
                 .collect()
         })
         .collect();
@@ -245,10 +224,7 @@ fn faulty_fingerprints_match_committed_goldens() {
 
 #[test]
 fn faults_actually_fired_and_reliability_reports_them() {
-    let d = churn(
-        faulty_cfg(MappingKind::PageMap, SchedPolicy::Fifo, QueueKind::Heap),
-        2000,
-    );
+    let d = churn(faulty_cfg(MappingKind::PageMap, SchedPolicy::Fifo), 2000);
     let rel = d.c.reliability().expect("fault model installed");
     assert!(rel.reads_sampled > 0);
     assert!(rel.corrected_bits > 0, "error curve never produced raw bits");
@@ -267,10 +243,7 @@ fn faults_actually_fired_and_reliability_reports_them() {
 #[test]
 fn no_acknowledged_write_is_lost_without_a_ledger_entry() {
     for mapping in schemes() {
-        let d = churn(
-            faulty_cfg(mapping, SchedPolicy::Fifo, QueueKind::Heap),
-            2000,
-        );
+        let d = churn(faulty_cfg(mapping, SchedPolicy::Fifo), 2000);
         let lost: BTreeSet<u64> = d.c.lost_data().collect();
         let mut verified = 0u64;
         for lpn in d.ledger.acked_writes() {
@@ -296,10 +269,7 @@ fn no_acknowledged_write_is_lost_without_a_ledger_entry() {
 #[test]
 fn ftl_invariants_hold_under_injected_failures() {
     for mapping in schemes() {
-        let d = churn(
-            faulty_cfg(mapping, SchedPolicy::Fifo, QueueKind::Heap),
-            2000,
-        );
+        let d = churn(faulty_cfg(mapping, SchedPolicy::Fifo), 2000);
         d.c.check_invariants();
         let rel = d.c.reliability().unwrap();
         assert!(
@@ -318,7 +288,7 @@ fn remount_tolerates_grown_bad_blocks() {
         let cfg = ControllerConfig {
             checkpoint_interval_programs: 128,
             fault: Some(remount_faults()),
-            ..faulty_cfg(MappingKind::PageMap, SchedPolicy::Fifo, QueueKind::Heap)
+            ..faulty_cfg(MappingKind::PageMap, SchedPolicy::Fifo)
         };
         let mut d = churn(cfg.clone(), 2500);
         let rel = d.c.reliability().unwrap();

@@ -6,24 +6,14 @@
 //! delivery order — and therefore every simulation result — fully
 //! deterministic for a given configuration and seed.
 //!
-//! The queue is a thin facade over two interchangeable backends selected by
-//! [`QueueKind`]:
-//!
-//! * [`QueueKind::Heap`] — a binary heap, O(log n) per op. Simple and
-//!   obviously correct: it stays in the tree as the *oracle* the calendar
-//!   backend is property-tested and fingerprint-compared against.
-//! * [`QueueKind::Calendar`] — a two-tier calendar queue
-//!   ([`crate::calendar`]), amortized O(1) per op on the dense discrete
-//!   timelines flash simulations produce. Pops the exact same `(time, seq)`
-//!   order as the heap by construction, so switching backends can never
-//!   change a simulation result — only how fast it runs.
+//! The queue is the standard library's binary heap keyed on `(time, seq)`:
+//! O(log n) per op, simple and obviously correct.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::calendar::Calendar;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 std::thread_local! {
     /// Per-thread count of events popped. Each simulation runs wholly on
@@ -40,25 +30,10 @@ pub fn thread_events_popped() -> u64 {
     THREAD_EVENTS_POPPED.with(Cell::get)
 }
 
-/// Which backend an [`EventQueue`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueKind {
-    /// Binary heap: O(log n), the reference oracle.
-    Heap,
-    /// Two-tier calendar queue: amortized O(1) on dense timelines,
-    /// byte-identical pop order to `Heap`.
-    #[default]
-    Calendar,
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Calendar => "calendar",
-        })
-    }
-}
+// named by `benchmark/src/trace.rs`; delete with ROADMAP 1(b)
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueKind;
 
 /// An event that has been scheduled on the queue.
 #[derive(Debug, Clone)]
@@ -72,7 +47,7 @@ pub struct ScheduledEvent<E> {
 }
 
 /// Internal heap entry ordered for a *min*-heap on `(time, seq)`.
-pub(crate) struct Entry<E>(pub(crate) ScheduledEvent<E>);
+struct Entry<E>(ScheduledEvent<E>);
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
@@ -94,17 +69,12 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(Calendar<E>),
-}
-
 /// A deterministic min-priority queue of timestamped events.
 ///
 /// Events with equal timestamps pop in insertion order (FIFO), so the
-/// simulation is reproducible regardless of backend internals.
+/// simulation is reproducible regardless of heap internals.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     popped: u64,
     scheduled: u64,
@@ -118,23 +88,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty heap-backed queue positioned at `t = 0`.
-    ///
-    /// Bare queues default to the heap oracle; simulation configs opt into
-    /// [`QueueKind::Calendar`] explicitly (see `ControllerConfig::queue`
-    /// downstream; the OS timer queue follows its controller).
+    /// An empty queue positioned at `t = 0`.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::Heap)
-    }
-
-    /// An empty queue on the given backend, positioned at `t = 0`.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let backend = match kind {
-            QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => Backend::Calendar(Calendar::new()),
-        };
         EventQueue {
-            backend,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             popped: 0,
             scheduled: 0,
@@ -142,12 +99,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self.backend {
-            Backend::Heap(_) => QueueKind::Heap,
-            Backend::Calendar(_) => QueueKind::Calendar,
-        }
+    // named by `benchmark/src/trace.rs`; delete with ROADMAP 1(b)
+    #[doc(hidden)]
+    pub fn with_kind(_: QueueKind) -> Self {
+        Self::new()
     }
 
     /// Events popped from this queue so far.
@@ -183,19 +138,12 @@ impl<E> EventQueue<E> {
         );
         let time = time.max(self.now);
         self.scheduled += 1;
-        let ev = ScheduledEvent { time, seq, payload };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Entry(ev)),
-            Backend::Calendar(c) => c.push(ev),
-        }
+        self.heap.push(Entry(ScheduledEvent { time, seq, payload }));
     }
 
     /// Pop the earliest event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|e| e.0),
-            Backend::Calendar(c) => c.pop(),
-        }?;
+        let ev = self.heap.pop()?.0;
         self.now = ev.time;
         self.popped += 1;
         THREAD_EVENTS_POPPED.with(|c| c.set(c.get() + 1));
@@ -209,28 +157,12 @@ impl<E> EventQueue<E> {
 
     /// `(time, seq)` of the next event without popping it.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| (e.0.time, e.0.seq)),
-            Backend::Calendar(c) => c.peek_key(),
-        }
-    }
-
-    /// Declare the largest expected gap between `now` and newly scheduled
-    /// events. The calendar backend re-tunes its bucket width so that
-    /// horizon fits the near ring (see [`crate::calendar`]); the heap
-    /// ignores hints. Never affects pop order, only performance.
-    pub fn hint_horizon(&mut self, horizon: SimDuration) {
-        if let Backend::Calendar(c) = &mut self.backend {
-            c.retune(self.now, horizon);
-        }
+        self.heap.peek().map(|e| (e.0.time, e.0.seq))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len(),
-        }
+        self.heap.len()
     }
 
     /// True if no events are pending.
@@ -244,75 +176,63 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    const KINDS: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
-
     #[test]
     fn pops_in_time_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(30), "c");
-            q.schedule(SimTime::from_nanos(10), "a");
-            q.schedule(SimTime::from_nanos(20), "b");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(order, vec!["a", "b", "c"], "{kind}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(30), "c");
+        q.schedule(SimTime::from_nanos(10), "a");
+        q.schedule(SimTime::from_nanos(20), "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn equal_timestamps_pop_fifo() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_nanos(5);
-            for i in 0..100 {
-                q.schedule(t, i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind}");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        for i in 0..100 {
+            q.schedule(t, i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn now_tracks_last_pop() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.schedule(SimTime::from_nanos(42), ());
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_nanos(42), "{kind}");
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.schedule(SimTime::from_nanos(42), ());
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_nanos(42));
     }
 
     #[test]
     fn peek_does_not_advance() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(7), ());
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)), "{kind}");
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(7), ());
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn interleaved_schedule_and_pop() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(10), 1);
-            let e = q.pop().unwrap();
-            assert_eq!(e.payload, 1);
-            // Scheduling relative to now is typical usage.
-            q.schedule(q.now() + SimDuration::from_nanos(5), 2);
-            q.schedule(q.now() + SimDuration::from_nanos(1), 3);
-            assert_eq!(q.pop().unwrap().payload, 3, "{kind}");
-            assert_eq!(q.pop().unwrap().payload, 2, "{kind}");
-            assert!(q.pop().is_none(), "{kind}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), 1);
+        let e = q.pop().unwrap();
+        assert_eq!(e.payload, 1);
+        // Scheduling relative to now is typical usage.
+        q.schedule(q.now() + SimDuration::from_nanos(5), 2);
+        q.schedule(q.now() + SimDuration::from_nanos(1), 3);
+        assert_eq!(q.pop().unwrap().payload, 3);
+        assert_eq!(q.pop().unwrap().payload, 2);
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn counts_scheduled_and_popped() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         for i in 0..5 {
             q.schedule(SimTime::from_nanos(i), ());
         }
@@ -326,7 +246,7 @@ mod tests {
     #[test]
     fn thread_counter_tracks_pops() {
         let before = thread_events_popped();
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(1), ());
         q.pop();
         assert_eq!(thread_events_popped(), before + 1);
@@ -345,19 +265,17 @@ mod tests {
     #[test]
     #[cfg(not(debug_assertions))]
     fn release_clamps_past_timestamps_to_now() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(10), 0);
-            q.pop();
-            // A buggy past-scheduled event fires at `now`, after events
-            // already pending there — the clock never rewinds.
-            q.schedule(q.now(), 1);
-            q.schedule(SimTime::from_nanos(3), 2);
-            let a = q.pop().unwrap();
-            assert_eq!((a.time, a.payload), (SimTime::from_nanos(10), 1), "{kind}");
-            let b = q.pop().unwrap();
-            assert_eq!((b.time, b.payload), (SimTime::from_nanos(10), 2), "{kind}");
-            assert_eq!(q.now(), SimTime::from_nanos(10), "{kind}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), 0);
+        q.pop();
+        // A buggy past-scheduled event fires at `now`, after events
+        // already pending there — the clock never rewinds.
+        q.schedule(q.now(), 1);
+        q.schedule(SimTime::from_nanos(3), 2);
+        let a = q.pop().unwrap();
+        assert_eq!((a.time, a.payload), (SimTime::from_nanos(10), 1));
+        let b = q.pop().unwrap();
+        assert_eq!((b.time, b.payload), (SimTime::from_nanos(10), 2));
+        assert_eq!(q.now(), SimTime::from_nanos(10));
     }
 }

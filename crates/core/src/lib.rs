@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 pub mod blkio;
-pub mod calendar;
 pub mod event;
 pub mod obs;
 pub mod rng;

@@ -2,45 +2,38 @@
 
 use proptest::prelude::*;
 
-use eagletree_core::{
-    EventQueue, Histogram, OnlineStats, QueueKind, SimDuration, SimRng, SimTime, Zipf,
-};
+use eagletree_core::{EventQueue, Histogram, OnlineStats, SimDuration, SimRng, SimTime, Zipf};
 
-/// Drive a heap-backed and a calendar-backed queue in lockstep through the
-/// same schedule/pop trace and assert every observable agrees: pop order,
-/// payloads, `now`, lengths, peeked keys.
-fn lockstep(ops: impl Iterator<Item = LockstepOp> + Clone) {
-    let mut heap = EventQueue::with_kind(QueueKind::Heap);
-    let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-    for op in ops {
-        match op {
+/// Drive the queue and a model — a plain vector whose pop removes the
+/// minimum `(time, seq)` — through the same schedule/pop trace and assert
+/// every observable agrees: pop order, payloads, `now`, lengths, peeked
+/// keys.
+fn lockstep(ops: &[LockstepOp]) {
+    let mut q = EventQueue::new();
+    let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
+    let (mut next_seq, mut now) = (0u64, SimTime::ZERO);
+    // The trace, then enough pops to drain whatever it left behind.
+    let drain = std::iter::repeat_n(&LockstepOp::Pop, ops.len());
+    for op in ops.iter().chain(drain) {
+        match *op {
             LockstepOp::Schedule(delta, tag) => {
-                let t = heap.now() + SimDuration::from_nanos(delta);
-                heap.schedule(t, tag);
-                cal.schedule(t, tag);
+                let t = now + SimDuration::from_nanos(delta);
+                q.schedule(t, tag);
+                model.push((t, next_seq, tag));
+                next_seq += 1;
             }
             LockstepOp::Pop => {
-                let a = heap.pop().map(|e| (e.time, e.seq, e.payload));
-                let b = cal.pop().map(|e| (e.time, e.seq, e.payload));
-                assert_eq!(a, b, "calendar diverged from heap oracle");
-            }
-            LockstepOp::Hint(h) => {
-                cal.hint_horizon(SimDuration::from_nanos(h));
+                let min = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1));
+                let want = min.map(|i| model.swap_remove(i));
+                now = want.map_or(now, |ev| ev.0);
+                assert_eq!(q.pop().map(|e| (e.time, e.seq, e.payload)), want);
             }
         }
-        assert_eq!(heap.len(), cal.len());
-        assert_eq!(heap.peek_key(), cal.peek_key());
-        assert_eq!(heap.now(), cal.now());
+        assert_eq!(q.len(), model.len());
+        assert_eq!(q.peek_key(), model.iter().map(|&(t, s, _)| (t, s)).min());
+        assert_eq!(q.now(), now);
     }
-    // Drain whatever is left and require identical tails.
-    loop {
-        let a = heap.pop().map(|e| (e.time, e.seq, e.payload));
-        let b = cal.pop().map(|e| (e.time, e.seq, e.payload));
-        assert_eq!(a, b, "calendar diverged from heap oracle during drain");
-        if a.is_none() {
-            break;
-        }
-    }
+    assert!(q.is_empty());
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -48,8 +41,6 @@ enum LockstepOp {
     /// Schedule at `now + delta` with a payload tag.
     Schedule(u64, u64),
     Pop,
-    /// Horizon hint (calendar-only; must never change observables).
-    Hint(u64),
 }
 
 /// SplitMix-style payload tag so observably distinct events carry
@@ -60,69 +51,22 @@ fn mix(x: u64) -> u64 {
 
 fn lockstep_op_strategy() -> impl Strategy<Value = LockstepOp> {
     prop_oneof![
-        // Dense near-horizon deltas: the calendar's bread and butter.
+        // Dense near deltas: what flash completions look like.
         4 => (0u64..50_000).prop_map(|d| LockstepOp::Schedule(d, mix(d))),
-        // Same-timestamp bursts exercise FIFO tie-breaking.
+        // Same-instant bursts exercise FIFO tie-breaking.
         2 => (0u64..1_000).prop_map(|t| LockstepOp::Schedule(0, t)),
-        // Far-horizon outliers land in the overflow tier (and force
-        // re-anchoring when the near ring drains).
+        // Far outliers (timers, checkpoints) sit under everything else.
         1 => (10_000_000u64..50_000_000_000).prop_map(|d| LockstepOp::Schedule(d, mix(d))),
         4 => Just(LockstepOp::Pop),
-        // Width retunes mid-run move events between tiers; order must hold.
-        1 => (1u64..100_000_000_000).prop_map(LockstepOp::Hint),
     ]
 }
 
 proptest! {
     #[test]
-    fn calendar_matches_heap_on_random_traces(
+    fn event_queue_matches_min_removal_model(
         ops in prop::collection::vec(lockstep_op_strategy(), 1..600),
     ) {
-        lockstep(ops.into_iter());
-    }
-
-    #[test]
-    fn calendar_matches_heap_on_bursts(
-        burst in 1usize..300,
-        gap in 0u64..10_000_000,
-        rounds in 1usize..8,
-    ) {
-        // Repeated same-timestamp bursts separated by a (possibly huge)
-        // gap, fully drained between rounds.
-        let mut ops = Vec::new();
-        for _ in 0..rounds {
-            for i in 0..burst {
-                ops.push(LockstepOp::Schedule(gap, i as u64));
-            }
-            for _ in 0..burst {
-                ops.push(LockstepOp::Pop);
-            }
-        }
-        lockstep(ops.into_iter());
-    }
-
-    #[test]
-    fn calendar_matches_heap_under_interleave(
-        seed in any::<u64>(),
-        n in 1usize..400,
-    ) {
-        // Seeded schedule/pop interleave with a mix of horizons, popping
-        // roughly as often as scheduling so the ring anchor keeps moving.
-        let mut rng = SimRng::new(seed);
-        let mut ops = Vec::with_capacity(n * 2);
-        for i in 0..n {
-            let delta = match rng.gen_range(10) {
-                0 => 0,                                   // tie burst
-                1..=6 => rng.gen_range(100_000),          // near horizon
-                7 | 8 => rng.gen_range(100_000_000),      // mid horizon
-                _ => 1_000_000_000 + rng.gen_range(1_000_000_000), // outlier
-            };
-            ops.push(LockstepOp::Schedule(delta, i as u64));
-            if rng.gen_range(2) == 0 {
-                ops.push(LockstepOp::Pop);
-            }
-        }
-        lockstep(ops.into_iter());
+        lockstep(&ops);
     }
 }
 

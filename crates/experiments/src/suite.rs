@@ -12,7 +12,7 @@ use eagletree_controller::{
     Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, MergePolicy, RecoveryMode,
     RequestKind, SchedPolicy, ScrubConfig, TemperatureMode, WriteAllocPolicy,
 };
-use eagletree_core::{QueueKind, SimDuration, SimRng, SimTime, Stage};
+use eagletree_core::{SimDuration, SimRng, SimTime, Stage};
 use eagletree_flash::{FaultConfig, Geometry, MemoryKind, TimingSpec};
 use eagletree_os::{OsSchedPolicy, QosPolicy, Workload};
 use eagletree_workloads::{
@@ -731,16 +731,14 @@ fn e17_log_budget(scale: Scale) -> Table {
 
 /// How much work does the *simulator* do? Simulation events and
 /// event-queue operations for a GC-heavy random overwrite, swept over
-/// device geometry × OS queue depth × event-queue backend. This is the
+/// device geometry × OS queue depth. This is the
 /// meta-experiment behind every other one: the design-space sweeps the
 /// paper calls for cost host time in proportion to these counts (what a
 /// count costs on a given host is the `benchmark/` package's
 /// `core.queue_ns_per_op` and `core.events_per_s`). Queue depth stresses
-/// the controller's dispatch path (pending-op selection), the overwrite
-/// phase stresses GC victim selection, and the backend axis pits the
-/// calendar agenda against the binary-heap oracle: every column of a
-/// backend pair must be equal (`queue_ops` counts the schedules + pops
-/// the engine performed).
+/// the controller's dispatch path (pending-op selection) and the overwrite
+/// phase stresses GC victim selection (`queue_ops` counts the schedules +
+/// pops the engine performed).
 fn e18_engine_work(scale: Scale) -> Table {
     let small_geometry = Setup::small().geometry;
     let large_geometry = Geometry {
@@ -757,20 +755,19 @@ fn e18_engine_work(scale: Scale) -> Table {
     let geoms_qds = cross(&scale.thin(&geoms), &scale.thin(&[1usize, 64, 512]));
     sweep(
         "E18",
-        "Events and queue ops for GC-heavy overwrite vs geometry × queue depth × queue backend",
-        "geometry/qd/queue",
-        cross(&geoms_qds, &[QueueKind::Calendar, QueueKind::Heap]),
-        |(((gname, g), qd), kind)| {
+        "Events and queue ops for GC-heavy overwrite vs geometry × queue depth",
+        "geometry/qd",
+        geoms_qds,
+        |((gname, g), qd)| {
             let mut setup = small();
             setup.geometry = g;
             setup.os.queue_depth = qd;
-            setup.ctrl.queue = kind;
             // Enough overwrite to reach GC steady state even at smoke
             // scale (the fill leaves only the over-provisioning headroom
             // free).
             let ios = scale.ios(setup.logical_pages() * 4);
             let writer = rand_writer(ios, qd as u64, 0xE18, "overwriter");
-            Point::filled(format!("{gname}/qd{qd}/{kind}"), setup, vec![writer])
+            Point::filled(format!("{gname}/qd{qd}"), setup, vec![writer])
         },
         |r| {
             r.row()
@@ -1763,26 +1760,13 @@ mod tests {
     #[test]
     fn smoke_e18_reports_event_engine_work() {
         let t = smoke("E18");
-        // Smoke thins to first/last of each axis: 2 geometries × 2 qds,
-        // each under both queue backends.
-        assert_eq!(t.rows.len(), 8);
+        // Smoke thins to first/last of each axis: 2 geometries × 2 qds.
+        assert_eq!(t.rows.len(), 4);
         for r in &t.rows {
             assert!(r.get("events").unwrap() > 0.0, "no events simulated: {t}", t = t.render());
             assert_eq!(r.values.len(), 4, "events, queue_ops, iops, WA only");
             assert!(r.get("queue_ops").unwrap() > 0.0);
             assert!(r.get("WA").unwrap() >= 1.0, "overwrite phase must hit flash");
-        }
-        // Backend pairs must simulate the identical workload: same event
-        // count, same queue ops, same WA.
-        for pair in t.rows.chunks(2) {
-            for col in ["events", "queue_ops", "iops", "WA"] {
-                assert_eq!(
-                    pair[0].get(col),
-                    pair[1].get(col),
-                    "calendar/heap rows diverged on {col}: {t}",
-                    t = t.render()
-                );
-            }
         }
         // The GC-heavy phase must actually trigger GC at the small geometry.
         assert!(

@@ -1,7 +1,7 @@
 //! Property tests for the lifecycle-span collector: across randomized
-//! workloads (mix, intensity, queue depth, event-queue backend, write
-//! buffering), the span accounting must hold *exactly* — these are the
-//! invariants the stage-attributed latency columns rest on.
+//! workloads (mix, intensity, queue depth, write buffering), the span
+//! accounting must hold *exactly* — these are the invariants the
+//! stage-attributed latency columns rest on.
 //!
 //! * every span closes with monotone timestamps (`start <= end`, every
 //!   busy slice inside `[start, end]`);
@@ -15,7 +15,7 @@
 //! Half the cases run with a ring of 64: spans are evicted and their busy
 //! lists reused all run long, and every retained span must still be whole.
 
-use eagletree_core::{ObsConfig, QueueKind};
+use eagletree_core::ObsConfig;
 use eagletree_experiments::Setup;
 use eagletree_workloads::{sequential_fill, MixedGen, Pumped, Region};
 use proptest::prelude::*;
@@ -29,7 +29,6 @@ proptest! {
         qd in 1usize..32,
         read_pct in 0u32..101,
         buffer in prop_oneof![Just(0u64), Just(16u64)],
-        heap in any::<bool>(),
         span_capacity in prop_oneof![Just(1usize << 16), Just(64usize)],
         seed in 0u64..1_000_000,
     ) {
@@ -39,7 +38,6 @@ proptest! {
             timeline_interval_us: 250,
         };
         setup.ctrl.write_buffer_pages = buffer;
-        setup.ctrl.queue = if heap { QueueKind::Heap } else { QueueKind::Calendar };
         setup.os.queue_depth = qd;
         let mut os = setup.build();
         os.add_thread(sequential_fill(32));

@@ -13,8 +13,8 @@
 //! drawn from a [`SimRng`] seeded by hashing the model seed with the op's
 //! physical address and the state that physically drives the failure mode
 //! (erase count, read-disturb count, sim time). Two runs with the same
-//! seed — under either event-queue backend — fault identically; a model
-//! that is not installed costs nothing and changes nothing.
+//! seed fault identically; a model that is not installed costs nothing
+//! and changes nothing.
 //!
 //! The model is *advisory* for programs: the array applies the normal
 //! state transition and reports [`FaultEvent::ProgramFailed`] alongside,

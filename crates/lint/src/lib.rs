@@ -3,11 +3,10 @@
 //! Workspace static analysis that enforces the simulator's determinism
 //! invariants at CI time. Every result this reproduction produces
 //! rests on one property: **fixed-seed runs are byte-identical** —
-//! across repeats, queue backends, and observability on/off (this is
-//! how the PR-3 dispatcher, PR-6 calendar-queue, and PR-9 obs
-//! refactors were proven safe). Runtime fingerprint tests defend that
-//! property after the fact; this crate rejects the bug classes at
-//! analysis time.
+//! across repeats and observability on/off (this is how the PR-3
+//! dispatcher and PR-9 obs refactors were proven safe). Runtime
+//! fingerprint tests defend that property after the fact; this crate
+//! rejects the bug classes at analysis time.
 //!
 //! ## Rule catalog
 //!

@@ -188,9 +188,6 @@ pub struct Os {
     vclock: f64,
     inflight: BTreeMap<RequestId, Inflight>,
     timers: EventQueue<ThreadId>,
-    /// Largest timer delay seen so far: the timer queue's wake-source
-    /// horizon. Growth re-tunes the calendar backend's bucket width.
-    timer_horizon: SimDuration,
     now: SimTime,
     next_req_id: RequestId,
     next_seq: u64,
@@ -243,9 +240,6 @@ impl Os {
     /// An OS over a controller.
     pub fn new(ctrl: Controller, cfg: OsConfig) -> Self {
         assert!(cfg.queue_depth > 0, "queue depth must be positive");
-        // The timer queue runs on the controller agenda's backend
-        // (`ControllerConfig::queue`): one knob for the whole stack.
-        let timers = EventQueue::with_kind(ctrl.queue_kind());
         let obs_cfg = ctrl.obs_config();
         let timeline = obs_cfg.timeline_enabled().then(|| {
             Timeline::new(
@@ -263,8 +257,7 @@ impl Os {
             ns_watermark: 0,
             vclock: 0.0,
             inflight: BTreeMap::new(),
-            timers,
-            timer_horizon: SimDuration::ZERO,
+            timers: EventQueue::new(),
             now: SimTime::ZERO,
             next_req_id: 0,
             next_seq: 0,
@@ -896,13 +889,6 @@ impl Os {
             }
         }
         for d in timer_delays {
-            // A longer delay than any seen widens this wake source's
-            // horizon: tell the calendar so its bucket width follows
-            // (behavior-neutral; order is unaffected).
-            if d > self.timer_horizon {
-                self.timer_horizon = d;
-                self.timers.hint_horizon(d);
-            }
             self.timers.schedule(self.now + d, tid);
         }
         let newly_finished = finished && !self.threads[tid].finished;

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use eagletree_controller::{Controller, ControllerConfig};
-use eagletree_core::{BlkOp, BlkRecord, QueueKind, SimDuration, SimTime};
+use eagletree_core::{BlkOp, BlkRecord, SimDuration, SimTime};
 use eagletree_flash::{Geometry, TimingSpec};
 use eagletree_os::{CompletedIo, Os, OsConfig, ThreadCtx, Workload};
 use eagletree_workloads::{
@@ -105,12 +105,9 @@ fn streaming_a_million_records_stays_chunk_bounded() {
 // ---------------------------------------------------------------------
 // replay determinism
 
-fn stack(queue: QueueKind) -> Os {
-    let ctrl_cfg = ControllerConfig {
-        queue,
-        ..ControllerConfig::default()
-    };
-    let ctrl = Controller::new(Geometry::tiny(), TimingSpec::slc(), ctrl_cfg).unwrap();
+fn stack() -> Os {
+    let ctrl =
+        Controller::new(Geometry::tiny(), TimingSpec::slc(), ControllerConfig::default()).unwrap();
     let os_cfg = OsConfig {
         queue_depth: 16,
         ..OsConfig::default()
@@ -118,9 +115,9 @@ fn stack(queue: QueueKind) -> Os {
     Os::new(ctrl, os_cfg)
 }
 
-fn replay_fingerprint(queue: QueueKind, open_loop: bool) -> String {
+fn replay_fingerprint(open_loop: bool) -> String {
     use std::fmt::Write;
-    let mut os = stack(queue);
+    let mut os = stack();
     let shape = SynthShape {
         footprint_pages: 600,
         read_fraction: 0.5,
@@ -162,28 +159,22 @@ fn replay_fingerprint(queue: QueueKind, open_loop: bool) -> String {
 }
 
 /// Fixed-seed open-loop replay produces byte-identical fingerprints across
-/// repeated runs AND across both event-queue backends — replay rides the
-/// OS timer machinery, so this pins the timer path too.
+/// repeated runs — replay rides the OS timer machinery, so this pins the
+/// timer path too.
 #[test]
-fn open_loop_replay_is_deterministic_across_queue_kinds() {
-    let heap_a = replay_fingerprint(QueueKind::Heap, true);
-    let heap_b = replay_fingerprint(QueueKind::Heap, true);
-    let cal_a = replay_fingerprint(QueueKind::Calendar, true);
-    let cal_b = replay_fingerprint(QueueKind::Calendar, true);
-    assert_eq!(heap_a, heap_b, "open-loop replay drifted between runs");
-    assert_eq!(cal_a, cal_b, "open-loop replay drifted between runs");
-    assert_eq!(heap_a, cal_a, "calendar backend diverged from heap");
-    assert!(heap_a.contains("events="));
+fn open_loop_replay_is_deterministic_across_runs() {
+    let a = replay_fingerprint(true);
+    let b = replay_fingerprint(true);
+    assert_eq!(a, b, "open-loop replay drifted between runs");
+    assert!(a.contains("events="));
 }
 
 /// Same pin for the closed-loop mode (timer-paced think times).
 #[test]
-fn closed_loop_replay_is_deterministic_across_queue_kinds() {
-    let heap_a = replay_fingerprint(QueueKind::Heap, false);
-    let heap_b = replay_fingerprint(QueueKind::Heap, false);
-    let cal_a = replay_fingerprint(QueueKind::Calendar, false);
-    assert_eq!(heap_a, heap_b, "closed-loop replay drifted between runs");
-    assert_eq!(heap_a, cal_a, "calendar backend diverged from heap");
+fn closed_loop_replay_is_deterministic_across_runs() {
+    let a = replay_fingerprint(false);
+    let b = replay_fingerprint(false);
+    assert_eq!(a, b, "closed-loop replay drifted between runs");
 }
 
 /// Closed-loop replay must preserve recorded think times: with warp 1 the
@@ -203,7 +194,7 @@ fn closed_loop_preserves_think_times_and_warp_compresses() {
         interarrival_cv: 0.0, // evenly spaced: every gap is exactly `gap`
     };
     let run = |open_loop: bool, warp: f64| {
-        let mut os = stack(QueueKind::Heap);
+        let mut os = stack();
         let src = SyntheticTrace::new(shape.clone(), records, 0x7A);
         let w = if open_loop {
             ReplayThread::open_loop(src, warp)
@@ -276,7 +267,7 @@ impl Workload for ExtraTimer {
 /// its last completion.
 #[test]
 fn stray_timer_after_trace_exhaustion_finishes_instead_of_panicking() {
-    let mut os = stack(QueueKind::Heap);
+    let mut os = stack();
     let records = vec![BlkRecord::new(SimTime::ZERO, BlkOp::Write, 3)];
     let tid = os.add_thread(Box::new(ExtraTimer {
         inner: ReplayThread::closed_loop(Records(records.into_iter()), 1.0),
