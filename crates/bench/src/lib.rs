@@ -13,8 +13,6 @@
 //! * this library — running one experiment with its event count, and the
 //!   `--json` serialisation both binaries agree on.
 
-#![forbid(unsafe_code)]
-
 use eagletree_core::json_str;
 use eagletree_experiments::{Experiment, Scale, Table};
 

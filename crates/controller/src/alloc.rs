@@ -283,7 +283,9 @@ impl Allocator {
             // blocks age; cold data → oldest block so old blocks rest.
             match stream {
                 Stream::Cold => candidates.max_by_key(|(_, (_, ec))| *ec).map(|(i, _)| i),
-                _ => candidates.min_by_key(|(_, (_, ec))| *ec).map(|(i, _)| i),
+                Stream::Hot | Stream::Gc | Stream::Translation | Stream::Locality(_) => {
+                    candidates.min_by_key(|(_, (_, ec))| *ec).map(|(i, _)| i)
+                }
             }
         } else {
             candidates.map(|(i, _)| i).next()

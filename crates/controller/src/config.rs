@@ -260,8 +260,18 @@ impl ControllerConfig {
             }
             MappingKind::PageMap | MappingKind::Dftl { .. } | MappingKind::Hybrid { .. } => {}
         }
-        if self.wl.static_enabled && self.wl.check_every_erases == 0 {
-            return Err("wl.check_every_erases must be non-zero".into());
+        if self.wl.static_enabled {
+            if self.wl.check_every_erases == 0 {
+                return Err("wl.check_every_erases must be non-zero".into());
+            }
+            // NaN or negative makes the idle floor 0 ns: every young block
+            // counts as idle and static WL migrates without pause.
+            if self.wl.idle_factor.is_nan() || self.wl.idle_factor < 0.0 {
+                return Err(format!(
+                    "wl.idle_factor must be a number >= 0, got {}",
+                    self.wl.idle_factor
+                ));
+            }
         }
         if let Some(fault) = &self.fault {
             fault.validate()?;
@@ -276,6 +286,14 @@ impl ControllerConfig {
             if scrub.max_inflight == 0 {
                 return Err("scrub.max_inflight must be non-zero".into());
             }
+            // NaN is never due; zero or less makes every programmed block
+            // always due.
+            if scrub.retention_threshold_s.is_nan() || scrub.retention_threshold_s <= 0.0 {
+                return Err(format!(
+                    "scrub.retention_threshold_s must be a number > 0, got {}",
+                    scrub.retention_threshold_s
+                ));
+            }
         }
         Ok(())
     }
@@ -283,6 +301,10 @@ impl ControllerConfig {
     /// Logical pages a device of `geometry` exports under this config: the
     /// `logical_capacity` share of its physical pages, rounded down. The
     /// one definition every layer sizes namespaces and workloads from.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "a page count, not a time; validate() keeps logical_capacity in (0, 1)"
+    )]
     pub fn logical_pages(&self, geometry: &Geometry) -> u64 {
         ((geometry.total_pages() as f64) * self.logical_capacity).floor() as u64
     }
@@ -347,6 +369,15 @@ mod tests {
         c.wl.check_every_erases = 0;
         assert!(c.validate().is_err());
 
+        // A NaN or negative idle factor would cast to an idle floor of 0.
+        for bad in [f64::NAN, -0.5] {
+            let mut c = ControllerConfig::default();
+            c.wl.idle_factor = bad;
+            assert!(c.validate().is_err(), "idle_factor {bad}");
+            c.wl.static_enabled = false; // unread: not this check's business
+            assert!(c.validate().is_ok(), "idle_factor {bad}, static WL off");
+        }
+
         // Scrubbing without a fault model has no disturb state to read.
         let c = ControllerConfig {
             scrub: Some(ScrubConfig::default()),
@@ -359,6 +390,18 @@ mod tests {
             ..ControllerConfig::default()
         };
         assert!(c.validate().is_ok());
+        // NaN retention is never due; zero or less is always due.
+        for bad in [f64::NAN, 0.0, -1.0] {
+            let c = ControllerConfig {
+                fault: Some(FaultConfig::default()),
+                scrub: Some(ScrubConfig {
+                    retention_threshold_s: bad,
+                    ..ScrubConfig::default()
+                }),
+                ..ControllerConfig::default()
+            };
+            assert!(c.validate().is_err(), "retention_threshold_s {bad}");
+        }
         let c = ControllerConfig {
             fault: Some(FaultConfig {
                 retry_error_scale: 2.0,

@@ -128,7 +128,7 @@ impl Controller {
     fn tvpn_count(&self) -> u64 {
         match &self.ftl {
             FtlKind::Dftl(d) => d.tvpn_count(),
-            _ => 0,
+            FtlKind::PageMap(_) | FtlKind::Hybrid(_) => 0,
         }
     }
 

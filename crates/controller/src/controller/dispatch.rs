@@ -368,7 +368,6 @@ impl Oldest {
 
 pub(super) struct Dispatch {
     /// The agenda: flash completions and wake-ups in `(time, seq)` order.
-    /// Backend per `ControllerConfig::queue`.
     pub(super) events: EventQueue<CtrlEvent>,
     pub(super) pending: PendingSet<PendingOp>,
     pub(super) moves: QueuedMoves,
@@ -438,10 +437,18 @@ impl Controller {
                 }
             }
         };
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "Transfer is the one kind with a queue of its own; any other, present or future, queues by class"
+        )]
         let key = match kind {
             PendKind::Transfer { .. } => QueueKey::Transfer,
             _ => QueueKey::Class(class, tag),
         };
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "only the laned kinds note their source page; a kind without a lane has nothing to note"
+        )]
         match kind {
             PendKind::GcMove { from, .. } => {
                 let ppn = self.array.geometry().page_index(from);
@@ -472,6 +479,10 @@ impl Controller {
     /// The application request a pending op serves directly, if any —
     /// such ops continue the request's lifecycle span instead of opening
     /// an internal one.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "names the host-bound kinds; every other kind, present or future, is internal"
+    )]
     pub(super) fn pend_request(kind: &PendKind) -> Option<RequestId> {
         match kind {
             PendKind::AppRead { id, .. } => Some(*id),
@@ -546,7 +557,10 @@ impl Controller {
                 XferDone::Merge { .. } => merge_cause(),
                 XferDone::App { .. } => Cause::None,
             },
-            _ => Cause::None,
+            PendKind::AppRead { .. }
+            | PendKind::MapFetchRead { .. }
+            | PendKind::Write { .. }
+            | PendKind::HybridWrite { .. } => Cause::None,
         }
     }
 
@@ -558,6 +572,10 @@ impl Controller {
     /// read's of the LUN its source resolves to now (when that changes,
     /// [`Self::reads_follow`] moves the op). Everything else goes to the
     /// group's order-scan queue.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "names the laned kinds; every other kind, present or future, waits in a scan queue"
+    )]
     fn lane_of(&self, kind: &PendKind) -> Option<LaneKey> {
         match *kind {
             PendKind::Write { lun, stream, .. } => Some(LaneKey::Write { lun, stream }),
@@ -574,6 +592,10 @@ impl Controller {
     /// The page a mapped read (`AppRead`, `MapFetchRead`) would read right
     /// now. `None`: nothing (left) to read — trimmed while queued, or a
     /// fetch resolvable from RAM structures.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "callers pass the two mapped-read kinds only; any other is a bug and panics"
+    )]
     fn mapped_read_page(&self, kind: &PendKind) -> Option<Ppn> {
         match *kind {
             PendKind::AppRead { lpn, .. } => self.ftl.peek(lpn),
@@ -741,6 +763,10 @@ impl Controller {
     /// since the mapping moves while the op waits. `None`: there is
     /// nothing (left) to read and the op is consumed without flash IO.
     /// Not a read op: `None`.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "names the kinds that begin with an array read; every other kind reads nothing"
+    )]
     pub(super) fn read_source(&self, kind: &PendKind) -> Option<PhysicalAddr> {
         let g = self.array.geometry();
         match *kind {
@@ -867,7 +893,10 @@ impl Controller {
                         self.program_ok(addr, now)
                     }
                     // Waiting on a log block or a merge (maintenance's job).
-                    _ => false,
+                    HybridPlace::NeedsLogBlock { .. }
+                    | HybridPlace::NeedsSeqMerge
+                    | HybridPlace::AwaitSequential
+                    | HybridPlace::NeedsMerge => false,
                 }
             }
             PendKind::MergeProgram { .. } => {
@@ -1089,6 +1118,10 @@ impl Controller {
 
     /// Whether `op` could issue (or be consumed) right now. `memo` caches
     /// write-issuability per `(LUN, stream)` within one reference scan.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "names the kinds with a lane-head shortcut; every other kind takes scan_op_issuable's exhaustive match"
+    )]
     fn op_issuable(&self, op: &PendingOp, now: SimTime, memo: &mut WriteMemo) -> bool {
         match op.kind {
             PendKind::GcMove { from, .. } => {

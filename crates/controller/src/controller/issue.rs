@@ -132,6 +132,10 @@ impl Controller {
         }
         let ppn = self.array.geometry().page_index(burned);
         self.invalidate_ppn(ppn);
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "only a hybrid append burns a log-block slot; every other program came from the write allocator"
+        )]
         match retry {
             PendKind::HybridWrite { .. } => self.hybrid_mut().abort_append(ppn),
             _ => self.alloc.retire_block(burned.block_addr()),
@@ -225,7 +229,7 @@ impl Controller {
                 // and translation writes get a fresh one.
                 let seq = match what {
                     WriteWhat::Gc { from_ppn, .. } => Some(self.source_seq(from_ppn)),
-                    _ => None,
+                    WriteWhat::Host(_) | WriteWhat::Translation { .. } => None,
                 };
                 self.stamp_program(addr, Self::content_tag(content), seq);
                 let done = match what {

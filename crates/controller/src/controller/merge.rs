@@ -69,6 +69,10 @@ impl Controller {
         // one write changes what later writes need.
         let mut lpns = std::mem::take(&mut self.merge.scratch);
         lpns.clear();
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "a filter: picks the queued hybrid writes out of every kind"
+        )]
         lpns.extend(self.disp.pending.iter().filter_map(|op| match op.kind {
             PendKind::HybridWrite { what } => Some((op.seq, what.lpn())),
             _ => None,
@@ -155,6 +159,10 @@ impl Controller {
         if !self.is_hybrid() || !self.disp.events.is_empty() || self.merge.job.is_some() {
             return false;
         }
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "a filter: only a queued hybrid write can wait on the sequential stream"
+        )]
         let wedged = self.disp.pending.iter().any(|op| match op.kind {
             PendKind::HybridWrite { what } => {
                 let FtlKind::Hybrid(h) = &self.ftl else { return false };
@@ -332,7 +340,11 @@ impl Controller {
                     let sc = self.cfg.scrub.expect("scrub refresh without scrub config");
                     pick_scrub_victim(&self.array, &sc, now, skip)
                 }
-                _ => pick_wl_victim(&self.array, now, &self.cfg.wl, skip),
+                IoSource::Application
+                | IoSource::GarbageCollection
+                | IoSource::WearLeveling
+                | IoSource::Mapping
+                | IoSource::Merge => pick_wl_victim(&self.array, now, &self.cfg.wl, skip),
             };
             let Some(victim) = victim else { return };
             let base = g.page_index(victim.page(0));
@@ -385,7 +397,11 @@ impl Controller {
                 self.invalidate_ppn(f);
                 match source {
                     IoSource::WearLeveling => self.stats.wl_moves += 1,
-                    _ => self.stats.merge_moves += 1,
+                    IoSource::Application
+                    | IoSource::GarbageCollection
+                    | IoSource::Mapping
+                    | IoSource::Merge
+                    | IoSource::Scrub => self.stats.merge_moves += 1,
                 }
             }
             Some(_) => {

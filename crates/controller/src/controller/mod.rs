@@ -142,7 +142,7 @@ impl Controller {
     pub fn dftl_stats(&self) -> Option<crate::ftl::DftlStats> {
         match &self.ftl {
             FtlKind::Dftl(d) => Some(d.stats()),
-            _ => None,
+            FtlKind::PageMap(_) | FtlKind::Hybrid(_) => None,
         }
     }
 
@@ -150,14 +150,16 @@ impl Controller {
     pub fn hybrid_stats(&self) -> Option<HybridStats> {
         match &self.ftl {
             FtlKind::Hybrid(h) => Some(h.stats()),
-            _ => None,
+            FtlKind::PageMap(_) | FtlKind::Dftl(_) => None,
         }
     }
 
     fn hybrid_mut(&mut self) -> &mut Hybrid {
         match &mut self.ftl {
             FtlKind::Hybrid(h) => h,
-            _ => panic!("hybrid operation outside hybrid mapping"),
+            FtlKind::PageMap(_) | FtlKind::Dftl(_) => {
+                panic!("hybrid operation outside hybrid mapping")
+            }
         }
     }
 
@@ -280,7 +282,7 @@ impl Controller {
     fn content_lpn(content: PageContent) -> Option<Lpn> {
         match content {
             PageContent::Data(lpn) => Some(lpn),
-            _ => None,
+            PageContent::Translation(_) | PageContent::Checkpoint(_) => None,
         }
     }
 

@@ -107,6 +107,10 @@ pub(super) fn deep_blocked_lane(c: &Controller, now: SimTime) -> Option<(u32, Ve
 }
 
 /// `(job, source page)` of a queued move.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "a relocation lane holds GcMove only; any other kind is the failure this reports"
+)]
 pub(super) fn move_of(c: &Controller, op: &PendingOp) -> (usize, Ppn) {
     match op.kind {
         PendKind::GcMove { job, from } => (job, c.array.geometry().page_index(from)),

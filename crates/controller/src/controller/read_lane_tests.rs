@@ -95,6 +95,10 @@ fn aged() -> (Driver, u32, Vec<PendingOp>) {
 /// A mapped LPN whose page sits on `lun`, is not in `avoid`, and is not
 /// about to be relocated.
 fn lpn_on(c: &Controller, lun: u32, avoid: &[Lpn]) -> Lpn {
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a filter: picks the queued moves out of every kind"
+    )]
     let moving: Vec<Ppn> = c
         .disp
         .pending
@@ -353,6 +357,10 @@ fn dftl_churn(mut each: impl FnMut(&mut Driver) -> bool) {
 
 /// Every queued `MapFetchRead`: its translation page's number and where
 /// that page is now.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "a filter: picks the mapping fetches out of the queued reads"
+)]
 fn queued_fetches(c: &Controller) -> Vec<(u64, Option<Ppn>)> {
     queued_reads(c)
         .into_iter()

@@ -58,7 +58,10 @@ pub(super) fn move_classes(source: IoSource, own: (OpClass, OpClass)) -> (OpClas
     match source {
         IoSource::WearLeveling => (OpClass::WlRead, OpClass::WlWrite),
         IoSource::Scrub => (OpClass::ScrubRead, OpClass::ScrubWrite),
-        _ => own,
+        IoSource::Application
+        | IoSource::GarbageCollection
+        | IoSource::Mapping
+        | IoSource::Merge => own,
     }
 }
 
@@ -234,7 +237,11 @@ impl Controller {
             self.invalidate_ppn(from_ppn);
             match self.reclaim.jobs[job].source {
                 IoSource::WearLeveling => self.stats.wl_moves += 1,
-                _ => self.stats.gc_moves += 1,
+                IoSource::Application
+                | IoSource::GarbageCollection
+                | IoSource::Mapping
+                | IoSource::Merge
+                | IoSource::Scrub => self.stats.gc_moves += 1,
             }
         } else {
             // A newer write superseded the page mid-migration; the fresh
@@ -306,7 +313,7 @@ impl Controller {
             self.reclaim.erases_since_wl = 0;
             match owner {
                 EraseOwner::Merge { .. } => self.refresh_merge(IoSource::WearLeveling, now),
-                _ => self.maybe_wl(now),
+                EraseOwner::Reclaim { .. } | EraseOwner::Ckpt => self.maybe_wl(now),
             }
         }
     }

@@ -26,8 +26,6 @@
 //! * [`Driver`] / [`Ledger`] — the minimal host of a bare controller (ids,
 //!   clock, agenda stepping) and the acknowledged-write reference model.
 
-#![forbid(unsafe_code)]
-
 pub mod alloc;
 mod bits;
 pub mod buffer;

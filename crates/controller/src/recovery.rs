@@ -347,7 +347,11 @@ pub(crate) fn recover_medium(
                 OobTag::Translation { tvpn } if tvpn < tvpns => {
                     fold(&mut trans[tvpn as usize], (ppn, e.seq, e.stamp));
                 }
-                _ => {} // fillers, checkpoint pages, out-of-range leftovers
+                // fillers, checkpoint pages, out-of-range leftovers
+                OobTag::Data { .. }
+                | OobTag::Translation { .. }
+                | OobTag::Filler
+                | OobTag::Checkpoint { .. } => {}
             }
         }
     }
@@ -523,7 +527,7 @@ fn log_entries(flash: &FlashArray, block: BlockAddr, fill: u32) -> Vec<Lpn> {
         .map(|p| match flash.oob(block.page(p)) {
             Some(e) => match e.tag {
                 OobTag::Data { lpn } => lpn,
-                _ => 0,
+                OobTag::Translation { .. } | OobTag::Filler | OobTag::Checkpoint { .. } => 0,
             },
             None => 0,
         })

@@ -18,7 +18,7 @@
 //! the `skip` closure: the hybrid controller, for instance, excludes log
 //! blocks and anything that is not a registered data block.
 
-use eagletree_core::SimTime;
+use eagletree_core::{SimDuration, SimTime};
 use eagletree_flash::{BlockAddr, FlashArray};
 
 use crate::config::WlConfig;
@@ -90,7 +90,7 @@ pub fn pick_wl_victim(
     // floor beyond any reachable horizon.
     let erases_per_block = (total_erases as f64 / g.total_blocks() as f64).max(1.0);
     let avg_gap_ns = now.as_nanos() as f64 / erases_per_block;
-    let idle_floor_ns = (cfg.idle_factor * avg_gap_ns) as u64;
+    let idle_floor_ns = SimDuration::from_nanos_f64(cfg.idle_factor * avg_gap_ns).as_nanos();
 
     g.blocks()
         .filter(|&b| !skip(b))

@@ -45,7 +45,7 @@ fn run_fingerprint_obs(mapping: MappingKind, sched: SchedPolicy, obs: ObsConfig)
     let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
     let mut rng = SimRng::new(0xD17E_2B11);
-    let ops: Vec<(RequestKind, u64, IoTags)> = (0..2000)
+    let ops: Vec<(RequestKind, u64, IoTags)> = (0..2000u32)
         .map(|i| {
             let lpn = rng.gen_range(logical);
             let tags = if i % 5 == 0 {

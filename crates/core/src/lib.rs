@@ -23,8 +23,6 @@
 //! self-contained SplitMix64, so no platform or `HashMap`-iteration-order
 //! effects can leak into results.
 
-#![forbid(unsafe_code)]
-
 pub mod blkio;
 pub mod event;
 pub mod obs;

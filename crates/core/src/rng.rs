@@ -182,14 +182,14 @@ mod tests {
     fn gen_range_is_roughly_uniform() {
         let mut rng = SimRng::new(99);
         let mut counts = [0usize; 10];
-        let n = 100_000;
+        let n = 100_000usize;
         for _ in 0..n {
             counts[rng.gen_range(10) as usize] += 1;
         }
         for &c in &counts {
             let expected = n / 10;
             assert!(
-                (c as i64 - expected as i64).unsigned_abs() < (expected / 10) as u64,
+                c.abs_diff(expected) < expected / 10,
                 "bucket count {c} too far from {expected}"
             );
         }

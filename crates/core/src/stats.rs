@@ -208,6 +208,10 @@ impl Histogram {
         } else {
             0.0 // negative or NaN
         };
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "a sample rank; q is clamped to [0, 1] just above"
+        )]
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut acc = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {

@@ -35,6 +35,20 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
+    /// The one door from float arithmetic to integer time: exactly
+    /// `ns as u64` — the fraction truncated, out-of-range values saturated
+    /// (negative → 0, ≥ 2⁶⁴ and +∞ → `u64::MAX`), NaN → 0. Callers that
+    /// want another rounding `ceil()` / `round()` in `f64` first.
+    /// `clippy::cast_sign_loss` is denied workspace-wide, so a float that
+    /// becomes a time anywhere else does not pass CI.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "the door itself: negative and NaN → 0 is the documented contract"
+    )]
+    pub fn from_nanos_f64(ns: f64) -> Self {
+        SimDuration(ns as u64)
+    }
+
     /// The span in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -198,6 +212,17 @@ mod tests {
         assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
+    }
+
+    #[test]
+    fn from_nanos_f64_truncates_saturates_and_zeroes_nan() {
+        let ns = |x: f64| SimDuration::from_nanos_f64(x).as_nanos();
+        assert_eq!(ns(f64::NAN), 0);
+        assert_eq!(ns(-1.0), 0);
+        assert_eq!(ns(0.9), 0);
+        assert_eq!(ns(1_500.7), 1_500);
+        assert_eq!(ns(18_446_744_073_709_551_616.0), u64::MAX);
+        assert_eq!(ns(f64::INFINITY), u64::MAX);
     }
 
     #[test]

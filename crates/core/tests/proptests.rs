@@ -141,6 +141,10 @@ proptest! {
         samples.sort_unstable();
         let n = samples.len() as f64;
         for q in [0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
+            #[expect(
+                clippy::cast_sign_loss,
+                reason = "a sample rank; q is one of the literals above, n a length"
+            )]
             let rank = ((q * n).ceil() as usize).max(1);
             let exact = samples[rank - 1];
             let est = h.quantile(q).as_nanos();

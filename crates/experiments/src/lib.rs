@@ -21,8 +21,6 @@
 //! * [`capture`] — the instrumented observability run behind the bench
 //!   harness `--trace` / `--timeline` flags (Perfetto + timeline export).
 
-#![forbid(unsafe_code)]
-
 pub mod capture;
 mod columns;
 pub mod experiment;

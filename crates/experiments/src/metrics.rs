@@ -380,6 +380,10 @@ pub fn sparkline(points: &[f64]) -> String {
     points
         .iter()
         .map(|&p| {
+            #[expect(
+                clippy::cast_sign_loss,
+                reason = "a bar index; a negative or NaN point draws the lowest bar"
+            )]
             let idx = ((p / max) * (BARS.len() - 1) as f64).round() as usize;
             BARS[idx.min(BARS.len() - 1)]
         })

@@ -884,6 +884,10 @@ fn e21_mount_time(scale: Scale) -> Table {
             let mut setup = small();
             setup.ctrl.checkpoint_interval_programs = interval;
             let logical = setup.logical_pages();
+            #[expect(
+                clippy::cast_sign_loss,
+                reason = "a page count; fill is one of the literal fractions above"
+            )]
             let pages = ((logical as f64) * fill) as u64;
             let region = Region::new(0, pages);
             let mut os = setup.build();
@@ -910,7 +914,7 @@ fn e21_mount_time(scale: Scale) -> Table {
                     .expect("checkpoint remount");
             c2.check_invariants();
             t.rows.push(
-                Row::new(format!("f{}/i{interval}", (fill * 100.0) as u32))
+                Row::new(format!("f{:.0}/i{interval}", fill * 100.0))
                     .push("entries", full.data_entries as f64)
                     .push("full_oob", full.oob_scanned as f64)
                     .push("full_mount_us", full.mount_time.as_micros_f64())

@@ -442,7 +442,10 @@ impl FlashArray {
             // Only a cached program may join a busy LUN.
             return match cmd {
                 FlashCommand::Program(a) => self.can_pipeline(*a, now),
-                _ => false,
+                FlashCommand::ReadStart(_)
+                | FlashCommand::TransferOut(_)
+                | FlashCommand::Erase(_)
+                | FlashCommand::CopyBack { .. } => false,
             };
         }
         match (lun.status, cmd) {

@@ -28,8 +28,6 @@
 //!   rebuilds the mapping from; a power cut destroys exactly the
 //!   operations in flight (torn pages, interrupted erases).
 
-#![forbid(unsafe_code)]
-
 pub mod address;
 pub mod array;
 pub mod command;

@@ -29,8 +29,6 @@
 //! * [`interface`] — the open interface: an extensible message vocabulary
 //!   that travels with IOs when the block-device boundary is unlocked.
 
-#![forbid(unsafe_code)]
-
 pub mod interface;
 pub mod os;
 pub mod qos;

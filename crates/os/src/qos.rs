@@ -162,8 +162,9 @@ impl QosSlot {
         if !ns.is_finite() || ns >= Self::NEVER_NS as f64 {
             Self::NEVER_NS
         } else {
-            // lint:allow(R3) rates are f64 config knobs; ready_at's verification loop below guarantees the rounded wakeup is never early
-            ns as u64
+            // Rates are f64 config knobs; ready_at's verification loop
+            // below guarantees the rounded wakeup is never early.
+            SimDuration::from_nanos_f64(ns).as_nanos()
         }
     }
 

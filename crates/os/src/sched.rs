@@ -77,7 +77,7 @@ impl OsSchedPolicy {
                 .min_by_key(|(_, c)| {
                     let rel = match c.kind {
                         RequestKind::Read => *read_us,
-                        _ => *write_us,
+                        RequestKind::Write | RequestKind::Trim => *write_us,
                     };
                     (c.enqueued_at.as_nanos() + rel * 1_000, c.seq)
                 })

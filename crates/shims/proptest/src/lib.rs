@@ -19,8 +19,6 @@
 //! workspace `Cargo.toml` once the build environment has registry
 //! access.
 
-#![forbid(unsafe_code)]
-
 pub mod test_runner {
     /// Configuration for a `proptest!` block (subset of the real
     /// `proptest::test_runner::Config`).
@@ -193,7 +191,7 @@ pub mod strategy {
             impl Strategy for Range<$t> {
                 type Value = $t;
                 fn sample(&self, rng: &mut TestRng) -> $t {
-                    let span = (self.end as i64).wrapping_sub(self.start as i64) as u64;
+                    let span = (self.end as i64).wrapping_sub(self.start as i64).cast_unsigned();
                     assert!(span > 0, "empty range strategy");
                     ((self.start as i64).wrapping_add(rng.below(span) as i64)) as $t
                 }

@@ -350,7 +350,7 @@ pub fn characterize<S: TraceSource>(src: &mut S) -> TraceProfile {
     let mut freq: BTreeMap<u64, u64> = BTreeMap::new();
     let mut gaps = OnlineStats::new();
     // Exact integer accumulator for the mean: the ns-typed profile
-    // field must not inherit float summation error (R3 discipline);
+    // field must not inherit float summation error;
     // OnlineStats still feeds the (dimensionless) burstiness cv.
     let (mut gap_total, mut gap_count) = (0u128, 0u64);
     let mut last_at: Option<SimTime> = None;
@@ -446,6 +446,10 @@ impl TraceProfile {
     /// Build a matched synthetic generator: same footprint, op mix, skew,
     /// record size and burstiness, but any record count — the scale-up
     /// path when the captured trace is shorter than the experiment needs.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "pages per record, not a time; a NaN or negative mean becomes the .max(1) floor"
+    )]
     pub fn synthesize(&self, records: u64, seed: u64) -> SyntheticTrace {
         SyntheticTrace::new(
             SynthShape {
@@ -504,7 +508,8 @@ impl SyntheticTrace {
         };
         let mean = shape.mean_interarrival.as_nanos() as f64;
         // Quantize to 100 ns filetime ticks for exact CSV round-trips.
-        let wide = ((mean / (1.0 - q)).round() as u64 / 100) * 100;
+        let wide = SimDuration::from_nanos_f64((mean / (1.0 - q)).round());
+        let wide = (wide.as_nanos() / 100) * 100;
         SyntheticTrace {
             zipf: Zipf::new(shape.footprint_pages.max(1) as usize, shape.zipf_theta),
             rng: SimRng::new(seed),

@@ -179,7 +179,8 @@ impl Workload for GraceHashJoin {
                         ctx.submit(OsIo::write(out));
                         self.writes_in_flight += 1;
                     }
-                    _ => {
+                    eagletree_controller::RequestKind::Write
+                    | eagletree_controller::RequestKind::Trim => {
                         self.writes_in_flight -= 1;
                         self.pages_partitioned += 1;
                     }

@@ -29,8 +29,6 @@
 //!   profile onto an [`Os`](eagletree_os::Os) in one call (the
 //!   multi-tenant experiments' setup vocabulary).
 
-#![forbid(unsafe_code)]
-
 pub mod blktrace;
 pub mod fs;
 pub mod gen;

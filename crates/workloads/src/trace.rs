@@ -72,8 +72,11 @@ impl<S: TraceSource> ReplayThread<S> {
         // One-time quantization of the configured warp factor; every
         // per-record arrival below is computed in integer nanoseconds
         // against this fixed-point value, so the replayed timeline is
-        // exact and platform-independent (R3 discipline).
-        // lint:allow(R3) one-time fixed-point quantization of a config knob at construction, not per-event time math
+        // exact and platform-independent.
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "a dimensionless fixed-point scale, not a time; warp is asserted finite and positive above"
+        )]
         let warp_fp = ((warp * WARP_SCALE as f64).round() as u64).max(1);
         ReplayThread {
             src,

@@ -55,8 +55,6 @@
 //! println!("{:.0} IOPS", stats.throughput_iops());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use eagletree_controller as controller;
 pub use eagletree_core as core;
 pub use eagletree_experiments as experiments;
