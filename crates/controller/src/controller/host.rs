@@ -8,9 +8,7 @@
 //! DFTL needs one) and enter the pending set as the request's first flash
 //! op; trims, buffered writes and buffer read hits complete on the spot.
 
-use std::collections::BTreeMap;
-
-use eagletree_core::{SimTime, NO_SPAN};
+use eagletree_core::{IdTable, SimTime, NO_SPAN};
 use eagletree_flash::{Geometry, MemoryKind, MemoryManager};
 
 use super::dispatch::{HostWrite, PendKind, WriteWhat};
@@ -33,7 +31,9 @@ struct AppIo {
 }
 
 pub(super) struct HostIo {
-    app: BTreeMap<RequestId, AppIo>,
+    /// The requests in flight, by id: every host hands ids out in
+    /// increasing order, and [`Controller::submit`] holds it to that.
+    app: IdTable<AppIo>,
     pub(super) buffer: Option<WriteBuffer>,
     flushes_inflight: u32,
     detector: MultiBloomDetector,
@@ -70,7 +70,7 @@ impl HostIo {
             }
         }
         Ok(HostIo {
-            app: BTreeMap::new(),
+            app: IdTable::default(),
             buffer,
             flushes_inflight: 0,
             detector: MultiBloomDetector::default_detector(),
@@ -82,14 +82,18 @@ impl HostIo {
         self.app.is_empty()
     }
 
+    fn io(&self, id: RequestId) -> &AppIo {
+        self.app.get(id).expect("request in flight")
+    }
+
     /// The logical page in-flight request `id` addresses.
     pub(super) fn lpn_of(&self, id: RequestId) -> Lpn {
-        self.app[&id].req.lpn
+        self.io(id).req.lpn
     }
 
     /// The lifecycle span of in-flight request `id`.
     pub(super) fn span_of(&self, id: RequestId) -> u64 {
-        self.app[&id].span
+        self.io(id).span
     }
 }
 
@@ -155,7 +159,8 @@ impl Controller {
                 if req.kind == RequestKind::Write {
                     self.host.detector.record_write(req.lpn);
                 }
-                let prev = self.host.app.insert(
+                // Panics on an id that does not follow the last one.
+                self.host.app.insert(
                     req.id,
                     AppIo {
                         req,
@@ -163,7 +168,6 @@ impl Controller {
                         span,
                     },
                 );
-                assert!(prev.is_none(), "duplicate in-flight request id {}", req.id);
                 self.start_or_park(req.id, now);
             }
         }
@@ -174,13 +178,10 @@ impl Controller {
     /// Resolve the mapping for an application IO and enqueue its first
     /// flash op, or park it on a translation fetch.
     pub(super) fn start_or_park(&mut self, id: RequestId, now: SimTime) {
-        let (lpn, kind, tags) = {
-            let io = &self.host.app[&id];
-            (io.req.lpn, io.req.kind, io.req.tags)
-        };
+        let SsdRequest { lpn, kind, tags, .. } = self.host.io(id).req;
         match self.ftl.lookup(lpn, true) {
             MapLookup::Ready(ppn) => {
-                self.host.app.get_mut(&id).unwrap().pinned = true;
+                self.host.app.get_mut(id).expect("request in flight").pinned = true;
                 match kind {
                     RequestKind::Read => {
                         if ppn.is_none() {
@@ -288,7 +289,7 @@ impl Controller {
     }
 
     pub(super) fn complete_app(&mut self, id: RequestId, now: SimTime) {
-        let io = self.host.app.remove(&id).expect("completing unknown request");
+        let io = self.host.app.remove(id).expect("completing unknown request");
         if io.pinned {
             self.ftl.unpin(io.req.lpn);
         }

@@ -6,8 +6,6 @@
 //! the hybrid map [`Controller::drain_ftl_writebacks`] also forwards the
 //! scheme's switch-merge erase events.
 
-use std::collections::BTreeMap;
-
 use eagletree_core::{Cause, SimTime};
 use eagletree_flash::{PageState, PhysicalAddr};
 
@@ -25,22 +23,27 @@ pub(super) enum Waiter {
     Flush { lpn: Lpn, version: u64 },
 }
 
-struct FetchJob {
-    waiting: Vec<Waiter>,
-}
-
 pub(super) struct WbJob {
     pub(super) tvpn: u64,
     old_ppn: Option<Ppn>,
 }
 
-#[derive(Default)]
 pub(super) struct MapIo {
-    fetches: BTreeMap<u64, FetchJob>,
+    /// Per translation page: what is parked on its fetch. A page is being
+    /// fetched exactly while its list is non-empty.
+    fetches: Vec<Vec<Waiter>>,
     pub(super) wb_jobs: JobTable<WbJob>,
 }
 
 impl MapIo {
+    /// Mapping IO over `tvpns` translation pages.
+    pub(super) fn new(tvpns: u64) -> Self {
+        MapIo {
+            fetches: vec![Vec::new(); tvpns as usize],
+            wb_jobs: JobTable::default(),
+        }
+    }
+
     /// The translation page writeback job `wb` programs.
     pub(super) fn wb_tvpn(&self, wb: usize) -> u64 {
         self.wb_jobs[wb].tvpn
@@ -50,9 +53,9 @@ impl MapIo {
 impl Controller {
     pub(super) fn park_on_fetch(&mut self, waiter: Waiter, tvpn: u64, now: SimTime) {
         self.stats.mapping_fetches += 1;
-        if let Some(f) = self.mapio.fetches.get_mut(&tvpn) {
-            f.waiting.push(waiter);
-        } else {
+        let parked = &mut self.mapio.fetches[tvpn as usize];
+        parked.push(waiter);
+        if parked.len() == 1 {
             if let Some(o) = &mut self.obs {
                 // Link the fetch span to the request it stalls (or the
                 // flush policy) rather than the generic mapping policy.
@@ -62,12 +65,6 @@ impl Controller {
                 };
                 o.set_cause(cause);
             }
-            self.mapio.fetches.insert(
-                tvpn,
-                FetchJob {
-                    waiting: vec![waiter],
-                },
-            );
             self.enqueue(
                 OpClass::MappingRead,
                 None,
@@ -83,9 +80,9 @@ impl Controller {
     /// Translation page `tvpn` arrived (or resolved from RAM): install
     /// its entries and restart everything parked on it.
     pub(super) fn fetch_done(&mut self, tvpn: u64, now: SimTime) {
-        let fetch = self.mapio.fetches.remove(&tvpn).expect("live fetch");
-        let lpns: Vec<Lpn> = fetch
-            .waiting
+        let waiting = std::mem::take(&mut self.mapio.fetches[tvpn as usize]);
+        assert!(!waiting.is_empty(), "live fetch");
+        let lpns: Vec<Lpn> = waiting
             .iter()
             .map(|w| match w {
                 Waiter::Request(id) => self.host.lpn_of(*id),
@@ -93,7 +90,7 @@ impl Controller {
             })
             .collect();
         self.ftl.fetch_complete(tvpn, &lpns);
-        for w in fetch.waiting {
+        for w in waiting {
             match w {
                 Waiter::Request(id) => self.start_or_park(id, now),
                 Waiter::Flush { lpn, version } => self.start_flush(lpn, version, now),

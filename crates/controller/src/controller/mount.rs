@@ -164,9 +164,9 @@ impl Controller {
             .then(|| Box::new(Obs::new(cfg.obs.span_capacity)));
         let mut c = Controller {
             disp: Dispatch::new(&geometry),
-            reclaim: Reclaim::new(geometry.total_luns(), cfg.seed),
+            reclaim: Reclaim::new(&geometry, cfg.seed),
             merge: Merges::default(),
-            mapio: MapIo::default(),
+            mapio: MapIo::new(tvpns),
             reverse: rec.reverse,
             stats: CtrlStats::new(),
             lost_lpns: Default::default(),

@@ -8,15 +8,14 @@
 //! refreshes in flight). All three triggers drive the same machine: move
 //! every live page of the victim (`PendKind::GcMove`), then erase it.
 
-use std::collections::BTreeSet;
-
 use eagletree_core::{SimRng, SimTime};
-use eagletree_flash::{BlockAddr, PhysicalAddr};
+use eagletree_flash::{BlockAddr, Geometry, PhysicalAddr};
 
 use super::dispatch::{EraseOwner, PendKind, WriteWhat};
 use super::jobs::JobTable;
 use super::{Controller, PageContent};
 use crate::alloc::Stream;
+use crate::bits::BitSet;
 use crate::gc::{pick_victim, ReclaimJob};
 use crate::scrub::pick_scrub_victim;
 use crate::types::{IoSource, OpClass, Ppn};
@@ -24,7 +23,8 @@ use crate::wear::pick_wl_victim;
 
 pub(super) struct Reclaim {
     pub(super) jobs: JobTable<ReclaimJob>,
-    victims: BTreeSet<BlockAddr>,
+    /// The blocks being evacuated, by [`Geometry::block_index`].
+    victims: BitSet,
     /// Reclaim jobs in flight per LUN (GC starts at most one).
     active: Vec<u32>,
     rng: SimRng,
@@ -37,11 +37,11 @@ pub(super) struct Reclaim {
 }
 
 impl Reclaim {
-    pub(super) fn new(total_luns: u32, seed: u64) -> Self {
+    pub(super) fn new(geometry: &Geometry, seed: u64) -> Self {
         Reclaim {
             jobs: JobTable::default(),
-            victims: BTreeSet::new(),
-            active: vec![0; total_luns as usize],
+            victims: BitSet::new(geometry.total_blocks()),
+            active: vec![0; geometry.total_luns() as usize],
             rng: SimRng::new(seed),
             erases_since_wl: 0,
             ops_since_scrub: 0,
@@ -69,8 +69,9 @@ const GC_CLASSES: (OpClass, OpClass) = (OpClass::GcRead, OpClass::GcWrite);
 
 impl Controller {
     pub(super) fn reclaim_skip_set(&self) -> impl Fn(BlockAddr) -> bool + '_ {
+        let geometry = self.array.geometry();
         move |b: BlockAddr| {
-            self.reclaim.victims.contains(&b)
+            self.reclaim.victims.get(geometry.block_index(b))
                 || self.alloc.is_free(b)
                 || self.alloc.is_active(b)
                 || self.is_ckpt_reserved(b)
@@ -153,7 +154,8 @@ impl Controller {
             .reclaim
             .jobs
             .insert(ReclaimJob::new(victim, lun, source, valid.len() as u32));
-        self.reclaim.victims.insert(victim);
+        let victim_index = self.array.geometry().block_index(victim);
+        self.reclaim.victims.set(victim_index);
         self.reclaim.active[lun as usize] += 1;
         if valid.is_empty() {
             self.enqueue_erase(job_id, victim, now);
@@ -282,7 +284,8 @@ impl Controller {
                 return;
             }
             EraseOwner::Reclaim { job } => {
-                self.reclaim.victims.remove(&block);
+                let block_index = self.array.geometry().block_index(block);
+                self.reclaim.victims.clear(block_index);
                 let j = self.reclaim.jobs.take(job);
                 self.reclaim.active[j.lun as usize] -= 1;
                 j.source

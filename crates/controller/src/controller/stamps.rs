@@ -6,8 +6,7 @@
 //! released when its completion is handled; the minimum outstanding stamp
 //! bounds the checkpoint watermark.
 
-use std::collections::BTreeSet;
-
+use eagletree_core::IdTable;
 use eagletree_flash::{OobEntry, OobTag, PhysicalAddr};
 
 use super::{Controller, PageContent};
@@ -20,7 +19,7 @@ pub(super) struct Stamps {
     /// Stamps of data/translation programs whose mapping effect has not
     /// landed yet; their minimum bounds the checkpoint watermark, so a
     /// snapshot never claims to cover an entry it cannot contain.
-    inflight: BTreeSet<u64>,
+    inflight: IdTable<()>,
 }
 
 impl Stamps {
@@ -29,7 +28,7 @@ impl Stamps {
     pub(super) fn resume(max_stamp: u64) -> Self {
         Stamps {
             next: max_stamp + 1,
-            inflight: BTreeSet::new(),
+            inflight: IdTable::default(),
         }
     }
 
@@ -43,10 +42,7 @@ impl Stamps {
     /// (issued-but-unlanded) program stamp, so replay re-scans any block
     /// that could hold an entry a snapshot does not yet reflect.
     pub(super) fn watermark(&self) -> u64 {
-        self.inflight
-            .first()
-            .map(|&s| s - 1)
-            .unwrap_or(self.next - 1)
+        self.inflight.oldest().unwrap_or(self.next) - 1
     }
 }
 
@@ -59,7 +55,7 @@ impl Controller {
     pub(super) fn landed(&mut self, ppn: Ppn) {
         let oob = self.array.oob(self.array.geometry().page_at(ppn));
         let oob = oob.expect("a landed program carries OOB");
-        let held = self.stamps.inflight.remove(&oob.stamp);
+        let held = self.stamps.inflight.remove(oob.stamp).is_some();
         debug_assert!(
             held || matches!(oob.tag, OobTag::Filler | OobTag::Checkpoint { .. }),
             "page {ppn} landed twice, or was programmed again without landing: {oob:?}"
@@ -84,8 +80,7 @@ impl Controller {
         let stamp = self.stamps.fresh();
         let seq = seq.unwrap_or(stamp);
         self.array.set_oob(addr, OobEntry { tag, seq, stamp });
-        let fresh = self.stamps.inflight.insert(stamp);
-        debug_assert!(fresh, "program stamp {stamp} handed out twice");
+        self.stamps.inflight.insert(stamp, ());
     }
 
     /// Stamp a program that carries no mapping entry of its own (merge

@@ -22,8 +22,7 @@
 //! / GTD / pending structures model the *cost* (which operations require
 //! flash IOs), never the values.
 
-use std::collections::{BTreeMap, BTreeSet};
-
+use crate::bits::BitSet;
 use crate::ftl::lru::LruCache;
 use crate::ftl::{MapLookup, TranslationWriteback};
 use crate::types::{Lpn, Ppn};
@@ -36,8 +35,10 @@ pub struct Dftl {
     cmt: LruCache,
     /// tvpn → flash location of the translation page.
     gtd: Vec<Option<Ppn>>,
-    /// GC-relocated entries not yet persisted nor cached, by tvpn.
-    pending: BTreeMap<u64, BTreeSet<Lpn>>,
+    /// GC-relocated entries not yet persisted nor cached.
+    pending: BitSet,
+    /// How many of them each translation page covers.
+    pending_in: Vec<u32>,
     /// Dirty-eviction writebacks awaiting the controller.
     queued: Vec<TranslationWriteback>,
     /// Mapping entries per translation page.
@@ -70,9 +71,10 @@ impl Dftl {
         let tvpns = logical_pages.div_ceil(entries_per_tp).max(1);
         Dftl {
             map: vec![None; logical_pages as usize],
-            cmt: LruCache::new(cmt_entries),
+            cmt: LruCache::new(cmt_entries, logical_pages),
             gtd: vec![None; tvpns as usize],
-            pending: BTreeMap::new(),
+            pending: BitSet::new(logical_pages),
+            pending_in: vec![0; tvpns as usize],
             queued: Vec::new(),
             entries_per_tp,
             stats: DftlStats::default(),
@@ -128,11 +130,33 @@ impl Dftl {
             self.cmt.set_dirty(l, false);
             self.stats.batched_entries += 1;
         }
-        self.pending.remove(&tvpn);
+        self.clear_pending(tvpn);
         self.queued.push(TranslationWriteback {
             tvpn,
             old_ppn: self.gtd[tvpn as usize],
         });
+    }
+
+    /// Forget a pending relocation of `lpn`, if there is one.
+    fn take_pending(&mut self, lpn: Lpn) -> bool {
+        let pending = self.pending.get(lpn);
+        if pending {
+            self.pending.clear(lpn);
+            let tvpn = self.tvpn_of(lpn);
+            self.pending_in[tvpn as usize] -= 1;
+        }
+        pending
+    }
+
+    /// Forget every pending relocation translation page `tvpn` covers.
+    fn clear_pending(&mut self, tvpn: u64) {
+        let first = tvpn * self.entries_per_tp;
+        let mut lpn = first;
+        while self.pending_in[tvpn as usize] > 0 {
+            self.take_pending(lpn);
+            lpn += 1;
+        }
+        debug_assert!(lpn <= first + self.entries_per_tp);
     }
 
     /// Insert `lpn` into the CMT; a dirty eviction queues a writeback.
@@ -150,20 +174,18 @@ impl Dftl {
 impl Dftl {
     pub fn lookup(&mut self, lpn: Lpn, pin: bool) -> MapLookup {
         let tvpn = self.tvpn_of(lpn);
-        if self.cmt.contains(lpn) {
-            self.cmt.touch(lpn);
+        if self.cmt.touch(lpn) {
             if pin {
                 self.cmt.pin(lpn);
             }
             self.stats.cmt_hits += 1;
             return MapLookup::Ready(self.map[lpn as usize]);
         }
-        if self.pending.get(&tvpn).is_some_and(|s| s.contains(&lpn)) {
+        if self.take_pending(lpn) {
             // The latest location is known in RAM (awaiting fold); no flash
             // read needed. Promote into the CMT as dirty so it eventually
             // persists.
             self.stats.pending_hits += 1;
-            self.pending.get_mut(&tvpn).unwrap().remove(&lpn);
             self.cmt_insert(lpn, true);
             if pin {
                 self.cmt.pin(lpn);
@@ -192,10 +214,7 @@ impl Dftl {
 
     pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
         let old = self.map[lpn as usize].replace(ppn);
-        let tvpn = self.tvpn_of(lpn);
-        if let Some(s) = self.pending.get_mut(&tvpn) {
-            s.remove(&lpn);
-        }
+        self.take_pending(lpn);
         self.cmt_insert(lpn, true);
         old
     }
@@ -206,22 +225,19 @@ impl Dftl {
             "relocate of unmapped lpn {lpn}"
         );
         self.map[lpn as usize] = Some(new_ppn);
-        if self.cmt.contains(lpn) {
+        if self.cmt.touch(lpn) {
             self.cmt.set_dirty(lpn, true);
-            self.cmt.touch(lpn);
-        } else {
+        } else if !self.pending.get(lpn) {
+            self.pending.set(lpn);
             let tvpn = self.tvpn_of(lpn);
-            self.pending.entry(tvpn).or_default().insert(lpn);
+            self.pending_in[tvpn as usize] += 1;
         }
     }
 
     pub fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
         let old = self.map[lpn as usize].take();
         if old.is_some() {
-            let tvpn = self.tvpn_of(lpn);
-            if let Some(s) = self.pending.get_mut(&tvpn) {
-                s.remove(&lpn);
-            }
+            self.take_pending(lpn);
             // Record the unmapping so it persists: cache dirty.
             self.cmt_insert(lpn, true);
         }
@@ -244,7 +260,7 @@ impl Dftl {
 
     pub fn translation_written(&mut self, tvpn: u64, new_ppn: Ppn) -> Option<Ppn> {
         // A fresh flash copy subsumes any pending relocations of this page.
-        self.pending.remove(&tvpn);
+        self.clear_pending(tvpn);
         self.gtd[tvpn as usize].replace(new_ppn)
     }
 
@@ -252,7 +268,7 @@ impl Dftl {
         // CMT entries: 16 B (lpn + ppn); GTD: 8 B per tvpn; pending: 8 B.
         self.cmt.capacity() as u64 * 16
             + self.gtd.len() as u64 * 8
-            + self.pending.values().map(|s| s.len() as u64 * 8).sum::<u64>()
+            + self.pending_in.iter().map(|&n| n as u64 * 8).sum::<u64>()
     }
 
     pub fn peek(&self, lpn: Lpn) -> Option<Ppn> {

@@ -1,13 +1,16 @@
 //! A small intrusive-list LRU cache used by DFTL's cached mapping table.
 //!
-//! Keys are `u64` (logical page numbers). Entries carry a dirty flag and a
-//! pin count; pinned entries are skipped by eviction so mapping entries of
-//! in-flight IOs cannot disappear under them.
+//! Keys are `u64` (logical page numbers) below a bound fixed at
+//! construction, so finding an entry is one load from a per-key index.
+//! Entries carry a dirty flag and a pin count; pinned entries are skipped
+//! by eviction so mapping entries of in-flight IOs cannot disappear under
+//! them.
 
-use std::collections::BTreeMap;
-use std::ops::RangeBounds;
+use std::ops::Range;
 
 const NIL: usize = usize::MAX;
+/// [`LruCache::index`] entry of a key that is not cached.
+const ABSENT: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -21,7 +24,8 @@ struct Node {
 /// LRU cache with dirty flags and pinning.
 #[derive(Debug, Clone)]
 pub struct LruCache {
-    map: BTreeMap<u64, usize>,
+    /// Per key: its node, or [`ABSENT`].
+    index: Vec<u32>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -30,11 +34,12 @@ pub struct LruCache {
 }
 
 impl LruCache {
-    /// A cache bounded to `capacity` entries (> 0).
-    pub fn new(capacity: usize) -> Self {
+    /// A cache bounded to `capacity` entries (> 0) over the keys
+    /// `0..keys`.
+    pub fn new(capacity: usize, keys: u64) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
         LruCache {
-            map: BTreeMap::new(),
+            index: vec![ABSENT; keys as usize],
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -44,24 +49,31 @@ impl LruCache {
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.nodes.len() - self.free.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
+    /// The node of `key`, when it is cached.
+    #[inline]
+    fn node(&self, key: u64) -> Option<usize> {
+        let &i = self.index.get(usize::try_from(key).ok()?)?;
+        (i != ABSENT).then_some(i as usize)
+    }
+
     pub fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
+        self.node(key).is_some()
     }
 
     /// True if the entry exists and is dirty.
     pub fn is_dirty(&self, key: u64) -> bool {
-        self.map.get(&key).is_some_and(|&i| self.nodes[i].dirty)
+        self.node(key).is_some_and(|i| self.nodes[i].dirty)
     }
 
     fn unlink(&mut self, i: usize) {
@@ -92,7 +104,7 @@ impl LruCache {
 
     /// Touch `key` (move to MRU). Returns true if present.
     pub fn touch(&mut self, key: u64) -> bool {
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(i) = self.node(key) {
             self.unlink(i);
             self.push_front(i);
             true
@@ -103,13 +115,14 @@ impl LruCache {
 
     /// Insert `key` (or touch it if present), setting `dirty` by OR.
     ///
-    /// If the cache is over capacity afterwards, evicts the least recently
+    /// Panics on a key outside the cache's key space. If the cache is over
+    /// capacity afterwards, evicts the least recently
     /// used *unpinned* entry and returns `Some((key, was_dirty))`. Returns
     /// `None` when nothing was evicted (capacity available, or every entry
     /// pinned — the cache then temporarily exceeds capacity rather than
     /// deadlock).
     pub fn insert(&mut self, key: u64, dirty: bool) -> Option<(u64, bool)> {
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(i) = self.node(key) {
             self.nodes[i].dirty |= dirty;
             self.unlink(i);
             self.push_front(i);
@@ -134,9 +147,9 @@ impl LruCache {
             });
             self.nodes.len() - 1
         };
-        self.map.insert(key, i);
+        self.index[key as usize] = u32::try_from(i).expect("cached entries fit a u32");
         self.push_front(i);
-        if self.map.len() > self.capacity {
+        if self.len() > self.capacity {
             self.evict_lru()
         } else {
             None
@@ -161,7 +174,8 @@ impl LruCache {
 
     /// Remove `key` outright. Returns its dirty flag if it was present.
     pub fn remove(&mut self, key: u64) -> Option<bool> {
-        let i = self.map.remove(&key)?;
+        let i = self.node(key)?;
+        self.index[key as usize] = ABSENT;
         self.unlink(i);
         let dirty = self.nodes[i].dirty;
         self.free.push(i);
@@ -170,13 +184,13 @@ impl LruCache {
 
     /// Pin an entry against eviction (must be present).
     pub fn pin(&mut self, key: u64) {
-        let i = *self.map.get(&key).expect("pin of absent LRU entry");
+        let i = self.node(key).expect("pin of absent LRU entry");
         self.nodes[i].pins += 1;
     }
 
     /// Release one pin.
     pub fn unpin(&mut self, key: u64) {
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(i) = self.node(key) {
             debug_assert!(self.nodes[i].pins > 0, "unpin without pin");
             self.nodes[i].pins = self.nodes[i].pins.saturating_sub(1);
         }
@@ -184,14 +198,15 @@ impl LruCache {
 
     /// Set the dirty flag of a present entry.
     pub fn set_dirty(&mut self, key: u64, dirty: bool) {
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(i) = self.node(key) {
             self.nodes[i].dirty = dirty;
         }
     }
 
     /// The keys present within `range`, ascending.
-    pub fn keys_in(&self, range: impl RangeBounds<u64>) -> impl Iterator<Item = u64> + '_ {
-        self.map.range(range).map(|(&key, _)| key)
+    pub fn keys_in(&self, range: Range<u64>) -> impl Iterator<Item = u64> + '_ {
+        let keys = self.index.len() as u64;
+        (range.start..range.end.min(keys)).filter(|&key| self.index[key as usize] != ABSENT)
     }
 }
 
@@ -201,7 +216,7 @@ mod tests {
 
     #[test]
     fn evicts_lru_on_overflow() {
-        let mut c = LruCache::new(2);
+        let mut c = LruCache::new(2, 1000);
         assert_eq!(c.insert(1, false), None);
         assert_eq!(c.insert(2, false), None);
         assert_eq!(c.insert(3, false), Some((1, false)));
@@ -211,7 +226,7 @@ mod tests {
 
     #[test]
     fn touch_changes_eviction_order() {
-        let mut c = LruCache::new(2);
+        let mut c = LruCache::new(2, 1000);
         c.insert(1, false);
         c.insert(2, false);
         assert!(c.touch(1));
@@ -221,7 +236,7 @@ mod tests {
 
     #[test]
     fn dirty_flag_survives_and_reports_on_eviction() {
-        let mut c = LruCache::new(1);
+        let mut c = LruCache::new(1, 1000);
         c.insert(1, true);
         assert!(c.is_dirty(1));
         assert_eq!(c.insert(2, false), Some((1, true)));
@@ -229,7 +244,7 @@ mod tests {
 
     #[test]
     fn insert_existing_ors_dirty_and_touches() {
-        let mut c = LruCache::new(2);
+        let mut c = LruCache::new(2, 1000);
         c.insert(1, false);
         c.insert(2, false);
         c.insert(1, true); // touch + dirty
@@ -239,7 +254,7 @@ mod tests {
 
     #[test]
     fn pinned_entries_survive_eviction() {
-        let mut c = LruCache::new(2);
+        let mut c = LruCache::new(2, 1000);
         c.insert(1, false);
         c.pin(1);
         c.insert(2, false);
@@ -252,7 +267,7 @@ mod tests {
 
     #[test]
     fn all_pinned_overflows_gracefully() {
-        let mut c = LruCache::new(1);
+        let mut c = LruCache::new(1, 1000);
         c.insert(1, false);
         c.pin(1);
         assert_eq!(c.insert(2, false), None);
@@ -261,7 +276,7 @@ mod tests {
 
     #[test]
     fn remove_and_reuse_slots() {
-        let mut c = LruCache::new(3);
+        let mut c = LruCache::new(3, 1000);
         c.insert(1, true);
         c.insert(2, false);
         assert_eq!(c.remove(1), Some(true));
@@ -269,20 +284,121 @@ mod tests {
         c.insert(3, false);
         c.insert(4, false);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.keys_in(..).collect::<Vec<_>>(), [2, 3, 4]);
+        assert_eq!(c.keys_in(0..1000).collect::<Vec<_>>(), [2, 3, 4]);
         assert_eq!(c.keys_in(3..4).collect::<Vec<_>>(), [3]);
-        assert_eq!(c.keys_in(5..).count(), 0);
+        assert_eq!(c.keys_in(5..u64::MAX).count(), 0);
     }
 
     #[test]
     fn long_sequence_is_consistent() {
-        let mut c = LruCache::new(8);
+        let mut c = LruCache::new(8, 1000);
         for k in 0..1000u64 {
             c.insert(k, k % 3 == 0);
             assert!(c.len() <= 8);
         }
         for k in 992..1000 {
             assert!(c.contains(k));
+        }
+    }
+
+    /// The cache as a plain list, most recently used first: every
+    /// operation is a scan.
+    #[derive(Default)]
+    struct ScanLru {
+        /// `(key, dirty, pins)`.
+        entries: Vec<(u64, bool, u32)>,
+    }
+
+    impl ScanLru {
+        fn at(&self, key: u64) -> Option<usize> {
+            self.entries.iter().position(|e| e.0 == key)
+        }
+
+        fn touch(&mut self, key: u64) -> bool {
+            let Some(i) = self.at(key) else { return false };
+            let e = self.entries.remove(i);
+            self.entries.insert(0, e);
+            true
+        }
+
+        fn insert(&mut self, key: u64, dirty: bool, capacity: usize) -> Option<(u64, bool)> {
+            if self.touch(key) {
+                self.entries[0].1 |= dirty;
+                return None;
+            }
+            self.entries.insert(0, (key, dirty, 0));
+            if self.entries.len() <= capacity {
+                return None;
+            }
+            // The least recently used unpinned entry, never the newcomer.
+            let i = self.entries.iter().rposition(|e| e.2 == 0).filter(|&i| i > 0)?;
+            let (key, dirty, _) = self.entries.remove(i);
+            Some((key, dirty))
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_indexed_cache_is_the_scanned_one(
+            seed in proptest::prelude::any::<u64>(),
+            capacity in 1usize..12,
+            keys in 1u64..40,
+            steps in 100usize..1500,
+        ) {
+            use proptest::prop_assert_eq;
+            let mut rng = eagletree_core::SimRng::new(seed);
+            let mut c = LruCache::new(capacity, keys);
+            let mut m = ScanLru::default();
+            for _ in 0..steps {
+                // Now and then a key the cache has no room to index.
+                let key = rng.gen_range(keys + 2);
+                let flag = rng.gen_bool(0.5);
+                match (rng.gen_range(7), m.at(key)) {
+                    (0 | 1, _) if key < keys => {
+                        prop_assert_eq!(c.insert(key, flag), m.insert(key, flag, capacity));
+                    }
+                    (2, _) => prop_assert_eq!(c.touch(key), m.touch(key)),
+                    (3, Some(i)) => {
+                        c.pin(key);
+                        m.entries[i].2 += 1;
+                    }
+                    (4, Some(i)) if m.entries[i].2 > 0 => {
+                        c.unpin(key);
+                        m.entries[i].2 -= 1;
+                    }
+                    (5, at) => {
+                        let gone = at.map(|i| m.entries.remove(i).1);
+                        prop_assert_eq!(c.remove(key), gone);
+                    }
+                    (6, at) => {
+                        c.set_dirty(key, flag);
+                        if let Some(i) = at {
+                            m.entries[i].1 = flag;
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(c.len(), m.entries.len());
+                prop_assert_eq!(c.contains(key), m.at(key).is_some());
+                prop_assert_eq!(c.is_dirty(key), m.at(key).is_some_and(|i| m.entries[i].1));
+                let (from, to) = (rng.gen_range(keys + 2), rng.gen_range(keys + 2));
+                let mut within: Vec<u64> = m.entries.iter().map(|e| e.0).collect();
+                within.retain(|k| (from..to).contains(k));
+                within.sort_unstable();
+                prop_assert_eq!(c.keys_in(from..to).collect::<Vec<_>>(), within);
+                prop_assert_eq!(c.keys_in(0..keys).count(), m.entries.len());
+            }
+            // Pin everything: the next newcomers overflow, evicting nothing.
+            let held: Vec<u64> = c.keys_in(0..keys).collect();
+            for &k in &held {
+                c.pin(k);
+            }
+            if let Some(newcomer) = (0..keys).find(|k| !held.contains(k)) {
+                if held.len() >= capacity {
+                    prop_assert_eq!(c.insert(newcomer, false), None);
+                    prop_assert_eq!(c.len(), held.len() + 1);
+                }
+            }
         }
     }
 }

@@ -62,8 +62,6 @@
 //! candidates are compared by `(class, tag, enqueue-time, seq)` keys, and
 //! callers sort head candidates by `seq` before handing them to a policy.
 
-use std::collections::BTreeMap;
-
 use crate::alloc::Stream;
 use crate::bits::BitSet;
 use crate::types::OpClass;
@@ -72,7 +70,7 @@ use crate::types::OpClass;
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// Which group a pending op belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum QueueKey {
     /// Register transfers: issued before anything else whenever their
     /// channel frees, since a LUN holding data blocks all other commands.
@@ -187,7 +185,10 @@ pub(crate) struct PendingSet<T> {
     free: Vec<u32>,
     queues: Vec<Queue>,
     groups: Vec<Group>,
-    by_key: BTreeMap<QueueKey, u32>,
+    /// Group id per class and tag — `by_class[class][0]` for no tag,
+    /// `[1 + tag]` otherwise; `NO_SLOT`, or beyond the end, where no op
+    /// has used the key yet. The transfer group needs no entry.
+    by_class: [Vec<u32>; OpClass::COUNT],
     live: usize,
 }
 
@@ -204,10 +205,10 @@ impl<T> PendingSet<T> {
             free: Vec::new(),
             queues: Vec::new(),
             groups: Vec::new(),
-            by_key: BTreeMap::new(),
+            by_class: Default::default(),
             live: 0,
         };
-        let transfers = set.group_of(QueueKey::Transfer);
+        let transfers = set.new_group();
         debug_assert_eq!(transfers, Self::TRANSFER_GROUP);
         set
     }
@@ -322,9 +323,26 @@ impl<T> PendingSet<T> {
 
     /// Group id for `key`, created on first use.
     fn group_of(&mut self, key: QueueKey) -> u32 {
-        if let Some(&g) = self.by_key.get(&key) {
-            return g;
+        let QueueKey::Class(class, tag) = key else {
+            return Self::TRANSFER_GROUP;
+        };
+        let tag = tag.map_or(0, |t| 1 + t as usize);
+        if let Some(&g) = self.by_class[class as usize].get(tag) {
+            if g != NO_SLOT {
+                return g;
+            }
         }
+        let g = self.new_group();
+        let by_tag = &mut self.by_class[class as usize];
+        if by_tag.len() <= tag {
+            by_tag.resize(tag + 1, NO_SLOT);
+        }
+        by_tag[tag] = g;
+        g
+    }
+
+    /// A fresh, empty group: the next id in first-use order.
+    fn new_group(&mut self) -> u32 {
         let g = self.groups.len() as u32;
         let scan = self.new_queue(g, NO_SLOT, NO_SLOT);
         self.groups.push(Group {
@@ -332,7 +350,6 @@ impl<T> PendingSet<T> {
             families: Vec::new(),
             len: 0,
         });
-        self.by_key.insert(key, g);
         g
     }
 

@@ -29,16 +29,16 @@ impl Bloom {
         }
     }
 
-    fn positions(&self, lpn: Lpn) -> impl Iterator<Item = u64> + '_ {
+    fn positions(&self, lpn: Lpn) -> impl Iterator<Item = u64> {
         // Double hashing with two splitmix-derived values.
         let h1 = splitmix(lpn ^ 0x9E37_79B9_7F4A_7C15);
         let h2 = splitmix(lpn.wrapping_mul(0xBF58_476D_1CE4_E5B9)) | 1;
-        (0..self.hashes as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) & self.mask)
+        let mask = self.mask;
+        (0..self.hashes as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) & mask)
     }
 
     fn insert(&mut self, lpn: Lpn) {
-        let positions: Vec<u64> = self.positions(lpn).collect();
-        for p in positions {
+        for p in self.positions(lpn) {
             self.bits.set(p);
         }
     }

@@ -84,7 +84,9 @@ impl IoTags {
 /// A request submitted by the OS to the SSD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SsdRequest {
-    /// OS-assigned correlation id (unique among in-flight requests).
+    /// Host-assigned correlation id. A host counts them up: a read or an
+    /// unbuffered write whose id does not follow that of the last one
+    /// taken in flight is refused (a panic naming both).
     pub id: RequestId,
     /// Operation.
     pub kind: RequestKind,

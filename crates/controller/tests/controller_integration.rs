@@ -3,7 +3,7 @@
 
 use eagletree_controller::{
     Controller, ControllerConfig, Driver, GcConfig, IoTags, MappingKind, RequestKind, SchedPolicy,
-    TemperatureMode, VictimPolicy, WlConfig, WriteAllocPolicy,
+    SsdRequest, TemperatureMode, VictimPolicy, WlConfig, WriteAllocPolicy,
 };
 use eagletree_core::{SimRng, SimTime};
 use eagletree_flash::{Geometry, TimingSpec};
@@ -23,6 +23,17 @@ fn write_then_read_round_trip() {
     // Read latency ≈ cmd + tR + transfer; strictly after submission.
     assert!(read_done > write_done);
     d.c.check_invariants();
+}
+
+#[test]
+#[should_panic(expected = "id 3 does not follow id 5")]
+fn request_ids_only_increase() {
+    let mut d = Driver::tiny(ControllerConfig::default());
+    let write = |id, lpn| SsdRequest { id, kind: RequestKind::Write, lpn, tags: IoTags::none() };
+    d.c.submit(write(5, 1), d.now);
+    // Even once 5 has completed: an id is used once, in order.
+    d.run();
+    d.c.submit(write(3, 2), d.now);
 }
 
 #[test]

@@ -13,6 +13,9 @@
 //!   distributions the workload generators need (uniform, [`Zipf`]),
 //! * [`Slab`] — values under small stable slot numbers that later inserts
 //!   reuse: the O(1), deterministic stand-in for a tree keyed by dense ids,
+//! * [`IdTable`] / [`IdWindow`] — the same for ids somebody else hands out
+//!   in increasing order (request ids, span ids, program stamps): a slab
+//!   found through a sliding window over the ids still live,
 //! * [`stats`] — streaming statistics (mean/variance, log-bucketed latency
 //!   histograms with quantiles, time-series samplers) used by the
 //!   experimental suite.
@@ -25,6 +28,7 @@
 
 pub mod blkio;
 pub mod event;
+pub mod idtable;
 pub mod obs;
 pub mod rng;
 pub mod slab;
@@ -32,6 +36,7 @@ pub mod stats;
 pub mod time;
 
 pub use blkio::{BlkOp, BlkRecord};
+pub use idtable::{IdTable, IdWindow};
 pub use event::{thread_events_popped, EventQueue, QueueKind, ScheduledEvent};
 pub use obs::{
     json_str, Cause, Obs, ObsConfig, Span, Stage, StageBreakdown, StageNs, Timeline, NO_SPAN,

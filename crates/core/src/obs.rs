@@ -12,8 +12,7 @@
 //!   and an interference annotation when it was stalled behind an internal
 //!   op on its LUN.
 //! * [`Obs`] — the collector: open-span cursors in a [`Slab`], found
-//!   from a span id through a sliding window over the ids from the oldest
-//!   open span on; a ring buffer of the most recent closed spans, whose
+//!   from a span id through the crate's [`IdWindow`]; a ring buffer of the most recent closed spans, whose
 //!   evicted busy lists the next opens reuse; the host breakdowns of one
 //!   [`Obs::rotate_finished`] period; and per-lane "last internal op"
 //!   memory for interference attribution. Nothing is keyed by a host
@@ -40,6 +39,7 @@
 
 use std::collections::VecDeque;
 
+use crate::idtable::IdWindow;
 use crate::slab::Slab;
 use crate::stats::{Histogram, Tail};
 use crate::time::{SimDuration, SimTime};
@@ -223,9 +223,6 @@ impl OpenSpan {
     }
 }
 
-/// [`Obs::window`] entry of a span that has closed.
-const CLOSED: u32 = u32::MAX;
-
 /// The span collector. Owned by the controller (one per device); the OS
 /// layer reaches it through the controller to open host-request spans and
 /// drain finished breakdowns.
@@ -234,11 +231,10 @@ pub struct Obs {
     next_id: u64,
     /// The open spans' cursors; a closed span's slot goes to a later open.
     open: Slab<OpenSpan>,
-    /// The `open` slot of every id from the oldest open span on
-    /// (`window[i]` is id `next_id - window.len() + i`), [`CLOSED`] once
-    /// that span closed. Its front is always an open span, so it is empty
-    /// whenever nothing is open; an id before its front closed long ago.
-    window: VecDeque<u32>,
+    /// The `open` slot of every open span, by id; an id before the
+    /// window's front closed long ago. (The two are an `IdTable`, kept as
+    /// its halves: the property test below reads each.)
+    window: IdWindow,
     /// Host breakdowns closed since the last [`Obs::rotate_finished`], as
     /// `(request id, stages)` in close order: their completions have not
     /// been handed to the host yet.
@@ -268,7 +264,7 @@ impl Obs {
             capacity,
             next_id: 1,
             open: Slab::default(),
-            window: VecDeque::new(),
+            window: IdWindow::default(),
             acked: VecDeque::new(),
             returned: VecDeque::new(),
             closed: Vec::new(),
@@ -321,25 +317,15 @@ impl Obs {
             },
             last: now,
         });
-        assert!(slot < CLOSED as usize, "open spans fit a u32");
-        self.window.push_back(slot as u32);
+        let slot = u32::try_from(slot).expect("open spans fit a u32");
+        self.window.open(id, slot);
         id
     }
 
-    /// Where open span `span` is: its index in the id window and its slot.
-    /// `None` for an id never issued (that covers [`NO_SPAN`]), one the
-    /// window has moved past, and one marked [`CLOSED`].
-    fn locate(&self, span: u64) -> Option<(usize, usize)> {
-        let oldest = self.next_id - self.window.len() as u64;
-        let i = usize::try_from(span.checked_sub(oldest)?).ok()?;
-        let slot = *self.window.get(i)?;
-        (slot != CLOSED).then_some((i, slot as usize))
-    }
-
-    /// The cursor of `span` while it is open.
+    /// The cursor of `span` while it is open: `None` for an id never
+    /// issued (that covers [`NO_SPAN`]) and for one that closed.
     fn cursor(&mut self, span: u64) -> Option<&mut OpenSpan> {
-        let (_, slot) = self.locate(span)?;
-        Some(&mut self.open[slot])
+        Some(&mut self.open[self.window.slot(span)? as usize])
     }
 
     /// Set the cause attached to subsequently opened internal spans. The
@@ -387,10 +373,10 @@ impl Obs {
         waited_since: SimTime,
         host_bound: bool,
     ) {
-        let Some((at, slot)) = self.locate(span) else {
+        let Some(slot) = self.window.slot(span) else {
             return;
         };
-        let s = &mut self.open[slot];
+        let s = &mut self.open[slot as usize];
         s.charge(Stage::SchedPending, now);
         let busy = done_at.saturating_since(now);
         let retry = retry.min(busy);
@@ -413,7 +399,7 @@ impl Obs {
                 self.lane_internal.resize(li + 1, None);
             }
             self.lane_internal[li] = Some((span, kind, done_at));
-            self.close_at(at, slot, done_at);
+            self.close_open(span, done_at);
         }
     }
 
@@ -426,17 +412,8 @@ impl Obs {
 
     /// [`Obs::close`]; `None` when `span` is not open.
     fn close_open(&mut self, span: u64, end: SimTime) -> Option<StageNs> {
-        let (at, slot) = self.locate(span)?;
-        Some(self.close_at(at, slot, end))
-    }
-
-    /// Close the open span found at window index `at` in slot `slot`.
-    fn close_at(&mut self, at: usize, slot: usize, end: SimTime) -> StageNs {
-        self.window[at] = CLOSED;
-        while self.window.front() == Some(&CLOSED) {
-            self.window.pop_front();
-        }
-        let mut s = self.open.remove(slot);
+        let slot = self.window.close(span)?;
+        let mut s = self.open.remove(slot as usize);
         s.charge(Stage::SchedPending, end);
         let mut closed = s.span;
         closed.end = end;
@@ -454,7 +431,7 @@ impl Obs {
             }
             self.dropped += 1;
         }
-        stages
+        Some(stages)
     }
 
     /// Close the span of host request `req` at `end`, the instant the

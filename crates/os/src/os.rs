@@ -16,7 +16,7 @@
 //! thread queues. Both stages work over reused scratch buffers — no
 //! allocation per dispatched IO.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use eagletree_controller::{
@@ -24,7 +24,7 @@ use eagletree_controller::{
     SsdRequest, Stuck,
 };
 use eagletree_core::{
-    EventQueue, Histogram, Obs, OnlineStats, SimDuration, SimTime, Timeline, NO_SPAN,
+    EventQueue, Histogram, IdTable, Obs, OnlineStats, SimDuration, SimTime, Timeline, NO_SPAN,
 };
 
 use crate::qos::{self, QosPolicy, QosSlot, TenantCand};
@@ -186,7 +186,8 @@ pub struct Os {
     ns_watermark: u64,
     /// WFQ virtual clock: virtual start time of the last dispatched IO.
     vclock: f64,
-    inflight: BTreeMap<RequestId, Inflight>,
+    /// The dispatched IOs, by the request id `dispatch` counted up to.
+    inflight: IdTable<Inflight>,
     timers: EventQueue<ThreadId>,
     now: SimTime,
     next_req_id: RequestId,
@@ -195,6 +196,10 @@ pub struct Os {
     /// Dispatch scratch (reused; no per-IO allocation).
     scratch_heads: Vec<DispatchCandidate>,
     scratch_tenants: Vec<TenantCand>,
+    /// What a workload callback submits and arms, until `call_workload`
+    /// applies it (reused likewise; empty between callbacks).
+    scratch_submissions: Vec<OsIo>,
+    scratch_timers: Vec<SimDuration>,
     /// Time-sliced telemetry, when `ObsConfig::timeline_interval_us` is
     /// set on the controller.
     timeline: Option<Timeline>,
@@ -256,7 +261,7 @@ impl Os {
             default_tenant: None,
             ns_watermark: 0,
             vclock: 0.0,
-            inflight: BTreeMap::new(),
+            inflight: IdTable::default(),
             timers: EventQueue::new(),
             now: SimTime::ZERO,
             next_req_id: 0,
@@ -264,6 +269,8 @@ impl Os {
             last_served: 0,
             scratch_heads: Vec::new(),
             scratch_tenants: Vec::new(),
+            scratch_submissions: Vec::new(),
+            scratch_timers: Vec::new(),
             timeline,
             tl_next: SimTime::ZERO,
             tl_prev: TlSnap::default(),
@@ -777,7 +784,7 @@ impl Os {
     fn handle_completion(&mut self, c: Completion) {
         let inf = self
             .inflight
-            .remove(&c.id)
+            .remove(c.id)
             .expect("completion for unknown request");
         let done = CompletedIo {
             io: inf.io,
@@ -846,8 +853,8 @@ impl Os {
     fn call_workload(&mut self, tid: ThreadId, f: impl FnOnce(&mut dyn Workload, &mut ThreadCtx)) {
         let tenant = self.threads[tid].tenant;
         let ns = self.tenants[tenant].ns;
-        let mut submissions = Vec::new();
-        let mut timer_delays = Vec::new();
+        let mut submissions = std::mem::take(&mut self.scratch_submissions);
+        let mut timer_delays = std::mem::take(&mut self.scratch_timers);
         let mut finished = self.threads[tid].finished;
         {
             let mut ctx = ThreadCtx {
@@ -864,7 +871,7 @@ impl Os {
                 // Idle → backlogged: sync the WFQ virtual time.
                 self.qos_slots[tenant].on_backlogged(self.vclock);
             }
-            for io in submissions {
+            for io in submissions.drain(..) {
                 // Bounds check (panics on violation); translation to the
                 // device-absolute LBA happens at dispatch.
                 ns.translate(io.lpn, &self.tenants[tenant].name);
@@ -888,9 +895,13 @@ impl Os {
                 self.tenants[tenant].backlog += 1;
             }
         }
-        for d in timer_delays {
+        for d in timer_delays.drain(..) {
             self.timers.schedule(self.now + d, tid);
         }
+        // Back before a finished thread starts its dependants, whose
+        // callbacks come through here again.
+        self.scratch_submissions = submissions;
+        self.scratch_timers = timer_delays;
         let newly_finished = finished && !self.threads[tid].finished;
         self.threads[tid].finished = finished;
         if newly_finished {
