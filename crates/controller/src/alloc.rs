@@ -107,6 +107,11 @@ pub struct Allocator {
     /// Dynamic wear leveling: hot streams take young blocks, cold old.
     dynamic_wl: bool,
     rr_cursor: usize,
+    /// The GC floor: a LUN with fewer free blocks is short.
+    floor: usize,
+    /// The LUNs with fewer than `floor` free blocks, kept where the free
+    /// lists change so the GC trigger visits these and no others.
+    short: BitSet,
 }
 
 impl Allocator {
@@ -124,6 +129,8 @@ impl Allocator {
             policy,
             dynamic_wl,
             rr_cursor: 0,
+            floor: 0,
+            short: BitSet::new(geometry.total_luns().into()),
         }
     }
 
@@ -137,7 +144,35 @@ impl Allocator {
             policy,
             dynamic_wl,
             rr_cursor: 0,
+            floor: 0,
+            short: BitSet::new(geometry.total_luns().into()),
         }
+    }
+
+    /// Keep the set of LUNs with fewer than `floor` free blocks
+    /// ([`Allocator::short_luns`]; without a floor it stays empty).
+    pub(crate) fn with_gc_floor(mut self, floor: usize) -> Self {
+        self.floor = floor;
+        for lun in 0..self.geometry.total_luns() {
+            self.note_free(lun);
+        }
+        self
+    }
+
+    /// Re-derive `lun`'s membership of `short` after its free list changed.
+    fn note_free(&mut self, lun: u32) {
+        let short = self.luns[lun as usize].free.len() < self.floor;
+        self.short.assign(lun, short);
+    }
+
+    /// The LUNs with fewer free blocks than the GC floor.
+    pub(crate) fn short_luns(&self) -> &BitSet {
+        &self.short
+    }
+
+    /// The GC floor the short set is kept for.
+    pub(crate) fn gc_floor(&self) -> usize {
+        self.floor
     }
 
     /// Number of wholly-free blocks on a LUN.
@@ -166,6 +201,11 @@ impl Allocator {
     pub fn is_active(&self, block: BlockAddr) -> bool {
         let lun = self.geometry.lun_index(block.channel, block.lun) as usize;
         self.luns[lun].active.values().any(|a| a.addr == block)
+    }
+
+    /// The active blocks of `lun`, at most one per stream.
+    pub(crate) fn open_blocks(&self, lun: u32) -> impl Iterator<Item = BlockAddr> + '_ {
+        self.luns[lun as usize].active.values().map(|a| a.addr)
     }
 
     /// Whether a page could be allocated right now on `lun` for `stream`.
@@ -227,6 +267,7 @@ impl Allocator {
                 next_page: 1,
             });
         }
+        self.note_free(lun);
         Some(addr)
     }
 
@@ -264,6 +305,7 @@ impl Allocator {
                 next_page: 1,
             });
         }
+        self.note_free(lun);
         Some(addr)
     }
 
@@ -322,7 +364,9 @@ impl Allocator {
         } else {
             0
         };
-        Some(l.free.swap_remove(pos))
+        let taken = l.free.swap_remove(pos);
+        self.note_free(lun);
+        Some(taken)
     }
 
     /// Remove `block` from this allocator entirely: drop it from the free
@@ -331,22 +375,22 @@ impl Allocator {
     /// handed out again; its surviving live pages are evacuated by normal
     /// GC and the eventual erase masks it bad for good.
     pub fn retire_block(&mut self, block: BlockAddr) {
-        let lun = self.geometry.lun_index(block.channel, block.lun) as usize;
-        let l = &mut self.luns[lun];
+        let lun = self.geometry.lun_index(block.channel, block.lun);
+        let l = &mut self.luns[lun as usize];
         l.free.retain(|(b, _)| *b != block);
         for slot in l.active.slots() {
             *slot = slot.filter(|a| a.addr != block);
         }
+        self.note_free(lun);
     }
 
     /// Return an erased block to its LUN's free list.
     pub fn block_freed(&mut self, block: BlockAddr, erase_count: u32) {
-        let lun = self.geometry.lun_index(block.channel, block.lun) as usize;
-        debug_assert!(
-            !self.luns[lun].free.iter().any(|(b, _)| *b == block),
-            "double free of {block:?}"
-        );
-        self.luns[lun].free.push((block, erase_count));
+        let lun = self.geometry.lun_index(block.channel, block.lun);
+        let free = &mut self.luns[lun as usize].free;
+        debug_assert!(!free.iter().any(|(b, _)| *b == block), "double free of {block:?}");
+        free.push((block, erase_count));
+        self.note_free(lun);
     }
 
     /// Choose a LUN for an unbound write per the write-allocation policy,

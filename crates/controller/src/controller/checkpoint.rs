@@ -103,11 +103,6 @@ impl CkptState {
         }))
     }
 
-    /// Whether `b` is one of the reserved blocks.
-    fn is_reserved(&self, b: BlockAddr) -> bool {
-        self.slots.iter().any(|s| s.contains(&b))
-    }
-
     /// Slot and destination page of the in-flight snapshot's next program.
     fn next_program(&self, pages_per_block: u32) -> (u8, PhysicalAddr) {
         let job = self.job.as_ref().expect("ckpt write without job");
@@ -121,7 +116,12 @@ impl Controller {
     /// Whether `b` is one of the reserved checkpoint blocks (never a GC or
     /// wear-leveling victim; its pages are retired by checkpoint commits).
     pub(super) fn is_ckpt_reserved(&self, b: BlockAddr) -> bool {
-        self.ckpt.as_ref().is_some_and(|c| c.is_reserved(b))
+        self.ckpt_blocks().any(|r| r == b)
+    }
+
+    /// Every reserved checkpoint block.
+    pub(super) fn ckpt_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
+        self.ckpt.iter().flat_map(|c| c.slots.iter().flatten().copied())
     }
 
     /// Number of translation virtual pages the scheme persists (DFTL).

@@ -920,12 +920,7 @@ impl Controller {
         if self.is_hybrid() {
             self.hybrid_maintenance(now);
         } else {
-            let nluns = self.array.geometry().total_luns();
-            for lun in 0..nluns {
-                if self.alloc.free_blocks(lun) < self.gc_floor() {
-                    self.maybe_gc(lun, now);
-                }
-            }
+            self.gc_trigger(now);
         }
         self.maybe_checkpoint(now);
         self.maybe_scrub(now);

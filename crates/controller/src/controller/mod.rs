@@ -30,6 +30,8 @@
 
 mod checkpoint;
 mod dispatch;
+#[cfg(test)]
+mod gc_guard_tests;
 mod host;
 mod issue;
 mod jobs;
@@ -382,6 +384,7 @@ impl Controller {
         self.check_queued_moves();
         self.check_queued_reads();
         self.check_ready_sets();
+        self.check_gc_sets();
         // Allocator free-block accounting matches the array.
         for lun in 0..g.total_luns() {
             let channel = lun / g.luns_per_channel;

@@ -18,7 +18,7 @@ use super::dispatch::Dispatch;
 use super::host::HostIo;
 use super::mapio::MapIo;
 use super::merge::Merges;
-use super::reclaim::Reclaim;
+use super::reclaim::{gc_floor, Reclaim};
 use super::stamps::Stamps;
 use super::stats::CtrlStats;
 use super::Controller;
@@ -136,7 +136,8 @@ impl Controller {
         let host = HostIo::new(&cfg, &geometry, logical_pages, &mut mem, resumed.buffered)?;
         // Free pool: exactly the blocks the medium reports erased, with
         // their surviving wear counts.
-        let mut alloc = Allocator::empty(geometry, cfg.write_alloc, cfg.wl.dynamic_enabled);
+        let mut alloc = Allocator::empty(geometry, cfg.write_alloc, cfg.wl.dynamic_enabled)
+            .with_gc_floor(gc_floor(&cfg.gc));
         for block in geometry.blocks() {
             let info = array.block_info(block);
             if info.write_ptr == 0 && !info.bad && !array.block_needs_erase(block) {

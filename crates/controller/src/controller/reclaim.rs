@@ -7,6 +7,14 @@
 //! last static-WL check, flash ops since the last scrub check, scrub
 //! refreshes in flight). All three triggers drive the same machine: move
 //! every live page of the victim (`PendKind::GcMove`), then erase it.
+//!
+//! **The GC trigger is kept, not scanned.** GC is due on a LUN short of
+//! free blocks (the allocator keeps that set where its free lists change)
+//! with no reclaim job (kept here, where `active` changes): each round
+//! visits `short ∩ jobless` and nothing else. And a visit searches for a
+//! victim only where one exists: on a LUN with no job, the blocks a search
+//! skips are exactly its open and reserved checkpoint blocks, so counting
+//! those against the array's reclaimable count answers without a search.
 
 use eagletree_core::{SimRng, SimTime};
 use eagletree_flash::{BlockAddr, Geometry, PhysicalAddr};
@@ -16,6 +24,7 @@ use super::jobs::JobTable;
 use super::{Controller, PageContent};
 use crate::alloc::Stream;
 use crate::bits::BitSet;
+use crate::config::GcConfig;
 use crate::gc::{pick_victim, ReclaimJob};
 use crate::scrub::pick_scrub_victim;
 use crate::types::{IoSource, OpClass, Ppn};
@@ -27,6 +36,8 @@ pub(super) struct Reclaim {
     victims: BitSet,
     /// Reclaim jobs in flight per LUN (GC starts at most one).
     active: Vec<u32>,
+    /// The LUNs whose `active` count is zero.
+    jobless: BitSet,
     rng: SimRng,
     erases_since_wl: u32,
     /// Flash ops issued since the scrubber last looked for a victim.
@@ -42,6 +53,11 @@ impl Reclaim {
             jobs: JobTable::default(),
             victims: BitSet::new(geometry.total_blocks()),
             active: vec![0; geometry.total_luns() as usize],
+            jobless: {
+                let mut all = BitSet::new(geometry.total_luns().into());
+                (0..geometry.total_luns()).for_each(|lun| all.set(lun));
+                all
+            },
             rng: SimRng::new(seed),
             erases_since_wl: 0,
             ops_since_scrub: 0,
@@ -67,6 +83,18 @@ pub(super) fn move_classes(source: IoSource, own: (OpClass, OpClass)) -> (OpClas
 
 const GC_CLASSES: (OpClass, OpClass) = (OpClass::GcRead, OpClass::GcWrite);
 
+/// Effective GC trigger threshold: collect while `free < floor`.
+///
+/// The floor is at least 2 regardless of the configured greediness:
+/// the allocator reserves the last free block for internal streams, so
+/// application writes need two free blocks to open a fresh one —
+/// a floor of 1 would deadlock (GC never triggers, app never writes).
+/// Strictly-below is essential: triggering at equality makes GC
+/// repack the device forever once free blocks settle at the threshold.
+pub(super) fn gc_floor(gc: &GcConfig) -> usize {
+    (gc.greediness as usize).max(2)
+}
+
 impl Controller {
     pub(super) fn reclaim_skip_set(&self) -> impl Fn(BlockAddr) -> bool + '_ {
         let geometry = self.array.geometry();
@@ -78,31 +106,96 @@ impl Controller {
         }
     }
 
-    /// Effective GC trigger threshold: collect while `free < floor`.
-    ///
-    /// The floor is at least 2 regardless of the configured greediness:
-    /// the allocator reserves the last free block for internal streams, so
-    /// application writes need two free blocks to open a fresh one —
-    /// a floor of 1 would deadlock (GC never triggers, app never writes).
-    /// Strictly-below is essential: triggering at equality makes GC
-    /// repack the device forever once free blocks settle at the threshold.
-    pub(super) fn gc_floor(&self) -> usize {
-        (self.cfg.gc.greediness as usize).max(2)
+    /// Start GC wherever it is due: on every LUN short of free blocks and
+    /// with no reclaim job, in ascending order — the order of a scan over
+    /// every LUN, which the Random policy's draws follow. A visit changes
+    /// no other LUN's membership of either set, so each word of the
+    /// intersection is read once, before its LUNs are visited.
+    pub(super) fn gc_trigger(&mut self, now: SimTime) {
+        for w in 0..self.reclaim.jobless.words().len() {
+            let mut due = self.alloc.short_luns().words()[w] & self.reclaim.jobless.words()[w];
+            while due != 0 {
+                let lun = w as u32 * 64 + due.trailing_zeros();
+                due &= due - 1;
+                self.maybe_gc(lun, now);
+            }
+        }
+        #[cfg(debug_assertions)]
+        {
+            self.check_gc_sets();
+            let short = self.alloc.short_luns().words().iter();
+            let due = short.zip(self.reclaim.jobless.words()).map(|(s, j)| s & j);
+            for lun in crate::bits::ones(due) {
+                assert!(!self.gc_victim_possible(lun), "the GC trigger left LUN {lun} a victim");
+            }
+        }
     }
 
-    pub(super) fn maybe_gc(&mut self, lun: u32, now: SimTime) {
-        while self.alloc.free_blocks(lun) < self.gc_floor()
-            && self.reclaim.active[lun as usize] == 0
-        {
-            let victim = {
-                let mut rng = self.reclaim.rng.clone();
-                let skip = self.reclaim_skip_set();
-                let v = pick_victim(&self.array, lun, self.cfg.gc.victim, skip, &mut rng, now);
-                self.reclaim.rng = rng;
-                v
-            };
-            let Some(victim) = victim else { break };
-            self.start_reclaim(victim, lun, IoSource::GarbageCollection, now);
+    /// `lun` is short and has no reclaim job: start one on its victim, if
+    /// it has one.
+    fn maybe_gc(&mut self, lun: u32, now: SimTime) {
+        if !self.gc_victim_possible(lun) {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                self.gc_victim_search(lun, &mut self.reclaim.rng.clone(), now),
+                None,
+                "the victim guard missed a candidate on LUN {lun}"
+            );
+            return;
+        }
+        let mut rng = self.reclaim.rng.clone();
+        let victim = self.gc_victim_search(lun, &mut rng, now);
+        self.reclaim.rng = rng;
+        let victim = victim.expect("the victim guard promised a candidate");
+        self.start_reclaim(victim, lun, IoSource::GarbageCollection, now);
+    }
+
+    /// The GC policy's victim on `lun`, drawing from `rng`.
+    pub(super) fn gc_victim_search(
+        &self,
+        lun: u32,
+        rng: &mut SimRng,
+        now: SimTime,
+    ) -> Option<BlockAddr> {
+        let skip = self.reclaim_skip_set();
+        pick_victim(&self.array, lun, self.cfg.gc.victim, skip, rng, now)
+    }
+
+    /// Whether [`Self::gc_victim_search`] finds a victim on `lun`, a LUN
+    /// with no reclaim job, without searching. Of the blocks it skips,
+    /// none on such a LUN is a victim and no free block is reclaimable, so
+    /// it finds one exactly when the LUN's reclaimable blocks outnumber
+    /// those among its open and reserved checkpoint blocks. Answering
+    /// `false` is no search, and no draw from the RNG either — Random
+    /// would have counted no candidate.
+    pub(super) fn gc_victim_possible(&self, lun: u32) -> bool {
+        let reclaimable = self.array.reclaimable_on(lun) as usize;
+        if reclaimable == 0 {
+            return false;
+        }
+        let g = self.array.geometry();
+        let reserved = self.ckpt_blocks().filter(|b| g.lun_index(b.channel, b.lun) == lun);
+        let skipped = self.alloc.open_blocks(lun).chain(reserved);
+        reclaimable > skipped.filter(|&b| self.array.is_reclaimable(b)).count()
+    }
+
+    /// The GC policy's victim on each LUN with no reclaim job, ascending,
+    /// each drawn from a copy of the reclaim RNG.
+    #[cfg(test)]
+    pub(super) fn gc_victims_on_clone(&self, now: SimTime) -> Vec<(u32, Option<BlockAddr>)> {
+        let search = |lun| (lun, self.gc_victim_search(lun, &mut self.reclaim.rng.clone(), now));
+        self.reclaim.jobless.ones().map(search).collect()
+    }
+
+    /// The GC trigger's sets are what a recount gives: `short` the LUNs
+    /// with fewer free blocks than the floor, `jobless` those with no
+    /// reclaim job. Allocation-free: debug builds run it every round.
+    pub(super) fn check_gc_sets(&self) {
+        for lun in 0..self.array.geometry().total_luns() {
+            let short = self.alloc.free_blocks(lun) < self.alloc.gc_floor();
+            let jobless = self.reclaim.active[lun as usize] == 0;
+            assert_eq!(self.alloc.short_luns().get(lun), short, "short set stale at LUN {lun}");
+            assert_eq!(self.reclaim.jobless.get(lun), jobless, "jobless set stale at LUN {lun}");
         }
     }
 
@@ -157,6 +250,7 @@ impl Controller {
         let victim_index = self.array.geometry().block_index(victim);
         self.reclaim.victims.set(victim_index);
         self.reclaim.active[lun as usize] += 1;
+        self.reclaim.jobless.clear(lun);
         if valid.is_empty() {
             self.enqueue_erase(job_id, victim, now);
         } else {
@@ -288,6 +382,8 @@ impl Controller {
                 self.reclaim.victims.clear(block_index);
                 let j = self.reclaim.jobs.take(job);
                 self.reclaim.active[j.lun as usize] -= 1;
+                let jobless = self.reclaim.active[j.lun as usize] == 0;
+                self.reclaim.jobless.assign(j.lun, jobless);
                 j.source
             }
             EraseOwner::Merge { source, completes_merge } => {

@@ -31,6 +31,10 @@ use crate::fault::{FaultConfig, FaultEvent, FaultModel};
 use crate::oob::OobEntry;
 use crate::timing::TimingSpec;
 
+/// The fewest in-flight-list entries at which [`FlashArray::issue`] prunes
+/// completed ones.
+const PRUNE_FLOOR: usize = 64;
+
 /// Lifecycle of a physical page between erases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageState {
@@ -316,11 +320,15 @@ pub struct FlashArray {
     /// Blocks whose erase a power cut interrupted: unusable (no programs)
     /// until erased again.
     needs_erase: Vec<bool>,
-    /// Programs issued but not yet complete, for power-cut injection.
-    /// Pruned lazily at each issue.
+    /// Programs issued and perhaps not yet complete, for power-cut
+    /// injection: a superset — entries that completed stay until the next
+    /// prune, and [`FlashArray::power_cut`] skips them.
     inflight_programs: Vec<(PhysicalAddr, SimTime)>,
-    /// Erases issued but not yet complete.
+    /// Erases issued and perhaps not yet complete (likewise a superset).
     inflight_erases: Vec<(BlockAddr, SimTime)>,
+    /// The combined length of the two lists at which `issue` next prunes
+    /// them: twice what the last prune left, and at least [`PRUNE_FLOOR`].
+    prune_at: usize,
     /// Media-fault injector. `None` (the default) costs nothing: no RNG
     /// draws, no timing changes, no new state — fingerprints are
     /// byte-identical to an array built before the fault model existed.
@@ -353,6 +361,7 @@ impl FlashArray {
             needs_erase: vec![false; geometry.total_blocks() as usize],
             inflight_programs: Vec::new(),
             inflight_erases: Vec::new(),
+            prune_at: PRUNE_FLOOR,
             fault: None,
         }
     }
@@ -480,9 +489,18 @@ impl FlashArray {
         now: SimTime,
     ) -> Result<IssueOutcome, FlashError> {
         self.check_range(&cmd)?;
-        // Completed operations can no longer be destroyed by a power cut.
-        self.inflight_programs.retain(|&(_, done)| done > now);
-        self.inflight_erases.retain(|&(_, done)| done > now);
+        // Completed operations can no longer be destroyed by a power cut,
+        // which skips them by their `done` anyway: drop them once the lists
+        // have doubled since the last prune, so each entry is walked O(1)
+        // times instead of once per command issued while it is listed. The
+        // power cut comes no earlier than the last issue (the clock does
+        // not run backwards), so what it reports is the same either way.
+        if self.inflight_programs.len() + self.inflight_erases.len() >= self.prune_at {
+            self.inflight_programs.retain(|&(_, done)| done > now);
+            self.inflight_erases.retain(|&(_, done)| done > now);
+            let left = self.inflight_programs.len() + self.inflight_erases.len();
+            self.prune_at = (2 * left).max(PRUNE_FLOOR);
+        }
         let ch = cmd.channel() as usize;
         if self.channels[ch] > now {
             return Err(FlashError::ChannelBusy {
@@ -1693,5 +1711,98 @@ mod tests {
         assert_eq!(o0.done_at, o1.done_at);
         assert!(o1.done_at.as_nanos() > 0);
         let _ = SimDuration::ZERO;
+    }
+
+    /// Cut `a`'s clone at `at` and a clone pruned the way `issue` once
+    /// pruned at every command (nothing listed done by `now`, the instant
+    /// of the last issue): both cuts destroy the same operations.
+    fn cut_agrees_with_pre_pruned(a: &FlashArray, now: SimTime, at: SimTime) {
+        let torn = |a: &FlashArray| -> Vec<u64> {
+            (0..a.geometry.total_pages()).filter(|&p| a.torn[p as usize]).collect()
+        };
+        let (mut lazy, mut eager) = (a.clone(), a.clone());
+        eager.inflight_programs.retain(|&(_, done)| done > now);
+        eager.inflight_erases.retain(|&(_, done)| done > now);
+        assert_eq!(lazy.power_cut(at), eager.power_cut(at), "cut at {at:?}");
+        assert_eq!(torn(&lazy), torn(&eager), "torn pages of the cut at {at:?}");
+        assert_eq!(lazy.needs_erase, eager.needs_erase, "interrupted erases at {at:?}");
+    }
+
+    /// The in-flight lists are pruned only when they have doubled, so they
+    /// hold completed entries: a power cut skips those by their `done`,
+    /// and reports exactly what it would with every completed entry gone
+    /// (here at the last issue, and exactly at the completion of a listed
+    /// program, and of a listed erase). The lists stay within twice the
+    /// commands in flight at their peak plus the floor.
+    #[test]
+    fn amortized_pruning_is_invisible_to_a_power_cut_and_bounded() {
+        let mut a = array();
+        assert!(a.timing().cached_program);
+        let g = *a.geometry();
+        let luns = g.total_luns();
+        // Per LUN: the block being filled (4 per LUN, reused) and its next
+        // page; a full block is invalidated and erased, then refilled.
+        let mut fill = vec![(0u32, 0u32); luns as usize];
+        let mut now = SimTime::ZERO;
+        // Most commands in flight, most completed entries listed, longest
+        // program list.
+        let (mut peak, mut stale, mut longest) = (0, 0, 0);
+        for step in 0..2_000u32 {
+            let lun = step % luns;
+            let (block, page) = fill[lun as usize];
+            let at = |page| PhysicalAddr {
+                channel: lun / g.luns_per_channel,
+                lun: lun % g.luns_per_channel,
+                plane: 0,
+                block,
+                page,
+            };
+            let erase = page == g.pages_per_block;
+            let cmd = if erase {
+                FlashCommand::Erase(at(0).block_addr())
+            } else {
+                FlashCommand::Program(at(page))
+            };
+            if !a.can_issue(&cmd, now) {
+                // Wait for the channel, then (unless the program can
+                // pipeline) for the LUN.
+                let (ch, l) = (cmd.channel(), cmd.lun());
+                let t = now.max(a.channel_free_at(ch));
+                now = if a.can_issue(&cmd, t) { t } else { t.max(a.lun_free_at(ch, l)) };
+            }
+            if erase {
+                for p in 0..g.pages_per_block {
+                    if a.page_state(at(p)) == PageState::Valid {
+                        a.invalidate(at(p));
+                    }
+                }
+            }
+            a.issue(cmd, now).unwrap();
+            fill[lun as usize] = if erase { ((block + 1) % 4, 0) } else { (block, page + 1) };
+            let live = a.inflight_programs.iter().filter(|&&(_, d)| d > now).count()
+                + a.inflight_erases.iter().filter(|&&(_, d)| d > now).count();
+            peak = peak.max(live);
+            stale = stale.max(a.inflight_programs.len() + a.inflight_erases.len() - live);
+            longest = longest.max(a.inflight_programs.len());
+            assert!(
+                a.inflight_programs.len() <= 2 * peak + PRUNE_FLOOR,
+                "{} programs listed, {peak} commands in flight at most",
+                a.inflight_programs.len()
+            );
+            if step % 97 == 0 {
+                cut_agrees_with_pre_pruned(&a, now, now);
+                let programs = a.inflight_programs.iter().map(|&(_, d)| d);
+                let erases = a.inflight_erases.iter().map(|&(_, d)| d);
+                for done in [programs.filter(|&d| d > now).min(), erases.filter(|&d| d > now).max()]
+                    .into_iter()
+                    .flatten()
+                {
+                    cut_agrees_with_pre_pruned(&a, now, done);
+                }
+            }
+        }
+        assert!(peak > 8, "a shallow pipeline: {peak} commands in flight at most");
+        assert!(stale > PRUNE_FLOOR / 2, "at most {stale} completed entries listed: not lazy");
+        assert!(longest > PRUNE_FLOOR, "the program list never outgrew the floor");
     }
 }
