@@ -70,7 +70,7 @@ fn every_experiment_reproduces_its_golden_rows() {
     }
 }
 
-/// The liveness ratchet. These points end in ROADMAP item 1's stall (a
+/// The liveness ratchet. These points end in ROADMAP item 2's stall (a
 /// relocation write bound to a LUN that can no longer allocate for it);
 /// a new entry is a new way to stop silently and fails tier-1, a fix
 /// shrinks the list.

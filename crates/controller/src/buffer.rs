@@ -12,7 +12,7 @@
 //! was re-dirtied (or trimmed) while the program was in flight and discard
 //! the stale flash copy instead of publishing it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::types::Lpn;
 
@@ -20,7 +20,12 @@ use crate::types::Lpn;
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
     capacity: usize,
-    entries: BTreeMap<Lpn, u64>,
+    /// The version of every buffered page, by LPN; 0 when the page is not
+    /// buffered (versions start at 1).
+    entries: Vec<u64>,
+    /// Every buffered page once, oldest first, except that a batch handed
+    /// out for flushing went to the back. A page leaves it where it
+    /// leaves `entries`, so a rewrite queues it anew, never twice.
     order: VecDeque<Lpn>,
     next_version: u64,
     /// Overwrites absorbed in RAM (writes that never cost a flash program).
@@ -32,12 +37,13 @@ pub struct WriteBuffer {
 }
 
 impl WriteBuffer {
-    /// A buffer holding up to `capacity` pages (> 0).
-    pub fn new(capacity: usize) -> Self {
+    /// A buffer holding up to `capacity` pages (> 0) of a device that
+    /// exports `logical_pages`.
+    pub fn new(capacity: usize, logical_pages: u64) -> Self {
         assert!(capacity > 0, "write buffer capacity must be positive");
         WriteBuffer {
             capacity,
-            entries: BTreeMap::new(),
+            entries: vec![0; logical_pages as usize],
             order: VecDeque::new(),
             next_version: 0,
             absorbed: 0,
@@ -51,29 +57,28 @@ impl WriteBuffer {
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
     }
 
     pub fn contains(&self, lpn: Lpn) -> bool {
-        self.entries.contains_key(&lpn)
+        self.entries.get(lpn as usize).is_some_and(|&v| v != 0)
     }
 
     /// Buffer a write. Returns `true` when it absorbed an existing entry
     /// (no growth), `false` when a new entry was added.
     pub fn write(&mut self, lpn: Lpn) -> bool {
         self.next_version += 1;
-        let v = self.next_version;
-        if self.entries.insert(lpn, v).is_some() {
+        let absorbed = std::mem::replace(&mut self.entries[lpn as usize], self.next_version) != 0;
+        if absorbed {
             self.absorbed += 1;
-            true
         } else {
             self.order.push_back(lpn);
-            false
         }
+        absorbed
     }
 
     /// Note a read served from the buffer.
@@ -83,46 +88,46 @@ impl WriteBuffer {
 
     /// Drop an entry (trim).
     pub fn remove(&mut self, lpn: Lpn) {
-        self.entries.remove(&lpn);
-        // `order` is lazily cleaned in `next_flush_candidates`.
+        if self.contains(lpn) {
+            self.evict(lpn);
+        }
+    }
+
+    /// Take buffered `lpn` out of `entries` and `order`.
+    fn evict(&mut self, lpn: Lpn) {
+        self.entries[lpn as usize] = 0;
+        let at = self
+            .order
+            .iter()
+            .position(|&l| l == lpn)
+            .expect("a buffered page is queued");
+        self.order.remove(at);
     }
 
     /// The buffered logical pages, oldest first. Battery-backed RAM
     /// survives a power cut; remount re-installs exactly this list.
     pub fn resident_lpns(&self) -> Vec<Lpn> {
-        let mut seen = std::collections::BTreeSet::new();
-        self.order
-            .iter()
-            .filter(|l| self.entries.contains_key(l) && seen.insert(**l))
-            .copied()
-            .collect()
+        self.order.iter().copied().collect()
     }
 
     /// Whether the buffer is at/over capacity and should flush.
     pub fn needs_flush(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.order.len() >= self.capacity
     }
 
     /// Oldest entries to flush, with their captured versions. Takes up to
     /// `max(1, capacity/4)` entries (they stay buffered until the flush
     /// completes; callers must not re-request while flushes are pending).
     pub fn next_flush_candidates(&mut self) -> Vec<(Lpn, u64)> {
-        let want = (self.capacity / 4).max(1);
-        let mut out = Vec::with_capacity(want);
-        let mut requeue = VecDeque::new();
-        while out.len() < want {
-            let Some(lpn) = self.order.pop_front() else {
-                break;
-            };
-            // Entries trimmed since enqueueing drop out of `order` here.
-            if let Some(&v) = self.entries.get(&lpn) {
-                out.push((lpn, v));
-                requeue.push_back(lpn); // still buffered until done
-            }
-        }
+        let want = (self.capacity / 4).max(1).min(self.len());
+        let out: Vec<(Lpn, u64)> = self
+            .order
+            .drain(..want)
+            .map(|lpn| (lpn, self.entries[lpn as usize]))
+            .collect();
         // Flushing entries go to the back so a second flush round picks
         // other pages first.
-        self.order.extend(requeue);
+        self.order.extend(out.iter().map(|&(lpn, _)| lpn));
         self.flushes_started += out.len() as u64;
         out
     }
@@ -131,13 +136,11 @@ impl WriteBuffer {
     /// Returns `true` when the flushed copy is current (publish it) and
     /// `false` when it was superseded or trimmed mid-flight (discard).
     pub fn flush_done(&mut self, lpn: Lpn, version: u64) -> bool {
-        match self.entries.get(&lpn) {
-            Some(&v) if v == version => {
-                self.entries.remove(&lpn);
-                true
-            }
-            _ => false,
+        let current = self.contains(lpn) && self.entries[lpn as usize] == version;
+        if current {
+            self.evict(lpn);
         }
+        current
     }
 }
 
@@ -147,7 +150,7 @@ mod tests {
 
     #[test]
     fn writes_absorb_duplicates() {
-        let mut b = WriteBuffer::new(4);
+        let mut b = WriteBuffer::new(4, 16);
         assert!(!b.write(1));
         assert!(b.write(1));
         assert_eq!(b.len(), 1);
@@ -156,7 +159,7 @@ mod tests {
 
     #[test]
     fn needs_flush_at_capacity() {
-        let mut b = WriteBuffer::new(2);
+        let mut b = WriteBuffer::new(2, 16);
         b.write(1);
         assert!(!b.needs_flush());
         b.write(2);
@@ -165,7 +168,7 @@ mod tests {
 
     #[test]
     fn flush_candidates_are_oldest_first() {
-        let mut b = WriteBuffer::new(8);
+        let mut b = WriteBuffer::new(8, 16);
         for lpn in 0..8 {
             b.write(lpn);
         }
@@ -178,7 +181,7 @@ mod tests {
 
     #[test]
     fn flush_done_checks_version() {
-        let mut b = WriteBuffer::new(4);
+        let mut b = WriteBuffer::new(4, 16);
         b.write(5);
         let c = b.next_flush_candidates();
         let (lpn, v) = c[0];
@@ -194,7 +197,7 @@ mod tests {
 
     #[test]
     fn trimmed_entries_never_flush() {
-        let mut b = WriteBuffer::new(4);
+        let mut b = WriteBuffer::new(4, 16);
         b.write(1);
         b.write(2);
         b.remove(1);
@@ -205,7 +208,7 @@ mod tests {
 
     #[test]
     fn flush_done_after_trim_is_stale() {
-        let mut b = WriteBuffer::new(4);
+        let mut b = WriteBuffer::new(4, 16);
         b.write(9);
         let c = b.next_flush_candidates();
         b.remove(9);

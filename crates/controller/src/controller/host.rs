@@ -58,7 +58,7 @@ impl HostIo {
                 "write-buffer",
                 cfg.write_buffer_pages * geometry.page_size as u64,
             )?;
-            Some(WriteBuffer::new(cfg.write_buffer_pages as usize))
+            Some(WriteBuffer::new(cfg.write_buffer_pages as usize, logical_pages))
         } else {
             None
         };

@@ -22,7 +22,7 @@ use crate::types::RequestKind;
 /// `channels × luns_per_channel` LUNs of 16 blocks of 4 pages: small
 /// enough to age under the per-round reference scan in seconds, with
 /// enough spare blocks per LUN for the allocator's open blocks and the GC
-/// reserve (ROADMAP item 4(c) has what happens with fewer).
+/// reserve (fewer is what ROADMAP item 2(c)'s geometry rule refuses).
 fn wide(channels: u32, luns_per_channel: u32) -> Geometry {
     Geometry {
         channels,
@@ -58,7 +58,7 @@ fn age(geometry: Geometry, cfg: ControllerConfig) -> Driver {
     d.run();
     assert_eq!(d.done.len(), submitted, "requests left in flight");
     // Every request completes; under DFTL the relocation writes of the
-    // last GC jobs may stay queued for good (ROADMAP item 1).
+    // last GC jobs may stay queued for good (ROADMAP item 2).
     assert!(dftl || d.c.stuck().is_none(), "{:?}", d.c.stuck());
     let erases = d.c.stats().gc_erases;
     assert!(erases > 2 * geometry.total_luns() as u64, "{erases} GC erases: not aged");

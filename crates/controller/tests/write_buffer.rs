@@ -1,9 +1,12 @@
 //! Write-buffer integration: durability-on-arrival semantics, overwrite
 //! absorption, buffered reads, flush correctness under races.
 
-use eagletree_controller::{Controller, ControllerConfig, Driver, RequestKind, WlConfig};
+use eagletree_controller::{
+    Controller, ControllerConfig, Driver, Lpn, RequestKind, WlConfig, WriteBuffer,
+};
 use eagletree_core::{SimRng, SimTime};
 use eagletree_flash::{Geometry, TimingSpec};
+use proptest::prelude::*;
 
 /// A tiny device with a write buffer of `write_buffer_pages`, GC the only
 /// background activity.
@@ -171,4 +174,50 @@ fn battery_ram_budget_is_enforced() {
         ..ControllerConfig::default()
     };
     assert!(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).is_err());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The buffer driven as the controller drives it — writes, trims,
+    /// flush completions in any order, a new batch whenever it is full
+    /// and nothing is in flight — never hands out one version twice in a
+    /// batch: the second program of a page would land only to be
+    /// discarded as stale.
+    #[test]
+    fn no_version_flushes_twice_in_one_batch(
+        seed in any::<u64>(),
+        capacity in 1usize..40,
+        extra in 1u64..40,
+        steps in 50usize..800,
+    ) {
+        let pages = capacity as u64 + extra;
+        let mut rng = SimRng::new(seed);
+        let mut b = WriteBuffer::new(capacity, pages);
+        let mut inflight: Vec<(Lpn, u64)> = Vec::new();
+        for _ in 0..steps {
+            match rng.gen_range(8) {
+                0..=3 => {
+                    b.write(rng.gen_range(pages));
+                }
+                4 => b.remove(rng.gen_range(pages)),
+                5 | 6 if !inflight.is_empty() => {
+                    let (lpn, v) = inflight.swap_remove(rng.gen_range(inflight.len() as u64) as usize);
+                    b.flush_done(lpn, v);
+                }
+                _ => {}
+            }
+            if b.needs_flush() && inflight.is_empty() {
+                let batch = b.next_flush_candidates();
+                for (i, c) in batch.iter().enumerate() {
+                    prop_assert!(!batch[..i].contains(c), "{:?} twice in the batch {:?}", c, batch);
+                }
+                inflight.extend(batch);
+            }
+            // Remount re-installs each buffered page once.
+            let resident = b.resident_lpns();
+            prop_assert_eq!(resident.len(), b.len());
+            prop_assert!(resident.iter().all(|&lpn| b.contains(lpn)));
+        }
+    }
 }

@@ -149,6 +149,19 @@ impl<T> IdTable<T> {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
+
+    /// Ids the window spans: from the oldest live one to the newest
+    /// inserted.
+    #[cfg(test)]
+    pub(crate) fn window_len(&self) -> usize {
+        self.window.len()
+    }
+
+    /// Slots ever allocated: the high-water mark of live values.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.values.slots()
+    }
 }
 
 #[cfg(test)]
@@ -164,14 +177,14 @@ mod tests {
         for id in 8..10_007 {
             t.insert(id, id);
             assert_eq!(t.remove(id), Some(id));
-            assert_eq!((t.len(), t.values.slots()), (1, 2));
+            assert_eq!((t.len(), t.slots()), (1, 2));
         }
         // The window still reaches back to the lingering id …
-        assert_eq!((t.oldest(), t.window.len()), (Some(7), 10_000));
+        assert_eq!((t.oldest(), t.window_len()), (Some(7), 10_000));
         assert_eq!(t.get(7), Some(&7));
         // … and lets go of everything behind it when it leaves.
         assert_eq!(t.remove(7), Some(7));
-        assert!(t.is_empty() && t.window.is_empty());
+        assert!(t.is_empty() && t.window_len() == 0);
         assert_eq!(t.oldest(), None);
     }
 
@@ -253,7 +266,7 @@ mod tests {
                 // 4 B per id from the oldest live one to the newest
                 // inserted, nothing for what came before.
                 let span = oldest.map_or(0, |o| next - o);
-                prop_assert_eq!(t.window.len() as u64, span);
+                prop_assert_eq!(t.window_len() as u64, span);
             }
         }
     }

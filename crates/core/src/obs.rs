@@ -11,19 +11,33 @@
 //!   *where* its latency went, a [`Cause`] link to whatever triggered it,
 //!   and an interference annotation when it was stalled behind an internal
 //!   op on its LUN.
-//! * [`Obs`] — the collector: open-span cursors in a [`Slab`], found
-//!   from a span id through the crate's [`IdWindow`]; a ring buffer of the most recent closed spans, whose
-//!   evicted busy lists the next opens reuse; the host breakdowns of one
+//! * [`Obs`] — the collector: open-span cursors in the crate's
+//!   [`IdTable`], found from a span id by subtraction; a ring of the most
+//!   recent closed spans; the host breakdowns of one
 //!   [`Obs::rotate_finished`] period; and per-lane "last internal op"
 //!   memory for interference attribution. Nothing is keyed by a host
 //!   request id: whoever holds the request holds its span id. The
 //!   contract: *ids are dense, monotone and never reused; handles to
 //!   closed spans are inert* — every call on a closed, never-issued or
 //!   [`NO_SPAN`] id is a silent no-op. A span costs a handful of array
-//!   accesses and, once the ring is full, no allocation. Pure
+//!   accesses and allocates only while a ring or the busy-list pool
+//!   grows. Pure
 //!   observation: it never schedules events, never consults the RNG, and
 //!   never influences control flow, so enabling it cannot perturb a
 //!   simulation (fingerprints stay byte-identical).
+//!
+//!   The ring holds no [`Span`]s. A closed span is a fixed-size record
+//!   (at most 96 B, no heap pointer): its names — op kind, cause policy,
+//!   stalled-behind kind — are `u8` codes into a per-collector name table,
+//!   and its busy windows are a count. The windows themselves go, in
+//!   close order, into one flat window ring; evicting a record drains its
+//!   count from that ring's front. Closes append to both rings, so the
+//!   windows of the retained records are exactly the ring's contents, in
+//!   order: [`Obs::spans`] rebuilds each [`Span`] by walking the two side
+//!   by side, and a code decodes to a name equal to the one it was given
+//!   (a name is found by pointer, else by content). An open span's busy
+//!   list goes back to the spare pool the moment it closes, still in cache
+//!   for the next open.
 //! * [`StageBreakdown`] — per-stage latency histograms whose stage sums
 //!   equal end-to-end latency *by construction*: every attribution call
 //!   advances a single cursor (`last`), so no nanosecond is counted twice
@@ -39,8 +53,7 @@
 
 use std::collections::VecDeque;
 
-use crate::idtable::IdWindow;
-use crate::slab::Slab;
+use crate::idtable::IdTable;
 use crate::stats::{Histogram, Tail};
 use crate::time::{SimDuration, SimTime};
 
@@ -204,10 +217,71 @@ pub struct Span {
     pub busy: Vec<(u32, SimTime, SimTime)>,
 }
 
-/// An open span: the [`Span`] it will close as (`end` still unset) and
-/// its cursor.
+/// [`Closed::cause`] of a span with [`Cause::None`].
+const CAUSE_NONE: u8 = u8::MAX;
+/// [`Closed::cause`] of a span with [`Cause::Op`]; the id is in
+/// [`Closed::cause_op`]. Any other value is a policy name's code.
+const CAUSE_OP: u8 = u8::MAX - 1;
+
+/// A closed span as the ring keeps it: a [`Span`] without pointers —
+/// names as [`Names`] codes, busy windows as a count of the window ring's
+/// entries.
+#[derive(Clone, Copy)]
+struct Closed {
+    id: u64,
+    start: SimTime,
+    end: SimTime,
+    stages: StageNs,
+    tenant: Option<u32>,
+    /// The triggering op's span id when `cause` is [`CAUSE_OP`].
+    cause_op: u64,
+    /// The span this one was stalled behind; [`NO_SPAN`] when none (span
+    /// ids start at 1).
+    stalled_id: u64,
+    /// Busy windows, the next this many of the window ring.
+    windows: u32,
+    kind: u8,
+    /// [`CAUSE_NONE`], [`CAUSE_OP`] or the cause policy's name code.
+    cause: u8,
+    /// The kind code of `stalled_id`'s op.
+    stalled_kind: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Closed>() <= 96);
+
+/// The names spans carry — op kinds and policy names — by `u8` code.
+#[derive(Default)]
+struct Names(Vec<&'static str>);
+
+impl Names {
+    /// The code of `name`: the entry with the same pointer, else the one
+    /// with the same content, else a new one. Either way the code decodes
+    /// to a name equal to `name`.
+    fn code(&mut self, name: &'static str) -> u8 {
+        let found = self.0.iter().position(|n| std::ptr::eq(*n, name));
+        let i = match found.or_else(|| self.0.iter().position(|n| *n == name)) {
+            Some(i) => i,
+            None => {
+                self.0.push(name);
+                self.0.len() - 1
+            }
+        };
+        u8::try_from(i)
+            .ok()
+            .filter(|&c| c < CAUSE_OP)
+            .expect("spans carry at most 254 distinct names")
+    }
+
+    fn name(&self, code: u8) -> &'static str {
+        self.0[code as usize]
+    }
+}
+
+/// An open span: the record it will close as (`end` and `windows` still
+/// unset), its busy windows so far, and its cursor.
 struct OpenSpan {
-    span: Span,
+    rec: Closed,
+    busy: Vec<(u32, SimTime, SimTime)>,
     /// The last attributed boundary; the next attribution call charges
     /// `now - last` to its stage and advances the cursor.
     last: SimTime,
@@ -216,7 +290,7 @@ struct OpenSpan {
 impl OpenSpan {
     /// Charge the time since the cursor to `stage`, up to `now`.
     fn charge(&mut self, stage: Stage, now: SimTime) {
-        self.span
+        self.rec
             .stages
             .add(stage, now.saturating_since(self.last).as_nanos());
         self.last = now;
@@ -229,31 +303,32 @@ impl OpenSpan {
 pub struct Obs {
     capacity: usize,
     next_id: u64,
-    /// The open spans' cursors; a closed span's slot goes to a later open.
-    open: Slab<OpenSpan>,
-    /// The `open` slot of every open span, by id; an id before the
-    /// window's front closed long ago. (The two are an `IdTable`, kept as
-    /// its halves: the property test below reads each.)
-    window: IdWindow,
+    /// The open spans' cursors, by id; a closed span's slot goes to a
+    /// later open.
+    open: IdTable<OpenSpan>,
     /// Host breakdowns closed since the last [`Obs::rotate_finished`], as
     /// `(request id, stages)` in close order: their completions have not
     /// been handed to the host yet.
     acked: VecDeque<(u64, StageNs)>,
     /// Those of the period before, which [`Obs::take_finished`] serves.
     returned: VecDeque<(u64, StageNs)>,
-    /// Ring buffer of the most recent closed spans.
-    closed: Vec<Span>,
-    ring_start: usize,
+    /// The most recent `capacity` closed spans, oldest first.
+    closed: VecDeque<Closed>,
+    /// The busy windows of `closed`, record by record, in the same order.
+    windows: VecDeque<(u32, SimTime, SimTime)>,
     dropped: u64,
-    /// Busy lists of spans evicted from the ring, emptied: the next opens
-    /// take them, so a full ring's spans allocate nothing.
+    /// Busy lists of closed spans, emptied: the next opens take them, so
+    /// spans allocate nothing once as many lists exist as spans were ever
+    /// open at once.
     spare_busy: Vec<Vec<(u32, SimTime, SimTime)>>,
+    /// What the `u8` name codes of `closed` and `open` stand for.
+    names: Names,
     /// Cause applied to internal spans opened via [`Obs::open_internal`];
     /// set by the triggering policy code around its enqueues.
     cause_ctx: Cause,
-    /// Per lane: the last internal op issued there `(span id, kind,
+    /// Per lane: the last internal op issued there `(span id, kind code,
     /// busy-until)` — the interference source a host op can stall behind.
-    lane_internal: Vec<Option<(u64, &'static str, SimTime)>>,
+    lane_internal: Vec<Option<(u64, u8, SimTime)>>,
 }
 
 impl Obs {
@@ -263,14 +338,14 @@ impl Obs {
         Obs {
             capacity,
             next_id: 1,
-            open: Slab::default(),
-            window: IdWindow::default(),
+            open: IdTable::default(),
             acked: VecDeque::new(),
             returned: VecDeque::new(),
-            closed: Vec::new(),
-            ring_start: 0,
+            closed: VecDeque::new(),
+            windows: VecDeque::new(),
             dropped: 0,
             spare_busy: Vec::new(),
+            names: Names::default(),
             cause_ctx: Cause::None,
             lane_internal: Vec::new(),
         }
@@ -303,29 +378,34 @@ impl Obs {
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let slot = self.open.insert(OpenSpan {
-            span: Span {
-                id,
-                kind,
-                tenant,
-                start: now,
-                end: now,
-                stages: StageNs::default(),
-                cause,
-                stalled_behind: None,
-                busy: self.spare_busy.pop().unwrap_or_default(),
+        let (cause, cause_op) = match cause {
+            Cause::None => (CAUSE_NONE, 0),
+            Cause::Op(op) => (CAUSE_OP, op),
+            Cause::Policy(p) => (self.names.code(p), 0),
+        };
+        let rec = Closed {
+            id,
+            start: now,
+            end: now,
+            stages: StageNs::default(),
+            tenant,
+            cause_op,
+            stalled_id: NO_SPAN,
+            windows: 0,
+            kind: self.names.code(kind),
+            cause,
+            stalled_kind: 0,
+        };
+        let busy = self.spare_busy.pop().unwrap_or_default();
+        self.open.insert(
+            id,
+            OpenSpan {
+                rec,
+                busy,
+                last: now,
             },
-            last: now,
-        });
-        let slot = u32::try_from(slot).expect("open spans fit a u32");
-        self.window.open(id, slot);
+        );
         id
-    }
-
-    /// The cursor of `span` while it is open: `None` for an id never
-    /// issued (that covers [`NO_SPAN`]) and for one that closed.
-    fn cursor(&mut self, span: u64) -> Option<&mut OpenSpan> {
-        Some(&mut self.open[self.window.slot(span)? as usize])
     }
 
     /// Set the cause attached to subsequently opened internal spans. The
@@ -337,7 +417,7 @@ impl Obs {
 
     /// Charge `now - last` to `stage` and advance the cursor.
     pub fn acc(&mut self, span: u64, stage: Stage, now: SimTime) {
-        if let Some(s) = self.cursor(span) {
+        if let Some(s) = self.open.get_mut(span) {
             s.charge(stage, now);
         }
     }
@@ -346,7 +426,7 @@ impl Obs {
     /// up to `qos_hold` of it to [`Stage::QosHold`], the rest to
     /// [`Stage::QueueWait`]; advance the cursor to `now`.
     pub fn acc_queue(&mut self, span: u64, now: SimTime, qos_hold: SimDuration) {
-        if let Some(s) = self.cursor(span) {
+        if let Some(s) = self.open.get_mut(span) {
             let hold = qos_hold.min(now.saturating_since(s.last));
             s.charge(Stage::QosHold, s.last + hold);
             s.charge(Stage::QueueWait, now);
@@ -373,28 +453,28 @@ impl Obs {
         waited_since: SimTime,
         host_bound: bool,
     ) {
-        let Some(slot) = self.window.slot(span) else {
+        let Some(s) = self.open.get_mut(span) else {
             return;
         };
-        let s = &mut self.open[slot as usize];
         s.charge(Stage::SchedPending, now);
         let busy = done_at.saturating_since(now);
         let retry = retry.min(busy);
-        s.span.stages.add(Stage::Media, (busy - retry).as_nanos());
-        s.span.stages.add(Stage::Retry, retry.as_nanos());
+        s.rec.stages.add(Stage::Media, (busy - retry).as_nanos());
+        s.rec.stages.add(Stage::Retry, retry.as_nanos());
         s.last = done_at;
-        s.span.busy.push((lane, now, done_at));
+        s.busy.push((lane, now, done_at));
         let li = lane as usize;
         if host_bound {
-            if s.span.stalled_behind.is_none() {
-                if let Some(Some((sid, kind, until))) = self.lane_internal.get(li) {
-                    if *until > waited_since {
-                        s.span.stalled_behind = Some((*sid, kind));
+            if s.rec.stalled_id == NO_SPAN {
+                if let Some(&Some((sid, kind, until))) = self.lane_internal.get(li) {
+                    if until > waited_since {
+                        s.rec.stalled_id = sid;
+                        s.rec.stalled_kind = kind;
                     }
                 }
             }
         } else {
-            let kind = s.span.kind;
+            let kind = s.rec.kind;
             if self.lane_internal.len() <= li {
                 self.lane_internal.resize(li + 1, None);
             }
@@ -412,26 +492,20 @@ impl Obs {
 
     /// [`Obs::close`]; `None` when `span` is not open.
     fn close_open(&mut self, span: u64, end: SimTime) -> Option<StageNs> {
-        let slot = self.window.close(span)?;
-        let mut s = self.open.remove(slot as usize);
+        let mut s = self.open.remove(span)?;
         s.charge(Stage::SchedPending, end);
-        let mut closed = s.span;
-        closed.end = end;
-        let stages = closed.stages;
-        if self.closed.len() < self.capacity {
-            self.closed.push(closed);
-        } else {
-            let evicted = std::mem::replace(&mut self.closed[self.ring_start], closed);
-            let mut busy = evicted.busy;
-            busy.clear();
-            self.spare_busy.push(busy);
-            self.ring_start += 1;
-            if self.ring_start == self.capacity {
-                self.ring_start = 0;
-            }
+        s.rec.end = end;
+        s.rec.windows = u32::try_from(s.busy.len()).expect("a span's windows fit a u32");
+        if self.closed.len() == self.capacity {
+            let evicted = self.closed.pop_front().expect("a full ring");
+            self.windows.drain(..evicted.windows as usize);
             self.dropped += 1;
         }
-        Some(stages)
+        self.closed.push_back(s.rec);
+        self.windows.extend(&s.busy);
+        s.busy.clear();
+        self.spare_busy.push(s.busy);
+        Some(s.rec.stages)
     }
 
     /// Close the span of host request `req` at `end`, the instant the
@@ -467,10 +541,25 @@ impl Obs {
         self.acked.len() + self.returned.len()
     }
 
-    /// Closed spans, oldest retained first.
-    pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        let (newer, older) = self.closed.split_at(self.ring_start.min(self.closed.len()));
-        older.iter().chain(newer.iter())
+    /// Closed spans, oldest retained first, each rebuilt from its record.
+    pub fn spans(&self) -> impl Iterator<Item = Span> + '_ {
+        let mut windows = self.windows.iter();
+        self.closed.iter().map(move |c| Span {
+            id: c.id,
+            kind: self.names.name(c.kind),
+            tenant: c.tenant,
+            start: c.start,
+            end: c.end,
+            stages: c.stages,
+            cause: match c.cause {
+                CAUSE_NONE => Cause::None,
+                CAUSE_OP => Cause::Op(c.cause_op),
+                policy => Cause::Policy(self.names.name(policy)),
+            },
+            stalled_behind: (c.stalled_id != NO_SPAN)
+                .then(|| (c.stalled_id, self.names.name(c.stalled_kind))),
+            busy: windows.by_ref().take(c.windows as usize).copied().collect(),
+        })
     }
 
     /// Closed spans currently retained.
@@ -608,7 +697,7 @@ impl Obs {
             }
         }
         for s in self.spans() {
-            let args = span_args(s);
+            let args = span_args(&s);
             if s.busy.is_empty() {
                 ev.push(x_event(1, 0, s.kind, s.start, s.end, &args));
             } else {
@@ -983,6 +1072,34 @@ mod tests {
     }
 
     #[test]
+    fn the_window_ring_wraps_with_its_spans() {
+        let mut o = Obs::new(3);
+        // Spans of 0, 1 and 5 windows, evicted in every mix of sizes.
+        let counts = [5, 0, 1, 5, 5, 1, 0, 0, 5, 1, 5, 0, 1, 1, 5, 0, 5, 5];
+        let mut issued = Vec::new();
+        let mut now = 0;
+        for n in counts {
+            let id = o.open("AppWrite", None, t(now));
+            let mut busy = Vec::new();
+            for _ in 0..n {
+                let (lane, from, to) = (id as u32, t(now), t(now + 1));
+                o.on_issue(id, lane, from, to, SimDuration::ZERO, from, true);
+                busy.push((lane, from, to));
+                now += 1;
+            }
+            o.close(id, t(now));
+            issued.push(busy);
+            let kept = &issued[issued.len().saturating_sub(3)..];
+            let rebuilt: Vec<_> = o.spans().map(|s| s.busy).collect();
+            assert_eq!(rebuilt, kept);
+            assert_eq!(o.windows.len(), kept.iter().map(Vec::len).sum::<usize>());
+        }
+        assert_eq!(o.dropped(), counts.len() as u64 - 3);
+        // One busy list served every span.
+        assert_eq!(o.spare_busy.len(), 1);
+    }
+
+    #[test]
     fn gantt_places_busy_windows_per_lane() {
         let mut o = Obs::new(8);
         let a = o.open_internal("GcWrite", t(0));
@@ -1149,13 +1266,15 @@ mod tests {
             let mut rng = crate::SimRng::new(seed);
             let mut o = Obs::new(capacity);
             let mut sc = Script::default();
+            let mut peak_open = 0;
             for _ in 0..steps {
                 sc.now += SimDuration::from_nanos(rng.gen_range(2_000));
                 let done_at = sc.now + SimDuration::from_nanos(1 + rng.gen_range(5_000));
                 let req = [rng.gen_range(6), u64::MAX][rng.gen_bool(0.1) as usize];
                 let footprint = |o: &Obs| {
                     let closes = o.closed_count() as u64 + o.dropped();
-                    (o.open_count(), closes, o.window.len(), o.open.slots(), o.uncollected())
+                    let table = (o.open.window_len(), o.open.slots());
+                    (o.open_count(), closes, table, o.windows.len(), o.spare_busy.len(), o.uncollected())
                 };
                 let before = footprint(&o);
                 match rng.gen_range(10) {
@@ -1208,10 +1327,14 @@ mod tests {
                 prop_assert_eq!(o.open_count(), sc.live.len());
                 prop_assert_eq!(o.open.len(), sc.live.len());
                 if sc.live.is_empty() {
-                    prop_assert!(o.window.is_empty(), "the id window outlived its spans");
+                    prop_assert_eq!(o.open.window_len(), 0, "the id window outlived its spans");
                 } else {
-                    prop_assert_eq!(o.next_id - o.window.len() as u64, sc.live[0]);
+                    prop_assert_eq!(o.next_id - o.open.window_len() as u64, sc.live[0]);
                 }
+                // A busy list is made only when no spare one waits, and
+                // goes back when its span closes.
+                peak_open = peak_open.max(sc.live.len());
+                prop_assert!(o.spare_busy.len() <= peak_open, "more spare busy lists than spans ever open");
                 prop_assert_eq!(o.closed_count() as u64 + o.dropped(), sc.closes.len() as u64);
                 // The ring is the last `capacity` closes, in close order,
                 // and each retained span is whole and its own.
@@ -1227,13 +1350,18 @@ mod tests {
                         prop_assert!(start <= from && from < to && to <= end);
                     }
                 }
+                // The window ring holds the retained spans' windows and
+                // nothing else.
+                let counted: usize = o.closed.iter().map(|c| c.windows as usize).sum();
+                prop_assert_eq!(o.windows.len(), counted, "windows of evicted spans retained");
             }
-            // Close whatever is still open: window and slab drain with it.
+            // Close whatever is still open: the id table drains with it.
             for id in sc.live.clone() {
                 o.close(id, sc.now);
             }
             prop_assert_eq!(o.open_count(), 0);
-            prop_assert!(o.window.is_empty() && o.open.is_empty());
+            prop_assert!(o.open.window_len() == 0 && o.open.is_empty());
+            prop_assert!(o.spare_busy.len() <= peak_open);
             prop_assert!(o.spare_busy.iter().all(Vec::is_empty));
         }
     }

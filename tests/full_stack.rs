@@ -280,7 +280,7 @@ fn wear_leveling_narrows_erase_distribution() {
     );
 }
 
-/// ROADMAP item 1's silent stop, at tier-1 size: DFTL, a sequential fill,
+/// ROADMAP item 2's silent stop, at tier-1 size: DFTL, a sequential fill,
 /// then uniform random overwrites. `Os::run` returns normally with the
 /// writer unfinished — relocation writes bound to LUNs whose `Gc` stream
 /// has no block to allocate, and an empty agenda. `Os::stalled` names
