@@ -297,6 +297,50 @@ mod tests {
     }
 
     #[test]
+    fn a_full_span_ring_keeps_the_slowest_reads_of_the_run() {
+        // A fill; 1,100 reads alone, so reads have a threshold before
+        // anything slows them; then reads with a 5 % trickle of overwrites
+        // of 64 hot pages: now and then an erase holds up the reads queued
+        // on its LUN.
+        let run = |capacity: usize| {
+            let mut cfg = ControllerConfig::default();
+            cfg.obs.span_capacity = capacity;
+            let mut d = Driver::tiny(cfg);
+            let n = d.c.logical_pages();
+            let mut rng = eagletree_core::SimRng::new(28);
+            let fill = (0..n).map(|lpn| (RequestKind::Write, lpn));
+            let calm: Vec<_> = (0..1_100).map(|_| (RequestKind::Read, rng.gen_range(n))).collect();
+            let mixed: Vec<_> = (0..10_000)
+                .map(|_| match rng.gen_bool(0.05) {
+                    true => (RequestKind::Write, rng.gen_range(64)),
+                    false => (RequestKind::Read, rng.gen_range(n)),
+                })
+                .collect();
+            let ops: Vec<_> = fill.chain(calm).chain(mixed).collect();
+            d.submit_windowed(&ops, 16).unwrap();
+            d
+        };
+        let reference = run(1 << 20);
+        let all = reference.c.obs().unwrap();
+        assert_eq!(all.dropped(), 0, "the reference ring keeps every span");
+        let mut reads: Vec<_> = all.spans().filter(|s| s.kind == "AppRead").collect();
+        reads.sort_by_key(|s| (std::cmp::Reverse(s.end.since(s.start)), s.id));
+        let slowest: Vec<u64> = reads[..10].iter().map(|s| s.id).collect();
+        // A ring of the most recent 256 spans would lose some of them.
+        let ids: Vec<u64> = all.spans().map(|s| s.id).collect();
+        assert!(slowest.iter().any(|id| !ids[ids.len() - 256..].contains(id)));
+
+        let d = run(256);
+        let o = d.c.obs().unwrap();
+        assert_eq!(o.closed_count() as u64 + o.dropped(), ids.len() as u64);
+        assert!(ids.len() >= 50 * 256);
+        let kept: Vec<u64> = o.spans().map(|s| s.id).collect();
+        for id in slowest {
+            assert!(kept.contains(&id), "read #{id}, among the 10 slowest, was not retained");
+        }
+    }
+
+    #[test]
     fn the_later_acknowledgment_binds_and_a_tie_binds_neither() {
         let mut l = Ledger::default();
         // lpn 1: write acked at 10, trimmed at 10.

@@ -12,8 +12,8 @@
 //!   and an interference annotation when it was stalled behind an internal
 //!   op on its LUN.
 //! * [`Obs`] — the collector: open-span cursors in the crate's
-//!   [`IdTable`], found from a span id by subtraction; a ring of the most
-//!   recent closed spans; the host breakdowns of one
+//!   [`IdTable`], found from a span id by subtraction; a ring of closed
+//!   spans, retained by policy once full (below); the host breakdowns of one
 //!   [`Obs::rotate_finished`] period; and per-lane "last internal op"
 //!   memory for interference attribution. Nothing is keyed by a host
 //!   request id: whoever holds the request holds its span id. The
@@ -31,13 +31,26 @@
 //!   stalled-behind kind — are `u8` codes into a per-collector name table,
 //!   and its busy windows are a count. The windows themselves go, in
 //!   close order, into one flat window ring; evicting a record drains its
-//!   count from that ring's front. Closes append to both rings, so the
+//!   count from that ring's front. Admitted closes append to both rings
+//!   (a folded one to neither), so the
 //!   windows of the retained records are exactly the ring's contents, in
 //!   order: [`Obs::spans`] rebuilds each [`Span`] by walking the two side
 //!   by side, and a code decodes to a name equal to the one it was given
 //!   (a name is found by pointer, else by content). An open span's busy
 //!   list goes back to the spare pool the moment it closes, still in cache
 //!   for the next open.
+//!
+//!   Retention is by policy, not recency. Every close records the span's
+//!   end-to-end latency in a per-kind [`Histogram`]. Until the ring is
+//!   full it keeps every closed span. After that it *admits* a span only
+//!   if the span is at or above its kind's running p999 (re-read every
+//!   1024 closes of the kind; 0 — admit all — before the first re-read)
+//!   or its id is a multiple of 64. An admitted span evicts the oldest
+//!   record. Any other span is *folded*: its latency stays in the kind's
+//!   histogram ([`Obs::latency`]) and nothing else of it is kept.
+//!   Retention never changes what a span records, so a retained span is
+//!   the same whatever the ring's size; and a short run keeps the most
+//!   recent spans, as a plain ring would.
 //! * [`StageBreakdown`] — per-stage latency histograms whose stage sums
 //!   equal end-to-end latency *by construction*: every attribution call
 //!   advances a single cursor (`last`), so no nanosecond is counted twice
@@ -64,9 +77,11 @@ pub const NO_SPAN: u64 = 0;
 /// disabled collector is never even allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObsConfig {
-    /// Retain up to this many closed spans (a ring buffer keeping the most
-    /// recent; older spans are counted as dropped). `0` disables span
-    /// collection entirely.
+    /// Retain up to this many closed spans. Once the ring is full, a
+    /// closed span enters it (evicting the oldest) only if it is in its
+    /// kind's running tail or the 1-in-64 id sample; the rest are folded
+    /// into per-kind latency histograms. Both kinds of loss are counted
+    /// as dropped. `0` disables span collection entirely.
     pub span_capacity: usize,
     /// Emit one telemetry row per this many microseconds of virtual time.
     /// `0` disables the timeline.
@@ -277,6 +292,23 @@ impl Names {
     }
 }
 
+/// A full ring admits a span at or above this quantile of its kind.
+const ADMIT_QUANTILE: f64 = 0.999;
+/// Closes of one kind between two re-reads of its admission threshold.
+const REREAD_EVERY: u64 = 1024;
+/// A full ring admits every span whose id is a multiple of this.
+const SAMPLE_EVERY: u64 = 64;
+
+/// Every close of one op kind: the histogram its spans' end-to-end
+/// latencies fold into, and the threshold a full ring admits them at.
+#[derive(Default)]
+struct KindLatency {
+    hist: Histogram,
+    /// The histogram's [`ADMIT_QUANTILE`] as of its last re-read, in ns;
+    /// 0 (admit all) before [`REREAD_EVERY`] closes.
+    admit_ns: u64,
+}
+
 /// An open span: the record it will close as (`end` and `windows` still
 /// unset), its busy windows so far, and its cursor.
 struct OpenSpan {
@@ -312,11 +344,16 @@ pub struct Obs {
     acked: VecDeque<(u64, StageNs)>,
     /// Those of the period before, which [`Obs::take_finished`] serves.
     returned: VecDeque<(u64, StageNs)>,
-    /// The most recent `capacity` closed spans, oldest first.
+    /// Up to `capacity` retained spans, in close order.
     closed: VecDeque<Closed>,
     /// The busy windows of `closed`, record by record, in the same order.
     windows: VecDeque<(u32, SimTime, SimTime)>,
-    dropped: u64,
+    /// Per kind code: the latency of every span of that kind closed.
+    latency: Vec<KindLatency>,
+    /// Closed spans a full ring did not admit.
+    folded: u64,
+    /// Retained spans pushed out by a later admitted one.
+    evicted: u64,
     /// Busy lists of closed spans, emptied: the next opens take them, so
     /// spans allocate nothing once as many lists exist as spans were ever
     /// open at once.
@@ -343,7 +380,9 @@ impl Obs {
             returned: VecDeque::new(),
             closed: VecDeque::new(),
             windows: VecDeque::new(),
-            dropped: 0,
+            latency: Vec::new(),
+            folded: 0,
+            evicted: 0,
             spare_busy: Vec::new(),
             names: Names::default(),
             cause_ctx: Cause::None,
@@ -442,7 +481,10 @@ impl Obs {
     /// attribution; host-bound spans instead pick up a "stalled behind"
     /// annotation if an internal op occupied the lane after they were
     /// enqueued (`waited_since`).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one caller (the controller's flash issue); a parameter struct would only rename its seven values"
+    )]
     pub fn on_issue(
         &mut self,
         span: u64,
@@ -484,7 +526,7 @@ impl Obs {
     }
 
     /// Close `span` at `end`, charging any remainder since the cursor to
-    /// [`Stage::SchedPending`], and push it to the closed ring. Returns
+    /// [`Stage::SchedPending`], and offer it to the closed ring. Returns
     /// the final breakdown (zeroes if the span was unknown).
     pub fn close(&mut self, span: u64, end: SimTime) -> StageNs {
         self.close_open(span, end).unwrap_or_default()
@@ -495,17 +537,40 @@ impl Obs {
         let mut s = self.open.remove(span)?;
         s.charge(Stage::SchedPending, end);
         s.rec.end = end;
-        s.rec.windows = u32::try_from(s.busy.len()).expect("a span's windows fit a u32");
-        if self.closed.len() == self.capacity {
-            let evicted = self.closed.pop_front().expect("a full ring");
-            self.windows.drain(..evicted.windows as usize);
-            self.dropped += 1;
+        if self.admit(&s.rec) {
+            s.rec.windows = u32::try_from(s.busy.len()).expect("a span's windows fit a u32");
+            if self.closed.len() == self.capacity {
+                let evicted = self.closed.pop_front().expect("a full ring");
+                self.windows.drain(..evicted.windows as usize);
+                self.evicted += 1;
+            }
+            self.closed.push_back(s.rec);
+            self.windows.extend(&s.busy);
+        } else {
+            self.folded += 1;
         }
-        self.closed.push_back(s.rec);
-        self.windows.extend(&s.busy);
         s.busy.clear();
         self.spare_busy.push(s.busy);
         Some(s.rec.stages)
+    }
+
+    /// Record the latency of closed span `rec` under its kind, and say
+    /// whether the ring takes it: always while the ring has room, then
+    /// only at or above the kind's threshold or on the id sample.
+    fn admit(&mut self, rec: &Closed) -> bool {
+        let ns = rec.end.saturating_since(rec.start);
+        let k = rec.kind as usize;
+        if self.latency.len() <= k {
+            self.latency.resize_with(k + 1, KindLatency::default);
+        }
+        let kind = &mut self.latency[k];
+        kind.hist.record(ns);
+        if kind.hist.count().is_multiple_of(REREAD_EVERY) {
+            kind.admit_ns = kind.hist.quantile(ADMIT_QUANTILE).as_nanos();
+        }
+        self.closed.len() < self.capacity
+            || ns.as_nanos() >= kind.admit_ns
+            || rec.id.is_multiple_of(SAMPLE_EVERY)
     }
 
     /// Close the span of host request `req` at `end`, the instant the
@@ -541,7 +606,7 @@ impl Obs {
         self.acked.len() + self.returned.len()
     }
 
-    /// Closed spans, oldest retained first, each rebuilt from its record.
+    /// Retained spans in close order, each rebuilt from its record.
     pub fn spans(&self) -> impl Iterator<Item = Span> + '_ {
         let mut windows = self.windows.iter();
         self.closed.iter().map(move |c| Span {
@@ -567,9 +632,21 @@ impl Obs {
         self.closed.len()
     }
 
-    /// Spans evicted from the ring after it filled.
+    /// Closed spans not retained: folded by a full ring, or evicted.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.folded + self.evicted
+    }
+
+    /// Retained spans a later admitted span pushed out of the full ring.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    /// The end-to-end latency of every closed span of `kind`, retained or
+    /// not; `None` if no span of that kind has closed.
+    pub fn latency(&self, kind: &str) -> Option<&Histogram> {
+        let k = self.names.0.iter().position(|n| *n == kind)?;
+        self.latency.get(k).map(|l| &l.hist).filter(|h| h.count() > 0)
     }
 
     /// Spans opened but not yet closed (0 at quiescence).
@@ -602,10 +679,20 @@ impl Obs {
             }
             out.push('\n');
         }
-        if self.dropped > 0 {
-            out.push_str(&format!("… {} older spans dropped\n", self.dropped));
+        if self.dropped() > 0 {
+            out.push_str(&format!("… {}\n", self.dropped_note()));
         }
         out
+    }
+
+    /// What both renders print under the spans once any were dropped.
+    fn dropped_note(&self) -> String {
+        format!(
+            "{} spans dropped ({} folded into per-kind latency histograms, {} evicted)",
+            self.dropped(),
+            self.folded,
+            self.evicted
+        )
     }
 
     /// Render an ASCII Gantt chart of span busy windows between `from`
@@ -661,11 +748,8 @@ impl Obs {
                 String::from_utf8_lossy(&row)
             ));
         }
-        if self.dropped > 0 {
-            out.push_str(&format!(
-                "({} older spans dropped from the ring)\n",
-                self.dropped
-            ));
+        if self.dropped() > 0 {
+            out.push_str(&format!("({})\n", self.dropped_note()));
         }
         out
     }
@@ -1062,13 +1146,47 @@ mod tests {
             o.close(s, t(i + 1));
         }
         assert_eq!(o.closed_count(), 2);
-        assert_eq!(o.dropped(), 3);
-        // Oldest retained first: spans 4 and 5 (ids are 1-based).
+        // A kind with fewer than `REREAD_EVERY` closes admits every span:
+        // a short run keeps the most recent ones, in close order — spans
+        // 4 and 5 (ids are 1-based).
+        assert_eq!((o.dropped(), o.evicted()), (3, 3));
         let ids: Vec<u64> = o.spans().map(|s| s.id).collect();
         assert_eq!(ids, vec![4, 5]);
         assert!(o.render_spans(10).contains("dropped"));
         let g = o.render_gantt(t(0), t(10), 20, &[]);
         assert!(g.contains("dropped"), "gantt must surface drops: {g}");
+    }
+
+    #[test]
+    fn a_full_ring_admits_the_tail_and_the_sample() {
+        // 4096 reads of 1–50 µs, and three of 5 ms long after the ring
+        // filled: 128 ring slots for 4096 spans.
+        const OUTLIERS: [u64; 3] = [1_500, 2_801, 4_000];
+        let latency_us = |id: u64| if OUTLIERS.contains(&id) { 5_000 } else { id % 50 + 1 };
+        let mut o = Obs::new(128);
+        for i in 0..4096 {
+            let s = o.open("AppRead", Some(0), t(i));
+            o.close(s, t(i + latency_us(s)));
+        }
+        let hist = o.latency("AppRead").expect("reads closed");
+        assert_eq!(hist.count(), 4096, "every close is in its kind's histogram");
+        assert!(o.latency("GcRead").is_none());
+        assert_eq!(o.closed_count() as u64 + o.dropped(), 4096);
+        assert!(o.evicted() > 0 && o.dropped() > o.evicted(), "some spans folded");
+        let kept: Vec<Span> = o.spans().collect();
+        for id in OUTLIERS {
+            assert!(kept.iter().any(|s| s.id == id), "outlier #{id} not retained");
+        }
+        // Past the threshold's first re-read, a span the ring holds is in
+        // its kind's p999 or on the 1-in-64 sample; the rest left nothing.
+        let p999 = hist.p999().as_nanos();
+        for s in kept.iter().filter(|s| s.id > 1024) {
+            assert!(s.stages.total() >= p999 || s.id.is_multiple_of(64), "#{} admitted", s.id);
+        }
+        assert!(kept.iter().any(|s| s.id > 1024 && s.stages.total() < p999));
+        let footer = o.render_spans(0);
+        assert!(footer.contains(&format!("{} spans dropped", o.dropped())), "{footer}");
+        assert!(footer.contains(&format!("{} evicted", o.evicted())), "{footer}");
     }
 
     #[test]
@@ -1195,15 +1313,27 @@ mod tests {
     #[derive(Default)]
     struct Script {
         now: SimTime,
-        /// Per id − 1: open instant and `on_issue` calls made while open.
-        opened: Vec<(SimTime, usize)>,
+        /// Per id − 1: open instant, `on_issue` calls made while open, and
+        /// kind (an index into [`KINDS`]).
+        opened: Vec<(SimTime, usize, usize)>,
         /// Ids opened and not yet closed, in open order.
         live: Vec<u64>,
         /// Ids in close order, each with its close instant.
         closes: Vec<(u64, SimTime)>,
         /// `(request, total ns)` of host closes since the last rotation.
         acked: Vec<(u64, u64)>,
+        /// What the ring must hold by the admission rule: `(id, close
+        /// instant)`, in close order.
+        kept: VecDeque<(u64, SimTime)>,
+        /// Per kind: every close's latency, and the threshold last read
+        /// from it.
+        latency: [(Histogram, u64); 2],
+        /// Spans `kept` pushed out.
+        evicted: u64,
     }
+
+    /// The kinds the property test opens, by index.
+    const KINDS: [&str; 2] = ["AppRead", "GcRead"];
 
     impl Script {
         /// A live id: mostly one of the newest four, so the old ones stay
@@ -1228,9 +1358,29 @@ mod tests {
             }
         }
 
-        fn closed(&mut self, id: u64) {
+        /// `id` closed now; whether a ring of `capacity` admits it: while
+        /// it has room, else at or above the kind's p999 as of its last
+        /// re-read (every 1024 closes of the kind; 0 before the first), or
+        /// on the 1-in-64 id sample.
+        fn closed(&mut self, id: u64, capacity: usize) -> bool {
             self.live.retain(|&l| l != id);
             self.closes.push((id, self.now));
+            let (start, _, kind) = self.opened[id as usize - 1];
+            let ns = self.now.saturating_since(start);
+            let (hist, admit_ns) = &mut self.latency[kind];
+            hist.record(ns);
+            if hist.count().is_multiple_of(1024) {
+                *admit_ns = hist.quantile(0.999).as_nanos();
+            }
+            let admit = self.kept.len() < capacity || ns.as_nanos() >= *admit_ns || id.is_multiple_of(64);
+            if admit {
+                if self.kept.len() == capacity {
+                    self.kept.pop_front();
+                    self.evicted += 1;
+                }
+                self.kept.push_back((id, self.now));
+            }
+            admit
         }
     }
 
@@ -1260,7 +1410,7 @@ mod tests {
                 proptest::prelude::Just(2usize),
                 proptest::prelude::Just(64usize)
             ],
-            steps in 500usize..5000,
+            steps in 500usize..12_000,
         ) {
             use proptest::{prop_assert, prop_assert_eq};
             let mut rng = crate::SimRng::new(seed);
@@ -1280,12 +1430,15 @@ mod tests {
                 match rng.gen_range(10) {
                     // Ids are 1, 2, 3 … in open order.
                     0..=2 => {
-                        let id = if rng.gen_bool(0.5) {
-                            o.open("AppRead", Some(1), sc.now)
+                        // Enough reads to re-read their threshold; few
+                        // enough GC reads that theirs may stay 0.
+                        let kind = usize::from(rng.gen_bool(0.2));
+                        let id = if kind == 0 {
+                            o.open(KINDS[0], Some(1), sc.now)
                         } else {
-                            o.open_internal("GcRead", sc.now)
+                            o.open_internal(KINDS[1], sc.now)
                         };
-                        sc.opened.push((sc.now, 0));
+                        sc.opened.push((sc.now, 0, kind));
                         sc.live.push(id);
                         prop_assert_eq!(id, sc.opened.len() as u64);
                     }
@@ -1315,11 +1468,12 @@ mod tests {
                             sc.now = done_at;
                         }
                         if which >= 3 {
-                            sc.closed(id);
-                            let s = o.spans().last().expect("just closed");
-                            prop_assert_eq!(s.id, id);
+                            let admitted = sc.closed(id, capacity);
+                            let last = o.spans().last().map(|s| s.id);
+                            prop_assert_eq!(last == Some(id), admitted, "#{} admitted", id);
                             if which == 5 {
-                                sc.acked.push((req, s.stages.total()));
+                                let start = sc.opened[id as usize - 1].0;
+                                sc.acked.push((req, sc.now.since(start).as_nanos()));
                             }
                         }
                     }
@@ -1336,12 +1490,16 @@ mod tests {
                 peak_open = peak_open.max(sc.live.len());
                 prop_assert!(o.spare_busy.len() <= peak_open, "more spare busy lists than spans ever open");
                 prop_assert_eq!(o.closed_count() as u64 + o.dropped(), sc.closes.len() as u64);
-                // The ring is the last `capacity` closes, in close order,
-                // and each retained span is whole and its own.
-                let kept = &sc.closes[sc.closes.len().saturating_sub(capacity)..];
-                prop_assert_eq!(o.closed_count(), kept.len());
-                for (s, &(id, end)) in o.spans().zip(kept) {
-                    let (start, issues) = sc.opened[id as usize - 1];
+                prop_assert_eq!(o.evicted(), sc.evicted);
+                for (kind, (hist, _)) in KINDS.iter().zip(&sc.latency) {
+                    prop_assert_eq!(o.latency(kind).map_or(0, Histogram::count), hist.count());
+                }
+                // The ring is the admitted closes, in close order, and each
+                // retained span is whole and its own.
+                prop_assert_eq!(o.closed_count(), sc.kept.len());
+                for (s, &(id, end)) in o.spans().zip(&sc.kept) {
+                    let (start, issues, kind) = sc.opened[id as usize - 1];
+                    prop_assert_eq!(s.kind, KINDS[kind]);
                     prop_assert_eq!((s.id, s.start, s.end), (id, start, end));
                     prop_assert_eq!(s.stages.total(), end.since(start).as_nanos());
                     prop_assert_eq!(s.busy.len(), issues, "span #{} carries another span's windows", id);

@@ -26,7 +26,8 @@ pub struct ObsArtifacts {
     pub timeline_json: String,
     /// Closed spans retained in the ring.
     pub spans: usize,
-    /// Spans evicted from the ring (oldest-first) during the run.
+    /// Closed spans the ring did not retain: folded into per-kind latency
+    /// histograms once it was full, or evicted by a later admitted span.
     pub dropped: u64,
 }
 

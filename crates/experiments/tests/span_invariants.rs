@@ -12,13 +12,41 @@
 //!   per-tenant stage breakdowns saw exactly the completed IOs;
 //! * nothing stays open once the simulation quiesces.
 //!
-//! Half the cases run with a ring of 64: spans are evicted and their busy
-//! lists reused all run long, and every retained span must still be whole.
+//! Half the cases run with a ring of 64: spans are folded and evicted and
+//! their busy lists reused all run long, and every retained span must
+//! still be whole. Retention never changes what a span records, so a span
+//! a full ring keeps is the very span a ring large enough for the whole
+//! run keeps under the same id.
 
 use eagletree_core::ObsConfig;
 use eagletree_experiments::Setup;
+use eagletree_os::Os;
 use eagletree_workloads::{sequential_fill, MixedGen, Pumped, Region};
 use proptest::prelude::*;
+
+/// A 32-page fill beside `ios` mixed IOs at queue depth `qd`, spans and
+/// timeline on, run to quiescence.
+fn run(ios: u64, qd: usize, read_pct: u32, buffer: u64, span_capacity: usize, seed: u64) -> Os {
+    let mut setup = Setup::tiny();
+    setup.ctrl.obs = ObsConfig {
+        span_capacity,
+        timeline_interval_us: 250,
+    };
+    setup.ctrl.write_buffer_pages = buffer;
+    setup.os.queue_depth = qd;
+    let mut os = setup.build();
+    os.add_thread(sequential_fill(32));
+    os.add_thread(Box::new(
+        Pumped::new(
+            MixedGen::new(Region::whole(), ios, read_pct as f64 / 100.0),
+            qd as u64,
+            seed,
+        )
+        .named("mixed"),
+    ));
+    os.run().unwrap();
+    os
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
@@ -32,25 +60,7 @@ proptest! {
         span_capacity in prop_oneof![Just(1usize << 16), Just(64usize)],
         seed in 0u64..1_000_000,
     ) {
-        let mut setup = Setup::tiny();
-        setup.ctrl.obs = ObsConfig {
-            span_capacity,
-            timeline_interval_us: 250,
-        };
-        setup.ctrl.write_buffer_pages = buffer;
-        setup.os.queue_depth = qd;
-        let mut os = setup.build();
-        os.add_thread(sequential_fill(32));
-        os.add_thread(Box::new(
-            Pumped::new(
-                MixedGen::new(Region::whole(), ios, read_pct as f64 / 100.0),
-                qd as u64,
-                seed,
-            )
-            .named("mixed"),
-        ));
-        os.run().unwrap();
-
+        let os = run(ios, qd, read_pct, buffer, span_capacity, seed);
         let stats = os.tenant_stats(0);
         let (reads, writes) = (stats.reads_completed, stats.writes_completed);
         let obs = os.obs().expect("observability enabled");
@@ -100,5 +110,27 @@ proptest! {
         let bd_writes = stats.stage_breakdown(RequestKind::Write).map_or(0, |b| b.count());
         prop_assert_eq!(bd_reads, reads);
         prop_assert_eq!(bd_writes, writes);
+    }
+
+    #[test]
+    fn a_small_ring_retains_the_spans_a_large_one_does(
+        ios in 1_500u64..4_000,
+        qd in 1usize..32,
+        read_pct in 0u32..101,
+        buffer in prop_oneof![Just(0u64), Just(16u64)],
+        seed in 0u64..1_000_000,
+    ) {
+        let large = run(ios, qd, read_pct, buffer, 1 << 16, seed);
+        let small = run(ios, qd, read_pct, buffer, 64, seed);
+        let (large, small) = (large.obs().unwrap(), small.obs().unwrap());
+        prop_assert_eq!(large.dropped(), 0, "the large ring keeps every span");
+        prop_assert_eq!(small.closed_count() as u64 + small.dropped(), large.closed_count() as u64);
+        prop_assert!(small.dropped() > small.evicted(), "a full ring folds spans");
+        // Both rings hold spans in close order, so one pass pairs them up.
+        let mut whole = large.spans();
+        for kept in small.spans() {
+            let same = whole.find(|s| s.id == kept.id);
+            prop_assert_eq!(same.map(|s| format!("{s:?}")), Some(format!("{kept:?}")));
+        }
     }
 }

@@ -42,10 +42,12 @@ fn main() {
 
     let obs = os.obs().expect("observability enabled");
     println!(
-        "captured {} spans ({} open, {} dropped)\n",
+        "captured {} spans ({} open; {} dropped: {} folded into per-kind latency histograms, {} evicted)\n",
         obs.closed_count(),
         obs.open_count(),
-        obs.dropped()
+        obs.dropped(),
+        obs.dropped() - obs.evicted(),
+        obs.evicted()
     );
 
     println!("--- first 25 spans (stage-attributed lifecycles) ---");
