@@ -1629,6 +1629,42 @@ mod tests {
         assert_eq!(a.fault().unwrap().counters().read_retries, out.retries as u64);
     }
 
+    /// Every verb frees its LUN exactly when it completes, read retries
+    /// included, so the completion is the only LUN wake-up a scheduler
+    /// needs.
+    #[test]
+    fn every_verb_frees_its_lun_when_it_completes() {
+        use crate::fault::{FaultConfig, FaultEvent};
+        for faults in [false, true] {
+            let mut a = array();
+            if faults {
+                a.install_fault_model(FaultConfig {
+                    raw_bits_base: 30.0,
+                    retry_error_scale: 0.1,
+                    program_fail_base: 0.0,
+                    erase_fail_base: 0.0,
+                    ..FaultConfig::default()
+                });
+            }
+            let (mut now, mut retries) = (SimTime::ZERO, 0);
+            for cmd in [
+                FlashCommand::Program(addr(0, 0)),
+                FlashCommand::ReadStart(addr(0, 0)),
+                FlashCommand::TransferOut(addr(0, 0)),
+                FlashCommand::CopyBack { from: addr(0, 0), to: addr(1, 0) },
+                FlashCommand::Erase(addr(2, 0).block_addr()),
+            ] {
+                let out = a.issue(cmd, now).unwrap();
+                assert_eq!(out.lun_free_at, out.done_at, "{cmd:?}, fault model {faults}");
+                if let Some(FaultEvent::Read(r)) = out.fault {
+                    retries += r.retries;
+                }
+                now = out.done_at;
+            }
+            assert_eq!(retries > 0, faults, "{retries} read retries, fault model {faults}");
+        }
+    }
+
     #[test]
     fn program_failure_is_advisory_and_marks_grown_bad() {
         use crate::fault::{FaultConfig, FaultEvent};

@@ -3,8 +3,11 @@
 
 use proptest::prelude::*;
 
-use eagletree_core::{SimRng, SimTime};
-use eagletree_flash::{FlashArray, FlashCommand, Geometry, PageState, PhysicalAddr, TimingSpec};
+use eagletree_core::{SimDuration, SimRng, SimTime};
+use eagletree_flash::{
+    BlockAddr, FaultConfig, FlashArray, FlashCommand, FlashError, Geometry, PageState,
+    PhysicalAddr, TimingSpec,
+};
 
 /// Model of one block: how many pages programmed / invalidated.
 #[derive(Clone, Copy, Default)]
@@ -96,54 +99,113 @@ proptest! {
             model.iter().map(|m| m.erases as u64).sum::<u64>()
         );
     }
+}
 
-    /// Resource occupancy never travels backwards, and `can_issue` is
-    /// consistent with `issue` for random commands at random instants.
-    #[test]
-    fn can_issue_agrees_with_issue(seed in any::<u64>(), steps in 20usize..200) {
-        let g = Geometry::tiny();
-        let mut a = FlashArray::new(g, TimingSpec::slc());
-        let mut rng = SimRng::new(seed);
-        let mut now = SimTime::ZERO;
-        let mut programmed: Vec<(u32, u32, u32)> = Vec::new(); // (lun, block, pages)
+/// FNV-1a (64-bit) of `text`, continued from `h`.
+fn fnv1a(h: u64, text: &str) -> u64 {
+    text.bytes().fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
 
-        for _ in 0..steps {
-            // Random command attempt at a random time hop.
-            now += eagletree_core::SimDuration::from_nanos(rng.gen_range(500_000));
-            let lun = rng.gen_range(g.total_luns() as u64) as u32;
-            let channel = lun / g.luns_per_channel;
-            let l = lun % g.luns_per_channel;
-            let block = rng.gen_range(4) as u32;
-            let next = programmed
-                .iter()
-                .find(|&&(lu, b, _)| lu == lun && b == block)
-                .map(|&(_, _, p)| p)
-                .unwrap_or(0);
-            if next >= g.pages_per_block {
-                continue;
+/// [`can_issue_agrees_with_issue`]'s fingerprint: every attempt's `Result`
+/// of every run, folded in order. Recorded once and never regenerated: a
+/// refactor of the array that changes it changed a command's outcome.
+const ADMISSION_FINGERPRINT: u64 = 0xf8c2_c24c_7496_bdc8;
+
+/// One run of [`can_issue_agrees_with_issue`]: `steps` attempts of a random
+/// verb at a random instant on a two-plane device. Each attempt targets
+/// what the array holds often enough to reach every outcome: a written
+/// page, the held register, the next page, a block emptied first — and
+/// otherwise whatever is at hand. Returns `h` with every result folded in.
+fn admission_run(seed: u64, faults: bool, steps: usize, mut h: u64) -> u64 {
+    let g = Geometry { planes_per_lun: 2, ..Geometry::tiny() };
+    let mut a = FlashArray::new(g, TimingSpec::slc());
+    if faults {
+        // Reads above ECC on the first tier, so most retry.
+        a.install_fault_model(FaultConfig {
+            seed,
+            raw_bits_base: 12.0,
+            retry_error_scale: 0.3,
+            program_fail_base: 0.02,
+            erase_fail_base: 0.05,
+            ..FaultConfig::default()
+        });
+    }
+    let mut rng = SimRng::new(seed);
+    let mut now = SimTime::ZERO;
+    let mut pick = |bound: u32| rng.gen_range(bound.into()) as u32;
+    for _ in 0..steps {
+        // A quarter of the attempts land at the instant of the last one.
+        if pick(4) > 0 {
+            now += SimDuration::from_nanos(pick(400_000).into());
+        }
+        let lun = pick(g.total_luns());
+        let (channel, lun) = (lun / g.luns_per_channel, lun % g.luns_per_channel);
+        let block = |plane, block| BlockAddr { channel, lun, plane, block };
+        let (plane, b) = (pick(g.planes_per_lun), pick(4));
+        let written = a.block_info(block(plane, b)).write_ptr;
+        let next = |a: &FlashArray, b: BlockAddr| match a.block_info(b).write_ptr {
+            wp if wp < g.pages_per_block => wp,
+            _ => 0,
+        };
+        let cmd = match pick(5) {
+            0 => FlashCommand::ReadStart(block(plane, b).page(pick(written.max(1)))),
+            1 => match a.lun_holding(channel, lun) {
+                Some(held) if pick(4) > 0 => FlashCommand::TransferOut(held),
+                _ => FlashCommand::TransferOut(block(plane, b).page(pick(written.max(1)))),
+            },
+            2 => {
+                let page = match pick(8) {
+                    0 => pick(g.pages_per_block),
+                    _ => next(&a, block(plane, b)),
+                };
+                FlashCommand::Program(block(plane, b).page(page))
             }
-            let cmd = FlashCommand::Program(PhysicalAddr {
-                channel,
-                lun: l,
-                plane: 0,
-                block,
-                page: next,
-            });
-            let can = a.can_issue(&cmd, now);
-            let result = a.issue(cmd, now);
-            // `can_issue` covers resources; `issue` may still reject on
-            // state grounds — but never the reverse.
-            if result.is_ok() {
-                prop_assert!(can, "issue succeeded where can_issue said no");
-                let out = result.unwrap();
-                prop_assert!(out.done_at >= now);
-                prop_assert!(out.channel_free_at >= now);
-                prop_assert!(out.lun_free_at >= now);
-                match programmed.iter_mut().find(|&&mut (lu, b, _)| lu == lun && b == block) {
-                    Some(e) => e.2 += 1,
-                    None => programmed.push((lun, block, next + 1)),
+            3 => {
+                if pick(4) > 0 {
+                    for addr in a.valid_pages_in(block(plane, b)) {
+                        a.invalidate(addr);
+                    }
+                }
+                FlashCommand::Erase(block(plane, b))
+            }
+            _ => {
+                let to = block(pick(g.planes_per_lun), (b + 1 + pick(3)) % 4);
+                FlashCommand::CopyBack {
+                    from: block(plane, b).page(pick(written.max(1))),
+                    to: to.page(next(&a, to)),
                 }
             }
+        };
+        let can = a.can_issue(&cmd, now);
+        let result = a.issue(cmd, now);
+        let resource = matches!(
+            result,
+            Err(FlashError::ChannelBusy { .. }
+                | FlashError::LunBusy { .. }
+                | FlashError::NoPendingData { .. })
+        );
+        assert_eq!(resource, !can, "{cmd:?} at {now:?}: can_issue {can}, issue {result:?}");
+        if let Ok(out) = &result {
+            assert!(out.channel_free_at >= now && out.channel_free_at <= out.done_at, "{out:?}");
+            assert_eq!(out.lun_free_at, out.done_at, "{cmd:?}");
+        }
+        h = fnv1a(h, &format!("{result:?};"));
+    }
+    h
+}
+
+/// `can_issue` is `issue`'s resource test, for every verb at random
+/// instants with and without a fault model: `issue` fails for a busy
+/// channel, a busy LUN or an empty register exactly when `can_issue` says
+/// no, and succeeds or fails on state grounds exactly when it says yes.
+/// The outcomes themselves are pinned by [`ADMISSION_FINGERPRINT`].
+#[test]
+fn can_issue_agrees_with_issue() {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for case in 0..32u64 {
+        for faults in [false, true] {
+            h = admission_run(0xAD_0000 + case, faults, 300, h);
         }
     }
+    assert_eq!(h, ADMISSION_FINGERPRINT, "fingerprint {h:#018x}");
 }
