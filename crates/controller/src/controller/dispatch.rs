@@ -401,16 +401,14 @@ impl Dispatch {
         }
     }
 
-    /// Schedule `first` for when an issued command finishes, plus the
-    /// wake-ups for its channel and LUN freeing earlier than that (each
-    /// lets the scheduler hand the freed resource to the next op).
+    /// Schedule `first` for when an issued command finishes, plus a
+    /// wake-up for its channel freeing earlier than that, which lets the
+    /// scheduler hand the channel to the next op. The LUN frees when the
+    /// command finishes, so `first` is its wake-up.
     pub(super) fn schedule_after(&mut self, out: &IssueOutcome, first: CtrlEvent) {
         self.events.schedule(out.done_at, first);
         if out.channel_free_at < out.done_at {
             self.events.schedule(out.channel_free_at, CtrlEvent::Wake);
-        }
-        if out.lun_free_at < out.done_at {
-            self.events.schedule(out.lun_free_at, CtrlEvent::Wake);
         }
     }
 }

@@ -6,11 +6,10 @@
 //! the hybrid map [`Controller::drain_ftl_writebacks`] also forwards the
 //! scheme's switch-merge erase events.
 
-use eagletree_core::{Cause, SimTime};
+use eagletree_core::{Cause, SimTime, Slab};
 use eagletree_flash::{PageState, PhysicalAddr};
 
 use super::dispatch::{PendKind, WriteWhat};
-use super::jobs::JobTable;
 use super::{Controller, PageContent};
 use crate::alloc::Stream;
 use crate::ftl::{FtlKind, HybridEvent, TranslationWriteback};
@@ -32,7 +31,7 @@ pub(super) struct MapIo {
     /// Per translation page: what is parked on its fetch. A page is being
     /// fetched exactly while its list is non-empty.
     fetches: Vec<Vec<Waiter>>,
-    pub(super) wb_jobs: JobTable<WbJob>,
+    pub(super) wb_jobs: Slab<WbJob>,
 }
 
 impl MapIo {
@@ -40,7 +39,7 @@ impl MapIo {
     pub(super) fn new(tvpns: u64) -> Self {
         MapIo {
             fetches: vec![Vec::new(); tvpns as usize],
-            wb_jobs: JobTable::default(),
+            wb_jobs: Slab::default(),
         }
     }
 
@@ -155,7 +154,7 @@ impl Controller {
 
     /// Writeback `wb`'s program landed at `new`: repoint the GTD.
     pub(super) fn wb_write_done(&mut self, wb: usize, new: PhysicalAddr) {
-        let job = self.mapio.wb_jobs.take(wb);
+        let job = self.mapio.wb_jobs.remove(wb);
         let new_ppn = self.array.geometry().page_index(new);
         self.landed(new_ppn);
         let old = self.ftl.translation_written(job.tvpn, new_ppn);

@@ -34,7 +34,6 @@ mod dispatch;
 mod gc_guard_tests;
 mod host;
 mod issue;
-mod jobs;
 mod mapio;
 mod merge;
 mod mount;

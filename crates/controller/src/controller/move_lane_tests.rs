@@ -3,14 +3,16 @@
 //! program failure, and dropped with the pending set at a power cut.
 //! Driven mid-flight, one agenda instant at a time, with the bookkeeping
 //! recounted from the pending set after every step ([`submit`], [`step`],
-//! [`run`] and [`age_until`], which also serve `read_lane_tests`).
+//! [`run`] and [`age_until`], which also serve `read_lane_tests`). And the
+//! slabs of reclaim and writeback jobs stay as short as the most jobs in
+//! flight at once.
 
 use eagletree_core::SimTime;
 use eagletree_flash::FaultConfig;
 
 use super::dispatch::{PendKind, PendingOp};
 use super::{Controller, PageContent, Stuck};
-use crate::config::{ControllerConfig, WlConfig};
+use crate::config::{ControllerConfig, MappingKind, WlConfig};
 use crate::driver::Driver;
 use crate::pend::LaneKey;
 use crate::recovery::RecoveryMode;
@@ -267,4 +269,40 @@ fn power_cut_with_moves_queued_remounts_with_clean_bookkeeping() {
         );
         d.c.check_invariants();
     }
+}
+
+/// Fill the logical space of a tiny device, then overwrite it four
+/// times over in a scattered order, eight writes in flight.
+fn churn(cfg: ControllerConfig) -> (Controller, Result<(), Stuck>) {
+    let mut d = Driver::tiny(cfg);
+    let n = d.c.logical_pages();
+    let lpns = (0..n).chain((0..4 * n).map(|i| i * 7 % n));
+    let writes: Vec<_> = lpns.map(|lpn| (RequestKind::Write, lpn)).collect();
+    let ran = d.submit_windowed(&writes, 8);
+    (d.c, ran)
+}
+
+#[test]
+fn reclaim_jobs_reuse_their_slots() {
+    let (c, ran) = churn(ControllerConfig::default());
+    ran.expect("page map runs every window to quiescence");
+    assert!(c.stats().gc_erases >= 50, "{} victims", c.stats().gc_erases);
+    // GC runs one victim per LUN; static wear leveling may add one.
+    let bound = c.array().geometry().total_luns() as usize + 1;
+    assert!(c.reclaim.jobs.slots() <= bound, "{}", c.reclaim.jobs.slots());
+}
+
+#[test]
+fn writeback_jobs_reuse_their_slots() {
+    let (c, ran) = churn(ControllerConfig {
+        mapping: MappingKind::Dftl { cmt_entries: 32 },
+        ..ControllerConfig::default()
+    });
+    // A window stops on ROADMAP item 2's DFTL stall; later windows
+    // keep writing (and evicting) on the LUNs that still can.
+    assert_relocation_stall(ran);
+    let (started, slots) = (c.stats().mapping_writebacks, c.mapio.wb_jobs.slots());
+    assert!(started >= 50, "{started} writebacks");
+    // One burst of evictions at most: the writes in flight.
+    assert!(slots <= 8, "{slots} slots for {started} writebacks");
 }

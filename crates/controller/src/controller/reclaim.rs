@@ -16,11 +16,10 @@
 //! skips are exactly its open and reserved checkpoint blocks, so counting
 //! those against the array's reclaimable count answers without a search.
 
-use eagletree_core::{SimRng, SimTime};
+use eagletree_core::{SimRng, SimTime, Slab};
 use eagletree_flash::{BlockAddr, Geometry, PhysicalAddr};
 
 use super::dispatch::{EraseOwner, PendKind, WriteWhat};
-use super::jobs::JobTable;
 use super::{Controller, PageContent};
 use crate::alloc::Stream;
 use crate::bits::BitSet;
@@ -31,7 +30,7 @@ use crate::types::{IoSource, OpClass, Ppn};
 use crate::wear::pick_wl_victim;
 
 pub(super) struct Reclaim {
-    pub(super) jobs: JobTable<ReclaimJob>,
+    pub(super) jobs: Slab<ReclaimJob>,
     /// The blocks being evacuated, by [`Geometry::block_index`].
     victims: BitSet,
     /// Reclaim jobs in flight per LUN (GC starts at most one).
@@ -50,7 +49,7 @@ pub(super) struct Reclaim {
 impl Reclaim {
     pub(super) fn new(geometry: &Geometry, seed: u64) -> Self {
         Reclaim {
-            jobs: JobTable::default(),
+            jobs: Slab::default(),
             victims: BitSet::new(geometry.total_blocks()),
             active: vec![0; geometry.total_luns() as usize],
             jobless: {
@@ -380,7 +379,7 @@ impl Controller {
             EraseOwner::Reclaim { job } => {
                 let block_index = self.array.geometry().block_index(block);
                 self.reclaim.victims.clear(block_index);
-                let j = self.reclaim.jobs.take(job);
+                let j = self.reclaim.jobs.remove(job);
                 self.reclaim.active[j.lun as usize] -= 1;
                 let jobless = self.reclaim.active[j.lun as usize] == 0;
                 self.reclaim.jobless.assign(j.lun, jobless);

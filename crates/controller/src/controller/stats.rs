@@ -123,7 +123,7 @@ pub struct Stuck {
     pub pending: Vec<(OpClass, u64)>,
     /// Wholly-free blocks per LUN, in linear LUN order.
     pub free_blocks: Vec<usize>,
-    /// Live reclaim jobs: `(lun, source, page moves outstanding)`.
+    /// Live reclaim jobs: `(lun, source, page moves outstanding)`, by LUN.
     pub jobs: Vec<(u32, IoSource, u32)>,
 }
 
@@ -202,10 +202,13 @@ impl Controller {
         }
         let count = |c| self.disp.pending.iter().filter(|op| op.class == c).count() as u64;
         let luns = self.array.geometry().total_luns();
+        let mut jobs: Vec<_> =
+            self.reclaim.jobs.iter().map(|j| (j.lun, j.source, j.moves_left)).collect();
+        jobs.sort_by_key(|j| j.0);
         Err(Stuck {
             pending: OpClass::ALL.into_iter().map(|c| (c, count(c))).filter(|p| p.1 > 0).collect(),
             free_blocks: (0..luns).map(|l| self.alloc.free_blocks(l)).collect(),
-            jobs: self.reclaim.jobs.iter().map(|j| (j.lun, j.source, j.moves_left)).collect(),
+            jobs,
         })
     }
 

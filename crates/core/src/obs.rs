@@ -51,8 +51,9 @@
 //!   Retention never changes what a span records, so a retained span is
 //!   the same whatever the ring's size; and a short run keeps the most
 //!   recent spans, as a plain ring would.
-//! * [`StageBreakdown`] — per-stage latency histograms whose stage sums
-//!   equal end-to-end latency *by construction*: every attribution call
+//! * [`StageBreakdown`] — per-stage time sums and an end-to-end latency
+//!   histogram, whose stage sums equal end-to-end latency *by
+//!   construction*: every attribution call
 //!   advances a single cursor (`last`), so no nanosecond is counted twice
 //!   or dropped.
 //! * [`Timeline`] — fixed-interval rows of named telemetry columns
@@ -861,12 +862,13 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// Per-stage latency histograms plus an end-to-end total histogram fed
-/// from the same [`StageNs`] records — so `total` and the stage sums
-/// describe exactly the same population of IOs.
+/// Per-stage time sums plus an end-to-end total histogram fed from the
+/// same [`StageNs`] records — so `total` and the stage means describe
+/// exactly the same population of IOs.
 #[derive(Debug, Clone)]
 pub struct StageBreakdown {
-    stages: [Histogram; Stage::COUNT],
+    /// Nanoseconds spent in each stage, summed over the IOs recorded.
+    stage_ns: [u128; Stage::COUNT],
     total: Histogram,
 }
 
@@ -879,15 +881,15 @@ impl Default for StageBreakdown {
 impl StageBreakdown {
     pub fn new() -> Self {
         StageBreakdown {
-            stages: std::array::from_fn(|_| Histogram::new()),
+            stage_ns: [0; Stage::COUNT],
             total: Histogram::new(),
         }
     }
 
     /// Record one IO's breakdown.
     pub fn record(&mut self, st: StageNs) {
-        for (h, &ns) in self.stages.iter_mut().zip(st.0.iter()) {
-            h.record(SimDuration::from_nanos(ns));
+        for (sum, &ns) in self.stage_ns.iter_mut().zip(st.0.iter()) {
+            *sum += u128::from(ns);
         }
         self.total.record(SimDuration::from_nanos(st.total()));
     }
@@ -897,24 +899,16 @@ impl StageBreakdown {
         self.total.count()
     }
 
-    /// Histogram of one stage.
-    pub fn stage(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage as usize]
-    }
-
     /// Histogram of end-to-end latency (stage sums).
     pub fn total(&self) -> &Histogram {
         &self.total
     }
 
-    /// Mean microseconds spent in `stage` per IO.
+    /// Mean microseconds spent in `stage` per IO, from the mean's whole
+    /// nanoseconds (as a histogram's mean is).
     pub fn mean_us(&self, stage: Stage) -> f64 {
-        self.stages[stage as usize].mean().as_micros_f64()
-    }
-
-    /// Tail summary of one stage.
-    pub fn tail(&self, stage: Stage) -> Tail {
-        self.stages[stage as usize].tail()
+        let mean = self.stage_ns[stage as usize].checked_div(self.count().into()).unwrap_or(0);
+        SimDuration::from_nanos(mean as u64).as_micros_f64()
     }
 
     /// Tail summary of the stage sums.
@@ -924,8 +918,8 @@ impl StageBreakdown {
 
     /// Merge another breakdown into this one.
     pub fn merge(&mut self, other: &StageBreakdown) {
-        for (a, b) in self.stages.iter_mut().zip(other.stages.iter()) {
-            a.merge(b);
+        for (a, b) in self.stage_ns.iter_mut().zip(other.stage_ns.iter()) {
+            *a += b;
         }
         self.total.merge(&other.total);
     }
@@ -1271,14 +1265,22 @@ mod tests {
         st2.add(Stage::Media, 90_000);
         b.record(st2);
         assert_eq!(b.count(), 2);
-        assert_eq!(b.stage(Stage::Media).count(), 2);
-        assert!(b.mean_us(Stage::Media) > 0.0);
+        assert_eq!(b.mean_us(Stage::Media), 65.0);
+        assert_eq!(b.mean_us(Stage::QueueWait), 5.0);
+        assert_eq!(b.mean_us(Stage::Retry), 0.0);
         assert_eq!(b.total().mean().as_nanos(), 70_000);
         let mut c = StageBreakdown::new();
+        assert_eq!(c.mean_us(Stage::Media), 0.0, "no IO recorded");
         c.merge(&b);
-        assert_eq!(c.count(), 2);
-        assert_eq!(c.total_tail().count, 2);
-        assert_eq!(c.tail(Stage::Media).count, 2);
+        c.merge(&b);
+        assert_eq!(c.count(), 4);
+        assert_eq!(c.total_tail().count, 4);
+        assert_eq!(c.mean_us(Stage::Media), 65.0);
+        // A mean's fraction of a nanosecond is dropped, as a histogram's is.
+        let mut st3 = StageNs::default();
+        st3.add(Stage::Media, 1);
+        c.record(st3);
+        assert_eq!(c.mean_us(Stage::Media), 52.0);
     }
 
     #[test]

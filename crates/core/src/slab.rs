@@ -58,9 +58,13 @@ impl<T> Slab<T> {
     }
 
     /// Slots ever allocated: the high-water mark of live values.
-    #[cfg(test)]
-    pub(crate) fn slots(&self) -> usize {
+    pub fn slots(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The live values, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
     }
 }
 
@@ -93,6 +97,7 @@ mod tests {
         assert_eq!(s.insert('d'), c);
         assert_eq!(s.insert('e'), a);
         assert_eq!((s[a], s[b], s[c]), ('e', 'b', 'd'));
+        assert_eq!(s.iter().collect::<String>(), "ebd");
         s[b] = 'B';
         assert_eq!(s[b], 'B');
         for slot in [a, b, c] {

@@ -15,6 +15,22 @@
 //! * reads only target written pages; transfers only follow reads,
 //! * copy-back stays within one plane and requires chip support.
 //!
+//! Each hardware rule is stated in one place:
+//!
+//! * admission — which channel, LUN and page-register states accept a
+//!   command — in `refusal`, behind both [`FlashArray::can_issue`] and
+//!   [`FlashArray::issue`];
+//! * occupancy — the channel until a command's data phase ends, the LUN
+//!   until the command completes, the register and the program pipeline
+//!   as the verb leaves them, one counter — in the tail of `issue`; the
+//!   per-verb match before it checks and applies the verb's effect on the
+//!   medium and names those two instants;
+//! * the ECC read of a page, with its retry tiers, in `sample_read`, for
+//!   reads and copy-backs alike;
+//! * page liveness — page state, the block's live count and its
+//!   victim-index bucket — in `set_valid`, for programs, invalidation,
+//!   power cuts and recovery.
+//!
 //! The array also models the *durable* half of crash consistency: every
 //! program carries an [`OobEntry`] in the page's spare area, and
 //! [`FlashArray::power_cut`] destroys exactly the operations still in
@@ -27,7 +43,7 @@ use eagletree_core::SimTime;
 use crate::address::{BlockAddr, Geometry, PhysicalAddr};
 use crate::command::FlashCommand;
 use crate::error::FlashError;
-use crate::fault::{FaultConfig, FaultEvent, FaultModel};
+use crate::fault::{FaultConfig, FaultEvent, FaultModel, ReadOutcome};
 use crate::oob::OobEntry;
 use crate::timing::TimingSpec;
 
@@ -108,6 +124,15 @@ struct LunState {
     /// block: a cached program of the block's next page may pipeline
     /// behind it. Cleared by any other operation.
     programming: Option<BlockAddr>,
+}
+
+impl LunState {
+    /// Powered up or just cut: free, register empty, no program running.
+    const IDLE: LunState = LunState {
+        busy_until: SimTime::ZERO,
+        status: LunStatus::Idle,
+        programming: None,
+    };
 }
 
 /// What a LUN could accept at an instant: the resource test of
@@ -344,14 +369,7 @@ impl FlashArray {
             geometry,
             timing,
             channels: vec![SimTime::ZERO; geometry.channels as usize],
-            luns: vec![
-                LunState {
-                    busy_until: SimTime::ZERO,
-                    status: LunStatus::Idle,
-                    programming: None,
-                };
-                geometry.total_luns() as usize
-            ],
+            luns: vec![LunState::IDLE; geometry.total_luns() as usize],
             page_state: vec![PageState::Free; geometry.total_pages() as usize],
             blocks: vec![BlockInfo::new(); geometry.total_blocks() as usize],
             victim_index: VictimIndex::new(&geometry),
@@ -440,29 +458,34 @@ impl FlashArray {
     ///
     /// This is the resource test only; state validity (sequential program,
     /// live-erase, …) is checked at issue time.
+    #[inline]
     pub fn can_issue(&self, cmd: &FlashCommand, now: SimTime) -> bool {
-        let ch = cmd.channel() as usize;
-        if ch >= self.channels.len() || self.channels[ch] > now {
-            return false;
+        (cmd.channel() as usize) < self.channels.len() && self.refusal(cmd, now).is_none()
+    }
+
+    /// The admission rule: why `cmd`'s channel, LUN or page register
+    /// refuses it at `now`, or `None` when they accept it. A busy LUN
+    /// takes only a cached program of the block it is programming, and a
+    /// LUN holding data only the transfer of that page.
+    #[inline]
+    fn refusal(&self, cmd: &FlashCommand, now: SimTime) -> Option<FlashError> {
+        let (channel, lun) = (cmd.channel(), cmd.lun());
+        if self.channels[channel as usize] > now {
+            return Some(FlashError::ChannelBusy { channel });
         }
-        let slot = self.lun_slot(cmd.channel(), cmd.lun());
-        let lun = &self.luns[slot];
-        if lun.busy_until > now {
-            // Only a cached program may join a busy LUN.
-            return match cmd {
-                FlashCommand::Program(a) => self.can_pipeline(*a, now),
-                FlashCommand::ReadStart(_)
-                | FlashCommand::TransferOut(_)
-                | FlashCommand::Erase(_)
-                | FlashCommand::CopyBack { .. } => false,
-            };
+        let state = &self.luns[self.lun_slot(channel, lun)];
+        if state.busy_until > now
+            && !matches!(cmd, FlashCommand::Program(a) if self.can_pipeline(*a, now))
+        {
+            return Some(FlashError::LunBusy { channel, lun });
         }
-        match (lun.status, cmd) {
-            // A LUN holding data accepts only the matching transfer.
-            (LunStatus::HoldingData(held), FlashCommand::TransferOut(a)) => held == *a,
-            (LunStatus::HoldingData(_), _) => false,
-            (LunStatus::Idle, FlashCommand::TransferOut(_)) => false,
-            (LunStatus::Idle, _) => true,
+        match (state.status, cmd) {
+            (LunStatus::HoldingData(held), FlashCommand::TransferOut(a)) if held == *a => None,
+            (LunStatus::HoldingData(_), _) => Some(FlashError::LunBusy { channel, lun }),
+            (LunStatus::Idle, FlashCommand::TransferOut(_)) => {
+                Some(FlashError::NoPendingData { channel, lun })
+            }
+            (LunStatus::Idle, _) => None,
         }
     }
 
@@ -470,14 +493,10 @@ impl FlashArray {
     /// array-program (cached programming): chip support, channel free, and
     /// the LUN busy programming the same block.
     pub fn can_pipeline(&self, addr: PhysicalAddr, now: SimTime) -> bool {
-        if !self.timing.cached_program {
-            return false;
-        }
-        if self.channels[addr.channel as usize] > now {
-            return false;
-        }
         let lun = &self.luns[self.lun_slot(addr.channel, addr.lun)];
-        lun.busy_until > now
+        self.timing.cached_program
+            && self.channels[addr.channel as usize] <= now
+            && lun.busy_until > now
             && lun.status == LunStatus::Idle
             && lun.programming == Some(addr.block_addr())
     }
@@ -501,86 +520,24 @@ impl FlashArray {
             let left = self.inflight_programs.len() + self.inflight_erases.len();
             self.prune_at = (2 * left).max(PRUNE_FLOOR);
         }
-        let ch = cmd.channel() as usize;
-        if self.channels[ch] > now {
-            return Err(FlashError::ChannelBusy {
-                channel: cmd.channel(),
-            });
+        if let Some(refused) = self.refusal(&cmd, now) {
+            return Err(refused);
         }
         let slot = self.lun_slot(cmd.channel(), cmd.lun());
-        if self.luns[slot].busy_until > now {
-            let pipelined = matches!(cmd, FlashCommand::Program(a) if self.can_pipeline(a, now));
-            if !pipelined {
-                return Err(FlashError::LunBusy {
-                    channel: cmd.channel(),
-                    lun: cmd.lun(),
-                });
-            }
-        }
-        match (self.luns[slot].status, &cmd) {
-            (LunStatus::HoldingData(held), FlashCommand::TransferOut(a)) if held == *a => {}
-            (LunStatus::HoldingData(_), _) => {
-                return Err(FlashError::LunBusy {
-                    channel: cmd.channel(),
-                    lun: cmd.lun(),
-                })
-            }
-            (LunStatus::Idle, FlashCommand::TransferOut(_)) => {
-                return Err(FlashError::NoPendingData {
-                    channel: cmd.channel(),
-                    lun: cmd.lun(),
-                })
-            }
-            (LunStatus::Idle, _) => {}
-        }
-
         let t = self.timing;
-        match cmd {
+        // Per verb: its state checks and effects, and when it frees the
+        // channel and completes.
+        let (channel_free, done, fault) = match cmd {
             FlashCommand::ReadStart(addr) => {
-                if self.page_state(addr) == PageState::Free {
-                    return Err(FlashError::ReadUnwritten(addr));
-                }
-                if self.is_torn(addr) {
-                    return Err(FlashError::TornPage(addr));
-                }
+                self.check_readable(addr)?;
                 // ECC path: each retry tier re-issues the array read, so
                 // retries surface as real scheduler-visible latency.
-                let mut fault = None;
-                let mut attempts = 1u64;
-                if let Some(fm) = self.fault.as_mut() {
-                    let pi = self.geometry.page_index(addr);
-                    let bi = self.geometry.block_index(addr.block_addr());
-                    let pe = self.blocks[bi as usize].erase_count;
-                    let out = fm.sample_read(pi, bi, pe, now);
-                    attempts += out.retries as u64;
-                    fault = Some(FaultEvent::Read(out));
-                }
-                let channel_free = now + t.read_channel_time() * attempts;
+                let (retries, read) = self.sample_read(addr, now);
+                let attempts = 1 + retries;
                 let data_ready = now + t.read_lun_time() * attempts;
-                self.occupy(ch, slot, channel_free, data_ready);
-                self.luns[slot].programming = None;
-                self.luns[slot].status = LunStatus::HoldingData(addr);
-                self.counters.reads += 1;
-                Ok(IssueOutcome {
-                    done_at: data_ready,
-                    channel_free_at: channel_free,
-                    lun_free_at: data_ready,
-                    fault,
-                })
+                (now + t.read_channel_time() * attempts, data_ready, read.map(FaultEvent::Read))
             }
-            FlashCommand::TransferOut(_) => {
-                let done = now + t.t_xfer;
-                self.occupy(ch, slot, done, done);
-                self.luns[slot].programming = None;
-                self.luns[slot].status = LunStatus::Idle;
-                self.counters.transfers += 1;
-                Ok(IssueOutcome {
-                    done_at: done,
-                    channel_free_at: done,
-                    lun_free_at: done,
-                    fault: None,
-                })
-            }
+            FlashCommand::TransferOut(_) => (now + t.t_xfer, now + t.t_xfer, None),
             FlashCommand::Program(addr) => {
                 self.check_programmable(addr)?;
                 // Program-status failure is advisory: the page is burned
@@ -592,32 +549,17 @@ impl FlashArray {
                 // Cached programming: the array phase starts once both the
                 // data transfer finishes and the previous program (if any)
                 // completes — transfers hide behind array time.
-                let array_start = self.luns[slot].busy_until.max(channel_free);
-                let done = array_start + t.t_prog;
-                self.occupy(ch, slot, channel_free, done);
-                self.luns[slot].programming = Some(addr.block_addr());
+                let done = self.luns[slot].busy_until.max(channel_free) + t.t_prog;
                 self.mark_programmed(addr);
                 self.inflight_programs.push((addr, done));
-                self.counters.programs += 1;
-                Ok(IssueOutcome {
-                    done_at: done,
-                    channel_free_at: channel_free,
-                    lun_free_at: done,
-                    fault,
-                })
+                (channel_free, done, fault)
             }
             FlashCommand::Erase(block) => {
-                let info = self.block_info(block);
-                if info.live_pages > 0 {
-                    return Err(FlashError::EraseLiveBlock {
-                        block,
-                        live: info.live_pages,
-                    });
+                let live = self.block_info(block).live_pages;
+                if live > 0 {
+                    return Err(FlashError::EraseLiveBlock { block, live });
                 }
-                let channel_free = now + t.erase_channel_time();
                 let done = now + t.erase_lun_time();
-                self.occupy(ch, slot, channel_free, done);
-                self.luns[slot].programming = None;
                 // An erase failure leaves the block un-reset (the full
                 // erase pulse was still spent discovering that). A streak
                 // of failures retires the block as grown bad.
@@ -626,13 +568,7 @@ impl FlashArray {
                     self.reset_block(block, done);
                 }
                 self.inflight_erases.push((block, done));
-                self.counters.erases += 1;
-                Ok(IssueOutcome {
-                    done_at: done,
-                    channel_free_at: channel_free,
-                    lun_free_at: done,
-                    fault,
-                })
+                (now + t.erase_channel_time(), done, fault)
             }
             FlashCommand::CopyBack { from, to } => {
                 if !t.copyback {
@@ -645,62 +581,75 @@ impl FlashArray {
                         "{from:?} and {to:?} are in different planes"
                     )));
                 }
-                if self.page_state(from) == PageState::Free {
-                    return Err(FlashError::ReadUnwritten(from));
-                }
-                if self.is_torn(from) {
-                    return Err(FlashError::TornPage(from));
-                }
+                self.check_readable(from)?;
                 self.check_programmable(to)?;
                 // Copy-back reads through the same ECC path (an on-die
                 // move cannot scrub what ECC cannot correct), then
                 // programs: an uncorrectable source outranks a program
                 // failure — the destination holds garbage either way.
-                let mut fault = None;
-                let mut attempts = 1u64;
-                if self.fault.is_some() {
-                    let pi = self.geometry.page_index(from);
-                    let bi = self.geometry.block_index(from.block_addr());
-                    let pe = self.blocks[bi as usize].erase_count;
-                    let out = self
-                        .fault
-                        .as_mut()
-                        .expect("checked above")
-                        .sample_read(pi, bi, pe, now);
-                    attempts += out.retries as u64;
-                    let prog = self.sample_program_fault(to, now);
-                    fault = if out.uncorrectable || prog.is_none() {
-                        Some(FaultEvent::Read(out))
-                    } else {
-                        prog
-                    };
-                }
-                let channel_free = now + t.copyback_channel_time();
-                let done = now + t.copyback_lun_time() + t.read_lun_time() * (attempts - 1);
-                self.occupy(ch, slot, channel_free, done);
-                self.luns[slot].programming = None;
+                let (retries, read) = self.sample_read(from, now);
+                let fault = match (read, self.sample_program_fault(to, now)) {
+                    (Some(out), Some(failed)) if !out.uncorrectable => Some(failed),
+                    (read, _) => read.map(FaultEvent::Read),
+                };
+                let done = now + t.copyback_lun_time() + t.read_lun_time() * retries;
                 self.mark_programmed(to);
                 self.inflight_programs.push((to, done));
-                self.counters.copybacks += 1;
-                Ok(IssueOutcome {
-                    done_at: done,
-                    channel_free_at: channel_free,
-                    lun_free_at: done,
-                    fault,
-                })
+                (now + t.copyback_channel_time(), done, fault)
             }
-        }
+        };
+        // Every verb: the channel until its data phase ends, the LUN until
+        // the command completes, the register and the program pipeline as
+        // the verb leaves them.
+        let c = &mut self.counters;
+        let (status, programming, count) = match cmd {
+            FlashCommand::ReadStart(addr) => (LunStatus::HoldingData(addr), None, &mut c.reads),
+            FlashCommand::TransferOut(_) => (LunStatus::Idle, None, &mut c.transfers),
+            FlashCommand::Program(addr) => {
+                (LunStatus::Idle, Some(addr.block_addr()), &mut c.programs)
+            }
+            FlashCommand::Erase(_) => (LunStatus::Idle, None, &mut c.erases),
+            FlashCommand::CopyBack { .. } => (LunStatus::Idle, None, &mut c.copybacks),
+        };
+        *count += 1;
+        self.channels[cmd.channel() as usize] = channel_free;
+        self.luns[slot] = LunState { busy_until: done, status, programming };
+        Ok(IssueOutcome {
+            done_at: done,
+            channel_free_at: channel_free,
+            lun_free_at: done,
+            fault,
+        })
+    }
+
+    /// Page index, block index and erase count of `addr`: what the fault
+    /// model samples a page by. Takes the two fields it reads, so a caller
+    /// may hold the fault model mutably meanwhile.
+    fn wear_of(geometry: &Geometry, blocks: &[BlockInfo], addr: PhysicalAddr) -> (u64, u64, u32) {
+        let block = geometry.block_index(addr.block_addr());
+        (geometry.page_index(addr), block, blocks[block as usize].erase_count)
+    }
+
+    /// The ECC path of an array read of `addr`: the retry tiers it took and
+    /// what the installed fault model's ECC saw. `(0, None)`, and no draw,
+    /// without a model.
+    fn sample_read(&mut self, addr: PhysicalAddr, now: SimTime) -> (u64, Option<ReadOutcome>) {
+        let Some(fm) = self.fault.as_mut() else {
+            return (0, None);
+        };
+        let (page, block, pe) = Self::wear_of(&self.geometry, &self.blocks, addr);
+        let out = fm.sample_read(page, block, pe, now);
+        (out.retries.into(), Some(out))
     }
 
     /// Sample a program-status failure for `addr` (no-op without a fault
     /// model) and record the page's program time for retention aging.
     fn sample_program_fault(&mut self, addr: PhysicalAddr, now: SimTime) -> Option<FaultEvent> {
         let fm = self.fault.as_mut()?;
-        let pi = self.geometry.page_index(addr);
-        let bi = self.geometry.block_index(addr.block_addr());
-        let info = &self.blocks[bi as usize];
-        let failed = fm.sample_program(pi, bi, info.erase_count);
-        fm.on_program(pi, bi, now, info.write_ptr == 0);
+        let (page, block, pe) = Self::wear_of(&self.geometry, &self.blocks, addr);
+        let first = self.blocks[block as usize].write_ptr == 0;
+        let failed = fm.sample_program(page, block, pe);
+        fm.on_program(page, block, now, first);
         failed.then_some(FaultEvent::ProgramFailed)
     }
 
@@ -719,12 +668,6 @@ impl FlashArray {
             }
         }
         Some(FaultEvent::EraseFailed { retired })
-    }
-
-    /// Extend the channel's and the LUN's busy windows.
-    fn occupy(&mut self, ch: usize, lun_slot: usize, channel_until: SimTime, lun_until: SimTime) {
-        self.channels[ch] = channel_until;
-        self.luns[lun_slot].busy_until = lun_until;
     }
 
     fn check_range(&self, cmd: &FlashCommand) -> Result<(), FlashError> {
@@ -750,6 +693,17 @@ impl FlashArray {
         Ok(())
     }
 
+    /// An array read may target any written page the power cut left whole.
+    fn check_readable(&self, addr: PhysicalAddr) -> Result<(), FlashError> {
+        if self.page_state(addr) == PageState::Free {
+            return Err(FlashError::ReadUnwritten(addr));
+        }
+        if self.is_torn(addr) {
+            return Err(FlashError::TornPage(addr));
+        }
+        Ok(())
+    }
+
     fn check_programmable(&self, addr: PhysicalAddr) -> Result<(), FlashError> {
         let info = self.block_info(addr.block_addr());
         if info.bad {
@@ -769,18 +723,28 @@ impl FlashArray {
     }
 
     fn mark_programmed(&mut self, addr: PhysicalAddr) {
-        let pi = self.geometry.page_index(addr) as usize;
-        self.page_state[pi] = PageState::Valid;
         let bi = self.geometry.block_index(addr.block_addr()) as usize;
-        self.blocks[bi].write_ptr += 1;
-        self.blocks[bi].live_pages += 1;
-        let live = self.blocks[bi].live_pages;
-        if self.blocks[bi].write_ptr == 1 {
+        if self.blocks[bi].write_ptr == 0 {
             // First program since erase: the block enters the index.
-            self.victim_index.link(bi as u32, live);
-        } else {
-            self.victim_index.move_to(bi as u32, live - 1, live);
+            self.victim_index.link(bi as u32, 0);
         }
+        self.blocks[bi].write_ptr += 1;
+        self.set_valid(addr, true);
+    }
+
+    /// The page-liveness transition: `addr` becomes valid, or a valid page
+    /// becomes invalid, and its block's live count and victim-index bucket
+    /// follow.
+    fn set_valid(&mut self, addr: PhysicalAddr, valid: bool) {
+        let pi = self.geometry.page_index(addr) as usize;
+        let was_valid = self.page_state[pi] == PageState::Valid;
+        assert!(valid || was_valid, "invalidate of non-valid page {addr:?}");
+        let bi = self.geometry.block_index(addr.block_addr()) as usize;
+        self.page_state[pi] = if valid { PageState::Valid } else { PageState::Invalid };
+        let was = self.blocks[bi].live_pages;
+        let live = if valid { was + 1 } else { was - 1 };
+        self.blocks[bi].live_pages = live;
+        self.victim_index.move_to(bi as u32, was, live);
     }
 
     fn reset_block(&mut self, block: BlockAddr, when: SimTime) {
@@ -863,14 +827,10 @@ impl FlashArray {
         now: SimTime,
     ) -> Result<Option<OobEntry>, FlashError> {
         let entry = self.oob(addr);
-        if entry.is_some() {
-            if let Some(fm) = &self.fault {
-                let pi = self.geometry.page_index(addr);
-                let bi = self.geometry.block_index(addr.block_addr());
-                let pe = self.blocks[bi as usize].erase_count;
-                if fm.oob_uncorrectable(pi, bi, pe, now) {
-                    return Err(FlashError::Uncorrectable(addr));
-                }
+        if let (Some(_), Some(fm)) = (entry, &self.fault) {
+            let (page, block, pe) = Self::wear_of(&self.geometry, &self.blocks, addr);
+            if fm.oob_uncorrectable(page, block, pe, now) {
+                return Err(FlashError::Uncorrectable(addr));
             }
         }
         Ok(entry)
@@ -911,14 +871,8 @@ impl FlashArray {
             self.oob[pi] = None;
             if self.page_state[pi] == PageState::Valid {
                 // The partial program holds nothing readable: it is garbage
-                // from birth (live-page accounting and the victim index
-                // follow, exactly as for an invalidation).
-                self.page_state[pi] = PageState::Invalid;
-                let bi = self.geometry.block_index(addr.block_addr()) as usize;
-                debug_assert!(self.blocks[bi].live_pages > 0);
-                self.blocks[bi].live_pages -= 1;
-                let live = self.blocks[bi].live_pages;
-                self.victim_index.move_to(bi as u32, live + 1, live);
+                // from birth, exactly as if invalidated.
+                self.set_valid(addr, false);
             }
             report.torn_pages += 1;
         }
@@ -931,14 +885,8 @@ impl FlashArray {
             report.interrupted_erases += 1;
         }
         // Power off: every channel and LUN is idle, registers are empty.
-        for ch in &mut self.channels {
-            *ch = SimTime::ZERO;
-        }
-        for lun in &mut self.luns {
-            lun.busy_until = SimTime::ZERO;
-            lun.status = LunStatus::Idle;
-            lun.programming = None;
-        }
+        self.channels.fill(SimTime::ZERO);
+        self.luns.fill(LunState::IDLE);
         report
     }
 
@@ -967,14 +915,9 @@ impl FlashArray {
             PageState::Free,
             "unwritten page {addr:?} cannot be revalidated"
         );
-        if self.page_state[pi] == PageState::Valid {
-            return;
+        if self.page_state[pi] == PageState::Invalid {
+            self.set_valid(addr, true);
         }
-        self.page_state[pi] = PageState::Valid;
-        let bi = self.geometry.block_index(addr.block_addr()) as usize;
-        self.blocks[bi].live_pages += 1;
-        let live = self.blocks[bi].live_pages;
-        self.victim_index.move_to(bi as u32, live - 1, live);
     }
 
     /// State of one physical page.
@@ -992,18 +935,7 @@ impl FlashArray {
     /// Panics if the page was not valid: double-invalidation means the FTL
     /// lost track of the mapping.
     pub fn invalidate(&mut self, addr: PhysicalAddr) {
-        let pi = self.geometry.page_index(addr) as usize;
-        assert_eq!(
-            self.page_state[pi],
-            PageState::Valid,
-            "invalidate of non-valid page {addr:?}"
-        );
-        self.page_state[pi] = PageState::Invalid;
-        let bi = self.geometry.block_index(addr.block_addr()) as usize;
-        debug_assert!(self.blocks[bi].live_pages > 0);
-        self.blocks[bi].live_pages -= 1;
-        let live = self.blocks[bi].live_pages;
-        self.victim_index.move_to(bi as u32, live + 1, live);
+        self.set_valid(addr, false);
     }
 
     /// Blocks on linear LUN `lun` currently holding exactly `live` valid
