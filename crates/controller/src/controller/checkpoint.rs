@@ -140,11 +140,7 @@ impl Controller {
     /// checkpointing is configured.
     pub(super) fn journal_trim(&mut self, lpn: Lpn, old: Ppn) {
         let Some(ck) = &mut self.ckpt else { return };
-        let seq = self
-            .array
-            .oob(self.array.geometry().page_at(old))
-            .map(|e| e.seq)
-            .unwrap_or(0);
+        let seq = self.array.oob_at(old).map_or(0, |e| e.seq);
         let barrier = ck.trims.entry(lpn).or_insert(0);
         *barrier = (*barrier).max(seq);
     }
@@ -242,11 +238,10 @@ impl Controller {
             if info.write_ptr == 0 {
                 continue;
             }
-            let g = *self.array.geometry();
-            let base = g.page_index(block.page(0));
-            for p in 0..info.write_ptr as u64 {
-                if self.array.page_state(g.page_at(base + p)) == PageState::Valid {
-                    self.invalidate_ppn(base + p);
+            let base = self.array.geometry().page_index(block.page(0));
+            for ppn in base..base + info.write_ptr as u64 {
+                if self.array.page_state_at(ppn) == PageState::Valid {
+                    self.invalidate_ppn(ppn);
                 }
             }
             let owner = EraseOwner::Ckpt;

@@ -82,9 +82,9 @@ pub(super) enum DoneWhat {
     Xfer(XferDone),
     AppWriteDone { id: RequestId, lpn: Lpn, ppn: Ppn },
     /// A reclaim migration (read+program or copy-back) landed at `new`.
-    MoveDone { job: usize, from_ppn: Ppn, content: PageContent, new: PhysicalAddr },
+    MoveDone { job: usize, from_ppn: Ppn, content: PageContent, new: Ppn },
     EraseDone { block: BlockAddr, owner: EraseOwner },
-    WbWrite { wb: usize, new: PhysicalAddr },
+    WbWrite { wb: usize, new: Ppn },
     FlushDone { lpn: Lpn, version: u64, ppn: Ppn },
     MergeProgDone { from: Option<Ppn>, dest: Ppn },
     CkptWriteDone,
@@ -771,7 +771,7 @@ impl Controller {
             PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } => {
                 self.mapped_read_page(kind).map(|p| g.page_at(p))
             }
-            PendKind::WbRead { wb } => self.wb_read_source(wb),
+            PendKind::WbRead { wb } => self.wb_read_source(wb).map(|p| g.page_at(p)),
             // `None`: trimmed since enqueue, reroutes to a filler program.
             PendKind::MergeRead => {
                 let cur = self.merge.cur();
@@ -870,26 +870,30 @@ impl Controller {
     }
 
     /// Whether `op`, of a kind that waits in a scan queue, could issue
-    /// right now: each asks about exactly the address it will use.
+    /// right now. An erase and a writeback read need no more of their LUN
+    /// than that it can start an array operation, which is its bit of the
+    /// idle set (exactly [`Self::lun_idle`], as `check_ready_sets` holds
+    /// it): they read that bit, and no command is built. Every other kind
+    /// asks the array about exactly the address it will use.
     fn scan_op_issuable(&self, op: &PendingOp, now: SimTime) -> bool {
+        let (g, idle) = (self.array.geometry(), &self.disp.ready.idle);
         match op.kind {
             PendKind::Transfer { addr, .. } => {
                 self.cmd_resources_free(&FlashCommand::TransferOut(addr), now)
             }
-            PendKind::Erase { block, .. } => {
-                self.cmd_resources_free(&FlashCommand::Erase(block), now)
+            PendKind::Erase { block, .. } => idle.get(g.lun_index(block.channel, block.lun)),
+            // `None`: nothing to read any more, consumed instantly.
+            PendKind::WbRead { wb } => {
+                self.wb_read_source(wb).is_none_or(|old| idle.get(g.lun_of_page(old)))
             }
-            PendKind::WbRead { .. } | PendKind::MergeRead => match self.read_source(&op.kind) {
+            PendKind::MergeRead => match self.read_source(&op.kind) {
                 None => true, // nothing to read any more: consumed instantly
                 Some(addr) => self.cmd_resources_free(&FlashCommand::ReadStart(addr), now),
             },
             PendKind::HybridWrite { what } => {
                 let FtlKind::Hybrid(h) = &self.ftl else { return false };
                 match h.place(what.lpn()) {
-                    HybridPlace::Append(ppn) => {
-                        let addr = self.array.geometry().page_at(ppn);
-                        self.program_ok(addr, now)
-                    }
+                    HybridPlace::Append(ppn) => self.program_ok(g.page_at(ppn), now),
                     // Waiting on a log block or a merge (maintenance's job).
                     HybridPlace::NeedsLogBlock { .. }
                     | HybridPlace::NeedsSeqMerge
@@ -899,8 +903,7 @@ impl Controller {
             }
             PendKind::MergeProgram { .. } => {
                 let cur = self.merge.cur();
-                let addr = self.array.geometry().page_at(cur.dest + cur.next as u64);
-                self.program_ok(addr, now)
+                self.program_ok(g.page_at(cur.dest + cur.next as u64), now)
             }
             PendKind::CkptWrite => self.program_ok(self.ckpt_next_program().1, now),
             PendKind::Write { .. }
@@ -1113,7 +1116,7 @@ impl Controller {
     /// write-issuability per `(LUN, stream)` within one reference scan.
     #[expect(
         clippy::wildcard_enum_match_arm,
-        reason = "names the kinds with a lane-head shortcut; every other kind takes scan_op_issuable's exhaustive match"
+        reason = "names the kinds with a lane-head or ready-set shortcut; every other kind takes scan_op_issuable's exhaustive match"
     )]
     fn op_issuable(&self, op: &PendingOp, now: SimTime, memo: &mut WriteMemo) -> bool {
         match op.kind {
@@ -1122,7 +1125,10 @@ impl Controller {
                 self.move_superseded(from)
                     || self.cmd_resources_free(&FlashCommand::ReadStart(from), now)
             }
-            PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } => {
+            PendKind::Erase { block, .. } => {
+                self.cmd_resources_free(&FlashCommand::Erase(block), now)
+            }
+            PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } | PendKind::WbRead { .. } => {
                 match self.read_source(&op.kind) {
                     None => true, // nothing to read any more: consumed instantly
                     Some(addr) => self.cmd_resources_free(&FlashCommand::ReadStart(addr), now),

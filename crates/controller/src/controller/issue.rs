@@ -231,16 +231,16 @@ impl Controller {
                     WriteWhat::Gc { from_ppn, .. } => Some(self.source_seq(from_ppn)),
                     WriteWhat::Host(_) | WriteWhat::Translation { .. } => None,
                 };
-                self.stamp_program(addr, Self::content_tag(content), seq);
+                self.stamp_program(ppn, Self::content_tag(content), seq);
                 let done = match what {
                     WriteWhat::Host(h) => h.landed(ppn),
                     WriteWhat::Gc { job, from_ppn, content } => DoneWhat::MoveDone {
                         job,
                         from_ppn,
                         content,
-                        new: addr,
+                        new: ppn,
                     },
-                    WriteWhat::Translation { wb } => DoneWhat::WbWrite { wb, new: addr },
+                    WriteWhat::Translation { wb } => DoneWhat::WbWrite { wb, new: ppn },
                 };
                 self.finish_issue(op.class, done, out);
             }
@@ -262,8 +262,8 @@ impl Controller {
                 if self.cfg.gc.use_copyback && self.array.timing().copyback {
                     let lun = self.reclaim.jobs[job].lun;
                     if let Some(to) = self.alloc.alloc_in_plane(lun, from.plane, Stream::Gc) {
-                        self.reverse[self.array.geometry().page_index(to) as usize] =
-                            Some(content);
+                        let to_ppn = self.array.geometry().page_index(to);
+                        self.reverse[to_ppn as usize] = Some(content);
                         let seq = self.source_seq(from_ppn);
                         let out = self.issue_cmd(FlashCommand::CopyBack { from, to }, now);
                         if self.program_failed(&op, to, op.kind, out, now) {
@@ -272,8 +272,8 @@ impl Controller {
                         // Copy-back reads on-chip; an uncorrectable source
                         // still surfaces through the fault event.
                         self.note_read_fault(&out, Self::content_lpn(content));
-                        self.stamp_program(to, Self::content_tag(content), Some(seq));
-                        let done = DoneWhat::MoveDone { job, from_ppn, content, new: to };
+                        self.stamp_program(to_ppn, Self::content_tag(content), Some(seq));
+                        let done = DoneWhat::MoveDone { job, from_ppn, content, new: to_ppn };
                         self.finish_issue(op.class, done, out);
                         return;
                     }
@@ -290,7 +290,7 @@ impl Controller {
                 if self.program_failed(&op, addr, op.kind, out, now) {
                     return;
                 }
-                self.stamp_program(addr, OobTag::Data { lpn }, None);
+                self.stamp_program(ppn, OobTag::Data { lpn }, None);
                 self.finish_issue(op.class, what.landed(ppn), out);
             }
             PendKind::MergeRead => {
@@ -330,11 +330,11 @@ impl Controller {
                 match from {
                     Some(src) => {
                         let seq = self.source_seq(src);
-                        self.stamp_program(addr, OobTag::Data { lpn }, Some(seq));
+                        self.stamp_program(dest, OobTag::Data { lpn }, Some(seq));
                     }
                     // Fillers carry no logical content; recovery skips
                     // them.
-                    None => self.stamp_unmapped(addr, OobTag::Filler),
+                    None => self.stamp_unmapped(dest, OobTag::Filler),
                 }
                 self.finish_issue(op.class, DoneWhat::MergeProgDone { from, dest }, out);
             }
@@ -348,7 +348,7 @@ impl Controller {
                 // recovery falls back to the previous slot or a full scan.
                 // Checkpoint pages carry no mapping entry of their own:
                 // stamped (for block probes) but never replayed.
-                self.stamp_unmapped(addr, OobTag::Checkpoint { slot });
+                self.stamp_unmapped(ppn, OobTag::Checkpoint { slot });
                 self.stats.checkpoint_pages += 1;
                 self.finish_issue(op.class, DoneWhat::CkptWriteDone, out);
             }

@@ -7,7 +7,7 @@
 //! scheme's switch-merge erase events.
 
 use eagletree_core::{Cause, SimTime, Slab};
-use eagletree_flash::{PageState, PhysicalAddr};
+use eagletree_flash::PageState;
 
 use super::dispatch::{PendKind, WriteWhat};
 use super::{Controller, PageContent};
@@ -146,18 +146,16 @@ impl Controller {
     /// The old translation page writeback `wb` must read-merge, or `None`
     /// when there is none — or it was erased meanwhile — and the job skips
     /// straight to its program.
-    pub(super) fn wb_read_source(&self, wb: usize) -> Option<PhysicalAddr> {
+    pub(super) fn wb_read_source(&self, wb: usize) -> Option<Ppn> {
         let old = self.mapio.wb_jobs[wb].old_ppn?;
-        let addr = self.array.geometry().page_at(old);
-        (self.array.page_state(addr) != PageState::Free).then_some(addr)
+        (self.array.page_state_at(old) != PageState::Free).then_some(old)
     }
 
     /// Writeback `wb`'s program landed at `new`: repoint the GTD.
-    pub(super) fn wb_write_done(&mut self, wb: usize, new: PhysicalAddr) {
+    pub(super) fn wb_write_done(&mut self, wb: usize, new: Ppn) {
         let job = self.mapio.wb_jobs.remove(wb);
-        let new_ppn = self.array.geometry().page_index(new);
-        self.landed(new_ppn);
-        let old = self.ftl.translation_written(job.tvpn, new_ppn);
+        self.landed(new);
+        let old = self.ftl.translation_written(job.tvpn, new);
         if let Some(old) = old {
             if self.reverse[old as usize] == Some(PageContent::Translation(job.tvpn)) {
                 self.invalidate_ppn(old);

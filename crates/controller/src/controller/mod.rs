@@ -224,8 +224,20 @@ impl Controller {
     }
 
     /// Process internal events up to and including `now`; return completed
-    /// requests.
+    /// requests. A fresh `Vec` per call that completes something:
+    /// [`Controller::advance_into`] reuses the caller's.
     pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
+        let mut done = Vec::new();
+        self.advance_into(now, &mut done);
+        done
+    }
+
+    /// [`Controller::advance`] into `done`, whose contents it replaces. The
+    /// controller collects completions in a buffer of its own and swaps it
+    /// with `done`: a host that hands the same `Vec` back every call keeps
+    /// both buffers' capacity, so collecting allocates nothing once they
+    /// have grown.
+    pub fn advance_into(&mut self, now: SimTime, done: &mut Vec<Completion>) {
         while let Some(t) = self.disp.events.peek_time() {
             if t > now {
                 break;
@@ -247,7 +259,8 @@ impl Controller {
                 "a request was acknowledged without its span"
             );
         }
-        std::mem::take(&mut self.host.completions)
+        done.clear();
+        std::mem::swap(&mut self.host.completions, done);
     }
 
     /// The single place a physical page's content dies — which is what
@@ -256,10 +269,8 @@ impl Controller {
     /// mapping away from a live page calls this for the old page before
     /// the next scheduling round.
     fn invalidate_ppn(&mut self, ppn: Ppn) {
-        let g = self.array.geometry();
-        let addr = g.page_at(ppn);
-        let lun = g.lun_index(addr.channel, addr.lun);
-        self.array.invalidate(addr);
+        let lun = self.array.geometry().lun_of_page(ppn);
+        self.array.invalidate_at(ppn);
         if self.reverse[ppn as usize].take().is_some() {
             self.disp.moves.invalidated(ppn, lun);
         }
@@ -319,9 +330,9 @@ impl Controller {
     pub fn check_invariants(&self) {
         let g = *self.array.geometry();
         // Every valid physical page has reverse content and vice versa.
+        let ppb = g.pages_per_block as u64;
         for ppn in 0..g.total_pages() {
-            let addr = g.page_at(ppn);
-            let state = self.array.page_state(addr);
+            let state = self.array.page_state_at(ppn);
             match self.reverse[ppn as usize] {
                 Some(PageContent::Data(lpn)) => {
                     assert_eq!(state, PageState::Valid, "reverse points at non-valid page");
@@ -342,7 +353,7 @@ impl Controller {
                 Some(PageContent::Checkpoint(_)) => {
                     assert_eq!(state, PageState::Valid);
                     assert!(
-                        self.is_ckpt_reserved(addr.block_addr()),
+                        self.is_ckpt_reserved(g.block_at(ppn / ppb)),
                         "checkpoint page outside the reserved slots"
                     );
                 }
@@ -364,12 +375,10 @@ impl Controller {
         // Hybrid discipline: a data block's valid pages sit at their
         // logical offsets (block mapping would be meaningless otherwise).
         if let FtlKind::Hybrid(h) = &self.ftl {
-            let ppb = g.pages_per_block as u64;
             for lbn in 0..h.lbn_count() {
                 let Some(base) = h.data_block(lbn) else { continue };
                 for o in 0..ppb {
-                    let addr = g.page_at(base + o);
-                    if self.array.page_state(addr) == PageState::Valid {
+                    if self.array.page_state_at(base + o) == PageState::Valid {
                         let lpn = lbn * ppb + o;
                         assert_eq!(
                             self.reverse[(base + o) as usize],

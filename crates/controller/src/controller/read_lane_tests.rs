@@ -451,7 +451,7 @@ fn queued_map_fetch_follows_a_writeback_over_a_dead_page() {
             (replacing && held && c.reverse[old as usize] == content).then_some((tvpn, old))
         });
         if let Some((tvpn, old)) = found {
-            c.array.invalidate(g.page_at(old));
+            c.array.invalidate_at(old);
             c.reverse[old as usize] = None;
             landing = Some((tvpn, old));
         }

@@ -300,17 +300,16 @@ impl Controller {
         }
     }
 
-    /// A migration landed at `new`; commit or discard it, then advance the
-    /// job toward its erase.
+    /// A migration landed at `new_ppn`; commit or discard it, then advance
+    /// the job toward its erase.
     pub(super) fn finalize_move(
         &mut self,
         job: usize,
         from_ppn: Ppn,
         content: PageContent,
-        new: PhysicalAddr,
+        new_ppn: Ppn,
         now: SimTime,
     ) {
-        let new_ppn = self.array.geometry().page_index(new);
         self.landed(new_ppn);
         let still_current = match content {
             PageContent::Data(lpn) => self.ftl.peek(lpn) == Some(from_ppn),

@@ -7,7 +7,7 @@
 //! bounds the checkpoint watermark.
 
 use eagletree_core::IdTable;
-use eagletree_flash::{OobEntry, OobTag, PhysicalAddr};
+use eagletree_flash::{OobEntry, OobTag};
 
 use super::{Controller, PageContent};
 use crate::types::Ppn;
@@ -53,8 +53,7 @@ impl Controller {
     /// held there, so releasing it changes nothing; any other page lands
     /// exactly once per program.
     pub(super) fn landed(&mut self, ppn: Ppn) {
-        let oob = self.array.oob(self.array.geometry().page_at(ppn));
-        let oob = oob.expect("a landed program carries OOB");
+        let oob = self.array.oob_at(ppn).expect("a landed program carries OOB");
         let held = self.stamps.inflight.remove(oob.stamp).is_some();
         debug_assert!(
             held || matches!(oob.tag, OobTag::Filler | OobTag::Checkpoint { .. }),
@@ -64,31 +63,29 @@ impl Controller {
 
     /// The content version a relocation inherits from its source page.
     pub(super) fn source_seq(&self, src_ppn: Ppn) -> u64 {
-        self.array
-            .oob(self.array.geometry().page_at(src_ppn))
-            .expect("live relocation source carries OOB")
-            .seq
+        self.array.oob_at(src_ppn).expect("live relocation source carries OOB").seq
     }
 
     /// Persist the OOB record of a data/translation program the scheduler
-    /// just issued, and track its stamp until the mapping effect lands
-    /// (the minimum outstanding stamp bounds the checkpoint watermark).
+    /// just issued to `ppn`, and track its stamp until the mapping effect
+    /// lands (the minimum outstanding stamp bounds the checkpoint
+    /// watermark).
     /// `seq`: `None` = fresh content version (host/translation write),
     /// `Some` = inherited from a relocation source (GC / WL / merge copy —
     /// the copy must never outrank a newer host write).
-    pub(super) fn stamp_program(&mut self, addr: PhysicalAddr, tag: OobTag, seq: Option<u64>) {
+    pub(super) fn stamp_program(&mut self, ppn: Ppn, tag: OobTag, seq: Option<u64>) {
         let stamp = self.stamps.fresh();
         let seq = seq.unwrap_or(stamp);
-        self.array.set_oob(addr, OobEntry { tag, seq, stamp });
+        self.array.set_oob_at(ppn, OobEntry { tag, seq, stamp });
         self.stamps.inflight.insert(stamp, ());
     }
 
-    /// Stamp a program that carries no mapping entry of its own (merge
-    /// fillers, checkpoint pages): stamped for block probes, never
+    /// Stamp a program to `ppn` that carries no mapping entry of its own
+    /// (merge fillers, checkpoint pages): stamped for block probes, never
     /// replayed, so it is not tracked against the watermark.
-    pub(super) fn stamp_unmapped(&mut self, addr: PhysicalAddr, tag: OobTag) {
+    pub(super) fn stamp_unmapped(&mut self, ppn: Ppn, tag: OobTag) {
         let stamp = self.stamps.fresh();
-        self.array.set_oob(addr, OobEntry { tag, seq: stamp, stamp });
+        self.array.set_oob_at(ppn, OobEntry { tag, seq: stamp, stamp });
     }
 
     /// OOB tag for a page holding `content`.

@@ -79,8 +79,7 @@ impl Ledger {
     /// that no power cut tore.
     pub fn survives(c: &Controller, lpn: Lpn) -> bool {
         c.peek_mapping(lpn).is_some_and(|ppn| {
-            let addr = c.array().geometry().page_at(ppn);
-            c.array().page_state(addr) == PageState::Valid && !c.array().is_torn(addr)
+            c.array().page_state_at(ppn) == PageState::Valid && !c.array().is_torn_at(ppn)
         })
     }
 
@@ -115,6 +114,9 @@ pub struct Driver {
     /// What those completions (and the trims submitted) promised.
     pub ledger: Ledger,
     next_id: RequestId,
+    /// The buffer [`Controller::advance_into`] swaps with, empty between
+    /// steps.
+    batch: Vec<Completion>,
 }
 
 impl Driver {
@@ -126,6 +128,7 @@ impl Driver {
             done: Vec::new(),
             ledger: Ledger::default(),
             next_id: 0,
+            batch: Vec::new(),
         }
     }
 
@@ -154,7 +157,8 @@ impl Driver {
     /// Hand out what the device has completed up to `now`.
     fn collect(&mut self) -> &[Completion] {
         let from = self.done.len();
-        self.done.extend(self.c.advance(self.now));
+        self.c.advance_into(self.now, &mut self.batch);
+        self.done.append(&mut self.batch);
         for comp in &self.done[from..] {
             self.ledger.completed(comp);
         }

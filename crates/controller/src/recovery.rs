@@ -260,7 +260,7 @@ pub(crate) fn recover_medium(
                 Err(_) => oob_uncorrectable += 1,
                 Ok(Some(e)) => {
                     if e.tag == (OobTag::Data { lpn: lpn as u64 })
-                        && flash.page_state(g.page_at(ppn)) != PageState::Free
+                        && flash.page_state_at(ppn) != PageState::Free
                         && !trimmed(lpn as u64, e.seq)
                     {
                         fold(&mut data[lpn], (ppn, e.seq, e.stamp));
@@ -278,7 +278,7 @@ pub(crate) fn recover_medium(
                 Err(_) => oob_uncorrectable += 1,
                 Ok(Some(e)) => {
                     if e.tag == (OobTag::Translation { tvpn: tvpn as u64 })
-                        && flash.page_state(g.page_at(ppn)) != PageState::Free
+                        && flash.page_state_at(ppn) != PageState::Free
                     {
                         fold(&mut trans[tvpn], (ppn, e.seq, e.stamp));
                     }
@@ -375,9 +375,8 @@ pub(crate) fn recover_medium(
         }
     }
     for pi in 0..g.total_pages() {
-        let addr = g.page_at(pi);
-        if flash.page_state(addr) == PageState::Valid && reverse[pi as usize].is_none() {
-            flash.invalidate(addr);
+        if flash.page_state_at(pi) == PageState::Valid && reverse[pi as usize].is_none() {
+            flash.invalidate_at(pi);
         }
     }
 

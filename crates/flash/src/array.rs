@@ -345,12 +345,13 @@ pub struct FlashArray {
     /// Blocks whose erase a power cut interrupted: unusable (no programs)
     /// until erased again.
     needs_erase: Vec<bool>,
-    /// Programs issued and perhaps not yet complete, for power-cut
-    /// injection: a superset — entries that completed stay until the next
-    /// prune, and [`FlashArray::power_cut`] skips them.
-    inflight_programs: Vec<(PhysicalAddr, SimTime)>,
-    /// Erases issued and perhaps not yet complete (likewise a superset).
-    inflight_erases: Vec<(BlockAddr, SimTime)>,
+    /// Programs issued and perhaps not yet complete, by page index, for
+    /// power-cut injection: a superset — entries that completed stay until
+    /// the next prune, and [`FlashArray::power_cut`] skips them.
+    inflight_programs: Vec<(u64, SimTime)>,
+    /// Erases issued and perhaps not yet complete, by block index
+    /// (likewise a superset).
+    inflight_erases: Vec<(u64, SimTime)>,
     /// The combined length of the two lists at which `issue` next prunes
     /// them: twice what the last prune left, and at least [`PRUNE_FLOOR`].
     prune_at: usize,
@@ -411,6 +412,18 @@ impl FlashArray {
 
     fn lun_slot(&self, channel: u32, lun: u32) -> usize {
         self.geometry.lun_index(channel, lun) as usize
+    }
+
+    /// Page index and block index of `addr`: the keys of its per-page and
+    /// per-block state, encoded once per use.
+    fn indexes(&self, addr: PhysicalAddr) -> (u64, u64) {
+        let block = self.geometry.block_index(addr.block_addr());
+        (block * self.geometry.pages_per_block as u64 + addr.page as u64, block)
+    }
+
+    /// Block index of the page with index `page`.
+    fn block_of(&self, page: u64) -> u64 {
+        page / self.geometry.pages_per_block as u64
     }
 
     /// When the channel is next free.
@@ -526,38 +539,42 @@ impl FlashArray {
         let slot = self.lun_slot(cmd.channel(), cmd.lun());
         let t = self.timing;
         // Per verb: its state checks and effects, and when it frees the
-        // channel and completes.
+        // channel and completes. Each page and block the verb touches is
+        // encoded to its indexes once, here.
         let (channel_free, done, fault) = match cmd {
             FlashCommand::ReadStart(addr) => {
-                self.check_readable(addr)?;
+                let (page, block) = self.indexes(addr);
+                self.check_readable(addr, page)?;
                 // ECC path: each retry tier re-issues the array read, so
                 // retries surface as real scheduler-visible latency.
-                let (retries, read) = self.sample_read(addr, now);
+                let (retries, read) = self.sample_read(page, block, now);
                 let attempts = 1 + retries;
                 let data_ready = now + t.read_lun_time() * attempts;
                 (now + t.read_channel_time() * attempts, data_ready, read.map(FaultEvent::Read))
             }
             FlashCommand::TransferOut(_) => (now + t.t_xfer, now + t.t_xfer, None),
             FlashCommand::Program(addr) => {
-                self.check_programmable(addr)?;
+                let (page, block) = self.indexes(addr);
+                self.check_programmable(addr, page, block)?;
                 // Program-status failure is advisory: the page is burned
                 // either way (the write pointer advances and the cells
                 // took the pulse), so the array applies the normal state
                 // transition and the controller decides remap-vs-absorb.
-                let fault = self.sample_program_fault(addr, now);
+                let fault = self.sample_program_fault(page, block, now);
                 let channel_free = now + t.program_channel_time();
                 // Cached programming: the array phase starts once both the
                 // data transfer finishes and the previous program (if any)
                 // completes — transfers hide behind array time.
                 let done = self.luns[slot].busy_until.max(channel_free) + t.t_prog;
-                self.mark_programmed(addr);
-                self.inflight_programs.push((addr, done));
+                self.mark_programmed(page, block);
+                self.inflight_programs.push((page, done));
                 (channel_free, done, fault)
             }
-            FlashCommand::Erase(block) => {
-                let live = self.block_info(block).live_pages;
+            FlashCommand::Erase(addr) => {
+                let block = self.geometry.block_index(addr);
+                let live = self.blocks[block as usize].live_pages;
                 if live > 0 {
-                    return Err(FlashError::EraseLiveBlock { block, live });
+                    return Err(FlashError::EraseLiveBlock { block: addr, live });
                 }
                 let done = now + t.erase_lun_time();
                 // An erase failure leaves the block un-reset (the full
@@ -581,20 +598,22 @@ impl FlashArray {
                         "{from:?} and {to:?} are in different planes"
                     )));
                 }
-                self.check_readable(from)?;
-                self.check_programmable(to)?;
+                let ((from_page, from_block), (to_page, to_block)) =
+                    (self.indexes(from), self.indexes(to));
+                self.check_readable(from, from_page)?;
+                self.check_programmable(to, to_page, to_block)?;
                 // Copy-back reads through the same ECC path (an on-die
                 // move cannot scrub what ECC cannot correct), then
                 // programs: an uncorrectable source outranks a program
                 // failure — the destination holds garbage either way.
-                let (retries, read) = self.sample_read(from, now);
-                let fault = match (read, self.sample_program_fault(to, now)) {
+                let (retries, read) = self.sample_read(from_page, from_block, now);
+                let fault = match (read, self.sample_program_fault(to_page, to_block, now)) {
                     (Some(out), Some(failed)) if !out.uncorrectable => Some(failed),
                     (read, _) => read.map(FaultEvent::Read),
                 };
                 let done = now + t.copyback_lun_time() + t.read_lun_time() * retries;
-                self.mark_programmed(to);
-                self.inflight_programs.push((to, done));
+                self.mark_programmed(to_page, to_block);
+                self.inflight_programs.push((to_page, done));
                 (now + t.copyback_channel_time(), done, fault)
             }
         };
@@ -622,44 +641,34 @@ impl FlashArray {
         })
     }
 
-    /// Page index, block index and erase count of `addr`: what the fault
-    /// model samples a page by. Takes the two fields it reads, so a caller
-    /// may hold the fault model mutably meanwhile.
-    fn wear_of(geometry: &Geometry, blocks: &[BlockInfo], addr: PhysicalAddr) -> (u64, u64, u32) {
-        let block = geometry.block_index(addr.block_addr());
-        (geometry.page_index(addr), block, blocks[block as usize].erase_count)
-    }
-
-    /// The ECC path of an array read of `addr`: the retry tiers it took and
-    /// what the installed fault model's ECC saw. `(0, None)`, and no draw,
-    /// without a model.
-    fn sample_read(&mut self, addr: PhysicalAddr, now: SimTime) -> (u64, Option<ReadOutcome>) {
+    /// The ECC path of an array read of page index `page` in block index
+    /// `block`: the retry tiers it took and what the installed fault
+    /// model's ECC saw. `(0, None)`, and no draw, without a model.
+    fn sample_read(&mut self, page: u64, block: u64, now: SimTime) -> (u64, Option<ReadOutcome>) {
         let Some(fm) = self.fault.as_mut() else {
             return (0, None);
         };
-        let (page, block, pe) = Self::wear_of(&self.geometry, &self.blocks, addr);
-        let out = fm.sample_read(page, block, pe, now);
+        let out = fm.sample_read(page, block, self.blocks[block as usize].erase_count, now);
         (out.retries.into(), Some(out))
     }
 
-    /// Sample a program-status failure for `addr` (no-op without a fault
-    /// model) and record the page's program time for retention aging.
-    fn sample_program_fault(&mut self, addr: PhysicalAddr, now: SimTime) -> Option<FaultEvent> {
+    /// Sample a program-status failure for page index `page` in block
+    /// index `block` (no-op without a fault model) and record the page's
+    /// program time for retention aging.
+    fn sample_program_fault(&mut self, page: u64, block: u64, now: SimTime) -> Option<FaultEvent> {
         let fm = self.fault.as_mut()?;
-        let (page, block, pe) = Self::wear_of(&self.geometry, &self.blocks, addr);
-        let first = self.blocks[block as usize].write_ptr == 0;
-        let failed = fm.sample_program(page, block, pe);
-        fm.on_program(page, block, now, first);
+        let info = self.blocks[block as usize];
+        let failed = fm.sample_program(page, block, info.erase_count);
+        fm.on_program(page, block, now, info.write_ptr == 0);
         failed.then_some(FaultEvent::ProgramFailed)
     }
 
-    /// Sample an erase failure for `block` (no-op without a fault model).
-    /// A terminal failure (streak exhausted) masks the block bad here, so
-    /// the controller's existing bad-block retirement paths apply
+    /// Sample an erase failure for block index `bi` (no-op without a fault
+    /// model). A terminal failure (streak exhausted) masks the block bad
+    /// here, so the controller's existing bad-block retirement paths apply
     /// unchanged.
-    fn sample_erase_fault(&mut self, block: BlockAddr) -> Option<FaultEvent> {
+    fn sample_erase_fault(&mut self, bi: u64) -> Option<FaultEvent> {
         let fm = self.fault.as_mut()?;
-        let bi = self.geometry.block_index(block);
         let retired = fm.sample_erase(bi, self.blocks[bi as usize].erase_count)?;
         if retired {
             self.blocks[bi as usize].bad = true;
@@ -694,22 +703,27 @@ impl FlashArray {
     }
 
     /// An array read may target any written page the power cut left whole.
-    fn check_readable(&self, addr: PhysicalAddr) -> Result<(), FlashError> {
-        if self.page_state(addr) == PageState::Free {
+    fn check_readable(&self, addr: PhysicalAddr, page: u64) -> Result<(), FlashError> {
+        if self.page_state[page as usize] == PageState::Free {
             return Err(FlashError::ReadUnwritten(addr));
         }
-        if self.is_torn(addr) {
+        if self.torn[page as usize] {
             return Err(FlashError::TornPage(addr));
         }
         Ok(())
     }
 
-    fn check_programmable(&self, addr: PhysicalAddr) -> Result<(), FlashError> {
-        let info = self.block_info(addr.block_addr());
+    fn check_programmable(
+        &self,
+        addr: PhysicalAddr,
+        page: u64,
+        block: u64,
+    ) -> Result<(), FlashError> {
+        let info = self.blocks[block as usize];
         if info.bad {
             return Err(FlashError::BadBlock(addr.block_addr()));
         }
-        if self.needs_erase[self.geometry.block_index(addr.block_addr()) as usize] {
+        if self.needs_erase[block as usize] {
             return Err(FlashError::NeedsErase(addr.block_addr()));
         }
         if info.write_ptr != addr.page {
@@ -718,28 +732,29 @@ impl FlashArray {
                 expected_page: info.write_ptr,
             });
         }
-        debug_assert_eq!(self.page_state(addr), PageState::Free);
+        debug_assert_eq!(self.page_state[page as usize], PageState::Free);
         Ok(())
     }
 
-    fn mark_programmed(&mut self, addr: PhysicalAddr) {
-        let bi = self.geometry.block_index(addr.block_addr()) as usize;
+    fn mark_programmed(&mut self, page: u64, block: u64) {
+        let bi = block as usize;
         if self.blocks[bi].write_ptr == 0 {
             // First program since erase: the block enters the index.
             self.victim_index.link(bi as u32, 0);
         }
         self.blocks[bi].write_ptr += 1;
-        self.set_valid(addr, true);
+        self.set_valid(page, block, true);
     }
 
-    /// The page-liveness transition: `addr` becomes valid, or a valid page
-    /// becomes invalid, and its block's live count and victim-index bucket
-    /// follow.
-    fn set_valid(&mut self, addr: PhysicalAddr, valid: bool) {
-        let pi = self.geometry.page_index(addr) as usize;
+    /// The page-liveness transition: page index `page` of block index
+    /// `block` becomes valid, or a valid page becomes invalid, and the
+    /// block's live count and victim-index bucket follow.
+    fn set_valid(&mut self, page: u64, block: u64, valid: bool) {
+        debug_assert_eq!(self.block_of(page), block);
+        let (pi, bi) = (page as usize, block as usize);
         let was_valid = self.page_state[pi] == PageState::Valid;
-        assert!(valid || was_valid, "invalidate of non-valid page {addr:?}");
-        let bi = self.geometry.block_index(addr.block_addr()) as usize;
+        let addr = || self.geometry.page_at(page);
+        assert!(valid || was_valid, "invalidate of non-valid page {:?}", addr());
         self.page_state[pi] = if valid { PageState::Valid } else { PageState::Invalid };
         let was = self.blocks[bi].live_pages;
         let live = if valid { was + 1 } else { was - 1 };
@@ -747,8 +762,9 @@ impl FlashArray {
         self.victim_index.move_to(bi as u32, was, live);
     }
 
-    fn reset_block(&mut self, block: BlockAddr, when: SimTime) {
-        let bi = self.geometry.block_index(block) as usize;
+    /// Return block index `block` to the erased state at `when`.
+    fn reset_block(&mut self, block: u64, when: SimTime) {
+        let bi = block as usize;
         // Erased (or never-programmed) blocks hold nothing reclaimable.
         if self.victim_index.contains(bi as u32) {
             self.victim_index.unlink(bi as u32);
@@ -797,23 +813,33 @@ impl FlashArray {
     /// programmed. The controller calls this alongside every `Program` /
     /// `CopyBack` issue; the entry persists until the block is erased.
     pub fn set_oob(&mut self, addr: PhysicalAddr, entry: OobEntry) {
-        let pi = self.geometry.page_index(addr) as usize;
+        self.set_oob_at(self.geometry.page_index(addr), entry);
+    }
+
+    /// [`FlashArray::set_oob`] of the page with linear index `page`
+    /// ([`Geometry::page_index`]).
+    pub fn set_oob_at(&mut self, page: u64, entry: OobEntry) {
         debug_assert_ne!(
-            self.page_state[pi],
+            self.page_state[page as usize],
             PageState::Free,
-            "OOB write to unprogrammed page {addr:?}"
+            "OOB write to unprogrammed page {:?}",
+            self.geometry.page_at(page)
         );
-        self.oob[pi] = Some(entry);
+        self.oob[page as usize] = Some(entry);
     }
 
     /// The OOB entry of a page: `None` for unwritten or torn pages (a torn
     /// page's spare area is as unreadable as its payload).
     pub fn oob(&self, addr: PhysicalAddr) -> Option<OobEntry> {
-        let pi = self.geometry.page_index(addr) as usize;
-        if self.torn[pi] {
+        self.oob_at(self.geometry.page_index(addr))
+    }
+
+    /// [`FlashArray::oob`] of the page with linear index `page`.
+    pub fn oob_at(&self, page: u64) -> Option<OobEntry> {
+        if self.torn[page as usize] {
             return None;
         }
-        self.oob[pi]
+        self.oob[page as usize]
     }
 
     /// The OOB entry of a page through the media-fault model: recovery's
@@ -826,9 +852,10 @@ impl FlashArray {
         addr: PhysicalAddr,
         now: SimTime,
     ) -> Result<Option<OobEntry>, FlashError> {
-        let entry = self.oob(addr);
+        let (page, block) = self.indexes(addr);
+        let entry = self.oob_at(page);
         if let (Some(_), Some(fm)) = (entry, &self.fault) {
-            let (page, block, pe) = Self::wear_of(&self.geometry, &self.blocks, addr);
+            let pe = self.blocks[block as usize].erase_count;
             if fm.oob_uncorrectable(page, block, pe, now) {
                 return Err(FlashError::Uncorrectable(addr));
             }
@@ -838,7 +865,12 @@ impl FlashArray {
 
     /// Whether a page was left partially programmed by a power cut.
     pub fn is_torn(&self, addr: PhysicalAddr) -> bool {
-        self.torn[self.geometry.page_index(addr) as usize]
+        self.is_torn_at(self.geometry.page_index(addr))
+    }
+
+    /// [`FlashArray::is_torn`] of the page with linear index `page`.
+    pub fn is_torn_at(&self, page: u64) -> bool {
+        self.torn[page as usize]
     }
 
     /// Whether a power cut interrupted this block's erase: it must be
@@ -861,27 +893,25 @@ impl FlashArray {
             at,
             ..PowerCutReport::default()
         };
-        let inflight: Vec<(PhysicalAddr, SimTime)> = std::mem::take(&mut self.inflight_programs);
-        for (addr, done) in inflight {
+        for (page, done) in std::mem::take(&mut self.inflight_programs) {
             if done <= at {
                 continue;
             }
-            let pi = self.geometry.page_index(addr) as usize;
+            let pi = page as usize;
             self.torn[pi] = true;
             self.oob[pi] = None;
             if self.page_state[pi] == PageState::Valid {
                 // The partial program holds nothing readable: it is garbage
                 // from birth, exactly as if invalidated.
-                self.set_valid(addr, false);
+                self.invalidate_at(page);
             }
             report.torn_pages += 1;
         }
-        let inflight: Vec<(BlockAddr, SimTime)> = std::mem::take(&mut self.inflight_erases);
-        for (block, done) in inflight {
+        for (block, done) in std::mem::take(&mut self.inflight_erases) {
             if done <= at {
                 continue;
             }
-            self.needs_erase[self.geometry.block_index(block) as usize] = true;
+            self.needs_erase[block as usize] = true;
             report.interrupted_erases += 1;
         }
         // Power off: every channel and LUN is idle, registers are empty.
@@ -898,7 +928,7 @@ impl FlashArray {
     pub fn recovery_erase(&mut self, block: BlockAddr) {
         let info = self.block_info(block);
         assert_eq!(info.live_pages, 0, "recovery erase of a live block {block:?}");
-        self.reset_block(block, SimTime::ZERO);
+        self.reset_block(self.geometry.block_index(block), SimTime::ZERO);
         self.counters.erases += 1;
     }
 
@@ -908,7 +938,8 @@ impl FlashArray {
     /// controller RAM state, not medium state — the rebuilt controller's
     /// view wins. Live-page accounting and the victim index follow.
     pub fn recovery_set_valid(&mut self, addr: PhysicalAddr) {
-        let pi = self.geometry.page_index(addr) as usize;
+        let (page, block) = self.indexes(addr);
+        let pi = page as usize;
         assert!(!self.torn[pi], "torn page {addr:?} cannot be revalidated");
         assert_ne!(
             self.page_state[pi],
@@ -916,13 +947,18 @@ impl FlashArray {
             "unwritten page {addr:?} cannot be revalidated"
         );
         if self.page_state[pi] == PageState::Invalid {
-            self.set_valid(addr, true);
+            self.set_valid(page, block, true);
         }
     }
 
     /// State of one physical page.
     pub fn page_state(&self, addr: PhysicalAddr) -> PageState {
-        self.page_state[self.geometry.page_index(addr) as usize]
+        self.page_state_at(self.geometry.page_index(addr))
+    }
+
+    /// [`FlashArray::page_state`] of the page with linear index `page`.
+    pub fn page_state_at(&self, page: u64) -> PageState {
+        self.page_state[page as usize]
     }
 
     /// Bookkeeping for one block.
@@ -935,7 +971,12 @@ impl FlashArray {
     /// Panics if the page was not valid: double-invalidation means the FTL
     /// lost track of the mapping.
     pub fn invalidate(&mut self, addr: PhysicalAddr) {
-        self.set_valid(addr, false);
+        self.invalidate_at(self.geometry.page_index(addr));
+    }
+
+    /// [`FlashArray::invalidate`] of the page with linear index `page`.
+    pub fn invalidate_at(&mut self, page: u64) {
+        self.set_valid(page, self.block_of(page), false);
     }
 
     /// Blocks on linear LUN `lun` currently holding exactly `live` valid
@@ -973,13 +1014,12 @@ impl FlashArray {
             && self.blocks[bi as usize].live_pages < self.geometry.pages_per_block
     }
 
-    /// Valid pages in a block (the pages GC must migrate).
+    /// Valid pages in a block (the pages GC must migrate), in page order.
     pub fn valid_pages_in(&self, block: BlockAddr) -> Vec<PhysicalAddr> {
-        let ppb = self.geometry.pages_per_block;
-        (0..ppb)
-            .map(|p| block.page(p))
-            .filter(|&a| self.page_state(a) == PageState::Valid)
-            .collect()
+        let ppb = self.geometry.pages_per_block as usize;
+        let base = self.geometry.block_index(block) as usize * ppb;
+        let pages = self.page_state[base..base + ppb].iter().zip(0..);
+        pages.filter(|&(&s, _)| s == PageState::Valid).map(|(_, p)| block.page(p)).collect()
     }
 
     /// Erase-count distribution over all blocks (wear histogram input).

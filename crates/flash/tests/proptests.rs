@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use eagletree_core::{SimDuration, SimRng, SimTime};
 use eagletree_flash::{
-    BlockAddr, FaultConfig, FlashArray, FlashCommand, FlashError, Geometry, PageState,
-    PhysicalAddr, TimingSpec,
+    BlockAddr, FaultConfig, FlashArray, FlashCommand, FlashError, Geometry, OobEntry, OobTag,
+    PageState, PhysicalAddr, TimingSpec,
 };
 
 /// Model of one block: how many pages programmed / invalidated.
@@ -98,6 +98,95 @@ proptest! {
             a.total_erases(),
             model.iter().map(|m| m.erases as u64).sum::<u64>()
         );
+    }
+
+    /// The page-index entry points and the `PhysicalAddr` ones are one
+    /// rule reached two ways. Two clones of an array on a geometry whose
+    /// every dimension is odd or not a power of two take the same random
+    /// program / OOB / invalidate / erase / power-cut traffic, one through
+    /// the index-keyed methods and one through the address-keyed ones.
+    /// After it: each index accessor answers as its address wrapper, the
+    /// clones hold the same page states, live counts and victim-index
+    /// buckets, and each block's valid-page listing is the per-page filter.
+    #[test]
+    fn index_and_address_entry_points_agree(seed in any::<u64>(), steps in 100usize..600) {
+        let g = Geometry {
+            channels: 3,
+            luns_per_channel: 3,
+            planes_per_lun: 2,
+            blocks_per_plane: 5,
+            pages_per_block: 7,
+            page_size: 4096,
+        };
+        let mut by_index = FlashArray::new(g, TimingSpec::slc());
+        let mut by_addr = by_index.clone();
+        let mut rng = SimRng::new(seed);
+        let mut now = SimTime::ZERO;
+        let blocks: Vec<BlockAddr> = g.blocks().collect();
+        for step in 0..steps {
+            let b = blocks[rng.gen_range(blocks.len() as u64) as usize];
+            let info = by_addr.block_info(b);
+            match rng.gen_range(8) {
+                0..=3 if info.write_ptr < g.pages_per_block && !info.bad => {
+                    let addr = b.page(info.write_ptr);
+                    let page = g.page_index(addr);
+                    let cmd = FlashCommand::Program(addr);
+                    let out = by_index.issue(cmd, now).unwrap();
+                    prop_assert_eq!(by_addr.issue(cmd, now).unwrap(), out);
+                    let tag = OobTag::Data { lpn: step as u64 };
+                    let entry = OobEntry { tag, seq: 1, stamp: 1 };
+                    by_index.set_oob_at(page, entry);
+                    by_addr.set_oob(addr, entry);
+                    if rng.gen_range(16) == 0 {
+                        // Cut mid-program: the page is torn.
+                        prop_assert_eq!(by_index.power_cut(now), by_addr.power_cut(now));
+                    } else {
+                        now = out.lun_free_at;
+                    }
+                }
+                0..=5 => {
+                    let valid = by_addr.valid_pages_in(b);
+                    if !valid.is_empty() {
+                        let addr = valid[rng.gen_range(valid.len() as u64) as usize];
+                        by_index.invalidate_at(g.page_index(addr));
+                        by_addr.invalidate(addr);
+                    }
+                }
+                _ if info.write_ptr > 0 && info.live_pages == 0 => {
+                    let cmd = FlashCommand::Erase(b);
+                    let out = by_index.issue(cmd, now).unwrap();
+                    prop_assert_eq!(by_addr.issue(cmd, now).unwrap(), out);
+                    now = out.lun_free_at;
+                }
+                _ => {}
+            }
+        }
+        for page in 0..g.total_pages() {
+            let addr = g.page_at(page);
+            for a in [&by_index, &by_addr] {
+                prop_assert_eq!(a.page_state_at(page), a.page_state(addr));
+                prop_assert_eq!(a.oob_at(page), a.oob(addr));
+                prop_assert_eq!(a.is_torn_at(page), a.is_torn(addr));
+            }
+            prop_assert_eq!(by_index.page_state_at(page), by_addr.page_state(addr));
+            prop_assert_eq!(by_index.oob_at(page), by_addr.oob(addr));
+        }
+        for &b in &blocks {
+            let (i, a) = (by_index.block_info(b), by_addr.block_info(b));
+            prop_assert_eq!((i.live_pages, i.write_ptr), (a.live_pages, a.write_ptr));
+            let filtered: Vec<PhysicalAddr> = (0..g.pages_per_block)
+                .map(|p| b.page(p))
+                .filter(|&a| by_index.page_state(a) == PageState::Valid)
+                .collect();
+            prop_assert_eq!(by_index.valid_pages_in(b), filtered);
+        }
+        for lun in 0..g.total_luns() {
+            for live in 0..=g.pages_per_block {
+                let bucket = |a: &FlashArray| a.blocks_with_live(lun, live).collect::<Vec<_>>();
+                prop_assert_eq!(bucket(&by_index), bucket(&by_addr));
+            }
+            prop_assert_eq!(by_index.reclaimable_on(lun), by_addr.reclaimable_on(lun));
+        }
     }
 }
 

@@ -204,6 +204,9 @@ pub struct Os {
     /// applies it (reused likewise; empty between callbacks).
     scratch_submissions: Vec<OsIo>,
     scratch_timers: Vec<SimDuration>,
+    /// The completions of one `Controller::advance_into` (reused likewise;
+    /// empty between advances).
+    scratch_done: Vec<Completion>,
     /// The device half of the last loop that ran dry, keyed by how far the
     /// device had got (events processed + requests submitted): until it
     /// moves, a run reports the same stall again without building a copy.
@@ -282,6 +285,7 @@ impl Os {
             scratch_tenants: Vec::new(),
             scratch_submissions: Vec::new(),
             scratch_timers: Vec::new(),
+            scratch_done: Vec::new(),
             dry: None,
             timeline,
             tl_next: SimTime::ZERO,
@@ -509,10 +513,7 @@ impl Os {
             }
             self.now = next;
             self.timeline_tick();
-            let completions = self.ctrl.advance(next);
-            for c in completions {
-                self.handle_completion(c);
-            }
+            self.advance_ctrl();
             while self.timers.peek_time() == Some(next) {
                 let tid = self.timers.pop().expect("peeked timer").payload;
                 self.call_workload(tid, |w, ctx| w.on_timer(ctx));
@@ -525,14 +526,23 @@ impl Os {
     fn pump(&mut self) {
         loop {
             self.dispatch();
-            let completions = self.ctrl.advance(self.now);
-            if completions.is_empty() {
+            if self.advance_ctrl() == 0 {
                 break;
             }
-            for c in completions {
-                self.handle_completion(c);
-            }
         }
+    }
+
+    /// Advance the controller to `now` and handle what it completed;
+    /// returns how many requests that was.
+    fn advance_ctrl(&mut self) -> usize {
+        let mut done = std::mem::take(&mut self.scratch_done);
+        self.ctrl.advance_into(self.now, &mut done);
+        let n = done.len();
+        for c in done.drain(..) {
+            self.handle_completion(c);
+        }
+        self.scratch_done = done;
+        n
     }
 
     /// Emit telemetry rows for every whole interval the clock just

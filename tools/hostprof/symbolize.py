@@ -5,6 +5,7 @@ usage: symbolize.py SAMPLES [TOP]          (SAMPLES written by sampler.c; TOP ro
        symbolize.py --diff A B [TOP]       (sample-count deltas per function, B minus A)
        symbolize.py --lines SAMPLES [TOP]  (self % per source line of the repository)
        symbolize.py --lines --diff A B [TOP]
+       symbolize.py --lines --inner ...    (the same, charged to the innermost repository frame)
 
 Needs `nm` on PATH and the sampled binary still at the path it ran from.
 Inclusive = the function is anywhere on the sampled stack (counted once per
@@ -23,6 +24,13 @@ is the repository's — a path with a `crates/` or `benchmark/` directory
 outside the toolchain's `/rustc/`, printed from that directory on, so two
 checkouts of the repository diff line by line — or to the innermost frame
 when the chain has none. Lines have self counts only.
+
+The outermost repository frame of an inlined completion handler is the
+loop that dispatched it (`Controller::advance_into`), so `--lines` alone bills a
+whole inlined subtree to one line. `--lines --inner` charges each sample to
+the innermost repository frame instead: the helper that ran (an address
+decode, an OOB look-up), wherever it was inlined. Run both: the outer view
+says which entry point is hot, the inner one which helper inside it.
 """
 import bisect, collections, re, subprocess, sys
 
@@ -83,17 +91,21 @@ def load_lines(path):
         frames = list(zip(chain[0::2], chain[1::2]))
         ours = [(func, OURS.search(at)) for func, at in frames if not at.startswith("/rustc/")]
         ours = [(func, m.group(1)) for func, m in ours if m]
-        func, at = ours[-1] if ours else frames[0]
+        func, at = ours[0 if inner else -1] if ours else frames[0]
         where[pc] = f"{at}  {func}"
     self_n = collections.Counter(where.get(s[0], "[outside the binary]") for s in samples)
     return len(samples), exe, self_n, self_n
 
 
 args = sys.argv[1:]
-lines = "--lines" in args
+lines, inner = "--lines" in args, "--inner" in args
+if inner and not lines:
+    sys.exit("--inner needs --lines\n" + __doc__)
 if lines:
     args.remove("--lines")
     load = load_lines
+if inner:
+    args.remove("--inner")
 if args and args[0] == "--diff":
     if len(args) < 3:
         sys.exit(__doc__)
