@@ -44,6 +44,8 @@ mod read_lane_tests;
 #[cfg(test)]
 mod ready_set_tests;
 mod reclaim;
+#[cfg(test)]
+mod reverse_pin_tests;
 mod stamps;
 mod stats;
 
