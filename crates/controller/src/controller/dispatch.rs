@@ -29,10 +29,10 @@
 
 use eagletree_core::{Cause, EventQueue, SimTime, NO_SPAN};
 use eagletree_flash::{
-    BlockAddr, FlashArray, FlashCommand, Geometry, IssueOutcome, LunReady, PhysicalAddr,
+    BlockAddr, FlashArray, FlashCommand, Geometry, IssueOutcome, LunReady, PageState, PhysicalAddr,
 };
 
-use super::{Controller, PageContent};
+use super::Controller;
 use crate::alloc::{Allocator, Stream};
 use crate::bits::{ones, BitSet};
 use crate::ftl::{FtlKind, HybridPlace};
@@ -82,7 +82,7 @@ pub(super) enum DoneWhat {
     Xfer(XferDone),
     AppWriteDone { id: RequestId, lpn: Lpn, ppn: Ppn },
     /// A reclaim migration (read+program or copy-back) landed at `new`.
-    MoveDone { job: usize, from_ppn: Ppn, content: PageContent, new: Ppn },
+    MoveDone { job: usize, from_ppn: Ppn, new: Ppn },
     EraseDone { block: BlockAddr, owner: EraseOwner },
     WbWrite { wb: usize, new: Ppn },
     FlushDone { lpn: Lpn, version: u64, ppn: Ppn },
@@ -123,7 +123,7 @@ impl HostWrite {
 #[derive(Debug, Clone, Copy)]
 pub(super) enum WriteWhat {
     Host(HostWrite),
-    Gc { job: usize, from_ppn: Ppn, content: PageContent },
+    Gc { job: usize, from_ppn: Ppn },
     Translation { wb: usize },
 }
 
@@ -450,7 +450,7 @@ impl Controller {
         match kind {
             PendKind::GcMove { from, .. } => {
                 let ppn = self.array.geometry().page_index(from);
-                debug_assert!(self.reverse[ppn as usize].is_some(), "move of a dead page queued");
+                debug_assert!(self.content_at(ppn).is_some(), "move of a dead page queued");
                 self.disp.moves.enqueued(ppn);
             }
             PendKind::AppRead { .. } | PendKind::MapFetchRead { .. } => {
@@ -866,7 +866,7 @@ impl Controller {
     /// Whether the source page of a queued `GcMove` has been invalidated
     /// since it was queued (the op is then consumed without flash IO).
     fn move_superseded(&self, from: PhysicalAddr) -> bool {
-        self.reverse[self.array.geometry().page_index(from) as usize].is_none()
+        self.array.page_state_at(self.array.geometry().page_index(from)) != PageState::Valid
     }
 
     /// Whether `op`, of a kind that waits in a scan queue, could issue

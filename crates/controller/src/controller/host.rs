@@ -9,11 +9,11 @@
 //! op; trims, buffered writes and buffer read hits complete on the spot.
 
 use eagletree_core::{IdTable, SimTime, NO_SPAN};
-use eagletree_flash::{Geometry, MemoryKind, MemoryManager};
+use eagletree_flash::{Geometry, MemoryKind, MemoryManager, OobTag};
 
 use super::dispatch::{HostWrite, PendKind, WriteWhat};
 use super::mapio::Waiter;
-use super::{Controller, PageContent};
+use super::Controller;
 use crate::alloc::Stream;
 use crate::buffer::WriteBuffer;
 use crate::config::{ControllerConfig, TemperatureMode, WriteAllocPolicy};
@@ -308,9 +308,9 @@ impl Controller {
         let old = self.ftl.update(lpn, ppn);
         if let Some(old) = old {
             debug_assert_eq!(
-                self.reverse[old as usize],
-                Some(PageContent::Data(lpn)),
-                "reverse map inconsistent at superseded page"
+                self.content_at(old),
+                Some(OobTag::Data { lpn }),
+                "superseded page {old} does not hold lpn {lpn}"
             );
             self.invalidate_ppn(old);
         }

@@ -14,7 +14,7 @@ use eagletree_flash::{FaultEvent, FlashCommand, IssueOutcome, OobTag, PhysicalAd
 use super::dispatch::{
     CtrlEvent, DoneWhat, ObsCur, PendKind, PendingOp, WriteWhat, XferDone,
 };
-use super::{Controller, PageContent};
+use super::Controller;
 use crate::alloc::Stream;
 use crate::sched::class_index;
 use crate::types::{Lpn, OpClass};
@@ -111,14 +111,14 @@ impl Controller {
     /// Program-failure handling for every remappable program (free-
     /// allocated writes, GC copy-back destinations, hybrid log appends).
     /// When `out` reports a failed program status, the page at `burned`
-    /// is burned (no OOB stamp: recovery skips it): drop its reverse
-    /// entry, take it out of service — a hybrid append releases its log
-    /// slot (the entry stays, so merges see the offset as stale and switch
-    /// merges are off the table; the next `commit_append` lands on the
-    /// advanced write pointer), any other block can't be trusted for fresh
-    /// allocations and is retired as grown bad — and remap by re-enqueueing
-    /// `retry`, which allocates elsewhere. For a relocation the source
-    /// page is still live. Returns whether the program failed.
+    /// is burned (no OOB stamp: recovery skips it): invalidate it, take it
+    /// out of service — a hybrid append releases its log slot (the entry
+    /// stays, so merges see the offset as stale and switch merges are off
+    /// the table; the next `commit_append` lands on the advanced write
+    /// pointer), any other block can't be trusted for fresh allocations
+    /// and is retired as grown bad — and remap by re-enqueueing `retry`,
+    /// which allocates elsewhere. For a relocation the source page is
+    /// still live. Returns whether the program failed.
     fn program_failed(
         &mut self,
         op: &PendingOp,
@@ -212,45 +212,35 @@ impl Controller {
                 };
                 let addr = self.alloc.alloc(lun, stream).expect("issuable implies alloc");
                 let ppn = self.array.geometry().page_index(addr);
-                let content = match what {
-                    WriteWhat::Host(h) => PageContent::Data(h.lpn()),
-                    WriteWhat::Gc { content, .. } => content,
-                    WriteWhat::Translation { wb } => {
-                        PageContent::Translation(self.mapio.wb_tvpn(wb))
-                    }
-                };
-                self.reverse[ppn as usize] = Some(content);
                 let out = self.issue_cmd(FlashCommand::Program(addr), now);
                 let retry = PendKind::Write { lun: None, stream, what };
                 if self.program_failed(&op, addr, retry, out, now) {
                     return;
                 }
-                // Relocations inherit the source's content version; host
-                // and translation writes get a fresh one.
-                let seq = match what {
-                    WriteWhat::Gc { from_ppn, .. } => Some(self.source_seq(from_ppn)),
-                    WriteWhat::Host(_) | WriteWhat::Translation { .. } => None,
-                };
-                self.stamp_program(ppn, Self::content_tag(content), seq);
                 let done = match what {
-                    WriteWhat::Host(h) => h.landed(ppn),
-                    WriteWhat::Gc { job, from_ppn, content } => DoneWhat::MoveDone {
-                        job,
-                        from_ppn,
-                        content,
-                        new: ppn,
-                    },
-                    WriteWhat::Translation { wb } => DoneWhat::WbWrite { wb, new: ppn },
+                    WriteWhat::Host(h) => {
+                        self.stamp_program(ppn, OobTag::Data { lpn: h.lpn() }, None);
+                        h.landed(ppn)
+                    }
+                    WriteWhat::Gc { job, from_ppn } => {
+                        self.stamp_copy(ppn, from_ppn);
+                        DoneWhat::MoveDone { job, from_ppn, new: ppn }
+                    }
+                    WriteWhat::Translation { wb } => {
+                        let tvpn = self.mapio.wb_tvpn(wb);
+                        self.stamp_program(ppn, OobTag::Translation { tvpn }, None);
+                        DoneWhat::WbWrite { wb, new: ppn }
+                    }
                 };
                 self.finish_issue(op.class, done, out);
             }
             PendKind::GcMove { job, from } => {
                 let g = self.array.geometry();
                 let from_ppn = g.page_index(from);
-                let content = self.reverse[from_ppn as usize];
                 let lun = g.lun_index(from.channel, from.lun);
+                let content = self.content_at(from_ppn);
                 self.disp.moves.issued(from_ppn, lun, content.is_none());
-                let Some(content) = content else {
+                let Some(tag) = content else {
                     // Superseded while queued: space reclaims for free.
                     self.obs_close_cur(now);
                     self.stats.gc_skipped += 1;
@@ -263,29 +253,26 @@ impl Controller {
                     let lun = self.reclaim.jobs[job].lun;
                     if let Some(to) = self.alloc.alloc_in_plane(lun, from.plane, Stream::Gc) {
                         let to_ppn = self.array.geometry().page_index(to);
-                        self.reverse[to_ppn as usize] = Some(content);
-                        let seq = self.source_seq(from_ppn);
                         let out = self.issue_cmd(FlashCommand::CopyBack { from, to }, now);
                         if self.program_failed(&op, to, op.kind, out, now) {
                             return;
                         }
                         // Copy-back reads on-chip; an uncorrectable source
                         // still surfaces through the fault event.
-                        self.note_read_fault(&out, Self::content_lpn(content));
-                        self.stamp_program(to_ppn, Self::content_tag(content), Some(seq));
-                        let done = DoneWhat::MoveDone { job, from_ppn, content, new: to_ppn };
+                        self.note_read_fault(&out, Self::data_lpn(tag));
+                        self.stamp_copy(to_ppn, from_ppn);
+                        let done = DoneWhat::MoveDone { job, from_ppn, new: to_ppn };
                         self.finish_issue(op.class, done, out);
                         return;
                     }
                 }
                 let then = XferDone::Gc { job, from };
-                self.issue_read(&op, from, op.class, Self::content_lpn(content), then, now);
+                self.issue_read(&op, from, op.class, Self::data_lpn(tag), then, now);
             }
             PendKind::HybridWrite { what } => {
                 let lpn = what.lpn();
                 let ppn = self.hybrid_mut().commit_append(lpn);
                 let addr = self.array.geometry().page_at(ppn);
-                self.reverse[ppn as usize] = Some(PageContent::Data(lpn));
                 let out = self.issue_cmd(FlashCommand::Program(addr), now);
                 if self.program_failed(&op, addr, op.kind, out, now) {
                     return;
@@ -317,21 +304,14 @@ impl Controller {
             }
             PendKind::MergeProgram { from } => {
                 let cur = self.merge.cur();
-                let lpn = cur.lbn * self.ppb() + cur.next as u64;
                 let dest = cur.dest + cur.next as u64;
                 let addr = self.array.geometry().page_at(dest);
-                if from.is_some() {
-                    self.reverse[dest as usize] = Some(PageContent::Data(lpn));
-                }
                 let out = self.issue_cmd(FlashCommand::Program(addr), now);
                 // A program failure here is absorbed: the fold's destination
                 // order is fixed, so the page keeps its slot and the at-risk
                 // data is already counted by the fault model's counters.
                 match from {
-                    Some(src) => {
-                        let seq = self.source_seq(src);
-                        self.stamp_program(dest, OobTag::Data { lpn }, Some(seq));
-                    }
+                    Some(src) => self.stamp_copy(dest, src),
                     // Fillers carry no logical content; recovery skips
                     // them.
                     None => self.stamp_unmapped(dest, OobTag::Filler),
@@ -341,7 +321,6 @@ impl Controller {
             PendKind::CkptWrite => {
                 let (slot, addr) = self.ckpt_next_program();
                 let ppn = self.array.geometry().page_index(addr);
-                self.reverse[ppn as usize] = Some(PageContent::Checkpoint(slot));
                 let out = self.issue_cmd(FlashCommand::Program(addr), now);
                 // Program failures are absorbed: a snapshot with a burned
                 // page is caught at mount (the OOB read reports it) and

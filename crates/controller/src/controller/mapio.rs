@@ -7,10 +7,10 @@
 //! scheme's switch-merge erase events.
 
 use eagletree_core::{Cause, SimTime, Slab};
-use eagletree_flash::PageState;
+use eagletree_flash::{OobTag, PageState};
 
 use super::dispatch::{PendKind, WriteWhat};
-use super::{Controller, PageContent};
+use super::Controller;
 use crate::alloc::Stream;
 use crate::ftl::{FtlKind, HybridEvent, TranslationWriteback};
 use crate::types::{IoSource, Lpn, OpClass, Ppn, RequestId};
@@ -157,7 +157,7 @@ impl Controller {
         self.landed(new);
         let old = self.ftl.translation_written(job.tvpn, new);
         if let Some(old) = old {
-            if self.reverse[old as usize] == Some(PageContent::Translation(job.tvpn)) {
+            if self.content_at(old) == Some(OobTag::Translation { tvpn: job.tvpn }) {
                 self.invalidate_ppn(old);
             } else {
                 // Already dead, but the GTD pointed at it until just now:

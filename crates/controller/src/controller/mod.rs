@@ -12,10 +12,12 @@
 //! the design space the paper exposes.
 //!
 //! This module owns the shared device state every subsystem reads and
-//! writes — the flash array, the FTL, the write allocator, the reverse
-//! map, the counters, the span collector and the lost-data ledger — and
-//! routes completions. Each state machine lives in its own module with
-//! the state it owns:
+//! writes — the flash array, the FTL, the write allocator, the counters,
+//! the span collector and the lost-data ledger — and routes completions.
+//! What a physical page holds is the array's record, not a controller
+//! copy: its page state and the tag its program left in the OOB
+//! ([`Controller::content_at`]). Each state machine lives in its own
+//! module with the state it owns:
 //!
 //! * `host` — in-flight application requests, write buffer, completions;
 //! * `dispatch` — the pending set, the event agenda, the scheduling round;
@@ -29,6 +31,8 @@
 //! * `stats` — the counter structs and derived reports.
 
 mod checkpoint;
+#[cfg(test)]
+mod content_tests;
 mod dispatch;
 #[cfg(test)]
 mod gc_guard_tests;
@@ -44,15 +48,15 @@ mod read_lane_tests;
 #[cfg(test)]
 mod ready_set_tests;
 mod reclaim;
-#[cfg(test)]
-mod reverse_pin_tests;
 mod stamps;
 mod stats;
 
 use std::collections::BTreeSet;
 
 use eagletree_core::{Obs, ObsConfig, SimTime};
-use eagletree_flash::{BlockAddr, FaultEvent, FlashArray, IssueOutcome, MemoryManager, PageState};
+use eagletree_flash::{
+    BlockAddr, FaultEvent, FlashArray, IssueOutcome, MemoryManager, OobTag, PageState,
+};
 
 use crate::alloc::Allocator;
 use crate::buffer::WriteBuffer;
@@ -63,17 +67,6 @@ use dispatch::{CtrlEvent, DoneWhat, PendKind, XferDone};
 
 pub use stats::{CtrlStats, MergeCounters, ReliabilityStats, Stuck};
 
-/// What a physical page holds (the controller's reverse map).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageContent {
-    /// Application data for this logical page.
-    Data(Lpn),
-    /// A DFTL translation page.
-    Translation(u64),
-    /// A page of a mapping checkpoint in one of the reserved slots.
-    Checkpoint(u8),
-}
-
 /// The simulated SSD controller.
 pub struct Controller {
     array: FlashArray,
@@ -82,8 +75,6 @@ pub struct Controller {
     cfg: ControllerConfig,
     mem: MemoryManager,
     logical_pages: u64,
-    /// What every physical page holds (`None`: nothing live).
-    reverse: Vec<Option<PageContent>>,
     stats: CtrlStats,
     /// Lifecycle-span collector (`ObsConfig::span_capacity > 0`). Boxed
     /// so the disabled default costs one pointer; pure observation — it
@@ -273,10 +264,18 @@ impl Controller {
     fn invalidate_ppn(&mut self, ppn: Ppn) {
         let lun = self.array.geometry().lun_of_page(ppn);
         self.array.invalidate_at(ppn);
-        if self.reverse[ppn as usize].take().is_some() {
-            self.disp.moves.invalidated(ppn, lun);
-        }
+        self.disp.moves.invalidated(ppn, lun);
         self.reads_follow(ppn, lun);
+    }
+
+    /// What physical page `ppn` holds: the tag its program left in the
+    /// OOB, while the page is `Valid` (a merge filler holds nothing). The
+    /// array is the one record of page content, as a real FTL learns what
+    /// a victim's page holds from its spare area.
+    fn content_at(&self, ppn: Ppn) -> Option<OobTag> {
+        (self.array.page_state_at(ppn) == PageState::Valid)
+            .then(|| self.array.oob_at(ppn).expect("a valid page carries its OOB").tag)
+            .filter(|&tag| tag != OobTag::Filler)
     }
 
     /// Ledger an uncorrectable read of application data: `lpn` is the
@@ -292,11 +291,11 @@ impl Controller {
         }
     }
 
-    /// The logical page a relocated `content` carries, for the ledger.
-    fn content_lpn(content: PageContent) -> Option<Lpn> {
-        match content {
-            PageContent::Data(lpn) => Some(lpn),
-            PageContent::Translation(_) | PageContent::Checkpoint(_) => None,
+    /// The logical page a page tagged `tag` carries, for the ledger.
+    fn data_lpn(tag: OobTag) -> Option<Lpn> {
+        match tag {
+            OobTag::Data { lpn } => Some(lpn),
+            OobTag::Translation { .. } | OobTag::Filler | OobTag::Checkpoint { .. } => None,
         }
     }
 
@@ -314,8 +313,8 @@ impl Controller {
             DoneWhat::Xfer(XferDone::Wb { wb }) => self.enqueue_translation_write(wb, now),
             DoneWhat::Xfer(XferDone::Merge { from }) => self.merge_xfer_done(from, now),
             DoneWhat::AppWriteDone { id, lpn, ppn } => self.app_write_done(id, lpn, ppn, now),
-            DoneWhat::MoveDone { job, from_ppn, content, new } => {
-                self.finalize_move(job, from_ppn, content, new, now);
+            DoneWhat::MoveDone { job, from_ppn, new } => {
+                self.finalize_move(job, from_ppn, new, now);
             }
             DoneWhat::EraseDone { block, owner } => self.erase_done(block, owner, now),
             DoneWhat::WbWrite { wb, new } => self.wb_write_done(wb, new),
@@ -331,36 +330,33 @@ impl Controller {
     /// points (no in-flight operations).
     pub fn check_invariants(&self) {
         let g = *self.array.geometry();
-        // Every valid physical page has reverse content and vice versa.
+        // Every valid physical page holds content its map points back at.
         let ppb = g.pages_per_block as u64;
         for ppn in 0..g.total_pages() {
-            let state = self.array.page_state_at(ppn);
-            match self.reverse[ppn as usize] {
-                Some(PageContent::Data(lpn)) => {
-                    assert_eq!(state, PageState::Valid, "reverse points at non-valid page");
+            match self.content_at(ppn) {
+                Some(OobTag::Data { lpn }) => {
                     assert_eq!(
                         self.ftl.peek(lpn),
                         Some(ppn),
-                        "forward map disagrees with reverse map for lpn {lpn}"
+                        "forward map disagrees with page {ppn}'s OOB for lpn {lpn}"
                     );
                 }
-                Some(PageContent::Translation(tvpn)) => {
-                    assert_eq!(state, PageState::Valid);
+                Some(OobTag::Translation { tvpn }) => {
                     assert_eq!(
                         self.ftl.translation_location(tvpn),
                         Some(ppn),
-                        "GTD disagrees with reverse map for tvpn {tvpn}"
+                        "GTD disagrees with page {ppn}'s OOB for tvpn {tvpn}"
                     );
                 }
-                Some(PageContent::Checkpoint(_)) => {
-                    assert_eq!(state, PageState::Valid);
+                Some(OobTag::Checkpoint { .. }) => {
                     assert!(
                         self.is_ckpt_reserved(g.block_at(ppn / ppb)),
                         "checkpoint page outside the reserved slots"
                     );
                 }
-                None => {
-                    assert_ne!(state, PageState::Valid, "valid page without reverse content");
+                Some(OobTag::Filler) | None => {
+                    let state = self.array.page_state_at(ppn);
+                    assert_ne!(state, PageState::Valid, "valid page {ppn} holds nothing");
                 }
             }
         }
@@ -368,8 +364,8 @@ impl Controller {
         for lpn in 0..self.logical_pages {
             if let Some(ppn) = self.ftl.peek(lpn) {
                 assert_eq!(
-                    self.reverse[ppn as usize],
-                    Some(PageContent::Data(lpn)),
+                    self.content_at(ppn),
+                    Some(OobTag::Data { lpn }),
                     "lpn {lpn} maps to page not owned by it"
                 );
             }
@@ -383,8 +379,8 @@ impl Controller {
                     if self.array.page_state_at(base + o) == PageState::Valid {
                         let lpn = lbn * ppb + o;
                         assert_eq!(
-                            self.reverse[(base + o) as usize],
-                            Some(PageContent::Data(lpn)),
+                            self.content_at(base + o),
+                            Some(OobTag::Data { lpn }),
                             "data block of lbn {lbn} holds a misaligned page at offset {o}"
                         );
                     }

@@ -101,7 +101,7 @@ impl Controller {
         let mut array = FlashArray::new(geometry, timing);
         let logical_pages = Self::prepare(&mut array, &cfg)?;
         let (_, tvpns) = tvpn_span(&geometry, logical_pages);
-        let rec = Recovered::fresh(&geometry, logical_pages, tvpns);
+        let rec = Recovered::fresh(logical_pages, tvpns);
         Self::assemble(array, cfg, logical_pages, rec, Resumed::default())
     }
 
@@ -148,7 +148,7 @@ impl Controller {
                 rec.trans_map,
             ))),
             MappingKind::Hybrid { log_blocks, merge } => {
-                let layout = recovery::classify_hybrid(&array, &rec.reverse, logical_pages);
+                let layout = recovery::classify_hybrid(&array, logical_pages);
                 FtlKind::Hybrid(Box::new(Hybrid::restore(
                     logical_pages,
                     geometry.pages_per_block,
@@ -199,7 +199,6 @@ impl Controller {
             reclaim: Reclaim::new(&geometry, cfg.seed),
             merge: Merges::default(),
             mapio: MapIo::new(tvpns),
-            reverse: rec.reverse,
             stats: CtrlStats::new(),
             lost_lpns: Default::default(),
             array,

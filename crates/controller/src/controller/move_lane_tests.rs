@@ -8,10 +8,10 @@
 //! flight at once.
 
 use eagletree_core::SimTime;
-use eagletree_flash::FaultConfig;
+use eagletree_flash::{FaultConfig, OobTag};
 
 use super::dispatch::{PendKind, PendingOp};
-use super::{Controller, PageContent, Stuck};
+use super::{Controller, Stuck};
 use crate::config::{ControllerConfig, MappingKind, WlConfig};
 use crate::driver::Driver;
 use crate::pend::LaneKey;
@@ -145,7 +145,7 @@ fn supersede_mid_lane(how: RequestKind) {
     let (lun, ops) = deep_blocked_lane(&d.c, d.now).unwrap();
     let target = ops[ops.len() - 2];
     let (job, ppn) = move_of(&d.c, &target);
-    let Some(PageContent::Data(lpn)) = d.c.reverse[ppn as usize] else {
+    let Some(OobTag::Data { lpn }) = d.c.content_at(ppn) else {
         panic!("queued move of a page without data");
     };
     let skipped = d.c.stats.gc_skipped;

@@ -10,13 +10,13 @@
 //! Reads rank below every other class here, so a queued read waits for as
 //! long as anything else wants its LUN — long enough for its page to move.
 
-use eagletree_flash::FaultConfig;
+use eagletree_flash::{FaultConfig, OobTag};
 
 use super::dispatch::{PendKind, PendingOp, QueuedReads, WriteWhat};
 use super::move_lane_tests::{
     age_until, cfg, deep_blocked_lane, lun_busy, move_lanes, move_of, run, step, submit,
 };
-use super::{Controller, PageContent};
+use super::Controller;
 use crate::config::{ControllerConfig, GcConfig, MappingKind};
 use crate::driver::Driver;
 use crate::pend::LaneKey;
@@ -119,8 +119,8 @@ fn lpn_on(c: &Controller, lun: u32, avoid: &[Lpn]) -> Lpn {
 
 /// The logical page a queued move relocates.
 fn lpn_moved_by(c: &Controller, op: &PendingOp) -> Lpn {
-    match c.reverse[move_of(c, op).1 as usize] {
-        Some(PageContent::Data(lpn)) => lpn,
+    match c.content_at(move_of(c, op).1) {
+        Some(OobTag::Data { lpn }) => lpn,
         other => panic!("queued move of {other:?}"),
     }
 }
@@ -440,19 +440,17 @@ fn queued_map_fetch_follows_a_writeback_over_a_dead_page() {
         let lanes = move_lanes(c);
         let found = queued_fetches(c).into_iter().find_map(|(tvpn, at)| {
             let old = at?;
-            let content = Some(PageContent::Translation(tvpn));
-            let replacing = (0..g.total_pages())
-                .any(|p| p != old && c.reverse[p as usize] == content);
+            let content = Some(OobTag::Translation { tvpn });
+            let replacing = (0..g.total_pages()).any(|p| p != old && c.content_at(p) == content);
             let held = lanes.iter().any(|(lun, moves)| {
                 *lun == lun_of(c, old)
                     && moves.len() >= 4
                     && moves.iter().all(|op| move_of(c, op).1 != old)
             });
-            (replacing && held && c.reverse[old as usize] == content).then_some((tvpn, old))
+            (replacing && held && c.content_at(old) == content).then_some((tvpn, old))
         });
         if let Some((tvpn, old)) = found {
             c.array.invalidate_at(old);
-            c.reverse[old as usize] = None;
             landing = Some((tvpn, old));
         }
         false

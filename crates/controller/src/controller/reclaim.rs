@@ -17,10 +17,10 @@
 //! those against the array's reclaimable count answers without a search.
 
 use eagletree_core::{SimRng, SimTime, Slab};
-use eagletree_flash::{BlockAddr, Geometry, PhysicalAddr};
+use eagletree_flash::{BlockAddr, Geometry, OobTag, PhysicalAddr};
 
 use super::dispatch::{EraseOwner, PendKind, WriteWhat};
-use super::{Controller, PageContent};
+use super::Controller;
 use crate::alloc::Stream;
 use crate::bits::BitSet;
 use crate::config::GcConfig;
@@ -270,17 +270,17 @@ impl Controller {
     /// was invalidated between read and write.
     pub(super) fn gc_xfer_done(&mut self, job: usize, from: PhysicalAddr, now: SimTime) {
         let from_ppn = self.array.geometry().page_index(from);
-        match self.reverse[from_ppn as usize] {
+        match self.content_at(from_ppn) {
             None => {
                 // Invalidated between read and write: drop the move.
                 self.stats.gc_stale += 1;
                 self.move_done(job, now);
             }
-            Some(content) => {
+            Some(tag) => {
                 let j = &self.reclaim.jobs[job];
                 let (_, class) = move_classes(j.source, GC_CLASSES);
-                let stream = match (j.source, content) {
-                    (_, PageContent::Translation(_)) => Stream::Translation,
+                let stream = match (j.source, tag) {
+                    (_, OobTag::Translation { .. }) => Stream::Translation,
                     // Static WL migrates presumed-cold data.
                     (IoSource::WearLeveling, _) => Stream::Cold,
                     _ => Stream::Gc,
@@ -293,7 +293,7 @@ impl Controller {
                         // Victims' pages migrate within their own LUN.
                         lun: Some(j.lun),
                         stream,
-                        what: WriteWhat::Gc { job, from_ppn, content },
+                        what: WriteWhat::Gc { job, from_ppn },
                     },
                 );
             }
@@ -301,32 +301,25 @@ impl Controller {
     }
 
     /// A migration landed at `new_ppn`; commit or discard it, then advance
-    /// the job toward its erase.
-    pub(super) fn finalize_move(
-        &mut self,
-        job: usize,
-        from_ppn: Ppn,
-        content: PageContent,
-        new_ppn: Ppn,
-        now: SimTime,
-    ) {
+    /// the job toward its erase. What it carries is its source's OOB tag:
+    /// the source page may be dead by now, but not yet erased.
+    pub(super) fn finalize_move(&mut self, job: usize, from_ppn: Ppn, new_ppn: Ppn, now: SimTime) {
         self.landed(new_ppn);
-        let still_current = match content {
-            PageContent::Data(lpn) => self.ftl.peek(lpn) == Some(from_ppn),
-            PageContent::Translation(tvpn) => {
-                self.ftl.translation_location(tvpn) == Some(from_ppn)
-            }
-            PageContent::Checkpoint(_) => {
-                unreachable!("checkpoint pages are never GC-migrated")
+        let tag = self.source_oob(from_ppn).tag;
+        let still_current = match tag {
+            OobTag::Data { lpn } => self.ftl.peek(lpn) == Some(from_ppn),
+            OobTag::Translation { tvpn } => self.ftl.translation_location(tvpn) == Some(from_ppn),
+            OobTag::Filler | OobTag::Checkpoint { .. } => {
+                unreachable!("only data and translation pages are GC-migrated")
             }
         };
         if still_current {
-            match content {
-                PageContent::Data(lpn) => self.ftl.relocate(lpn, new_ppn),
-                PageContent::Translation(tvpn) => {
+            match tag {
+                OobTag::Data { lpn } => self.ftl.relocate(lpn, new_ppn),
+                OobTag::Translation { tvpn } => {
                     self.ftl.translation_written(tvpn, new_ppn);
                 }
-                PageContent::Checkpoint(_) => unreachable!("checked above"),
+                OobTag::Filler | OobTag::Checkpoint { .. } => unreachable!("checked above"),
             }
             self.invalidate_ppn(from_ppn);
             match self.reclaim.jobs[job].source {

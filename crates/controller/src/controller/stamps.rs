@@ -9,7 +9,7 @@
 use eagletree_core::IdTable;
 use eagletree_flash::{OobEntry, OobTag};
 
-use super::{Controller, PageContent};
+use super::Controller;
 use crate::types::Ppn;
 
 pub(super) struct Stamps {
@@ -61,9 +61,11 @@ impl Controller {
         );
     }
 
-    /// The content version a relocation inherits from its source page.
-    pub(super) fn source_seq(&self, src_ppn: Ppn) -> u64 {
-        self.array.oob_at(src_ppn).expect("live relocation source carries OOB").seq
+    /// The OOB record of a relocation's source page: what the copy holds
+    /// and the content version it inherits. It stays intact until the
+    /// victim block is erased, and that erase waits for every move out.
+    pub(super) fn source_oob(&self, src_ppn: Ppn) -> OobEntry {
+        self.array.oob_at(src_ppn).expect("a relocation source carries OOB")
     }
 
     /// Persist the OOB record of a data/translation program the scheduler
@@ -80,20 +82,19 @@ impl Controller {
         self.stamps.inflight.insert(stamp, ());
     }
 
+    /// [`Self::stamp_program`] of a relocation (GC / WL / merge copy) of
+    /// the page at `src_ppn` to `ppn`: the source's tag and content
+    /// version, read from one OOB look-up.
+    pub(super) fn stamp_copy(&mut self, ppn: Ppn, src_ppn: Ppn) {
+        let src = self.source_oob(src_ppn);
+        self.stamp_program(ppn, src.tag, Some(src.seq));
+    }
+
     /// Stamp a program to `ppn` that carries no mapping entry of its own
     /// (merge fillers, checkpoint pages): stamped for block probes, never
     /// replayed, so it is not tracked against the watermark.
     pub(super) fn stamp_unmapped(&mut self, ppn: Ppn, tag: OobTag) {
         let stamp = self.stamps.fresh();
         self.array.set_oob_at(ppn, OobEntry { tag, seq: stamp, stamp });
-    }
-
-    /// OOB tag for a page holding `content`.
-    pub(super) fn content_tag(content: PageContent) -> OobTag {
-        match content {
-            PageContent::Data(lpn) => OobTag::Data { lpn },
-            PageContent::Translation(tvpn) => OobTag::Translation { tvpn },
-            PageContent::Checkpoint(slot) => OobTag::Checkpoint { slot },
-        }
     }
 }

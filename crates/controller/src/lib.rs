@@ -48,9 +48,7 @@ pub use config::{
     ControllerConfig, GcConfig, MappingKind, MergePolicy, ScrubConfig, TemperatureMode,
     VictimPolicy, WlConfig, WriteAllocPolicy,
 };
-pub use controller::{
-    Controller, CtrlStats, MergeCounters, PageContent, ReliabilityStats, Stuck,
-};
+pub use controller::{Controller, CtrlStats, MergeCounters, ReliabilityStats, Stuck};
 pub use driver::{Driver, Ledger};
 pub use ftl::HybridStats;
 pub use recovery::{CheckpointRecord, CrashImage, RecoveryMode, RecoveryReport};

@@ -46,9 +46,8 @@
 use std::collections::BTreeMap;
 
 use eagletree_core::{SimDuration, SimTime};
-use eagletree_flash::{BlockAddr, FlashArray, Geometry, OobTag, PageState, PowerCutReport};
+use eagletree_flash::{BlockAddr, FlashArray, OobTag, PageState, PowerCutReport};
 
-use crate::controller::PageContent;
 use crate::types::{Lpn, Ppn};
 
 /// How a remount rebuilds the mapping.
@@ -172,7 +171,6 @@ fn fold(slot: &mut Option<Winner>, cand: Winner) {
 pub(crate) struct Recovered {
     pub data_map: Vec<Option<Ppn>>,
     pub trans_map: Vec<Option<Ppn>>,
-    pub reverse: Vec<Option<PageContent>>,
     /// Highest stamp observed anywhere; the remounted controller's stamp
     /// counter resumes above it.
     pub max_stamp: u64,
@@ -188,11 +186,10 @@ impl Recovered {
     /// The state of a factory-fresh medium: nothing mapped, nothing
     /// stamped, nothing scanned. Mounting it is what `Controller::new`
     /// does.
-    pub(crate) fn fresh(geometry: &Geometry, logical_pages: u64, tvpns: u64) -> Self {
+    pub(crate) fn fresh(logical_pages: u64, tvpns: u64) -> Self {
         Recovered {
             data_map: vec![None; logical_pages as usize],
             trans_map: vec![None; tvpns as usize],
-            reverse: vec![None; geometry.total_pages() as usize],
             max_stamp: 0,
             used_checkpoint: false,
             oob_scanned: 0,
@@ -357,12 +354,10 @@ pub(crate) fn recover_medium(
     }
 
     // Reconcile: validity is controller RAM state — the rebuilt view wins.
-    let mut reverse: Vec<Option<PageContent>> = vec![None; g.total_pages() as usize];
     let mut data_map: Vec<Option<Ppn>> = vec![None; logical_pages as usize];
     for (lpn, w) in data.iter().enumerate() {
         let Some((ppn, _, _)) = *w else { continue };
         data_map[lpn] = Some(ppn);
-        reverse[ppn as usize] = Some(PageContent::Data(lpn as u64));
         flash.recovery_set_valid(g.page_at(ppn));
     }
     let mut trans_map: Vec<Option<Ppn>> = vec![None; tvpns as usize];
@@ -370,12 +365,21 @@ pub(crate) fn recover_medium(
         for (tvpn, w) in trans.iter().enumerate() {
             let Some((ppn, _, _)) = *w else { continue };
             trans_map[tvpn] = Some(ppn);
-            reverse[ppn as usize] = Some(PageContent::Translation(tvpn as u64));
             flash.recovery_set_valid(g.page_at(ppn));
         }
     }
+    // Every other valid page is garbage: one whose OOB tag names no map
+    // slot that points back at it.
     for pi in 0..g.total_pages() {
-        if flash.page_state_at(pi) == PageState::Valid && reverse[pi as usize].is_none() {
+        if flash.page_state_at(pi) != PageState::Valid {
+            continue;
+        }
+        let won = match flash.oob_at(pi).map(|e| e.tag) {
+            Some(OobTag::Data { lpn }) => data_map.get(lpn as usize) == Some(&Some(pi)),
+            Some(OobTag::Translation { tvpn }) => trans_map.get(tvpn as usize) == Some(&Some(pi)),
+            Some(OobTag::Filler | OobTag::Checkpoint { .. }) | None => false,
+        };
+        if !won {
             flash.invalidate_at(pi);
         }
     }
@@ -427,7 +431,6 @@ pub(crate) fn recover_medium(
     Recovered {
         data_map,
         trans_map,
-        reverse,
         max_stamp,
         used_checkpoint: record.is_some(),
         oob_scanned,
@@ -450,12 +453,8 @@ pub(crate) struct HybridLayout {
 
 /// Classify recovered blocks into the hybrid scheme's structures. Runs
 /// after [`recover_medium`], so a block's valid pages are exactly the scan
-/// winners.
-pub(crate) fn classify_hybrid(
-    flash: &FlashArray,
-    reverse: &[Option<PageContent>],
-    logical_pages: u64,
-) -> HybridLayout {
+/// winners, each holding what its OOB tag names.
+pub(crate) fn classify_hybrid(flash: &FlashArray, logical_pages: u64) -> HybridLayout {
     let g = *flash.geometry();
     let ppb = g.pages_per_block as u64;
     let lbns = logical_pages.div_ceil(ppb).max(1);
@@ -473,8 +472,11 @@ pub(crate) fn classify_hybrid(
         let mut is_aligned = true;
         let mut live = 0u32;
         for o in 0..info.write_ptr as u64 {
-            match reverse[(base + o) as usize] {
-                Some(PageContent::Data(lpn)) => {
+            if flash.page_state_at(base + o) != PageState::Valid {
+                continue;
+            }
+            match flash.oob_at(base + o).map(|e| e.tag) {
+                Some(OobTag::Data { lpn }) => {
                     live += 1;
                     let ok = lpn % ppb == o && lbn.is_none_or(|l| l == lpn / ppb);
                     if ok {

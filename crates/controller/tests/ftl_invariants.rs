@@ -185,8 +185,8 @@ fn check_scheme_with(
         }
     }
 
-    // Cross-structure invariants (reverse map, allocator accounting, and
-    // the hybrid block-mapping discipline).
+    // Cross-structure invariants (each valid page's OOB tag against the
+    // maps, allocator accounting, and the hybrid block-mapping discipline).
     d.c.check_invariants();
     Ok(())
 }

@@ -5,7 +5,8 @@
 //! holds and a version stamp. After a power failure this is the only
 //! durable record of the mapping: mount-time recovery scans the OOB of
 //! written pages and rebuilds the logical→physical map (see the
-//! controller's `recovery` module).
+//! controller's `recovery` module). The live controller reads the same
+//! tag, while a page is valid, to learn what a page it relocates holds.
 //!
 //! Two counters travel in each entry:
 //!
