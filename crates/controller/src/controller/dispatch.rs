@@ -3,12 +3,12 @@
 //! Owns [`Dispatch`] — every flash operation the controller has decided on
 //! but not yet issued (`pending`), the single event agenda (`events`:
 //! flash completions and scheduler wake-ups), the arrival counter, the
-//! per-class service tallies the policies read, the observability context
-//! of the op being issued, the superseded-while-queued bookkeeping of the
-//! relocation lanes ([`QueuedMoves`]), the pages queued mapped reads may
-//! be waiting on ([`QueuedReads`] — what lets a read follow its page to
-//! another LUN's lane when the page dies), the LUNs that can take a command
-//! now ([`ReadySet`]), and the reusable scratch of one scheduling round.
+//! per-class service tallies the policies read, the superseded-while-queued
+//! bookkeeping of the relocation lanes ([`QueuedMoves`]), the pages queued
+//! mapped reads may be waiting on ([`QueuedReads`] — what lets a read
+//! follow its page to another LUN's lane when the page dies), the LUNs that
+//! can take a command now ([`ReadySet`]), and the reusable scratch of one
+//! scheduling round.
 //! Every subsystem queues flash work through [`Controller::enqueue`];
 //! [`Controller::run_sched`] decides what goes next under the configured
 //! `SchedPolicy`, and `issue.rs` turns the chosen op into a flash command.
@@ -172,27 +172,6 @@ pub(super) struct PendingOp {
     pub(super) kind: PendKind,
     /// Lifecycle span this op belongs to ([`NO_SPAN`] with obs off).
     pub(super) span: u64,
-}
-
-/// Issue-time observability context, handed from [`Controller::issue`] to
-/// `issue_cmd` through a field so the `issue_cmd` call sites stay
-/// untouched: the span of the op being issued, whether it is bound to a
-/// host request (vs. an internal op), and when it entered the pending set.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct ObsCur {
-    pub(super) span: u64,
-    pub(super) host: bool,
-    pub(super) enqueued_at: SimTime,
-}
-
-impl Default for ObsCur {
-    fn default() -> Self {
-        ObsCur {
-            span: NO_SPAN,
-            host: false,
-            enqueued_at: SimTime::ZERO,
-        }
-    }
 }
 
 /// The one op-specific term of a queued `GcMove`'s issuability: its source
@@ -380,8 +359,6 @@ pub(super) struct Dispatch {
     sched_keys: Vec<SchedKey>,
     op_seq: u64,
     pub(super) serviced: ClassTable,
-    /// Context of the op currently being issued (see [`ObsCur`]).
-    pub(super) obs_cur: ObsCur,
 }
 
 impl Dispatch {
@@ -397,7 +374,6 @@ impl Dispatch {
             sched_keys: Vec::new(),
             op_seq: 0,
             serviced: class_table(0),
-            obs_cur: ObsCur::default(),
         }
     }
 

@@ -11,24 +11,22 @@
 use eagletree_core::{SimDuration, SimTime, NO_SPAN};
 use eagletree_flash::{FaultEvent, FlashCommand, IssueOutcome, OobTag, PhysicalAddr};
 
-use super::dispatch::{
-    CtrlEvent, DoneWhat, ObsCur, PendKind, PendingOp, WriteWhat, XferDone,
-};
+use super::dispatch::{CtrlEvent, DoneWhat, PendKind, PendingOp, WriteWhat, XferDone};
 use super::Controller;
 use crate::alloc::Stream;
 use crate::sched::class_index;
 use crate::types::{Lpn, OpClass};
 
 impl Controller {
-    /// Issue a flash command whose resources the scheduler verified free,
-    /// attributing its busy window to the current op's span.
-    fn issue_cmd(&mut self, cmd: FlashCommand, now: SimTime) -> IssueOutcome {
+    /// Issue `op`'s flash command, whose resources the scheduler verified
+    /// free, attributing its busy window to the op's span.
+    fn issue_cmd(&mut self, op: &PendingOp, cmd: FlashCommand, now: SimTime) -> IssueOutcome {
         let out = self
             .array
             .issue(cmd, now)
             .unwrap_or_else(|e| panic!("scheduler issued invalid command: {e}"));
         self.refresh_channel(cmd.channel(), now);
-        if self.disp.obs_cur.span != NO_SPAN {
+        if op.span != NO_SPAN {
             if let Some(o) = &mut self.obs {
                 // Span busy slices are keyed by LUN track: 0 = misc, then
                 // one per LUN (see `Controller::obs_lane_names`).
@@ -45,29 +43,22 @@ impl Controller {
                     }
                     _ => SimDuration::ZERO,
                 };
-                o.on_issue(
-                    self.disp.obs_cur.span,
-                    track,
-                    now,
-                    out.done_at,
-                    retry,
-                    self.disp.obs_cur.enqueued_at,
-                    self.disp.obs_cur.host,
-                );
+                let host = Self::pend_request(&op.kind).is_some();
+                o.on_issue(op.span, track, now, out.done_at, retry, op.enqueued_at, host);
             }
         }
         out
     }
 
-    /// Close the current op's internal span without a flash command —
-    /// for pending ops consumed at issue time with no NAND work (a
-    /// RAM-resolved map fetch, a superseded GC move, a trimmed merge
-    /// source, a skipped writeback read). Host-bound spans stay open:
-    /// the request's completion closes them.
-    fn obs_close_cur(&mut self, now: SimTime) {
-        if self.disp.obs_cur.span != NO_SPAN && !self.disp.obs_cur.host {
+    /// Close `op`'s internal span without a flash command — for pending
+    /// ops consumed at issue time with no NAND work (a RAM-resolved map
+    /// fetch, a superseded GC move, a trimmed merge source, a skipped
+    /// writeback read). Host-bound spans stay open: the request's
+    /// completion closes them.
+    fn obs_close(&mut self, op: &PendingOp, now: SimTime) {
+        if op.span != NO_SPAN && Self::pend_request(&op.kind).is_none() {
             if let Some(o) = &mut self.obs {
-                o.close(self.disp.obs_cur.span, now);
+                o.close(op.span, now);
             }
         }
     }
@@ -102,7 +93,7 @@ impl Controller {
         then: XferDone,
         now: SimTime,
     ) {
-        let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
+        let out = self.issue_cmd(op, FlashCommand::ReadStart(addr), now);
         self.note_read_fault(&out, carries);
         let done = DoneWhat::ReadArray { addr, class: xfer_class, tag: op.tag, then };
         self.finish_issue(op.class, done, out);
@@ -149,22 +140,17 @@ impl Controller {
     /// issuability.
     pub(super) fn issue(&mut self, slot: u32, now: SimTime) {
         let op = self.disp.pending.remove(slot);
-        self.disp.obs_cur = ObsCur {
-            span: op.span,
-            host: Self::pend_request(&op.kind).is_some(),
-            enqueued_at: op.enqueued_at,
-        };
         self.reclaim.ops_since_scrub += 1;
         self.disp.serviced[class_index(op.class)] += 1;
         self.stats.wait_us[class_index(op.class)]
             .record(now.saturating_since(op.enqueued_at).as_micros_f64());
         match op.kind {
             PendKind::Transfer { addr, done } => {
-                let out = self.issue_cmd(FlashCommand::TransferOut(addr), now);
+                let out = self.issue_cmd(&op, FlashCommand::TransferOut(addr), now);
                 self.finish_issue(op.class, DoneWhat::Xfer(done), out);
             }
             PendKind::Erase { block, owner } => {
-                let out = self.issue_cmd(FlashCommand::Erase(block), now);
+                let out = self.issue_cmd(&op, FlashCommand::Erase(block), now);
                 // A transient erase failure leaves the block un-reset:
                 // charge the time, retry. A retiring failure falls through
                 // to EraseDone, whose bad-block path swallows the block.
@@ -184,7 +170,7 @@ impl Controller {
             PendKind::MapFetchRead { tvpn } => match self.read_source(&op.kind) {
                 None => {
                     // Entries live in RAM structures: resolve immediately.
-                    self.obs_close_cur(now);
+                    self.obs_close(&op, now);
                     let done = DoneWhat::Xfer(XferDone::MapFetch { tvpn });
                     self.disp.events.schedule(now, CtrlEvent::Done(done));
                 }
@@ -194,7 +180,7 @@ impl Controller {
             },
             PendKind::WbRead { wb } => match self.read_source(&op.kind) {
                 None => {
-                    self.obs_close_cur(now);
+                    self.obs_close(&op, now);
                     self.enqueue_translation_write(wb, now);
                 }
                 // The merged page's transfer already bills as writeback.
@@ -212,7 +198,7 @@ impl Controller {
                 };
                 let addr = self.alloc.alloc(lun, stream).expect("issuable implies alloc");
                 let ppn = self.array.geometry().page_index(addr);
-                let out = self.issue_cmd(FlashCommand::Program(addr), now);
+                let out = self.issue_cmd(&op, FlashCommand::Program(addr), now);
                 let retry = PendKind::Write { lun: None, stream, what };
                 if self.program_failed(&op, addr, retry, out, now) {
                     return;
@@ -242,7 +228,7 @@ impl Controller {
                 self.disp.moves.issued(from_ppn, lun, content.is_none());
                 let Some(tag) = content else {
                     // Superseded while queued: space reclaims for free.
-                    self.obs_close_cur(now);
+                    self.obs_close(&op, now);
                     self.stats.gc_skipped += 1;
                     self.move_done(job, now);
                     return;
@@ -253,7 +239,7 @@ impl Controller {
                     let lun = self.reclaim.jobs[job].lun;
                     if let Some(to) = self.alloc.alloc_in_plane(lun, from.plane, Stream::Gc) {
                         let to_ppn = self.array.geometry().page_index(to);
-                        let out = self.issue_cmd(FlashCommand::CopyBack { from, to }, now);
+                        let out = self.issue_cmd(&op, FlashCommand::CopyBack { from, to }, now);
                         if self.program_failed(&op, to, op.kind, out, now) {
                             return;
                         }
@@ -273,7 +259,7 @@ impl Controller {
                 let lpn = what.lpn();
                 let ppn = self.hybrid_mut().commit_append(lpn);
                 let addr = self.array.geometry().page_at(ppn);
-                let out = self.issue_cmd(FlashCommand::Program(addr), now);
+                let out = self.issue_cmd(&op, FlashCommand::Program(addr), now);
                 if self.program_failed(&op, addr, op.kind, out, now) {
                     return;
                 }
@@ -287,7 +273,7 @@ impl Controller {
                     None => {
                         // Trimmed since enqueue: a filler program keeps the
                         // destination's page order instead.
-                        self.obs_close_cur(now);
+                        self.obs_close(&op, now);
                         let (_, write_class) = Self::merge_classes(self.merge.source());
                         self.enqueue(
                             write_class,
@@ -306,7 +292,7 @@ impl Controller {
                 let cur = self.merge.cur();
                 let dest = cur.dest + cur.next as u64;
                 let addr = self.array.geometry().page_at(dest);
-                let out = self.issue_cmd(FlashCommand::Program(addr), now);
+                let out = self.issue_cmd(&op, FlashCommand::Program(addr), now);
                 // A program failure here is absorbed: the fold's destination
                 // order is fixed, so the page keeps its slot and the at-risk
                 // data is already counted by the fault model's counters.
@@ -321,7 +307,7 @@ impl Controller {
             PendKind::CkptWrite => {
                 let (slot, addr) = self.ckpt_next_program();
                 let ppn = self.array.geometry().page_index(addr);
-                let out = self.issue_cmd(FlashCommand::Program(addr), now);
+                let out = self.issue_cmd(&op, FlashCommand::Program(addr), now);
                 // Program failures are absorbed: a snapshot with a burned
                 // page is caught at mount (the OOB read reports it) and
                 // recovery falls back to the previous slot or a full scan.

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use eagletree_core::SimTime;
-use eagletree_flash::{BlockAddr, PhysicalAddr};
+use eagletree_flash::{BlockAddr, PageState, PhysicalAddr};
 
 use super::dispatch::{EraseOwner, PendKind};
 use super::reclaim::move_classes;
@@ -391,8 +391,9 @@ impl Controller {
         let source = self.merge.source();
         let lpn = cur.lbn * self.ppb() + cur.next as u64;
         match from {
-            Some(f) if self.ftl.peek(lpn) == Some(f) => {
+            Some(f) if self.array.page_state_at(f) == PageState::Valid => {
                 // Still current: commit the move.
+                debug_assert_eq!(self.ftl.peek(lpn), Some(f), "valid merge source not mapped");
                 self.ftl.relocate(lpn, dest);
                 self.invalidate_ppn(f);
                 match source {
@@ -404,9 +405,10 @@ impl Controller {
                     | IoSource::Scrub => self.stats.merge_moves += 1,
                 }
             }
-            Some(_) => {
+            Some(f) => {
                 // Superseded mid-copy: the fresh page is garbage,
                 // but it kept the destination's program order.
+                debug_assert_ne!(self.ftl.peek(lpn), Some(f), "dead merge source still mapped");
                 self.stats.merge_stale += 1;
                 self.invalidate_ppn(dest);
             }

@@ -17,7 +17,7 @@
 //! those against the array's reclaimable count answers without a search.
 
 use eagletree_core::{SimRng, SimTime, Slab};
-use eagletree_flash::{BlockAddr, Geometry, OobTag, PhysicalAddr};
+use eagletree_flash::{BlockAddr, Geometry, OobTag, PageState, PhysicalAddr};
 
 use super::dispatch::{EraseOwner, PendKind, WriteWhat};
 use super::Controller;
@@ -302,24 +302,33 @@ impl Controller {
 
     /// A migration landed at `new_ppn`; commit or discard it, then advance
     /// the job toward its erase. What it carries is its source's OOB tag:
-    /// the source page may be dead by now, but not yet erased.
+    /// the source page may be dead by now, but not yet erased. The move
+    /// is still current while its source page is valid: every path that
+    /// repoints a mapping invalidates the old page at the same instant.
     pub(super) fn finalize_move(&mut self, job: usize, from_ppn: Ppn, new_ppn: Ppn, now: SimTime) {
         self.landed(new_ppn);
         let tag = self.source_oob(from_ppn).tag;
-        let still_current = match tag {
-            OobTag::Data { lpn } => self.ftl.peek(lpn) == Some(from_ppn),
-            OobTag::Translation { tvpn } => self.ftl.translation_location(tvpn) == Some(from_ppn),
-            OobTag::Filler | OobTag::Checkpoint { .. } => {
-                unreachable!("only data and translation pages are GC-migrated")
-            }
-        };
+        let still_current = self.array.page_state_at(from_ppn) == PageState::Valid;
+        debug_assert_eq!(
+            still_current,
+            match tag {
+                OobTag::Data { lpn } => self.ftl.peek(lpn) == Some(from_ppn),
+                OobTag::Translation { tvpn } => {
+                    self.ftl.translation_location(tvpn) == Some(from_ppn)
+                }
+                OobTag::Filler | OobTag::Checkpoint { .. } => false,
+            },
+            "page state and mapping disagree on relocation source {from_ppn} ({tag:?})"
+        );
         if still_current {
             match tag {
                 OobTag::Data { lpn } => self.ftl.relocate(lpn, new_ppn),
                 OobTag::Translation { tvpn } => {
                     self.ftl.translation_written(tvpn, new_ppn);
                 }
-                OobTag::Filler | OobTag::Checkpoint { .. } => unreachable!("checked above"),
+                OobTag::Filler | OobTag::Checkpoint { .. } => {
+                    unreachable!("only data and translation pages are GC-migrated")
+                }
             }
             self.invalidate_ppn(from_ppn);
             match self.reclaim.jobs[job].source {

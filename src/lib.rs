@@ -85,3 +85,9 @@ pub mod prelude {
         ZipfKind,
     };
 }
+
+/// The README's Rust blocks, compiled and run as doctests so the snippets
+/// a reader copies keep building.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
