@@ -403,11 +403,9 @@ impl Controller {
                 // job/policy that spawned it.
                 None => {
                     let cause = self.pend_cause(&kind);
-                    match (self.obs.as_mut(), cause) {
-                        (Some(o), Cause::None) => o.open_internal(class.name(), now),
-                        (Some(o), c) => o.open_caused(class.name(), now, c),
-                        (None, _) => NO_SPAN,
-                    }
+                    self.obs
+                        .as_mut()
+                        .map_or(NO_SPAN, |o| o.open_internal(class.name(), now, cause))
                 }
             }
         };
@@ -489,9 +487,8 @@ impl Controller {
 
     /// Derive the cause of an internal op structurally from its pending
     /// kind: GC/WL/merge phases point at their job's source policy,
-    /// mapping and checkpoint traffic at theirs. `MapFetchRead` returns
-    /// [`Cause::None`] so the ambient cause context set by
-    /// [`Self::park_on_fetch`] (which links the stalled *request*) wins.
+    /// mapping and checkpoint traffic at theirs, a translation fetch at
+    /// the request (or flush) that started it.
     fn pend_cause(&self, kind: &PendKind) -> Cause {
         // An op is enqueued on behalf of a job still in flight.
         let job_cause = |job: usize| Self::source_cause(self.reclaim.jobs[job].source);
@@ -524,6 +521,7 @@ impl Controller {
             } => Cause::Policy("flush"),
             PendKind::MergeRead | PendKind::MergeProgram { .. } => merge_cause(),
             PendKind::CkptWrite => Cause::Policy("checkpoint"),
+            PendKind::MapFetchRead { tvpn } => self.fetch_cause(*tvpn),
             PendKind::Transfer { done, .. } => match done {
                 XferDone::Gc { job, .. } => job_cause(*job),
                 XferDone::MapFetch { .. } => Cause::Policy("mapping"),
@@ -532,7 +530,6 @@ impl Controller {
                 XferDone::App { .. } => Cause::None,
             },
             PendKind::AppRead { .. }
-            | PendKind::MapFetchRead { .. }
             | PendKind::Write { .. }
             | PendKind::HybridWrite { .. } => Cause::None,
         }

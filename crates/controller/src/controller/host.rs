@@ -118,14 +118,7 @@ impl Controller {
             self.logical_pages
         );
         let span = match &mut self.obs {
-            Some(o) if span == NO_SPAN => {
-                let kind = match req.kind {
-                    RequestKind::Read => "AppRead",
-                    RequestKind::Write => "AppWrite",
-                    RequestKind::Trim => "Trim",
-                };
-                o.open(kind, None, now)
-            }
+            Some(o) if span == NO_SPAN => o.open(req.kind.name(), None, now),
             Some(_) => span,
             None => NO_SPAN,
         };
@@ -280,11 +273,12 @@ impl Controller {
 
     /// Acknowledge request `id` to the host at `now`, ending its `span`:
     /// the one place a completion is produced (instant and flash-backed
-    /// alike).
+    /// alike), and so the one place a host span closes.
     fn ack(&mut self, id: RequestId, span: u64, now: SimTime) {
         self.host.completions.push(Completion { id, at: now });
         if let Some(o) = &mut self.obs {
-            o.close_host(span, id, now);
+            let closed = o.close_host(span, now);
+            debug_assert!(closed, "request {id} was acknowledged without an open span");
         }
     }
 

@@ -55,24 +55,22 @@ impl Controller {
         let parked = &mut self.mapio.fetches[tvpn as usize];
         parked.push(waiter);
         if parked.len() == 1 {
-            if let Some(o) = &mut self.obs {
-                // Link the fetch span to the request it stalls (or the
-                // flush policy) rather than the generic mapping policy.
-                let cause = match waiter {
-                    Waiter::Request(id) => Cause::Op(self.host.span_of(id)),
-                    Waiter::Flush { .. } => Cause::Policy("flush"),
-                };
-                o.set_cause(cause);
-            }
             self.enqueue(
                 OpClass::MappingRead,
                 None,
                 now,
                 PendKind::MapFetchRead { tvpn },
             );
-            if let Some(o) = &mut self.obs {
-                o.set_cause(Cause::None);
-            }
+        }
+    }
+
+    /// The cause of translation page `tvpn`'s fetch: the first waiter
+    /// parked on it, whose arrival started the fetch — the request it
+    /// stalls, or the flush policy.
+    pub(super) fn fetch_cause(&self, tvpn: u64) -> Cause {
+        match self.mapio.fetches[tvpn as usize][0] {
+            Waiter::Request(id) => Cause::Op(self.host.span_of(id)),
+            Waiter::Flush { .. } => Cause::Policy("flush"),
         }
     }
 

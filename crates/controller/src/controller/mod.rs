@@ -177,8 +177,8 @@ impl Controller {
         self.obs.as_deref()
     }
 
-    /// Mutable span collector (the OS layer opens host spans and drains
-    /// finished breakdowns through this).
+    /// Mutable span collector (the OS layer opens host spans through
+    /// this).
     pub fn obs_mut(&mut self) -> Option<&mut Obs> {
         self.obs.as_deref_mut()
     }
@@ -241,16 +241,6 @@ impl Controller {
                 CtrlEvent::Done(d) => self.handle_done(d, ev.time),
             }
             self.run_sched(ev.time);
-        }
-        if let Some(o) = &mut self.obs {
-            // The breakdowns the host may now collect are those of the
-            // completions it is handed.
-            o.rotate_finished();
-            debug_assert_eq!(
-                o.uncollected(),
-                self.host.completions.len(),
-                "a request was acknowledged without its span"
-            );
         }
         done.clear();
         std::mem::swap(&mut self.host.completions, done);

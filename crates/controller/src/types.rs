@@ -30,6 +30,17 @@ pub enum RequestKind {
     Trim,
 }
 
+impl RequestKind {
+    /// Stable display name: the kind of the request's lifecycle span.
+    pub fn name(self) -> &'static str {
+        match self {
+            RequestKind::Read => "AppRead",
+            RequestKind::Write => "AppWrite",
+            RequestKind::Trim => "Trim",
+        }
+    }
+}
+
 /// Data-temperature hint, either detected on-device or supplied by the OS
 /// through the open interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -13,10 +13,11 @@
 //!   op on its LUN.
 //! * [`Obs`] — the collector: open-span cursors in the crate's
 //!   [`IdTable`], found from a span id by subtraction; a ring of closed
-//!   spans, retained by policy once full (below); the host breakdowns of one
-//!   [`Obs::rotate_finished`] period; and per-lane "last internal op"
-//!   memory for interference attribution. Nothing is keyed by a host
-//!   request id: whoever holds the request holds its span id. The
+//!   spans, retained by policy once full (below); one [`StageBreakdown`]
+//!   per (tenant, kind) of host span, fed where the span closes
+//!   ([`Obs::stage_breakdown`]); and per-lane "last internal op" memory
+//!   for interference attribution. Nothing is keyed by a host request
+//!   id: whoever holds the request holds its span id. The
 //!   contract: *ids are dense, monotone and never reused; handles to
 //!   closed spans are inert* — every call on a closed, never-issued or
 //!   [`NO_SPAN`] id is a silent no-op. A span costs a handful of array
@@ -301,13 +302,17 @@ const REREAD_EVERY: u64 = 1024;
 const SAMPLE_EVERY: u64 = 64;
 
 /// Every close of one op kind: the histogram its spans' end-to-end
-/// latencies fold into, and the threshold a full ring admits them at.
+/// latencies fold into, the threshold a full ring admits them at, and the
+/// breakdowns of its host spans.
 #[derive(Default)]
 struct KindLatency {
     hist: Histogram,
     /// The histogram's [`ADMIT_QUANTILE`] as of its last re-read, in ns;
     /// 0 (admit all) before [`REREAD_EVERY`] closes.
     admit_ns: u64,
+    /// Per tenant slot (0 for `None`, `t + 1` for `Some(t)`): the
+    /// breakdown of every host span of the kind and tenant closed.
+    host: Vec<Option<StageBreakdown>>,
 }
 
 /// An open span: the record it will close as (`end` and `windows` still
@@ -331,20 +336,13 @@ impl OpenSpan {
 }
 
 /// The span collector. Owned by the controller (one per device); the OS
-/// layer reaches it through the controller to open host-request spans and
-/// drain finished breakdowns.
+/// layer reaches it through the controller to open host-request spans.
 pub struct Obs {
     capacity: usize,
     next_id: u64,
     /// The open spans' cursors, by id; a closed span's slot goes to a
     /// later open.
     open: IdTable<OpenSpan>,
-    /// Host breakdowns closed since the last [`Obs::rotate_finished`], as
-    /// `(request id, stages)` in close order: their completions have not
-    /// been handed to the host yet.
-    acked: VecDeque<(u64, StageNs)>,
-    /// Those of the period before, which [`Obs::take_finished`] serves.
-    returned: VecDeque<(u64, StageNs)>,
     /// Up to `capacity` retained spans, in close order.
     closed: VecDeque<Closed>,
     /// The busy windows of `closed`, record by record, in the same order.
@@ -361,9 +359,6 @@ pub struct Obs {
     spare_busy: Vec<Vec<(u32, SimTime, SimTime)>>,
     /// What the `u8` name codes of `closed` and `open` stand for.
     names: Names,
-    /// Cause applied to internal spans opened via [`Obs::open_internal`];
-    /// set by the triggering policy code around its enqueues.
-    cause_ctx: Cause,
     /// Per lane: the last internal op issued there `(span id, kind code,
     /// busy-until)` — the interference source a host op can stall behind.
     lane_internal: Vec<Option<(u64, u8, SimTime)>>,
@@ -377,8 +372,6 @@ impl Obs {
             capacity,
             next_id: 1,
             open: IdTable::default(),
-            acked: VecDeque::new(),
-            returned: VecDeque::new(),
             closed: VecDeque::new(),
             windows: VecDeque::new(),
             latency: Vec::new(),
@@ -386,7 +379,6 @@ impl Obs {
             evicted: 0,
             spare_busy: Vec::new(),
             names: Names::default(),
-            cause_ctx: Cause::None,
             lane_internal: Vec::new(),
         }
     }
@@ -397,15 +389,8 @@ impl Obs {
         self.open_with(kind, tenant, now, Cause::None)
     }
 
-    /// Open an internal-op span, linking the currently set cause context.
-    pub fn open_internal(&mut self, kind: &'static str, now: SimTime) -> u64 {
-        let cause = self.cause_ctx;
-        self.open_with(kind, None, now, cause)
-    }
-
-    /// Open an internal-op span with an explicit cause (bypassing the
-    /// context), for callers that can derive the trigger structurally.
-    pub fn open_caused(&mut self, kind: &'static str, now: SimTime, cause: Cause) -> u64 {
+    /// Open an internal-op span, linked to what triggered it.
+    pub fn open_internal(&mut self, kind: &'static str, now: SimTime, cause: Cause) -> u64 {
         self.open_with(kind, None, now, cause)
     }
 
@@ -446,13 +431,6 @@ impl Obs {
             },
         );
         id
-    }
-
-    /// Set the cause attached to subsequently opened internal spans. The
-    /// triggering code sets it before its enqueues and resets to
-    /// [`Cause::None`] after.
-    pub fn set_cause(&mut self, cause: Cause) {
-        self.cause_ctx = cause;
     }
 
     /// Charge `now - last` to `stage` and advance the cursor.
@@ -530,11 +508,14 @@ impl Obs {
     /// [`Stage::SchedPending`], and offer it to the closed ring. Returns
     /// the final breakdown (zeroes if the span was unknown).
     pub fn close(&mut self, span: u64, end: SimTime) -> StageNs {
-        self.close_open(span, end).unwrap_or_default()
+        self.close_open(span, end)
+            .map(|rec| rec.stages)
+            .unwrap_or_default()
     }
 
-    /// [`Obs::close`]; `None` when `span` is not open.
-    fn close_open(&mut self, span: u64, end: SimTime) -> Option<StageNs> {
+    /// [`Obs::close`], returning the closed record; `None` when `span` is
+    /// not open.
+    fn close_open(&mut self, span: u64, end: SimTime) -> Option<Closed> {
         let mut s = self.open.remove(span)?;
         s.charge(Stage::SchedPending, end);
         s.rec.end = end;
@@ -552,7 +533,7 @@ impl Obs {
         }
         s.busy.clear();
         self.spare_busy.push(s.busy);
-        Some(s.rec.stages)
+        Some(s.rec)
     }
 
     /// Record the latency of closed span `rec` under its kind, and say
@@ -574,37 +555,38 @@ impl Obs {
             || rec.id.is_multiple_of(SAMPLE_EVERY)
     }
 
-    /// Close the span of host request `req` at `end`, the instant the
-    /// request is acknowledged; the final breakdown waits for
-    /// [`Obs::take_finished`] under the request's id.
-    pub fn close_host(&mut self, span: u64, req: u64, end: SimTime) {
-        if let Some(stages) = self.close_open(span, end) {
-            self.acked.push_back((req, stages));
+    /// Close host-request span `span` at `end`, the instant the request
+    /// is acknowledged, and record its breakdown under the span's own
+    /// tenant and kind ([`Obs::stage_breakdown`]). False when `span` is
+    /// not open.
+    pub fn close_host(&mut self, span: u64, end: SimTime) -> bool {
+        let Some(rec) = self.close_open(span, end) else {
+            return false;
+        };
+        // `close_open` made the kind's entry.
+        let tenants = &mut self.latency[rec.kind as usize].host;
+        let t = rec.tenant.map_or(0, |t| t as usize + 1);
+        if tenants.len() <= t {
+            tenants.resize_with(t + 1, || None);
         }
+        tenants[t]
+            .get_or_insert_with(StageBreakdown::new)
+            .record(rec.stages);
+        true
     }
 
-    /// The device hands the host the completions acknowledged so far (the
-    /// end of a `Controller::advance`): their breakdowns become the ones
-    /// [`Obs::take_finished`] serves, and whatever the host left of the
-    /// hand-over before is forgotten — so a host that never collects
-    /// holds one hand-over's breakdowns, not one per request it ever made.
-    pub fn rotate_finished(&mut self) {
-        self.returned.clear();
-        std::mem::swap(&mut self.acked, &mut self.returned);
+    // named by `benchmark/src/trace.rs`; delete with ROADMAP 1(b)
+    #[doc(hidden)]
+    pub fn take_finished(&mut self, _req: u64) -> Option<StageNs> {
+        None
     }
 
-    /// Drain the finished breakdown of host request `req`, one of the
-    /// completions the device last handed over.
-    pub fn take_finished(&mut self, req: u64) -> Option<StageNs> {
-        // A host collecting in completion order finds it at the front.
-        let i = self.returned.iter().position(|&(r, _)| r == req)?;
-        self.returned.remove(i).map(|(_, stages)| stages)
-    }
-
-    /// Breakdowns acknowledged or handed over that no
-    /// [`Obs::take_finished`] has collected.
-    pub fn uncollected(&self) -> usize {
-        self.acked.len() + self.returned.len()
+    /// The breakdown of every host span of `kind` ("AppRead", "AppWrite",
+    /// "Trim") and `tenant` closed so far, retained or not; `None` if no
+    /// such span has closed.
+    pub fn stage_breakdown(&self, tenant: Option<u32>, kind: &str) -> Option<&StageBreakdown> {
+        let t = tenant.map_or(0, |t| t as usize + 1);
+        self.closes_of(kind)?.host.get(t)?.as_ref()
     }
 
     /// Retained spans in close order, each rebuilt from its record.
@@ -646,8 +628,13 @@ impl Obs {
     /// The end-to-end latency of every closed span of `kind`, retained or
     /// not; `None` if no span of that kind has closed.
     pub fn latency(&self, kind: &str) -> Option<&Histogram> {
+        Some(&self.closes_of(kind)?.hist).filter(|h| h.count() > 0)
+    }
+
+    /// What the closes of `kind` left, if the kind has a name code.
+    fn closes_of(&self, kind: &str) -> Option<&KindLatency> {
         let k = self.names.0.iter().position(|n| *n == kind)?;
-        self.latency.get(k).map(|l| &l.hist).filter(|h| h.count() > 0)
+        self.latency.get(k)
     }
 
     /// Spans opened but not yet closed (0 at quiescence).
@@ -1059,10 +1046,8 @@ mod tests {
             t(10),
             true,
         );
-        o.close_host(span, 7, t(75));
-        assert!(o.take_finished(7).is_none(), "not handed to the host yet");
-        o.rotate_finished();
-        let st = o.take_finished(7).unwrap();
+        assert!(o.close_host(span, t(75)));
+        let st = o.spans().next().unwrap().stages;
         assert_eq!(st.get(Stage::QueueWait), 6_000);
         assert_eq!(st.get(Stage::QosHold), 4_000);
         assert_eq!(st.get(Stage::SchedPending), 15_000);
@@ -1074,43 +1059,63 @@ mod tests {
         assert_eq!(s.end.since(s.start).as_nanos(), st.total());
         assert_eq!(s.tenant, Some(1));
         assert_eq!(o.open_count(), 0);
-        assert!(o.take_finished(7).is_none(), "finished drains once");
+        // The span's breakdown went to its tenant and kind as it closed.
+        let bd = o.stage_breakdown(Some(1), "AppRead").unwrap();
+        assert_eq!(bd.count(), 1);
+        assert_eq!(
+            (bd.mean_us(Stage::Media), bd.mean_us(Stage::Retry)),
+            (30.0, 20.0)
+        );
+        assert_eq!(bd.total().mean().as_nanos(), 75_000);
     }
 
     #[test]
-    fn finished_breakdowns_last_one_hand_over() {
+    fn host_breakdowns_aggregate_by_tenant_and_kind() {
         let mut o = Obs::new(4);
-        for req in 0..3u64 {
-            let s = o.open("AppWrite", None, t(req));
-            o.close_host(s, req, t(req + 1));
+        // Tenant 0 writes 1 and 3 µs, tenant 1 writes 2 µs and reads
+        // 4 µs, a controller-only host (no tenant) writes 5 µs.
+        for (tenant, kind, us) in [
+            (Some(0), "AppWrite", 1),
+            (Some(1), "AppWrite", 2),
+            (Some(0), "AppWrite", 3),
+            (Some(1), "AppRead", 4),
+            (None, "AppWrite", 5),
+        ] {
+            let s = o.open(kind, tenant, t(10));
+            assert!(o.close_host(s, t(10 + us)));
         }
-        o.rotate_finished();
-        assert_eq!(o.uncollected(), 3);
-        // Collected out of order, each once.
-        assert_eq!(o.take_finished(1).unwrap().total(), 1_000);
-        assert!(o.take_finished(1).is_none());
-        assert!(o.take_finished(0).is_some());
-        // Request 2 is never collected: the next hand-over forgets it.
-        let s = o.open("AppWrite", None, t(5));
-        o.close_host(s, 9, t(6));
-        assert_eq!(o.uncollected(), 2);
-        o.rotate_finished();
-        assert!(o.take_finished(2).is_none());
-        assert!(o.take_finished(9).is_some());
-        assert_eq!(o.uncollected(), 0);
-        // A span that is not open acknowledges nothing.
-        o.close_host(s, 10, t(7));
-        o.close_host(NO_SPAN, 11, t(7));
-        assert_eq!(o.uncollected(), 0);
-        assert_eq!(o.closed_count() as u64 + o.dropped(), 4);
+        let mean_us = |o: &Obs, tenant, kind| {
+            let bd = o.stage_breakdown(tenant, kind).unwrap();
+            (bd.count(), bd.total().mean().as_nanos() / 1_000)
+        };
+        assert_eq!(mean_us(&o, Some(0), "AppWrite"), (2, 2));
+        assert_eq!(mean_us(&o, Some(1), "AppWrite"), (1, 2));
+        assert_eq!(mean_us(&o, Some(1), "AppRead"), (1, 4));
+        assert_eq!(mean_us(&o, None, "AppWrite"), (1, 5));
+        for (tenant, kind) in [
+            (Some(0), "AppRead"),
+            (Some(2), "AppWrite"),
+            (Some(0), "Trim"),
+        ] {
+            assert!(o.stage_breakdown(tenant, kind).is_none());
+        }
+        // Only a host close records: an internal span, a plain close and
+        // a span that is not open add nothing.
+        let gc = o.open_internal("GcRead", t(20), Cause::None);
+        o.on_issue(gc, 1, t(20), t(30), SimDuration::ZERO, t(20), false);
+        let w = o.open("AppWrite", Some(0), t(20));
+        o.close(w, t(30));
+        assert!(!o.close_host(w, t(31)));
+        assert!(!o.close_host(NO_SPAN, t(31)));
+        assert!(o.stage_breakdown(None, "GcRead").is_none());
+        assert_eq!(mean_us(&o, Some(0), "AppWrite"), (2, 2));
+        assert_eq!(o.closed_count() as u64 + o.dropped(), 7);
     }
 
     #[test]
     fn internal_span_closes_at_issue_and_marks_interference() {
         let mut o = Obs::new(16);
-        o.set_cause(Cause::Policy("gc"));
-        let gc = o.open_internal("GcRead", t(0));
-        o.set_cause(Cause::None);
+        let gc = o.open_internal("GcRead", t(0), Cause::Policy("gc"));
         // Issues at 5us, busy until 60us: closes itself.
         o.on_issue(gc, 2, t(5), t(60), SimDuration::ZERO, t(0), false);
         assert_eq!(o.open_count(), 0);
@@ -1214,7 +1219,7 @@ mod tests {
     #[test]
     fn gantt_places_busy_windows_per_lane() {
         let mut o = Obs::new(8);
-        let a = o.open_internal("GcWrite", t(0));
+        let a = o.open_internal("GcWrite", t(0), Cause::None);
         o.on_issue(a, 1, t(0), t(50), SimDuration::ZERO, t(0), false);
         let b = o.open("AppRead", None, t(0));
         o.on_issue(b, 2, t(50), t(75), SimDuration::ZERO, t(0), true);
@@ -1322,8 +1327,8 @@ mod tests {
         live: Vec<u64>,
         /// Ids in close order, each with its close instant.
         closes: Vec<(u64, SimTime)>,
-        /// `(request, total ns)` of host closes since the last rotation.
-        acked: Vec<(u64, u64)>,
+        /// Per kind: the latency of every host close.
+        host: [Histogram; 2],
         /// What the ring must hold by the admission rule: `(id, close
         /// instant)`, in close order.
         kept: VecDeque<(u64, SimTime)>,
@@ -1334,8 +1339,18 @@ mod tests {
         evicted: u64,
     }
 
-    /// The kinds the property test opens, by index.
+    /// The kinds the property test opens, by index, and the tenant each
+    /// is opened under.
     const KINDS: [&str; 2] = ["AppRead", "GcRead"];
+    const TENANTS: [Option<u32>; 2] = [Some(1), None];
+
+    /// `(count, mean, p999)` of the host breakdown of kind `k`.
+    fn host_summary(o: &Obs, k: usize) -> (u64, SimDuration, SimDuration) {
+        o.stage_breakdown(TENANTS[k], KINDS[k])
+            .map_or((0, SimDuration::ZERO, SimDuration::ZERO), |b| {
+                (b.count(), b.total().mean(), b.total().p999())
+            })
+    }
 
     impl Script {
         /// A live id: mostly one of the newest four, so the old ones stay
@@ -1397,7 +1412,9 @@ mod tests {
             4 => {
                 o.close(id, now);
             }
-            _ => o.close_host(id, req, now),
+            _ => {
+                o.close_host(id, now);
+            }
         }
     }
 
@@ -1426,7 +1443,8 @@ mod tests {
                 let footprint = |o: &Obs| {
                     let closes = o.closed_count() as u64 + o.dropped();
                     let table = (o.open.window_len(), o.open.slots());
-                    (o.open_count(), closes, table, o.windows.len(), o.spare_busy.len(), o.uncollected())
+                    let host = (host_summary(o, 0), host_summary(o, 1));
+                    (o.open_count(), closes, table, o.windows.len(), o.spare_busy.len(), host)
                 };
                 let before = footprint(&o);
                 match rng.gen_range(10) {
@@ -1438,7 +1456,7 @@ mod tests {
                         let id = if kind == 0 {
                             o.open(KINDS[0], Some(1), sc.now)
                         } else {
-                            o.open_internal(KINDS[1], sc.now)
+                            o.open_internal(KINDS[1], sc.now, Cause::None)
                         };
                         sc.opened.push((sc.now, 0, kind));
                         sc.live.push(id);
@@ -1450,15 +1468,12 @@ mod tests {
                         call(&mut o, rng.gen_range(6), sc.stale(&mut rng), req, sc.now, done_at);
                         prop_assert_eq!(before, footprint(&o));
                     }
-                    // The host collects what the last rotation handed over.
+                    // Each kind's host breakdown is every host close of it.
                     4 => {
-                        o.rotate_finished();
-                        prop_assert_eq!(o.uncollected(), sc.acked.len());
-                        for (req, total) in sc.acked.drain(..) {
-                            prop_assert_eq!(o.take_finished(req).map(|st| st.total()), Some(total));
+                        for (k, hist) in sc.host.iter().enumerate() {
+                            let want = (hist.count(), hist.mean(), hist.p999());
+                            prop_assert_eq!(host_summary(&o, k), want);
                         }
-                        prop_assert_eq!(o.uncollected(), 0);
-                        prop_assert!(o.take_finished(req).is_none());
                     }
                     _ => {
                         let Some(id) = sc.pick(&mut rng) else { continue };
@@ -1474,8 +1489,8 @@ mod tests {
                             let last = o.spans().last().map(|s| s.id);
                             prop_assert_eq!(last == Some(id), admitted, "#{} admitted", id);
                             if which == 5 {
-                                let start = sc.opened[id as usize - 1].0;
-                                sc.acked.push((req, sc.now.since(start).as_nanos()));
+                                let (start, _, kind) = sc.opened[id as usize - 1];
+                                sc.host[kind].record(sc.now.since(start));
                             }
                         }
                     }

@@ -61,15 +61,15 @@ pub struct Measured {
     pub stages: Option<StageBreakdown>,
 }
 
-/// Merge the per-tenant, per-kind stage breakdowns of every tenant into
-/// one [`StageBreakdown`]; `None` when observability was off (no tenant
-/// recorded one).
+/// Merge the span collector's read and write breakdowns of every tenant
+/// into one [`StageBreakdown`]; `None` when observability was off (no
+/// tenant recorded one).
 pub fn merged_stage_breakdown(os: &Os) -> Option<StageBreakdown> {
+    let obs = os.obs()?;
     let mut merged: Option<StageBreakdown> = None;
-    for t in 0..os.tenant_names().len() {
-        let ts = os.tenant_stats(t);
+    for t in 0..os.tenant_names().len() as u32 {
         for kind in [RequestKind::Read, RequestKind::Write] {
-            if let Some(b) = ts.stage_breakdown(kind) {
+            if let Some(b) = obs.stage_breakdown(Some(t), kind.name()) {
                 merged.get_or_insert_with(StageBreakdown::new).merge(b);
             }
         }

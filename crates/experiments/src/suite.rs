@@ -1354,14 +1354,13 @@ fn e27_tail_forensics(scale: Scale) -> Table {
 fn tail_forensics_row(r: &Ran) -> Row {
     let (reader, flooder) = (&r.actors[0], &r.actors[1]);
     let tail = reader.read_tail;
-    let bd =
-        r.os.tenant_stats(reader.tenant_id())
-            .stage_breakdown(RequestKind::Read)
-            .expect("observability enabled");
-    let fl_qos_us =
-        r.os.tenant_stats(flooder.tenant_id())
-            .stage_breakdown(RequestKind::Write)
-            .map_or(0.0, |b| b.mean_us(Stage::QosHold));
+    let obs = r.os.obs().expect("observability enabled");
+    let bd = obs
+        .stage_breakdown(Some(reader.tenant_id() as u32), RequestKind::Read.name())
+        .expect("the reader's reads closed spans");
+    let fl_qos_us = obs
+        .stage_breakdown(Some(flooder.tenant_id() as u32), RequestKind::Write.name())
+        .map_or(0.0, |b| b.mean_us(Stage::QosHold));
     // How much of the measured end-to-end tail the stage sums explain:
     // both sides come from the same log-bucketed histogram family, so
     // a lost stage shows up as a ratio well below 1.
@@ -1377,7 +1376,6 @@ fn tail_forensics_row(r: &Ran) -> Row {
     let reader_tag = reader.tenant.map(|t| t as u32);
     let threshold = tail.p999.as_nanos();
     let mut outliers = [0u64; Stage::COUNT];
-    let obs = r.os.obs().expect("observability enabled");
     for s in obs.spans() {
         if s.kind == "AppRead" && s.tenant == reader_tag && s.stages.total() >= threshold {
             outliers[s.stages.dominant() as usize] += 1;

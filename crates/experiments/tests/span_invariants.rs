@@ -9,7 +9,9 @@
 //!   cursor construction makes attribution exhaustive — nothing is lost
 //!   and nothing double-charged);
 //! * every acknowledged application IO has a closed span, and the
-//!   per-tenant stage breakdowns saw exactly the completed IOs;
+//!   per-tenant stage breakdowns saw exactly the completed IOs: their
+//!   end-to-end histograms equal the tenant's latency histograms, which
+//!   are fed the same enqueue → completion latency;
 //! * nothing stays open once the simulation quiesces.
 //!
 //! Half the cases run with a ring of 64: spans are folded and evicted and
@@ -18,7 +20,8 @@
 //! a full ring keeps is the very span a ring large enough for the whole
 //! run keeps under the same id.
 
-use eagletree_core::ObsConfig;
+use eagletree_controller::RequestKind;
+use eagletree_core::{Histogram, ObsConfig};
 use eagletree_experiments::Setup;
 use eagletree_os::Os;
 use eagletree_workloads::{sequential_fill, MixedGen, Pumped, Region};
@@ -46,6 +49,12 @@ fn run(ios: u64, qd: usize, read_pct: u32, buffer: u64, span_capacity: usize, se
     ));
     os.run().unwrap();
     os
+}
+
+/// What two latency histograms must agree on: count, mean, p50, p99, p999.
+fn summary(h: &Histogram) -> [u64; 5] {
+    let ns = [h.mean(), h.p50(), h.p99(), h.p999()].map(|d| d.as_nanos());
+    [h.count(), ns[0], ns[1], ns[2], ns[3]]
 }
 
 proptest! {
@@ -104,12 +113,21 @@ proptest! {
             prop_assert_eq!(app_writes, writes, "acked writes without a closed span");
         }
         // …and the tenant stage breakdowns saw exactly those IOs, whatever
-        // the ring has dropped since.
-        use eagletree_controller::RequestKind;
-        let bd_reads = stats.stage_breakdown(RequestKind::Read).map_or(0, |b| b.count());
-        let bd_writes = stats.stage_breakdown(RequestKind::Write).map_or(0, |b| b.count());
-        prop_assert_eq!(bd_reads, reads);
-        prop_assert_eq!(bd_writes, writes);
+        // the ring has dropped since: the same count, and end to end the
+        // same latencies as the tenant's own histograms.
+        for t in 0..os.tenant_names().len() {
+            let stats = os.tenant_stats(t);
+            for (kind, completed, hist) in [
+                (RequestKind::Read, stats.reads_completed, &stats.read_latency),
+                (RequestKind::Write, stats.writes_completed, &stats.write_latency),
+            ] {
+                let bd = obs.stage_breakdown(Some(t as u32), kind.name());
+                prop_assert_eq!(bd.map_or(0, |b| b.count()), completed, "tenant {} {:?}", t, kind);
+                if let Some(bd) = bd {
+                    prop_assert_eq!(summary(bd.total()), summary(hist), "tenant {} {:?}", t, kind);
+                }
+            }
+        }
     }
 
     #[test]

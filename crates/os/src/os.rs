@@ -805,15 +805,10 @@ impl Os {
             dispatched_at: inf.dispatched_at,
             completed_at: c.at,
         };
-        {
-            let tenant = self.threads[inf.thread].tenant;
-            if let Some(st) = self.ctrl.obs_mut().and_then(|o| o.take_finished(c.id)) {
-                self.tenants[tenant].stats.record_stages(inf.io.kind, st);
-            }
-            self.tenants[tenant]
-                .stats
-                .record_completion(inf.io.kind, inf.io.lpn, done.latency());
-        }
+        let tenant = self.threads[inf.thread].tenant;
+        self.tenants[tenant]
+            .stats
+            .record_completion(inf.io.kind, inf.io.lpn, done.latency());
         {
             let stats = &mut self.threads[inf.thread].stats;
             match inf.io.kind {
@@ -892,12 +887,7 @@ impl Os {
                 self.next_seq += 1;
                 let now = self.now;
                 let span = self.ctrl.obs_mut().map_or(NO_SPAN, |o| {
-                    let kind = match io.kind {
-                        RequestKind::Read => "AppRead",
-                        RequestKind::Write => "AppWrite",
-                        RequestKind::Trim => "Trim",
-                    };
-                    o.open(kind, Some(tenant as u32), now)
+                    o.open(io.kind.name(), Some(tenant as u32), now)
                 });
                 self.threads[tid].queue.push_back(QueuedIo {
                     io,
@@ -1350,11 +1340,10 @@ mod tests {
         let obs = o.obs().expect("spans enabled");
         assert_eq!(obs.open_count(), 0, "all spans closed at quiescence");
         assert!(obs.closed_count() > 0);
-        // Every host write fed a per-tenant stage breakdown, and the
+        // Every host write fed its tenant's stage breakdown, and the
         // cursor accounting makes stage sums equal end-to-end latency.
-        let bd = o
-            .tenant_stats(0)
-            .stage_breakdown(RequestKind::Write)
+        let bd = obs
+            .stage_breakdown(Some(0), "AppWrite")
             .expect("write breakdowns recorded");
         assert_eq!(bd.count(), 100);
         assert!(bd.total().mean() > SimDuration::ZERO);
@@ -1375,24 +1364,20 @@ mod tests {
             .map(|(_, v)| v[TL_COLUMNS.iter().position(|c| *c == "app_write_issues").unwrap()])
             .sum();
         assert!(writes >= 100.0, "all write issues land in some interval");
-        // Obs off: no collector, no timeline, no breakdowns.
+        // Obs off: no collector (so no breakdowns), no timeline.
         let mut plain = os(OsConfig::default());
         plain.add_thread(Box::new(SeqWriter::new(10, 2)));
         plain.run().unwrap();
         assert!(plain.obs().is_none());
         assert!(plain.timeline().is_none());
-        assert!(plain
-            .tenant_stats(0)
-            .stage_breakdown(RequestKind::Write)
-            .is_none());
     }
 
     #[test]
     fn every_completion_of_a_wfq_run_finds_its_breakdown() {
         use crate::qos::QosPolicy;
         use crate::tenant::TenantConfig;
-        // A ring of 64 is far smaller than the run: breakdowns reach the
-        // tenants through the hand-over at `advance`, not through the ring.
+        // A ring of 64 is far smaller than the run: breakdowns are kept
+        // where each span closes, not read back from the ring.
         let mut ccfg = ControllerConfig::default();
         ccfg.obs.span_capacity = 64;
         let ctrl = Controller::new(Geometry::tiny(), TimingSpec::slc(), ccfg).unwrap();
@@ -1414,14 +1399,15 @@ mod tests {
             o.add_tenant_thread(tenant, Box::new(SeqWriter::new(32, inflight)));
         }
         o.run().unwrap();
+        let obs = o.obs().expect("spans enabled");
         for (t, writes) in tenants.into_iter().zip([12 * 32, 4 * 32]) {
-            let stats = o.tenant_stats(t);
-            assert_eq!(stats.writes_completed, writes);
-            let bd = stats.stage_breakdown(RequestKind::Write).expect("breakdowns recorded");
+            assert_eq!(o.tenant_stats(t).writes_completed, writes);
+            let bd = obs
+                .stage_breakdown(Some(t as u32), "AppWrite")
+                .expect("breakdowns recorded");
             assert_eq!(bd.count(), writes, "tenant {t}: a completion lost its breakdown");
         }
-        let obs = o.obs().expect("spans enabled");
-        assert_eq!((obs.open_count(), obs.uncollected()), (0, 0));
+        assert_eq!(obs.open_count(), 0);
         assert_eq!(obs.closed_count(), 64);
     }
 

@@ -16,7 +16,7 @@
 //! carved namespaces by design, like an admin view.
 
 use eagletree_controller::{OpClass, RequestKind};
-use eagletree_core::{Histogram, OnlineStats, StageBreakdown, StageNs, Tail};
+use eagletree_core::{Histogram, OnlineStats, Tail};
 
 /// Identifier of a tenant (index into the OS tenant table).
 pub type TenantId = usize;
@@ -84,10 +84,6 @@ pub struct TenantStats {
     valid_pages: u64,
     /// One bit per namespace page.
     valid: Vec<u64>,
-    /// Stage-attributed latency (index 0 reads, 1 writes), allocated on
-    /// the first completion carrying a span breakdown — `None` unless
-    /// observability was enabled.
-    stages: Option<Box<[StageBreakdown; 2]>>,
 }
 
 impl TenantStats {
@@ -101,7 +97,6 @@ impl TenantStats {
             queue_wait_us: OnlineStats::new(),
             valid_pages: 0,
             valid: vec![0; namespace_pages.div_ceil(64) as usize],
-            stages: None,
         }
     }
 
@@ -129,28 +124,6 @@ impl TenantStats {
             | OpClass::ScrubRead
             | OpClass::ScrubWrite => Tail::default(),
         }
-    }
-
-    /// Stage-attributed latency breakdown for reads or writes: where this
-    /// tenant's end-to-end latency went (OS queue, QoS hold, scheduler
-    /// pending, media, ECC retry). `None` unless observability was on and
-    /// IOs of that kind completed; always `None` for trims (instant).
-    pub fn stage_breakdown(&self, kind: RequestKind) -> Option<&StageBreakdown> {
-        let idx = match kind {
-            RequestKind::Read => 0,
-            RequestKind::Write => 1,
-            RequestKind::Trim => return None,
-        };
-        self.stages.as_deref().map(|s| &s[idx])
-    }
-
-    pub(crate) fn record_stages(&mut self, kind: RequestKind, st: StageNs) {
-        let idx = match kind {
-            RequestKind::Read => 0,
-            RequestKind::Write => 1,
-            RequestKind::Trim => return,
-        };
-        self.stages.get_or_insert_with(Default::default)[idx].record(st);
     }
 
     /// Distinct valid (written, untrimmed) pages in the namespace.
