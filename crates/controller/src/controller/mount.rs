@@ -190,10 +190,13 @@ impl Controller {
             resumed.ckpt_epoch,
             resumed.trims,
         )?;
+        let cap = cfg.obs.span_capacity;
         let obs = cfg
             .obs
             .spans_enabled()
-            .then(|| Box::new(Obs::new(cfg.obs.span_capacity)));
+            .then(|| Obs::new(cap).map(Box::new))
+            .transpose()
+            .map_err(|e| format!("span_capacity {cap}: cannot reserve the span ring ({e})"))?;
         let mut c = Controller {
             disp: Dispatch::new(&geometry),
             reclaim: Reclaim::new(&geometry, cfg.seed),

@@ -3,10 +3,10 @@
 
 use eagletree_controller::{
     Controller, ControllerConfig, Driver, GcConfig, IoSource, IoTags, MappingKind, OpClass,
-    RequestKind, SchedPolicy, SsdRequest, TemperatureMode, VictimPolicy, WlConfig,
+    RecoveryMode, RequestKind, SchedPolicy, SsdRequest, TemperatureMode, VictimPolicy, WlConfig,
     WriteAllocPolicy,
 };
-use eagletree_core::{SimRng, SimTime};
+use eagletree_core::{ObsConfig, SimRng, SimTime};
 use eagletree_flash::{Geometry, TimingSpec};
 
 #[test]
@@ -24,6 +24,31 @@ fn write_then_read_round_trip() {
     // Read latency ≈ cmd + tR + transfer; strictly after submission.
     assert!(read_done > write_done);
     d.c.check_invariants();
+}
+
+/// A span ring the allocator cannot reserve refuses the mount — fresh or
+/// after a crash — with an error naming the knob, instead of aborting.
+#[test]
+fn an_unreservable_span_ring_refuses_the_mount() {
+    for span_capacity in [usize::MAX, 1 << 48] {
+        let cfg = ControllerConfig {
+            obs: ObsConfig {
+                span_capacity,
+                timeline_interval_us: 0,
+            },
+            ..ControllerConfig::default()
+        };
+        let fresh = Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg.clone());
+        let d = Driver::tiny(ControllerConfig::default());
+        let image = d.c.power_cut(SimTime::ZERO);
+        let remounted = Controller::remount(image, cfg, RecoveryMode::FullScan).map(|(c, _)| c);
+        for mounted in [fresh, remounted] {
+            match mounted {
+                Err(e) => assert!(e.contains(&format!("span_capacity {span_capacity}")), "{e}"),
+                Ok(_) => panic!("a ring of {span_capacity} spans mounted"),
+            }
+        }
+    }
 }
 
 #[test]

@@ -21,8 +21,9 @@
 //!   contract: *ids are dense, monotone and never reused; handles to
 //!   closed spans are inert* — every call on a closed, never-issued or
 //!   [`NO_SPAN`] id is a silent no-op. A span costs a handful of array
-//!   accesses and allocates only while a ring or the busy-list pool
-//!   grows. Pure
+//!   accesses and allocates only while the window ring or the busy-list
+//!   pool grows: the span ring is reserved at its bound when the
+//!   collector is made ([`Obs::new`]). Pure
 //!   observation: it never schedules events, never consults the RNG, and
 //!   never influences control flow, so enabling it cannot perturb a
 //!   simulation (fingerprints stay byte-identical).
@@ -55,8 +56,8 @@
 //! * [`StageBreakdown`] — per-stage time sums and an end-to-end latency
 //!   histogram, whose stage sums equal end-to-end latency *by
 //!   construction*: every attribution call
-//!   advances a single cursor (`last`), so no nanosecond is counted twice
-//!   or dropped.
+//!   advances a single cursor (`last`), forward only, so no nanosecond is
+//!   counted twice or dropped.
 //! * [`Timeline`] — fixed-interval rows of named telemetry columns
 //!   (IOPS, write amplification, queue depths, GC/merge/scrub activity,
 //!   error rates), exportable as CSV or JSON.
@@ -66,7 +67,7 @@
 //! Everything is gated behind [`ObsConfig`]; the default configuration
 //! disables all of it and costs one `Option` test per hook site.
 
-use std::collections::VecDeque;
+use std::collections::{TryReserveError, VecDeque};
 
 use crate::idtable::IdTable;
 use crate::stats::{Histogram, Tail};
@@ -229,8 +230,10 @@ pub struct Span {
     /// this op's LUN lane while it waited to issue.
     pub stalled_behind: Option<(u64, &'static str)>,
     /// Flash busy windows `(lane, from, to)` of the issued commands
-    /// (lane 0 = misc; `1 + lun_index` otherwise). Empty for ops that
-    /// completed without touching flash.
+    /// (lane 0 = misc; `1 + lun_index` otherwise), as issued. Empty for
+    /// ops that completed without touching flash. Each starts within
+    /// `[start, end]` and ends by `end`, except a failed program's, which
+    /// may outlast the retry that completed the request.
     pub busy: Vec<(u32, SimTime, SimTime)>,
 }
 
@@ -321,17 +324,35 @@ struct OpenSpan {
     rec: Closed,
     busy: Vec<(u32, SimTime, SimTime)>,
     /// The last attributed boundary; the next attribution call charges
-    /// `now - last` to its stage and advances the cursor.
+    /// `now - last` to its stage and advances the cursor. It only moves
+    /// forward, so no nanosecond is charged twice.
     last: SimTime,
 }
 
 impl OpenSpan {
-    /// Charge the time since the cursor to `stage`, up to `now`.
+    /// Charge the time since the cursor to `stage`, up to `now`; a `now`
+    /// behind the cursor charges nothing and leaves it where it is.
     fn charge(&mut self, stage: Stage, now: SimTime) {
         self.rec
             .stages
             .add(stage, now.saturating_since(self.last).as_nanos());
-        self.last = now;
+        self.last = self.last.max(now);
+    }
+
+    /// End the span at `end`, charging what is left to
+    /// [`Stage::SchedPending`]. A window still busy at `end` (a failed
+    /// program outlasting the retry that acknowledged its request) counts
+    /// only up to `end`: the time past it comes off [`Stage::Retry`] first
+    /// (retry rounds end a window), then [`Stage::Media`].
+    fn close_at(&mut self, end: SimTime) {
+        self.charge(Stage::SchedPending, end);
+        let mut past = self.last.saturating_since(end).as_nanos();
+        for stage in [Stage::Retry, Stage::Media] {
+            let cut = past.min(self.rec.stages.get(stage));
+            self.rec.stages.0[stage as usize] -= cut;
+            past -= cut;
+        }
+        self.rec.end = end;
     }
 }
 
@@ -366,13 +387,18 @@ pub struct Obs {
 
 impl Obs {
     /// A collector retaining up to `capacity` (at least one) closed spans.
-    pub fn new(capacity: usize) -> Self {
+    /// The ring of closed spans is reserved here, once, at that bound, and
+    /// never grows after; the pages a run never fills are never touched.
+    /// A capacity the allocator cannot reserve is an error, not an abort.
+    pub fn new(capacity: usize) -> Result<Self, TryReserveError> {
         assert!(capacity > 0, "a span collector retains at least one span");
-        Obs {
+        let mut closed = VecDeque::new();
+        closed.try_reserve_exact(capacity)?;
+        Ok(Obs {
             capacity,
             next_id: 1,
             open: IdTable::default(),
-            closed: VecDeque::new(),
+            closed,
             windows: VecDeque::new(),
             latency: Vec::new(),
             folded: 0,
@@ -380,7 +406,7 @@ impl Obs {
             spare_busy: Vec::new(),
             names: Names::default(),
             lane_internal: Vec::new(),
-        }
+        })
     }
 
     /// Open a host-request span (cause always [`Cause::None`]: host IOs
@@ -454,12 +480,14 @@ impl Obs {
     /// Record a flash-command issue for `span`: the wait since the last
     /// boundary becomes [`Stage::SchedPending`], the busy window
     /// `[now, done_at)` splits into [`Stage::Media`] and [`Stage::Retry`],
-    /// and the cursor advances to `done_at`. Internal spans (not bound to
-    /// a host request) close here — their lifecycle ends when the
-    /// command's effect lands — and mark the lane busy for interference
-    /// attribution; host-bound spans instead pick up a "stalled behind"
-    /// annotation if an internal op occupied the lane after they were
-    /// enqueued (`waited_since`).
+    /// and the cursor advances to `done_at`. A window that overlaps one
+    /// already charged (a program retried elsewhere while the failed one
+    /// is still busy) is charged only past the cursor. Internal spans
+    /// (not bound to a host request) close here — their lifecycle ends
+    /// when the command's effect lands — and mark the lane busy for
+    /// interference attribution; host-bound spans instead pick up a
+    /// "stalled behind" annotation if an internal op occupied the lane
+    /// after they were enqueued (`waited_since`).
     #[expect(
         clippy::too_many_arguments,
         reason = "one caller (the controller's flash issue); a parameter struct would only rename its seven values"
@@ -478,11 +506,11 @@ impl Obs {
             return;
         };
         s.charge(Stage::SchedPending, now);
-        let busy = done_at.saturating_since(now);
+        let busy = done_at.saturating_since(s.last);
         let retry = retry.min(busy);
         s.rec.stages.add(Stage::Media, (busy - retry).as_nanos());
         s.rec.stages.add(Stage::Retry, retry.as_nanos());
-        s.last = done_at;
+        s.last = s.last.max(done_at);
         s.busy.push((lane, now, done_at));
         let li = lane as usize;
         if host_bound {
@@ -517,8 +545,12 @@ impl Obs {
     /// not open.
     fn close_open(&mut self, span: u64, end: SimTime) -> Option<Closed> {
         let mut s = self.open.remove(span)?;
-        s.charge(Stage::SchedPending, end);
-        s.rec.end = end;
+        s.close_at(end);
+        debug_assert_eq!(
+            s.rec.stages.total(),
+            end.saturating_since(s.rec.start).as_nanos(),
+            "span #{span}: stage sums differ from its latency"
+        );
         if self.admit(&s.rec) {
             s.rec.windows = u32::try_from(s.busy.len()).expect("a span's windows fit a u32");
             if self.closed.len() == self.capacity {
@@ -1032,7 +1064,7 @@ mod tests {
 
     #[test]
     fn host_span_stage_sums_equal_end_to_end() {
-        let mut o = Obs::new(16);
+        let mut o = Obs::new(16).unwrap();
         let span = o.open("AppRead", Some(1), t(0));
         // 10us in the OS queue, 4 of them QoS-held.
         o.acc_queue(span, t(10), SimDuration::from_micros(4));
@@ -1070,8 +1102,61 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_windows_charge_each_nanosecond_once() {
+        let mut o = Obs::new(4).unwrap();
+        // A write's program issues at 10 µs, busy until 50, and fails; its
+        // retry issues at 20 µs on another lane, busy until 70. The
+        // overlap, 20–50 µs, is Media once; a window wholly inside the
+        // charged time adds nothing.
+        let w = o.open("AppWrite", Some(0), t(0));
+        o.on_issue(w, 4, t(10), t(50), SimDuration::ZERO, t(0), true);
+        o.on_issue(w, 2, t(20), t(70), SimDuration::ZERO, t(0), true);
+        o.on_issue(w, 3, t(30), t(40), SimDuration::from_micros(5), t(0), true);
+        assert!(o.close_host(w, t(70)));
+        let s = o.spans().next().unwrap();
+        assert_eq!(s.stages.0, [0, 0, 10_000, 60_000, 0]);
+        // The windows stay as issued.
+        assert_eq!(
+            s.busy,
+            [(4, t(10), t(50)), (2, t(20), t(70)), (3, t(30), t(40))]
+        );
+        // A retry that acknowledges its request at 160 µs, while the failed
+        // program is busy until 190: the span counts up to its end only.
+        let r = o.open("AppWrite", Some(0), t(100));
+        o.on_issue(r, 4, t(100), t(190), SimDuration::ZERO, t(100), true);
+        o.on_issue(r, 2, t(110), t(160), SimDuration::ZERO, t(100), true);
+        assert_eq!(o.close(r, t(160)).0, [0, 0, 0, 60_000, 0]);
+        assert_eq!(o.spans().nth(1).unwrap().busy[0], (4, t(100), t(190)));
+        // Time past the end comes off the retry rounds first: they end a
+        // window.
+        let rd = o.open("AppRead", Some(0), t(200));
+        let retry = SimDuration::from_micros(30);
+        o.on_issue(rd, 1, t(200), t(240), retry, t(200), true);
+        assert_eq!(o.close(rd, t(220)).0, [0, 0, 0, 10_000, 10_000]);
+    }
+
+    #[test]
+    fn the_ring_is_reserved_once_at_its_bound() {
+        for capacity in [1, 3, 100] {
+            let mut o = Obs::new(capacity).unwrap();
+            let reserved = o.closed.capacity();
+            assert_eq!(reserved, capacity);
+            for i in 0..10 * capacity as u64 {
+                let s = o.open("AppWrite", None, t(i));
+                o.close(s, t(i + 1));
+            }
+            assert_eq!(o.closed_count(), capacity);
+            assert_eq!(o.closed.capacity(), reserved, "the ring regrew");
+        }
+        // A bound the allocator cannot reserve is an error, not an abort.
+        for capacity in [usize::MAX, 1 << 48] {
+            assert!(Obs::new(capacity).is_err(), "reserved {capacity} spans");
+        }
+    }
+
+    #[test]
     fn host_breakdowns_aggregate_by_tenant_and_kind() {
-        let mut o = Obs::new(4);
+        let mut o = Obs::new(4).unwrap();
         // Tenant 0 writes 1 and 3 µs, tenant 1 writes 2 µs and reads
         // 4 µs, a controller-only host (no tenant) writes 5 µs.
         for (tenant, kind, us) in [
@@ -1114,7 +1199,7 @@ mod tests {
 
     #[test]
     fn internal_span_closes_at_issue_and_marks_interference() {
-        let mut o = Obs::new(16);
+        let mut o = Obs::new(16).unwrap();
         let gc = o.open_internal("GcRead", t(0), Cause::Policy("gc"));
         // Issues at 5us, busy until 60us: closes itself.
         o.on_issue(gc, 2, t(5), t(60), SimDuration::ZERO, t(0), false);
@@ -1139,7 +1224,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_and_counts_drops() {
-        let mut o = Obs::new(2);
+        let mut o = Obs::new(2).unwrap();
         for i in 0..5u64 {
             let s = o.open("AppWrite", None, t(i));
             o.close(s, t(i + 1));
@@ -1162,7 +1247,7 @@ mod tests {
         // filled: 128 ring slots for 4096 spans.
         const OUTLIERS: [u64; 3] = [1_500, 2_801, 4_000];
         let latency_us = |id: u64| if OUTLIERS.contains(&id) { 5_000 } else { id % 50 + 1 };
-        let mut o = Obs::new(128);
+        let mut o = Obs::new(128).unwrap();
         for i in 0..4096 {
             let s = o.open("AppRead", Some(0), t(i));
             o.close(s, t(i + latency_us(s)));
@@ -1190,7 +1275,7 @@ mod tests {
 
     #[test]
     fn the_window_ring_wraps_with_its_spans() {
-        let mut o = Obs::new(3);
+        let mut o = Obs::new(3).unwrap();
         // Spans of 0, 1 and 5 windows, evicted in every mix of sizes.
         let counts = [5, 0, 1, 5, 5, 1, 0, 0, 5, 1, 5, 0, 1, 1, 5, 0, 5, 5];
         let mut issued = Vec::new();
@@ -1218,7 +1303,7 @@ mod tests {
 
     #[test]
     fn gantt_places_busy_windows_per_lane() {
-        let mut o = Obs::new(8);
+        let mut o = Obs::new(8).unwrap();
         let a = o.open_internal("GcWrite", t(0), Cause::None);
         o.on_issue(a, 1, t(0), t(50), SimDuration::ZERO, t(0), false);
         let b = o.open("AppRead", None, t(0));
@@ -1236,7 +1321,7 @@ mod tests {
 
     #[test]
     fn perfetto_export_shape() {
-        let mut o = Obs::new(8);
+        let mut o = Obs::new(8).unwrap();
         let s = o.open("AppRead", Some(0), t(0));
         o.on_issue(s, 1, t(5), t(30), SimDuration::from_micros(10), t(0), true);
         o.close(s, t(30));
@@ -1433,7 +1518,7 @@ mod tests {
         ) {
             use proptest::{prop_assert, prop_assert_eq};
             let mut rng = crate::SimRng::new(seed);
-            let mut o = Obs::new(capacity);
+            let mut o = Obs::new(capacity).unwrap();
             let mut sc = Script::default();
             let mut peak_open = 0;
             for _ in 0..steps {
