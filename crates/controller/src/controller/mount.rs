@@ -196,7 +196,7 @@ impl Controller {
             .spans_enabled()
             .then(|| Obs::new(cap).map(Box::new))
             .transpose()
-            .map_err(|e| format!("span_capacity {cap}: cannot reserve the span ring ({e})"))?;
+            .map_err(|e| format!("span_capacity {cap}: cannot reserve the span log ({e})"))?;
         let mut c = Controller {
             disp: Dispatch::new(&geometry),
             reclaim: Reclaim::new(&geometry, cfg.seed),

@@ -26,11 +26,13 @@ fn write_then_read_round_trip() {
     d.c.check_invariants();
 }
 
-/// A span ring the allocator cannot reserve refuses the mount — fresh or
-/// after a crash — with an error naming the knob, instead of aborting.
+/// A span log the allocator cannot reserve refuses the mount — fresh or
+/// after a crash — with an error naming the knob, instead of aborting; so
+/// does a span count that fits a `usize` but whose bytes (24 a span) do
+/// not.
 #[test]
 fn an_unreservable_span_ring_refuses_the_mount() {
-    for span_capacity in [usize::MAX, 1 << 48] {
+    for span_capacity in [usize::MAX, 1 << 48, usize::MAX / 24 + 1] {
         let cfg = ControllerConfig {
             obs: ObsConfig {
                 span_capacity,
@@ -45,7 +47,7 @@ fn an_unreservable_span_ring_refuses_the_mount() {
         for mounted in [fresh, remounted] {
             match mounted {
                 Err(e) => assert!(e.contains(&format!("span_capacity {span_capacity}")), "{e}"),
-                Ok(_) => panic!("a ring of {span_capacity} spans mounted"),
+                Ok(_) => panic!("a log of {span_capacity} spans mounted"),
             }
         }
     }

@@ -12,8 +12,8 @@
 //!   and an interference annotation when it was stalled behind an internal
 //!   op on its LUN.
 //! * [`Obs`] — the collector: open-span cursors in the crate's
-//!   [`IdTable`], found from a span id by subtraction; a ring of closed
-//!   spans, retained by policy once full (below); one [`StageBreakdown`]
+//!   [`IdTable`], found from a span id by subtraction; a byte log of
+//!   closed spans, retained by policy once full (below); one [`StageBreakdown`]
 //!   per (tenant, kind) of host span, fed where the span closes
 //!   ([`Obs::stage_breakdown`]); and per-lane "last internal op" memory
 //!   for interference attribution. Nothing is keyed by a host request
@@ -21,38 +21,41 @@
 //!   contract: *ids are dense, monotone and never reused; handles to
 //!   closed spans are inert* — every call on a closed, never-issued or
 //!   [`NO_SPAN`] id is a silent no-op. A span costs a handful of array
-//!   accesses and allocates only while the window ring or the busy-list
-//!   pool grows: the span ring is reserved at its bound when the
-//!   collector is made ([`Obs::new`]). Pure
+//!   accesses and allocates only while the busy-list pool grows: the log
+//!   is reserved when the collector is made ([`Obs::new`]). Pure
 //!   observation: it never schedules events, never consults the RNG, and
 //!   never influences control flow, so enabling it cannot perturb a
 //!   simulation (fingerprints stay byte-identical).
 //!
-//!   The ring holds no [`Span`]s. A closed span is a fixed-size record
-//!   (at most 96 B, no heap pointer): its names — op kind, cause policy,
-//!   stalled-behind kind — are `u8` codes into a per-collector name table,
-//!   and its busy windows are a count. The windows themselves go, in
-//!   close order, into one flat window ring; evicting a record drains its
-//!   count from that ring's front. Admitted closes append to both rings
-//!   (a folded one to neither), so the
-//!   windows of the retained records are exactly the ring's contents, in
-//!   order: [`Obs::spans`] rebuilds each [`Span`] by walking the two side
-//!   by side, and a code decodes to a name equal to the one it was given
-//!   (a name is found by pointer, else by content). An open span's busy
-//!   list goes back to the spare pool the moment it closes, still in cache
-//!   for the next open.
+//!   The log holds no [`Span`]s. An admitted span is appended, in close
+//!   order, as one record of LEB128 varints: its id and end as zigzag
+//!   deltas from the previous record's; its five stage sums (its start is
+//!   its end less their total, the identity every close asserts); its
+//!   tenant plus one (0 for none); its names — op kind, cause policy,
+//!   stalled-behind kind — as `u8` codes into a per-collector name table,
+//!   with the cause op's and the stalled-behind op's ids as zigzag deltas
+//!   from its own; then its busy windows, each as lane, offset from the
+//!   span's start and width. Span fields are small deltas, so a record
+//!   averages 22 B (`tenants_qos_obs`: 65,536 retained spans in 1.44 MB).
+//!   [`Obs::new`] reserves 24 B per span once; the log grows only if its
+//!   records average more. Evicting the front record decodes it, to learn
+//!   its length and the `(id, end)` the next record's deltas are from;
+//!   [`Obs::spans`] decodes front to back, every field exactly, and a code
+//!   decodes to a name equal to the one it was given (a name is found by
+//!   pointer, else by content). An open span's busy list goes back to the
+//!   spare pool the moment it closes, still in cache for the next open.
 //!
 //!   Retention is by policy, not recency. Every close records the span's
-//!   end-to-end latency in a per-kind [`Histogram`]. Until the ring is
-//!   full it keeps every closed span. After that it *admits* a span only
-//!   if the span is at or above its kind's running p999 (re-read every
-//!   1024 closes of the kind; 0 — admit all — before the first re-read)
-//!   or its id is a multiple of 64. An admitted span evicts the oldest
-//!   record. Any other span is *folded*: its latency stays in the kind's
-//!   histogram ([`Obs::latency`]) and nothing else of it is kept.
-//!   Retention never changes what a span records, so a retained span is
-//!   the same whatever the ring's size; and a short run keeps the most
-//!   recent spans, as a plain ring would.
+//!   end-to-end latency in a per-kind [`Histogram`]. Until the log holds
+//!   `span_capacity` spans it keeps every closed span. After that it
+//!   *admits* a span only if the span is at or above its kind's running
+//!   p999 (re-read every 1024 closes of the kind; 0 — admit all — before
+//!   the first re-read) or its id is a multiple of 64. An admitted span
+//!   evicts the oldest record. Any other span is *folded*: its latency
+//!   stays in the kind's histogram ([`Obs::latency`]) and nothing else of
+//!   it is kept. Retention never changes what a span records, so a
+//!   retained span is the same whatever the capacity; and a short run
+//!   keeps the most recent spans, as a plain ring would.
 //! * [`StageBreakdown`] — per-stage time sums and an end-to-end latency
 //!   histogram, whose stage sums equal end-to-end latency *by
 //!   construction*: every attribution call
@@ -80,11 +83,16 @@ pub const NO_SPAN: u64 = 0;
 /// disabled collector is never even allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObsConfig {
-    /// Retain up to this many closed spans. Once the ring is full, a
-    /// closed span enters it (evicting the oldest) only if it is in its
+    /// Retain up to this many closed spans. Once that many are retained, a
+    /// closed span is kept (evicting the oldest) only if it is in its
     /// kind's running tail or the 1-in-64 id sample; the rest are folded
     /// into per-kind latency histograms. Both kinds of loss are counted
     /// as dropped. `0` disables span collection entirely.
+    ///
+    /// Retained spans are varint records in one byte log, about 22 B a
+    /// span; mount reserves 24 B a span once (failing with an `Err` naming
+    /// this field if it cannot), and the log grows only if records average
+    /// more.
     pub span_capacity: usize,
     /// Emit one telemetry row per this many microseconds of virtual time.
     /// `0` disables the timeline.
@@ -243,10 +251,9 @@ const CAUSE_NONE: u8 = u8::MAX;
 /// [`Closed::cause_op`]. Any other value is a policy name's code.
 const CAUSE_OP: u8 = u8::MAX - 1;
 
-/// A closed span as the ring keeps it: a [`Span`] without pointers —
-/// names as [`Names`] codes, busy windows as a count of the window ring's
-/// entries.
-#[derive(Clone, Copy)]
+/// A closed span without pointers — names as [`Names`] codes — and without
+/// its busy windows: what an open span fills in and [`SpanLog`] encodes.
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Closed {
     id: u64,
     start: SimTime,
@@ -258,8 +265,6 @@ struct Closed {
     /// The span this one was stalled behind; [`NO_SPAN`] when none (span
     /// ids start at 1).
     stalled_id: u64,
-    /// Busy windows, the next this many of the window ring.
-    windows: u32,
     kind: u8,
     /// [`CAUSE_NONE`], [`CAUSE_OP`] or the cause policy's name code.
     cause: u8,
@@ -267,7 +272,190 @@ struct Closed {
     stalled_kind: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<Closed>() <= 96);
+/// Log bytes reserved per retained span: records average about 22.
+const RECORD_BYTES: usize = 24;
+/// The stalled-behind kind byte of a span that stalled behind nothing (a
+/// name code is below [`CAUSE_OP`]).
+const NOT_STALLED: u8 = u8::MAX;
+
+/// The retained spans, in close order: one record of LEB128 varints per
+/// span, in one byte log.
+///
+/// A record is: id and end, each as a zigzag delta from the previous
+/// record's; the five stage sums (start is end less their total, the
+/// identity every close asserts); tenant + 1 (0: none); the kind code;
+/// the cause code, then, for [`CAUSE_OP`], the cause op's id as a zigzag
+/// delta from the span's own; the stalled-behind kind code or
+/// [`NOT_STALLED`], then, if stalled, that op's id likewise; the window
+/// count, and per window its lane, `from − start` and `to − from`.
+/// Differences wrap, so every field decodes exactly whatever its value.
+struct SpanLog {
+    bytes: VecDeque<u8>,
+    /// Records in `bytes`.
+    len: usize,
+    /// The `(id, end)` the front record's deltas are from: the last
+    /// evicted record's, `(0, 0)` before the first eviction.
+    front: (u64, u64),
+    /// The back record's `(id, end)`, which the next record's deltas are
+    /// from.
+    back: (u64, u64),
+}
+
+impl SpanLog {
+    /// An empty log with room for `records` records of [`RECORD_BYTES`].
+    /// A product past `usize` saturates to a reservation no allocator
+    /// grants, so it is an error too.
+    fn new(records: usize) -> Result<Self, TryReserveError> {
+        let mut bytes = VecDeque::new();
+        bytes.try_reserve_exact(records.saturating_mul(RECORD_BYTES))?;
+        Ok(SpanLog {
+            bytes,
+            len: 0,
+            front: (0, 0),
+            back: (0, 0),
+        })
+    }
+
+    /// Append `rec`, whose busy windows are `busy`.
+    fn push(&mut self, rec: &Closed, busy: &[(u32, SimTime, SimTime)]) {
+        let (id, end) = (rec.id, rec.end.as_nanos());
+        let start = rec.start.as_nanos();
+        let b = &mut self.bytes;
+        put(b, zigzag(id.wrapping_sub(self.back.0)));
+        put(b, zigzag(end.wrapping_sub(self.back.1)));
+        for ns in rec.stages.0 {
+            put(b, ns);
+        }
+        put(b, rec.tenant.map_or(0, |t| u64::from(t) + 1));
+        b.push_back(rec.kind);
+        b.push_back(rec.cause);
+        if rec.cause == CAUSE_OP {
+            put(b, zigzag(rec.cause_op.wrapping_sub(id)));
+        }
+        if rec.stalled_id == NO_SPAN {
+            b.push_back(NOT_STALLED);
+        } else {
+            b.push_back(rec.stalled_kind);
+            put(b, zigzag(rec.stalled_id.wrapping_sub(id)));
+        }
+        put(b, busy.len() as u64);
+        for &(lane, from, to) in busy {
+            put(b, u64::from(lane));
+            put(b, from.as_nanos().wrapping_sub(start));
+            put(b, to.as_nanos().wrapping_sub(from.as_nanos()));
+        }
+        self.back = (id, end);
+        self.len += 1;
+    }
+
+    /// Drop the front record.
+    fn pop_front(&mut self) {
+        let mut r = self.reader();
+        r.record(|_| ());
+        let used = self.bytes.len() - r.bytes.len();
+        self.front = r.prev;
+        self.bytes.drain(..used);
+        self.len -= 1;
+    }
+
+    /// A reader at the front record.
+    fn reader(&self) -> Reader<'_> {
+        Reader {
+            bytes: self.bytes.iter(),
+            prev: self.front,
+        }
+    }
+}
+
+/// Decodes a [`SpanLog`]'s records front to back.
+struct Reader<'a> {
+    bytes: std::collections::vec_deque::Iter<'a, u8>,
+    /// The `(id, end)` the next record's deltas are from.
+    prev: (u64, u64),
+}
+
+impl Reader<'_> {
+    fn byte(&mut self) -> u8 {
+        *self.bytes.next().expect("a span record is whole")
+    }
+
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        v
+    }
+
+    /// The next record; each of its busy windows goes to `window`.
+    fn record(&mut self, mut window: impl FnMut((u32, SimTime, SimTime))) -> Closed {
+        let id = self.prev.0.wrapping_add(unzigzag(self.varint()));
+        let end = self.prev.1.wrapping_add(unzigzag(self.varint()));
+        self.prev = (id, end);
+        let mut stages = StageNs::default();
+        for ns in &mut stages.0 {
+            *ns = self.varint();
+        }
+        let start = end.wrapping_sub(stages.0.iter().fold(0, |a, &ns| a.wrapping_add(ns)));
+        let tenant = self
+            .varint()
+            .checked_sub(1)
+            .map(|t| u32::try_from(t).expect("a tenant fits a u32"));
+        let kind = self.byte();
+        let cause = self.byte();
+        let cause_op = if cause == CAUSE_OP {
+            id.wrapping_add(unzigzag(self.varint()))
+        } else {
+            0
+        };
+        let (stalled_id, stalled_kind) = match self.byte() {
+            NOT_STALLED => (NO_SPAN, 0),
+            k => (id.wrapping_add(unzigzag(self.varint())), k),
+        };
+        for _ in 0..self.varint() {
+            let lane = u32::try_from(self.varint()).expect("a lane fits a u32");
+            let from = start.wrapping_add(self.varint());
+            let to = from.wrapping_add(self.varint());
+            window((lane, SimTime::from_nanos(from), SimTime::from_nanos(to)));
+        }
+        Closed {
+            id,
+            start: SimTime::from_nanos(start),
+            end: SimTime::from_nanos(end),
+            stages,
+            tenant,
+            cause_op,
+            stalled_id,
+            kind,
+            cause,
+            stalled_kind,
+        }
+    }
+}
+
+/// Append `v` as an LEB128 varint: 7 bits a byte, low first, the high
+/// bit set on every byte but the last.
+fn put(bytes: &mut VecDeque<u8>, mut v: u64) {
+    while v >= 0x80 {
+        bytes.push_back(v as u8 | 0x80);
+        v >>= 7;
+    }
+    bytes.push_back(v as u8);
+}
+
+/// A wrapped difference as a zigzag code: small magnitudes of either sign
+/// become small codes (0, −1, 1, −2 … → 0, 1, 2, 3 …).
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ (d >> 63).wrapping_neg()
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
 
 /// The names spans carry — op kinds and policy names — by `u8` code.
 #[derive(Default)]
@@ -297,15 +485,15 @@ impl Names {
     }
 }
 
-/// A full ring admits a span at or above this quantile of its kind.
+/// A full log admits a span at or above this quantile of its kind.
 const ADMIT_QUANTILE: f64 = 0.999;
 /// Closes of one kind between two re-reads of its admission threshold.
 const REREAD_EVERY: u64 = 1024;
-/// A full ring admits every span whose id is a multiple of this.
+/// A full log admits every span whose id is a multiple of this.
 const SAMPLE_EVERY: u64 = 64;
 
 /// Every close of one op kind: the histogram its spans' end-to-end
-/// latencies fold into, the threshold a full ring admits them at, and the
+/// latencies fold into, the threshold a full log admits them at, and the
 /// breakdowns of its host spans.
 #[derive(Default)]
 struct KindLatency {
@@ -365,12 +553,10 @@ pub struct Obs {
     /// later open.
     open: IdTable<OpenSpan>,
     /// Up to `capacity` retained spans, in close order.
-    closed: VecDeque<Closed>,
-    /// The busy windows of `closed`, record by record, in the same order.
-    windows: VecDeque<(u32, SimTime, SimTime)>,
+    log: SpanLog,
     /// Per kind code: the latency of every span of that kind closed.
     latency: Vec<KindLatency>,
-    /// Closed spans a full ring did not admit.
+    /// Closed spans a full log did not admit.
     folded: u64,
     /// Retained spans pushed out by a later admitted one.
     evicted: u64,
@@ -378,7 +564,7 @@ pub struct Obs {
     /// spans allocate nothing once as many lists exist as spans were ever
     /// open at once.
     spare_busy: Vec<Vec<(u32, SimTime, SimTime)>>,
-    /// What the `u8` name codes of `closed` and `open` stand for.
+    /// What the `u8` name codes of `log` and `open` stand for.
     names: Names,
     /// Per lane: the last internal op issued there `(span id, kind code,
     /// busy-until)` — the interference source a host op can stall behind.
@@ -387,19 +573,17 @@ pub struct Obs {
 
 impl Obs {
     /// A collector retaining up to `capacity` (at least one) closed spans.
-    /// The ring of closed spans is reserved here, once, at that bound, and
-    /// never grows after; the pages a run never fills are never touched.
-    /// A capacity the allocator cannot reserve is an error, not an abort.
+    /// The log of closed spans is reserved here, once, at
+    /// [`RECORD_BYTES`] a span, and grows after only if its records
+    /// average more; the pages a run never fills are never touched. A
+    /// capacity the allocator cannot reserve is an error, not an abort.
     pub fn new(capacity: usize) -> Result<Self, TryReserveError> {
         assert!(capacity > 0, "a span collector retains at least one span");
-        let mut closed = VecDeque::new();
-        closed.try_reserve_exact(capacity)?;
         Ok(Obs {
             capacity,
             next_id: 1,
             open: IdTable::default(),
-            closed,
-            windows: VecDeque::new(),
+            log: SpanLog::new(capacity)?,
             latency: Vec::new(),
             folded: 0,
             evicted: 0,
@@ -442,7 +626,6 @@ impl Obs {
             tenant,
             cause_op,
             stalled_id: NO_SPAN,
-            windows: 0,
             kind: self.names.code(kind),
             cause,
             stalled_kind: 0,
@@ -533,7 +716,7 @@ impl Obs {
     }
 
     /// Close `span` at `end`, charging any remainder since the cursor to
-    /// [`Stage::SchedPending`], and offer it to the closed ring. Returns
+    /// [`Stage::SchedPending`], and offer it to the log. Returns
     /// the final breakdown (zeroes if the span was unknown).
     pub fn close(&mut self, span: u64, end: SimTime) -> StageNs {
         self.close_open(span, end)
@@ -546,20 +729,16 @@ impl Obs {
     fn close_open(&mut self, span: u64, end: SimTime) -> Option<Closed> {
         let mut s = self.open.remove(span)?;
         s.close_at(end);
-        debug_assert_eq!(
-            s.rec.stages.total(),
-            end.saturating_since(s.rec.start).as_nanos(),
+        debug_assert!(
+            end >= s.rec.start && s.rec.stages.total() == (end - s.rec.start).as_nanos(),
             "span #{span}: stage sums differ from its latency"
         );
         if self.admit(&s.rec) {
-            s.rec.windows = u32::try_from(s.busy.len()).expect("a span's windows fit a u32");
-            if self.closed.len() == self.capacity {
-                let evicted = self.closed.pop_front().expect("a full ring");
-                self.windows.drain(..evicted.windows as usize);
+            if self.log.len == self.capacity {
+                self.log.pop_front();
                 self.evicted += 1;
             }
-            self.closed.push_back(s.rec);
-            self.windows.extend(&s.busy);
+            self.log.push(&s.rec, &s.busy);
         } else {
             self.folded += 1;
         }
@@ -569,7 +748,7 @@ impl Obs {
     }
 
     /// Record the latency of closed span `rec` under its kind, and say
-    /// whether the ring takes it: always while the ring has room, then
+    /// whether the log takes it: always while it has room, then
     /// only at or above the kind's threshold or on the id sample.
     fn admit(&mut self, rec: &Closed) -> bool {
         let ns = rec.end.saturating_since(rec.start);
@@ -582,7 +761,7 @@ impl Obs {
         if kind.hist.count().is_multiple_of(REREAD_EVERY) {
             kind.admit_ns = kind.hist.quantile(ADMIT_QUANTILE).as_nanos();
         }
-        self.closed.len() < self.capacity
+        self.log.len < self.capacity
             || ns.as_nanos() >= kind.admit_ns
             || rec.id.is_multiple_of(SAMPLE_EVERY)
     }
@@ -621,38 +800,42 @@ impl Obs {
         self.closes_of(kind)?.host.get(t)?.as_ref()
     }
 
-    /// Retained spans in close order, each rebuilt from its record.
+    /// Retained spans in close order, each decoded from its record.
     pub fn spans(&self) -> impl Iterator<Item = Span> + '_ {
-        let mut windows = self.windows.iter();
-        self.closed.iter().map(move |c| Span {
-            id: c.id,
-            kind: self.names.name(c.kind),
-            tenant: c.tenant,
-            start: c.start,
-            end: c.end,
-            stages: c.stages,
-            cause: match c.cause {
-                CAUSE_NONE => Cause::None,
-                CAUSE_OP => Cause::Op(c.cause_op),
-                policy => Cause::Policy(self.names.name(policy)),
-            },
-            stalled_behind: (c.stalled_id != NO_SPAN)
-                .then(|| (c.stalled_id, self.names.name(c.stalled_kind))),
-            busy: windows.by_ref().take(c.windows as usize).copied().collect(),
+        let mut log = self.log.reader();
+        (0..self.log.len).map(move |_| {
+            let mut busy = Vec::new();
+            let c = log.record(|w| busy.push(w));
+            Span {
+                id: c.id,
+                kind: self.names.name(c.kind),
+                tenant: c.tenant,
+                start: c.start,
+                end: c.end,
+                stages: c.stages,
+                cause: match c.cause {
+                    CAUSE_NONE => Cause::None,
+                    CAUSE_OP => Cause::Op(c.cause_op),
+                    policy => Cause::Policy(self.names.name(policy)),
+                },
+                stalled_behind: (c.stalled_id != NO_SPAN)
+                    .then(|| (c.stalled_id, self.names.name(c.stalled_kind))),
+                busy,
+            }
         })
     }
 
     /// Closed spans currently retained.
     pub fn closed_count(&self) -> usize {
-        self.closed.len()
+        self.log.len
     }
 
-    /// Closed spans not retained: folded by a full ring, or evicted.
+    /// Closed spans not retained: folded by a full log, or evicted.
     pub fn dropped(&self) -> u64 {
         self.folded + self.evicted
     }
 
-    /// Retained spans a later admitted span pushed out of the full ring.
+    /// Retained spans a later admitted span pushed out of the full log.
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
@@ -734,14 +917,14 @@ impl Obs {
                 if b_from >= to || b_to <= from {
                     continue;
                 }
-                let row = match rows.iter_mut().find(|(l, _)| *l == lane) {
-                    Some((_, r)) => r,
-                    None => {
-                        rows.push((lane, vec![b'.'; width]));
-                        rows.sort_by_key(|(l, _)| *l);
-                        &mut rows.iter_mut().find(|(l, _)| *l == lane).unwrap().1
+                let i = match rows.binary_search_by_key(&lane, |(l, _)| *l) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        rows.insert(i, (lane, vec![b'.'; width]));
+                        i
                     }
                 };
+                let row = &mut rows[i].1;
                 let start_ns = b_from.saturating_since(from).as_nanos();
                 let end_ns = b_to.saturating_since(from).as_nanos().min(window);
                 let a = (start_ns as u128 * width as u128 / window as u128) as usize;
@@ -1139,19 +1322,127 @@ mod tests {
     fn the_ring_is_reserved_once_at_its_bound() {
         for capacity in [1, 3, 100] {
             let mut o = Obs::new(capacity).unwrap();
-            let reserved = o.closed.capacity();
-            assert_eq!(reserved, capacity);
+            let reserved = o.log.bytes.capacity();
+            assert!(reserved >= capacity * RECORD_BYTES);
             for i in 0..10 * capacity as u64 {
                 let s = o.open("AppWrite", None, t(i));
                 o.close(s, t(i + 1));
             }
             assert_eq!(o.closed_count(), capacity);
-            assert_eq!(o.closed.capacity(), reserved, "the ring regrew");
+            assert_eq!(o.log.bytes.capacity(), reserved, "the log regrew");
         }
-        // A bound the allocator cannot reserve is an error, not an abort.
-        for capacity in [usize::MAX, 1 << 48] {
+        // A bound the allocator cannot reserve is an error, not an abort;
+        // so is one whose byte count overflows.
+        for capacity in [usize::MAX, 1 << 48, usize::MAX / RECORD_BYTES + 1] {
             assert!(Obs::new(capacity).is_err(), "reserved {capacity} spans");
         }
+    }
+
+    /// Bytes from the log's front to the end of its last record.
+    fn decoded_len(log: &SpanLog) -> usize {
+        let mut r = log.reader();
+        for _ in 0..log.len {
+            r.record(|_| ());
+        }
+        log.bytes.len() - r.bytes.len()
+    }
+
+    #[test]
+    fn span_records_decode_to_what_was_encoded() {
+        const MAX: u64 = u64::MAX;
+        let rec = |id: u64, end: u64, stages: [u64; 5]| Closed {
+            id,
+            start: SimTime::from_nanos(end - stages.iter().sum::<u64>()),
+            end: SimTime::from_nanos(end),
+            stages: StageNs(stages),
+            tenant: None,
+            cause_op: 0,
+            stalled_id: NO_SPAN,
+            kind: 0,
+            cause: CAUSE_NONE,
+            stalled_kind: 0,
+        };
+        let w = |lane: u32, from: u64, to: u64| {
+            (lane, SimTime::from_nanos(from), SimTime::from_nanos(to))
+        };
+        let wide: Vec<_> = (0..300)
+            .map(|i| w(i, 1_000 + i as u64, 1_000 + 2 * i as u64))
+            .collect();
+        let records = [
+            // Ids and ends near the top of their range, a stage at its
+            // maximum, every name code and tenant at its largest.
+            (
+                Closed {
+                    tenant: Some(u32::MAX),
+                    kind: CAUSE_OP - 1,
+                    cause: CAUSE_OP - 1,
+                    stalled_id: MAX,
+                    stalled_kind: CAUSE_OP - 1,
+                    ..rec(MAX - 1, MAX, [0, 0, 0, MAX, 0])
+                },
+                vec![w(u32::MAX, 0, MAX), w(0, MAX, MAX)],
+            ),
+            // An end far before the previous record's (an internal span
+            // closes at a future `done_at`), a cause op and a stall on
+            // either side of the span's own id.
+            (
+                Closed {
+                    tenant: Some(0),
+                    cause: CAUSE_OP,
+                    cause_op: MAX,
+                    stalled_id: 1,
+                    stalled_kind: 7,
+                    ..rec(2, 5, [1, 1, 1, 1, 1])
+                },
+                vec![w(3, 2, 2)],
+            ),
+            (
+                Closed {
+                    cause: CAUSE_OP,
+                    cause_op: 1,
+                    stalled_id: 900,
+                    ..rec(9, 1_000, [0, 0, 0, 0, 0])
+                },
+                // Zero-width, and starting before its span.
+                vec![w(1, 1_000, 1_000), w(2, 10, 999), w(1, 0, 0)],
+            ),
+            // A plain span, and 300 windows on one.
+            (rec(10, 2_000, [10, 20, 30, 40, 50]), Vec::new()),
+            (
+                Closed {
+                    tenant: Some(3),
+                    ..rec(11, 3_000, [7, 0, 0, 93, 0])
+                },
+                wide,
+            ),
+        ];
+        let mut log = SpanLog::new(1).unwrap();
+        for (n, (r, busy)) in records.iter().enumerate() {
+            let before = log.bytes.len();
+            log.push(r, busy);
+            assert_eq!(decoded_len(&log), log.bytes.len(), "record {n}");
+            // The decoder reads exactly the bytes the record took.
+            let mut reader = log.reader();
+            for _ in 0..n {
+                reader.record(|_| ());
+            }
+            assert_eq!(log.bytes.len() - reader.bytes.len(), before);
+        }
+        for first in 0..records.len() {
+            let mut reader = log.reader();
+            for (r, busy) in &records[first..] {
+                let mut windows = Vec::new();
+                assert_eq!(reader.record(|w| windows.push(w)), *r);
+                assert_eq!(&windows, busy, "span #{}", r.id);
+            }
+            assert_eq!(reader.bytes.len(), 0, "bytes left after the last record");
+            log.pop_front();
+            assert_eq!(
+                (log.len, decoded_len(&log)),
+                (records.len() - first - 1, log.bytes.len())
+            );
+        }
+        assert!(log.bytes.is_empty());
     }
 
     #[test]
@@ -1243,8 +1534,8 @@ mod tests {
 
     #[test]
     fn a_full_ring_admits_the_tail_and_the_sample() {
-        // 4096 reads of 1–50 µs, and three of 5 ms long after the ring
-        // filled: 128 ring slots for 4096 spans.
+        // 4096 reads of 1–50 µs, and three of 5 ms long after the log
+        // filled: room for 128 of 4096 spans.
         const OUTLIERS: [u64; 3] = [1_500, 2_801, 4_000];
         let latency_us = |id: u64| if OUTLIERS.contains(&id) { 5_000 } else { id % 50 + 1 };
         let mut o = Obs::new(128).unwrap();
@@ -1261,7 +1552,7 @@ mod tests {
         for id in OUTLIERS {
             assert!(kept.iter().any(|s| s.id == id), "outlier #{id} not retained");
         }
-        // Past the threshold's first re-read, a span the ring holds is in
+        // Past the threshold's first re-read, a span the log holds is in
         // its kind's p999 or on the 1-in-64 sample; the rest left nothing.
         let p999 = hist.p999().as_nanos();
         for s in kept.iter().filter(|s| s.id > 1024) {
@@ -1274,7 +1565,7 @@ mod tests {
     }
 
     #[test]
-    fn the_window_ring_wraps_with_its_spans() {
+    fn evicted_windows_leave_the_log_with_their_spans() {
         let mut o = Obs::new(3).unwrap();
         // Spans of 0, 1 and 5 windows, evicted in every mix of sizes.
         let counts = [5, 0, 1, 5, 5, 1, 0, 0, 5, 1, 5, 0, 1, 1, 5, 0, 5, 5];
@@ -1294,7 +1585,7 @@ mod tests {
             let kept = &issued[issued.len().saturating_sub(3)..];
             let rebuilt: Vec<_> = o.spans().map(|s| s.busy).collect();
             assert_eq!(rebuilt, kept);
-            assert_eq!(o.windows.len(), kept.iter().map(Vec::len).sum::<usize>());
+            assert_eq!(decoded_len(&o.log), o.log.bytes.len());
         }
         assert_eq!(o.dropped(), counts.len() as u64 - 3);
         // One busy list served every span.
@@ -1414,7 +1705,7 @@ mod tests {
         closes: Vec<(u64, SimTime)>,
         /// Per kind: the latency of every host close.
         host: [Histogram; 2],
-        /// What the ring must hold by the admission rule: `(id, close
+        /// What the log must hold by the admission rule: `(id, close
         /// instant)`, in close order.
         kept: VecDeque<(u64, SimTime)>,
         /// Per kind: every close's latency, and the threshold last read
@@ -1460,7 +1751,7 @@ mod tests {
             }
         }
 
-        /// `id` closed now; whether a ring of `capacity` admits it: while
+        /// `id` closed now; whether a log of `capacity` admits it: while
         /// it has room, else at or above the kind's p999 as of its last
         /// re-read (every 1024 closes of the kind; 0 before the first), or
         /// on the 1-in-64 id sample.
@@ -1529,7 +1820,7 @@ mod tests {
                     let closes = o.closed_count() as u64 + o.dropped();
                     let table = (o.open.window_len(), o.open.slots());
                     let host = (host_summary(o, 0), host_summary(o, 1));
-                    (o.open_count(), closes, table, o.windows.len(), o.spare_busy.len(), host)
+                    (o.open_count(), closes, table, o.log.bytes.len(), o.spare_busy.len(), host)
                 };
                 let before = footprint(&o);
                 match rng.gen_range(10) {
@@ -1596,7 +1887,7 @@ mod tests {
                 for (kind, (hist, _)) in KINDS.iter().zip(&sc.latency) {
                     prop_assert_eq!(o.latency(kind).map_or(0, Histogram::count), hist.count());
                 }
-                // The ring is the admitted closes, in close order, and each
+                // The log is the admitted closes, in close order, and each
                 // retained span is whole and its own.
                 prop_assert_eq!(o.closed_count(), sc.kept.len());
                 for (s, &(id, end)) in o.spans().zip(&sc.kept) {
@@ -1610,10 +1901,8 @@ mod tests {
                         prop_assert!(start <= from && from < to && to <= end);
                     }
                 }
-                // The window ring holds the retained spans' windows and
-                // nothing else.
-                let counted: usize = o.closed.iter().map(|c| c.windows as usize).sum();
-                prop_assert_eq!(o.windows.len(), counted, "windows of evicted spans retained");
+                // The log holds the retained records and nothing else.
+                prop_assert_eq!(decoded_len(&o.log), o.log.bytes.len(), "bytes of evicted spans retained");
             }
             // Close whatever is still open: the id table drains with it.
             for id in sc.live.clone() {

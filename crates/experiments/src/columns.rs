@@ -3,7 +3,7 @@
 //! [`StageBreakdown`] is bound to its source here, once. Experiments
 //! pick columns by constant ([`Row::cols`](crate::metrics::Row::cols)),
 //! so a name cannot drift between two experiments that mean the same
-//! number. Columns computed from anything else (the `Os`, the span ring,
+//! number. Columns computed from anything else (the `Os`, the span log,
 //! a trace profile) are pushed where they are computed.
 
 use eagletree_controller::ReliabilityStats;

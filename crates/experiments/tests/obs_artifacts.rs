@@ -25,7 +25,9 @@ const GOLDEN: [u64; 3] = [
 #[test]
 fn obs_artifacts_match_committed_digests() {
     let capture = obs_capture(Scale::Smoke);
-    let e27 = suite::by_id("E27").expect("E27 is in the suite").run(Scale::Smoke);
+    let e27 = suite::by_id("E27")
+        .expect("E27 is in the suite")
+        .run(Scale::Smoke);
     let got = [
         fnv1a(&capture.perfetto),
         fnv1a(&capture.timeline_csv),
