@@ -348,3 +348,95 @@ fn disabled_fault_model_reports_nothing() {
     assert_eq!(d.c.lost_data().count(), 0);
     assert!(d.c.array().fault().is_none());
 }
+
+/// Failures of one kind only, drawn under `seed`: programs fail at
+/// `program`, erases at `erase`, and reads see no bit errors.
+fn only_failing(seed: u64, program: f64, erase: f64) -> FaultConfig {
+    FaultConfig {
+        seed,
+        program_fail_base: program,
+        program_fail_per_pe: 0.0,
+        erase_fail_base: erase,
+        erase_fail_per_pe: 0.0,
+        raw_bits_base: 0.0,
+        raw_bits_per_pe: 0.0,
+        raw_bits_per_retention_s: 0.0,
+        raw_bits_per_disturb: 0.0,
+        ..FaultConfig::default()
+    }
+}
+
+/// Spans on, sized to keep every span of a short run.
+const EVERY_SPAN: ObsConfig = ObsConfig {
+    span_capacity: 1 << 16,
+    timeline_interval_us: 0,
+};
+
+/// NAND reports a program's status only once the program has run (ONFI
+/// "Read Status" after tPROG): the write a failed program carried is
+/// retried no earlier than the failed command's end, whether or not the
+/// controller pipelines programs. The one failure of this seed hits a
+/// host write, whose span holds both windows.
+#[test]
+fn a_failed_program_is_retried_once_it_completes() {
+    for cached in [true, false] {
+        let mut d = Driver::tiny(ControllerConfig {
+            use_cached_program: cached,
+            fault: Some(only_failing(0, 0.01, 0.0)),
+            obs: EVERY_SPAN,
+            ..ControllerConfig::default()
+        });
+        let writes: Vec<_> = (0..128).map(|lpn| (RequestKind::Write, lpn)).collect();
+        d.submit_windowed(&writes, 2).unwrap();
+        assert_eq!(d.c.stats().program_remaps, 1, "cached {cached}");
+        let obs = d.c.obs().unwrap();
+        let retried: Vec<_> = obs.spans().filter(|s| s.busy.len() > 1).collect();
+        let [s] = &retried[..] else { panic!("cached {cached}: {retried:?}") };
+        let [(_, _, failed_end), (_, retry_from, _)] = s.busy[..] else { panic!("{s:?}") };
+        assert!(
+            retry_from >= failed_end,
+            "cached {cached}: retry issued at {retry_from:?}, the failed program ends at {failed_end:?}"
+        );
+    }
+}
+
+/// The erase arm of the same contract: an erase's status is known once
+/// the erase has run, so a transiently failed erase is issued again no
+/// earlier than the failed one's end.
+#[test]
+fn a_failed_erase_is_retried_once_it_completes() {
+    let mut d = Driver::tiny(ControllerConfig {
+        fault: Some(only_failing(8, 0.0, 0.004)),
+        obs: EVERY_SPAN,
+        ..ControllerConfig::default()
+    });
+    let logical = d.c.logical_pages();
+    let mut rng = SimRng::new(7);
+    let overwrites = (0..2 * logical).map(|_| rng.gen_range(logical / 2));
+    let script: Vec<u64> = (0..logical).chain(overwrites).collect();
+    // The instant the failed erase issued: the array draws the failure
+    // then.
+    let mut failed_at = None;
+    for chunk in script.chunks(8) {
+        for &lpn in chunk {
+            d.submit(RequestKind::Write, lpn);
+        }
+        while d.step().is_some() {
+            if failed_at.is_none() && d.c.reliability().unwrap().erase_fails > 0 {
+                failed_at = Some(d.now);
+            }
+        }
+    }
+    d.run().unwrap();
+    assert_eq!((d.c.reliability().unwrap().erase_fails, d.c.stats().erase_retries), (1, 1));
+    let spans = d.c.obs().unwrap().spans();
+    let erases: Vec<_> = spans.filter(|s| s.kind == "Erase").flat_map(|s| s.busy).collect();
+    let failed_at = failed_at.unwrap();
+    let failed = erases.iter().find(|w| w.1 == failed_at).expect("the failed erase's window");
+    let retry = erases
+        .iter()
+        .filter(|w| w.0 == failed.0 && w.1 > failed.1)
+        .min_by_key(|w| w.1)
+        .expect("an erase after the failed one on its LUN");
+    assert!(retry.1 >= failed.2, "retry {retry:?} issued inside the failed erase {failed:?}");
+}
