@@ -2,7 +2,8 @@
 //!
 //! Owns [`Dispatch`] — every flash operation the controller has decided on
 //! but not yet issued (`pending`), the single event agenda (`events`:
-//! flash completions and scheduler wake-ups), the arrival counter, the
+//! flash completions and scheduler wake-ups), the failed commands parked
+//! until their completion reports them (`failed`), the arrival counter, the
 //! per-class service tallies the policies read, the superseded-while-queued
 //! bookkeeping of the relocation lanes ([`QueuedMoves`]), the pages queued
 //! mapped reads may be waiting on ([`QueuedReads`] — what lets a read
@@ -27,7 +28,7 @@
 //! for the busy LUNs whose answer the array said would run out by now
 //! ([`Controller::refresh_ready`]).
 
-use eagletree_core::{Cause, EventQueue, SimTime, NO_SPAN};
+use eagletree_core::{Cause, EventQueue, SimTime, Slab, NO_SPAN};
 use eagletree_flash::{
     BlockAddr, FlashArray, FlashCommand, Geometry, IssueOutcome, LunReady, PageState, PhysicalAddr,
 };
@@ -88,12 +89,18 @@ pub(super) enum DoneWhat {
     FlushDone { lpn: Lpn, version: u64, ppn: Ppn },
     MergeProgDone { from: Option<Ppn>, dest: Ppn },
     CkptWriteDone,
+    /// A command the array failed: its status reports now. `slot`: its
+    /// [`Failed`] record in `Dispatch::failed`.
+    Failed { slot: u32 },
 }
 
 pub(super) enum CtrlEvent {
     Wake,
     Done(DoneWhat),
 }
+
+// Every IO pays for agenda entries of this size (ROADMAP 6: 56 B).
+const _: () = assert!(std::mem::size_of::<CtrlEvent>() <= 56);
 
 /// A host page on its way to flash: an application write, or the
 /// background flush of a buffered one.
@@ -172,6 +179,16 @@ pub(super) struct PendingOp {
     pub(super) kind: PendKind,
     /// Lifecycle span this op belongs to ([`NO_SPAN`] with obs off).
     pub(super) span: u64,
+}
+
+/// A command the array failed at issue, parked until its completion
+/// reports the failure.
+#[derive(Debug)]
+pub(super) struct Failed {
+    /// The op to queue again: the failed one, in the kind it retries as.
+    pub(super) retry: PendingOp,
+    /// The page a failed program burned; `None` for an erase.
+    pub(super) burned: Option<PhysicalAddr>,
 }
 
 /// The one op-specific term of a queued `GcMove`'s issuability: its source
@@ -352,6 +369,9 @@ pub(super) struct Dispatch {
     pub(super) moves: QueuedMoves,
     pub(super) reads: QueuedReads,
     pub(super) ready: ReadySet,
+    /// Failed commands awaiting their completion, by the slot their
+    /// `DoneWhat::Failed` carries.
+    pub(super) failed: Slab<Failed>,
     /// Reusable scratch for one scheduling round's head candidates
     /// (`(key, slot)`) and their keys-only view — kept here so
     /// steady-state dispatch never allocates.
@@ -370,6 +390,7 @@ impl Dispatch {
             moves: QueuedMoves::new(geometry),
             reads: QueuedReads::new(geometry),
             ready: ReadySet::new(geometry),
+            failed: Slab::default(),
             sched_cand: Vec::new(),
             sched_keys: Vec::new(),
             op_seq: 0,
@@ -838,7 +859,7 @@ impl Controller {
 
     /// Whether the source page of a queued `GcMove` has been invalidated
     /// since it was queued (the op is then consumed without flash IO).
-    fn move_superseded(&self, from: PhysicalAddr) -> bool {
+    pub(super) fn move_superseded(&self, from: PhysicalAddr) -> bool {
         self.array.page_state_at(self.array.geometry().page_index(from)) != PageState::Valid
     }
 

@@ -4,14 +4,15 @@
 //! scheduler picked, resolves its physical target, and hands the flash
 //! command to the array through the single [`Controller::issue_cmd`];
 //! every array read goes through [`Controller::issue_read`], every erase
-//! through the one `PendKind::Erase` arm, every program failure through
-//! [`Controller::program_failed`], and every issued command's completion
-//! and wake-ups through `Dispatch::schedule_after`.
+//! through the one `PendKind::Erase` arm, every failed command through
+//! [`Controller::parked_failed`] and, when it completes and its status
+//! reports, [`Controller::command_failed`], and every issued command's
+//! completion and wake-ups through `Dispatch::schedule_after`.
 
 use eagletree_core::{SimDuration, SimTime, NO_SPAN};
 use eagletree_flash::{FaultEvent, FlashCommand, IssueOutcome, OobTag, PhysicalAddr};
 
-use super::dispatch::{CtrlEvent, DoneWhat, PendKind, PendingOp, WriteWhat, XferDone};
+use super::dispatch::{CtrlEvent, DoneWhat, Failed, PendKind, PendingOp, WriteWhat, XferDone};
 use super::Controller;
 use crate::alloc::Stream;
 use crate::sched::class_index;
@@ -69,15 +70,6 @@ impl Controller {
         self.disp.schedule_after(&out, CtrlEvent::Done(done));
     }
 
-    /// Re-enqueue `op` as `retry` after an injected fault cancelled its
-    /// completion: the LUN/channel occupancy the command charged is still
-    /// real, and the retry can only issue once those resources free — so
-    /// the completion slot becomes a plain wake-up.
-    fn retry_after_fault(&mut self, op: &PendingOp, retry: PendKind, out: IssueOutcome, now: SimTime) {
-        self.enqueue(op.class, op.tag, now, retry);
-        self.disp.schedule_after(&out, CtrlEvent::Wake);
-    }
-
     /// The read-hop: start the array read of `addr` for `op`. Its
     /// completion queues the channel transfer under `xfer_class`, which
     /// hands the data to `then`. `carries`: the logical page whose content
@@ -99,41 +91,60 @@ impl Controller {
         self.finish_issue(op.class, done, out);
     }
 
-    /// Program-failure handling for every remappable program (free-
-    /// allocated writes, GC copy-back destinations, hybrid log appends).
-    /// When `out` reports a failed program status, the page at `burned`
-    /// is burned (no OOB stamp: recovery skips it): invalidate it, take it
-    /// out of service — a hybrid append releases its log slot (the entry
-    /// stays, so merges see the offset as stale and switch merges are off
-    /// the table; the next `commit_append` lands on the advanced write
-    /// pointer), any other block can't be trusted for fresh allocations
-    /// and is retired as grown bad — and remap by re-enqueueing `retry`,
-    /// which allocates elsewhere. For a relocation the source page is
-    /// still live. Returns whether the program failed.
-    fn program_failed(
+    /// Whether the array failed `op`'s command, which is then parked until
+    /// its completion reports the failure and queues `retry`
+    /// ([`Controller::command_failed`]): a program's status (the page at
+    /// `burned` took no OOB stamp and dies now, so no reclaim reads a valid
+    /// page without a record) or a transient erase's (`burned` is `None`).
+    fn parked_failed(
         &mut self,
         op: &PendingOp,
-        burned: PhysicalAddr,
         retry: PendKind,
+        burned: Option<PhysicalAddr>,
         out: IssueOutcome,
-        now: SimTime,
     ) -> bool {
-        if !matches!(out.fault, Some(FaultEvent::ProgramFailed)) {
-            return false;
+        match (out.fault, burned) {
+            (Some(FaultEvent::ProgramFailed), Some(page)) => {
+                self.invalidate_ppn(self.array.geometry().page_index(page));
+            }
+            (Some(FaultEvent::EraseFailed { retired: false }), None) => {}
+            _ => return false,
         }
-        let ppn = self.array.geometry().page_index(burned);
-        self.invalidate_ppn(ppn);
-        #[expect(
-            clippy::wildcard_enum_match_arm,
-            reason = "only a hybrid append burns a log-block slot; every other program came from the write allocator"
-        )]
-        match retry {
-            PendKind::HybridWrite { .. } => self.hybrid_mut().abort_append(ppn),
-            _ => self.alloc.retire_block(burned.block_addr()),
-        }
-        self.stats.program_remaps += 1;
-        self.retry_after_fault(op, retry, out, now);
+        let retry = PendingOp { kind: retry, ..*op };
+        let slot = self.disp.failed.insert(Failed { retry, burned }) as u32;
+        self.disp.schedule_after(&out, CtrlEvent::Done(DoneWhat::Failed { slot }));
         true
+    }
+
+    /// A failed command's completion, where its status reports. An erase
+    /// left its block un-reset and is queued again. A program takes its
+    /// block out of service — a hybrid append releases its log slot (the
+    /// entry stays, so merges see the offset as stale; the next
+    /// `commit_append` lands on the advanced write pointer), any other
+    /// block is retired as grown bad — and its retry allocates elsewhere,
+    /// unless it relocates a page that died meanwhile.
+    pub(super) fn command_failed(&mut self, slot: u32, now: SimTime) {
+        let Failed { retry: op, burned } = self.disp.failed.remove(slot as usize);
+        match (burned, op.kind) {
+            (None, _) => self.stats.erase_retries += 1,
+            (Some(page), PendKind::HybridWrite { .. }) => {
+                let ppn = self.array.geometry().page_index(page);
+                self.stats.program_remaps += 1;
+                self.hybrid_mut().abort_append(ppn);
+            }
+            (Some(page), _) => {
+                self.stats.program_remaps += 1;
+                self.alloc.retire_block(page.block_addr());
+            }
+        }
+        if let PendKind::GcMove { job, from } = op.kind {
+            if self.move_superseded(from) {
+                self.stats.gc_stale += 1;
+                self.move_done(job, now);
+                return;
+            }
+        }
+        self.enqueue(op.class, op.tag, now, op.kind);
     }
 
     /// Issue (or consume) the pending op in `slot`. Caller guarantees
@@ -151,12 +162,11 @@ impl Controller {
             }
             PendKind::Erase { block, owner } => {
                 let out = self.issue_cmd(&op, FlashCommand::Erase(block), now);
-                // A transient erase failure leaves the block un-reset:
-                // charge the time, retry. A retiring failure falls through
-                // to EraseDone, whose bad-block path swallows the block.
-                if matches!(out.fault, Some(FaultEvent::EraseFailed { retired: false })) {
-                    self.stats.erase_retries += 1;
-                    self.retry_after_fault(&op, op.kind, out, now);
+                // A transient erase failure leaves the block un-reset: it
+                // is retried once the erase completes. A retiring failure
+                // falls through to EraseDone, whose bad-block path
+                // swallows the block.
+                if self.parked_failed(&op, op.kind, None, out) {
                     return;
                 }
                 self.finish_issue(op.class, DoneWhat::EraseDone { block, owner }, out);
@@ -200,7 +210,7 @@ impl Controller {
                 let ppn = self.array.geometry().page_index(addr);
                 let out = self.issue_cmd(&op, FlashCommand::Program(addr), now);
                 let retry = PendKind::Write { lun: None, stream, what };
-                if self.program_failed(&op, addr, retry, out, now) {
+                if self.parked_failed(&op, retry, Some(addr), out) {
                     return;
                 }
                 let done = match what {
@@ -240,7 +250,7 @@ impl Controller {
                     if let Some(to) = self.alloc.alloc_in_plane(lun, from.plane, Stream::Gc) {
                         let to_ppn = self.array.geometry().page_index(to);
                         let out = self.issue_cmd(&op, FlashCommand::CopyBack { from, to }, now);
-                        if self.program_failed(&op, to, op.kind, out, now) {
+                        if self.parked_failed(&op, op.kind, Some(to), out) {
                             return;
                         }
                         // Copy-back reads on-chip; an uncorrectable source
@@ -260,7 +270,7 @@ impl Controller {
                 let ppn = self.hybrid_mut().commit_append(lpn);
                 let addr = self.array.geometry().page_at(ppn);
                 let out = self.issue_cmd(&op, FlashCommand::Program(addr), now);
-                if self.program_failed(&op, addr, op.kind, out, now) {
+                if self.parked_failed(&op, op.kind, Some(addr), out) {
                     return;
                 }
                 self.stamp_program(ppn, OobTag::Data { lpn }, None);

@@ -313,6 +313,7 @@ impl Controller {
                 self.merge_prog_done(from, dest, now);
             }
             DoneWhat::CkptWriteDone => self.ckpt_write_done(now),
+            DoneWhat::Failed { slot } => self.command_failed(slot, now),
         }
     }
 

@@ -1,6 +1,7 @@
-//! The three ways a queued `GcMove` leaves or re-enters its relocation
-//! lane: superseded behind a blocked head, re-queued after a copy-back
-//! program failure, and dropped with the pending set at a power cut.
+//! The ways a queued `GcMove` leaves or re-enters its relocation lane:
+//! superseded behind a blocked head, re-queued after a copy-back program
+//! failure (or dropped, if its page died while the failed program ran),
+//! and dropped with the pending set at a power cut.
 //! Driven mid-flight, one agenda instant at a time, with the bookkeeping
 //! recounted from the pending set after every step ([`submit`], [`step`],
 //! [`run`] and [`age_until`], which also serve `read_lane_tests`). And the
@@ -193,52 +194,116 @@ fn overwritten_move_behind_a_blocked_head_is_consumed_in_the_same_round() {
     supersede_mid_lane(RequestKind::Write);
 }
 
-/// A copy-back whose program fails re-enqueues its `GcMove`: the retry
-/// re-sets its queued bit (recounted after every step) and joins its lane
-/// at the tail, behind the job's other moves.
-#[test]
-fn failed_copy_back_requeues_its_move_at_the_lane_tail() {
-    let programs_fail = |p: f64| FaultConfig {
+/// Every program fails with probability `p`, and nothing else does.
+pub(super) fn programs_fail(p: f64) -> FaultConfig {
+    FaultConfig {
         program_fail_base: p,
         program_fail_per_pe: 0.0,
         erase_fail_base: 0.0,
         erase_fail_per_pe: 0.0,
         raw_bits_base: 0.0,
         ..FaultConfig::default()
-    };
+    }
+}
+
+/// The move a failed command parked, by its source page.
+fn parked_move(c: &Controller, ppn: Ppn) -> bool {
+    let g = c.array.geometry();
+    c.disp.failed.iter().any(|f| {
+        matches!(f.retry.kind, PendKind::GcMove { from, .. } if g.page_index(from) == ppn)
+    })
+}
+
+/// A copy-back whose program fails re-enqueues its `GcMove` once the
+/// failed program completes: until then the move is out of its lane and
+/// the LUN busy; then the retry re-sets its queued bit (recounted after
+/// every step) and joins its lane at the tail, behind the job's other
+/// moves.
+#[test]
+fn failed_copy_back_requeues_its_move_at_the_lane_tail() {
     let mut d = Driver::tiny(cfg());
     age_until(&mut d, |c, now| deep_blocked_lane(c, now).is_some());
     let (lun, before) = deep_blocked_lane(&d.c, d.now).unwrap();
     let remaps = d.c.stats.program_remaps;
-    // From here every program fails, so the head's copy-back will.
-    d.c.array.install_fault_model(programs_fail(1.0));
-    let after = loop {
-        step(&mut d).expect("the lane never moved");
-        let lanes = move_lanes(&d.c);
-        let (_, ops) = lanes.into_iter().find(|(l, _)| *l == lun).unwrap();
-        if ops[0].seq != before[0].seq {
-            break ops;
-        }
+    let lane = |c: &Controller| {
+        let lanes = move_lanes(c);
+        lanes
+            .into_iter()
+            .find(|(l, _)| *l == lun)
+            .map_or(Vec::new(), |(_, ops)| ops)
     };
-    assert!(d.c.stats.program_remaps > remaps);
+    let seqs = |ops: &[PendingOp]| ops.iter().map(|op| op.seq).collect::<Vec<_>>();
+    // Every program issued from here to the head's fails, its copy-back
+    // included.
+    d.c.array.install_fault_model(programs_fail(1.0));
+    while lane(&d.c)[0].seq == before[0].seq {
+        step(&mut d).expect("the lane never moved");
+    }
+    d.c.array.install_fault_model(programs_fail(0.0));
     assert_eq!(
-        after.len(),
-        before.len(),
-        "the failed head must be queued again"
+        seqs(&lane(&d.c)),
+        seqs(&before[1..]),
+        "the failed head left its lane"
     );
-    let retry = after.last().unwrap();
+    assert_eq!(
+        d.c.stats.program_remaps, remaps,
+        "a failure reported before its program ended"
+    );
+    assert!(
+        lun_busy(&d.c, lun, d.now),
+        "the failed copy-back still occupies the LUN"
+    );
+    while d.c.stats.program_remaps == remaps {
+        step(&mut d).expect("the failure never reported");
+    }
+    let after = lane(&d.c);
+    let retry = after.last().expect("the failed head must be queued again");
     assert_eq!(move_of(&d.c, retry), move_of(&d.c, &before[0]));
     assert_eq!(retry.enqueued_at, d.now);
     assert!(
         after.windows(2).all(|w| w[0].seq < w[1].seq),
         "lane out of seq order"
     );
+
+    // The failed programs retired the LUN's last free block under its job.
+    assert_relocation_stall(run(&mut d));
+    d.c.check_invariants();
+}
+
+/// A copy-back fails, and its source page is trimmed while the failed
+/// program still runs: when the failure reports there is nothing left to
+/// relocate, so the move is dropped, not queued again, and its job
+/// counts it done.
+#[test]
+fn failed_copy_back_of_a_page_trimmed_meanwhile_is_dropped() {
+    let mut d = Driver::tiny(cfg());
+    age_until(&mut d, |c, now| deep_blocked_lane(c, now).is_some());
+    let (lun, before) = deep_blocked_lane(&d.c, d.now).unwrap();
+    let (job, ppn) = move_of(&d.c, &before[0]);
+    let Some(OobTag::Data { lpn }) = d.c.content_at(ppn) else {
+        panic!("queued move of a page without data");
+    };
+    let (remaps, stale) = (d.c.stats.program_remaps, d.c.stats.gc_stale);
+    d.c.array.install_fault_model(programs_fail(1.0));
+    while !parked_move(&d.c, ppn) {
+        step(&mut d).expect("the head's copy-back never failed");
+    }
+    d.c.array.install_fault_model(programs_fail(0.0));
+    let left = moves_left(&d.c, job);
+    submit(&mut d, RequestKind::Trim, lpn);
+    while parked_move(&d.c, ppn) {
+        step(&mut d).expect("the failure never reported");
+    }
+    assert!(d.c.stats.program_remaps > remaps);
+    assert_eq!(d.c.stats.gc_stale, stale + 1);
+    assert_eq!(moves_left(&d.c, job), left - 1);
+    let lanes = move_lanes(&d.c);
+    let queued = lanes.iter().filter(|(l, _)| *l == lun).flat_map(|(_, ops)| ops);
     assert!(
-        lun_busy(&d.c, lun, d.now),
-        "the failed copy-back still occupies the LUN"
+        queued.into_iter().all(|op| move_of(&d.c, op).1 != ppn),
+        "the dropped move was queued again"
     );
 
-    d.c.array.install_fault_model(programs_fail(0.0));
     // The failed programs retired the LUN's last free block under its job.
     assert_relocation_stall(run(&mut d));
     d.c.check_invariants();

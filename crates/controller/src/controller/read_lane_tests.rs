@@ -10,11 +10,12 @@
 //! Reads rank below every other class here, so a queued read waits for as
 //! long as anything else wants its LUN — long enough for its page to move.
 
-use eagletree_flash::{FaultConfig, OobTag};
+use eagletree_flash::OobTag;
 
 use super::dispatch::{PendKind, PendingOp, QueuedReads, WriteWhat};
 use super::move_lane_tests::{
-    age_until, cfg, deep_blocked_lane, lun_busy, move_lanes, move_of, run, step, submit,
+    age_until, cfg, deep_blocked_lane, lun_busy, move_lanes, move_of, programs_fail, run, step,
+    submit,
 };
 use super::Controller;
 use crate::config::{ControllerConfig, GcConfig, MappingKind};
@@ -231,14 +232,6 @@ fn read_follows_a_cross_lun_move_after_a_same_lun_move() {
 /// reads submitted before and after it, and lands between them.
 #[test]
 fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
-    let programs_fail = |p: f64| FaultConfig {
-        program_fail_base: p,
-        program_fail_per_pe: 0.0,
-        erase_fail_base: 0.0,
-        erase_fail_per_pe: 0.0,
-        raw_bits_base: 0.0,
-        ..FaultConfig::default()
-    };
     // GC starts with blocks to spare (the failed programs below retire a
     // few) and on every LUN at once, so reads wait wherever they are.
     let mut cfg = reads_last(MappingKind::PageMap);
@@ -266,11 +259,12 @@ fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
             break;
         }
     }
-    // From this victim the retry lands on another LUN while both of that
-    // LUN's neighbours still wait (asserted below); not every victim's does.
+    // From this victim's first move the retry lands on another LUN while
+    // both of that LUN's neighbours still wait (asserted below); not every
+    // move's does.
     let (lun, moves) = move_lanes(&d.c).swap_remove(1);
     assert_eq!(lun, 1);
-    let target = moves[1];
+    let target = moves[0];
     let x = lpn_moved_by(&d.c, &target);
     let from = move_of(&d.c, &target).1;
     let others: Vec<u32> = (0..luns).filter(|&l| l != lun).collect();
@@ -293,7 +287,7 @@ fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
     assert_eq!(queued_read_of(&d.c, r).unwrap().0, Some(lun));
 
     // Fail programs while the move's bound program is queued: it issues,
-    // fails, and is queued again unbound.
+    // fails, and once it completes is queued again unbound.
     let queued_write = |c: &Controller, bound: bool| {
         c.disp.pending.iter().any(|op| {
             matches!(op.kind, PendKind::Write { lun, what: WriteWhat::Gc { from_ppn, .. }, .. }
@@ -304,10 +298,20 @@ fn gc_relocation_to_another_lun_lands_mid_lane_in_seq_order() {
         step(&mut d).expect("the move's program was never queued");
     }
     d.c.array.install_fault_model(programs_fail(1.0));
-    while !queued_write(&d.c, false) {
-        step(&mut d).expect("the relocation program never failed");
+    while queued_write(&d.c, true) {
+        step(&mut d).expect("the move's program never issued");
     }
     d.c.array.install_fault_model(programs_fail(0.0));
+    let parked = |c: &Controller| {
+        c.disp.failed.iter().any(|f| {
+            matches!(f.retry.kind, PendKind::Write { what: WriteWhat::Gc { from_ppn, .. }, .. }
+                if from_ppn == from)
+        })
+    };
+    assert!(parked(&d.c), "the relocation program never failed");
+    while parked(&d.c) {
+        step(&mut d).expect("the failure never reported");
+    }
 
     let to = step_until_remapped(&mut d, x, from, r);
     let dest = lun_of(&d.c, to);

@@ -327,7 +327,8 @@ impl Hybrid {
     }
 
     /// An issued append completed but its payload was discarded (stale
-    /// buffered flush): release the in-flight slot without mapping it.
+    /// buffered flush) or never landed (a failed program): release the
+    /// in-flight slot without mapping it.
     pub fn abort_append(&mut self, ppn: Ppn) {
         self.note_commit(ppn);
     }

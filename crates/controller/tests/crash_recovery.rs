@@ -20,6 +20,12 @@
 //! remain RAM-only and may be resurrected, exactly like on real FTLs with
 //! lazily-journaled deallocations; the property suite therefore still
 //! does not require *every* trimmed page to stay unmapped across a cut.
+//!
+//! A third property injects program failures. A failed program reports
+//! its status when it completes, and a cut inside its window tears the
+//! page like any in-flight program's: recovery needs no case of its own
+//! for it, which the property checks by cutting there too. `FAULTS=on`
+//! widens its cases, as it does `fault_injection.rs`'s sweeps.
 
 use std::collections::BTreeMap;
 
@@ -28,8 +34,31 @@ use eagletree_controller::{
     RequestKind, WlConfig,
 };
 use eagletree_core::SimTime;
-use eagletree_flash::{Geometry, OobTag, TimingSpec};
+use eagletree_flash::{FaultConfig, Geometry, OobTag, TimingSpec};
 use proptest::prelude::*;
+
+/// Widen the fault arm when `FAULTS=on`.
+fn full_matrix() -> bool {
+    std::env::var("FAULTS").is_ok_and(|v| v == "on")
+}
+
+/// Program failures per program in the fault arm. Each retires a block,
+/// and a LUN that runs out of spare blocks stops with relocations left
+/// (ROADMAP item 2), so the arm keeps the rate low and exports less of
+/// the device ([`FAULTY_CAPACITY`]), as `span_invariants.rs` does: every
+/// case runs clear of the stall.
+const PROGRAM_FAIL: f64 = 0.003;
+/// The share of the tiny device the fault arm exports.
+const FAULTY_CAPACITY: f64 = 0.4;
+
+/// The fault arm of [`check_crash`]: program failures drawn under `seed`
+/// (reads and erases stay clean); `in_window`: cut as soon as a failed
+/// program is running, if that comes before the step budget runs out.
+#[derive(Debug, Clone, Copy)]
+struct Faults {
+    seed: u64,
+    in_window: bool,
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -66,9 +95,14 @@ fn config(mapping: MappingKind, checkpoint_interval: u64) -> ControllerConfig {
     }
 }
 
+/// Programs issued so far that the array failed.
+fn program_fails(d: &Driver) -> u64 {
+    d.c.reliability().map_or(0, |r| r.program_fails)
+}
+
 /// Drive `ops`, cut power after `crash_step` event boundaries (or at
 /// quiescence if the workload is shorter), and verify both recovery modes
-/// from the same captured medium.
+/// from the same captured medium. `faults`: the fault arm.
 fn check_crash(
     name: &str,
     mapping: MappingKind,
@@ -76,8 +110,25 @@ fn check_crash(
     ops: &[Op],
     qd: usize,
     crash_step: u64,
+    faults: Option<Faults>,
 ) -> Result<(), TestCaseError> {
-    let cfg = config(mapping, checkpoint_interval);
+    let mut cfg = config(mapping, checkpoint_interval);
+    if let Some(f) = faults {
+        cfg.logical_capacity = FAULTY_CAPACITY;
+        cfg.fault = Some(FaultConfig {
+            seed: f.seed,
+            program_fail_base: PROGRAM_FAIL,
+            program_fail_per_pe: 0.0,
+            erase_fail_base: 0.0,
+            erase_fail_per_pe: 0.0,
+            raw_bits_base: 0.0,
+            raw_bits_per_pe: 0.0,
+            raw_bits_per_retention_s: 0.0,
+            raw_bits_per_disturb: 0.0,
+            ..FaultConfig::default()
+        });
+    }
+    let in_window = faults.is_some_and(|f| f.in_window);
     let mut d = Driver::tiny(cfg.clone());
     let logical = d.c.logical_pages();
     let mut budget = crash_step;
@@ -89,7 +140,17 @@ fn check_crash(
                 Op::Read(l) => d.submit(RequestKind::Read, l % logical),
             };
         }
-        budget = d.step_n(budget);
+        while budget > 0 {
+            let failed = program_fails(&d);
+            if d.step().is_none() {
+                break;
+            }
+            budget -= 1;
+            // A program that failed at this instant runs past it.
+            if in_window && program_fails(&d) > failed {
+                break 'drive;
+            }
+        }
         if budget == 0 {
             break 'drive;
         }
@@ -196,7 +257,7 @@ proptest! {
     ) {
         for (name, mapping) in schemes() {
             // Checkpoints every 64 programs: several commit before the cut.
-            check_crash(name, mapping, 64, &ops, qd, crash_step)?;
+            check_crash(name, mapping, 64, &ops, qd, crash_step, None)?;
         }
     }
 
@@ -214,7 +275,37 @@ proptest! {
         crash_step in 1u64..1000,
     ) {
         for (name, mapping) in schemes() {
-            check_crash(name, mapping, 0, &ops, qd, crash_step)?;
+            check_crash(name, mapping, 0, &ops, qd, crash_step, None)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: if full_matrix() { 64 } else { 8 },
+        ..ProptestConfig::default()
+    })]
+
+    /// Clustered overwrites under program failures, cut at a random
+    /// boundary or inside a failed program's window.
+    #[test]
+    fn power_cut_under_program_failures_preserves_acknowledged_writes(
+        ops in prop::collection::vec(
+            prop_oneof![
+                8 => (0u64..96).prop_map(Op::Write),
+                1 => (0u64..96).prop_map(Op::Trim),
+                2 => (0u64..96).prop_map(Op::Read),
+            ],
+            300..700,
+        ),
+        qd in 1usize..24,
+        crash_step in 1u64..1500,
+        seed in 0u64..1_000_000,
+        in_window in any::<bool>(),
+    ) {
+        for (name, mapping) in schemes() {
+            let faults = Some(Faults { seed, in_window });
+            check_crash(name, mapping, 64, &ops, qd, crash_step, faults)?;
         }
     }
 }

@@ -166,16 +166,18 @@ fn fnv1a(text: &str) -> u64 {
 /// Golden hashes of the faulty-run fingerprints (2000 ops). Rows:
 /// `schemes()`; columns: `policies()`, in order. The completion stream
 /// and every counter are as the simulator produced them before the
-/// controller decomposition; the hashes were re-recorded once, when a
-/// span's stages stopped counting twice the overlap of a failed program
-/// and its retry (only those spans' `stages` moved).
+/// controller decomposition; the hashes were re-recorded twice since:
+/// once when a span's stages stopped counting twice the overlap of a
+/// failed program and its retry (only those spans' `stages` moved), and
+/// once when a failed program or erase began to report at its completion
+/// and to queue its retry only then (every faulty run's timing moved).
 const GOLDEN: [[u64; 5]; 3] = [
-    [0x309c_f51d_e0aa_5614, 0xb10f_79a9_f1ae_8353, 0xbfa0_930f_9d4e_6ba7,
-     0x7d4b_3b12_fbce_e630, 0xbace_6ab6_5729_4c9d],
-    [0x6a3e_5f4d_a13f_4834, 0x2705_e781_33be_635d, 0x6810_7f88_4a57_45cf,
-     0x1c88_6787_4d47_a23a, 0x6a3e_5f4d_a13f_4834],
-    [0xd63f_5e14_55f7_1de3, 0x5e70_a7bc_94b4_f7d1, 0x5e70_a7bc_94b4_f7d1,
-     0xb86e_b8e5_36d8_2a76, 0xd63f_5e14_55f7_1de3],
+    [0x8d1b_fc36_3572_a5d3, 0x4964_6fa2_7f97_df9f, 0x4964_6fa2_7f97_df9f,
+     0x9fe7_2a1b_2886_5ef7, 0x0460_fa2f_7fd6_0eca],
+    [0xbf0c_0efc_4392_25a6, 0xfea9_ac85_4a0e_7038, 0x603e_75e9_0db7_f337,
+     0xf445_cbea_a81d_9355, 0xbb1d_0c5b_02a1_5a6d],
+    [0x1601_2cfb_7795_c8bc, 0x3959_4dd3_70d4_49f2, 0x3959_4dd3_70d4_49f2,
+     0x1164_05aa_75e0_804d, 0x1601_2cfb_7795_c8bc],
 ];
 
 fn schemes() -> Vec<MappingKind> {
@@ -391,8 +393,12 @@ fn a_failed_program_is_retried_once_it_completes() {
         assert_eq!(d.c.stats().program_remaps, 1, "cached {cached}");
         let obs = d.c.obs().unwrap();
         let retried: Vec<_> = obs.spans().filter(|s| s.busy.len() > 1).collect();
-        let [s] = &retried[..] else { panic!("cached {cached}: {retried:?}") };
-        let [(_, _, failed_end), (_, retry_from, _)] = s.busy[..] else { panic!("{s:?}") };
+        let [s] = &retried[..] else {
+            panic!("cached {cached}: {retried:?}")
+        };
+        let [(_, _, failed_end), (_, retry_from, _)] = s.busy[..] else {
+            panic!("{s:?}")
+        };
         assert!(
             retry_from >= failed_end,
             "cached {cached}: retry issued at {retry_from:?}, the failed program ends at {failed_end:?}"

@@ -239,9 +239,8 @@ pub struct Span {
     pub stalled_behind: Option<(u64, &'static str)>,
     /// Flash busy windows `(lane, from, to)` of the issued commands
     /// (lane 0 = misc; `1 + lun_index` otherwise), as issued. Empty for
-    /// ops that completed without touching flash. Each starts within
-    /// `[start, end]` and ends by `end`, except a failed program's, which
-    /// may outlast the retry that completed the request.
+    /// ops that completed without touching flash. They are disjoint and
+    /// lie within `[start, end]`.
     pub busy: Vec<(u32, SimTime, SimTime)>,
 }
 
@@ -518,28 +517,19 @@ struct OpenSpan {
 }
 
 impl OpenSpan {
-    /// Charge the time since the cursor to `stage`, up to `now`; a `now`
-    /// behind the cursor charges nothing and leaves it where it is.
+    /// Charge the time since the cursor to `stage`, up to `now`.
     fn charge(&mut self, stage: Stage, now: SimTime) {
+        debug_assert!(now >= self.last, "span #{}: charged behind its cursor", self.rec.id);
         self.rec
             .stages
             .add(stage, now.saturating_since(self.last).as_nanos());
-        self.last = self.last.max(now);
+        self.last = now;
     }
 
     /// End the span at `end`, charging what is left to
-    /// [`Stage::SchedPending`]. A window still busy at `end` (a failed
-    /// program outlasting the retry that acknowledged its request) counts
-    /// only up to `end`: the time past it comes off [`Stage::Retry`] first
-    /// (retry rounds end a window), then [`Stage::Media`].
+    /// [`Stage::SchedPending`].
     fn close_at(&mut self, end: SimTime) {
         self.charge(Stage::SchedPending, end);
-        let mut past = self.last.saturating_since(end).as_nanos();
-        for stage in [Stage::Retry, Stage::Media] {
-            let cut = past.min(self.rec.stages.get(stage));
-            self.rec.stages.0[stage as usize] -= cut;
-            past -= cut;
-        }
         self.rec.end = end;
     }
 }
@@ -662,15 +652,14 @@ impl Obs {
 
     /// Record a flash-command issue for `span`: the wait since the last
     /// boundary becomes [`Stage::SchedPending`], the busy window
-    /// `[now, done_at)` splits into [`Stage::Media`] and [`Stage::Retry`],
-    /// and the cursor advances to `done_at`. A window that overlaps one
-    /// already charged (a program retried elsewhere while the failed one
-    /// is still busy) is charged only past the cursor. Internal spans
-    /// (not bound to a host request) close here — their lifecycle ends
-    /// when the command's effect lands — and mark the lane busy for
-    /// interference attribution; host-bound spans instead pick up a
-    /// "stalled behind" annotation if an internal op occupied the lane
-    /// after they were enqueued (`waited_since`).
+    /// `[now, done_at)` is charged whole — `retry` of it, the read-retry
+    /// rounds, to [`Stage::Retry`], the rest to [`Stage::Media`] — and the
+    /// cursor advances to `done_at`. Internal spans (not bound to a host
+    /// request) close here — their lifecycle ends when the command's
+    /// effect lands — and mark the lane busy for interference
+    /// attribution; host-bound spans instead pick up a "stalled behind"
+    /// annotation if an internal op occupied the lane after they were
+    /// enqueued (`waited_since`).
     #[expect(
         clippy::too_many_arguments,
         reason = "one caller (the controller's flash issue); a parameter struct would only rename its seven values"
@@ -689,11 +678,8 @@ impl Obs {
             return;
         };
         s.charge(Stage::SchedPending, now);
-        let busy = done_at.saturating_since(s.last);
-        let retry = retry.min(busy);
-        s.rec.stages.add(Stage::Media, (busy - retry).as_nanos());
-        s.rec.stages.add(Stage::Retry, retry.as_nanos());
-        s.last = s.last.max(done_at);
+        s.charge(Stage::Retry, now + retry);
+        s.charge(Stage::Media, done_at);
         s.busy.push((lane, now, done_at));
         let li = lane as usize;
         if host_bound {
@@ -1285,37 +1271,34 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_windows_charge_each_nanosecond_once() {
+    fn a_window_is_charged_whole_and_ends_by_its_close() {
         let mut o = Obs::new(4).unwrap();
         // A write's program issues at 10 µs, busy until 50, and fails; its
-        // retry issues at 20 µs on another lane, busy until 70. The
-        // overlap, 20–50 µs, is Media once; a window wholly inside the
-        // charged time adds nothing.
+        // retry issues at 60, once the failure has reported, busy until
+        // 100, and the write is acknowledged then. Each window is Media
+        // whole, the gaps around them SchedPending.
         let w = o.open("AppWrite", Some(0), t(0));
         o.on_issue(w, 4, t(10), t(50), SimDuration::ZERO, t(0), true);
-        o.on_issue(w, 2, t(20), t(70), SimDuration::ZERO, t(0), true);
-        o.on_issue(w, 3, t(30), t(40), SimDuration::from_micros(5), t(0), true);
-        assert!(o.close_host(w, t(70)));
+        o.on_issue(w, 2, t(60), t(100), SimDuration::ZERO, t(0), true);
+        assert!(o.close_host(w, t(100)));
         let s = o.spans().next().unwrap();
-        assert_eq!(s.stages.0, [0, 0, 10_000, 60_000, 0]);
-        // The windows stay as issued.
-        assert_eq!(
-            s.busy,
-            [(4, t(10), t(50)), (2, t(20), t(70)), (3, t(30), t(40))]
-        );
-        // A retry that acknowledges its request at 160 µs, while the failed
-        // program is busy until 190: the span counts up to its end only.
-        let r = o.open("AppWrite", Some(0), t(100));
-        o.on_issue(r, 4, t(100), t(190), SimDuration::ZERO, t(100), true);
-        o.on_issue(r, 2, t(110), t(160), SimDuration::ZERO, t(100), true);
-        assert_eq!(o.close(r, t(160)).0, [0, 0, 0, 60_000, 0]);
-        assert_eq!(o.spans().nth(1).unwrap().busy[0], (4, t(100), t(190)));
-        // Time past the end comes off the retry rounds first: they end a
-        // window.
+        assert_eq!(s.stages.0, [0, 0, 20_000, 80_000, 0]);
+        assert_eq!(s.busy, [(4, t(10), t(50)), (2, t(60), t(100))]);
+        // A read's retry rounds are its window's share, the rest Media.
         let rd = o.open("AppRead", Some(0), t(200));
         let retry = SimDuration::from_micros(30);
         o.on_issue(rd, 1, t(200), t(240), retry, t(200), true);
-        assert_eq!(o.close(rd, t(220)).0, [0, 0, 0, 10_000, 10_000]);
+        assert_eq!(o.close(rd, t(240)).0, [0, 0, 0, 10_000, 30_000]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "charged behind its cursor")]
+    fn a_close_inside_a_window_is_a_bug() {
+        let mut o = Obs::new(4).unwrap();
+        let w = o.open("AppWrite", Some(0), t(0));
+        o.on_issue(w, 4, t(10), t(50), SimDuration::ZERO, t(0), true);
+        o.close_host(w, t(40));
     }
 
     #[test]
@@ -1783,7 +1766,11 @@ mod tests {
         match which {
             0 => o.acc(id, Stage::SchedPending, now),
             1 => o.acc_queue(id, now, SimDuration::from_nanos(req % 700)),
-            2 => o.on_issue(id, id as u32, now, done_at, SimDuration::from_nanos(req % 300), now, true),
+            2 => {
+                // Read-retry rounds are a share of the window.
+                let retry = SimDuration::from_nanos(req % 300).min(done_at.since(now));
+                o.on_issue(id, id as u32, now, done_at, retry, now, true);
+            }
             3 => o.on_issue(id, id as u32, now, done_at, SimDuration::ZERO, now, false),
             4 => {
                 o.close(id, now);

@@ -15,11 +15,13 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// Digests of the capture's Perfetto JSON, its timeline CSV and the E27
-/// smoke table's CSV, in that order.
+/// smoke table's CSV, in that order. E27 runs with program failures: its
+/// digest was re-recorded when a failed program began to report at its
+/// completion and to queue its retry only then.
 const GOLDEN: [u64; 3] = [
     0x72a9_cb89_9256_47e9,
     0x5dba_fb92_559a_f3d3,
-    0xfec6_edfc_4778_3368,
+    0x0379_de3d_7fbe_b80d,
 ];
 
 #[test]
