@@ -10,7 +10,8 @@
 //! workload carries priority tags so `TagPriority` actually discriminates).
 
 use eagletree_controller::{
-    ControllerConfig, Driver, IoTags, MappingKind, MergePolicy, RequestKind, SchedPolicy, WlConfig,
+    Controller, ControllerConfig, Driver, IoTags, MappingKind, MergePolicy, RecoveryMode,
+    RequestKind, SchedPolicy, WlConfig,
 };
 use eagletree_core::{ObsConfig, SimRng};
 
@@ -244,5 +245,67 @@ fn sched_policies_actually_differ() {
         "expected scheduling policies to produce distinct schedules, got {} distinct of {}",
         distinct.len(),
         prints.len()
+    );
+}
+
+/// Run a checkpointed churn with GC under `mapping`, cut power while
+/// programs are in flight, and remount under each [`RecoveryMode`]; for
+/// each remount, the FNV-1a digest of every page's OOB record and torn
+/// flag, every logical page's mapping and the recovery report.
+fn crash_remount_digests(mapping: MappingKind) -> [u64; 2] {
+    let cfg = ControllerConfig {
+        mapping,
+        checkpoint_interval_programs: 64,
+        ..ControllerConfig::default()
+    };
+    let mut d = Driver::tiny(cfg.clone());
+    let logical = d.c.logical_pages();
+    let mut rng = SimRng::new(0x0C0B_2E57);
+    for i in 0..3000u32 {
+        let lpn = rng.gen_range(logical);
+        let kind = if i % 16 == 0 { RequestKind::Trim } else { RequestKind::Write };
+        d.submit(kind, lpn);
+        if i % 32 == 31 {
+            d.run().unwrap();
+        }
+    }
+    // Cut a few events into the last burst, with programs in flight.
+    d.step_n(12);
+    let reclaimed = d.c.stats().gc_erases + d.c.stats().merge_erases;
+    assert!(reclaimed > 0, "{mapping:?}: the churn never reclaimed a block");
+    let image = d.c.power_cut(d.now);
+    assert!(image.has_checkpoint(), "{mapping:?}: no checkpoint committed");
+    [RecoveryMode::FullScan, RecoveryMode::Checkpoint].map(|mode| {
+        let (c, report) = Controller::remount(image.clone(), cfg.clone(), mode).unwrap();
+        assert!(report.torn_pages > 0, "{mapping:?}/{mode:?}: the cut tore no page");
+        assert_eq!(report.used_checkpoint, mode == RecoveryMode::Checkpoint);
+        let mut out = format!("{report:?}\n");
+        let a = c.array();
+        for p in 0..a.geometry().total_pages() {
+            out.push_str(&format!("{:?} {}\n", a.oob_at(p), a.is_torn_at(p)));
+        }
+        for lpn in 0..logical {
+            out.push_str(&format!("{:?}\n", c.peek_mapping(lpn)));
+        }
+        fnv1a(&out)
+    })
+}
+
+/// What a power cut and remount leave on the medium and in the map,
+/// pinned per scheme (rows: `golden_mappings`; columns: full scan,
+/// checkpoint replay). Any change to how OOB records, torn pages or the
+/// mapping tables are stored must leave these unchanged.
+const CRASH_GOLDEN: [[u64; 2]; 3] = [
+    [0x8723_944c_b7c9_528a, 0xc88d_51f6_71a2_ae81],
+    [0xeb92_8e68_5d7c_aab2, 0x24c6_4362_5564_7876],
+    [0xda1f_ff19_cbc2_3af8, 0x1b75_62b2_dda3_09d2],
+];
+
+#[test]
+fn crash_remount_state_matches_pinned_digests() {
+    let got: Vec<[u64; 2]> = golden_mappings().into_iter().map(crash_remount_digests).collect();
+    assert!(
+        got == CRASH_GOLDEN,
+        "the medium or the map after a remount changed; got\n{got:#018x?}"
     );
 }
