@@ -141,7 +141,6 @@ impl Controller {
         let ftl = match cfg.mapping {
             MappingKind::PageMap => FtlKind::PageMap(PageMap::restore(rec.data_map)),
             MappingKind::Dftl { cmt_entries } => FtlKind::Dftl(Box::new(Dftl::restore(
-                logical_pages,
                 cmt_entries,
                 entries_per_tp,
                 rec.data_map,
@@ -150,7 +149,6 @@ impl Controller {
             MappingKind::Hybrid { log_blocks, merge } => {
                 let layout = recovery::classify_hybrid(&array, logical_pages);
                 FtlKind::Hybrid(Box::new(Hybrid::restore(
-                    logical_pages,
                     geometry.pages_per_block,
                     log_blocks,
                     merge,
@@ -294,7 +292,7 @@ impl Controller {
                         .iter()
                         .copied()
                         .filter(|&(lpn, _)| {
-                            lpn < logical_pages && rec.data_map[lpn as usize].is_none()
+                            lpn < logical_pages && rec.data_map.get(lpn).is_none()
                         })
                         .collect()
                 })
@@ -311,8 +309,8 @@ impl Controller {
             torn_pages: cut.torn_pages,
             interrupted_erases: cut.interrupted_erases,
             blocks_erased: rec.blocks_erased,
-            data_entries: rec.data_map.iter().filter(|e| e.is_some()).count() as u64,
-            translation_entries: rec.trans_map.iter().filter(|e| e.is_some()).count() as u64,
+            data_entries: rec.data_map.iter().flatten().count() as u64,
+            translation_entries: rec.trans_map.iter().flatten().count() as u64,
             mount_time: rec.mount_time,
         };
         let resumed = Resumed {

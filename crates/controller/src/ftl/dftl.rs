@@ -24,17 +24,17 @@
 
 use crate::bits::BitSet;
 use crate::ftl::lru::LruCache;
-use crate::ftl::{MapLookup, TranslationWriteback};
+use crate::ftl::{MapLookup, PpnTable, TranslationWriteback};
 use crate::types::{Lpn, Ppn};
 
 /// DFTL mapping scheme.
 pub struct Dftl {
     /// Authoritative logical→physical map (simulator ground truth).
-    map: Vec<Option<Ppn>>,
+    map: PpnTable,
     /// Cached mapping table: which entries are in controller RAM.
     cmt: LruCache,
     /// tvpn → flash location of the translation page.
-    gtd: Vec<Option<Ppn>>,
+    gtd: PpnTable,
     /// GC-relocated entries not yet persisted nor cached.
     pending: BitSet,
     /// How many of them each translation page covers.
@@ -62,43 +62,47 @@ pub struct DftlStats {
     pub batched_entries: u64,
 }
 
+/// Translation pages covering `logical_pages` at `entries_per_tp` each.
+fn tvpns_for(logical_pages: u64, entries_per_tp: u64) -> u64 {
+    assert!(entries_per_tp > 0, "entries_per_tp must be positive");
+    logical_pages.div_ceil(entries_per_tp).max(1)
+}
+
 impl Dftl {
     /// A DFTL over `logical_pages`, with `cmt_entries` cached entries and
     /// translation pages covering `entries_per_tp` entries each
     /// (typically `page_size / 8`).
     pub fn new(logical_pages: u64, cmt_entries: usize, entries_per_tp: u64) -> Self {
-        assert!(entries_per_tp > 0, "entries_per_tp must be positive");
-        let tvpns = logical_pages.div_ceil(entries_per_tp).max(1);
+        let tvpns = tvpns_for(logical_pages, entries_per_tp);
+        let (map, gtd) = (PpnTable::unmapped(logical_pages), PpnTable::unmapped(tvpns));
+        Dftl::restore(cmt_entries, entries_per_tp, map, gtd)
+    }
+
+    /// Rebuild a DFTL from recovered state (mount-time OOB scan or
+    /// checkpoint replay): the authoritative data map (one slot per
+    /// logical page) plus the flash locations of surviving translation
+    /// pages (one slot per translation page). The CMT starts cold and the
+    /// pending set empty — the first lookups after a remount pay
+    /// translation fetches, exactly the cost model a cold mount implies.
+    pub fn restore(
+        cmt_entries: usize,
+        entries_per_tp: u64,
+        map: PpnTable,
+        gtd: PpnTable,
+    ) -> Self {
+        let logical_pages = map.len();
+        let tvpns = tvpns_for(logical_pages, entries_per_tp);
+        assert_eq!(gtd.len(), tvpns, "one GTD slot per translation page");
         Dftl {
-            map: vec![None; logical_pages as usize],
+            map,
             cmt: LruCache::new(cmt_entries, logical_pages),
-            gtd: vec![None; tvpns as usize],
+            gtd,
             pending: BitSet::new(logical_pages),
             pending_in: vec![0; tvpns as usize],
             queued: Vec::new(),
             entries_per_tp,
             stats: DftlStats::default(),
         }
-    }
-
-    /// Rebuild a DFTL from recovered state (mount-time OOB scan or
-    /// checkpoint replay): the authoritative data map plus the flash
-    /// locations of surviving translation pages. The CMT starts cold and
-    /// the pending set empty — the first lookups after a remount pay
-    /// translation fetches, exactly the cost model a cold mount implies.
-    pub fn restore(
-        logical_pages: u64,
-        cmt_entries: usize,
-        entries_per_tp: u64,
-        map: Vec<Option<Ppn>>,
-        gtd: Vec<Option<Ppn>>,
-    ) -> Self {
-        let mut d = Dftl::new(logical_pages, cmt_entries, entries_per_tp);
-        assert_eq!(map.len(), d.map.len());
-        assert_eq!(gtd.len(), d.gtd.len());
-        d.map = map;
-        d.gtd = gtd;
-        d
     }
 
     /// Cost-model counters.
@@ -108,7 +112,7 @@ impl Dftl {
 
     /// Number of translation virtual pages.
     pub fn tvpn_count(&self) -> u64 {
-        self.gtd.len() as u64
+        self.gtd.len()
     }
 
     pub fn tvpn_of(&self, lpn: Lpn) -> u64 {
@@ -133,7 +137,7 @@ impl Dftl {
         self.clear_pending(tvpn);
         self.queued.push(TranslationWriteback {
             tvpn,
-            old_ppn: self.gtd[tvpn as usize],
+            old_ppn: self.gtd.get(tvpn),
         });
     }
 
@@ -179,7 +183,7 @@ impl Dftl {
                 self.cmt.pin(lpn);
             }
             self.stats.cmt_hits += 1;
-            return MapLookup::Ready(self.map[lpn as usize]);
+            return MapLookup::Ready(self.map.get(lpn));
         }
         if self.take_pending(lpn) {
             // The latest location is known in RAM (awaiting fold); no flash
@@ -190,9 +194,9 @@ impl Dftl {
             if pin {
                 self.cmt.pin(lpn);
             }
-            return MapLookup::Ready(self.map[lpn as usize]);
+            return MapLookup::Ready(self.map.get(lpn));
         }
-        if self.gtd[tvpn as usize].is_none() {
+        if self.gtd.get(tvpn).is_none() {
             // Translation page never persisted: every entry it covers is
             // either cached, pending, or unmapped. Not cached or pending ⇒
             // unmapped; answer without flash IO, and cache the (empty)
@@ -202,7 +206,7 @@ impl Dftl {
                 self.cmt.pin(lpn);
             }
             self.stats.cmt_hits += 1;
-            return MapLookup::Ready(self.map[lpn as usize]);
+            return MapLookup::Ready(self.map.get(lpn));
         }
         self.stats.misses += 1;
         MapLookup::NeedsFetch(tvpn)
@@ -213,18 +217,15 @@ impl Dftl {
     }
 
     pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
-        let old = self.map[lpn as usize].replace(ppn);
+        let old = self.map.replace(lpn, ppn);
         self.take_pending(lpn);
         self.cmt_insert(lpn, true);
         old
     }
 
     pub fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        debug_assert!(
-            self.map[lpn as usize].is_some(),
-            "relocate of unmapped lpn {lpn}"
-        );
-        self.map[lpn as usize] = Some(new_ppn);
+        let old = self.map.replace(lpn, new_ppn);
+        debug_assert!(old.is_some(), "relocate of unmapped lpn {lpn}");
         if self.cmt.touch(lpn) {
             self.cmt.set_dirty(lpn, true);
         } else if !self.pending.get(lpn) {
@@ -235,7 +236,7 @@ impl Dftl {
     }
 
     pub fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
-        let old = self.map[lpn as usize].take();
+        let old = self.map.take(lpn);
         if old.is_some() {
             self.take_pending(lpn);
             // Record the unmapping so it persists: cache dirty.
@@ -255,24 +256,24 @@ impl Dftl {
     }
 
     pub fn translation_location(&self, tvpn: u64) -> Option<Ppn> {
-        self.gtd[tvpn as usize]
+        self.gtd.get(tvpn)
     }
 
     pub fn translation_written(&mut self, tvpn: u64, new_ppn: Ppn) -> Option<Ppn> {
         // A fresh flash copy subsumes any pending relocations of this page.
         self.clear_pending(tvpn);
-        self.gtd[tvpn as usize].replace(new_ppn)
+        self.gtd.replace(tvpn, new_ppn)
     }
 
     pub fn ram_bytes(&self) -> u64 {
         // CMT entries: 16 B (lpn + ppn); GTD: 8 B per tvpn; pending: 8 B.
         self.cmt.capacity() as u64 * 16
-            + self.gtd.len() as u64 * 8
+            + self.gtd.len() * 8
             + self.pending_in.iter().map(|&n| n as u64 * 8).sum::<u64>()
     }
 
     pub fn peek(&self, lpn: Lpn) -> Option<Ppn> {
-        self.map[lpn as usize]
+        self.map.get(lpn)
     }
 }
 

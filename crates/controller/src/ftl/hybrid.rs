@@ -34,7 +34,7 @@
 //! the scheme's selling point against a full page map).
 
 use crate::config::MergePolicy;
-use crate::ftl::MapLookup;
+use crate::ftl::{MapLookup, PpnTable};
 use crate::types::{Lpn, Ppn};
 
 /// Where the next write of an LPN must go, per the log-block discipline.
@@ -121,6 +121,12 @@ struct LogBlock {
     entries: Vec<Lpn>,
 }
 
+/// Logical blocks covering `logical_pages` at `pages_per_block` each.
+fn lbns_for(logical_pages: u64, pages_per_block: u32) -> u64 {
+    assert!(pages_per_block > 0, "pages_per_block must be positive");
+    logical_pages.div_ceil(pages_per_block as u64).max(1)
+}
+
 impl LogBlock {
     fn new(base: Ppn) -> Self {
         LogBlock {
@@ -148,11 +154,11 @@ struct SwLog {
 /// The hybrid log-block FTL.
 pub struct Hybrid {
     /// Authoritative logical→physical map (simulator ground truth).
-    map: Vec<Option<Ppn>>,
+    map: PpnTable,
     /// Pages per (logical and physical) block.
     ppb: u64,
     /// lbn → base PPN of its data block.
-    dir: Vec<Option<Ppn>>,
+    dir: PpnTable,
     /// The sequential log block, if open.
     sw: Option<SwLog>,
     /// Random log blocks, oldest first; only the last may be non-full.
@@ -176,26 +182,15 @@ impl Hybrid {
         log_blocks: usize,
         policy: MergePolicy,
     ) -> Self {
-        assert!(pages_per_block > 0, "pages_per_block must be positive");
-        assert!(log_blocks > 0, "log_blocks must be positive");
-        let ppb = pages_per_block as u64;
-        let lbns = logical_pages.div_ceil(ppb).max(1);
-        Hybrid {
-            map: vec![None; logical_pages as usize],
-            ppb,
-            dir: vec![None; lbns as usize],
-            sw: None,
-            rw: Vec::new(),
-            budget: log_blocks,
-            policy,
-            events: Vec::new(),
-            stats: HybridStats::default(),
-        }
+        let lbns = lbns_for(logical_pages, pages_per_block);
+        let (map, dir) = (PpnTable::unmapped(logical_pages), PpnTable::unmapped(lbns));
+        Hybrid::restore(pages_per_block, log_blocks, policy, map, dir, Vec::new())
     }
 
     /// Rebuild a hybrid FTL from recovered state (mount-time OOB scan).
     ///
-    /// `dir` registers the blocks recovery classified as data blocks (all
+    /// `map` is the recovered logical→physical map, one slot per logical
+    /// page; `dir` registers the blocks recovery classified as data blocks (all
     /// live pages at their logical offsets, one logical block each);
     /// `logs` re-registers every other block still holding live pages as a
     /// random log block `(base, entries)`, where `entries[o]` is the OOB
@@ -206,26 +201,35 @@ impl Hybrid {
     /// the excess down before accepting new random writes, the recovery
     /// merge storm a crashed log pool implies.
     pub fn restore(
-        logical_pages: u64,
         pages_per_block: u32,
         log_blocks: usize,
         policy: MergePolicy,
-        map: Vec<Option<Ppn>>,
-        dir: Vec<Option<Ppn>>,
+        map: PpnTable,
+        dir: PpnTable,
         logs: Vec<(Ppn, Vec<Lpn>)>,
     ) -> Self {
-        let mut h = Hybrid::new(logical_pages, pages_per_block, log_blocks, policy);
-        assert_eq!(map.len(), h.map.len());
-        assert_eq!(dir.len(), h.dir.len());
-        h.map = map;
-        h.dir = dir;
-        for (base, entries) in logs {
-            let mut lb = LogBlock::new(base);
-            lb.fill = entries.len() as u32;
-            lb.entries = entries;
-            h.rw.push(lb);
+        assert!(log_blocks > 0, "log_blocks must be positive");
+        let lbns = lbns_for(map.len(), pages_per_block);
+        assert_eq!(dir.len(), lbns, "one directory slot per logical block");
+        let rw = logs
+            .into_iter()
+            .map(|(base, entries)| LogBlock {
+                fill: entries.len() as u32,
+                entries,
+                ..LogBlock::new(base)
+            })
+            .collect();
+        Hybrid {
+            map,
+            ppb: pages_per_block as u64,
+            dir,
+            sw: None,
+            rw,
+            budget: log_blocks,
+            policy,
+            events: Vec::new(),
+            stats: HybridStats::default(),
         }
-        h
     }
 
     /// Scheme-level merge counters.
@@ -240,13 +244,13 @@ impl Hybrid {
 
     /// Number of logical blocks.
     pub fn lbn_count(&self) -> u64 {
-        self.dir.len() as u64
+        self.dir.len()
     }
 
     /// Pages `lbn` actually spans (the last logical block may be partial).
     fn lbn_pages(&self, lbn: u64) -> u32 {
         let start = lbn * self.ppb;
-        (self.map.len() as u64 - start).min(self.ppb) as u32
+        (self.map.len() - start).min(self.ppb) as u32
     }
 
     /// Log blocks currently in use (SW + RW), as base PPNs.
@@ -377,7 +381,7 @@ impl Hybrid {
 
     /// Current data block of `lbn`, as a base PPN.
     pub fn data_block(&self, lbn: u64) -> Option<Ppn> {
-        self.dir[lbn as usize]
+        self.dir.get(lbn)
     }
 
     /// Take the SW log block for merging, once no append is in flight.
@@ -392,7 +396,7 @@ impl Hybrid {
         let base = sw.lb.base;
         let lbn = sw.lbn;
         let prefix_current = (0..sw.lb.fill)
-            .all(|o| self.map[(lbn * self.ppb + o as u64) as usize] == Some(base + o as u64));
+            .all(|o| self.map.get(lbn * self.ppb + o as u64) == Some(base + o as u64));
         let reuse_from = prefix_current.then_some(sw.lb.fill);
         if reuse_from.is_some() {
             // Switch vs partial is decided by whether a tail remains; the
@@ -432,7 +436,7 @@ impl Hybrid {
         let victim = self.rw.remove(idx);
         let mut lbns: Vec<u64> = Vec::new();
         for (o, &lpn) in victim.entries.iter().enumerate() {
-            if self.map[lpn as usize] == Some(victim.base + o as u64) {
+            if self.map.get(lpn) == Some(victim.base + o as u64) {
                 let lbn = self.lbn_of(lpn);
                 if !lbns.contains(&lbn) {
                     lbns.push(lbn);
@@ -451,7 +455,7 @@ impl Hybrid {
         lb.entries
             .iter()
             .enumerate()
-            .filter(|(o, &lpn)| self.map[lpn as usize] == Some(lb.base + *o as u64))
+            .filter(|(o, &lpn)| self.map.get(lpn) == Some(lb.base + *o as u64))
             .count() as u32
     }
 
@@ -462,7 +466,7 @@ impl Hybrid {
         let pages = self.lbn_pages(lbn);
         (0..pages)
             .rev()
-            .find(|&o| self.map[(lbn * self.ppb + o as u64) as usize].is_some())
+            .find(|&o| self.map.get(lbn * self.ppb + o as u64).is_some())
             .map_or(0, |o| o + 1)
     }
 
@@ -476,8 +480,8 @@ impl Hybrid {
     /// the logical block had no live pages and keeps no data block).
     /// Returns the superseded data block to erase, if any.
     pub fn fold_finished(&mut self, lbn: u64, dest: Option<Ppn>) -> Option<Ppn> {
-        let old = self.dir[lbn as usize];
-        self.dir[lbn as usize] = dest;
+        let old = self.dir.get(lbn);
+        self.dir.set(lbn, dest);
         old.filter(|&o| Some(o) != dest)
     }
 
@@ -512,8 +516,7 @@ impl Hybrid {
             return;
         }
         let (base, lbn) = (sw.lb.base, sw.lbn);
-        let complete =
-            (0..self.ppb).all(|o| self.map[(lbn * self.ppb + o) as usize] == Some(base + o));
+        let complete = (0..self.ppb).all(|o| self.map.get(lbn * self.ppb + o) == Some(base + o));
         if !complete {
             return;
         }
@@ -535,11 +538,11 @@ impl Hybrid {
     pub fn lookup(&mut self, lpn: Lpn, _pin: bool) -> MapLookup {
         // The directory and log page tables fit in RAM: lookups never
         // require flash IOs (the scheme's cost sits in merges instead).
-        MapLookup::Ready(self.map[lpn as usize])
+        MapLookup::Ready(self.map.get(lpn))
     }
 
     pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
-        let old = self.map[lpn as usize].replace(ppn);
+        let old = self.map.replace(lpn, ppn);
         self.note_commit(ppn);
         self.maybe_switch();
         old
@@ -549,15 +552,12 @@ impl Hybrid {
     /// (generic GC/WL relocation does not run under the hybrid scheme;
     /// merges replace it).
     pub fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        debug_assert!(
-            self.map[lpn as usize].is_some(),
-            "relocate of unmapped lpn {lpn}"
-        );
-        self.map[lpn as usize] = Some(new_ppn);
+        let old = self.map.replace(lpn, new_ppn);
+        debug_assert!(old.is_some(), "relocate of unmapped lpn {lpn}");
     }
 
     pub fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
-        self.map[lpn as usize].take()
+        self.map.take(lpn)
     }
 
     pub fn ram_bytes(&self) -> u64 {
@@ -568,11 +568,11 @@ impl Hybrid {
         // authoritative `map` is simulator ground truth, not part of the
         // modeled footprint.
         let log_blocks = self.budget as u64 + 1;
-        self.dir.len() as u64 * 8 + log_blocks * (self.ppb * 8 + 32)
+        self.dir.len() * 8 + log_blocks * (self.ppb * 8 + 32)
     }
 
     pub fn peek(&self, lpn: Lpn) -> Option<Ppn> {
-        self.map[lpn as usize]
+        self.map.get(lpn)
     }
 }
 

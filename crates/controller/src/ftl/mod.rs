@@ -29,11 +29,13 @@ mod dftl;
 mod hybrid;
 mod lru;
 mod page_map;
+mod table;
 
 pub use dftl::{Dftl, DftlStats};
 pub use hybrid::{FullMergePlan, Hybrid, HybridEvent, HybridPlace, HybridStats, SwMergePlan};
 pub use lru::LruCache;
 pub use page_map::PageMap;
+pub use table::PpnTable;
 
 use crate::types::{Lpn, Ppn};
 

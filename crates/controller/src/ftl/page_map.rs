@@ -2,28 +2,28 @@
 //!
 //! The simplest flexible scheme: the whole logical→physical map lives in
 //! controller DRAM, so every lookup and update is free of flash IOs. Its
-//! cost is RAM: 8 bytes per logical page, reported via
-//! [`PageMap::ram_bytes`] so experiments can compare against DFTL budgets.
+//! cost is RAM: the modeled controller spends 8 bytes per logical page,
+//! reported via [`PageMap::ram_bytes`] so experiments can compare against
+//! DFTL budgets. The simulator's own table ([`PpnTable`]) holds 4 bytes
+//! per logical page on the host.
 
-use crate::ftl::MapLookup;
+use crate::ftl::{MapLookup, PpnTable};
 use crate::types::{Lpn, Ppn};
 
 /// Full page-level map held in RAM.
 pub struct PageMap {
-    map: Vec<Option<Ppn>>,
+    map: PpnTable,
 }
 
 impl PageMap {
     /// A map for `logical_pages` pages, all initially unmapped.
     pub fn new(logical_pages: u64) -> Self {
-        PageMap {
-            map: vec![None; logical_pages as usize],
-        }
+        PageMap::restore(PpnTable::unmapped(logical_pages))
     }
 
     /// Rebuild a map from a recovered logical→physical table (mount-time
     /// OOB scan or checkpoint replay).
-    pub fn restore(map: Vec<Option<Ppn>>) -> Self {
+    pub fn restore(map: PpnTable) -> Self {
         PageMap { map }
     }
 }
@@ -31,31 +31,28 @@ impl PageMap {
 /// The scheme's share of [`FtlKind`]'s methods (documented there).
 impl PageMap {
     pub fn lookup(&mut self, lpn: Lpn, _pin: bool) -> MapLookup {
-        MapLookup::Ready(self.map[lpn as usize])
+        MapLookup::Ready(self.map.get(lpn))
     }
 
     pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
-        self.map[lpn as usize].replace(ppn)
+        self.map.replace(lpn, ppn)
     }
 
     pub fn relocate(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        debug_assert!(
-            self.map[lpn as usize].is_some(),
-            "relocate of unmapped lpn {lpn}"
-        );
-        self.map[lpn as usize] = Some(new_ppn);
+        let old = self.map.replace(lpn, new_ppn);
+        debug_assert!(old.is_some(), "relocate of unmapped lpn {lpn}");
     }
 
     pub fn trim(&mut self, lpn: Lpn) -> Option<Ppn> {
-        self.map[lpn as usize].take()
+        self.map.take(lpn)
     }
 
     pub fn ram_bytes(&self) -> u64 {
-        self.map.len() as u64 * 8
+        self.map.len() * 8
     }
 
     pub fn peek(&self, lpn: Lpn) -> Option<Ppn> {
-        self.map[lpn as usize]
+        self.map.get(lpn)
     }
 }
 

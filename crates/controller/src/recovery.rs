@@ -48,6 +48,7 @@ use std::collections::BTreeMap;
 use eagletree_core::{SimDuration, SimTime};
 use eagletree_flash::{BlockAddr, FlashArray, OobTag, PageState, PowerCutReport};
 
+use crate::ftl::PpnTable;
 use crate::types::{Lpn, Ppn};
 
 /// How a remount rebuilds the mapping.
@@ -85,10 +86,10 @@ pub struct CheckpointRecord {
     /// recovery re-scans exactly the blocks holding newer stamps.
     pub watermark: u64,
     /// lpn → ppn at snapshot time.
-    pub data: Vec<Option<Ppn>>,
+    pub data: PpnTable,
     /// tvpn → flash location of each translation page at snapshot time
     /// (empty outside DFTL).
-    pub trans: Vec<Option<Ppn>>,
+    pub trans: PpnTable,
     /// Which reserved slot holds it.
     pub slot: u8,
     /// The reserved blocks the snapshot was programmed into.
@@ -169,8 +170,8 @@ fn fold(slot: &mut Option<Winner>, cand: Winner) {
 
 /// Everything the scan-and-reconcile pass rebuilds.
 pub(crate) struct Recovered {
-    pub data_map: Vec<Option<Ppn>>,
-    pub trans_map: Vec<Option<Ppn>>,
+    pub data_map: PpnTable,
+    pub trans_map: PpnTable,
     /// Highest stamp observed anywhere; the remounted controller's stamp
     /// counter resumes above it.
     pub max_stamp: u64,
@@ -188,8 +189,8 @@ impl Recovered {
     /// does.
     pub(crate) fn fresh(logical_pages: u64, tvpns: u64) -> Self {
         Recovered {
-            data_map: vec![None; logical_pages as usize],
-            trans_map: vec![None; tvpns as usize],
+            data_map: PpnTable::unmapped(logical_pages),
+            trans_map: PpnTable::unmapped(tvpns),
             max_stamp: 0,
             used_checkpoint: false,
             oob_scanned: 0,
@@ -252,7 +253,7 @@ pub(crate) fn recover_medium(
             per_lun_reads[g.lun_index(block.channel, block.lun) as usize] += written;
         }
         for (lpn, slot) in r.data.iter().enumerate() {
-            let Some(ppn) = *slot else { continue };
+            let Some(ppn) = slot else { continue };
             match flash.oob_checked(g.page_at(ppn), now) {
                 Err(_) => oob_uncorrectable += 1,
                 Ok(Some(e)) => {
@@ -267,7 +268,7 @@ pub(crate) fn recover_medium(
             }
         }
         for (tvpn, slot) in r.trans.iter().enumerate() {
-            let Some(ppn) = *slot else { continue };
+            let Some(ppn) = slot else { continue };
             if tvpn as u64 >= tvpns {
                 continue;
             }
@@ -354,19 +355,14 @@ pub(crate) fn recover_medium(
     }
 
     // Reconcile: validity is controller RAM state — the rebuilt view wins.
-    let mut data_map: Vec<Option<Ppn>> = vec![None; logical_pages as usize];
-    for (lpn, w) in data.iter().enumerate() {
-        let Some((ppn, _, _)) = *w else { continue };
-        data_map[lpn] = Some(ppn);
+    let data_map: PpnTable = data.iter().map(|w| w.map(|(ppn, _, _)| ppn)).collect();
+    let trans_map: PpnTable = if keep_translation {
+        trans.iter().map(|w| w.map(|(ppn, _, _)| ppn)).collect()
+    } else {
+        PpnTable::unmapped(tvpns)
+    };
+    for ppn in data_map.iter().chain(trans_map.iter()).flatten() {
         flash.recovery_set_valid(g.page_at(ppn));
-    }
-    let mut trans_map: Vec<Option<Ppn>> = vec![None; tvpns as usize];
-    if keep_translation {
-        for (tvpn, w) in trans.iter().enumerate() {
-            let Some((ppn, _, _)) = *w else { continue };
-            trans_map[tvpn] = Some(ppn);
-            flash.recovery_set_valid(g.page_at(ppn));
-        }
     }
     // Every other valid page is garbage: one whose OOB tag names no map
     // slot that points back at it.
@@ -375,8 +371,8 @@ pub(crate) fn recover_medium(
             continue;
         }
         let won = match flash.oob_at(pi).map(|e| e.tag) {
-            Some(OobTag::Data { lpn }) => data_map.get(lpn as usize) == Some(&Some(pi)),
-            Some(OobTag::Translation { tvpn }) => trans_map.get(tvpn as usize) == Some(&Some(pi)),
+            Some(OobTag::Data { lpn }) => lpn < logical_pages && data_map.get(lpn) == Some(pi),
+            Some(OobTag::Translation { tvpn }) => tvpn < tvpns && trans_map.get(tvpn) == Some(pi),
             Some(OobTag::Filler | OobTag::Checkpoint { .. }) | None => false,
         };
         if !won {
@@ -445,7 +441,7 @@ pub(crate) fn recover_medium(
 pub(crate) struct HybridLayout {
     /// lbn → data-block base, for blocks whose live pages all sit at their
     /// logical offsets of one logical block.
-    pub dir: Vec<Option<Ppn>>,
+    pub dir: PpnTable,
     /// Every other block still holding live pages, re-registered as a
     /// random log block: `(base, per-offset OOB lpns)`.
     pub logs: Vec<(Ppn, Vec<Lpn>)>,
@@ -503,13 +499,13 @@ pub(crate) fn classify_hybrid(flash: &FlashArray, logical_pages: u64) -> HybridL
             candidates.insert(lbn, (base, live));
         }
     }
-    let mut dir: Vec<Option<Ppn>> = vec![None; lbns as usize];
+    let mut dir = PpnTable::unmapped(lbns);
     for (&lbn, &(base, _)) in &candidates {
-        dir[lbn as usize] = Some(base);
+        dir.set(lbn, Some(base));
     }
     // Aligned blocks that lost the data-block election join the log pool.
     for &(base, lbn, _) in &aligned {
-        if dir[lbn as usize] != Some(base) {
+        if dir.get(lbn) != Some(base) {
             let block = g.page_at(base).block_addr();
             let fill = flash.block_info(block).write_ptr;
             logs.push((base, log_entries(flash, block, fill)));

@@ -53,6 +53,33 @@ fn an_unreservable_span_ring_refuses_the_mount() {
     }
 }
 
+/// A geometry whose page count overflows, or reaches the `u32::MAX`
+/// bound of the mapping tables' page numbers, refuses the mount with an
+/// error naming the bound instead of panicking or wrapping.
+#[test]
+fn a_geometry_past_the_page_bound_refuses_the_mount() {
+    let huge = Geometry {
+        channels: 1 << 16,
+        luns_per_channel: 1 << 16,
+        ..Geometry::tiny()
+    };
+    // 3 · 5 · 17 · 257 · 65537 = u32::MAX pages, one more than fits.
+    let at_bound = Geometry {
+        channels: 3,
+        luns_per_channel: 5,
+        planes_per_lun: 17,
+        blocks_per_plane: 257,
+        pages_per_block: 65_537,
+        page_size: 4096,
+    };
+    for g in [huge, at_bound] {
+        match Controller::new(g, TimingSpec::slc(), ControllerConfig::default()) {
+            Err(e) => assert!(e.contains("u32::MAX - 1"), "{e}"),
+            Ok(_) => panic!("{g:?} mounted"),
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "id 3 does not follow id 5")]
 fn request_ids_only_increase() {

@@ -76,7 +76,9 @@ impl Geometry {
         self.total_pages() * self.page_size as u64
     }
 
-    /// Validate that every dimension is non-zero.
+    /// Validate that every dimension is non-zero and that the array has
+    /// fewer than `u32::MAX` pages: the controller's mapping tables hold a
+    /// physical page number in 32 bits, with `u32::MAX` meaning unmapped.
     pub fn validate(&self) -> Result<(), String> {
         let dims = [
             ("channels", self.channels),
@@ -90,6 +92,22 @@ impl Geometry {
             if v == 0 {
                 return Err(format!("geometry dimension `{name}` must be non-zero"));
             }
+        }
+        let pages = self
+            .channels
+            .checked_mul(self.luns_per_channel)
+            .zip(self.planes_per_lun.checked_mul(self.blocks_per_plane))
+            .and_then(|(luns, blocks)| {
+                u64::from(luns)
+                    .checked_mul(u64::from(blocks))?
+                    .checked_mul(u64::from(self.pages_per_block))
+            })
+            .filter(|&pages| pages < u64::from(u32::MAX));
+        if pages.is_none() {
+            return Err(format!(
+                "geometry {self:?} has too many pages: at most u32::MAX - 1 = {} are addressable",
+                u32::MAX - 1
+            ));
         }
         Ok(())
     }
@@ -266,6 +284,51 @@ mod tests {
         assert!(g.validate().is_ok());
         g.channels = 0;
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_the_page_count_below_u32_max() {
+        // 2 · (2^31 - 1) = u32::MAX - 1 pages: the largest array.
+        let largest = Geometry {
+            channels: 2,
+            luns_per_channel: 1,
+            planes_per_lun: 1,
+            blocks_per_plane: 1,
+            pages_per_block: (1 << 31) - 1,
+            page_size: 4096,
+        };
+        assert_eq!(largest.validate(), Ok(()));
+        assert_eq!(largest.total_pages(), u64::from(u32::MAX - 1));
+        let one_more = Geometry {
+            channels: 3,
+            luns_per_channel: 5,
+            planes_per_lun: 17,
+            blocks_per_plane: 257,
+            pages_per_block: 65_537,
+            ..largest
+        };
+        let overflows = Geometry {
+            channels: 1 << 16,
+            luns_per_channel: 1 << 16,
+            ..largest
+        };
+        let overflows_lun = Geometry {
+            planes_per_lun: 1 << 16,
+            blocks_per_plane: 1 << 16,
+            ..largest
+        };
+        let overflows_u64 = Geometry {
+            channels: 1,
+            luns_per_channel: u32::MAX,
+            planes_per_lun: 1,
+            blocks_per_plane: u32::MAX,
+            pages_per_block: u32::MAX,
+            ..largest
+        };
+        for g in [one_more, overflows, overflows_lun, overflows_u64] {
+            let e = g.validate().unwrap_err();
+            assert!(e.contains("u32::MAX - 1"), "{e}");
+        }
     }
 
     #[test]

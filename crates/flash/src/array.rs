@@ -44,7 +44,7 @@ use crate::address::{BlockAddr, Geometry, PhysicalAddr};
 use crate::command::FlashCommand;
 use crate::error::FlashError;
 use crate::fault::{FaultConfig, FaultEvent, FaultModel, ReadOutcome};
-use crate::oob::OobEntry;
+use crate::oob::{OobEntry, PackedOob};
 use crate::timing::TimingSpec;
 
 /// The fewest in-flight-list entries at which [`FlashArray::issue`] prunes
@@ -337,10 +337,11 @@ pub struct FlashArray {
     victim_index: VictimIndex,
     counters: OpCounters,
     /// Per-page OOB spare-area records (persisted with each program; the
-    /// durable side of the mapping). `None` for unwritten or torn pages.
-    oob: Vec<Option<OobEntry>>,
+    /// durable side of the mapping). Empty for unwritten or torn pages.
+    oob: Vec<PackedOob>,
     /// Pages left partially programmed by a power cut: unreadable until
-    /// their block is erased.
+    /// their block is erased. Kept apart from `oob`: every read checks it,
+    /// and one byte a page keeps that check out of the 24 B records.
     torn: Vec<bool>,
     /// Blocks whose erase a power cut interrupted: unusable (no programs)
     /// until erased again.
@@ -375,7 +376,7 @@ impl FlashArray {
             blocks: vec![BlockInfo::new(); geometry.total_blocks() as usize],
             victim_index: VictimIndex::new(&geometry),
             counters: OpCounters::default(),
-            oob: vec![None; geometry.total_pages() as usize],
+            oob: vec![PackedOob::EMPTY; geometry.total_pages() as usize],
             torn: vec![false; geometry.total_pages() as usize],
             needs_erase: vec![false; geometry.total_blocks() as usize],
             inflight_programs: Vec::new(),
@@ -796,15 +797,9 @@ impl FlashArray {
         self.needs_erase[bi] = false;
         let base = bi * self.geometry.pages_per_block as usize;
         let end = base + self.geometry.pages_per_block as usize;
-        for s in &mut self.page_state[base..end] {
-            *s = PageState::Free;
-        }
-        for o in &mut self.oob[base..end] {
-            *o = None;
-        }
-        for t in &mut self.torn[base..end] {
-            *t = false;
-        }
+        self.page_state[base..end].fill(PageState::Free);
+        self.oob[base..end].fill(PackedOob::EMPTY);
+        self.torn[base..end].fill(false);
     }
 
     // ----- OOB metadata & power-failure injection -------------------------
@@ -825,7 +820,7 @@ impl FlashArray {
             "OOB write to unprogrammed page {:?}",
             self.geometry.page_at(page)
         );
-        self.oob[page as usize] = Some(entry);
+        self.oob[page as usize] = PackedOob::pack(entry);
     }
 
     /// The OOB entry of a page: `None` for unwritten or torn pages (a torn
@@ -839,7 +834,7 @@ impl FlashArray {
         if self.torn[page as usize] {
             return None;
         }
-        self.oob[page as usize]
+        self.oob[page as usize].unpack()
     }
 
     /// The OOB entry of a page through the media-fault model: recovery's
@@ -899,7 +894,7 @@ impl FlashArray {
             }
             let pi = page as usize;
             self.torn[pi] = true;
-            self.oob[pi] = None;
+            self.oob[pi] = PackedOob::EMPTY;
             if self.page_state[pi] == PageState::Valid {
                 // The partial program holds nothing readable: it is garbage
                 // from birth, exactly as if invalidated.

@@ -47,9 +47,104 @@ pub struct OobEntry {
     pub stamp: u64,
 }
 
+/// One page's OOB record as the array stores it.
+///
+/// The tag word holds the kind in its top three bits and the tag's lpn,
+/// tvpn or slot below them; kind 0 is a page with no record (unwritten,
+/// erased or torn). `Option<OobEntry>` would take 32 B a page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedOob {
+    tag: u64,
+    seq: u64,
+    stamp: u64,
+}
+
+// Three words: one per physical page, the array's largest table.
+const _: () = assert!(std::mem::size_of::<PackedOob>() == 24);
+
+const KIND_SHIFT: u32 = 61;
+const PAYLOAD_MASK: u64 = (1 << KIND_SHIFT) - 1;
+const EMPTY: u64 = 0;
+const DATA: u64 = 1;
+const TRANSLATION: u64 = 2;
+const FILLER: u64 = 3;
+const CHECKPOINT: u64 = 4;
+
+impl PackedOob {
+    /// No record.
+    pub(crate) const EMPTY: PackedOob = PackedOob {
+        tag: EMPTY,
+        seq: 0,
+        stamp: 0,
+    };
+
+    /// Pack `e`. Its lpn or tvpn must fit the payload's 61 bits, which
+    /// `Geometry::validate`'s page bound leaves room for.
+    pub(crate) fn pack(e: OobEntry) -> Self {
+        let (kind, payload) = match e.tag {
+            OobTag::Data { lpn } => (DATA, lpn),
+            OobTag::Translation { tvpn } => (TRANSLATION, tvpn),
+            OobTag::Filler => (FILLER, 0),
+            OobTag::Checkpoint { slot } => (CHECKPOINT, u64::from(slot)),
+        };
+        assert!(
+            payload <= PAYLOAD_MASK,
+            "OOB tag payload {payload} overflows 61 bits"
+        );
+        PackedOob {
+            tag: kind << KIND_SHIFT | payload,
+            seq: e.seq,
+            stamp: e.stamp,
+        }
+    }
+
+    /// The record `pack` was given, or `None` for [`PackedOob::EMPTY`].
+    pub(crate) fn unpack(self) -> Option<OobEntry> {
+        let payload = self.tag & PAYLOAD_MASK;
+        let tag = match self.tag >> KIND_SHIFT {
+            EMPTY => return None,
+            DATA => OobTag::Data { lpn: payload },
+            TRANSLATION => OobTag::Translation { tvpn: payload },
+            FILLER => OobTag::Filler,
+            CHECKPOINT => OobTag::Checkpoint {
+                slot: payload as u8,
+            },
+            kind => unreachable!("OOB record of unknown kind {kind}"),
+        };
+        Some(OobEntry {
+            tag,
+            seq: self.seq,
+            stamp: self.stamp,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn packed_records_round_trip_at_field_extremes() {
+        let big = u64::from(u32::MAX - 1);
+        for tag in [
+            OobTag::Data { lpn: big },
+            OobTag::Data { lpn: 0 },
+            OobTag::Translation { tvpn: big },
+            OobTag::Translation { tvpn: 0 },
+            OobTag::Filler,
+            OobTag::Checkpoint { slot: 255 },
+            OobTag::Checkpoint { slot: 0 },
+        ] {
+            for (seq, stamp) in [(u64::MAX, u64::MAX), (0, 0), (u64::MAX, 0)] {
+                let e = OobEntry { tag, seq, stamp };
+                assert_eq!(PackedOob::pack(e).unpack(), Some(e));
+            }
+        }
+        // An all-zero entry is a record; only the empty kind is none.
+        assert_eq!(PackedOob::EMPTY.unpack(), None);
+        let zero = OobEntry { tag: OobTag::Data { lpn: 0 }, seq: 0, stamp: 0 };
+        assert_ne!(PackedOob::pack(zero), PackedOob::EMPTY);
+    }
 
     #[test]
     fn winner_ordering_prefers_seq_then_stamp() {
