@@ -797,9 +797,15 @@ impl FlashArray {
         self.needs_erase[bi] = false;
         let base = bi * self.geometry.pages_per_block as usize;
         let end = base + self.geometry.pages_per_block as usize;
-        self.page_state[base..end].fill(PageState::Free);
-        self.oob[base..end].fill(PackedOob::EMPTY);
-        self.torn[base..end].fill(false);
+        for s in &mut self.page_state[base..end] {
+            *s = PageState::Free;
+        }
+        for o in &mut self.oob[base..end] {
+            *o = PackedOob::EMPTY;
+        }
+        for t in &mut self.torn[base..end] {
+            *t = false;
+        }
     }
 
     // ----- OOB metadata & power-failure injection -------------------------
