@@ -6,10 +6,12 @@
 //! experiment numbers; instead they fail loudly.
 
 use eagletree_controller::OpClass;
+use eagletree_core::{SimRng, Tail};
 use eagletree_experiments::Setup;
-use eagletree_os::{Os, QosPolicy};
+use eagletree_os::{Os, OsIo, QosPolicy};
 use eagletree_workloads::{
-    sequential_fill, MixedGen, Pumped, RandReadGen, Region, TenantProfile, ZipfGen, ZipfKind,
+    sequential_fill, IoGen, MixedGen, Pumped, RandReadGen, RandWriteGen, Region, TenantProfile,
+    ZipfGen, ZipfKind,
 };
 
 /// Build and run one fixed 3-tenant scenario under `qos`; fingerprint
@@ -19,13 +21,18 @@ fn run_fingerprint(qos: QosPolicy) -> String {
     run_fingerprint_obs(qos, eagletree_core::ObsConfig::default())
 }
 
-fn run_fingerprint_obs(qos: QosPolicy, obs: eagletree_core::ObsConfig) -> String {
+/// The device every scenario here runs on, under `qos`.
+fn build(qos: QosPolicy, obs: eagletree_core::ObsConfig) -> Os {
     let mut setup = Setup::small();
     setup.os.qos = qos;
     setup.os.queue_depth = 16;
     setup.ctrl.wl.static_enabled = false;
     setup.ctrl.obs = obs;
-    let mut os = setup.build();
+    setup.build()
+}
+
+fn run_fingerprint_obs(qos: QosPolicy, obs: eagletree_core::ObsConfig) -> String {
+    let mut os = build(qos, obs);
     os.add_thread(sequential_fill(32));
     os.run().unwrap();
     // Three tenants with distinct shapes: a weighted Zipf reader, a mixed
@@ -100,6 +107,82 @@ fn fingerprint(os: &Os, tenants: &[usize]) -> String {
     out
 }
 
+/// Trims every third page of the namespace, `count` in all.
+struct EveryThirdTrim {
+    count: u64,
+    issued: u64,
+}
+
+impl IoGen for EveryThirdTrim {
+    fn next_io(&mut self, _rng: &mut SimRng, logical_pages: u64) -> Option<OsIo> {
+        if self.issued >= self.count {
+            return None;
+        }
+        self.issued += 1;
+        Some(OsIo::trim((self.issued * 3) % logical_pages))
+    }
+}
+
+/// One fixed run with multi-thread tenants under `qos`: the default
+/// tenant's fill thread, then a 2-thread tenant and a 3-thread tenant
+/// whose threads read, write and trim the same namespace. Fingerprints
+/// each tenant's counts, full read and write tails and valid pages, and
+/// each thread's queue-wait mean.
+fn run_multi_thread_fingerprint(qos: QosPolicy) -> String {
+    use std::fmt::Write;
+    let mut os = build(qos, eagletree_core::ObsConfig::default());
+    let fill = os.add_thread(sequential_fill(32));
+    os.run().unwrap();
+    let (pair, pair_threads) = TenantProfile::new("pair", 1024)
+        .weight(3)
+        .tier(0)
+        .thread(Pumped::new(
+            ZipfGen::new(Region::whole(), 400, 0.99, ZipfKind::Reads),
+            4,
+            0xB0,
+        ))
+        .thread(Pumped::new(MixedGen::new(Region::whole(), 300, 0.5), 8, 0xB1))
+        .install(&mut os);
+    let (trio, trio_threads) = TenantProfile::new("trio", 1536)
+        .weight(1)
+        .tier(1)
+        .iops_limit(20_000.0)
+        .burst(8.0)
+        .thread(Pumped::new(RandReadGen::new(Region::whole(), 300), 4, 0xB2))
+        .thread(Pumped::new(RandWriteGen::new(Region::whole(), 300), 8, 0xB3))
+        .thread(Pumped::new(EveryThirdTrim { count: 120, issued: 0 }, 2, 0xB4))
+        .install(&mut os);
+    os.run().unwrap();
+    let tail = |t: Tail| {
+        let ns = [t.mean, t.p50, t.p95, t.p99, t.p999].map(|d| d.as_nanos());
+        format!("{}:{ns:?}", t.count)
+    };
+    let mut out = String::new();
+    writeln!(out, "now={} events={}", os.now().as_nanos(), os.events_simulated()).unwrap();
+    // The fill thread created the default tenant, id 0.
+    for t in [0, pair, trio] {
+        let s = os.tenant_stats(t);
+        writeln!(
+            out,
+            "tenant={} r={} w={} trim={} valid={} util={} rt={} wt={}",
+            os.tenant_name(t),
+            s.reads_completed,
+            s.writes_completed,
+            s.trims_completed,
+            s.valid_pages(),
+            os.namespace_utilization(t).to_bits(),
+            tail(s.tail(OpClass::AppRead)),
+            tail(s.tail(OpClass::AppWrite)),
+        )
+        .unwrap();
+    }
+    for th in [fill].into_iter().chain(pair_threads).chain(trio_threads) {
+        let wait = os.thread_stats(th).queue_wait_us.mean();
+        writeln!(out, "thread={th} wait={}", wait.to_bits()).unwrap();
+    }
+    out
+}
+
 /// FNV-1a (64-bit) of a fingerprint string.
 fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -126,6 +209,29 @@ fn policies() -> Vec<QosPolicy> {
         QosPolicy::TokenBucket,
         QosPolicy::StrictTiers { starvation_us: 20_000 },
     ]
+}
+
+/// Golden hashes of [`run_multi_thread_fingerprint`] under each of
+/// `policies()`, recorded when every tenant still kept its own copy of
+/// its threads' completions: a tenant's counts, tails and valid pages
+/// must read the same as a merge of its threads.
+const MULTI_THREAD_GOLDEN: [u64; 4] = [
+    0xfbb4_e65e_7bc5_ed32,
+    0xe85f_bb16_0a3c_26ed,
+    0xa280_1e38_f21e_97e6,
+    0xff6a_db27_f9fb_18d4,
+];
+
+#[test]
+fn multi_thread_tenants_match_committed_goldens() {
+    let got: Vec<u64> = policies()
+        .into_iter()
+        .map(|qos| fnv1a(&run_multi_thread_fingerprint(qos)))
+        .collect();
+    assert!(
+        got == MULTI_THREAD_GOLDEN,
+        "fixed-seed multi-thread tenant accounting changed; got\n{got:#018x?}"
+    );
 }
 
 #[test]
