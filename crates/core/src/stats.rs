@@ -112,7 +112,7 @@ impl OnlineStats {
 /// relative quantile error over the full nanosecond-to-minutes range with a
 /// few hundred fixed buckets — the classic HdrHistogram-style layout, sized
 /// for simulation latencies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

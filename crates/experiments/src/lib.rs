@@ -32,7 +32,6 @@ pub mod suite;
 pub use capture::{obs_capture, ObsArtifacts};
 pub use experiment::{Experiment, Scale};
 pub use metrics::{
-    downsample, measure, measure_since, merged_stage_breakdown, snapshot, sparkline,
-    CounterSnapshot, Measured, Row, Table,
+    downsample, measure, measure_since, snapshot, sparkline, CounterSnapshot, Measured, Row, Table,
 };
 pub use setup::Setup;

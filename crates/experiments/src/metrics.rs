@@ -4,10 +4,8 @@
 //! [`Table`] renders swept series as the aligned text / CSV "rows the paper
 //! would plot".
 
-use eagletree_controller::{
-    wear_summary, ClassTable, MergeCounters, OpClass, ReliabilityStats, RequestKind,
-};
-use eagletree_core::{Histogram, StageBreakdown};
+use eagletree_controller::{wear_summary, ClassTable, MergeCounters, OpClass, ReliabilityStats};
+use eagletree_core::Tail;
 use eagletree_os::{Os, Stalled, ThreadStats};
 
 use crate::columns::Col;
@@ -33,6 +31,8 @@ pub struct Measured {
     pub read_p999_us: f64,
     pub write_p50_us: f64,
     pub write_p999_us: f64,
+    /// The merged read histogram's full tail.
+    pub read_tail: Tail,
     /// Internal (non-application) flash ops issued: GC + WL + mapping +
     /// merge traffic, the interference QoS experiments trace.
     pub internal_ops: u64,
@@ -54,27 +54,6 @@ pub struct Measured {
     /// Media-reliability counters — `Some` only when the run had a fault
     /// model installed, so fault-free outputs carry no reliability columns.
     pub reliability: Option<ReliabilityStats>,
-    /// Stage-attributed latency: the merged read+write [`StageBreakdown`]
-    /// over every tenant of the run — `Some` only when observability was
-    /// enabled ([`eagletree_core::ObsConfig::span_capacity`] > 0), so
-    /// obs-off outputs carry no stage columns.
-    pub stages: Option<StageBreakdown>,
-}
-
-/// Merge the span collector's read and write breakdowns of every tenant
-/// into one [`StageBreakdown`]; `None` when observability was off (no
-/// tenant recorded one).
-pub fn merged_stage_breakdown(os: &Os) -> Option<StageBreakdown> {
-    let obs = os.obs()?;
-    let mut merged: Option<StageBreakdown> = None;
-    for t in 0..os.tenant_names().len() as u32 {
-        for kind in [RequestKind::Read, RequestKind::Write] {
-            if let Some(b) = obs.stage_breakdown(Some(t), kind.name()) {
-                merged.get_or_insert_with(StageBreakdown::new).merge(b);
-            }
-        }
-    }
-    merged
 }
 
 /// Controller counter snapshot, for measuring steady-state deltas after a
@@ -152,35 +131,16 @@ pub fn measure_since(os: &Os, threads: &[usize], base: &CounterSnapshot) -> Meas
 
 /// Extract metrics from `os` for the given measured threads.
 pub fn measure(os: &Os, threads: &[usize]) -> Measured {
-    let mut reads = 0u64;
-    let mut writes = 0u64;
-    let mut completed = 0u64;
-    let mut first = None;
-    let mut last = None;
-    let mut read_mean = 0.0;
-    let mut read_sd = 0.0;
-    let mut write_mean = 0.0;
-    let mut write_sd = 0.0;
-    let mut read_p99 = 0.0f64;
-    let mut write_p99 = 0.0f64;
-    let mut wait = 0.0;
-    let mut n_stats = 0.0;
-    let mut read_hist = Histogram::new();
-    let mut write_hist = Histogram::new();
+    let all = threads.iter().fold(ThreadStats::default(), |mut all, &t| {
+        all.merge(os.thread_stats(t));
+        all
+    });
+    // Per-thread terms: the worst thread's p99, means and stddevs weighted
+    // by each thread's sample count, and the mean of thread queue waits.
+    let (mut read_mean, mut read_sd, mut write_mean, mut write_sd) = (0.0, 0.0, 0.0, 0.0);
+    let (mut read_p99, mut write_p99, mut wait) = (0.0f64, 0.0f64, 0.0);
     for &t in threads {
-        let s: &ThreadStats = os.thread_stats(t);
-        read_hist.merge(&s.read_latency);
-        write_hist.merge(&s.write_latency);
-        reads += s.reads_completed;
-        writes += s.writes_completed;
-        completed += s.completed();
-        if let Some(f) = s.first_completion {
-            first = Some(first.map_or(f, |x: eagletree_core::SimTime| x.min(f)));
-        }
-        if let Some(l) = s.last_completion {
-            last = Some(last.map_or(l, |x: eagletree_core::SimTime| x.max(l)));
-        }
-        // Weighted combination by observation counts.
+        let s = os.thread_stats(t);
         let rn = s.read_lat_us.count() as f64;
         let wn = s.write_lat_us.count() as f64;
         read_mean += s.read_lat_us.mean() * rn;
@@ -190,28 +150,17 @@ pub fn measure(os: &Os, threads: &[usize]) -> Measured {
         read_p99 = read_p99.max(s.read_latency.p99().as_micros_f64());
         write_p99 = write_p99.max(s.write_latency.p99().as_micros_f64());
         wait += s.queue_wait_us.mean();
-        n_stats += 1.0;
     }
-    let rn: f64 = threads
-        .iter()
-        .map(|&t| os.thread_stats(t).read_lat_us.count() as f64)
-        .sum();
-    let wn: f64 = threads
-        .iter()
-        .map(|&t| os.thread_stats(t).write_lat_us.count() as f64)
-        .sum();
-    let iops = match (first, last) {
-        (Some(a), Some(b)) if b > a => completed as f64 / b.since(a).as_secs_f64(),
-        _ => 0.0,
-    };
+    let rn = all.read_lat_us.count() as f64;
+    let wn = all.write_lat_us.count() as f64;
     let ctrl = os.controller();
     let cs = ctrl.stats();
     let wear = wear_summary(ctrl.array());
-    let (rt, wt) = (read_hist.tail(), write_hist.tail());
+    let (rt, wt) = (all.tail(OpClass::AppRead), all.tail(OpClass::AppWrite));
     Measured {
-        iops,
-        reads,
-        writes,
+        iops: all.throughput_iops(),
+        reads: all.reads_completed,
+        writes: all.writes_completed,
         read_mean_us: if rn > 0.0 { read_mean / rn } else { 0.0 },
         read_p99_us: read_p99,
         read_stddev_us: if rn > 0.0 { read_sd / rn } else { 0.0 },
@@ -222,8 +171,9 @@ pub fn measure(os: &Os, threads: &[usize]) -> Measured {
         read_p999_us: rt.p999.as_micros_f64(),
         write_p50_us: wt.p50.as_micros_f64(),
         write_p999_us: wt.p999.as_micros_f64(),
+        read_tail: rt,
         internal_ops: internal_ops(&cs.issued),
-        queue_wait_us: if n_stats > 0.0 { wait / n_stats } else { 0.0 },
+        queue_wait_us: if threads.is_empty() { 0.0 } else { wait / threads.len() as f64 },
         write_amplification: ctrl.write_amplification(),
         gc_erases: cs.gc_erases,
         wl_erases: cs.wl_erases,
@@ -234,7 +184,6 @@ pub fn measure(os: &Os, threads: &[usize]) -> Measured {
         wear_max: wear.max_erases,
         makespan_s: os.now().as_nanos() as f64 / 1e9,
         reliability: ctrl.reliability(),
-        stages: merged_stage_breakdown(os),
     }
 }
 

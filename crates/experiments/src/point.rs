@@ -9,8 +9,7 @@
 //! point each value makes, and the columns it reads off each [`Ran`]
 //! ([`sweep`]).
 
-use eagletree_controller::OpClass;
-use eagletree_core::{SimTime, Tail};
+use eagletree_core::SimTime;
 use eagletree_os::{Os, Stalled, TenantId, ThreadId, Workload};
 use eagletree_workloads::{sequential_fill, TenantProfile};
 
@@ -71,9 +70,6 @@ pub(crate) struct ActorRun {
     /// Over this actor's threads, controller counters as deltas over the
     /// measured phase.
     pub m: Measured,
-    /// The actor's own read-latency histogram: the tenant's for a tenant,
-    /// the thread's for a thread.
-    pub read_tail: Tail,
 }
 
 impl ActorRun {
@@ -152,10 +148,6 @@ pub(crate) fn run_point(p: Point) -> Ran {
         .into_iter()
         .map(|(tenant, threads)| ActorRun {
             m: measure_since(&os, &threads, &base),
-            read_tail: match tenant {
-                Some(t) => os.tenant_stats(t).tail(OpClass::AppRead),
-                None => os.thread_stats(threads[0]).read_latency.tail(),
-            },
             tenant,
         })
         .collect();

@@ -446,7 +446,7 @@ fn e8_open_interface(scale: Scale) -> Table {
             let reader = &r.actors[1];
             r.row()
                 .cols(&r.all, &[TOTAL_IOPS, WA])
-                .cols(&reader.read_tail, &[READER_P99_US])
+                .cols(&reader.m.read_tail, &[READER_P99_US])
                 .cols(&reader.m, &[READER_US])
         },
     )
@@ -786,7 +786,7 @@ fn e18_engine_work(scale: Scale) -> Table {
 fn neighbor_row(r: &Ran, flooder_cols: &[Col<Measured>]) -> Row {
     let (reader, flooder) = (&r.actors[0], &r.actors[1]);
     r.row()
-        .cols(&reader.read_tail, &READER_TAIL)
+        .cols(&reader.m.read_tail, &READER_TAIL)
         .cols(&reader.m, &[READER_IOPS])
         .cols(&flooder.m, flooder_cols)
         .push(
@@ -851,7 +851,7 @@ fn e20_qos_sweep(scale: Scale) -> Table {
         |r| {
             let worst_p99 = r.actors[1..]
                 .iter()
-                .map(|reader| reader.read_tail.p99.as_micros_f64())
+                .map(|reader| reader.m.read_tail.p99.as_micros_f64())
                 .fold(0.0f64, f64::max);
             r.row()
                 .push("worst_reader_p99_us", worst_p99)
@@ -1300,7 +1300,7 @@ fn e26_scrub_interference(scale: Scale) -> Table {
             let reader = &r.actors[0];
             let rel = r.all.reliability.expect("fault model installed");
             r.row()
-                .cols(&reader.read_tail, &READER_TAIL)
+                .cols(&reader.m.read_tail, &READER_TAIL)
                 .cols(&reader.m, &[READER_IOPS])
                 .cols(
                     &rel,
@@ -1353,7 +1353,7 @@ fn e27_tail_forensics(scale: Scale) -> Table {
 
 fn tail_forensics_row(r: &Ran) -> Row {
     let (reader, flooder) = (&r.actors[0], &r.actors[1]);
-    let tail = reader.read_tail;
+    let tail = reader.m.read_tail;
     let obs = r.os.obs().expect("observability enabled");
     let bd = obs
         .stage_breakdown(Some(reader.tenant_id() as u32), RequestKind::Read.name())

@@ -79,7 +79,7 @@ fn fingerprint(os: &Os, tenants: &[usize]) -> String {
             s.reads_completed,
             s.writes_completed,
             s.trims_completed,
-            s.valid_pages(),
+            os.valid_pages(t),
             os.namespace_utilization(t).to_bits(),
             r.p50.as_nanos(),
             r.p95.as_nanos(),
@@ -169,7 +169,7 @@ fn run_multi_thread_fingerprint(qos: QosPolicy) -> String {
             s.reads_completed,
             s.writes_completed,
             s.trims_completed,
-            s.valid_pages(),
+            os.valid_pages(t),
             os.namespace_utilization(t).to_bits(),
             tail(s.tail(OpClass::AppRead)),
             tail(s.tail(OpClass::AppWrite)),

@@ -21,11 +21,13 @@
 //!   queuing, token-bucket rate limiting, strict priority tiers with a
 //!   starvation guard.
 //! * [`tenant`] — namespaces (tenant-relative LBAs translated and
-//!   bounds-checked at the OS boundary), per-tenant tail-latency
-//!   histograms and namespace-utilization accounting.
+//!   bounds-checked at the OS boundary) and the per-tenant bitmap of
+//!   valid namespace pages.
 //! * [`Os`] — the dispatcher: bounded outstanding-IO window
-//!   (`queue_depth`), per-thread queues and statistics, tenant-aware
-//!   two-stage dispatch, and the main simulation loop.
+//!   (`queue_depth`), per-thread queues and statistics ([`ThreadStats`],
+//!   one record per host completion; a tenant's is the merge of its
+//!   threads'), tenant-aware two-stage dispatch, and the main simulation
+//!   loop.
 //! * [`interface`] — the open interface: an extensible message vocabulary
 //!   that travels with IOs when the block-device boundary is unlocked.
 
@@ -40,5 +42,5 @@ pub use interface::{tags_from_messages, Message};
 pub use os::{Os, OsConfig, Stalled, ThreadStats};
 pub use qos::{QosParams, QosPolicy};
 pub use sched::OsSchedPolicy;
-pub use tenant::{Namespace, TenantConfig, TenantId, TenantStats};
+pub use tenant::{Namespace, TenantConfig, TenantId};
 pub use thread::{CompletedIo, OsIo, ThreadCtx, ThreadId, Workload};

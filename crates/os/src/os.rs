@@ -25,12 +25,12 @@ use eagletree_controller::{
     SsdRequest, Stuck,
 };
 use eagletree_core::{
-    EventQueue, Histogram, IdTable, Obs, OnlineStats, SimDuration, SimTime, Timeline, NO_SPAN,
+    EventQueue, Histogram, IdTable, Obs, OnlineStats, SimDuration, SimTime, Tail, Timeline, NO_SPAN,
 };
 
 use crate::qos::{self, QosPolicy, QosSlot, TenantCand};
 use crate::sched::{DispatchCandidate, OsSchedPolicy};
-use crate::tenant::{Namespace, TenantConfig, TenantId, TenantStats};
+use crate::tenant::{Namespace, TenantConfig, TenantId, ValidPages};
 use crate::thread::{CompletedIo, OsIo, ThreadCtx, ThreadId, Workload};
 
 /// OS-layer configuration.
@@ -60,8 +60,10 @@ impl Default for OsConfig {
 }
 
 /// Per-thread measurement: the "statistics gathering objects" attachable to
-/// individual threads (§2.3).
-#[derive(Debug, Clone)]
+/// individual threads (§2.3). The one OS-side record of a host completion:
+/// a tenant's, or any set of threads', is the [`ThreadStats::merge`] of its
+/// threads'.
+#[derive(Debug, Clone, Default)]
 pub struct ThreadStats {
     pub reads_completed: u64,
     pub writes_completed: u64,
@@ -82,21 +84,6 @@ pub struct ThreadStats {
 }
 
 impl ThreadStats {
-    fn new() -> Self {
-        ThreadStats {
-            reads_completed: 0,
-            writes_completed: 0,
-            trims_completed: 0,
-            read_latency: Histogram::new(),
-            write_latency: Histogram::new(),
-            read_lat_us: OnlineStats::new(),
-            write_lat_us: OnlineStats::new(),
-            queue_wait_us: OnlineStats::new(),
-            first_completion: None,
-            last_completion: None,
-        }
-    }
-
     /// Total completions.
     pub fn completed(&self) -> u64 {
         self.reads_completed + self.writes_completed + self.trims_completed
@@ -110,6 +97,65 @@ impl ThreadStats {
             }
             _ => 0.0,
         }
+    }
+
+    /// Tail summary (p50/p95/p99/p99.9) for an application op class.
+    /// Threads only generate application traffic, so only
+    /// [`OpClass::AppRead`] and [`OpClass::AppWrite`] carry latencies.
+    pub fn tail(&self, class: OpClass) -> Tail {
+        match class {
+            OpClass::AppRead => self.read_latency.tail(),
+            OpClass::AppWrite => self.write_latency.tail(),
+            OpClass::GcRead
+            | OpClass::GcWrite
+            | OpClass::WlRead
+            | OpClass::WlWrite
+            | OpClass::MergeRead
+            | OpClass::MergeWrite
+            | OpClass::MappingRead
+            | OpClass::MappingWrite
+            | OpClass::Erase
+            | OpClass::ScrubRead
+            | OpClass::ScrubWrite => Tail::default(),
+        }
+    }
+
+    /// Count one completion of `kind` at `at`, `latency` after its
+    /// enqueue.
+    fn record_completion(&mut self, kind: RequestKind, latency: SimDuration, at: SimTime) {
+        match kind {
+            RequestKind::Read => {
+                self.reads_completed += 1;
+                self.read_latency.record(latency);
+                self.read_lat_us.record(latency.as_micros_f64());
+            }
+            RequestKind::Write => {
+                self.writes_completed += 1;
+                self.write_latency.record(latency);
+                self.write_lat_us.record(latency.as_micros_f64());
+            }
+            RequestKind::Trim => self.trims_completed += 1,
+        }
+        self.first_completion.get_or_insert(at);
+        self.last_completion = Some(at);
+    }
+
+    /// Add `other`'s completions to this record, as if one thread had
+    /// made both sets. Counts, histograms and the completion window are
+    /// exact; the Welford collectors combine in parallel, so merging into
+    /// an empty record is a copy.
+    pub fn merge(&mut self, other: &ThreadStats) {
+        self.reads_completed += other.reads_completed;
+        self.writes_completed += other.writes_completed;
+        self.trims_completed += other.trims_completed;
+        self.read_latency.merge(&other.read_latency);
+        self.write_latency.merge(&other.write_latency);
+        self.read_lat_us.merge(&other.read_lat_us);
+        self.write_lat_us.merge(&other.write_lat_us);
+        self.queue_wait_us.merge(&other.queue_wait_us);
+        self.first_completion =
+            [self.first_completion, other.first_completion].into_iter().flatten().min();
+        self.last_completion = self.last_completion.max(other.last_completion);
     }
 }
 
@@ -157,14 +203,14 @@ struct ThreadState {
 }
 
 /// One tenant's OS-side state: its namespace window, member threads and
-/// accounting. QoS state lives in the parallel `qos_slots` vector.
+/// valid pages. QoS state lives in the parallel `qos_slots` vector.
 struct TenantEntry {
     name: String,
     ns: Namespace,
     threads: Vec<ThreadId>,
     /// Queued (not yet dispatched) IOs across this tenant's threads.
     backlog: usize,
-    stats: TenantStats,
+    valid: ValidPages,
     /// Instant this tenant became QoS rate-blocked with device slots
     /// free (span accounting only; `None` when dispatchable).
     held_since: Option<SimTime>,
@@ -331,7 +377,7 @@ impl Os {
             ns,
             threads: Vec::new(),
             backlog: 0,
-            stats: TenantStats::new(ns.len),
+            valid: ValidPages::new(ns.len),
             held_since: None,
         });
         self.qos_slots.push(QosSlot::new(qos));
@@ -374,7 +420,7 @@ impl Os {
             tenant: t,
             started: false,
             finished: false,
-            stats: ThreadStats::new(),
+            stats: ThreadStats::default(),
         });
         let tid = self.threads.len() - 1;
         self.tenants[t].threads.push(tid);
@@ -441,15 +487,23 @@ impl Os {
         self.tenants[t].ns
     }
 
-    /// A tenant's accounting: completion counts, per-class tail-latency
-    /// histograms, namespace utilization.
-    pub fn tenant_stats(&self, t: TenantId) -> &TenantStats {
-        &self.tenants[t].stats
+    /// A tenant's accounting: the merge of its threads' records.
+    pub fn tenant_stats(&self, t: TenantId) -> ThreadStats {
+        self.tenants[t].threads.iter().fold(ThreadStats::default(), |mut s, &tid| {
+            s.merge(&self.threads[tid].stats);
+            s
+        })
+    }
+
+    /// Distinct namespace pages of tenant `t` holding data (written and
+    /// not since trimmed).
+    pub fn valid_pages(&self, t: TenantId) -> u64 {
+        self.tenants[t].valid.count()
     }
 
     /// A tenant's namespace utilization (valid pages / namespace pages).
     pub fn namespace_utilization(&self, t: TenantId) -> f64 {
-        self.tenants[t].stats.utilization(self.tenants[t].ns.len)
+        self.valid_pages(t) as f64 / self.tenants[t].ns.len as f64
     }
 
     /// Pull the plug at the current virtual instant: the whole host dies
@@ -577,7 +631,7 @@ impl Os {
         let (cb, rr, gb) = self.ctrl.reliability().map_or((0, 0, 0), |r| {
             (r.corrected_bits, r.read_retries, r.grown_bad_blocks)
         });
-        let completions: u64 = self.tenants.iter().map(|t| t.stats.completed()).sum();
+        let completions: u64 = self.threads.iter().map(|t| t.stats.completed()).sum();
         let prev = self.tl_prev;
         let secs = to.since(from).as_secs_f64();
         let iops = if secs > 0.0 {
@@ -740,7 +794,6 @@ impl Os {
             };
             let wait_us = self.now.saturating_since(q.enqueued_at).as_micros_f64();
             self.threads[tid].stats.queue_wait_us.record(wait_us);
-            self.tenants[tenant].stats.queue_wait_us.record(wait_us);
             if q.span != NO_SPAN {
                 // The span's host wait splits into QoS hold (while the
                 // tenant was rate-blocked) and plain queue wait.
@@ -805,30 +858,9 @@ impl Os {
             dispatched_at: inf.dispatched_at,
             completed_at: c.at,
         };
-        let tenant = self.threads[inf.thread].tenant;
-        self.tenants[tenant]
-            .stats
-            .record_completion(inf.io.kind, inf.io.lpn, done.latency());
-        {
-            let stats = &mut self.threads[inf.thread].stats;
-            match inf.io.kind {
-                RequestKind::Read => {
-                    stats.reads_completed += 1;
-                    stats.read_latency.record(done.latency());
-                    stats.read_lat_us.record(done.latency().as_micros_f64());
-                }
-                RequestKind::Write => {
-                    stats.writes_completed += 1;
-                    stats.write_latency.record(done.latency());
-                    stats.write_lat_us.record(done.latency().as_micros_f64());
-                }
-                RequestKind::Trim => stats.trims_completed += 1,
-            }
-            if stats.first_completion.is_none() {
-                stats.first_completion = Some(c.at);
-            }
-            stats.last_completion = Some(c.at);
-        }
+        let thread = &mut self.threads[inf.thread];
+        self.tenants[thread.tenant].valid.note(inf.io.kind, inf.io.lpn);
+        thread.stats.record_completion(inf.io.kind, done.latency(), c.at);
         self.call_workload(inf.thread, |w, ctx| w.call_back(ctx, done));
     }
 
@@ -1174,6 +1206,64 @@ mod tests {
     }
 
     #[test]
+    fn merged_records_equal_one_record_fed_every_sample() {
+        let mut rng = eagletree_core::SimRng::new(40);
+        let (mut a, mut b, mut union) =
+            (ThreadStats::default(), ThreadStats::default(), ThreadStats::default());
+        for i in 0..2_000 {
+            let kind = [RequestKind::Read, RequestKind::Write, RequestKind::Trim]
+                [rng.gen_range(3) as usize];
+            let latency = SimDuration::from_nanos(1_000 + rng.gen_range(5_000_000));
+            let wait_us = rng.gen_range(10_000) as f64 / 7.0;
+            let at = SimTime::from_nanos(1_000 * i);
+            let feed = |s: &mut ThreadStats| {
+                s.queue_wait_us.record(wait_us);
+                s.record_completion(kind, latency, at);
+            };
+            // The two records' completions interleave in time.
+            feed(if rng.gen_range(3) == 0 { &mut a } else { &mut b });
+            feed(&mut union);
+        }
+        let mut merged = a.clone();
+        merged.merge(&b);
+        assert_eq!(
+            [merged.reads_completed, merged.writes_completed, merged.trims_completed],
+            [union.reads_completed, union.writes_completed, union.trims_completed]
+        );
+        // Every bucket, the count and the sum.
+        assert_eq!(merged.read_latency, union.read_latency);
+        assert_eq!(merged.write_latency, union.write_latency);
+        assert_eq!(merged.first_completion, union.first_completion);
+        assert_eq!(merged.last_completion, union.last_completion);
+        for (m, u) in [
+            (&merged.read_lat_us, &union.read_lat_us),
+            (&merged.write_lat_us, &union.write_lat_us),
+            (&merged.queue_wait_us, &union.queue_wait_us),
+        ] {
+            assert_eq!([m.count() as f64, m.min(), m.max()], [u.count() as f64, u.min(), u.max()]);
+            for (x, y) in [(m.mean(), u.mean()), (m.variance(), u.variance())] {
+                assert!((x - y).abs() <= 1e-12 * y.abs(), "{x} vs {y}");
+            }
+        }
+        // Into an empty record a merge is a copy, bit for bit (`Debug`
+        // prints each float's shortest exact form): a one-thread tenant
+        // reads exactly its thread's record.
+        let mut copy = ThreadStats::default();
+        copy.merge(&a);
+        assert_eq!(format!("{copy:?}"), format!("{a:?}"));
+    }
+
+    #[test]
+    fn tail_reports_only_app_classes() {
+        let mut s = ThreadStats::default();
+        s.record_completion(RequestKind::Read, SimDuration::from_micros(100), SimTime::ZERO);
+        assert_eq!(s.tail(OpClass::AppRead).count, 1);
+        assert!(s.tail(OpClass::AppRead).p99 > SimDuration::ZERO);
+        assert_eq!(s.tail(OpClass::AppWrite).count, 0);
+        assert_eq!(s.tail(OpClass::GcRead), Tail::default());
+    }
+
+    #[test]
     #[should_panic(expected = "dependency on unknown thread")]
     fn bad_dependency_panics() {
         let mut o = os(OsConfig::default());
@@ -1194,7 +1284,7 @@ mod tests {
         assert_eq!(o.tenant_stats(a).writes_completed, 64);
         assert_eq!(o.tenant_stats(b).writes_completed, 10);
         // Utilization counts distinct namespace pages.
-        assert_eq!(o.tenant_stats(a).valid_pages(), 64);
+        assert_eq!(o.valid_pages(a), 64);
         assert_eq!(o.namespace_utilization(a), 1.0);
         assert!((o.namespace_utilization(b) - 10.0 / 32.0).abs() < 1e-12);
         assert!(o.tenant_stats(a).tail(eagletree_controller::OpClass::AppWrite).p99

@@ -3,11 +3,13 @@
 //! A *tenant* models one isolated client of the device under server
 //! consolidation: it owns a **namespace** — a contiguous partition of the
 //! exported logical space — plus a set of threads, QoS parameters
-//! ([`crate::QosParams`]) and its own tail-latency accounting. Tenant
-//! threads address *tenant-relative* LBAs: `ThreadCtx::logical_pages`
-//! reports the namespace size, and the OS bounds-checks and translates
-//! every submission at the boundary, so no tenant can read or write
-//! another's pages no matter how buggy or hostile its workload.
+//! ([`crate::QosParams`]) and a bitmap of the namespace pages that hold
+//! data. Its counts and tails are the merge of its threads' records
+//! ([`crate::Os::tenant_stats`]). Tenant threads address
+//! *tenant-relative* LBAs: `ThreadCtx::logical_pages` reports the
+//! namespace size, and the OS bounds-checks and translates every
+//! submission at the boundary, so no tenant can read or write another's
+//! pages no matter how buggy or hostile its workload.
 //!
 //! Namespaces are created at setup time, carved from logical page 0
 //! upward. The OS also keeps one implicit *default* tenant
@@ -15,8 +17,7 @@
 //! preconditioning threads and single-tenant experiments — it overlays the
 //! carved namespaces by design, like an admin view.
 
-use eagletree_controller::{OpClass, RequestKind};
-use eagletree_core::{Histogram, OnlineStats, Tail};
+use eagletree_controller::RequestKind;
 
 /// Identifier of a tenant (index into the OS tenant table).
 pub type TenantId = usize;
@@ -65,108 +66,42 @@ impl Namespace {
     }
 }
 
-/// Per-tenant measurement: completion counts, per-class tail-latency
-/// histograms (fixed-memory, log-bucketed) and namespace utilization.
+/// Which namespace pages hold data (written and not since trimmed): one
+/// bit a page, and their count.
 #[derive(Debug, Clone)]
-pub struct TenantStats {
-    pub reads_completed: u64,
-    pub writes_completed: u64,
-    pub trims_completed: u64,
-    /// End-to-end (enqueue → completion) read latencies.
-    pub read_latency: Histogram,
-    /// End-to-end write latencies.
-    pub write_latency: Histogram,
-    /// Time spent in the OS queue before dispatch (µs) — where QoS
-    /// throttling and neighbor interference show up.
-    pub queue_wait_us: OnlineStats,
-    /// Distinct namespace pages currently holding data (written and not
-    /// since trimmed), maintained as a bitmap popcount.
-    valid_pages: u64,
-    /// One bit per namespace page.
-    valid: Vec<u64>,
+pub(crate) struct ValidPages {
+    bits: Vec<u64>,
+    count: u64,
 }
 
-impl TenantStats {
+impl ValidPages {
     pub(crate) fn new(namespace_pages: u64) -> Self {
-        TenantStats {
-            reads_completed: 0,
-            writes_completed: 0,
-            trims_completed: 0,
-            read_latency: Histogram::new(),
-            write_latency: Histogram::new(),
-            queue_wait_us: OnlineStats::new(),
-            valid_pages: 0,
-            valid: vec![0; namespace_pages.div_ceil(64) as usize],
+        ValidPages {
+            bits: vec![0; namespace_pages.div_ceil(64) as usize],
+            count: 0,
         }
     }
 
-    /// Total completions.
-    pub fn completed(&self) -> u64 {
-        self.reads_completed + self.writes_completed + self.trims_completed
+    /// Distinct valid pages.
+    pub(crate) fn count(&self) -> u64 {
+        self.count
     }
 
-    /// Tail summary (p50/p95/p99/p99.9) for an application op class.
-    /// Tenants only generate application traffic, so only
-    /// [`OpClass::AppRead`] and [`OpClass::AppWrite`] carry latencies.
-    pub fn tail(&self, class: OpClass) -> Tail {
-        match class {
-            OpClass::AppRead => self.read_latency.tail(),
-            OpClass::AppWrite => self.write_latency.tail(),
-            OpClass::GcRead
-            | OpClass::GcWrite
-            | OpClass::WlRead
-            | OpClass::WlWrite
-            | OpClass::MergeRead
-            | OpClass::MergeWrite
-            | OpClass::MappingRead
-            | OpClass::MappingWrite
-            | OpClass::Erase
-            | OpClass::ScrubRead
-            | OpClass::ScrubWrite => Tail::default(),
-        }
-    }
-
-    /// Distinct valid (written, untrimmed) pages in the namespace.
-    pub fn valid_pages(&self) -> u64 {
-        self.valid_pages
-    }
-
-    /// Valid fraction of the namespace, `0.0..=1.0`.
-    pub fn utilization(&self, namespace_pages: u64) -> f64 {
-        if namespace_pages == 0 {
-            0.0
-        } else {
-            self.valid_pages as f64 / namespace_pages as f64
-        }
-    }
-
-    pub(crate) fn record_completion(
-        &mut self,
-        kind: RequestKind,
-        rel_lpn: u64,
-        latency: eagletree_core::SimDuration,
-    ) {
-        let (word, bit) = ((rel_lpn / 64) as usize, rel_lpn % 64);
+    /// A completed `kind` at `rel_lpn`: a write sets the page, a trim
+    /// clears it, a read leaves it.
+    pub(crate) fn note(&mut self, kind: RequestKind, rel_lpn: u64) {
+        let (word, bit) = ((rel_lpn / 64) as usize, 1u64 << (rel_lpn % 64));
+        let set = self.bits[word] & bit != 0;
         match kind {
-            RequestKind::Read => {
-                self.reads_completed += 1;
-                self.read_latency.record(latency);
+            RequestKind::Write if !set => {
+                self.bits[word] |= bit;
+                self.count += 1;
             }
-            RequestKind::Write => {
-                self.writes_completed += 1;
-                self.write_latency.record(latency);
-                if self.valid[word] & (1 << bit) == 0 {
-                    self.valid[word] |= 1 << bit;
-                    self.valid_pages += 1;
-                }
+            RequestKind::Trim if set => {
+                self.bits[word] &= !bit;
+                self.count -= 1;
             }
-            RequestKind::Trim => {
-                self.trims_completed += 1;
-                if self.valid[word] & (1 << bit) != 0 {
-                    self.valid[word] &= !(1 << bit);
-                    self.valid_pages -= 1;
-                }
-            }
+            RequestKind::Read | RequestKind::Write | RequestKind::Trim => {}
         }
     }
 }
@@ -174,7 +109,6 @@ impl TenantStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eagletree_core::SimDuration;
 
     #[test]
     fn namespace_translates_and_bounds_checks() {
@@ -191,27 +125,17 @@ mod tests {
 
     #[test]
     fn utilization_tracks_distinct_writes_and_trims() {
-        let mut s = TenantStats::new(100);
-        let d = SimDuration::from_micros(10);
-        s.record_completion(RequestKind::Write, 3, d);
-        s.record_completion(RequestKind::Write, 3, d); // overwrite, not new
-        s.record_completion(RequestKind::Write, 64, d);
-        assert_eq!(s.valid_pages(), 2);
-        assert!((s.utilization(100) - 0.02).abs() < 1e-12);
-        s.record_completion(RequestKind::Trim, 3, d);
-        s.record_completion(RequestKind::Trim, 3, d); // double trim is a no-op
-        assert_eq!(s.valid_pages(), 1);
-        assert_eq!(s.writes_completed, 3);
-        assert_eq!(s.trims_completed, 2);
-    }
-
-    #[test]
-    fn tail_reports_only_app_classes() {
-        let mut s = TenantStats::new(10);
-        s.record_completion(RequestKind::Read, 0, SimDuration::from_micros(100));
-        assert_eq!(s.tail(OpClass::AppRead).count, 1);
-        assert!(s.tail(OpClass::AppRead).p99 > SimDuration::ZERO);
-        assert_eq!(s.tail(OpClass::AppWrite).count, 0);
-        assert_eq!(s.tail(OpClass::GcRead), Tail::default());
+        let mut v = ValidPages::new(100);
+        v.note(RequestKind::Write, 3);
+        v.note(RequestKind::Write, 3); // overwrite, not new
+        v.note(RequestKind::Write, 64);
+        v.note(RequestKind::Read, 99);
+        assert_eq!(v.count(), 2);
+        v.note(RequestKind::Trim, 3);
+        assert_eq!(v.count(), 1);
+        v.note(RequestKind::Trim, 3); // a second trim of the page is a no-op
+        assert_eq!(v.count(), 1);
+        v.note(RequestKind::Write, 3); // a trimmed page written again is valid again
+        assert_eq!(v.count(), 2);
     }
 }

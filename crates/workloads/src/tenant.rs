@@ -125,7 +125,7 @@ mod tests {
         assert_eq!(os.namespace(b).base, 128);
         // Region::whole() resolved to the namespace: every write stayed in
         // the tenant window.
-        assert!(os.tenant_stats(b).valid_pages() <= 64);
+        assert!(os.valid_pages(b) <= 64);
     }
 
     #[test]
