@@ -266,4 +266,38 @@ mod tests {
     fn zipf_rejects_empty_population() {
         Zipf::new(0, 1.0);
     }
+
+    /// The CDF as a growing `Vec` built it: every float operation in the
+    /// order `Zipf::new` must keep.
+    fn reference_cdf(n: usize, theta: f64) -> Vec<f64> {
+        let mut cdf = Vec::with_capacity(n);
+        let mut acc = 0.0f64;
+        for i in 0..n {
+            acc += 1.0 / ((i + 1) as f64).powf(theta);
+            cdf.push(acc);
+        }
+        let total = acc;
+        for c in &mut cdf {
+            *c /= total;
+        }
+        if let Some(last) = cdf.last_mut() {
+            *last = 1.0;
+        }
+        cdf
+    }
+
+    #[test]
+    fn zipf_table_is_bit_equal_to_the_reference_builder() {
+        for n in [1, 2, 1_000, 13_926, 111_411] {
+            for theta in [0.0, 0.99, 1.2] {
+                let z = Zipf::new(n, theta);
+                let want = reference_cdf(n, theta);
+                assert_eq!(z.cdf.len(), n);
+                assert!(
+                    z.cdf.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "n = {n}, theta = {theta}: table differs from the reference"
+                );
+            }
+        }
+    }
 }
