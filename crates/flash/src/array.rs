@@ -341,7 +341,7 @@ pub struct FlashArray {
     oob: Vec<PackedOob>,
     /// Pages left partially programmed by a power cut: unreadable until
     /// their block is erased. Kept apart from `oob`: every read checks it,
-    /// and one byte a page keeps that check out of the 24 B records.
+    /// and one byte a page keeps that check out of the 16 B records.
     torn: Vec<bool>,
     /// Blocks whose erase a power cut interrupted: unusable (no programs)
     /// until erased again.

@@ -47,39 +47,36 @@ pub struct OobEntry {
     pub stamp: u64,
 }
 
-/// One page's OOB record as the array stores it.
+/// One page's OOB record as the array stores it, in 16 B.
 ///
-/// The tag word holds the kind in its top three bits and the tag's lpn,
-/// tvpn or slot below them; kind 0 is a page with no record (unwritten,
-/// erased or torn). `Option<OobEntry>` would take 32 B a page.
+/// From the top: the kind in three bits (kind 0 is a page with no record:
+/// unwritten, erased or torn), the tag's lpn, tvpn or slot in 32 bits,
+/// then `seq` and `stamp` in 46 bits each. `Geometry::validate`'s `u32`
+/// page bound holds the payload; 2^46 programs is 7·10^13, over two years
+/// of host time at 10^6 programs a second. `Option<OobEntry>` would take
+/// 32 B a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PackedOob {
-    tag: u64,
-    seq: u64,
-    stamp: u64,
-}
+pub(crate) struct PackedOob(u128);
 
-// Three words: one per physical page, the array's largest table.
-const _: () = assert!(std::mem::size_of::<PackedOob>() == 24);
+// One per physical page, the array's largest table.
+const _: () = assert!(std::mem::size_of::<PackedOob>() == 16);
 
-const KIND_SHIFT: u32 = 61;
-const PAYLOAD_MASK: u64 = (1 << KIND_SHIFT) - 1;
-const EMPTY: u64 = 0;
-const DATA: u64 = 1;
-const TRANSLATION: u64 = 2;
-const FILLER: u64 = 3;
-const CHECKPOINT: u64 = 4;
+const COUNTER_BITS: u32 = 46;
+const COUNTER_MAX: u64 = (1 << COUNTER_BITS) - 1;
+const SEQ_SHIFT: u32 = COUNTER_BITS;
+const PAYLOAD_SHIFT: u32 = 2 * COUNTER_BITS;
+const KIND_SHIFT: u32 = PAYLOAD_SHIFT + 32;
+const EMPTY: u128 = 0;
+const DATA: u128 = 1;
+const TRANSLATION: u128 = 2;
+const FILLER: u128 = 3;
+const CHECKPOINT: u128 = 4;
 
 impl PackedOob {
     /// No record.
-    pub(crate) const EMPTY: PackedOob = PackedOob {
-        tag: EMPTY,
-        seq: 0,
-        stamp: 0,
-    };
+    pub(crate) const EMPTY: PackedOob = PackedOob(EMPTY);
 
-    /// Pack `e`. Its lpn or tvpn must fit the payload's 61 bits, which
-    /// `Geometry::validate`'s page bound leaves room for.
+    /// Pack `e`. Its lpn or tvpn must fit 32 bits and its counters 46.
     pub(crate) fn pack(e: OobEntry) -> Self {
         let (kind, payload) = match e.tag {
             OobTag::Data { lpn } => (DATA, lpn),
@@ -87,21 +84,22 @@ impl PackedOob {
             OobTag::Filler => (FILLER, 0),
             OobTag::Checkpoint { slot } => (CHECKPOINT, u64::from(slot)),
         };
-        assert!(
-            payload <= PAYLOAD_MASK,
-            "OOB tag payload {payload} overflows 61 bits"
-        );
-        PackedOob {
-            tag: kind << KIND_SHIFT | payload,
-            seq: e.seq,
-            stamp: e.stamp,
-        }
+        let payload = u32::try_from(payload)
+            .unwrap_or_else(|_| panic!("OOB tag payload {payload} overflows 32 bits"));
+        assert!(e.seq <= COUNTER_MAX, "OOB seq {} overflows 46 bits", e.seq);
+        assert!(e.stamp <= COUNTER_MAX, "OOB stamp {} overflows 46 bits", e.stamp);
+        PackedOob(
+            kind << KIND_SHIFT
+                | u128::from(payload) << PAYLOAD_SHIFT
+                | u128::from(e.seq) << SEQ_SHIFT
+                | u128::from(e.stamp),
+        )
     }
 
     /// The record `pack` was given, or `None` for [`PackedOob::EMPTY`].
     pub(crate) fn unpack(self) -> Option<OobEntry> {
-        let payload = self.tag & PAYLOAD_MASK;
-        let tag = match self.tag >> KIND_SHIFT {
+        let payload = u64::from((self.0 >> PAYLOAD_SHIFT) as u32);
+        let tag = match self.0 >> KIND_SHIFT {
             EMPTY => return None,
             DATA => OobTag::Data { lpn: payload },
             TRANSLATION => OobTag::Translation { tvpn: payload },
@@ -113,8 +111,8 @@ impl PackedOob {
         };
         Some(OobEntry {
             tag,
-            seq: self.seq,
-            stamp: self.stamp,
+            seq: (self.0 >> SEQ_SHIFT) as u64 & COUNTER_MAX,
+            stamp: self.0 as u64 & COUNTER_MAX,
         })
     }
 }
@@ -125,7 +123,7 @@ mod tests {
 
     #[test]
     fn packed_records_round_trip_at_field_extremes() {
-        let big = u64::from(u32::MAX - 1);
+        let big = u64::from(u32::MAX);
         for tag in [
             OobTag::Data { lpn: big },
             OobTag::Data { lpn: 0 },
@@ -135,7 +133,8 @@ mod tests {
             OobTag::Checkpoint { slot: 255 },
             OobTag::Checkpoint { slot: 0 },
         ] {
-            for (seq, stamp) in [(u64::MAX, u64::MAX), (0, 0), (u64::MAX, 0)] {
+            let max = COUNTER_MAX;
+            for (seq, stamp) in [(max, max), (0, 0), (max, 0), (0, max)] {
                 let e = OobEntry { tag, seq, stamp };
                 assert_eq!(PackedOob::pack(e).unpack(), Some(e));
             }
@@ -144,6 +143,28 @@ mod tests {
         assert_eq!(PackedOob::EMPTY.unpack(), None);
         let zero = OobEntry { tag: OobTag::Data { lpn: 0 }, seq: 0, stamp: 0 };
         assert_ne!(PackedOob::pack(zero), PackedOob::EMPTY);
+    }
+
+    fn data(lpn: u64, seq: u64, stamp: u64) -> OobEntry {
+        OobEntry { tag: OobTag::Data { lpn }, seq, stamp }
+    }
+
+    #[test]
+    #[should_panic(expected = "OOB seq 70368744177664 overflows 46 bits")]
+    fn packing_a_seq_of_2_pow_46_panics() {
+        PackedOob::pack(data(1, 1 << 46, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "OOB stamp 70368744177664 overflows 46 bits")]
+    fn packing_a_stamp_of_2_pow_46_panics() {
+        PackedOob::pack(data(1, 1, 1 << 46));
+    }
+
+    #[test]
+    #[should_panic(expected = "OOB tag payload 4294967296 overflows 32 bits")]
+    fn packing_a_payload_of_2_pow_32_panics() {
+        PackedOob::pack(data(1 << 32, 1, 1));
     }
 
     #[test]
