@@ -6,6 +6,9 @@
 //! and statistically adequate for workload generation — and [`Zipf`] is the
 //! skewed-access distribution used by the hot/cold workloads.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 /// A deterministic SplitMix64 PRNG.
 ///
 /// SplitMix64 passes BigCrush for the use here (workload generation) and has
@@ -86,15 +89,32 @@ impl SimRng {
     }
 }
 
+/// Distinct `(n, θ)` tables one thread shares at a time. A fixed array,
+/// so sharing never allocates; a sampler built while every slot is busy
+/// keeps a table of its own.
+const SHARED_TABLES: usize = 4;
+
+/// A shared table and its key: the population and `θ`'s bits.
+type Shared = Option<((usize, u64), Arc<[f64]>)>;
+
+thread_local! {
+    /// The tables of this thread's live samplers. A slot whose table only
+    /// the registry holds is free: its last sampler dropped on another
+    /// thread.
+    static TABLES: RefCell<[Shared; SHARED_TABLES]> =
+        const { RefCell::new([const { None }; SHARED_TABLES]) };
+}
+
 /// A Zipf-distributed sampler over `0..n`.
 ///
 /// Rank 0 is the hottest item. `theta = 0` degenerates to uniform;
 /// `theta ≈ 0.99` is the usual YCSB-style skew. Sampling is O(log n) by
-/// binary search over the precomputed CDF; for the population sizes
-/// EagleTree sweeps (≤ a few million logical pages) the table is small.
+/// binary search over the precomputed CDF. The table is 8 B an item, and
+/// samplers of one `(n, θ)` on a thread share one table: a workload of
+/// many threads over one footprint holds a single CDF.
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
 
 impl Zipf {
@@ -107,20 +127,34 @@ impl Zipf {
             theta >= 0.0 && theta.is_finite(),
             "Zipf theta must be finite and non-negative"
         );
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0f64;
-        for i in 0..n {
-            acc += 1.0 / ((i + 1) as f64).powf(theta);
-            cdf.push(acc);
+        let key = (n, theta.to_bits());
+        let shared = TABLES.with_borrow(|slots| {
+            slots.iter().flatten().find(|(k, _)| *k == key).map(|(_, t)| Arc::clone(t))
+        });
+        if let Some(cdf) = shared {
+            return Zipf { cdf };
         }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
+        let mut acc = 0.0f64;
+        let mut cdf: Arc<[f64]> = (0..n)
+            .map(|i| {
+                acc += 1.0 / ((i + 1) as f64).powf(theta);
+                acc
+            })
+            .collect();
+        let table = Arc::get_mut(&mut cdf).expect("a new table has one owner");
+        for c in table.iter_mut() {
+            *c /= acc;
         }
         // Guard against floating point droop at the top end.
-        if let Some(last) = cdf.last_mut() {
-            *last = 1.0;
-        }
+        table[n - 1] = 1.0;
+        TABLES.with_borrow_mut(|slots| {
+            let free = slots
+                .iter_mut()
+                .find(|s| s.as_ref().is_none_or(|(_, t)| Arc::strong_count(t) == 1));
+            if let Some(slot) = free {
+                *slot = Some((key, Arc::clone(&cdf)));
+            }
+        });
         Zipf { cdf }
     }
 
@@ -144,6 +178,24 @@ impl Zipf {
         } else {
             self.cdf[i] - self.cdf[i - 1]
         }
+    }
+}
+
+impl Drop for Zipf {
+    /// Free the table with its last sampler: clear its slot when the
+    /// registry holds the only other reference.
+    fn drop(&mut self) {
+        if Arc::strong_count(&self.cdf) != 2 {
+            return;
+        }
+        // During thread exit the registry may already be gone.
+        let _ = TABLES.try_with(|t| {
+            for slot in t.borrow_mut().iter_mut() {
+                if slot.as_ref().is_some_and(|(_, c)| Arc::ptr_eq(c, &self.cdf)) {
+                    *slot = None;
+                }
+            }
+        });
     }
 }
 
@@ -299,5 +351,64 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn samplers_of_one_key_share_one_table() {
+        let a = Zipf::new(1_000, 0.99);
+        let b = Zipf::new(1_000, 0.99);
+        assert!(Arc::ptr_eq(&a.cdf, &b.cdf));
+        let other = Zipf::new(1_000, 1.2);
+        assert!(!Arc::ptr_eq(&a.cdf, &other.cdf));
+    }
+
+    #[test]
+    fn the_table_is_freed_with_its_last_sampler() {
+        let a = Zipf::new(1_000, 0.99);
+        let b = a.clone();
+        let table = Arc::downgrade(&a.cdf);
+        drop(a);
+        assert!(table.upgrade().is_some(), "a clone still samples from it");
+        drop(b);
+        assert!(table.upgrade().is_none(), "the registry kept a dead table");
+        TABLES.with_borrow(|slots| assert!(slots.iter().all(Option::is_none)));
+    }
+
+    #[test]
+    fn more_live_keys_than_slots_still_sample_exactly() {
+        let keys: Vec<(usize, f64)> = (0..SHARED_TABLES + 3)
+            .map(|k| (100 + k, [0.0, 0.99, 1.2][k % 3]))
+            .collect();
+        let samplers: Vec<Zipf> = keys.iter().map(|&(n, theta)| Zipf::new(n, theta)).collect();
+        let mut rng = SimRng::new(31);
+        for (z, &(n, theta)) in samplers.iter().zip(&keys) {
+            let want = reference_cdf(n, theta);
+            assert!(z.cdf.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+            for _ in 0..200 {
+                let mut twin = rng.clone();
+                let u = twin.gen_f64();
+                let rank = want.partition_point(|&c| c < u).min(n - 1);
+                assert_eq!(z.sample(&mut rng), rank);
+            }
+        }
+        // The late keys hold tables of their own; a second sampler of one
+        // builds another.
+        let late = keys[SHARED_TABLES];
+        let again = Zipf::new(late.0, late.1);
+        assert!(!Arc::ptr_eq(&again.cdf, &samplers[SHARED_TABLES].cdf));
+    }
+
+    #[test]
+    fn a_sampler_dropped_on_another_thread_frees_its_slot() {
+        let z = Zipf::new(500, 0.99);
+        let table = Arc::downgrade(&z.cdf);
+        std::thread::spawn(move || drop(z)).join().unwrap();
+        // Only this thread's registry holds the table now, so every slot
+        // counts as free: each new key is shared, and the old table goes.
+        let live: Vec<Zipf> = (0..SHARED_TABLES).map(|k| Zipf::new(600 + k, 0.99)).collect();
+        for (k, z) in live.iter().enumerate() {
+            assert!(Arc::ptr_eq(&z.cdf, &Zipf::new(600 + k, 0.99).cdf), "key {k} not shared");
+        }
+        assert!(table.upgrade().is_none(), "a slot kept the dropped table");
     }
 }
