@@ -87,7 +87,11 @@ impl PackedOob {
         let payload = u32::try_from(payload)
             .unwrap_or_else(|_| panic!("OOB tag payload {payload} overflows 32 bits"));
         assert!(e.seq <= COUNTER_MAX, "OOB seq {} overflows 46 bits", e.seq);
-        assert!(e.stamp <= COUNTER_MAX, "OOB stamp {} overflows 46 bits", e.stamp);
+        assert!(
+            e.stamp <= COUNTER_MAX,
+            "OOB stamp {} overflows 46 bits",
+            e.stamp
+        );
         PackedOob(
             kind << KIND_SHIFT
                 | u128::from(payload) << PAYLOAD_SHIFT
