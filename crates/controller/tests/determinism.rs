@@ -13,6 +13,7 @@ use eagletree_controller::{
     Controller, ControllerConfig, Driver, IoTags, MappingKind, MergePolicy, RecoveryMode,
     RequestKind, SchedPolicy, WlConfig,
 };
+use eagletree_core::digest::{fnv1a, FNV_OFFSET};
 use eagletree_core::{ObsConfig, SimRng};
 
 /// Run a fixed-seed mixed write/trim/read workload (every fifth request
@@ -88,13 +89,6 @@ fn run_fingerprint_obs(mapping: MappingKind, sched: SchedPolicy, obs: ObsConfig)
     out
 }
 
-/// FNV-1a (64-bit) of a fingerprint string.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Golden fingerprint hashes, generated from the simulator as it stood
 /// before the controller decomposition (PR 12's parent) and never
 /// regenerated since: a refactor that changes any completion time,
@@ -128,7 +122,7 @@ fn fingerprints_match_committed_goldens() {
         .map(|mapping| {
             all_policies()
                 .into_iter()
-                .map(|(_, policy)| fnv1a(&run_fingerprint(mapping, policy)))
+                .map(|(_, policy)| fnv1a(FNV_OFFSET, run_fingerprint(mapping, policy).as_bytes()))
                 .collect()
         })
         .collect();
@@ -287,7 +281,7 @@ fn crash_remount_digests(mapping: MappingKind) -> [u64; 2] {
         for lpn in 0..logical {
             out.push_str(&format!("{:?}\n", c.peek_mapping(lpn)));
         }
-        fnv1a(&out)
+        fnv1a(FNV_OFFSET, out.as_bytes())
     })
 }
 

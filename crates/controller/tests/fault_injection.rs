@@ -22,6 +22,7 @@ use eagletree_controller::{
     Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, MergePolicy, RecoveryMode,
     RequestKind, SchedPolicy, ScrubConfig, Stuck,
 };
+use eagletree_core::digest::{fnv1a, FNV_OFFSET};
 use eagletree_core::{ObsConfig, SimRng};
 use eagletree_flash::FaultConfig;
 
@@ -156,13 +157,6 @@ fn fingerprint(d: &Driver) -> String {
     out
 }
 
-/// FNV-1a (64-bit) of a fingerprint string.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Golden hashes of the faulty-run fingerprints (2000 ops). Rows:
 /// `schemes()`; columns: `policies()`, in order. The completion stream
 /// and every counter are as the simulator produced them before the
@@ -235,7 +229,7 @@ fn faulty_fingerprints_match_committed_goldens() {
                 .into_iter()
                 .take(cols)
                 .map(|(_, policy)| faulty_churn(faulty_cfg(mapping, policy), 2000))
-                .map(|d| fnv1a(&fingerprint(&d)))
+                .map(|d| fnv1a(FNV_OFFSET, fingerprint(&d).as_bytes()))
                 .collect()
         })
         .collect();

@@ -16,6 +16,7 @@
 //! * [`IdTable`] / [`IdWindow`] — the same for ids somebody else hands out
 //!   in increasing order (request ids, span ids, program stamps): a slab
 //!   found through a sliding window over the ids still live,
+//! * [`digest`] — the one FNV-1a hasher every fixed-seed fingerprint uses,
 //! * [`stats`] — streaming statistics (mean/variance, log-bucketed latency
 //!   histograms with quantiles, time-series samplers) used by the
 //!   experimental suite.
@@ -27,6 +28,7 @@
 //! effects can leak into results.
 
 pub mod blkio;
+pub mod digest;
 pub mod event;
 pub mod idtable;
 pub mod obs;

@@ -5,14 +5,8 @@
 //! the one it was given, so these bytes never move unless simulated
 //! behaviour does.
 
+use eagletree_core::digest::{fnv1a, FNV_OFFSET};
 use eagletree_experiments::{obs_capture, suite, Scale};
-
-/// FNV-1a (64-bit) of an artifact.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Digests of the capture's Perfetto JSON, its timeline CSV and the E27
 /// smoke table's CSV, in that order. E27 runs with program failures: its
@@ -31,9 +25,9 @@ fn obs_artifacts_match_committed_digests() {
         .expect("E27 is in the suite")
         .run(Scale::Smoke);
     let got = [
-        fnv1a(&capture.perfetto),
-        fnv1a(&capture.timeline_csv),
-        fnv1a(&e27.to_csv()),
+        fnv1a(FNV_OFFSET, capture.perfetto.as_bytes()),
+        fnv1a(FNV_OFFSET, capture.timeline_csv.as_bytes()),
+        fnv1a(FNV_OFFSET, e27.to_csv().as_bytes()),
     ];
     assert!(
         got == GOLDEN,

@@ -6,6 +6,7 @@
 //! experiment numbers; instead they fail loudly.
 
 use eagletree_controller::OpClass;
+use eagletree_core::digest::{fnv1a, FNV_OFFSET};
 use eagletree_core::{SimRng, Tail};
 use eagletree_experiments::Setup;
 use eagletree_os::{Os, OsIo, QosPolicy};
@@ -183,13 +184,6 @@ fn run_multi_thread_fingerprint(qos: QosPolicy) -> String {
     out
 }
 
-/// FNV-1a (64-bit) of a fingerprint string.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Golden hashes of the 3-tenant fingerprint under each of `policies()`,
 /// in order — generated from the simulator as it stood before the
 /// controller decomposition (PR 12's parent) and never regenerated since,
@@ -226,7 +220,7 @@ const MULTI_THREAD_GOLDEN: [u64; 4] = [
 fn multi_thread_tenants_match_committed_goldens() {
     let got: Vec<u64> = policies()
         .into_iter()
-        .map(|qos| fnv1a(&run_multi_thread_fingerprint(qos)))
+        .map(|qos| fnv1a(FNV_OFFSET, run_multi_thread_fingerprint(qos).as_bytes()))
         .collect();
     assert!(
         got == MULTI_THREAD_GOLDEN,
@@ -248,7 +242,7 @@ fn three_tenant_run_is_byte_identical_under_every_qos_policy() {
 fn tenant_fingerprints_match_committed_goldens() {
     let got: Vec<u64> = policies()
         .into_iter()
-        .map(|qos| fnv1a(&run_fingerprint(qos)))
+        .map(|qos| fnv1a(FNV_OFFSET, run_fingerprint(qos).as_bytes()))
         .collect();
     assert!(
         got == GOLDEN,
