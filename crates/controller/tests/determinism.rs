@@ -9,19 +9,19 @@
 //! all three mapping schemes and all five `SchedPolicy` variants (the
 //! workload carries priority tags so `TagPriority` actually discriminates).
 
+mod common;
+
+use common::{fingerprint, mappings, policies};
 use eagletree_controller::{
     Controller, ControllerConfig, Driver, IoTags, MappingKind, MergePolicy, RecoveryMode,
     RequestKind, SchedPolicy, WlConfig,
 };
-use eagletree_core::digest::{fnv1a, FNV_OFFSET};
+use eagletree_core::digest::{Fingerprint, Golden};
 use eagletree_core::{ObsConfig, SimRng};
 
 /// Run a fixed-seed mixed write/trim/read workload (every fifth request
-/// priority-tagged) and render everything observable into one string:
-/// completion stream, controller counters, per-class issue counts, merge
-/// counters, array counters and every lifecycle span in close order (the
-/// order-sensitive part: a reordered issue moves a span's stamps or slot).
-fn run_fingerprint(mapping: MappingKind, sched: SchedPolicy) -> String {
+/// priority-tagged) and render everything observable ([`fingerprint`]).
+fn run_fingerprint(mapping: MappingKind, sched: SchedPolicy) -> Fingerprint {
     run_fingerprint_obs(mapping, sched, SPANS_ON)
 }
 
@@ -31,7 +31,7 @@ const SPANS_ON: ObsConfig = ObsConfig {
     timeline_interval_us: 0,
 };
 
-fn run_fingerprint_obs(mapping: MappingKind, sched: SchedPolicy, obs: ObsConfig) -> String {
+fn run_fingerprint_obs(mapping: MappingKind, sched: SchedPolicy, obs: ObsConfig) -> Fingerprint {
     let cfg = ControllerConfig {
         mapping,
         sched,
@@ -72,75 +72,19 @@ fn run_fingerprint_obs(mapping: MappingKind, sched: SchedPolicy, obs: ObsConfig)
         d.run().unwrap();
     }
     d.run().unwrap();
-
-    let mut out = String::new();
-    for c in &d.done {
-        out.push_str(&format!("{}@{}\n", c.id, c.at.as_nanos()));
-    }
-    out.push_str(&format!("{:?}\n", d.c.stats()));
-    out.push_str(&format!("{:?}\n", d.c.merge_counters()));
-    out.push_str(&format!("{:?}\n", d.c.array().counters()));
-    if let Some(obs) = d.c.obs() {
-        for span in obs.spans() {
-            out.push_str(&format!("{span:?}\n"));
-        }
-        out.push_str(&format!("dropped={} open={}\n", obs.dropped(), obs.open_count()));
-    }
-    out
+    fingerprint(&d)
 }
 
-/// Golden fingerprint hashes, generated from the simulator as it stood
-/// before the controller decomposition (PR 12's parent) and never
-/// regenerated since: a refactor that changes any completion time,
-/// counter or span fails here, not just a same-build nondeterminism.
-/// Rows: the three mapping schemes of `golden_mappings`; columns: the
-/// five policies of `all_policies`, in order.
-const GOLDEN: [[u64; 5]; 3] = [
-    [0xfb1b_655f_b319_7ce4, 0x262b_e2e3_4a17_141a, 0x262b_e2e3_4a17_141a,
-     0x262b_e2e3_4a17_141a, 0x11a7_1ab7_ac5e_4928],
-    [0xc066_4ad1_d960_043b, 0x2ae8_94ff_c8c1_0c68, 0x17a6_ddb1_f76d_5667,
-     0x2720_8451_2a7b_d756, 0xca0a_cb76_81a1_227b],
-    [0x2f9b_36cf_4007_8fd3, 0x8561_38bd_8835_8346, 0x7080_7406_906c_4971,
-     0x26ea_1c90_81f4_695f, 0xb6e8_abcf_f1c5_c43d],
-];
-
-fn golden_mappings() -> [MappingKind; 3] {
-    [
-        MappingKind::PageMap,
-        MappingKind::Dftl { cmt_entries: 24 },
-        MappingKind::Hybrid {
-            log_blocks: 3,
-            merge: MergePolicy::Fifo,
-        },
-    ]
-}
-
+/// Every scheme × policy run against `goldens/determinism.txt`.
 #[test]
 fn fingerprints_match_committed_goldens() {
-    let got: Vec<Vec<u64>> = golden_mappings()
-        .into_iter()
-        .map(|mapping| {
-            all_policies()
-                .into_iter()
-                .map(|(_, policy)| fnv1a(FNV_OFFSET, run_fingerprint(mapping, policy).as_bytes()))
-                .collect()
-        })
-        .collect();
-    let want: Vec<Vec<u64>> = GOLDEN.iter().map(|row| row.to_vec()).collect();
-    assert!(
-        got == want,
-        "fixed-seed behaviour changed since the goldens were committed; got\n{got:#018x?}"
-    );
-}
-
-fn all_policies() -> Vec<(&'static str, SchedPolicy)> {
-    vec![
-        ("fifo", SchedPolicy::Fifo),
-        ("class_priority", SchedPolicy::reads_first()),
-        ("edf", SchedPolicy::edf_default()),
-        ("fair", SchedPolicy::fair_equal()),
-        ("tag_priority", SchedPolicy::TagPriority),
-    ]
+    let mut golden = Golden::new(env!("CARGO_TARGET_TMPDIR"), "determinism");
+    for (row, mapping) in mappings() {
+        for (col, policy) in policies() {
+            golden.record(row, col, run_fingerprint(mapping, policy));
+        }
+    }
+    golden.check(include_str!("goldens/determinism.txt"));
 }
 
 #[test]
@@ -149,8 +93,8 @@ fn hybrid_runs_are_byte_identical() {
         log_blocks: 3,
         merge: MergePolicy::Fifo,
     };
-    let a = run_fingerprint(mapping, SchedPolicy::Fifo);
-    let b = run_fingerprint(mapping, SchedPolicy::Fifo);
+    let a = run_fingerprint(mapping, SchedPolicy::Fifo).text();
+    let b = run_fingerprint(mapping, SchedPolicy::Fifo).text();
     assert!(a == b, "hybrid run fingerprints diverged");
     assert!(a.contains("merge"), "fingerprint should include counters");
 }
@@ -165,8 +109,8 @@ fn all_schemes_run_deterministically() {
             merge: MergePolicy::MinValid,
         },
     ] {
-        let a = run_fingerprint(mapping, SchedPolicy::Fifo);
-        let b = run_fingerprint(mapping, SchedPolicy::Fifo);
+        let a = run_fingerprint(mapping, SchedPolicy::Fifo).text();
+        let b = run_fingerprint(mapping, SchedPolicy::Fifo).text();
         assert!(a == b, "{mapping:?} fingerprints diverged");
     }
 }
@@ -184,9 +128,9 @@ fn all_sched_policies_run_deterministically() {
             merge: MergePolicy::Fifo,
         },
     ] {
-        for (name, policy) in all_policies() {
-            let a = run_fingerprint(mapping, policy.clone());
-            let b = run_fingerprint(mapping, policy.clone());
+        for (name, policy) in policies() {
+            let a = run_fingerprint(mapping, policy.clone()).text();
+            let b = run_fingerprint(mapping, policy.clone()).text();
             assert!(a == b, "{mapping:?}/{name} fingerprints diverged");
         }
     }
@@ -203,16 +147,9 @@ fn observability_never_perturbs_the_schedule() {
         span_capacity: 1 << 16,
         timeline_interval_us: 100,
     };
-    for mapping in [
-        MappingKind::PageMap,
-        MappingKind::Dftl { cmt_entries: 24 },
-        MappingKind::Hybrid {
-            log_blocks: 3,
-            merge: MergePolicy::Fifo,
-        },
-    ] {
-        let off = run_fingerprint_obs(mapping, SchedPolicy::Fifo, ObsConfig::default());
-        let with = run_fingerprint_obs(mapping, SchedPolicy::Fifo, on);
+    for (_, mapping) in mappings() {
+        let off = run_fingerprint_obs(mapping, SchedPolicy::Fifo, ObsConfig::default()).text();
+        let with = run_fingerprint_obs(mapping, SchedPolicy::Fifo, on).text();
         assert!(
             with.starts_with(&off) && with.len() > off.len(),
             "{mapping:?}: enabling observability changed the simulation"
@@ -225,9 +162,9 @@ fn sched_policies_actually_differ() {
     // Sanity for the test itself: if every policy produced the same
     // fingerprint the cross-product above would be vacuous (e.g. tags
     // stripped, or ready-queues collapsing policy distinctions).
-    let prints: Vec<String> = all_policies()
+    let prints: Vec<String> = policies()
         .into_iter()
-        .map(|(_, p)| run_fingerprint(MappingKind::PageMap, p))
+        .map(|(_, p)| run_fingerprint(MappingKind::PageMap, p).text())
         .collect();
     let distinct: std::collections::BTreeSet<&String> = prints.iter().collect();
     // On this mix reads are the minority class, so reads-first,
@@ -244,9 +181,9 @@ fn sched_policies_actually_differ() {
 
 /// Run a checkpointed churn with GC under `mapping`, cut power while
 /// programs are in flight, and remount under each [`RecoveryMode`]; for
-/// each remount, the FNV-1a digest of every page's OOB record and torn
-/// flag, every logical page's mapping and the recovery report.
-fn crash_remount_digests(mapping: MappingKind) -> [u64; 2] {
+/// each remount, the recovery report, every page's OOB record and torn
+/// flag, and every logical page's mapping.
+fn crash_remount_fingerprints(mapping: MappingKind) -> [Fingerprint; 2] {
     let cfg = ControllerConfig {
         mapping,
         checkpoint_interval_programs: 64,
@@ -273,33 +210,29 @@ fn crash_remount_digests(mapping: MappingKind) -> [u64; 2] {
         let (c, report) = Controller::remount(image.clone(), cfg.clone(), mode).unwrap();
         assert!(report.torn_pages > 0, "{mapping:?}/{mode:?}: the cut tore no page");
         assert_eq!(report.used_checkpoint, mode == RecoveryMode::Checkpoint);
-        let mut out = format!("{report:?}\n");
-        let a = c.array();
+        let mut fp = Fingerprint::default();
+        *fp.section("report") += &format!("{report:?}\n");
+        let (a, oob) = (c.array(), fp.section("oob"));
         for p in 0..a.geometry().total_pages() {
-            out.push_str(&format!("{:?} {}\n", a.oob_at(p), a.is_torn_at(p)));
+            *oob += &format!("{:?} {}\n", a.oob_at(p), a.is_torn_at(p));
         }
+        let map = fp.section("map");
         for lpn in 0..logical {
-            out.push_str(&format!("{:?}\n", c.peek_mapping(lpn)));
+            *map += &format!("{:?}\n", c.peek_mapping(lpn));
         }
-        fnv1a(FNV_OFFSET, out.as_bytes())
+        fp
     })
 }
 
-/// What a power cut and remount leave on the medium and in the map,
-/// pinned per scheme (rows: `golden_mappings`; columns: full scan,
-/// checkpoint replay). Any change to how OOB records, torn pages or the
-/// mapping tables are stored must leave these unchanged.
-const CRASH_GOLDEN: [[u64; 2]; 3] = [
-    [0x8723_944c_b7c9_528a, 0xc88d_51f6_71a2_ae81],
-    [0xeb92_8e68_5d7c_aab2, 0x24c6_4362_5564_7876],
-    [0xda1f_ff19_cbc2_3af8, 0x1b75_62b2_dda3_09d2],
-];
-
+/// What a power cut and remount leave on the medium and in the map, per
+/// scheme and recovery mode, against `goldens/crash_remount.txt`.
 #[test]
 fn crash_remount_state_matches_pinned_digests() {
-    let got: Vec<[u64; 2]> = golden_mappings().into_iter().map(crash_remount_digests).collect();
-    assert!(
-        got == CRASH_GOLDEN,
-        "the medium or the map after a remount changed; got\n{got:#018x?}"
-    );
+    let mut golden = Golden::new(env!("CARGO_TARGET_TMPDIR"), "crash_remount");
+    for (row, mapping) in mappings() {
+        let [full, checkpoint] = crash_remount_fingerprints(mapping);
+        golden.record(row, "full_scan", full);
+        golden.record(row, "checkpoint", checkpoint);
+    }
+    golden.check(include_str!("goldens/crash_remount.txt"));
 }

@@ -16,13 +16,16 @@
 //!   a power-cut + remount of a medium that already carries grown bad
 //!   blocks (the wear-out × recovery composition).
 
+mod common;
+
 use std::collections::BTreeSet;
 
+use common::{fingerprint, mappings, policies};
 use eagletree_controller::{
-    Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, MergePolicy, RecoveryMode,
-    RequestKind, SchedPolicy, ScrubConfig, Stuck,
+    Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, RecoveryMode, RequestKind,
+    SchedPolicy, ScrubConfig, Stuck,
 };
-use eagletree_core::digest::{fnv1a, FNV_OFFSET};
+use eagletree_core::digest::Golden;
 use eagletree_core::{ObsConfig, SimRng};
 use eagletree_flash::FaultConfig;
 
@@ -136,76 +139,13 @@ fn faulty_churn(cfg: ControllerConfig, ops: usize) -> Driver {
     d
 }
 
-/// Everything observable, rendered to one string (the determinism
-/// fingerprint), reliability counters and the lifecycle-span stream (in
-/// close order — the order-sensitive part) included.
-fn fingerprint(d: &Driver) -> String {
-    let mut out = String::new();
-    for c in &d.done {
-        out.push_str(&format!("{}@{}\n", c.id, c.at.as_nanos()));
-    }
-    out.push_str(&format!("{:?}\n", d.c.stats()));
-    out.push_str(&format!("{:?}\n", d.c.merge_counters()));
-    out.push_str(&format!("{:?}\n", d.c.array().counters()));
-    out.push_str(&format!("{:?}\n", d.c.reliability()));
-    if let Some(obs) = d.c.obs() {
-        for span in obs.spans() {
-            out.push_str(&format!("{span:?}\n"));
-        }
-        out.push_str(&format!("dropped={} open={}\n", obs.dropped(), obs.open_count()));
-    }
-    out
-}
-
-/// Golden hashes of the faulty-run fingerprints (2000 ops). Rows:
-/// `schemes()`; columns: `policies()`, in order. The completion stream
-/// and every counter are as the simulator produced them before the
-/// controller decomposition; the hashes were re-recorded twice since:
-/// once when a span's stages stopped counting twice the overlap of a
-/// failed program and its retry (only those spans' `stages` moved), and
-/// once when a failed program or erase began to report at its completion
-/// and to queue its retry only then (every faulty run's timing moved).
-const GOLDEN: [[u64; 5]; 3] = [
-    [0x8d1b_fc36_3572_a5d3, 0x4964_6fa2_7f97_df9f, 0x4964_6fa2_7f97_df9f,
-     0x9fe7_2a1b_2886_5ef7, 0x0460_fa2f_7fd6_0eca],
-    [0xbf0c_0efc_4392_25a6, 0xfea9_ac85_4a0e_7038, 0x603e_75e9_0db7_f337,
-     0xf445_cbea_a81d_9355, 0xbb1d_0c5b_02a1_5a6d],
-    [0x1601_2cfb_7795_c8bc, 0x3959_4dd3_70d4_49f2, 0x3959_4dd3_70d4_49f2,
-     0x1164_05aa_75e0_804d, 0x1601_2cfb_7795_c8bc],
-];
-
-fn schemes() -> Vec<MappingKind> {
-    vec![
-        MappingKind::PageMap,
-        MappingKind::Dftl { cmt_entries: 24 },
-        MappingKind::Hybrid {
-            log_blocks: 3,
-            merge: MergePolicy::Fifo,
-        },
-    ]
-}
-
-fn policies() -> Vec<(&'static str, SchedPolicy)> {
-    vec![
-        ("fifo", SchedPolicy::Fifo),
-        ("class_priority", SchedPolicy::reads_first()),
-        ("edf", SchedPolicy::edf_default()),
-        ("fair", SchedPolicy::fair_equal()),
-        ("tag_priority", SchedPolicy::TagPriority),
-    ]
-}
-
 #[test]
 fn faulty_runs_are_byte_identical_across_repeats() {
-    for mapping in schemes() {
-        let pols = if full_matrix() {
-            policies()
-        } else {
-            vec![policies().remove(0)]
-        };
-        for (name, policy) in pols {
-            let a = fingerprint(&faulty_churn(faulty_cfg(mapping, policy.clone()), 2000));
-            let b = fingerprint(&faulty_churn(faulty_cfg(mapping, policy), 2000));
+    for (_, mapping) in mappings() {
+        let cols = if full_matrix() { 5 } else { 1 };
+        for (name, policy) in policies().into_iter().take(cols) {
+            let a = fingerprint(&faulty_churn(faulty_cfg(mapping, policy.clone()), 2000)).text();
+            let b = fingerprint(&faulty_churn(faulty_cfg(mapping, policy), 2000)).text();
             assert!(
                 a == b,
                 "{mapping:?}/{name}: faulty fingerprints diverged across repeats"
@@ -222,22 +162,14 @@ fn faulty_fingerprints_match_committed_goldens() {
     // goldens were taken. Fifo only by default; `FAULTS=on` checks every
     // policy column.
     let cols = if full_matrix() { 5 } else { 1 };
-    let got: Vec<Vec<u64>> = schemes()
-        .into_iter()
-        .map(|mapping| {
-            policies()
-                .into_iter()
-                .take(cols)
-                .map(|(_, policy)| faulty_churn(faulty_cfg(mapping, policy), 2000))
-                .map(|d| fnv1a(FNV_OFFSET, fingerprint(&d).as_bytes()))
-                .collect()
-        })
-        .collect();
-    let want: Vec<Vec<u64>> = GOLDEN.iter().map(|row| row[..cols].to_vec()).collect();
-    assert!(
-        got == want,
-        "faulty fixed-seed behaviour changed since the goldens were committed; got\n{got:#018x?}"
-    );
+    let mut golden = Golden::new(env!("CARGO_TARGET_TMPDIR"), "fault_injection");
+    for (row, mapping) in mappings() {
+        for (col, policy) in policies().into_iter().take(cols) {
+            let d = faulty_churn(faulty_cfg(mapping, policy), 2000);
+            golden.record(row, col, fingerprint(&d));
+        }
+    }
+    golden.check(include_str!("goldens/fault_injection.txt"));
 }
 
 #[test]
@@ -260,7 +192,7 @@ fn faults_actually_fired_and_reliability_reports_them() {
 
 #[test]
 fn no_acknowledged_write_is_lost_without_a_ledger_entry() {
-    for mapping in schemes() {
+    for (_, mapping) in mappings() {
         let d = faulty_churn(faulty_cfg(mapping, SchedPolicy::Fifo), 2000);
         let lost: BTreeSet<u64> = d.c.lost_data().collect();
         let mut verified = 0u64;
@@ -286,7 +218,7 @@ fn no_acknowledged_write_is_lost_without_a_ledger_entry() {
 
 #[test]
 fn ftl_invariants_hold_under_injected_failures() {
-    for mapping in schemes() {
+    for (_, mapping) in mappings() {
         let d = faulty_churn(faulty_cfg(mapping, SchedPolicy::Fifo), 2000);
         d.c.check_invariants();
         let rel = d.c.reliability().unwrap();

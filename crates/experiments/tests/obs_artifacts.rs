@@ -1,22 +1,19 @@
 //! The observability artifacts at the scale they run in CI: the smoke
 //! capture's Perfetto JSON and timeline CSV, and the E27 smoke table (built
-//! from the retained spans), pinned to committed FNV-1a digests. However
+//! from the retained spans), pinned to `goldens/obs_artifacts.txt`. However
 //! the collector stores what it retains, every span it hands back must be
 //! the one it was given, so these bytes never move unless simulated
 //! behaviour does.
 
-use eagletree_core::digest::{fnv1a, FNV_OFFSET};
+use eagletree_core::digest::{Fingerprint, Golden};
 use eagletree_experiments::{obs_capture, suite, Scale};
 
-/// Digests of the capture's Perfetto JSON, its timeline CSV and the E27
-/// smoke table's CSV, in that order. E27 runs with program failures: its
-/// digest was re-recorded when a failed program began to report at its
-/// completion and to queue its retry only then.
-const GOLDEN: [u64; 3] = [
-    0x72a9_cb89_9256_47e9,
-    0x5dba_fb92_559a_f3d3,
-    0x0379_de3d_7fbe_b80d,
-];
+/// One artifact in one section named after it.
+fn artifact(name: &str, text: &str) -> Fingerprint {
+    let mut fp = Fingerprint::default();
+    *fp.section(name) += text;
+    fp
+}
 
 #[test]
 fn obs_artifacts_match_committed_digests() {
@@ -24,13 +21,16 @@ fn obs_artifacts_match_committed_digests() {
     let e27 = suite::by_id("E27")
         .expect("E27 is in the suite")
         .run(Scale::Smoke);
-    let got = [
-        fnv1a(FNV_OFFSET, capture.perfetto.as_bytes()),
-        fnv1a(FNV_OFFSET, capture.timeline_csv.as_bytes()),
-        fnv1a(FNV_OFFSET, e27.to_csv().as_bytes()),
-    ];
-    assert!(
-        got == GOLDEN,
-        "the smoke capture or the E27 smoke table changed; got\n{got:#018x?}"
-    );
+    let mut table = Fingerprint::default();
+    let csv = e27.to_csv();
+    let (columns, rows) = csv.split_once('\n').expect("a CSV header");
+    *table.section("columns") += &format!("{columns}\n");
+    for row in rows.split_inclusive('\n') {
+        *table.section(row.split(',').next().expect("a row label")) += row;
+    }
+    let mut golden = Golden::new(env!("CARGO_TARGET_TMPDIR"), "obs_artifacts");
+    golden.record("perfetto", "smoke", artifact("perfetto", &capture.perfetto));
+    golden.record("timeline", "smoke", artifact("timeline", &capture.timeline_csv));
+    golden.record("e27", "smoke", table);
+    golden.check(include_str!("goldens/obs_artifacts.txt"));
 }

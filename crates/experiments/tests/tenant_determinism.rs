@@ -6,7 +6,7 @@
 //! experiment numbers; instead they fail loudly.
 
 use eagletree_controller::OpClass;
-use eagletree_core::digest::{fnv1a, FNV_OFFSET};
+use eagletree_core::digest::{Fingerprint, Golden};
 use eagletree_core::{SimRng, Tail};
 use eagletree_experiments::Setup;
 use eagletree_os::{Os, OsIo, QosPolicy};
@@ -18,7 +18,7 @@ use eagletree_workloads::{
 /// Build and run one fixed 3-tenant scenario under `qos`; fingerprint
 /// everything observable (virtual clock, per-tenant counts and tails,
 /// namespace utilization, controller counters).
-fn run_fingerprint(qos: QosPolicy) -> String {
+fn run_fingerprint(qos: QosPolicy) -> Fingerprint {
     run_fingerprint_obs(qos, eagletree_core::ObsConfig::default())
 }
 
@@ -32,7 +32,7 @@ fn build(qos: QosPolicy, obs: eagletree_core::ObsConfig) -> Os {
     setup.build()
 }
 
-fn run_fingerprint_obs(qos: QosPolicy, obs: eagletree_core::ObsConfig) -> String {
+fn run_fingerprint_obs(qos: QosPolicy, obs: eagletree_core::ObsConfig) -> Fingerprint {
     let mut os = build(qos, obs);
     os.add_thread(sequential_fill(32));
     os.run().unwrap();
@@ -64,15 +64,16 @@ fn run_fingerprint_obs(qos: QosPolicy, obs: eagletree_core::ObsConfig) -> String
     fingerprint(&os, &[t0, t1, t2])
 }
 
-fn fingerprint(os: &Os, tenants: &[usize]) -> String {
+/// The run's clock and event count (`header`), one `tenant[<name>]` section
+/// per tenant, and the controller's counters (`ctrl`).
+fn fingerprint(os: &Os, tenants: &[usize]) -> Fingerprint {
     use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "now={} events={}", os.now().as_nanos(), os.events_simulated()).unwrap();
+    let mut fp = header(os);
     for &t in tenants {
         let s = os.tenant_stats(t);
         let (r, w) = (s.tail(OpClass::AppRead), s.tail(OpClass::AppWrite));
         writeln!(
-            out,
+            fp.section(format!("tenant[{}]", os.tenant_name(t))),
             "tenant={} ns={:?} r={} w={} trim={} valid={} util={} \
              rp=[{},{},{},{}] wp=[{},{},{},{}] wait={}",
             os.tenant_name(t),
@@ -97,7 +98,7 @@ fn fingerprint(os: &Os, tenants: &[usize]) -> String {
     let c = os.controller();
     let a = c.array().counters();
     writeln!(
-        out,
+        fp.section("ctrl"),
         "ctrl reads={} programs={} erases={} wa={}",
         a.reads,
         a.programs,
@@ -105,7 +106,15 @@ fn fingerprint(os: &Os, tenants: &[usize]) -> String {
         c.write_amplification().to_bits()
     )
     .unwrap();
-    out
+    fp
+}
+
+/// A fingerprint opened with the run's clock and event count.
+fn header(os: &Os) -> Fingerprint {
+    let mut fp = Fingerprint::default();
+    let (now, events) = (os.now().as_nanos(), os.events_simulated());
+    *fp.section("header") += &format!("now={now} events={events}\n");
+    fp
 }
 
 /// Trims every third page of the namespace, `count` in all.
@@ -129,7 +138,7 @@ impl IoGen for EveryThirdTrim {
 /// whose threads read, write and trim the same namespace. Fingerprints
 /// each tenant's counts, full read and write tails and valid pages, and
 /// each thread's queue-wait mean.
-fn run_multi_thread_fingerprint(qos: QosPolicy) -> String {
+fn run_multi_thread_fingerprint(qos: QosPolicy) -> Fingerprint {
     use std::fmt::Write;
     let mut os = build(qos, eagletree_core::ObsConfig::default());
     let fill = os.add_thread(sequential_fill(32));
@@ -158,13 +167,12 @@ fn run_multi_thread_fingerprint(qos: QosPolicy) -> String {
         let ns = [t.mean, t.p50, t.p95, t.p99, t.p999].map(|d| d.as_nanos());
         format!("{}:{ns:?}", t.count)
     };
-    let mut out = String::new();
-    writeln!(out, "now={} events={}", os.now().as_nanos(), os.events_simulated()).unwrap();
+    let mut fp = header(&os);
     // The fill thread created the default tenant, id 0.
     for t in [0, pair, trio] {
         let s = os.tenant_stats(t);
         writeln!(
-            out,
+            fp.section(format!("tenant[{}]", os.tenant_name(t))),
             "tenant={} r={} w={} trim={} valid={} util={} rt={} wt={}",
             os.tenant_name(t),
             s.reads_completed,
@@ -178,76 +186,51 @@ fn run_multi_thread_fingerprint(qos: QosPolicy) -> String {
         .unwrap();
     }
     for th in [fill].into_iter().chain(pair_threads).chain(trio_threads) {
-        let wait = os.thread_stats(th).queue_wait_us.mean();
-        writeln!(out, "thread={th} wait={}", wait.to_bits()).unwrap();
+        let wait = os.thread_stats(th).queue_wait_us.mean().to_bits();
+        *fp.section(format!("thread[{th}]")) += &format!("thread={th} wait={wait}\n");
     }
-    out
+    fp
 }
 
-/// Golden hashes of the 3-tenant fingerprint under each of `policies()`,
-/// in order — generated from the simulator as it stood before the
-/// controller decomposition (PR 12's parent) and never regenerated since,
-/// so a behaviour change anywhere under the OS layer fails here even when
-/// it is perfectly repeatable within one build.
-const GOLDEN: [u64; 4] = [
-    0x7df0_7d97_1fad_07ec,
-    0x0cdd_b15e_bcaf_1db8,
-    0x5111_2767_f9a2_c155,
-    0x4fe4_ba1b_b6ce_e08f,
-];
-
-fn policies() -> Vec<QosPolicy> {
-    vec![
-        QosPolicy::None,
-        QosPolicy::Wfq,
-        QosPolicy::TokenBucket,
-        QosPolicy::StrictTiers { starvation_us: 20_000 },
+/// The golden columns: the QoS policies, by name.
+fn policies() -> [(&'static str, QosPolicy); 4] {
+    [
+        ("none", QosPolicy::None),
+        ("wfq", QosPolicy::Wfq),
+        ("token_bucket", QosPolicy::TokenBucket),
+        ("strict_tiers", QosPolicy::StrictTiers { starvation_us: 20_000 }),
     ]
 }
 
-/// Golden hashes of [`run_multi_thread_fingerprint`] under each of
-/// `policies()`, recorded when every tenant still kept its own copy of
-/// its threads' completions: a tenant's counts, tails and valid pages
-/// must read the same as a merge of its threads.
-const MULTI_THREAD_GOLDEN: [u64; 4] = [
-    0xfbb4_e65e_7bc5_ed32,
-    0xe85f_bb16_0a3c_26ed,
-    0xa280_1e38_f21e_97e6,
-    0xff6a_db27_f9fb_18d4,
-];
-
+/// Each QoS policy's multi-thread run against
+/// `goldens/multi_thread_tenants.txt`.
 #[test]
 fn multi_thread_tenants_match_committed_goldens() {
-    let got: Vec<u64> = policies()
-        .into_iter()
-        .map(|qos| fnv1a(FNV_OFFSET, run_multi_thread_fingerprint(qos).as_bytes()))
-        .collect();
-    assert!(
-        got == MULTI_THREAD_GOLDEN,
-        "fixed-seed multi-thread tenant accounting changed; got\n{got:#018x?}"
-    );
+    let mut golden = Golden::new(env!("CARGO_TARGET_TMPDIR"), "multi_thread_tenants");
+    for (col, qos) in policies() {
+        golden.record("multi_thread", col, run_multi_thread_fingerprint(qos));
+    }
+    golden.check(include_str!("goldens/multi_thread_tenants.txt"));
 }
 
 #[test]
 fn three_tenant_run_is_byte_identical_under_every_qos_policy() {
-    for qos in policies() {
-        let a = run_fingerprint(qos.clone());
-        let b = run_fingerprint(qos.clone());
+    for (_, qos) in policies() {
+        let a = run_fingerprint(qos.clone()).text();
+        let b = run_fingerprint(qos.clone()).text();
         assert_eq!(a, b, "fingerprint drift under {qos:?}");
         assert!(a.contains("tenant=zipf-reader"));
     }
 }
 
+/// Each QoS policy's 3-tenant run against `goldens/tenants.txt`.
 #[test]
 fn tenant_fingerprints_match_committed_goldens() {
-    let got: Vec<u64> = policies()
-        .into_iter()
-        .map(|qos| fnv1a(FNV_OFFSET, run_fingerprint(qos).as_bytes()))
-        .collect();
-    assert!(
-        got == GOLDEN,
-        "fixed-seed tenant behaviour changed since the goldens were committed; got\n{got:#018x?}"
-    );
+    let mut golden = Golden::new(env!("CARGO_TARGET_TMPDIR"), "tenants");
+    for (col, qos) in policies() {
+        golden.record("three_tenants", col, run_fingerprint(qos));
+    }
+    golden.check(include_str!("goldens/tenants.txt"));
 }
 
 #[test]
@@ -261,9 +244,9 @@ fn observability_does_not_perturb_tenant_runs() {
         span_capacity: 1 << 16,
         timeline_interval_us: 200,
     };
-    for qos in policies() {
-        let off = run_fingerprint(qos.clone());
-        let with = run_fingerprint_obs(qos.clone(), on);
+    for (_, qos) in policies() {
+        let off = run_fingerprint(qos.clone()).text();
+        let with = run_fingerprint_obs(qos.clone(), on).text();
         assert_eq!(off, with, "observability changed the simulation under {qos:?}");
     }
 }
@@ -273,7 +256,7 @@ fn qos_policies_are_behaviorally_distinct() {
     // Sanity that the policies actually schedule differently on the same
     // scenario: the flat dispatcher, WFQ and the token bucket must not
     // all collapse to one fingerprint.
-    let prints: Vec<String> = policies().into_iter().map(run_fingerprint).collect();
+    let prints = policies().map(|(_, qos)| run_fingerprint(qos).text());
     assert_ne!(prints[0], prints[1], "wfq behaves like flat dispatch");
     assert_ne!(prints[0], prints[2], "token bucket behaves like flat dispatch");
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use eagletree_core::digest::{fnv1a, FNV_OFFSET};
+use eagletree_core::digest::{Fingerprint, Golden};
 use eagletree_core::{SimDuration, SimRng, SimTime};
 use eagletree_flash::{
     BlockAddr, FaultConfig, FlashArray, FlashCommand, FlashError, Geometry, OobEntry, OobTag,
@@ -191,17 +191,12 @@ proptest! {
     }
 }
 
-/// [`can_issue_agrees_with_issue`]'s fingerprint: every attempt's `Result`
-/// of every run, folded in order. Recorded once and never regenerated: a
-/// refactor of the array that changes it changed a command's outcome.
-const ADMISSION_FINGERPRINT: u64 = 0xf8c2_c24c_7496_bdc8;
-
 /// One run of [`can_issue_agrees_with_issue`]: `steps` attempts of a random
 /// verb at a random instant on a two-plane device. Each attempt targets
 /// what the array holds often enough to reach every outcome: a written
 /// page, the held register, the next page, a block emptied first — and
-/// otherwise whatever is at hand. Returns `h` with every result folded in.
-fn admission_run(seed: u64, faults: bool, steps: usize, mut h: u64) -> u64 {
+/// otherwise whatever is at hand. Writes every result to `out`.
+fn admission_run(seed: u64, faults: bool, steps: usize, out: &mut String) {
     let g = Geometry { planes_per_lun: 2, ..Geometry::tiny() };
     let mut a = FlashArray::new(g, TimingSpec::slc());
     if faults {
@@ -274,23 +269,25 @@ fn admission_run(seed: u64, faults: bool, steps: usize, mut h: u64) -> u64 {
             assert!(out.channel_free_at >= now && out.channel_free_at <= out.done_at, "{out:?}");
             assert_eq!(out.lun_free_at, out.done_at, "{cmd:?}");
         }
-        h = fnv1a(h, format!("{result:?};").as_bytes());
+        *out += &format!("{result:?};");
     }
-    h
 }
 
 /// `can_issue` is `issue`'s resource test, for every verb at random
 /// instants with and without a fault model: `issue` fails for a busy
 /// channel, a busy LUN or an empty register exactly when `can_issue` says
 /// no, and succeeds or fails on state grounds exactly when it says yes.
-/// The outcomes themselves are pinned by [`ADMISSION_FINGERPRINT`].
+/// The outcomes themselves are pinned by `goldens/admission.txt`, one
+/// section per run.
 #[test]
 fn can_issue_agrees_with_issue() {
-    let mut h = FNV_OFFSET;
+    let mut fp = Fingerprint::default();
     for case in 0..32u64 {
-        for faults in [false, true] {
-            h = admission_run(0xAD_0000 + case, faults, 300, h);
+        for (faults, name) in [(false, "clean"), (true, "faulty")] {
+            admission_run(0xAD_0000 + case, faults, 300, fp.section(format!("case{case}_{name}")));
         }
     }
-    assert_eq!(h, ADMISSION_FINGERPRINT, "fingerprint {h:#018x}");
+    let mut golden = Golden::new(env!("CARGO_TARGET_TMPDIR"), "admission");
+    golden.record("tiny_2plane", "random_verbs", fp);
+    golden.check(include_str!("goldens/admission.txt"));
 }
