@@ -1,6 +1,6 @@
 //! Determinism regression: a fixed-seed mixed workload must produce
 //! byte-identical completions, counters and lifecycle-span stream across
-//! runs — and across commits: the fingerprints are pinned to golden hashes.
+//! runs — and across commits: the fingerprints are pinned to text goldens.
 //! Event-ordering bugs — easy to introduce with multi-step merge machinery
 //! or with the slab/ready-queue dispatch structures — fail loudly here
 //! instead of as flaky experiment numbers.
@@ -88,18 +88,6 @@ fn fingerprints_match_committed_goldens() {
 }
 
 #[test]
-fn hybrid_runs_are_byte_identical() {
-    let mapping = MappingKind::Hybrid {
-        log_blocks: 3,
-        merge: MergePolicy::Fifo,
-    };
-    let a = run_fingerprint(mapping, SchedPolicy::Fifo).text();
-    let b = run_fingerprint(mapping, SchedPolicy::Fifo).text();
-    assert!(a == b, "hybrid run fingerprints diverged");
-    assert!(a.contains("merge"), "fingerprint should include counters");
-}
-
-#[test]
 fn all_schemes_run_deterministically() {
     for mapping in [
         MappingKind::PageMap,
@@ -112,27 +100,6 @@ fn all_schemes_run_deterministically() {
         let a = run_fingerprint(mapping, SchedPolicy::Fifo).text();
         let b = run_fingerprint(mapping, SchedPolicy::Fifo).text();
         assert!(a == b, "{mapping:?} fingerprints diverged");
-    }
-}
-
-#[test]
-fn all_sched_policies_run_deterministically() {
-    // Every policy, against the mapping with the most ordering hazards
-    // (hybrid: merges, fillers, erases compete with app IO) and the page
-    // map (GC + WL). A silent reorder in the ready-queue dispatch shows
-    // up as a fingerprint mismatch between repeated runs.
-    for mapping in [
-        MappingKind::PageMap,
-        MappingKind::Hybrid {
-            log_blocks: 3,
-            merge: MergePolicy::Fifo,
-        },
-    ] {
-        for (name, policy) in policies() {
-            let a = run_fingerprint(mapping, policy.clone()).text();
-            let b = run_fingerprint(mapping, policy.clone()).text();
-            assert!(a == b, "{mapping:?}/{name} fingerprints diverged");
-        }
     }
 }
 
