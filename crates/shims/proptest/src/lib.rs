@@ -12,12 +12,19 @@
 //!   random cases drawn from the argument strategies;
 //! * case generation is deterministic (fixed base seed perturbed per
 //!   case), so failures are reproducible;
-//! * `prop_assert*` failures report the failing case's seed and inputs.
+//! * a `prop_assert*` failure is shrunk, then reported with the failing
+//!   case's seed and each input as `pat = {:?}`.
 //!
-//! Not implemented: shrinking, persistence files, `prop_compose!`,
-//! recursive strategies. Swap this crate for the real `proptest` in the
-//! workspace `Cargo.toml` once the build environment has registry
-//! access.
+//! Shrinking works on the sequence of draws a case took from [`TestRng`]
+//! (internal shrinking, as in Hypothesis): the runner replays edited
+//! sequences (chunks deleted, a draw set to 0 or halved) and keeps any that
+//! still fails and is shortlex-smaller. Every strategy maps a smaller draw
+//! to a value nearer its range's start, so no strategy carries shrinking
+//! code. A panic inside a body (a plain `assert!`) is reported unshrunk.
+//!
+//! Not implemented: persistence files, `prop_compose!`, recursive
+//! strategies. Swap this crate for the real `proptest` in the workspace
+//! `Cargo.toml` once the build environment has registry access.
 
 pub mod test_runner {
     /// Configuration for a `proptest!` block (subset of the real
@@ -26,8 +33,8 @@ pub mod test_runner {
     pub struct Config {
         /// Number of random cases to run per test.
         pub cases: u32,
-        /// Accepted for source compatibility; shrinking is not
-        /// implemented so this is unused.
+        /// How many edited draw sequences shrinking a failing case may
+        /// replay.
         pub max_shrink_iters: u32,
     }
 
@@ -35,7 +42,7 @@ pub mod test_runner {
         fn default() -> Self {
             Config {
                 cases: 64,
-                max_shrink_iters: 0,
+                max_shrink_iters: 1024,
             }
         }
     }
@@ -57,20 +64,45 @@ pub mod test_runner {
         }
     }
 
-    /// Deterministic splitmix64 generator driving all strategies.
-    pub struct TestRng(u64);
+    /// Deterministic splitmix64 generator driving all strategies. It
+    /// records every draw; a replaying one yields a given sequence instead,
+    /// then zeros.
+    pub struct TestRng {
+        state: u64,
+        replay: Option<Vec<u64>>,
+        draws: Vec<u64>,
+    }
 
     impl TestRng {
         pub fn new(seed: u64) -> Self {
-            TestRng(seed)
+            TestRng {
+                state: seed,
+                replay: None,
+                draws: Vec::new(),
+            }
+        }
+
+        fn replaying(draws: Vec<u64>) -> Self {
+            TestRng {
+                state: 0,
+                replay: Some(draws),
+                draws: Vec::new(),
+            }
         }
 
         pub fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            let draw = match &self.replay {
+                Some(draws) => draws.get(self.draws.len()).copied().unwrap_or(0),
+                None => {
+                    self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = self.state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    z ^ (z >> 31)
+                }
+            };
+            self.draws.push(draw);
+            draw
         }
 
         /// Uniform in `[0, bound)`; `bound` must be non-zero.
@@ -86,21 +118,104 @@ pub mod test_runner {
         }
     }
 
-    /// Run `cases` deterministic cases of `body`, panicking with the
-    /// case seed on the first failure.
-    pub fn run<F>(config: &Config, name: &str, mut body: F)
+    /// Run `cases` deterministic cases of `body`. On the first failure,
+    /// shrink it and panic with the case seed and the inputs `describe`
+    /// renders from the shrunk draws.
+    pub fn run<F, D>(config: &Config, name: &str, mut body: F, describe: D)
     where
         F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
+        D: Fn(&mut TestRng) -> String,
     {
         // Fixed base seed: reproducible across runs and machines.
         const BASE_SEED: u64 = 0xEA61_E7EE_0000_0000;
         for case in 0..config.cases as u64 {
             let seed = BASE_SEED ^ (case.wrapping_mul(0x2545_F491_4F6C_DD1D));
             let mut rng = TestRng::new(seed);
-            if let Err(e) = body(&mut rng) {
+            if let Err(err) = body(&mut rng) {
+                let (budget, best) = (config.max_shrink_iters, rng.draws);
+                let mut s = Shrink {
+                    body: &mut body,
+                    budget,
+                    best,
+                    err,
+                    kept: 0,
+                };
+                s.run();
+                let inputs = describe(&mut TestRng::replaying(s.best));
                 panic!(
-                    "proptest case failed: {name} (case {case}, seed {seed:#x})\n{e}",
+                    "proptest case failed: {name} (case {case}, seed {seed:#x}), \
+                     shrunk by {} edits to:\n{inputs}{}",
+                    s.kept, s.err,
                 );
+            }
+        }
+    }
+
+    /// A failing case's smallest draw sequence so far, and its error.
+    struct Shrink<'a, F> {
+        body: &'a mut F,
+        budget: u32,
+        best: Vec<u64>,
+        err: TestCaseError,
+        kept: u32,
+    }
+
+    impl<F: FnMut(&mut TestRng) -> Result<(), TestCaseError>> Shrink<'_, F> {
+        /// Replays `draws` if the budget allows, and keeps the draws the
+        /// body took if it still fails and they are shortlex-smaller.
+        fn attempt(&mut self, draws: Vec<u64>) -> bool {
+            if self.budget == 0 {
+                return false;
+            }
+            self.budget -= 1;
+            let mut rng = TestRng::replaying(draws);
+            let body = &mut *self.body;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut rng)));
+            let smaller = (rng.draws.len(), &rng.draws) < (self.best.len(), &self.best);
+            let Ok(Err(err)) = outcome else { return false };
+            if smaller {
+                (self.best, self.err, self.kept) = (rng.draws, err, self.kept + 1);
+            }
+            smaller
+        }
+
+        /// Rounds of edits until one keeps nothing or the budget runs out:
+        /// delete chunks of half the draws, then of halves of that, down to
+        /// single draws; then set each draw to 0, or halve it while that
+        /// still fails.
+        fn run(&mut self) {
+            while self.budget > 0 {
+                let before = self.best.clone();
+                let mut size = self.best.len().div_ceil(2);
+                while size > 0 {
+                    let mut start = 0;
+                    while start + size <= self.best.len() {
+                        let mut draws = self.best.clone();
+                        draws.drain(start..start + size);
+                        if !self.attempt(draws) {
+                            start += size;
+                        }
+                    }
+                    size /= 2;
+                }
+                let mut i = 0;
+                while i < self.best.len() {
+                    let mut zeroed = self.best.clone();
+                    zeroed[i] = 0;
+                    if self.best[i] == 0 || !self.attempt(zeroed) {
+                        while self.best.get(i).is_some_and(|&d| d > 0) {
+                            let mut halved = self.best.clone();
+                            halved[i] /= 2;
+                            if !self.attempt(halved) {
+                                break;
+                            }
+                        }
+                    }
+                    i += 1;
+                }
+                if self.best == before {
+                    return;
+                }
             }
         }
     }
@@ -356,6 +471,14 @@ macro_rules! __proptest_tests {
                 $(let $pat = $crate::strategy::Strategy::sample(&($strat), __rng);)+
                 $body
                 ::std::result::Result::Ok(())
+            }, |__rng| {
+                let mut __inputs = ::std::string::String::new();
+                $(__inputs += &::std::format!(
+                    "{} = {:?}\n",
+                    stringify!($pat),
+                    $crate::strategy::Strategy::sample(&($strat), __rng),
+                );)+
+                __inputs
             });
         }
     )*};
@@ -434,6 +557,29 @@ mod tests {
             prop_assert!((2..9).contains(&v.len()));
             prop_assert!(v.iter().all(|&e| e < 5));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+        // Not a test itself: `failures_shrink_and_print_their_inputs` runs it.
+        fn fails_once_x_and_an_element_are_nonzero(
+            x in any::<u64>(),
+            v in prop::collection::vec(any::<u32>(), 0..16),
+        ) {
+            prop_assert!(x == 0 || v.iter().all(|&e| e == 0));
+        }
+    }
+
+    /// A seeded failure of random size shrinks to its minimum, `x = 1` and
+    /// one element `1`, and the message prints both inputs.
+    #[test]
+    fn failures_shrink_and_print_their_inputs() {
+        let err = std::panic::catch_unwind(fails_once_x_and_an_element_are_nonzero).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            msg.contains("edits to:\nx = 1\nv = [1]\nassertion failed"),
+            "{msg}"
+        );
     }
 
     #[test]
