@@ -185,6 +185,6 @@ mod tests {
             "{file}"
         );
         golden(dir, 3).check(&file);
-        std::fs::remove_dir_all(dir).expect("remove the scratch directory");
+        std::fs::remove_dir_all(dir).expect("remove the temporary directory");
     }
 }
