@@ -136,11 +136,13 @@ fn burst_on_one_lun(use_cached_program: bool) -> (SimTime, bool) {
         submit(&mut d, RequestKind::Write, i * luns);
     }
     let mut joined_a_busy_lun = false;
-    while let Some(at) = d.c.next_event_time() {
-        let busy = d.c.array.lun_free_at(0, 0) > at;
+    loop {
+        let free_at = d.c.array.lun_free_at(0, 0);
         let programs = d.c.array.counters().programs;
-        step(&mut d);
-        joined_a_busy_lun |= busy && d.c.array.counters().programs > programs;
+        if step(&mut d).is_none() {
+            break;
+        }
+        joined_a_busy_lun |= free_at > d.now && d.c.array.counters().programs > programs;
     }
     run(&mut d).unwrap();
     assert_eq!(d.done.len(), 8);
