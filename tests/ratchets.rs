@@ -108,9 +108,10 @@ fn parse(text: &str) -> Result<Vec<Rule>, String> {
 /// `Err` names a listed path that yields no file.
 fn scope(rule: &Rule, root: &Path) -> Result<Vec<(String, String)>, String> {
     let mut files = Vec::new();
-    let empty = rule.paths.iter().find(|path| walk(root, path, &rule.filter, &mut files) == 0);
-    if let Some(path) = empty {
-        return Err(format!("[{}] `{path}` matches no file", rule.name));
+    for path in &rule.paths {
+        if walk(root, path, &rule.filter, &mut files) == 0 {
+            return Err(format!("[{}] `{path}` matches no file", rule.name));
+        }
     }
     match rule.except.iter().find(|path| !root.join(path).is_file()) {
         Some(path) => Err(format!("[{}] `{path}` in `except` is no file", rule.name)),
@@ -176,6 +177,11 @@ fn verdict(rule: &Rule, files: &[(String, String)], root: &Path) -> Vec<String> 
     let retires = rule.retires.as_ref().map_or(String::new(), |item| format!(" (until {item})"));
     let say = |what: String| format!("[{}] {what} — {}{retires}", rule.name, rule.why);
     let pattern = if rule.fold { folded(&rule.pattern) } else { rule.pattern.clone() };
+    let matches = |line: &str| {
+        let hay = if rule.fold { folded(line) } else { line.to_string() };
+        let unless = rule.unless.as_ref().is_some_and(|u| line.contains(u.as_str()));
+        !unless && pattern.split(" | ").any(|alt| alternative_matches(alt, &hay))
+    };
     let missing_example = |line: &str| {
         line.match_indices(&rule.pattern).find_map(|(at, _)| {
             let rest = line[at + rule.pattern.len()..].strip_prefix(' ')?;
@@ -189,12 +195,9 @@ fn verdict(rule: &Rule, files: &[(String, String)], root: &Path) -> Vec<String> 
     for (path, text) in files {
         let lines = text.lines().take_while(|line| !(rule.cut_tail && line.starts_with(TEST_TAIL)));
         for (n, line) in (1..).zip(lines) {
-            let hay = if rule.fold { folded(line) } else { line.to_string() };
-            let unless = rule.unless.as_ref().is_some_and(|u| line.contains(u.as_str()));
-            let matched = !unless && pattern.split(" | ").any(|alt| alternative_matches(alt, &hay));
             let hit = match rule.kind.as_str() {
                 "examples-exist" => missing_example(line),
-                _ => matched.then(|| format!("`{}`", line.trim())),
+                _ => matches(line).then(|| format!("`{}`", line.trim())),
             };
             if let Some(what) = hit {
                 hits.push((path.as_str(), format!("{path}:{n}: {what}")));
