@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Mutation ratchet: every seeded bug in this directory must be caught.
 
-usage: run.py [--work DIR] [NAME ...]   (NAME: a mutant's file name without `.diff`)
+usage: run.py [NAME ...]   (NAME: a mutant's file name without `.diff`)
 
 Each `*.diff` here is one mutant: a `test:` line (the arguments after
 `cargo test --offline -q`), an `expect:` line (a substring of the failing
 test's output), then a unified diff of at most 10 lines against the
-repository. The runner checks HEAD out once into a scratch `git worktree`
-(under DIR, or a new temporary directory) and, for each mutant, resets
-it, applies the diff and runs the test, so builds stay incremental. A
-mutant is killed when its test fails with `expect` in the output.
+repository. The runner checks HEAD out once into a temporary `git
+worktree`, removed at the end, and for each mutant resets it, applies the
+diff and runs the test, so builds stay incremental. A mutant is killed
+when its test fails with `expect` in the output.
 
 Errors, each exiting 1 after the summary: a diff that no longer applies
 (the change that moved the code re-bases the mutant); a mutant that
@@ -51,7 +51,6 @@ def survivors():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--work", help="directory for the worktree (default: a new temporary one)")
     ap.add_argument("names", nargs="*", help="run only these mutants")
     args = ap.parse_args()
     every = sorted(HERE.glob("*.diff"))
@@ -59,32 +58,33 @@ def main():
     listed = survivors()
     errors = [f"SURVIVORS names no mutant `{n}`" for n in sorted(set(listed) - {m.stem for m in every})]
     root = git("rev-parse", "--show-toplevel", cwd=HERE).stdout.strip()
-    work = pathlib.Path(args.work or tempfile.mkdtemp(prefix="mutants-")) / "tree"
     start = time.monotonic()
-    git("worktree", "add", "--detach", str(work), "HEAD", cwd=root)
     killed = 0
-    try:
-        for m in mutants:
-            test, expect, diff = load(m)
-            git("reset", "-q", "--hard", "HEAD", cwd=work)
-            applied = subprocess.run(["git", "apply"], input=diff, cwd=work, capture_output=True, text=True)
-            if applied.returncode:
-                errors.append(f"{m.stem}: the diff no longer applies: {applied.stderr.strip()}")
-                print(f"{'stale':8} {m.stem}", flush=True)
-                continue
-            run = subprocess.run(["cargo", "test", "--offline", "-q", *test], cwd=work,
-                                 capture_output=True, text=True)
-            output = run.stdout + run.stderr
-            dead = run.returncode != 0 and expect in output
-            killed += dead
-            print(f"{'killed' if dead else 'survived':8} {m.stem}", flush=True)
-            if dead and m.stem in listed:
-                errors.append(f"{m.stem}: killed now; delete its SURVIVORS line")
-            elif not dead and m.stem not in listed:
-                why = "its test passed" if run.returncode == 0 else f"no `{expect}` in:\n{output[-3000:]}"
-                errors.append(f"{m.stem}: survived, {why}")
-    finally:
-        git("worktree", "remove", "--force", str(work), cwd=root)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = pathlib.Path(tmp) / "tree"
+        git("worktree", "add", "--detach", str(work), "HEAD", cwd=root)
+        try:
+            for m in mutants:
+                test, expect, diff = load(m)
+                git("reset", "-q", "--hard", "HEAD", cwd=work)
+                applied = subprocess.run(["git", "apply"], input=diff, cwd=work, capture_output=True, text=True)
+                if applied.returncode:
+                    errors.append(f"{m.stem}: the diff no longer applies: {applied.stderr.strip()}")
+                    print(f"{'stale':8} {m.stem}", flush=True)
+                    continue
+                run = subprocess.run(["cargo", "test", "--offline", "-q", *test], cwd=work,
+                                     capture_output=True, text=True)
+                output = run.stdout + run.stderr
+                dead = run.returncode != 0 and expect in output
+                killed += dead
+                print(f"{'killed' if dead else 'survived':8} {m.stem}", flush=True)
+                if dead and m.stem in listed:
+                    errors.append(f"{m.stem}: killed now; delete its SURVIVORS line")
+                elif not dead and m.stem not in listed:
+                    why = "its test passed" if run.returncode == 0 else f"no `{expect}` in:\n{output[-3000:]}"
+                    errors.append(f"{m.stem}: survived, {why}")
+        finally:
+            git("worktree", "remove", "--force", str(work), cwd=root)
     print(f"killed {killed}/{len(mutants)} in {time.monotonic() - start:.0f} s")
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
