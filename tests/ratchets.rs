@@ -1,16 +1,17 @@
 //! The design rules of the workspace, checked over the source tree.
 //!
 //! Every rule is a block of `.github/ratchets.txt`, whose header describes
-//! the format. This file is the runner and holds no pattern of its own, so
-//! no rule can match it. Each rule must hold on the tree, and each rule's
-//! `seed` line, added to a file the rule covers, must break it: a rule that
-//! can no longer fire fails here instead of passing unnoticed.
+//! the format; this runner holds no pattern of its own, so no rule matches
+//! it. Each rule must hold on the tree, and each rule's `seed` line, added
+//! to a file the rule covers, must break that rule and no other.
 
 use std::fs;
 use std::path::Path;
 
 const TABLE: &str = ".github/ratchets.txt";
-const TEST_TAIL: &str = "#[cfg(test)]";
+
+/// (repo-relative path, text) pairs in path order, or (path, hit) pairs.
+type Files = Vec<(String, String)>;
 
 #[derive(Clone, Debug, Default)]
 struct Rule {
@@ -26,10 +27,9 @@ struct Rule {
     except: Vec<String>,
     cut_tail: bool,
     fold: bool,
-    unless: Option<String>,
+    unless: String,
     seed: String,
     why: String,
-    retires: Option<String>,
 }
 
 fn words(s: &str) -> Vec<String> {
@@ -70,27 +70,24 @@ fn parse(text: &str) -> Result<Vec<Rule>, String> {
                     _ => ("0", value),
                 };
                 rule.count = count.parse().map_err(|_| bad(format!("`{count}` is no count")))?;
-                let pattern = pattern.trim();
-                if !rule.kind.is_empty() || pattern.is_empty() {
+                if !rule.kind.is_empty() || pattern.trim().is_empty() {
                     return Err(bad(format!("rule {}: one kind line, with a pattern", rule.name)));
                 }
-                (rule.kind, rule.pattern) = (key.to_string(), pattern.to_string());
+                (rule.kind, rule.pattern) = (key.to_string(), pattern.trim().to_string());
             }
             ("in", _) => {
                 let (paths, filter) = value.rsplit_once(' ').unwrap_or(("", value));
                 if !matches!(filter, "(*.rs)" | "(text)" | "(any)") {
                     return Err(bad(format!("unknown file filter `{filter}`")));
                 }
-                rule.filter = filter.to_string();
-                rule.paths = words(paths);
+                (rule.paths, rule.filter) = (words(paths), filter.to_string());
             }
             ("except", _) => rule.except = words(value),
             ("test-tail", "cut") => rule.cut_tail = true,
             ("fold", "") => rule.fold = true,
-            ("unless", _) => rule.unless = Some(value.to_string()),
+            ("unless", _) => rule.unless = value.to_string(),
             ("seed", _) => rule.seed = value.to_string(),
             ("why", _) => rule.why = value.to_string(),
-            ("retires", _) => rule.retires = Some(value.to_string()),
             _ => return Err(bad(format!("unknown field `{}` in rule {}", raw.trim(), rule.name))),
         }
     }
@@ -104,9 +101,8 @@ fn parse(text: &str) -> Result<Vec<Rule>, String> {
     Ok(rules)
 }
 
-/// The files a rule covers, as (repo-relative path, text) in path order;
-/// `Err` names a listed path that yields no file.
-fn scope(rule: &Rule, root: &Path) -> Result<Vec<(String, String)>, String> {
+/// The files a rule covers; `Err` names a listed path that yields no file.
+fn scope(rule: &Rule, root: &Path) -> Result<Files, String> {
     let mut files = Vec::new();
     for path in &rule.paths {
         if walk(root, path, &rule.filter, &mut files) == 0 {
@@ -121,22 +117,18 @@ fn scope(rule: &Rule, root: &Path) -> Result<Vec<(String, String)>, String> {
 
 /// Adds the files under `rel` that pass `filter` to `out`, in path order;
 /// returns how many.
-fn walk(root: &Path, rel: &str, filter: &str, out: &mut Vec<(String, String)>) -> usize {
+fn walk(root: &Path, rel: &str, filter: &str, out: &mut Files) -> usize {
     let abs = root.join(rel);
-    if abs.is_dir() {
-        let entries = fs::read_dir(&abs).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    if let Ok(entries) = fs::read_dir(&abs) {
         let mut names: Vec<_> =
             entries.map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
         names.sort();
         return names.iter().map(|name| walk(root, &format!("{rel}/{name}"), filter, out)).sum();
     }
-    if !abs.is_file() {
-        return 0;
-    }
-    let bytes = fs::read(&abs).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    let Ok(bytes) = fs::read(&abs) else { return 0 };
     let keep = match filter {
         "(*.rs)" => rel.ends_with(".rs"),
-        "(text)" => !bytes.contains(&0) && std::str::from_utf8(&bytes).is_ok(),
+        "(text)" => !bytes.contains(&0),
         _ => true,
     };
     if keep {
@@ -145,42 +137,36 @@ fn walk(root: &Path, rel: &str, filter: &str, out: &mut Vec<(String, String)>) -
     usize::from(keep)
 }
 
-/// Case-insensitive with every `_` removed: the `fold` flag.
-fn folded(s: &str) -> String {
-    s.to_lowercase().replace('_', "")
+/// `alternative` with each `\d` spelled as every ASCII digit.
+fn digits(alternative: &str) -> Vec<String> {
+    let Some((head, tail)) = alternative.split_once("\\d") else {
+        return vec![alternative.to_string()];
+    };
+    let spell = |d| digits(tail).into_iter().map(move |rest| format!("{head}{d}{rest}"));
+    ('0'..='9').flat_map(spell).collect()
 }
 
-/// Whether one alternative of a pattern matches `line`: its `.*`-separated
-/// pieces in order, `\d` any ASCII digit, `^` right after the indentation.
+/// Whether `line` holds the `.*`-separated pieces of `alternative` in
+/// order; a leading `^` puts the first piece right after the indentation.
 fn alternative_matches(alternative: &str, line: &str) -> bool {
-    let line = line.as_bytes();
-    let anchored = alternative.starts_with('^');
-    let mut from = if anchored { line.iter().take_while(|&&b| b == b' ').count() } else { 0 };
-    for (k, piece) in alternative.trim_start_matches('^').split(".*").enumerate() {
-        let piece = piece.replace("\\d", "\0").into_bytes();
-        let same = |(&p, &b): (&u8, &u8)| if p == 0 { b.is_ascii_digit() } else { p == b };
-        let fits = |i: usize| line.len() >= i + piece.len() && piece.iter().zip(&line[i..]).all(same);
-        let found = if anchored && k == 0 {
-            fits(from).then_some(from)
-        } else {
-            (from..=line.len()).find(|&at| fits(at))
-        };
-        let Some(at) = found else { return false };
-        from = at + piece.len();
+    let anchored = alternative.strip_prefix('^');
+    let mut rest = if anchored.is_some() { line.trim_start_matches(' ') } else { line };
+    for (k, piece) in anchored.unwrap_or(alternative).split(".*").enumerate() {
+        match rest.find(piece) {
+            Some(at) if at == 0 || anchored.is_none() || k > 0 => rest = &rest[at + piece.len()..],
+            _ => return false,
+        }
     }
     true
 }
 
-/// Every way `files` break `rule`, one message each, naming the rule and
-/// the file:line.
-fn verdict(rule: &Rule, files: &[(String, String)], root: &Path) -> Vec<String> {
-    let retires = rule.retires.as_ref().map_or(String::new(), |item| format!(" (until {item})"));
-    let say = |what: String| format!("[{}] {what} — {}{retires}", rule.name, rule.why);
-    let pattern = if rule.fold { folded(&rule.pattern) } else { rule.pattern.clone() };
+/// The lines of `files` that `rule` finds, as (path, `path:line: what`).
+fn hits(rule: &Rule, files: &[(String, String)], root: &Path) -> Files {
+    let alternatives: Vec<String> = rule.pattern.split(" | ").flat_map(digits).collect();
     let matches = |line: &str| {
-        let hay = if rule.fold { folded(line) } else { line.to_string() };
-        let unless = rule.unless.as_ref().is_some_and(|u| line.contains(u.as_str()));
-        !unless && pattern.split(" | ").any(|alt| alternative_matches(alt, &hay))
+        let hay = if rule.fold { line.to_lowercase() } else { line.to_string() };
+        let unless = !rule.unless.is_empty() && line.contains(&rule.unless);
+        !unless && alternatives.iter().any(|alt| alternative_matches(alt, &hay))
     };
     let missing_example = |line: &str| {
         line.match_indices(&rule.pattern).find_map(|(at, _)| {
@@ -193,79 +179,93 @@ fn verdict(rule: &Rule, files: &[(String, String)], root: &Path) -> Vec<String> 
     };
     let mut hits = Vec::new();
     for (path, text) in files {
-        let lines = text.lines().take_while(|line| !(rule.cut_tail && line.starts_with(TEST_TAIL)));
-        for (n, line) in (1..).zip(lines) {
+        let tail = |line: &&str| rule.cut_tail && line.starts_with("#[cfg(test)]");
+        for (n, line) in (1..).zip(text.lines().take_while(|line| !tail(line))) {
             let hit = match rule.kind.as_str() {
                 "examples-exist" => missing_example(line),
                 _ => matches(line).then(|| format!("`{}`", line.trim())),
             };
             if let Some(what) = hit {
-                hits.push((path.as_str(), format!("{path}:{n}: {what}")));
+                hits.push((path.clone(), format!("{path}:{n}: {what}")));
             }
         }
     }
-    let outside = hits.iter().filter(|(path, _)| !rule.except.iter().any(|e| e == path));
-    let outside: Vec<String> = outside.map(|(_, at)| at.clone()).collect();
+    hits
+}
+
+/// Every way `hits` break `rule`, one message each, naming the rule and
+/// the file:line.
+fn verdict(rule: &Rule, hits: &[(String, String)]) -> Vec<String> {
+    let say = |what: &str| format!("[{}] {what} — {}", rule.name, rule.why);
+    let outside: Vec<&String> =
+        hits.iter().filter(|(path, _)| !rule.except.contains(path)).map(|(_, at)| at).collect();
     // `forbid`, `only-in` and `examples-exist` allow 0 lines and name each.
     let (kind, found) = (&rule.kind, outside.len());
     let ok = if kind == "exactly" { found == rule.count } else { found <= rule.count };
-    let mut broken = match (ok, rule.count) {
+    let mut broken: Vec<String> = match (ok, rule.count) {
         (true, _) => Vec::new(),
-        (false, 0) => outside.into_iter().map(say).collect(),
-        (false, n) => {
-            let lines = outside.join("; ");
-            vec![say(format!("{found} lines match, want {kind} {n}: {lines}"))]
-        }
+        (false, 0) => outside.iter().map(|at| say(at)).collect(),
+        (false, n) => vec![say(&format!("{found} lines match, want {kind} {n}: {outside:?}"))],
     };
     if kind == "only-in" {
-        let lost = rule.except.iter().filter(|e| !hits.iter().any(|(path, _)| path == e));
-        broken.extend(lost.map(|e| say(format!("{e}: holds no match"))));
+        let lost = rule.except.iter().filter(|e| !hits.iter().any(|(path, _)| path == *e));
+        broken.extend(lost.map(|e| say(&format!("{e}: holds no match"))));
     }
     broken
 }
 
+/// Every rule of the table, the files it covers, and what it finds there.
+fn survey() -> Vec<(Rule, Files, Files)> {
+    let cover = |rule: Rule| {
+        let files = scope(&rule, repo()).unwrap_or_else(|e| panic!("{e}"));
+        let found = hits(&rule, &files, repo());
+        (rule, files, found)
+    };
+    table().into_iter().map(cover).collect()
+}
+
 #[test]
 fn the_tree_keeps_every_rule() {
-    let check = |rule: &Rule| scope(rule, repo()).map(|files| verdict(rule, &files, repo()));
-    let broken: Vec<String> =
-        table().iter().flat_map(|rule| check(rule).unwrap_or_else(|e| vec![e])).collect();
+    let survey = survey();
+    let broken: Vec<_> = survey.iter().flat_map(|(rule, _, hits)| verdict(rule, hits)).collect();
     assert!(broken.is_empty(), "{} design rule violation(s):\n{}", broken.len(), broken.join("\n"));
 }
 
-/// The rules' own mutation check: each `seed`, prepended to the first
-/// covered file outside `except`, breaks its rule, and only its rule is named.
+/// The rules' own mutation check: each `seed`, prepended to the first file
+/// its rule covers outside `except`, breaks that rule, and the whole table
+/// run over the seeded tree names no other rule.
 #[test]
 fn every_seed_breaks_its_rule() {
-    for rule in table() {
-        let mut files = scope(&rule, repo()).unwrap_or_else(|e| panic!("{e}"));
-        let Some(target) = files.iter().position(|(path, _)| !rule.except.contains(path)) else {
+    let survey = survey();
+    for (rule, files, _) in &survey {
+        let Some((file, text)) = files.iter().find(|(path, _)| !rule.except.contains(path)) else {
             panic!("[{}] covers no file outside `except`", rule.name);
         };
-        files[target].1.insert_str(0, &format!("{}\n", rule.seed));
-        let broken = verdict(&rule, &files, repo());
-        let named = |m: &String| m.starts_with(&format!("[{}] ", rule.name));
-        let (seed, file) = (&rule.seed, &files[target].0);
-        assert!(!broken.is_empty() && broken.iter().all(named), "`{seed}` in {file}: {broken:?}");
+        let seeded = [(file.clone(), format!("{}\n{text}", rule.seed))];
+        let mut broken = Vec::new();
+        for (other, files, found) in &survey {
+            let mut found: Files = found.iter().filter(|(path, _)| path != file).cloned().collect();
+            if files.iter().any(|(path, _)| path == file) {
+                found.extend(hits(other, &seeded, repo()));
+            }
+            broken.extend(verdict(other, &found));
+        }
+        let alone = |m: &String| m.starts_with(&format!("[{}] ", rule.name));
+        let seed = &rule.seed;
+        assert!(!broken.is_empty() && broken.iter().all(alone), "`{seed}` in {file}: {broken:?}");
     }
 }
 
 #[test]
 fn a_listed_path_that_matches_no_file_fails_its_rule() {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("ratchets");
-    fs::create_dir_all(root.join("notes")).unwrap();
-    fs::write(root.join("notes/only.txt"), "text\n").unwrap();
     let rule = table().remove(0);
-    let cover = |paths: &str, filter: &str, except: &str| {
-        let filter = filter.to_string();
-        scope(&Rule { paths: words(paths), filter, except: words(except), ..rule.clone() }, &root)
-    };
-    assert_eq!(cover("notes", "(text)", "notes/only.txt").map(|f| f.len()), Ok(1));
     for (paths, filter, except, named) in [
-        ("notes gone", "(text)", "", "gone"),
-        ("notes", "(*.rs)", "", "notes"),
-        ("notes", "(text)", "notes/gone.txt", "notes/gone.txt"),
+        ("examples gone", "(*.rs)", "", "gone"),
+        ("README.md", "(*.rs)", "", "README.md"),
+        ("examples", "(*.rs)", "examples/gone.rs", "examples/gone.rs"),
     ] {
-        let err = cover(paths, filter, except).expect_err(named);
+        let (paths, filter, except) = (words(paths), filter.to_string(), words(except));
+        let err = scope(&Rule { paths, filter, except, ..rule.clone() }, repo()).expect_err(named);
         assert!(err.starts_with(&format!("[{}] `{named}`", rule.name)), "{err}");
     }
 }
@@ -275,9 +275,8 @@ fn a_malformed_block_fails_naming_its_line() {
     let text = fs::read_to_string(repo().join(TABLE)).unwrap();
     let line_of = |prefix: &str| 1 + text.lines().position(|l| l.starts_with(prefix)).unwrap();
     let without = |prefix: &str| {
-        let at = line_of(prefix);
-        let kept = (1..).zip(text.lines()).filter(|&(n, _)| n != at);
-        kept.map(|(_, l)| format!("{l}\n")).collect::<String>()
+        let line = text.lines().find(|l| l.starts_with(prefix)).unwrap();
+        text.replacen(&format!("\n{line}\n"), "\n", 1)
     };
     let first_rule = line_of("rule ");
     for (table, line) in [
