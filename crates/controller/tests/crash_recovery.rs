@@ -6,7 +6,8 @@
 //! 1. **No acknowledged write lost** — a logical page whose last
 //!    acknowledged operation was a write is mapped after the remount, and
 //!    its physical page is readable (valid, not torn) with a matching OOB
-//!    record.
+//!    record. After a cut at quiescence, every logical page mapped live
+//!    maps to the same physical page: a clean cut changes no answer.
 //! 2. **No double mapping** — no two logical pages share a physical page.
 //! 3. **Consistency** — the rebuilt controller passes the same
 //!    cross-structure `check_invariants` the live controller does, and
@@ -155,9 +156,13 @@ fn check_crash(
             break 'drive;
         }
     }
+    // At a quiescent cut the live map is what recovery must rebuild: a
+    // clean cut changes no answer (ROADMAP 21).
+    let mut live = Vec::new();
     if budget > 0 {
         // Workload ended first: cut at quiescence (every write acked).
         d.run().unwrap();
+        live = (0..logical).map(|lpn| d.c.peek_mapping(lpn)).collect();
     }
     let cut_at = d.now;
     let must_mapped = d.ledger.must_be_mapped();
@@ -204,6 +209,20 @@ fn check_crash(
                 lpn,
                 oob
             );
+        }
+
+        // After a quiescent cut, every page mapped live maps where it did.
+        for (lpn, &ppn) in live.iter().enumerate() {
+            if ppn.is_some() {
+                prop_assert_eq!(
+                    c2.peek_mapping(lpn as u64),
+                    ppn,
+                    "{}/{:?}: lpn {} moved across a quiescent cut",
+                    name,
+                    mode,
+                    lpn
+                );
+            }
         }
 
         // 2. No double-mapped physical page.
