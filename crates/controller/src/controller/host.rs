@@ -295,20 +295,26 @@ impl Controller {
         self.ack(id, io.span, now);
     }
 
-    /// An application write's program landed at `ppn`: commit the mapping
+    /// An application write's program landed at `ppn`: commit the mapping,
+    /// unless the copy lands behind a newer one ([`Self::lands_behind`]),
     /// and acknowledge.
     pub(super) fn app_write_done(&mut self, id: RequestId, lpn: Lpn, ppn: Ppn, now: SimTime) {
         self.landed(ppn);
-        let old = self.ftl.update(lpn, ppn);
-        if let Some(old) = old {
-            debug_assert_eq!(
-                self.content_at(old),
-                Some(OobTag::Data { lpn }),
-                "superseded page {old} does not hold lpn {lpn}"
-            );
-            self.invalidate_ppn(old);
+        if self.lands_behind(OobTag::Data { lpn }, ppn, self.ftl.peek(lpn)) {
+            if self.is_hybrid() {
+                self.hybrid_mut().abort_append(ppn);
+            }
+        } else {
+            if let Some(old) = self.ftl.update(lpn, ppn) {
+                debug_assert_eq!(
+                    self.content_at(old),
+                    Some(OobTag::Data { lpn }),
+                    "superseded page {old} does not hold lpn {lpn}"
+                );
+                self.invalidate_ppn(old);
+            }
+            self.drain_ftl_writebacks(now);
         }
-        self.drain_ftl_writebacks(now);
         self.complete_app(id, now);
     }
 

@@ -39,7 +39,9 @@ pub struct CtrlStats {
     pub trims_completed: u64,
     /// GC page migrations finished.
     pub gc_moves: u64,
-    /// Migrations dropped because the page was superseded mid-flight.
+    /// Copies dropped because their page was superseded mid-flight: GC
+    /// migrations, and host or translation programs that landed behind a
+    /// newer copy (a higher `seq`).
     pub gc_stale: u64,
     /// Victim pages already invalid at move time (free reclamation).
     pub gc_skipped: u64,

@@ -1455,9 +1455,9 @@ mod tests {
     }
 
     /// E25's `dftl/pe5000/scrub` device stops during `run_point`'s fill
-    /// (31 relocation writes on a LUN with no free block). With no measured
+    /// (51 ops that can never issue, on a LUN with no free block). With no measured
     /// work the fill's stop is what the point reports; with the reader, the
-    /// measured phase's, which at this seed stops on the same 31 ops.
+    /// measured phase's, which at this seed stops on the same 51 ops.
     #[test]
     fn a_fill_phase_stall_is_reported() {
         let mut setup = small();
@@ -1471,7 +1471,7 @@ mod tests {
             Point::filled(format!("read {read}"), setup.clone(), actors)
         };
         let t = sweep("EX", "fill stall", "read", [false, true], point, Ran::row);
-        assert_eq!(t.stuck, [("read false".to_string(), 31), ("read true".to_string(), 31)]);
+        assert_eq!(t.stuck, [("read false".to_string(), 51), ("read true".to_string(), 51)]);
     }
 
     #[test]
