@@ -99,7 +99,8 @@ impl Controller {
     /// live device keeps too, and a clean power cut changes no answer.
     pub(super) fn lands_behind(&mut self, tag: OobTag, new: Ppn, cur: Option<Ppn>) -> bool {
         let seq = |c: &Self, p| c.array.oob_at(p).map(|e| e.seq);
-        let behind = cur.is_some_and(|c| self.content_at(c) == Some(tag) && seq(self, c) > seq(self, new));
+        let behind =
+            cur.is_some_and(|c| self.content_at(c) == Some(tag) && seq(self, c) > seq(self, new));
         if behind {
             self.invalidate_ppn(new);
             self.stats.gc_stale += 1;

@@ -28,17 +28,21 @@
 //!   simulation (fingerprints stay byte-identical).
 //!
 //!   The log holds no [`Span`]s. An admitted span is appended, in close
-//!   order, as one record of LEB128 varints: its id and end as zigzag
-//!   deltas from the previous record's; its five stage sums (its start is
-//!   its end less their total, the identity every close asserts); its
-//!   tenant plus one (0 for none); its names — op kind, cause policy,
-//!   stalled-behind kind — as `u8` codes into a per-collector name table,
-//!   with the cause op's and the stalled-behind op's ids as zigzag deltas
-//!   from its own; then its busy windows, each as lane, offset from the
-//!   span's start and width. Span fields are small deltas, so a record
-//!   averages 22 B (`tenants_qos_obs`: 65,536 retained spans in 1.44 MB).
-//!   [`Obs::new`] reserves 24 B per span once; the log grows only if its
-//!   records average more. Evicting the front record decodes it, to learn
+//!   order, as one record of LEB128 varints that drops what the span's
+//!   stage sums already give: a presence byte (which stage sums are not
+//!   zero, whether it has a tenant, whether it stalled, whether its one
+//!   busy window is implied); its id and end as zigzag deltas from the
+//!   previous record's; its non-zero stage sums (its start is its end less
+//!   their total, the identity every close asserts); its tenant; its
+//!   names — op kind, cause policy, stalled-behind kind — as `u8` codes
+//!   into a per-collector name table, with the cause op's and the
+//!   stalled-behind op's ids as zigzag deltas from its own; then its busy
+//!   windows. A span that issued one command has one window, ending at the
+//!   span's end and exactly Media + Retry wide: the record keeps only its
+//!   lane. Any other window list is written whole, each window as lane,
+//!   offset from the span's start and width. A record averages about 13 B
+//!   (`tenants_qos_obs`); [`Obs::new`] reserves 14 B per span once, and
+//!   the log grows only if its records average more. Evicting the front record decodes it, to learn
 //!   its length and the `(id, end)` the next record's deltas are from;
 //!   [`Obs::spans`] decodes front to back, every field exactly, and a code
 //!   decodes to a name equal to the one it was given (a name is found by
@@ -63,7 +67,7 @@
 //!   counted twice or dropped.
 //! * [`Timeline`] — fixed-interval rows of named telemetry columns
 //!   (IOPS, write amplification, queue depths, GC/merge/scrub activity,
-//!   error rates), exportable as CSV or JSON.
+//!   error rates), kept as one varint log and exportable as CSV or JSON.
 //! * [`Obs::to_perfetto`] — a Chrome-trace / Perfetto JSON exporter with
 //!   one track per LUN (plus a misc track) and one per tenant.
 //!
@@ -89,8 +93,8 @@ pub struct ObsConfig {
     /// into per-kind latency histograms. Both kinds of loss are counted
     /// as dropped. `0` disables span collection entirely.
     ///
-    /// Retained spans are varint records in one byte log, about 22 B a
-    /// span; mount reserves 24 B a span once (failing with an `Err` naming
+    /// Retained spans are varint records in one byte log, about 13 B a
+    /// span; mount reserves 14 B a span once (failing with an `Err` naming
     /// this field if it cannot), and the log grows only if records average
     /// more.
     pub span_capacity: usize,
@@ -271,23 +275,35 @@ struct Closed {
     stalled_kind: u8,
 }
 
-/// Log bytes reserved per retained span: records average about 22.
-const RECORD_BYTES: usize = 24;
-/// The stalled-behind kind byte of a span that stalled behind nothing (a
-/// name code is below [`CAUSE_OP`]).
-const NOT_STALLED: u8 = u8::MAX;
+/// Log bytes reserved per retained span: records average about 13.
+const RECORD_BYTES: usize = 14;
+/// Bits of a record's presence byte past its five stage bits (bit `i`:
+/// stage `i`'s sum is not zero).
+const HAS_TENANT: u8 = 1 << 5;
+const HAS_STALL: u8 = 1 << 6;
+/// The span's one busy window is implied: it ends at the span's end and
+/// is [`implied_width`] wide, so the record keeps only its lane.
+const IMPLIED_WINDOW: u8 = 1 << 7;
+
+/// The width of an implied window: a span's flash time, Media + Retry,
+/// which is exactly its window's width when it issued one command.
+fn implied_width(stages: &StageNs) -> u64 {
+    stages.get(Stage::Media).wrapping_add(stages.get(Stage::Retry))
+}
 
 /// The retained spans, in close order: one record of LEB128 varints per
 /// span, in one byte log.
 ///
-/// A record is: id and end, each as a zigzag delta from the previous
-/// record's; the five stage sums (start is end less their total, the
-/// identity every close asserts); tenant + 1 (0: none); the kind code;
-/// the cause code, then, for [`CAUSE_OP`], the cause op's id as a zigzag
-/// delta from the span's own; the stalled-behind kind code or
-/// [`NOT_STALLED`], then, if stalled, that op's id likewise; the window
-/// count, and per window its lane, `from − start` and `to − from`.
-/// Differences wrap, so every field decodes exactly whatever its value.
+/// A record is: a presence byte (a bit per non-zero stage sum, then
+/// [`HAS_TENANT`], [`HAS_STALL`] and [`IMPLIED_WINDOW`]); id and end, each
+/// as a zigzag delta from the previous record's; the non-zero stage sums
+/// (start is end less their total, the identity every close asserts); the
+/// tenant, if any; the kind code; the cause code, then, for [`CAUSE_OP`],
+/// the cause op's id as a zigzag delta from the span's own; if stalled,
+/// the stalled-behind kind code and that op's id likewise; then the
+/// implied window's lane, or else the window count, and per window its
+/// lane, `from − start` and `to − from`. Differences wrap, so every field
+/// decodes exactly whatever its value.
 struct SpanLog {
     bytes: VecDeque<u8>,
     /// Records in `bytes`.
@@ -319,29 +335,55 @@ impl SpanLog {
     fn push(&mut self, rec: &Closed, busy: &[(u32, SimTime, SimTime)]) {
         let (id, end) = (rec.id, rec.end.as_nanos());
         let start = rec.start.as_nanos();
+        let implied = match *busy {
+            [(_, from, to)] => {
+                to.as_nanos() == end
+                    && to.as_nanos().wrapping_sub(from.as_nanos()) == implied_width(&rec.stages)
+            }
+            _ => false,
+        };
+        let stalled = rec.stalled_id != NO_SPAN;
+        let mut present = 0;
+        for (i, &ns) in rec.stages.0.iter().enumerate() {
+            present |= u8::from(ns != 0) << i;
+        }
+        for (bit, set) in [
+            (HAS_TENANT, rec.tenant.is_some()),
+            (HAS_STALL, stalled),
+            (IMPLIED_WINDOW, implied),
+        ] {
+            if set {
+                present |= bit;
+            }
+        }
         let b = &mut self.bytes;
+        b.push_back(present);
         put(b, zigzag(id.wrapping_sub(self.back.0)));
         put(b, zigzag(end.wrapping_sub(self.back.1)));
-        for ns in rec.stages.0 {
+        for ns in rec.stages.0.into_iter().filter(|&ns| ns != 0) {
             put(b, ns);
         }
-        put(b, rec.tenant.map_or(0, |t| u64::from(t) + 1));
+        if let Some(t) = rec.tenant {
+            put(b, u64::from(t));
+        }
         b.push_back(rec.kind);
         b.push_back(rec.cause);
         if rec.cause == CAUSE_OP {
             put(b, zigzag(rec.cause_op.wrapping_sub(id)));
         }
-        if rec.stalled_id == NO_SPAN {
-            b.push_back(NOT_STALLED);
-        } else {
+        if stalled {
             b.push_back(rec.stalled_kind);
             put(b, zigzag(rec.stalled_id.wrapping_sub(id)));
         }
-        put(b, busy.len() as u64);
-        for &(lane, from, to) in busy {
-            put(b, u64::from(lane));
-            put(b, from.as_nanos().wrapping_sub(start));
-            put(b, to.as_nanos().wrapping_sub(from.as_nanos()));
+        if implied {
+            put(b, u64::from(busy[0].0));
+        } else {
+            put(b, busy.len() as u64);
+            for &(lane, from, to) in busy {
+                put(b, u64::from(lane));
+                put(b, from.as_nanos().wrapping_sub(start));
+                put(b, to.as_nanos().wrapping_sub(from.as_nanos()));
+            }
         }
         self.back = (id, end);
         self.len += 1;
@@ -351,7 +393,7 @@ impl SpanLog {
     fn pop_front(&mut self) {
         let mut r = self.reader();
         r.record(|_| ());
-        let used = self.bytes.len() - r.bytes.len();
+        let used = self.bytes.len() - r.bytes.0.len();
         self.front = r.prev;
         self.bytes.drain(..used);
         self.len -= 1;
@@ -360,7 +402,7 @@ impl SpanLog {
     /// A reader at the front record.
     fn reader(&self) -> Reader<'_> {
         Reader {
-            bytes: self.bytes.iter(),
+            bytes: Varints(self.bytes.iter()),
             prev: self.front,
         }
     }
@@ -368,58 +410,52 @@ impl SpanLog {
 
 /// Decodes a [`SpanLog`]'s records front to back.
 struct Reader<'a> {
-    bytes: std::collections::vec_deque::Iter<'a, u8>,
+    bytes: Varints<std::collections::vec_deque::Iter<'a, u8>>,
     /// The `(id, end)` the next record's deltas are from.
     prev: (u64, u64),
 }
 
 impl Reader<'_> {
-    fn byte(&mut self) -> u8 {
-        *self.bytes.next().expect("a span record is whole")
-    }
-
-    fn varint(&mut self) -> u64 {
-        let mut v = 0;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte();
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                break;
-            }
-        }
-        v
-    }
-
     /// The next record; each of its busy windows goes to `window`.
     fn record(&mut self, mut window: impl FnMut((u32, SimTime, SimTime))) -> Closed {
-        let id = self.prev.0.wrapping_add(unzigzag(self.varint()));
-        let end = self.prev.1.wrapping_add(unzigzag(self.varint()));
+        let b = &mut self.bytes;
+        let present = b.byte();
+        let id = self.prev.0.wrapping_add(unzigzag(b.varint()));
+        let end = self.prev.1.wrapping_add(unzigzag(b.varint()));
         self.prev = (id, end);
         let mut stages = StageNs::default();
-        for ns in &mut stages.0 {
-            *ns = self.varint();
+        for (i, ns) in stages.0.iter_mut().enumerate() {
+            if present & (1 << i) != 0 {
+                *ns = b.varint();
+            }
         }
         let start = end.wrapping_sub(stages.0.iter().fold(0, |a, &ns| a.wrapping_add(ns)));
-        let tenant = self
-            .varint()
-            .checked_sub(1)
-            .map(|t| u32::try_from(t).expect("a tenant fits a u32"));
-        let kind = self.byte();
-        let cause = self.byte();
+        let tenant = (present & HAS_TENANT != 0)
+            .then(|| u32::try_from(b.varint()).expect("a tenant fits a u32"));
+        let kind = b.byte();
+        let cause = b.byte();
         let cause_op = if cause == CAUSE_OP {
-            id.wrapping_add(unzigzag(self.varint()))
+            id.wrapping_add(unzigzag(b.varint()))
         } else {
             0
         };
-        let (stalled_id, stalled_kind) = match self.byte() {
-            NOT_STALLED => (NO_SPAN, 0),
-            k => (id.wrapping_add(unzigzag(self.varint())), k),
+        let (stalled_id, stalled_kind) = if present & HAS_STALL != 0 {
+            let k = b.byte();
+            (id.wrapping_add(unzigzag(b.varint())), k)
+        } else {
+            (NO_SPAN, 0)
         };
-        for _ in 0..self.varint() {
-            let lane = u32::try_from(self.varint()).expect("a lane fits a u32");
-            let from = start.wrapping_add(self.varint());
-            let to = from.wrapping_add(self.varint());
-            window((lane, SimTime::from_nanos(from), SimTime::from_nanos(to)));
+        let lane = |b: &mut Varints<_>| u32::try_from(b.varint()).expect("a lane fits a u32");
+        if present & IMPLIED_WINDOW != 0 {
+            let from = end.wrapping_sub(implied_width(&stages));
+            window((lane(b), SimTime::from_nanos(from), SimTime::from_nanos(end)));
+        } else {
+            for _ in 0..b.varint() {
+                let lane = lane(b);
+                let from = start.wrapping_add(b.varint());
+                let to = from.wrapping_add(b.varint());
+                window((lane, SimTime::from_nanos(from), SimTime::from_nanos(to)));
+            }
         }
         Closed {
             id,
@@ -436,14 +472,47 @@ impl Reader<'_> {
     }
 }
 
+/// A byte log [`put`] appends to: the span log's ring and the timeline's
+/// chunks.
+trait ByteLog {
+    fn push(&mut self, b: u8);
+}
+
+impl ByteLog for VecDeque<u8> {
+    fn push(&mut self, b: u8) {
+        self.push_back(b);
+    }
+}
+
 /// Append `v` as an LEB128 varint: 7 bits a byte, low first, the high
 /// bit set on every byte but the last.
-fn put(bytes: &mut VecDeque<u8>, mut v: u64) {
+fn put(bytes: &mut impl ByteLog, mut v: u64) {
     while v >= 0x80 {
-        bytes.push_back(v as u8 | 0x80);
+        bytes.push(v as u8 | 0x80);
         v >>= 7;
     }
-    bytes.push_back(v as u8);
+    bytes.push(v as u8);
+}
+
+/// Reads back what [`put`] wrote, from either log's bytes.
+struct Varints<I>(I);
+
+impl<'a, I: Iterator<Item = &'a u8>> Varints<I> {
+    fn byte(&mut self) -> u8 {
+        *self.0.next().expect("a record is whole")
+    }
+
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        v
+    }
 }
 
 /// A wrapped difference as a zigzag code: small magnitudes of either sign
@@ -1113,14 +1182,58 @@ impl StageBreakdown {
     }
 }
 
+/// Bytes a [`Timeline`] grows by at a time.
+const CHUNK: usize = 16 << 10;
+
+/// A byte log grown in fixed chunks of [`CHUNK`] bytes: a full log takes
+/// a new chunk and never copies the old ones.
+#[derive(Debug, Clone, Default)]
+struct Chunks(Vec<Vec<u8>>);
+
+impl ByteLog for Chunks {
+    fn push(&mut self, b: u8) {
+        match self.0.last_mut() {
+            Some(c) if c.len() < CHUNK => c.push(b),
+            _ => {
+                let mut c = Vec::with_capacity(CHUNK);
+                c.push(b);
+                self.0.push(c);
+            }
+        }
+    }
+}
+
+/// `v` as the integer `n` it is exactly, if `n < 2^63`: `n` converts back
+/// to the same bits, which −0.0, NaN, negatives and fractions do not.
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "the round trip rejects every value the cast changes"
+)]
+fn exact_integer(v: f64) -> Option<u64> {
+    let n = v as u64;
+    (n < 1 << 63 && (n as f64).to_bits() == v.to_bits()).then_some(n)
+}
+
 /// Fixed-interval telemetry rows: each row is one interval's values for a
 /// fixed set of named columns. The sampler computes the values (counter
 /// deltas, instantaneous depths); this container only stores and exports.
+///
+/// The rows are one varint log (the span log's LEB128 [`put`]), grown in
+/// [`CHUNK`]s. A row is its start, as a zigzag delta from the previous
+/// row's start plus one interval (0 at every whole interval), then each
+/// value: `2n` for a value that is exactly the integer `n` below 2^63,
+/// else `1` and its 8 bytes. Counts and depths, most of a row, take a byte
+/// or two; every value decodes to the same bits.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     interval: SimDuration,
     columns: Vec<&'static str>,
-    rows: Vec<(SimTime, Vec<f64>)>,
+    log: Chunks,
+    /// Rows in `log`.
+    len: usize,
+    /// The previous row's start plus one interval (0 before the first
+    /// row), which the next row's start is a delta from.
+    next: u64,
 }
 
 impl Timeline {
@@ -1131,7 +1244,9 @@ impl Timeline {
         Timeline {
             interval,
             columns,
-            rows: Vec::new(),
+            log: Chunks::default(),
+            len: 0,
+            next: 0,
         }
     }
 
@@ -1146,22 +1261,49 @@ impl Timeline {
     }
 
     /// Append one row starting at `at` (must carry one value per column).
-    pub fn push_row(&mut self, at: SimTime, values: Vec<f64>) {
+    pub fn push_row(&mut self, at: SimTime, values: &[f64]) {
         assert_eq!(values.len(), self.columns.len(), "row arity mismatch");
-        self.rows.push((at, values));
+        let at = at.as_nanos();
+        put(&mut self.log, zigzag(at.wrapping_sub(self.next)));
+        for &v in values {
+            match exact_integer(v) {
+                Some(n) => put(&mut self.log, n << 1),
+                None => {
+                    put(&mut self.log, 1);
+                    for b in v.to_le_bytes() {
+                        self.log.push(b);
+                    }
+                }
+            }
+        }
+        self.next = at.wrapping_add(self.interval.as_nanos());
+        self.len += 1;
     }
 
-    /// Rows recorded so far.
-    pub fn rows(&self) -> &[(SimTime, Vec<f64>)] {
-        &self.rows
+    /// Rows recorded so far, each decoded from the log: its start and one
+    /// value per column.
+    pub fn rows(&self) -> impl Iterator<Item = (SimTime, Vec<f64>)> + '_ {
+        let mut b = Varints(self.log.0.iter().flatten());
+        let mut next = 0u64;
+        (0..self.len).map(move |_| {
+            let at = next.wrapping_add(unzigzag(b.varint()));
+            next = at.wrapping_add(self.interval.as_nanos());
+            let values = (0..self.columns.len())
+                .map(|_| match b.varint() {
+                    v if v & 1 == 0 => (v >> 1) as f64,
+                    _ => f64::from_le_bytes(std::array::from_fn(|_| b.byte())),
+                })
+                .collect();
+            (SimTime::from_nanos(at), values)
+        })
     }
 
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Export as CSV: `t_us` then one column per name.
@@ -1172,7 +1314,7 @@ impl Timeline {
             out.push_str(c);
         }
         out.push('\n');
-        for (t, vals) in &self.rows {
+        for (t, vals) in self.rows() {
             out.push_str(&format!("{}", t.as_nanos() as f64 / 1_000.0));
             for v in vals {
                 out.push_str(&format!(",{v}"));
@@ -1194,13 +1336,13 @@ impl Timeline {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        for (i, (t, vals)) in self.rows.iter().enumerate() {
+        for (i, (t, vals)) in self.rows().enumerate() {
             out.push_str(&format!("    [{}", t.as_nanos() as f64 / 1_000.0));
             for v in vals {
                 out.push_str(&format!(", {v}"));
             }
             out.push(']');
-            if i + 1 < self.rows.len() {
+            if i + 1 < self.len {
                 out.push(',');
             }
             out.push('\n');
@@ -1327,7 +1469,7 @@ mod tests {
         for _ in 0..log.len {
             r.record(|_| ());
         }
-        log.bytes.len() - r.bytes.len()
+        log.bytes.len() - r.bytes.0.len()
     }
 
     #[test]
@@ -1335,7 +1477,9 @@ mod tests {
         const MAX: u64 = u64::MAX;
         let rec = |id: u64, end: u64, stages: [u64; 5]| Closed {
             id,
-            start: SimTime::from_nanos(end - stages.iter().sum::<u64>()),
+            start: SimTime::from_nanos(
+                end.wrapping_sub(stages.iter().fold(0, |a, &ns| a.wrapping_add(ns))),
+            ),
             end: SimTime::from_nanos(end),
             stages: StageNs(stages),
             tenant: None,
@@ -1389,6 +1533,21 @@ mod tests {
                 // Zero-width, and starting before its span.
                 vec![w(1, 1_000, 1_000), w(2, 10, 999), w(1, 0, 0)],
             ),
+            // One window ending at the span's end, Media + Retry wide: it
+            // is implied, with or without retry rounds, whatever its lane.
+            (rec(12, 4_000, [0, 0, 100, 30, 20]), vec![w(u32::MAX, 3_950, 4_000)]),
+            (rec(13, 4_100, [0, 0, 0, 7, 0]), vec![w(0, 4_093, 4_100)]),
+            // Media + Retry wrapping past `u64::MAX`, as every sum may.
+            (rec(14, MAX, [0, 0, 0, MAX, 1]), vec![w(5, MAX, MAX)]),
+            // One window that is not implied: ending before the span's
+            // end; ending there but Media wide only, or Retry only; or
+            // wider than Media + Retry.
+            (rec(15, 5_000, [0, 0, 10, 30, 20]), vec![w(2, 4_940, 4_990)]),
+            (rec(16, 5_100, [0, 0, 10, 30, 20]), vec![w(2, 5_070, 5_100)]),
+            (rec(17, 5_200, [0, 0, 10, 30, 20]), vec![w(2, 5_180, 5_200)]),
+            (rec(18, 5_300, [0, 0, 0, 30, 20]), vec![w(2, 5_240, 5_300)]),
+            // Two windows, the last implied-shaped: both are written.
+            (rec(19, 5_400, [0, 0, 10, 60, 0]), vec![w(1, 5_330, 5_360), w(1, 5_370, 5_400)]),
             // A plain span, and 300 windows on one.
             (rec(10, 2_000, [10, 20, 30, 40, 50]), Vec::new()),
             (
@@ -1409,7 +1568,7 @@ mod tests {
             for _ in 0..n {
                 reader.record(|_| ());
             }
-            assert_eq!(log.bytes.len() - reader.bytes.len(), before);
+            assert_eq!(log.bytes.len() - reader.bytes.0.len(), before);
         }
         for first in 0..records.len() {
             let mut reader = log.reader();
@@ -1418,7 +1577,7 @@ mod tests {
                 assert_eq!(reader.record(|w| windows.push(w)), *r);
                 assert_eq!(&windows, busy, "span #{}", r.id);
             }
-            assert_eq!(reader.bytes.len(), 0, "bytes left after the last record");
+            assert_eq!(reader.bytes.0.len(), 0, "bytes left after the last record");
             log.pop_front();
             assert_eq!(
                 (log.len, decoded_len(&log)),
@@ -1426,6 +1585,30 @@ mod tests {
             );
         }
         assert!(log.bytes.is_empty());
+    }
+
+    #[test]
+    fn a_record_keeps_only_what_its_stage_sums_do_not_give() {
+        // A host read: 10 µs queued (4 of them QoS-held), issued at 25 µs,
+        // busy until 75 µs with 20 µs of retry rounds; and a GC read with
+        // no retry, which closes as its one window ends.
+        let mut o = Obs::new(4).unwrap();
+        let rd = o.open("AppRead", Some(1), t(0));
+        o.acc_queue(rd, t(10), SimDuration::from_micros(4));
+        o.on_issue(rd, 3, t(25), t(75), SimDuration::from_micros(20), t(10), true);
+        assert!(o.close_host(rd, t(75)));
+        // Presence 1, id 1, end 3 (150,000 zigzagged), the five sums
+        // 2 + 2 + 2 + 3 + 3, tenant 1, kind 1, cause 1, and the window's
+        // lane alone: 1.
+        assert_eq!(o.log.bytes.len(), 21, "the read's window is written whole");
+        let gc = o.open_internal("GcRead", t(80), Cause::Policy("gc"));
+        o.on_issue(gc, 3, t(80), t(120), SimDuration::ZERO, t(80), false);
+        // Presence, id, end 3 (the 45 µs step, zigzagged), Media 3, kind,
+        // cause, lane.
+        assert_eq!(o.log.bytes.len(), 21 + 11);
+        let spans: Vec<Span> = o.spans().collect();
+        assert_eq!(spans[0].busy, [(3, t(25), t(75))]);
+        assert_eq!(spans[1].busy, [(3, t(80), t(120))]);
     }
 
     #[test]
@@ -1654,8 +1837,8 @@ mod tests {
             vec!["iops", "gc_ops"],
         );
         assert!(tl.is_empty());
-        tl.push_row(t(0), vec![10.0, 2.0]);
-        tl.push_row(t(100), vec![8.0, 0.0]);
+        tl.push_row(t(0), &[10.0, 2.0]);
+        tl.push_row(t(100), &[8.0, 0.0]);
         assert_eq!(tl.len(), 2);
         let csv = tl.to_csv();
         assert!(csv.starts_with("t_us,iops,gc_ops\n"));
@@ -1671,7 +1854,78 @@ mod tests {
     #[should_panic(expected = "row arity mismatch")]
     fn timeline_rejects_wrong_arity() {
         let mut tl = Timeline::new(SimDuration::from_micros(1), vec!["a"]);
-        tl.push_row(SimTime::ZERO, vec![1.0, 2.0]);
+        tl.push_row(SimTime::ZERO, &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn timeline_rows_decode_to_the_same_bits() {
+        let two = |e: i32| 2f64.powi(e);
+        let values = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            0.5,
+            1.0 / 3.0,
+            two(53) + 1.0,
+            two(53) + 2.0,
+            two(63) - 1024.0,
+            two(63),
+            two(64),
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            7.0,
+            1e15,
+        ];
+        let interval = SimDuration::from_micros(100);
+        // Whole intervals, a row at its predecessor's start, one before
+        // it, one far past it, and a final partial row: any start decodes.
+        let starts = [0, 100_000, 200_000, 200_000, 150_000, u64::MAX, 7, 300_003];
+        let mut tl = Timeline::new(interval, vec!["a", "b", "c", "d"]);
+        let rows: Vec<(SimTime, Vec<f64>)> = starts
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| {
+                let row = (0..4).map(|c| values[(i * 4 + c) % values.len()]).collect();
+                (SimTime::from_nanos(at), row)
+            })
+            .collect();
+        for (at, row) in &rows {
+            tl.push_row(*at, row);
+        }
+        let bits = |rows: &[(SimTime, Vec<f64>)]| -> Vec<(SimTime, Vec<u64>)> {
+            rows.iter()
+                .map(|(at, v)| (*at, v.iter().map(|x| x.to_bits()).collect()))
+                .collect()
+        };
+        let decoded: Vec<_> = tl.rows().collect();
+        assert_eq!(bits(&decoded), bits(&rows), "a value decoded to other bits");
+        // Whole-interval starts and small integers take a byte each.
+        let mut small = Timeline::new(interval, vec!["n"]);
+        for i in 0..10 {
+            small.push_row(t(100 * i), &[i as f64]);
+        }
+        assert_eq!(small.log.0.concat().len(), 20);
+    }
+
+    #[test]
+    fn the_timeline_grows_in_chunks_and_never_copies() {
+        let mut tl = Timeline::new(SimDuration::from_micros(1), vec!["x"; 15]);
+        let row: Vec<f64> = (0..15).map(|i| f64::from(i) + 0.5).collect();
+        for i in 0..2_000 {
+            tl.push_row(t(i), &row);
+        }
+        assert_eq!(tl.len(), 2_000);
+        let chunks = &tl.log.0;
+        assert!(chunks.len() > 1, "{} chunks", chunks.len());
+        assert!(chunks.iter().all(|c| c.capacity() == CHUNK), "a chunk regrew");
+        assert!(chunks[..chunks.len() - 1].iter().all(|c| c.len() == CHUNK));
+        assert!(tl.rows().all(|(_, r)| r == row));
     }
 
     /// What the property test below remembers of the spans it opened — a

@@ -641,7 +641,7 @@ impl Os {
         };
         let d = |a: OpClass| (issued[class_index(a)] - prev.issued[class_index(a)]) as f64;
         let backlog: usize = self.tenants.iter().map(|t| t.backlog).sum();
-        let row = vec![
+        let row = [
             iops,
             self.ctrl.write_amplification(),
             backlog as f64,
@@ -668,7 +668,7 @@ impl Os {
         self.timeline
             .as_mut()
             .expect("caller checked")
-            .push_row(from, row);
+            .push_row(from, &row);
     }
 
     /// Earliest token-refill instant the main loop must wake for: only
@@ -1450,7 +1450,6 @@ mod tests {
         assert!(tl.to_csv().starts_with("t_us,iops,wa,"));
         let writes: f64 = tl
             .rows()
-            .iter()
             .map(|(_, v)| v[TL_COLUMNS.iter().position(|c| *c == "app_write_issues").unwrap()])
             .sum();
         assert!(writes >= 100.0, "all write issues land in some interval");
@@ -1514,12 +1513,11 @@ mod tests {
         let tl = o.timeline().expect("timeline on");
         assert_eq!(tl.columns()[0], "iops");
         assert!(tl.len() > 1, "run spans several intervals");
-        let ends = tl.rows().iter().skip(1).map(|(at, _)| *at).chain([o.now()]);
+        let ends = tl.rows().skip(1).map(|(at, _)| at).chain([o.now()]);
         let total: f64 = tl
             .rows()
-            .iter()
             .zip(ends)
-            .map(|((from, v), to)| v[0] * to.since(*from).as_secs_f64())
+            .map(|((from, v), to)| v[0] * to.since(from).as_secs_f64())
             .sum();
         assert!(
             (total - 100.0).abs() < 1e-6,

@@ -97,7 +97,7 @@ fn main() {
     // metric-vs-time graphs): the telemetry timeline's `iops` column.
     if let Some(tl) = os.timeline() {
         let col = tl.columns().iter().position(|c| *c == "iops").expect("iops column");
-        let iops: Vec<f64> = tl.rows().iter().map(|(_, row)| row[col]).collect();
+        let iops: Vec<f64> = tl.rows().map(|(_, row)| row[col]).collect();
         println!("IOPS per 20ms: {}", sparkline(&downsample(&iops, 60)));
     }
 }
