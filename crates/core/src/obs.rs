@@ -1846,7 +1846,10 @@ mod tests {
         let json = tl.to_json();
         assert!(json.contains("\"interval_us\": 100"));
         assert!(json.contains("\"columns\": [\"iops\", \"gc_ops\"]"));
-        assert!(json.contains("[100, 8, 0]"));
+        assert!(
+            json.ends_with("    [0, 10, 2],\n    [100, 8, 0]\n  ]\n}\n"),
+            "rows are comma-separated, the last one bare: {json}"
+        );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
