@@ -296,11 +296,11 @@ impl Controller {
     }
 
     /// An application write's program landed at `ppn`: commit the mapping,
-    /// unless the copy lands behind a newer one ([`Self::lands_behind`]),
+    /// unless the copy lands behind a newer one ([`Self::drop_if_behind`]),
     /// and acknowledge.
     pub(super) fn app_write_done(&mut self, id: RequestId, lpn: Lpn, ppn: Ppn, now: SimTime) {
         self.landed(ppn);
-        if self.lands_behind(OobTag::Data { lpn }, ppn, self.ftl.peek(lpn)) {
+        if self.drop_if_behind(OobTag::Data { lpn }, ppn, self.ftl.peek(lpn)) {
             if self.is_hybrid() {
                 self.hybrid_mut().abort_append(ppn);
             }

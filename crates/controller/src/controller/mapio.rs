@@ -151,17 +151,17 @@ impl Controller {
 
     /// Writeback `wb`'s program landed at `new`: repoint the GTD, unless
     /// the copy lands behind a newer writeback of the same page
-    /// ([`Self::lands_behind`]).
+    /// ([`Self::drop_if_behind`]).
     pub(super) fn wb_write_done(&mut self, wb: usize, new: Ppn) {
         let job = self.mapio.wb_jobs.remove(wb);
         self.landed(new);
         let tag = OobTag::Translation { tvpn: job.tvpn };
-        if self.lands_behind(tag, new, self.ftl.translation_location(job.tvpn)) {
+        if self.drop_if_behind(tag, new, self.ftl.translation_location(job.tvpn)) {
             return;
         }
         let old = self.ftl.translation_written(job.tvpn, new);
         if let Some(old) = old {
-            if self.content_at(old) == Some(OobTag::Translation { tvpn: job.tvpn }) {
+            if self.content_at(old) == Some(tag) {
                 self.invalidate_ppn(old);
             } else {
                 // Already dead, but the GTD pointed at it until just now:

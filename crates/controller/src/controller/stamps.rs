@@ -90,17 +90,17 @@ impl Controller {
         self.stamp_program(ppn, src.tag, Some(src.seq));
     }
 
-    /// Whether the program that just landed at `new`, holding `tag`, lost
-    /// to `cur`, the copy mapped now; if so it is dropped on arrival
-    /// (invalidated and counted in `CtrlStats::gc_stale`). Two
-    /// programs of one page in flight on different LUNs can land out of
-    /// issue order. The copy with the higher content version (`seq`,
-    /// assigned at issue) is the one recovery keeps, so it is the one the
-    /// live device keeps too, and a clean power cut changes no answer.
-    pub(super) fn lands_behind(&mut self, tag: OobTag, new: Ppn, cur: Option<Ppn>) -> bool {
+    /// Drop the program that just landed at `new`, holding `tag`, if it
+    /// lands behind `cur`, the copy mapped now: invalidate it and count it
+    /// in `CtrlStats::gc_stale`. Returns whether it did. Two programs of
+    /// one page in flight on different LUNs can land out of issue order.
+    /// The copy with the higher content version (`seq`, assigned at issue)
+    /// is the one recovery keeps, so it is the one the live device keeps
+    /// too, and a clean power cut changes no answer.
+    pub(super) fn drop_if_behind(&mut self, tag: OobTag, new: Ppn, cur: Option<Ppn>) -> bool {
         let seq = |c: &Self, p| c.array.oob_at(p).map(|e| e.seq);
         let behind =
-            cur.is_some_and(|c| self.content_at(c) == Some(tag) && seq(self, c) > seq(self, new));
+            cur.is_some_and(|c| seq(self, c) > seq(self, new) && self.content_at(c) == Some(tag));
         if behind {
             self.invalidate_ppn(new);
             self.stats.gc_stale += 1;

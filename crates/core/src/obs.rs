@@ -41,13 +41,14 @@
 //!   span's end and exactly Media + Retry wide: the record keeps only its
 //!   lane. Any other window list is written whole, each window as lane,
 //!   offset from the span's start and width. A record averages about 13 B
-//!   (`tenants_qos_obs`); [`Obs::new`] reserves 14 B per span once, and
-//!   the log grows only if its records average more. Evicting the front record decodes it, to learn
-//!   its length and the `(id, end)` the next record's deltas are from;
-//!   [`Obs::spans`] decodes front to back, every field exactly, and a code
-//!   decodes to a name equal to the one it was given (a name is found by
-//!   pointer, else by content). An open span's busy list goes back to the
-//!   spare pool the moment it closes, still in cache for the next open.
+//!   (`tenants_qos_obs`); [`Obs::new`] reserves 14 B per span once, and the
+//!   log grows only if its records average more. Evicting the front record
+//!   decodes it, to learn its length and the `(id, end)` the next record's
+//!   deltas are from; [`Obs::spans`] decodes front to back, every field
+//!   exactly, and a code decodes to a name equal to the one it was given (a
+//!   name is found by pointer, else by content). An open span's busy list
+//!   goes back to the spare pool the moment it closes, still in cache for the
+//!   next open.
 //!
 //!   Retention is by policy, not recency. Every close records the span's
 //!   end-to-end latency in a per-kind [`Histogram`]. Until the log holds
@@ -347,14 +348,14 @@ impl SpanLog {
         for (i, &ns) in rec.stages.0.iter().enumerate() {
             present |= u8::from(ns != 0) << i;
         }
-        for (bit, set) in [
-            (HAS_TENANT, rec.tenant.is_some()),
-            (HAS_STALL, stalled),
-            (IMPLIED_WINDOW, implied),
-        ] {
-            if set {
-                present |= bit;
-            }
+        if rec.tenant.is_some() {
+            present |= HAS_TENANT;
+        }
+        if stalled {
+            present |= HAS_STALL;
+        }
+        if implied {
+            present |= IMPLIED_WINDOW;
         }
         let b = &mut self.bytes;
         b.push_back(present);
