@@ -171,8 +171,7 @@ fn crash_remount_fingerprints(mapping: MappingKind) -> [Fingerprint; 2] {
         }
     }
     // ROADMAP item 2's relocation stall: under DFTL a GC write waits from
-    // op 2815 on for a block its LUN has no room for (the GC and
-    // translation streams share the reserved block). The churn goes on
+    // op 2815 on for a block its LUN has no room for. The churn goes on
     // around it, so the cut below still has programs in flight; the stall
     // is pinned, and no other scheme may stop.
     let dftl_stall = "op 2815: device stuck, agenda empty: 1 pending ops can never issue \
