@@ -74,11 +74,7 @@ fn every_experiment_reproduces_its_golden_rows() {
 /// relocation write bound to a LUN that can no longer allocate for it);
 /// a new entry is a new way to stop silently and fails tier-1, a fix
 /// shrinks the list.
-const STUCK: [&str; 3] = [
-    "E7 static+dynamic",
-    "E25 dftl/pe5000/noscrub",
-    "E25 dftl/pe5000/scrub",
-];
+const STUCK: [&str; 2] = ["E25 dftl/pe5000/noscrub", "E25 dftl/pe5000/scrub"];
 
 #[test]
 fn only_the_pinned_points_end_stuck() {

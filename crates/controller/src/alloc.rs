@@ -27,6 +27,12 @@ pub enum Stream {
     Gc,
     /// DFTL translation pages.
     Translation,
+    /// Static wear-leveling moves: cold data, steered to old blocks like
+    /// `Cold`, but internal, so a move may take its LUN's last free block.
+    /// No GC starts on a LUN while its wear-leveling job runs, so a move
+    /// that waited on the reserve would wait forever; the job's erase
+    /// gives the block back.
+    WlMove,
     /// Open-interface update-locality group.
     Locality(u32),
 }
@@ -36,7 +42,7 @@ impl Stream {
     /// Application streams must leave headroom so GC can always make
     /// progress.
     pub fn is_internal(self) -> bool {
-        matches!(self, Stream::Gc | Stream::Translation)
+        matches!(self, Stream::Gc | Stream::Translation | Stream::WlMove)
     }
 }
 
@@ -47,13 +53,13 @@ struct ActiveBlock {
 }
 
 /// A LUN's open block per stream. The scheduler asks `can_alloc` of every
-/// candidate LUN of every probe, so the four fixed streams get a direct
+/// candidate LUN of every probe, so the five fixed streams get a direct
 /// slot each — no search on that path — and only the open-interface
 /// locality groups, unbounded in number, a small map (of slots too: a
 /// group's entry stays, empty, once its block is full).
 #[derive(Debug, Clone, Default)]
 struct ActiveBlocks {
-    fixed: [Option<ActiveBlock>; 4],
+    fixed: [Option<ActiveBlock>; 5],
     locality: BTreeMap<u32, Option<ActiveBlock>>,
 }
 
@@ -65,6 +71,7 @@ impl ActiveBlocks {
             Stream::Cold => Ok(1),
             Stream::Gc => Ok(2),
             Stream::Translation => Ok(3),
+            Stream::WlMove => Ok(4),
             Stream::Locality(g) => Err(g),
         }
     }
@@ -324,7 +331,7 @@ impl Allocator {
             // Hot data → youngest block (lowest erase count) so young
             // blocks age; cold data → oldest block so old blocks rest.
             match stream {
-                Stream::Cold => candidates.max_by_key(|(_, (_, ec))| *ec).map(|(i, _)| i),
+                Stream::Cold | Stream::WlMove => candidates.max_by_key(|(_, (_, ec))| *ec).map(|(i, _)| i),
                 Stream::Hot | Stream::Gc | Stream::Translation | Stream::Locality(_) => {
                     candidates.min_by_key(|(_, (_, ec))| *ec).map(|(i, _)| i)
                 }

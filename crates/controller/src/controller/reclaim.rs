@@ -282,7 +282,7 @@ impl Controller {
                 let stream = match (j.source, tag) {
                     (_, OobTag::Translation { .. }) => Stream::Translation,
                     // Static WL migrates presumed-cold data.
-                    (IoSource::WearLeveling, _) => Stream::Cold,
+                    (IoSource::WearLeveling, _) => Stream::WlMove,
                     _ => Stream::Gc,
                 };
                 self.enqueue(

@@ -2,8 +2,8 @@
 //! wear-leveling / scheduling pipeline against the simulated flash array.
 
 use eagletree_controller::{
-    Controller, ControllerConfig, Driver, GcConfig, IoSource, IoTags, MappingKind, OpClass,
-    RecoveryMode, RequestKind, SchedPolicy, SsdRequest, TemperatureMode, VictimPolicy, WlConfig,
+    Controller, ControllerConfig, Driver, GcConfig, IoTags, MappingKind, RecoveryMode,
+    RequestKind, SchedPolicy, SsdRequest, TemperatureMode, VictimPolicy, WlConfig,
     WriteAllocPolicy,
 };
 use eagletree_core::{ObsConfig, SimRng, SimTime};
@@ -389,15 +389,9 @@ fn static_wear_leveling_migrates_cold_data() {
     let over: Vec<_> = (0..logical * 4)
         .map(|_| (RequestKind::Write, rng.gen_range(hot)))
         .collect();
-    // ROADMAP item 2: static WL writes its moves on the `Cold` stream,
-    // which may not open a LUN's last free block, so a window stops with
-    // a WL job's moves queued on a LUN down to that block.
-    let stuck = d.submit_windowed(&over, 16).expect_err("static WL's Cold moves stall");
-    let wl_moves_left: u32 = stuck.jobs.iter().map(|j| j.2).sum();
-    assert_eq!(stuck.pending, [(OpClass::WlWrite, wl_moves_left.into())], "{stuck}");
-    for &(lun, source, _) in &stuck.jobs {
-        assert_eq!((source, stuck.free_blocks[lun as usize]), (IoSource::WearLeveling, 1));
-    }
+    // Static WL's moves may open a LUN's last free block (`WlMove` is an
+    // internal stream), so the window finishes; on `Cold` it stalled.
+    d.submit_windowed(&over, 16).unwrap();
     assert!(
         d.c.stats().wl_erases > 0,
         "static WL never fired under skewed wear"

@@ -268,19 +268,9 @@ fn wear_leveling_narrows_erase_distribution() {
             ),
             vec![fill],
         );
-        let ran = os.run();
-        if static_wl {
-            // ROADMAP item 2: static WL writes its moves on the `Cold`
-            // stream, which may not open a LUN's last free block, and the
-            // hot writer stops behind them.
-            let stalled = ran.expect_err("static WL's Cold moves stall");
-            let dev = stalled.device.expect("the device holds the moves");
-            assert!(dev.pending.iter().any(|&(c, _)| c == OpClass::WlWrite), "{dev}");
-            assert!(dev.jobs.iter().all(|j| j.1 == IoSource::WearLeveling), "{dev}");
-            assert!(dev.free_blocks.iter().all(|&f| f == 1), "{dev}");
-        } else {
-            ran.expect("without static WL the hot writer finishes");
-        }
+        // Static WL's moves may open a LUN's last free block (`WlMove` is an
+        // internal stream), so both runs finish; they stalled on `Cold`.
+        os.run().unwrap();
         os.controller().check_invariants();
         eagletree::controller::wear_summary(os.controller().array()).stddev_erases
     };
