@@ -159,26 +159,38 @@ fn crash_remount_fingerprints(mapping: MappingKind) -> [Fingerprint; 2] {
     let mut d = Driver::tiny(cfg.clone());
     let logical = d.c.logical_pages();
     let mut rng = SimRng::new(0x0C0B_2E57);
-    let mut first_stall = None;
+    let mut stalls = Vec::new();
     for i in 0..3000u32 {
         let lpn = rng.gen_range(logical);
         let kind = if i % 16 == 0 { RequestKind::Trim } else { RequestKind::Write };
         d.submit(kind, lpn);
         if i % 32 == 31 {
             if let Err(stuck) = d.run() {
-                first_stall.get_or_insert(format!("op {i}: {stuck}"));
+                stalls.push(format!("op {i}: {stuck}"));
             }
         }
     }
     // ROADMAP item 2's relocation stall: under DFTL a GC write waits from
     // op 2815 on for a block its LUN has no room for. The churn goes on
-    // around it, so the cut below still has programs in flight; the stall
-    // is pinned, and no other scheme may stop.
-    let dftl_stall = "op 2815: device stuck, agenda empty: 1 pending ops can never issue \
-        (1 GcWrite); free blocks per LUN [2, 2, 2, 0]; reclaim jobs (lun, source, moves left) \
-        [(3, GarbageCollection, 1)]";
-    let want = matches!(mapping, MappingKind::Dftl { .. }).then_some(dftl_stall);
-    assert_eq!(first_stall.as_deref(), want, "{mapping:?}");
+    // around it, so the cut below still has programs in flight. Every
+    // burst's stop is pinned, so a later, different or missing stall, or
+    // any stall under another scheme, fails.
+    let dftl_stall = |i: u32, free: &str| {
+        format!(
+            "op {i}: device stuck, agenda empty: 1 pending ops can never issue (1 GcWrite); \
+             free blocks per LUN [{free}]; reclaim jobs (lun, source, moves left) \
+             [(3, GarbageCollection, 1)]"
+        )
+    };
+    let want: Vec<String> = match mapping {
+        MappingKind::Dftl { .. } => (2815..2975)
+            .step_by(32)
+            .map(|i| dftl_stall(i, "2, 2, 2, 0"))
+            .chain([dftl_stall(2975, "1, 2, 2, 0")])
+            .collect(),
+        _ => Vec::new(),
+    };
+    assert_eq!(stalls, want, "{mapping:?}");
     // Cut a few events into the last burst, with programs in flight.
     d.step_n(12);
     let reclaimed = d.c.stats().gc_erases + d.c.stats().merge_erases;
