@@ -299,8 +299,9 @@ impl Controller {
     /// unless the copy lands behind a newer one ([`Self::drop_if_behind`]),
     /// and acknowledge.
     pub(super) fn app_write_done(&mut self, id: RequestId, lpn: Lpn, ppn: Ppn, now: SimTime) {
-        self.landed(ppn);
-        if self.drop_if_behind(OobTag::Data { lpn }, ppn, self.ftl.peek(lpn)) {
+        let overtaken = self.landed(ppn);
+        let tag = OobTag::Data { lpn };
+        if overtaken.is_some_and(|seq| self.drop_if_behind(tag, ppn, seq, self.ftl.peek(lpn))) {
             if self.is_hybrid() {
                 self.hybrid_mut().abort_append(ppn);
             }

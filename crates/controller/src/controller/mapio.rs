@@ -154,9 +154,10 @@ impl Controller {
     /// ([`Self::drop_if_behind`]).
     pub(super) fn wb_write_done(&mut self, wb: usize, new: Ppn) {
         let job = self.mapio.wb_jobs.remove(wb);
-        self.landed(new);
+        let overtaken = self.landed(new);
         let tag = OobTag::Translation { tvpn: job.tvpn };
-        if self.drop_if_behind(tag, new, self.ftl.translation_location(job.tvpn)) {
+        let cur = self.ftl.translation_location(job.tvpn);
+        if overtaken.is_some_and(|seq| self.drop_if_behind(tag, new, seq, cur)) {
             return;
         }
         let old = self.ftl.translation_written(job.tvpn, new);

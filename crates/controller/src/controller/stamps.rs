@@ -7,7 +7,7 @@
 //! bounds the checkpoint watermark.
 
 use eagletree_core::IdTable;
-use eagletree_flash::{OobEntry, OobTag};
+use eagletree_flash::{OobEntry, OobTag, PageState};
 
 use super::Controller;
 use crate::types::Ppn;
@@ -20,6 +20,11 @@ pub(super) struct Stamps {
     /// landed yet; their minimum bounds the checkpoint watermark, so a
     /// snapshot never claims to cover an entry it cannot contain.
     inflight: IdTable<()>,
+    /// The highest content version (`seq`) of any program that has landed;
+    /// on remount, the highest stamp on the medium, which bounds every
+    /// `seq` there. Every mapped copy's `seq` is at most this, so only a
+    /// program landing below it can land behind the copy mapped now.
+    newest_landed: u64,
 }
 
 impl Stamps {
@@ -29,6 +34,7 @@ impl Stamps {
         Stamps {
             next: max_stamp + 1,
             inflight: IdTable::default(),
+            newest_landed: max_stamp,
         }
     }
 
@@ -51,14 +57,19 @@ impl Controller {
     /// discarded): release the stamp it left in the page's OOB from the
     /// watermark bound. A filler's or checkpoint page's stamp was never
     /// held there, so releasing it changes nothing; any other page lands
-    /// exactly once per program.
-    pub(super) fn landed(&mut self, ppn: Ppn) {
+    /// exactly once per program. Returns the page's content version when
+    /// a program that landed before it carries a newer one: only then can
+    /// it land behind a mapped copy ([`Self::drop_if_behind`]).
+    pub(super) fn landed(&mut self, ppn: Ppn) -> Option<u64> {
         let oob = self.array.oob_at(ppn).expect("a landed program carries OOB");
         let held = self.stamps.inflight.remove(oob.stamp).is_some();
         debug_assert!(
             held || matches!(oob.tag, OobTag::Filler | OobTag::Checkpoint { .. }),
             "page {ppn} landed twice, or was programmed again without landing: {oob:?}"
         );
+        let overtaken = oob.seq < self.stamps.newest_landed;
+        self.stamps.newest_landed = self.stamps.newest_landed.max(oob.seq);
+        overtaken.then_some(oob.seq)
     }
 
     /// The OOB record of a relocation's source page: what the copy holds
@@ -90,17 +101,25 @@ impl Controller {
         self.stamp_program(ppn, src.tag, Some(src.seq));
     }
 
-    /// Drop the program that just landed at `new`, holding `tag`, if it
-    /// lands behind `cur`, the copy mapped now: invalidate it and count it
-    /// in `CtrlStats::gc_stale`. Returns whether it did. Two programs of
-    /// one page in flight on different LUNs can land out of issue order.
-    /// The copy with the higher content version (`seq`, assigned at issue)
-    /// is the one recovery keeps, so it is the one the live device keeps
-    /// too, and a clean power cut changes no answer.
-    pub(super) fn drop_if_behind(&mut self, tag: OobTag, new: Ppn, cur: Option<Ppn>) -> bool {
-        let seq = |c: &Self, p| c.array.oob_at(p).map(|e| e.seq);
-        let behind =
-            cur.is_some_and(|c| seq(self, c) > seq(self, new) && self.content_at(c) == Some(tag));
+    /// Drop the program that just landed at `new`, holding `tag` at content
+    /// version `seq`, if it lands behind `cur`, the copy mapped now:
+    /// invalidate it and count it in `CtrlStats::gc_stale`. Returns whether
+    /// it did. Two programs of one page in flight on different LUNs can
+    /// land out of issue order. The copy with the higher content version
+    /// (`seq`, assigned at issue) is the one recovery keeps, so it is the
+    /// one the live device keeps too, and a clean power cut changes no
+    /// answer. Asked only of an overtaken program ([`Self::landed`]).
+    pub(super) fn drop_if_behind(
+        &mut self,
+        tag: OobTag,
+        new: Ppn,
+        seq: u64,
+        cur: Option<Ppn>,
+    ) -> bool {
+        let behind = cur.is_some_and(|c| {
+            self.array.page_state_at(c) == PageState::Valid
+                && self.array.oob_at(c).is_some_and(|e| e.seq > seq && e.tag == tag)
+        });
         if behind {
             self.invalidate_ppn(new);
             self.stats.gc_stale += 1;
