@@ -18,10 +18,11 @@ applies one operator at a time:
 Operators match binary operators with a space on each side, as rustfmt
 writes them, so generics and arrows are left alone. Each mutant is built
 and tested in one temporary `git worktree` of HEAD, reset between
-mutants: first the changed crate's tests, then, if those pass, the root
-package's tests, each under a timeout of 3x the clean run. Prints one
-line per mutant (killed, survived, timeout, unbuildable), the counts and
-the wall time. A survivor is killed by a new test (then committed as a
+mutants: first the changed crate's tests, then, if those pass, the whole
+workspace's (`cargo test` at the root, whose `default-members` lists every
+crate, so the crates that use the changed one run too), each under a
+timeout of 3x the clean run. Prints one line per mutant (killed,
+survived, timeout, unbuildable), the counts and the wall time. A survivor is killed by a new test (then committed as a
 named mutant for `run.py`) or named equivalent, with a reason, in the
 change's notes. Exits 1 if the clean tree fails its own tests.
 """
@@ -32,6 +33,7 @@ TIMEOUT_FACTOR = 3
 SWAPS = [(" < ", " <= "), (" <= ", " < "), (" > ", " >= "), (" >= ", " > "),
          (" == ", " != "), (" != ", " == "), (" && ", " || "), (" || ", " && "),
          (" += 1", " += 0"), (" -= 1", " -= 0"), (".min(", ".max("), (".max(", ".min(")]
+WHOLE = ["cargo", "test", "--offline", "-q"]
 IF_LINE = re.compile(r"^(\s*(?:\} else )?if )(?!let )(.+) \{$")
 
 
@@ -108,8 +110,8 @@ def main():
         try:
             suites = {}
             for path in sorted(lines):
-                crate = ["cargo", "test", "--offline", "-q", "-p", package(root, path)]
-                for cmd in (crate, ["cargo", "test", "--offline", "-q", "-p", "eagletree"]):
+                crate = WHOLE + ["-p", package(root, path)]
+                for cmd in (crate, WHOLE):
                     key = tuple(cmd)
                     if key not in suites:
                         t = time.monotonic()
@@ -122,7 +124,7 @@ def main():
                 for n, op, mutated in mutants(text, lines[path]):
                     file.write_text("\n".join(text[:n - 1] + [mutated] + text[n:]) + "\n")
                     verdict = "survived"
-                    for cmd in (crate, ["cargo", "test", "--offline", "-q", "-p", "eagletree"]):
+                    for cmd in (crate, WHOLE):
                         # A slow clean run still gets a minute to rebuild in.
                         outcome = run(cmd, work, max(60, TIMEOUT_FACTOR * suites[tuple(cmd)]))
                         if outcome != "pass":
