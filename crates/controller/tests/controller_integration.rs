@@ -390,7 +390,7 @@ fn static_wear_leveling_migrates_cold_data() {
         .map(|_| (RequestKind::Write, rng.gen_range(hot)))
         .collect();
     // Static WL's moves may open a LUN's last free block (`WlMove` is an
-    // internal stream), so the window finishes; on `Cold` it stalled.
+    // internal stream), so the window finishes.
     d.submit_windowed(&over, 16).unwrap();
     assert!(
         d.c.stats().wl_erases > 0,

@@ -269,7 +269,7 @@ fn wear_leveling_narrows_erase_distribution() {
             vec![fill],
         );
         // Static WL's moves may open a LUN's last free block (`WlMove` is an
-        // internal stream), so both runs finish; they stalled on `Cold`.
+        // internal stream), so both runs finish.
         os.run().unwrap();
         os.controller().check_invariants();
         eagletree::controller::wear_summary(os.controller().array()).stddev_erases
