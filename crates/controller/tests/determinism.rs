@@ -182,13 +182,11 @@ fn crash_remount_fingerprints(mapping: MappingKind) -> [Fingerprint; 2] {
              [(3, GarbageCollection, 1)]"
         )
     };
-    let want: Vec<String> = match mapping {
-        MappingKind::Dftl { .. } => (2815..2975)
-            .step_by(32)
-            .map(|i| dftl_stall(i, "2, 2, 2, 0"))
-            .chain([dftl_stall(2975, "1, 2, 2, 0")])
-            .collect(),
-        _ => Vec::new(),
+    let want: Vec<String> = if matches!(mapping, MappingKind::Dftl { .. }) {
+        let burst = (2815..2975).step_by(32).map(|i| dftl_stall(i, "2, 2, 2, 0"));
+        burst.chain([dftl_stall(2975, "1, 2, 2, 0")]).collect()
+    } else {
+        Vec::new()
     };
     assert_eq!(stalls, want, "{mapping:?}");
     // Cut a few events into the last burst, with programs in flight.
