@@ -10,7 +10,8 @@
 //! * `harness e3 e9 --scale full` — GC greediness and advanced commands.
 //! * `harness game --csv` — the scheduling game as CSV.
 //! * `harness all --scale smoke --json BENCH_now.json` — machine-readable
-//!   results (event count + result rows per experiment) for `compare`.
+//!   results (event count + result rows per experiment), the layout of
+//!   the committed `BENCH_pr22.json`.
 //! * `harness all --scale smoke --jobs 0` — run independent experiments on
 //!   parallel threads (`0` = all available cores). Every simulation is
 //!   self-contained and deterministic and event counts are measured with a
@@ -28,9 +29,10 @@
 //! appear only in rows of fault-model-enabled runs (E25/E26), and the
 //! stage-attribution columns (`st_queue_us`, `explained_p999`, …) only in
 //! rows of observability-enabled runs (E27) — other experiments emit no
-//! such keys at all. Every cell is deterministic, and `compare` gates on
-//! all of them. The harness never reads the host clock: host-time
-//! measurement lives in the `benchmark/` package.
+//! such keys at all. Every cell is deterministic, and the result gate
+//! (`diff -u BENCH_pr22.json NEW.json`) covers all of them. The harness
+//! never reads the host clock: host-time measurement lives in the
+//! `benchmark/` package.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

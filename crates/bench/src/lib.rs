@@ -8,10 +8,10 @@
 //! * `harness` binary — regenerates every experiment series (E1–E27, G1;
 //!   `harness --help` lists them): `cargo run --release -p eagletree-bench
 //!   --bin harness -- all --scale full`.
-//! * `compare` binary — gates a harness `--json` file against a baseline:
-//!   any result that moved exits 1.
 //! * this library — running one experiment with its event count, and the
-//!   `--json` serialisation both binaries agree on.
+//!   `--json` serialisation: one line per result row, so a plain line diff
+//!   against the committed `BENCH_pr22.json` names every moved cell
+//!   (`tests/suite_golden.rs` in tier-1, `diff -u` in CI).
 
 use eagletree_core::json_str;
 use eagletree_experiments::{Experiment, Scale, Table};
@@ -37,8 +37,8 @@ pub fn run_one(e: &Experiment, scale: Scale) -> ExperimentResult {
 }
 
 /// Hand-rolled JSON (no serde in the offline build container): one
-/// object per experiment with its event count and the full result rows.
-/// `compare` scrapes this exact line layout.
+/// object per experiment with its event count and the full result rows,
+/// one row per line.
 pub fn to_json(scale: Scale, results: &[ExperimentResult]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));

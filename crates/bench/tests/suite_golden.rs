@@ -1,8 +1,8 @@
 //! Golden result rows for the whole suite: every experiment, run at
 //! `Scale::Smoke`, must reproduce the committed `BENCH_pr22.json` line for
 //! line — same labels, same columns, same order, same digits, same event
-//! counts. It is the file `compare` and CI's release-mode gate read, so
-//! there is one result baseline, and a failure shows the cell that moved.
+//! counts. CI's release-mode gate diffs the same file, so there is one
+//! result baseline, and a failure shows the cell that moved.
 //!
 //! Every cell of every experiment is a deterministic function of the
 //! code. A mismatch therefore means the simulation, a sweep or a column

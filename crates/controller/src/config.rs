@@ -20,18 +20,7 @@ pub enum MappingKind {
     Hybrid {
         /// Random (RW) log-block budget; the sequential log block is extra.
         log_blocks: usize,
-        /// Full-merge victim selection among exhausted log blocks.
-        merge: MergePolicy,
     },
-}
-
-/// Full-merge victim selection for the hybrid log-block FTL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergePolicy {
-    /// Oldest log block first (the original FAST rotation).
-    Fifo,
-    /// Fewest valid pages first (cheapest merge, risks starving old blocks).
-    MinValid,
 }
 
 /// GC victim-selection policy.
@@ -255,7 +244,7 @@ impl ControllerConfig {
             MappingKind::Dftl { cmt_entries: 0 } => {
                 return Err("DFTL cmt_entries must be non-zero".into());
             }
-            MappingKind::Hybrid { log_blocks: 0, .. } => {
+            MappingKind::Hybrid { log_blocks: 0 } => {
                 return Err("hybrid log_blocks must be non-zero".into());
             }
             MappingKind::PageMap | MappingKind::Dftl { .. } | MappingKind::Hybrid { .. } => {}
@@ -357,10 +346,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let c = ControllerConfig {
-            mapping: MappingKind::Hybrid {
-                log_blocks: 0,
-                merge: MergePolicy::Fifo,
-            },
+            mapping: MappingKind::Hybrid { log_blocks: 0 },
             ..ControllerConfig::default()
         };
         assert!(c.validate().is_err());

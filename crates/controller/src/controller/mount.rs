@@ -66,7 +66,7 @@ fn tvpn_span(geometry: &Geometry, logical_pages: u64) -> (u64, u64) {
 fn spare_budget(g: &Geometry, cfg: &ControllerConfig, logical_pages: u64) -> Result<(), String> {
     let data_blocks = logical_pages.div_ceil(g.pages_per_block.into());
     let (spare, need, per) = match cfg.mapping {
-        MappingKind::Hybrid { log_blocks, .. } => (
+        MappingKind::Hybrid { log_blocks } => (
             g.total_blocks() - data_blocks,
             log_blocks as u64 + 3,
             "device: the log blocks, the sequential log, a merge destination and erase slack",
@@ -146,12 +146,11 @@ impl Controller {
                 rec.data_map,
                 rec.trans_map,
             ))),
-            MappingKind::Hybrid { log_blocks, merge } => {
+            MappingKind::Hybrid { log_blocks } => {
                 let layout = recovery::classify_hybrid(&array, logical_pages);
                 FtlKind::Hybrid(Box::new(Hybrid::restore(
                     geometry.pages_per_block,
                     log_blocks,
-                    merge,
                     rec.data_map,
                     layout.dir,
                     layout.logs,

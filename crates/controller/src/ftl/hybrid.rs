@@ -33,7 +33,6 @@
 //! bytes per logical block plus `pages_per_block` entries per log block —
 //! the scheme's selling point against a full page map).
 
-use crate::config::MergePolicy;
 use crate::ftl::{MapLookup, PpnTable};
 use crate::types::{Lpn, Ppn};
 
@@ -165,8 +164,6 @@ pub struct Hybrid {
     rw: Vec<LogBlock>,
     /// RW log-block budget.
     budget: usize,
-    /// Full-merge victim selection.
-    policy: MergePolicy,
     /// Events awaiting the controller (switch-merge erases).
     events: Vec<HybridEvent>,
     stats: HybridStats,
@@ -174,17 +171,11 @@ pub struct Hybrid {
 
 impl Hybrid {
     /// A hybrid FTL over `logical_pages`, with physical/logical blocks of
-    /// `pages_per_block` pages, `log_blocks` RW log blocks and `policy`
-    /// victim selection.
-    pub fn new(
-        logical_pages: u64,
-        pages_per_block: u32,
-        log_blocks: usize,
-        policy: MergePolicy,
-    ) -> Self {
+    /// `pages_per_block` pages and `log_blocks` RW log blocks.
+    pub fn new(logical_pages: u64, pages_per_block: u32, log_blocks: usize) -> Self {
         let lbns = lbns_for(logical_pages, pages_per_block);
         let (map, dir) = (PpnTable::unmapped(logical_pages), PpnTable::unmapped(lbns));
-        Hybrid::restore(pages_per_block, log_blocks, policy, map, dir, Vec::new())
+        Hybrid::restore(pages_per_block, log_blocks, map, dir, Vec::new())
     }
 
     /// Rebuild a hybrid FTL from recovered state (mount-time OOB scan).
@@ -203,7 +194,6 @@ impl Hybrid {
     pub fn restore(
         pages_per_block: u32,
         log_blocks: usize,
-        policy: MergePolicy,
         map: PpnTable,
         dir: PpnTable,
         logs: Vec<(Ppn, Vec<Lpn>)>,
@@ -226,7 +216,6 @@ impl Hybrid {
             sw: None,
             rw,
             budget: log_blocks,
-            policy,
             events: Vec::new(),
             stats: HybridStats::default(),
         }
@@ -417,22 +406,14 @@ impl Hybrid {
         })
     }
 
-    /// Pick and take a full-merge victim among the exhausted RW log blocks,
-    /// once it has no append in flight. Removes it from the log set.
+    /// Take the full-merge victim once the RW log budget is exhausted: the
+    /// oldest log block with no append in flight (the FAST rotation).
+    /// Removes it from the log set.
     pub fn take_merge_victim(&mut self) -> Option<FullMergePlan> {
         if self.rw.len() < self.budget {
             return None; // budget not exhausted: no forced merge
         }
-        let idx = match self.policy {
-            MergePolicy::Fifo => self.rw.iter().position(|l| l.inflight == 0)?,
-            MergePolicy::MinValid => self
-                .rw
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.inflight == 0)
-                .min_by_key(|(i, l)| (self.live_entries(l), *i))
-                .map(|(i, _)| i)?,
-        };
+        let idx = self.rw.iter().position(|l| l.inflight == 0)?;
         let victim = self.rw.remove(idx);
         let mut lbns: Vec<u64> = Vec::new();
         for (o, &lpn) in victim.entries.iter().enumerate() {
@@ -448,15 +429,6 @@ impl Hybrid {
             victim: victim.base,
             lbns,
         })
-    }
-
-    /// Live (still-mapped) entries in a log block.
-    fn live_entries(&self, lb: &LogBlock) -> u32 {
-        lb.entries
-            .iter()
-            .enumerate()
-            .filter(|(o, &lpn)| self.map.get(lpn) == Some(lb.base + *o as u64))
-            .count() as u32
     }
 
     /// One past the highest mapped offset of `lbn` (0 = nothing mapped).
@@ -582,7 +554,7 @@ mod tests {
 
     /// 64 logical pages over 8-page blocks, 2 RW log blocks.
     fn hybrid() -> Hybrid {
-        Hybrid::new(64, 8, 2, MergePolicy::Fifo)
+        Hybrid::new(64, 8, 2)
     }
 
     /// Simulate an append landing: place must be Append, then commit both
@@ -675,23 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn min_valid_policy_picks_cheapest_victim() {
-        let mut h = Hybrid::new(64, 4, 2, MergePolicy::MinValid);
-        h.open_log(800, None);
-        for &lpn in &[1u64, 2, 3, 5] {
-            append(&mut h, lpn);
-        }
-        h.open_log(900, None);
-        // Supersede most of block 800 from block 900.
-        for &lpn in &[1u64, 2, 3, 6] {
-            append(&mut h, lpn);
-        }
-        let plan = h.take_merge_victim().unwrap();
-        assert_eq!(plan.victim, 800, "block 800 has one live entry");
-        assert_eq!(plan.lbns, vec![1]);
-    }
-
-    #[test]
     fn sw_merge_partial_vs_switch_classification() {
         let mut h = hybrid();
         // Stream pages 0..3 of lbn 1 into the SW block, then let lbn 0
@@ -780,7 +735,7 @@ mod tests {
 
     #[test]
     fn ram_bytes_far_below_page_map() {
-        let h = Hybrid::new(1 << 16, 64, 8, MergePolicy::Fifo);
+        let h = Hybrid::new(1 << 16, 64, 8);
         // Page map would be 8 B × 65536 = 512 KiB; hybrid holds a 1024-entry
         // directory plus at most 9 log page tables.
         assert!(h.ram_bytes() < (1u64 << 19) / 8);
@@ -788,7 +743,7 @@ mod tests {
 
     #[test]
     fn last_partial_logical_block_is_bounded() {
-        let h = Hybrid::new(20, 8, 2, MergePolicy::Fifo);
+        let h = Hybrid::new(20, 8, 2);
         assert_eq!(h.lbn_count(), 3);
         assert_eq!(h.lbn_pages(2), 4);
         assert_eq!(h.fold_end(2), 0);

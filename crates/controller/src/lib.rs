@@ -45,8 +45,8 @@ pub mod wear;
 pub use alloc::{Allocator, Stream};
 pub use buffer::WriteBuffer;
 pub use config::{
-    ControllerConfig, GcConfig, MappingKind, MergePolicy, ScrubConfig, TemperatureMode,
-    VictimPolicy, WlConfig, WriteAllocPolicy,
+    ControllerConfig, GcConfig, MappingKind, ScrubConfig, TemperatureMode, VictimPolicy, WlConfig,
+    WriteAllocPolicy,
 };
 pub use controller::{Controller, CtrlStats, MergeCounters, ReliabilityStats, Stuck};
 pub use driver::{Driver, Ledger};

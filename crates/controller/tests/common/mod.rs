@@ -1,7 +1,7 @@
 //! What the controller's golden tests share: the mapping-scheme rows and
 //! scheduling-policy columns they run, and the one renderer of a run.
 
-use eagletree_controller::{Driver, MappingKind, MergePolicy, SchedPolicy};
+use eagletree_controller::{Driver, MappingKind, SchedPolicy};
 use eagletree_core::digest::Fingerprint;
 
 /// The golden rows: the three mapping schemes, by name.
@@ -9,13 +9,7 @@ pub fn mappings() -> [(&'static str, MappingKind); 3] {
     [
         ("page_map", MappingKind::PageMap),
         ("dftl24", MappingKind::Dftl { cmt_entries: 24 }),
-        (
-            "hybrid3_fifo",
-            MappingKind::Hybrid {
-                log_blocks: 3,
-                merge: MergePolicy::Fifo,
-            },
-        ),
+        ("hybrid3_fifo", MappingKind::Hybrid { log_blocks: 3 }),
     ]
 }
 

@@ -31,8 +31,8 @@
 use std::collections::BTreeMap;
 
 use eagletree_controller::{
-    Controller, ControllerConfig, Driver, Ledger, MappingKind, MergePolicy, RecoveryMode,
-    RequestKind, WlConfig,
+    Controller, ControllerConfig, Driver, Ledger, MappingKind, RecoveryMode, RequestKind,
+    WlConfig,
 };
 use eagletree_core::SimTime;
 use eagletree_flash::{FaultConfig, Geometry, OobTag, TimingSpec};
@@ -72,13 +72,7 @@ fn schemes() -> Vec<(&'static str, MappingKind)> {
     vec![
         ("page_map", MappingKind::PageMap),
         ("dftl", MappingKind::Dftl { cmt_entries: 24 }),
-        (
-            "hybrid",
-            MappingKind::Hybrid {
-                log_blocks: 3,
-                merge: MergePolicy::Fifo,
-            },
-        ),
+        ("hybrid", MappingKind::Hybrid { log_blocks: 3 }),
     ]
 }
 
@@ -483,10 +477,7 @@ fn remount_rejects_a_hybrid_log_budget_new_rejects() {
     d.run().unwrap();
     let spare = g.total_blocks() - logical.div_ceil(g.pages_per_block as u64);
     let oversized = config(
-        MappingKind::Hybrid {
-            log_blocks: spare as usize,
-            merge: MergePolicy::Fifo,
-        },
+        MappingKind::Hybrid { log_blocks: spare as usize },
         0,
     );
     let from_new = Controller::new(g, TimingSpec::slc(), oversized.clone())

@@ -13,8 +13,8 @@ mod common;
 
 use common::{fingerprint, mappings, policies};
 use eagletree_controller::{
-    Controller, ControllerConfig, Driver, IoTags, MappingKind, MergePolicy, RecoveryMode,
-    RequestKind, SchedPolicy, WlConfig,
+    Controller, ControllerConfig, Driver, IoTags, MappingKind, RecoveryMode, RequestKind,
+    SchedPolicy, WlConfig,
 };
 use eagletree_core::digest::{Fingerprint, Golden};
 use eagletree_core::{ObsConfig, SimRng};
@@ -92,10 +92,7 @@ fn all_schemes_run_deterministically() {
     for mapping in [
         MappingKind::PageMap,
         MappingKind::Dftl { cmt_entries: 24 },
-        MappingKind::Hybrid {
-            log_blocks: 4,
-            merge: MergePolicy::MinValid,
-        },
+        MappingKind::Hybrid { log_blocks: 4 },
     ] {
         let a = run_fingerprint(mapping, SchedPolicy::Fifo).text();
         let b = run_fingerprint(mapping, SchedPolicy::Fifo).text();

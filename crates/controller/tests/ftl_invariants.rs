@@ -23,8 +23,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use eagletree_controller::{
-    class_index, class_table, ControllerConfig, Driver, MappingKind, MergePolicy, OpClass,
-    RequestKind, SchedPolicy, WlConfig,
+    class_index, class_table, ControllerConfig, Driver, MappingKind, OpClass, RequestKind,
+    SchedPolicy, WlConfig,
 };
 use eagletree_flash::PageState;
 use proptest::prelude::*;
@@ -42,13 +42,7 @@ fn schemes() -> Vec<(&'static str, MappingKind)> {
     vec![
         ("page_map", MappingKind::PageMap),
         ("dftl", MappingKind::Dftl { cmt_entries: 24 }),
-        (
-            "hybrid",
-            MappingKind::Hybrid {
-                log_blocks: 3,
-                merge: MergePolicy::Fifo,
-            },
-        ),
+        ("hybrid", MappingKind::Hybrid { log_blocks: 3 }),
     ]
 }
 

@@ -3,15 +3,15 @@
 //! (visible per `OpClass`), not bypass it.
 
 use eagletree_controller::{
-    class_index, Controller, ControllerConfig, Driver, MappingKind, MergePolicy, OpClass,
-    RequestKind, SchedPolicy, WlConfig,
+    class_index, Controller, ControllerConfig, Driver, MappingKind, OpClass, RequestKind,
+    SchedPolicy, WlConfig,
 };
 use eagletree_core::SimRng;
 use eagletree_flash::{Geometry, TimingSpec};
 
-fn hybrid_cfg(log_blocks: usize, merge: MergePolicy) -> ControllerConfig {
+fn hybrid_cfg(log_blocks: usize) -> ControllerConfig {
     ControllerConfig {
-        mapping: MappingKind::Hybrid { log_blocks, merge },
+        mapping: MappingKind::Hybrid { log_blocks },
         wl: WlConfig {
             static_enabled: false,
             ..WlConfig::default()
@@ -20,13 +20,13 @@ fn hybrid_cfg(log_blocks: usize, merge: MergePolicy) -> ControllerConfig {
     }
 }
 
-fn hybrid_driver(log_blocks: usize, merge: MergePolicy) -> Driver {
-    Driver::tiny(hybrid_cfg(log_blocks, merge))
+fn hybrid_driver(log_blocks: usize) -> Driver {
+    Driver::tiny(hybrid_cfg(log_blocks))
 }
 
 #[test]
 fn sequential_fill_switch_merges_with_unit_wa() {
-    let mut d = hybrid_driver(4, MergePolicy::Fifo);
+    let mut d = hybrid_driver(4);
     let ppb = Geometry::tiny().pages_per_block as u64;
     let n = (d.c.logical_pages() / ppb) * ppb / 2; // whole logical blocks
     let reqs: Vec<_> = (0..n).map(|l| (RequestKind::Write, l)).collect();
@@ -49,7 +49,7 @@ fn sequential_fill_switch_merges_with_unit_wa() {
 
 #[test]
 fn log_exhaustion_full_merges_through_the_scheduler() {
-    let mut d = hybrid_driver(3, MergePolicy::Fifo);
+    let mut d = hybrid_driver(3);
     let logical = d.c.logical_pages();
     // Fill, then overwrite randomly until well past log exhaustion.
     let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
@@ -101,7 +101,7 @@ fn merges_compete_with_reads_under_class_priority() {
     let read_wait = |policy: SchedPolicy| {
         let cfg = ControllerConfig {
             sched: policy,
-            ..hybrid_cfg(2, MergePolicy::Fifo)
+            ..hybrid_cfg(2)
         };
         let mut d = Driver::tiny(cfg);
         let logical = d.c.logical_pages();
@@ -129,24 +129,8 @@ fn merges_compete_with_reads_under_class_priority() {
 }
 
 #[test]
-fn min_valid_policy_completes_and_merges() {
-    let mut d = hybrid_driver(3, MergePolicy::MinValid);
-    let logical = d.c.logical_pages();
-    let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
-    d.submit_windowed(&fill, 16).unwrap();
-    let mut rng = SimRng::new(3);
-    let over: Vec<_> = (0..logical)
-        .map(|_| (RequestKind::Write, 1 + rng.gen_range(logical - 1)))
-        .collect();
-    d.submit_windowed(&over, 16).unwrap();
-    assert_eq!(d.c.stats().app_writes_completed, logical * 2);
-    assert!(d.c.merge_counters().full_merges > 0);
-    d.c.check_invariants();
-}
-
-#[test]
 fn trims_shrink_merge_work() {
-    let mut d = hybrid_driver(2, MergePolicy::Fifo);
+    let mut d = hybrid_driver(2);
     let logical = d.c.logical_pages();
     let fill: Vec<_> = (0..logical).map(|l| (RequestKind::Write, l)).collect();
     d.submit_windowed(&fill, 16).unwrap();
@@ -172,7 +156,7 @@ fn static_wl_refreshes_cold_data_blocks_via_merges() {
             idle_factor: 0.1,
             dynamic_enabled: false,
         },
-        ..hybrid_cfg(3, MergePolicy::Fifo)
+        ..hybrid_cfg(3)
     };
     let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
@@ -202,7 +186,7 @@ fn write_buffer_flushes_through_the_log_blocks() {
     // discipline (including discarded stale flushes).
     let cfg = ControllerConfig {
         write_buffer_pages: 8,
-        ..hybrid_cfg(3, MergePolicy::Fifo)
+        ..hybrid_cfg(3)
     };
     let mut d = Driver::tiny(cfg);
     let logical = d.c.logical_pages();
@@ -228,7 +212,7 @@ fn hybrid_budget_must_fit_spare_blocks() {
     let err = Controller::new(
         Geometry::tiny(),
         TimingSpec::slc(),
-        hybrid_cfg(1000, MergePolicy::Fifo),
+        hybrid_cfg(1000),
     );
     assert!(err.is_err(), "oversized log budget must be rejected");
 }
@@ -238,7 +222,7 @@ fn hybrid_ram_footprint_beats_page_map() {
     let hybrid = Controller::new(
         Geometry::tiny(),
         TimingSpec::slc(),
-        hybrid_cfg(4, MergePolicy::Fifo),
+        hybrid_cfg(4),
     )
     .unwrap();
     let page_map =

@@ -9,8 +9,8 @@
 //! [`Scale`].
 
 use eagletree_controller::{
-    Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, MergePolicy, RecoveryMode,
-    RequestKind, SchedPolicy, ScrubConfig, Stuck, TemperatureMode, WriteAllocPolicy,
+    Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, RecoveryMode, RequestKind,
+    SchedPolicy, ScrubConfig, Stuck, TemperatureMode, WriteAllocPolicy,
 };
 use eagletree_core::{SimDuration, SimRng, SimTime, Stage};
 use eagletree_flash::{FaultConfig, Geometry, MemoryKind, TimingSpec};
@@ -177,12 +177,9 @@ fn dftl_covering(logical: u64, percent: u64) -> MappingKind {
     }
 }
 
-/// A hybrid log-block FTL merging its oldest log block first.
+/// A hybrid log-block FTL with `log_blocks` random log blocks.
 fn hybrid(log_blocks: usize) -> MappingKind {
-    MappingKind::Hybrid {
-        log_blocks,
-        merge: MergePolicy::Fifo,
-    }
+    MappingKind::Hybrid { log_blocks }
 }
 
 /// The three mapping families, given the DFTL and hybrid variants to use.

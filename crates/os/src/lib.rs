@@ -14,8 +14,8 @@
 //!
 //! * [`Workload`] — the thread programming framework (`init` /
 //!   `call_back`), with inter-thread dependencies for preconditioning.
-//! * [`OsSchedPolicy`] — FIFO, fair round-robin, thread priorities, and a
-//!   deadline scheduler (stage 2: which *thread queue* to serve).
+//! * [`OsSchedPolicy`] — FIFO, fair round-robin and thread priorities
+//!   (stage 2: which *thread queue* to serve).
 //! * [`QosPolicy`] / [`QosParams`] — tenant arbitration above the thread
 //!   scheduler (stage 1: which *tenant* gets the slot): weighted fair
 //!   queuing, token-bucket rate limiting, strict priority tiers with a
@@ -27,18 +27,17 @@
 //!   (`queue_depth`), per-thread queues and statistics ([`ThreadStats`],
 //!   one record per host completion; a tenant's is the merge of its
 //!   threads'), tenant-aware two-stage dispatch, and the main simulation
-//!   loop.
-//! * [`interface`] — the open interface: an extensible message vocabulary
-//!   that travels with IOs when the block-device boundary is unlocked.
+//!   loop. Hints travel with each IO as the controller's
+//!   [`eagletree_controller::IoTags`] ([`OsIo::tagged`]); the OS strips
+//!   them while the block-device boundary is locked
+//!   ([`OsConfig::open_interface`] = false).
 
-pub mod interface;
 pub mod os;
 pub mod qos;
 pub mod sched;
 pub mod tenant;
 pub mod thread;
 
-pub use interface::{tags_from_messages, Message};
 pub use os::{Os, OsConfig, Stalled, ThreadStats};
 pub use qos::{QosParams, QosPolicy};
 pub use sched::OsSchedPolicy;

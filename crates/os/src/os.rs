@@ -43,7 +43,7 @@ pub struct OsConfig {
     /// Tenant-selection policy above `policy`. `None` keeps the flat
     /// single-tenant behavior (all thread queues compete directly).
     pub qos: QosPolicy,
-    /// Unlock the open interface: pass tags/messages through to the SSD.
+    /// Unlock the open interface: pass IO tags through to the SSD.
     /// When `false`, the OS strips all hints — a traditional block device.
     pub open_interface: bool,
 }
@@ -704,12 +704,7 @@ impl Os {
         out.clear();
         for tid in tids {
             if let Some(q) = threads[tid].queue.front() {
-                out.push(DispatchCandidate {
-                    thread: tid,
-                    kind: q.io.kind,
-                    enqueued_at: q.enqueued_at,
-                    seq: q.seq,
-                });
+                out.push(DispatchCandidate { thread: tid, seq: q.seq });
             }
         }
     }

@@ -6,9 +6,6 @@
 //! bounded device queue frees up; the queue-depth knob lives in
 //! [`crate::OsConfig`].
 
-use eagletree_controller::RequestKind;
-use eagletree_core::SimTime;
-
 use crate::thread::ThreadId;
 
 /// Which thread's head-of-queue IO to dispatch next.
@@ -22,17 +19,12 @@ pub enum OsSchedPolicy {
     /// Per-thread priorities, lower value first; FIFO within a priority.
     /// Threads beyond the vector get priority 128.
     ThreadPriority(Vec<u8>),
-    /// Earliest-deadline-first by request kind: reads get `read_us`,
-    /// writes/trims get `write_us` relative deadlines (µs).
-    Deadline { read_us: u64, write_us: u64 },
 }
 
 /// A dispatch candidate: the head of one thread's queue.
 #[derive(Debug, Clone, Copy)]
 pub struct DispatchCandidate {
     pub thread: ThreadId,
-    pub kind: RequestKind,
-    pub enqueued_at: SimTime,
     /// Global arrival sequence number.
     pub seq: u64,
 }
@@ -71,17 +63,6 @@ impl OsSchedPolicy {
                     (p, c.seq)
                 })
                 .map(|(i, _)| i),
-            OsSchedPolicy::Deadline { read_us, write_us } => heads
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| {
-                    let rel = match c.kind {
-                        RequestKind::Read => *read_us,
-                        RequestKind::Write | RequestKind::Trim => *write_us,
-                    };
-                    (c.enqueued_at.as_nanos() + rel * 1_000, c.seq)
-                })
-                .map(|(i, _)| i),
         }
     }
 }
@@ -90,72 +71,36 @@ impl OsSchedPolicy {
 mod tests {
     use super::*;
 
-    fn cand(thread: ThreadId, kind: RequestKind, enq_ns: u64, seq: u64) -> DispatchCandidate {
-        DispatchCandidate {
-            thread,
-            kind,
-            enqueued_at: SimTime::from_nanos(enq_ns),
-            seq,
-        }
+    fn cand(thread: ThreadId, seq: u64) -> DispatchCandidate {
+        DispatchCandidate { thread, seq }
     }
 
     #[test]
     fn fifo_is_global_arrival_order() {
-        let heads = vec![
-            cand(0, RequestKind::Write, 10, 3),
-            cand(1, RequestKind::Read, 5, 1),
-        ];
+        let heads = vec![cand(0, 3), cand(1, 1)];
         assert_eq!(OsSchedPolicy::Fifo.select(&heads, 0), Some(1));
     }
 
     #[test]
     fn round_robin_cycles_threads() {
-        let heads = vec![
-            cand(0, RequestKind::Read, 0, 0),
-            cand(1, RequestKind::Read, 0, 1),
-            cand(2, RequestKind::Read, 0, 2),
-        ];
+        let heads = vec![cand(0, 0), cand(1, 1), cand(2, 2)];
         let p = OsSchedPolicy::RoundRobin;
         assert_eq!(p.select(&heads, 0), Some(1)); // after 0 comes 1
         assert_eq!(p.select(&heads, 1), Some(2));
         assert_eq!(p.select(&heads, 2), Some(0)); // wraps
         // Skips threads without pending IOs.
-        let heads = vec![cand(0, RequestKind::Read, 0, 0), cand(2, RequestKind::Read, 0, 1)];
+        let heads = vec![cand(0, 0), cand(2, 1)];
         assert_eq!(p.select(&heads, 0), Some(1)); // thread 2 is next present
     }
 
     #[test]
     fn thread_priority_orders_threads() {
         let p = OsSchedPolicy::ThreadPriority(vec![5, 0, 3]);
-        let heads = vec![
-            cand(0, RequestKind::Read, 0, 0),
-            cand(1, RequestKind::Read, 0, 1),
-            cand(2, RequestKind::Read, 0, 2),
-        ];
+        let heads = vec![cand(0, 0), cand(1, 1), cand(2, 2)];
         assert_eq!(p.select(&heads, 0), Some(1));
         // Unlisted thread defaults to 128 (last).
-        let heads = vec![cand(7, RequestKind::Read, 0, 0), cand(2, RequestKind::Read, 0, 1)];
+        let heads = vec![cand(7, 0), cand(2, 1)];
         assert_eq!(p.select(&heads, 0), Some(1));
-    }
-
-    #[test]
-    fn deadline_prefers_tight_reads() {
-        let p = OsSchedPolicy::Deadline {
-            read_us: 100,
-            write_us: 1_000,
-        };
-        // Write enqueued slightly earlier, read has a tighter deadline.
-        let heads = vec![
-            cand(0, RequestKind::Write, 0, 0),
-            cand(1, RequestKind::Read, 50_000, 1),
-        ];
-        assert_eq!(p.select(&heads, 0), Some(1));
-        // A very old write eventually wins.
-        let heads = vec![
-            cand(0, RequestKind::Write, 0, 0),
-            cand(1, RequestKind::Read, 2_000_000, 1),
-        ];
-        assert_eq!(p.select(&heads, 0), Some(0));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   prefetch, LBA remapping into a namespace, a trace characterizer
 //!   (footprint / mix / Zipf skew / burstiness) and matched synthesis.
 //! * [`trace`] — replay: [`ReplayThread`] (open-loop at recorded
-//!   timestamps with time-warp, or closed-loop preserving think times).
+//!   timestamps with time-warp).
 //! * [`tenant`] — the tenant-profile builder: declare a tenant's
 //!   namespace, QoS parameters and member threads, then install the whole
 //!   profile onto an [`Os`](eagletree_os::Os) in one call (the
@@ -49,6 +49,6 @@ pub use gen::{
 };
 pub use grace_join::GraceHashJoin;
 pub use lsm::LsmTreeThread;
-pub use precondition::{random_fill, sequential_fill};
+pub use precondition::sequential_fill;
 pub use tenant::TenantProfile;
-pub use trace::{ReplayMode, ReplayThread};
+pub use trace::ReplayThread;

@@ -21,16 +21,6 @@ pub fn sequential_fill(window: u64) -> Box<dyn Workload> {
     )
 }
 
-/// A thread that writes as many random pages as the logical space holds
-/// (uniformly, so roughly 63% coverage with duplicates — the classic
-/// "random preconditioning" state).
-pub fn random_fill(window: u64, seed: u64) -> Box<dyn Workload> {
-    Box::new(
-        Pumped::new(WholeSpaceRand { issued: 0, count: None }, window, seed)
-            .named("rand-precondition"),
-    )
-}
-
 /// Sequential whole-space writer that sizes itself from the context.
 struct WholeSpaceSeq {
     issued: u64,
@@ -48,27 +38,6 @@ impl crate::gen::IoGen for WholeSpaceSeq {
         let lpn = self.issued;
         self.issued += 1;
         Some(eagletree_os::OsIo::write(lpn))
-    }
-}
-
-/// Random whole-space writer (N = logical pages uniform writes).
-struct WholeSpaceRand {
-    issued: u64,
-    count: Option<u64>,
-}
-
-impl crate::gen::IoGen for WholeSpaceRand {
-    fn next_io(
-        &mut self,
-        rng: &mut eagletree_core::SimRng,
-        logical_pages: u64,
-    ) -> Option<eagletree_os::OsIo> {
-        let count = *self.count.get_or_insert(logical_pages);
-        if self.issued >= count {
-            return None;
-        }
-        self.issued += 1;
-        Some(eagletree_os::OsIo::write(rng.gen_range(logical_pages)))
     }
 }
 
@@ -99,24 +68,8 @@ mod tests {
     }
 
     #[test]
-    fn whole_space_rand_issues_n_writes_in_range() {
-        let mut g = WholeSpaceRand {
-            issued: 0,
-            count: None,
-        };
-        let mut rng = SimRng::new(7);
-        let mut n = 0;
-        while let Some(io) = g.next_io(&mut rng, 32) {
-            assert!(io.lpn < 32);
-            n += 1;
-        }
-        assert_eq!(n, 32);
-    }
-
-    #[test]
     fn builders_produce_named_threads() {
         assert_eq!(sequential_fill(8).name(), "seq-precondition");
-        assert_eq!(random_fill(8, 1).name(), "rand-precondition");
         assert_eq!(region_fill(Region::new(0, 4), 2).name(), "region-precondition");
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end tests of the production trace pipeline: CSV ingestion,
-//! bounded-memory streaming, open-/closed-loop replay against a real OS +
+//! bounded-memory streaming, open-loop replay against a real OS +
 //! controller stack, and the determinism guarantees the experiment suite
 //! leans on.
 
@@ -115,7 +115,7 @@ fn stack() -> Os {
     Os::new(ctrl, os_cfg)
 }
 
-fn replay_fingerprint(open_loop: bool) -> String {
+fn replay_fingerprint() -> String {
     use std::fmt::Write;
     let mut os = stack();
     let shape = SynthShape {
@@ -130,12 +130,7 @@ fn replay_fingerprint(open_loop: bool) -> String {
     let csv = SynthCsv::new(SyntheticTrace::new(shape, 1_500, 0xD0), 4096);
     let parsed = MsrCsvSource::new(BufReader::new(csv), 4096);
     let src = ChunkedSource::new(Remap::new(parsed, 1_024), 128);
-    let w = if open_loop {
-        ReplayThread::open_loop(src, 4.0)
-    } else {
-        ReplayThread::closed_loop(src, 4.0)
-    };
-    let tid = os.add_thread(Box::new(w));
+    let tid = os.add_thread(Box::new(ReplayThread::open_loop(src, 4.0)));
     os.run().unwrap();
     let s = os.thread_stats(tid);
     let a = os.controller().array().counters();
@@ -163,25 +158,17 @@ fn replay_fingerprint(open_loop: bool) -> String {
 /// timer path too.
 #[test]
 fn open_loop_replay_is_deterministic_across_runs() {
-    let a = replay_fingerprint(true);
-    let b = replay_fingerprint(true);
+    let a = replay_fingerprint();
+    let b = replay_fingerprint();
     assert_eq!(a, b, "open-loop replay drifted between runs");
     assert!(a.contains("events="));
 }
 
-/// Same pin for the closed-loop mode (timer-paced think times).
+/// Warp compresses the recorded clock: with warp 1 the run spans at least
+/// the recorded arrivals, while warp 20 makes the same trace device-bound
+/// and finishes well before it.
 #[test]
-fn closed_loop_replay_is_deterministic_across_runs() {
-    let a = replay_fingerprint(false);
-    let b = replay_fingerprint(false);
-    assert_eq!(a, b, "closed-loop replay drifted between runs");
-}
-
-/// Closed-loop replay must preserve recorded think times: with warp 1 the
-/// simulated span can never undercut the sum of recorded gaps, while an
-/// aggressive open-loop warp compresses the same trace's wall clock.
-#[test]
-fn closed_loop_preserves_think_times_and_warp_compresses() {
+fn warp_compresses_the_recorded_clock() {
     let gap = SimDuration::from_micros(40);
     let records = 200u64;
     let shape = SynthShape {
@@ -193,32 +180,27 @@ fn closed_loop_preserves_think_times_and_warp_compresses() {
         mean_interarrival: gap,
         interarrival_cv: 0.0, // evenly spaced: every gap is exactly `gap`
     };
-    let run = |open_loop: bool, warp: f64| {
+    let run = |warp: f64| {
         let mut os = stack();
         let src = SyntheticTrace::new(shape.clone(), records, 0x7A);
-        let w = if open_loop {
-            ReplayThread::open_loop(src, warp)
-        } else {
-            ReplayThread::closed_loop(src, warp)
-        };
-        let tid = os.add_thread(Box::new(w));
+        let tid = os.add_thread(Box::new(ReplayThread::open_loop(src, warp)));
         os.run().unwrap();
         let s = os.thread_stats(tid);
         assert_eq!(s.reads_completed + s.writes_completed, records);
         os.now()
     };
     let floor = gap * (records - 1);
-    let closed = run(false, 1.0);
+    let unwarped = run(1.0);
     assert!(
-        closed.as_nanos() >= floor.as_nanos(),
-        "closed-loop finished at {closed:?}, below the think-time floor {floor:?}"
+        unwarped.as_nanos() >= floor.as_nanos(),
+        "warp 1 finished at {unwarped:?}, before the last recorded arrival {floor:?}"
     );
-    // Open-loop at warp 20 shrinks every recorded gap 20×; the run becomes
-    // device-bound, so it must land well under the think-time-paced run.
-    let warped = run(true, 20.0);
+    // Warp 20 shrinks every recorded gap 20×; the run becomes
+    // device-bound, so it must land well under the warp-1 run.
+    let warped = run(20.0);
     assert!(
-        warped.as_nanos() < closed.as_nanos(),
-        "open-loop warp 20 should compress the recorded clock: {warped:?} vs {closed:?}"
+        warped.as_nanos() < unwarped.as_nanos(),
+        "warp 20 should compress the recorded clock: {warped:?} vs {unwarped:?}"
     );
 }
 
@@ -234,10 +216,10 @@ impl TraceSource for Records {
     }
 }
 
-/// Wraps a closed-loop [`ReplayThread`] and registers one extra short
-/// timer in `init` — the shape of any composite workload that mixes its
-/// own timers with the replayer's. The stray timer fires after the
-/// (zero-think-time) trace has already submitted its last record.
+/// Wraps a [`ReplayThread`] and registers one extra short timer in `init`
+/// — the shape of any composite workload that mixes its own timers with
+/// the replayer's. The stray timer fires after the trace (one record at
+/// instant zero) has already submitted its last record.
 struct ExtraTimer {
     inner: ReplayThread<Records>,
 }
@@ -270,7 +252,7 @@ fn stray_timer_after_trace_exhaustion_finishes_instead_of_panicking() {
     let mut os = stack();
     let records = vec![BlkRecord::new(SimTime::ZERO, BlkOp::Write, 3)];
     let tid = os.add_thread(Box::new(ExtraTimer {
-        inner: ReplayThread::closed_loop(Records(records.into_iter()), 1.0),
+        inner: ReplayThread::open_loop(Records(records.into_iter()), 1.0),
     }));
     os.run().unwrap();
     assert!(os.thread_finished(tid));

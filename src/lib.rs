@@ -17,10 +17,10 @@
 //!    filter hot-data detection, and a pluggable IO scheduler that
 //!    arbitrates application, GC, WL and mapping traffic.
 //! 3. **Operating system** ([`os`]) — per-thread IO queues, dispatch
-//!    policies (FIFO / round-robin / priorities / deadline), a bounded
-//!    device queue, and the *open interface*: optional priority /
-//!    temperature / update-locality messages that cross the block-device
-//!    boundary when unlocked. Threads belong to *tenants* with NVMe-style
+//!    policies (FIFO / round-robin / priorities), a bounded device queue,
+//!    and the *open interface*: optional priority / temperature /
+//!    update-locality tags that cross the block-device boundary when
+//!    unlocked. Threads belong to *tenants* with NVMe-style
 //!    namespaces and a QoS layer (weighted fair queuing, token-bucket
 //!    rate caps, strict tiers) for multi-tenant isolation studies.
 //! 4. **Applications** ([`workloads`]) — the thread framework
@@ -76,7 +76,7 @@ pub mod prelude {
     };
     pub use eagletree_flash::{CellType, Geometry, TimingSpec};
     pub use eagletree_os::{
-        CompletedIo, Message, Os, OsConfig, OsIo, OsSchedPolicy, QosParams, QosPolicy,
+        CompletedIo, Os, OsConfig, OsIo, OsSchedPolicy, QosParams, QosPolicy,
         TenantConfig, TenantId, ThreadCtx, Workload,
     };
     pub use eagletree_workloads::{

@@ -187,7 +187,7 @@ fn trace_replay_is_exact_and_serial() {
             self.0.next()
         }
     }
-    // One 500 µs gap in the recorded clock: a 500 µs think time.
+    // The last three records arrive 500 µs into the recorded clock.
     let later = SimTime::from_nanos(500_000);
     let trace = vec![
         BlkRecord::new(SimTime::ZERO, BlkOp::Write, 1),
@@ -195,13 +195,13 @@ fn trace_replay_is_exact_and_serial() {
         BlkRecord::new(later, BlkOp::Read, 1),
         BlkRecord::new(later, BlkOp::Trim, 1),
     ];
-    let t = os.add_thread(Box::new(ReplayThread::closed_loop(Records(trace.into_iter()), 1.0)));
+    let t = os.add_thread(Box::new(ReplayThread::open_loop(Records(trace.into_iter()), 1.0)));
     os.run().unwrap();
     let s = os.thread_stats(t);
     assert_eq!(s.writes_completed, 2);
     assert_eq!(s.reads_completed, 1);
     assert_eq!(s.trims_completed, 1);
-    // Think time must appear in the makespan.
+    // The recorded arrival instants must appear in the makespan.
     assert!(os.now() > SimTime::from_nanos(500_000));
 }
 
