@@ -20,7 +20,10 @@
 //! sequences (chunks deleted, a draw set to 0 or halved) and keeps any that
 //! still fails and is shortlex-smaller. Every strategy maps a smaller draw
 //! to a value nearer its range's start, so no strategy carries shrinking
-//! code. A panic inside a body (a plain `assert!`) is reported unshrunk.
+//! code. A `vec` records where its length draw and each element's draws
+//! lie, so the runner also deletes whole elements and lowers the length
+//! draw with them: the draws after the vec keep their meaning. A panic
+//! inside a body (a plain `assert!`) is reported unshrunk.
 //!
 //! Not implemented: persistence files, `prop_compose!`, recursive
 //! strategies. Swap this crate for the real `proptest` in the workspace
@@ -65,12 +68,24 @@ pub mod test_runner {
     }
 
     /// Deterministic splitmix64 generator driving all strategies. It
-    /// records every draw; a replaying one yields a given sequence instead,
-    /// then zeros.
+    /// records every draw, and where each sampled vec's draws lie; a
+    /// replaying one yields a given sequence instead, then zeros.
     pub struct TestRng {
         state: u64,
         replay: Option<Vec<u64>>,
         draws: Vec<u64>,
+        vecs: Vec<VecDraws>,
+    }
+
+    /// Where one sampled vec lies in the draw sequence.
+    pub(crate) struct VecDraws {
+        /// Index of the length draw.
+        pub(crate) len_at: usize,
+        /// The length range's start, and the `below` bound its draw took.
+        pub(crate) min_len: usize,
+        pub(crate) span: u64,
+        /// Each element's draws, as `[start, end)` indexes; they abut.
+        pub(crate) elems: Vec<(usize, usize)>,
     }
 
     impl TestRng {
@@ -79,15 +94,24 @@ pub mod test_runner {
                 state: seed,
                 replay: None,
                 draws: Vec::new(),
+                vecs: Vec::new(),
             }
         }
 
         fn replaying(draws: Vec<u64>) -> Self {
             TestRng {
-                state: 0,
                 replay: Some(draws),
-                draws: Vec::new(),
+                ..TestRng::new(0)
             }
+        }
+
+        /// How many draws have been taken.
+        pub(crate) fn position(&self) -> usize {
+            self.draws.len()
+        }
+
+        pub(crate) fn record_vec(&mut self, v: VecDraws) {
+            self.vecs.push(v);
         }
 
         pub fn next_u64(&mut self) -> u64 {
@@ -132,11 +156,11 @@ pub mod test_runner {
             let seed = BASE_SEED ^ (case.wrapping_mul(0x2545_F491_4F6C_DD1D));
             let mut rng = TestRng::new(seed);
             if let Err(err) = body(&mut rng) {
-                let (budget, best) = (config.max_shrink_iters, rng.draws);
                 let mut s = Shrink {
                     body: &mut body,
-                    budget,
-                    best,
+                    budget: config.max_shrink_iters,
+                    best: rng.draws,
+                    vecs: rng.vecs,
                     err,
                     kept: 0,
                 };
@@ -151,13 +175,21 @@ pub mod test_runner {
         }
     }
 
-    /// A failing case's smallest draw sequence so far, and its error.
+    /// A failing case's smallest draw sequence so far, its vecs, and its
+    /// error.
     struct Shrink<'a, F> {
         body: &'a mut F,
         budget: u32,
         best: Vec<u64>,
+        vecs: Vec<VecDraws>,
         err: TestCaseError,
         kept: u32,
+    }
+
+    /// The smallest draw that `TestRng::below(span)` maps to `value`
+    /// (`value < span`).
+    fn draw_for(value: u64, span: u64) -> u64 {
+        ((u128::from(value) << 64).div_ceil(u128::from(span))) as u64
     }
 
     impl<F: FnMut(&mut TestRng) -> Result<(), TestCaseError>> Shrink<'_, F> {
@@ -174,18 +206,49 @@ pub mod test_runner {
             let smaller = (rng.draws.len(), &rng.draws) < (self.best.len(), &self.best);
             let Ok(Err(err)) = outcome else { return false };
             if smaller {
-                (self.best, self.err, self.kept) = (rng.draws, err, self.kept + 1);
+                (self.best, self.vecs, self.err) = (rng.draws, rng.vecs, err);
+                self.kept += 1;
             }
             smaller
         }
 
+        /// Deletes elements `[from, from + n)` of vec `v`, lowering its
+        /// length draw by `n`; false when that would go below the length
+        /// range or the replay does not keep it.
+        fn delete_elements(&mut self, v: usize, from: usize, n: usize) -> bool {
+            let vec = &self.vecs[v];
+            let len = vec.elems.len();
+            if from + n > len || len - n < vec.min_len {
+                return false;
+            }
+            let mut draws = self.best.clone();
+            draws[vec.len_at] = draw_for((len - n - vec.min_len) as u64, vec.span);
+            draws.drain(vec.elems[from].0..vec.elems[from + n - 1].1);
+            self.attempt(draws)
+        }
+
         /// Rounds of edits until one keeps nothing or the budget runs out:
-        /// delete chunks of half the draws, then of halves of that, down to
-        /// single draws; then set each draw to 0, or halve it while that
-        /// still fails.
+        /// delete all of each vec's deletable elements, then chunks of half
+        /// that, down to single elements; delete chunks of half the draws,
+        /// then of halves of that, down to single draws; then set each draw
+        /// to 0, or halve it while that still fails.
         fn run(&mut self) {
             while self.budget > 0 {
                 let before = self.best.clone();
+                let mut v = 0;
+                while v < self.vecs.len() {
+                    let mut size = self.vecs[v].elems.len() - self.vecs[v].min_len;
+                    while size > 0 {
+                        let mut from = 0;
+                        while from + size <= self.vecs[v].elems.len() {
+                            if !self.delete_elements(v, from, size) {
+                                from += size;
+                            }
+                        }
+                        size /= 2;
+                    }
+                    v += 1;
+                }
                 let mut size = self.best.len().div_ceil(2);
                 while size > 0 {
                     let mut start = 0;
@@ -410,7 +473,7 @@ pub mod arbitrary {
 
 pub mod collection {
     use crate::strategy::Strategy;
-    use crate::test_runner::TestRng;
+    use crate::test_runner::{TestRng, VecDraws};
     use std::ops::Range;
 
     pub struct VecStrategy<S> {
@@ -422,8 +485,24 @@ pub mod collection {
         type Value = Vec<S::Value>;
         fn sample(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.size.end - self.size.start).max(1) as u64;
+            let len_at = rng.position();
             let len = self.size.start + rng.below(span) as usize;
-            (0..len).map(|_| self.element.sample(rng)).collect()
+            let mut elems = Vec::with_capacity(len);
+            let values = (0..len)
+                .map(|_| {
+                    let start = rng.position();
+                    let value = self.element.sample(rng);
+                    elems.push((start, rng.position()));
+                    value
+                })
+                .collect();
+            rng.record_vec(VecDraws {
+                len_at,
+                min_len: self.size.start,
+                span,
+                elems,
+            });
+            values
         }
     }
 
@@ -580,6 +659,26 @@ mod tests {
             msg.contains("edits to:\nx = 1\nv = [1]\nassertion failed"),
             "{msg}"
         );
+    }
+
+    proptest! {
+        // Not a test itself: `shrinking_deletes_whole_elements` runs it.
+        fn fails_once_v_holds_7_and_k_is_3(
+            v in prop::collection::vec(0u32..100, 0..400),
+            k in 0u64..4,
+        ) {
+            prop_assert!(!(v.contains(&7) && k == 3));
+        }
+    }
+
+    /// The shrinker deletes whole elements of a vec and lowers its length
+    /// draw with them, so the input drawn after the vec keeps its value:
+    /// the failure shrinks to the one element it needs.
+    #[test]
+    fn shrinking_deletes_whole_elements() {
+        let err = std::panic::catch_unwind(fails_once_v_holds_7_and_k_is_3).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("edits to:\nv = [7]\nk = 3\nassertion failed"), "{msg}");
     }
 
     #[test]
