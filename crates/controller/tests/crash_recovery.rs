@@ -6,8 +6,9 @@
 //! 1. **No acknowledged write lost** — a logical page whose last
 //!    acknowledged operation was a write is mapped after the remount, and
 //!    its physical page is readable (valid, not torn) with a matching OOB
-//!    record. After a cut at quiescence, every logical page mapped live
-//!    maps to the same physical page: a clean cut changes no answer.
+//!    record. Every logical page mapped live with no write of it in
+//!    flight at the cut maps to the same physical page: a cut changes no
+//!    answer that nothing was writing.
 //! 2. **No double mapping** — no two logical pages share a physical page.
 //! 3. **Consistency** — the rebuilt controller passes the same
 //!    cross-structure `check_invariants` the live controller does, and
@@ -28,7 +29,7 @@
 //! for it, which the property checks by cutting there too. `FAULTS=on`
 //! widens its cases, as it does `fault_injection.rs`'s sweeps.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use eagletree_controller::{
     Controller, ControllerConfig, Driver, Ledger, MappingKind, RecoveryMode, RequestKind,
@@ -127,13 +128,19 @@ fn check_crash(
     let mut d = Driver::tiny(cfg.clone());
     let logical = d.c.logical_pages();
     let mut budget = crash_step;
+    // Every write submitted: `(id, lpn)`.
+    let mut writes = Vec::new();
     'drive: for chunk in ops.chunks(qd) {
         for op in chunk {
-            match *op {
-                Op::Write(l) => d.submit(RequestKind::Write, l % logical),
-                Op::Trim(l) => d.submit(RequestKind::Trim, l % logical),
-                Op::Read(l) => d.submit(RequestKind::Read, l % logical),
+            let (kind, lpn) = match *op {
+                Op::Write(l) => (RequestKind::Write, l % logical),
+                Op::Trim(l) => (RequestKind::Trim, l % logical),
+                Op::Read(l) => (RequestKind::Read, l % logical),
             };
+            let id = d.submit(kind, lpn);
+            if kind == RequestKind::Write {
+                writes.push((id, lpn));
+            }
         }
         while budget > 0 {
             let failed = program_fails(&d);
@@ -150,13 +157,19 @@ fn check_crash(
             break 'drive;
         }
     }
-    // At a quiescent cut the live map is what recovery must rebuild: a
-    // clean cut changes no answer (ROADMAP 21).
-    let mut live = Vec::new();
     if budget > 0 {
         // Workload ended first: cut at quiescence (every write acked).
         d.run().unwrap();
-        live = (0..logical).map(|lpn| d.c.peek_mapping(lpn)).collect();
+    }
+    // For every page with no write in flight, the live map is what
+    // recovery must rebuild: a cut changes no answer that nothing was
+    // writing (ROADMAP 21). A write is in flight until its id is in `done`.
+    let acked: BTreeSet<_> = d.done.iter().map(|c| c.id).collect();
+    let mut live: Vec<_> = (0..logical).map(|lpn| d.c.peek_mapping(lpn)).collect();
+    for &(id, lpn) in &writes {
+        if !acked.contains(&id) {
+            live[lpn as usize] = None;
+        }
     }
     let cut_at = d.now;
     let must_mapped = d.ledger.must_be_mapped();
@@ -205,16 +218,17 @@ fn check_crash(
             );
         }
 
-        // After a quiescent cut, every page mapped live maps where it did.
+        // Every page mapped live with no write in flight maps where it did.
         for (lpn, &ppn) in live.iter().enumerate() {
             if ppn.is_some() {
                 prop_assert_eq!(
                     c2.peek_mapping(lpn as u64),
                     ppn,
-                    "{}/{:?}: lpn {} moved across a quiescent cut",
+                    "{}/{:?}: lpn {} moved across a cut with no write of it in flight (step {})",
                     name,
                     mode,
-                    lpn
+                    lpn,
+                    crash_step
                 );
             }
         }
