@@ -27,7 +27,8 @@
 //! its status when it completes, and a cut inside its window tears the
 //! page like any in-flight program's: recovery needs no case of its own
 //! for it, which the property checks by cutting there too. `FAULTS=on`
-//! widens its cases, as it does `fault_injection.rs`'s sweeps.
+//! widens its cases from 64 to 256, as it widens `fault_injection.rs`'s
+//! sweeps.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -266,7 +267,7 @@ fn check_crash(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Clustered overwrites (GC/merge pressure) cut at a random boundary.
     #[test]
@@ -309,7 +310,7 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: if full_matrix() { 64 } else { 8 },
+        cases: if full_matrix() { 256 } else { 64 },
         ..ProptestConfig::default()
     })]
 
