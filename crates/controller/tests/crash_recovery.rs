@@ -149,8 +149,9 @@ fn check_crash(
                 break;
             }
             budget -= 1;
-            // A program that failed at this instant runs past it.
+            // A program that failed at this instant runs past it: cut now.
             if in_window && program_fails(&d) > failed {
+                budget = 0;
                 break 'drive;
             }
         }
@@ -158,7 +159,8 @@ fn check_crash(
             break 'drive;
         }
     }
-    if budget > 0 {
+    let quiescent = budget > 0;
+    if quiescent {
         // Workload ended first: cut at quiescence (every write acked).
         d.run().unwrap();
     }
@@ -225,11 +227,11 @@ fn check_crash(
                 prop_assert_eq!(
                     c2.peek_mapping(lpn as u64),
                     ppn,
-                    "{}/{:?}: lpn {} moved across a cut with no write of it in flight (step {})",
+                    "{}/{:?}: lpn {} moved across a {} cut with no write of it in flight",
                     name,
                     mode,
                     lpn,
-                    crash_step
+                    if quiescent { "quiescent" } else { "mid-run" }
                 );
             }
         }
