@@ -17,13 +17,13 @@
 //!
 //! Shrinking works on the sequence of draws a case took from [`TestRng`]
 //! (internal shrinking, as in Hypothesis): the runner replays edited
-//! sequences (chunks deleted, a draw set to 0 or halved) and keeps any that
-//! still fails and is shortlex-smaller. Every strategy maps a smaller draw
-//! to a value nearer its range's start, so no strategy carries shrinking
-//! code. A `vec` records where its length draw and each element's draws
-//! lie, so the runner also deletes whole elements and lowers the length
-//! draw with them: the draws after the vec keep their meaning. A panic
-//! inside a body (a plain `assert!`) is reported unshrunk.
+//! sequences and keeps any that still fails and is shortlex-smaller. It
+//! deletes whole elements of a `vec`, lowering the vec's length draw with
+//! them so the draws after it keep their meaning; then it sets each draw
+//! to 0, or halves it. Every strategy maps a smaller draw to a value
+//! nearer its range's start, so no strategy carries shrinking code; a
+//! `vec` only records where its draws lie. A panic inside a body (a plain
+//! `assert!`) is reported unshrunk.
 //!
 //! Not implemented: persistence files, `prop_compose!`, recursive
 //! strategies. Swap this crate for the real `proptest` in the workspace
@@ -73,19 +73,19 @@ pub mod test_runner {
     pub struct TestRng {
         state: u64,
         replay: Option<Vec<u64>>,
-        draws: Vec<u64>,
-        vecs: Vec<VecDraws>,
+        pub(crate) draws: Vec<u64>,
+        pub(crate) vecs: Vec<VecDraws>,
     }
 
-    /// Where one sampled vec lies in the draw sequence.
+    /// Where one sampled vec lies in the draw sequence: the index of its
+    /// length draw, the length range's start, the `below` bound the length
+    /// draw took, and the index where each element's draws start, then
+    /// where the last one's end.
     pub(crate) struct VecDraws {
-        /// Index of the length draw.
         pub(crate) len_at: usize,
-        /// The length range's start, and the `below` bound its draw took.
         pub(crate) min_len: usize,
         pub(crate) span: u64,
-        /// Each element's draws, as `[start, end)` indexes; they abut.
-        pub(crate) elems: Vec<(usize, usize)>,
+        pub(crate) bounds: Vec<usize>,
     }
 
     impl TestRng {
@@ -103,15 +103,6 @@ pub mod test_runner {
                 replay: Some(draws),
                 ..TestRng::new(0)
             }
-        }
-
-        /// How many draws have been taken.
-        pub(crate) fn position(&self) -> usize {
-            self.draws.len()
-        }
-
-        pub(crate) fn record_vec(&mut self, v: VecDraws) {
-            self.vecs.push(v);
         }
 
         pub fn next_u64(&mut self) -> u64 {
@@ -212,35 +203,34 @@ pub mod test_runner {
             smaller
         }
 
-        /// Deletes elements `[from, from + n)` of vec `v`, lowering its
-        /// length draw by `n`; false when that would go below the length
-        /// range or the replay does not keep it.
+        /// Replays the best draws without elements `[from, from + n)` of
+        /// vec `v` (`from + n` at most its length), its length draw lowered
+        /// by `n`, if that keeps the length in range.
         fn delete_elements(&mut self, v: usize, from: usize, n: usize) -> bool {
             let vec = &self.vecs[v];
-            let len = vec.elems.len();
-            if from + n > len || len - n < vec.min_len {
+            let len = vec.bounds.len() - 1;
+            if len - n < vec.min_len {
                 return false;
             }
             let mut draws = self.best.clone();
             draws[vec.len_at] = draw_for((len - n - vec.min_len) as u64, vec.span);
-            draws.drain(vec.elems[from].0..vec.elems[from + n - 1].1);
+            draws.drain(vec.bounds[from]..vec.bounds[from + n]);
             self.attempt(draws)
         }
 
         /// Rounds of edits until one keeps nothing or the budget runs out:
-        /// delete all of each vec's deletable elements, then chunks of half
-        /// that, down to single elements; delete chunks of half the draws,
-        /// then of halves of that, down to single draws; then set each draw
-        /// to 0, or halve it while that still fails.
+        /// delete each vec's elements in chunks of all it may lose, then
+        /// halves of that, down to single elements; then set each draw to
+        /// 0, or halve it while that still fails.
         fn run(&mut self) {
             while self.budget > 0 {
                 let before = self.best.clone();
                 let mut v = 0;
                 while v < self.vecs.len() {
-                    let mut size = self.vecs[v].elems.len() - self.vecs[v].min_len;
+                    let mut size = self.vecs[v].bounds.len() - 1 - self.vecs[v].min_len;
                     while size > 0 {
                         let mut from = 0;
-                        while from + size <= self.vecs[v].elems.len() {
+                        while from + size < self.vecs[v].bounds.len() {
                             if !self.delete_elements(v, from, size) {
                                 from += size;
                             }
@@ -248,18 +238,6 @@ pub mod test_runner {
                         size /= 2;
                     }
                     v += 1;
-                }
-                let mut size = self.best.len().div_ceil(2);
-                while size > 0 {
-                    let mut start = 0;
-                    while start + size <= self.best.len() {
-                        let mut draws = self.best.clone();
-                        draws.drain(start..start + size);
-                        if !self.attempt(draws) {
-                            start += size;
-                        }
-                    }
-                    size /= 2;
                 }
                 let mut i = 0;
                 while i < self.best.len() {
@@ -485,23 +463,18 @@ pub mod collection {
         type Value = Vec<S::Value>;
         fn sample(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.size.end - self.size.start).max(1) as u64;
-            let len_at = rng.position();
+            let len_at = rng.draws.len();
             let len = self.size.start + rng.below(span) as usize;
-            let mut elems = Vec::with_capacity(len);
+            let mut bounds = vec![rng.draws.len()];
             let values = (0..len)
                 .map(|_| {
-                    let start = rng.position();
                     let value = self.element.sample(rng);
-                    elems.push((start, rng.position()));
+                    bounds.push(rng.draws.len());
                     value
                 })
                 .collect();
-            rng.record_vec(VecDraws {
-                len_at,
-                min_len: self.size.start,
-                span,
-                elems,
-            });
+            let min_len = self.size.start;
+            rng.vecs.push(VecDraws { len_at, min_len, span, bounds });
             values
         }
     }
