@@ -1108,13 +1108,13 @@ mod tests {
         }
         impl Workload for Ticker {
             fn init(&mut self, ctx: &mut ThreadCtx) {
-                ctx.set_timer(SimDuration::from_micros(100));
+                ctx.set_timer_at(ctx.now() + SimDuration::from_micros(100));
             }
             fn call_back(&mut self, _ctx: &mut ThreadCtx, _d: CompletedIo) {}
             fn on_timer(&mut self, ctx: &mut ThreadCtx) {
                 self.ticks += 1;
                 if self.ticks < 5 {
-                    ctx.set_timer(SimDuration::from_micros(100));
+                    ctx.set_timer_at(ctx.now() + SimDuration::from_micros(100));
                 } else {
                     ctx.finish();
                 }

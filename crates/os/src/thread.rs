@@ -108,16 +108,9 @@ impl ThreadCtx<'_> {
         self.submissions.push(io);
     }
 
-    /// Request a [`Workload::on_timer`] callback after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration) {
-        self.timers.push(delay);
-    }
-
-    /// Request a [`Workload::on_timer`] callback at the absolute virtual
-    /// instant `at`. Instants at or before [`ThreadCtx::now`] fire on the
-    /// next scheduling pass. This is the open-loop replay primitive: a
-    /// trace's recorded arrival timestamps can be scheduled directly
-    /// without converting to relative delays at each call site.
+    /// Request a [`Workload::on_timer`] callback at the virtual instant
+    /// `at` (`ctx.now() + delay` for a delay). Instants at or before
+    /// [`ThreadCtx::now`] fire on the next scheduling pass.
     pub fn set_timer_at(&mut self, at: SimTime) {
         self.timers.push(at.saturating_since(self.now));
     }
@@ -140,7 +133,7 @@ pub trait Workload {
     /// Called on each completion of one of this thread's IOs.
     fn call_back(&mut self, ctx: &mut ThreadCtx, done: CompletedIo);
 
-    /// Called when a timer set via [`ThreadCtx::set_timer`] expires.
+    /// Called when a timer set via [`ThreadCtx::set_timer_at`] expires.
     fn on_timer(&mut self, _ctx: &mut ThreadCtx) {}
 
     /// Short name for reports.
@@ -188,7 +181,7 @@ mod tests {
         assert_eq!(ctx.now().as_nanos(), 9);
         assert_eq!(ctx.logical_pages(), 64);
         ctx.submit(OsIo::read(1));
-        ctx.set_timer(SimDuration::from_micros(5));
+        ctx.set_timer_at(SimTime::from_nanos(5_000));
         ctx.finish();
         assert_eq!(subs.len(), 1);
         assert_eq!(timers.len(), 1);

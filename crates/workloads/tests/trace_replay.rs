@@ -227,7 +227,7 @@ struct ExtraTimer {
 impl Workload for ExtraTimer {
     fn init(&mut self, ctx: &mut ThreadCtx) {
         self.inner.init(ctx);
-        ctx.set_timer(SimDuration::from_nanos(1));
+        ctx.set_timer_at(SimTime::from_nanos(1));
     }
 
     fn call_back(&mut self, ctx: &mut ThreadCtx, done: CompletedIo) {
