@@ -353,6 +353,43 @@ fn two_writes_of_one_page_in_flight_survive_a_clean_cut_as_they_were() {
     }
 }
 
+/// A trim between the two landings of one page (ROADMAP 21(f)): the same
+/// five writes, then, once the later write of page 2 has landed and the
+/// earlier has not, a trim of page 2, and the device runs dry. The
+/// earlier program lands behind the trimmed copy, so it is dropped like
+/// any stale program and page 2 stays unmapped. It used to commit, and
+/// full-scan recovery then mapped the later copy instead. The hybrid
+/// lands the two in issue order here, so its trim comes between them and
+/// the later write maps the page again.
+#[test]
+fn a_trim_between_two_landings_of_one_page_leaves_it_unmapped() {
+    for (name, mapping) in schemes() {
+        let cfg = config(mapping, 0);
+        let mut d = Driver::tiny(cfg.clone());
+        for lpn in [4, 1, 1, 2, 2] {
+            d.submit(RequestKind::Write, lpn);
+        }
+        let (earlier, later) = (3, 4);
+        let acked = |d: &Driver, id| d.done.iter().any(|c| c.id == id);
+        let hybrid = name == "hybrid";
+        while !acked(&d, earlier) && !acked(&d, later) {
+            d.step().expect("both writes of page 2 complete");
+        }
+        assert_eq!(acked(&d, later), !hybrid, "{name}: landing order");
+        d.submit(RequestKind::Trim, 2);
+        d.run().unwrap();
+        assert_eq!(d.c.peek_mapping(2).is_some(), hybrid, "{name}: page 2 after the trim");
+        let live: Vec<_> = (0..d.c.logical_pages()).map(|l| d.c.peek_mapping(l)).collect();
+        let image = d.c.power_cut(d.now);
+        for mode in [RecoveryMode::FullScan, RecoveryMode::Checkpoint] {
+            let (c2, _) = Controller::remount(image.clone(), cfg.clone(), mode).unwrap();
+            for (lpn, &ppn) in live.iter().enumerate().filter(|(_, p)| p.is_some()) {
+                assert_eq!(c2.peek_mapping(lpn as u64), ppn, "{name}/{mode:?}: lpn {lpn} moved");
+            }
+        }
+    }
+}
+
 /// Journaled trims survive checkpoint replay: pages trimmed before the
 /// last committed checkpoint stay dead across a power cut — specifically
 /// when the blocks holding their stale copies get re-scanned because
