@@ -1,13 +1,12 @@
 //! The periodic mapping-checkpoint writer.
 //!
 //! Owns [`CkptState`] — the two reserved slot block groups, the committed
-//! [`CheckpointRecord`], the snapshot currently being programmed, the
-//! interval bookkeeping and the trim journal the next snapshot carries.
+//! [`CheckpointRecord`], the snapshot currently being programmed and the
+//! interval bookkeeping — and the rules of the controller's trim journal,
+//! which each snapshot carries.
 //! Checkpoint pages are programmed and retired through the scheduler like
 //! any other flash traffic (`PendKind::CkptWrite`, erases owned by
 //! `EraseOwner::Ckpt`).
-
-use std::collections::BTreeMap;
 
 use eagletree_core::SimTime;
 use eagletree_flash::{BlockAddr, Geometry, MemoryKind, MemoryManager, PageState, PhysicalAddr};
@@ -43,13 +42,6 @@ pub(super) struct CkptState {
     job: Option<CkptJob>,
     /// Stamp-counter value at the last checkpoint trigger.
     last_stamp: u64,
-    /// Trim journal for the next checkpoint: lpn → the content version
-    /// (`seq`) of the copy the trim discarded. Snapshotted into each
-    /// [`CheckpointRecord`] so checkpoint replay rejects stale copies of
-    /// trimmed pages instead of resurrecting them; pruned once the page
-    /// is mapped again (any newer copy outranks the barrier by itself).
-    /// Deterministically ordered so snapshots are reproducible.
-    trims: BTreeMap<Lpn, u64>,
 }
 
 struct CkptJob {
@@ -61,8 +53,7 @@ struct CkptJob {
 impl CkptState {
     /// Reserve the double-buffered checkpoint slots and account their
     /// staging RAM, when checkpointing is configured. `last_stamp` opens
-    /// the first interval; `trims` seeds the journal (barriers a replayed
-    /// checkpoint still needs enforced).
+    /// the first interval.
     pub(super) fn reserve(
         cfg: &ControllerConfig,
         geometry: &Geometry,
@@ -70,7 +61,6 @@ impl CkptState {
         mem: &mut MemoryManager,
         alloc: &mut Allocator,
         last_stamp: u64,
-        trims: BTreeMap<Lpn, u64>,
     ) -> Result<Option<CkptState>, String> {
         if cfg.checkpoint_interval_programs == 0 {
             return Ok(None);
@@ -99,7 +89,6 @@ impl CkptState {
             committed: None,
             job: None,
             last_stamp,
-            trims,
         }))
     }
 
@@ -132,17 +121,23 @@ impl Controller {
         }
     }
 
-    /// Journal a trim of `lpn` (whose discarded copy sat at `old`) for the
-    /// next checkpoint: remember the discarded copy's content version so
-    /// replay can reject it (and any GC relocation of it, which inherits
-    /// the seq) if its block gets re-scanned. In-flight and later host
-    /// writes carry newer seqs and are unaffected. Only maintained when
-    /// checkpointing is configured.
+    /// Journal a trim of `lpn` (whose discarded copy sat at `old`):
+    /// remember the discarded copy's content version, so that checkpoint
+    /// replay rejects it (and any GC relocation of it, which inherits the
+    /// seq) if its block gets re-scanned, and a program of the page issued
+    /// before that copy, landing after the trim, is dropped
+    /// ([`Self::trim_floor`]). Later host writes carry newer seqs and are
+    /// unaffected.
     pub(super) fn journal_trim(&mut self, lpn: Lpn, old: Ppn) {
-        let Some(ck) = &mut self.ckpt else { return };
         let seq = self.array.oob_at(old).map_or(0, |e| e.seq);
-        let barrier = ck.trims.entry(lpn).or_insert(0);
+        let barrier = self.trims.entry(lpn).or_insert(0);
         *barrier = (*barrier).max(seq);
+    }
+
+    /// The content version of the newest copy of `lpn` a trim discarded,
+    /// 0 if none is journaled: a copy at or below it lands behind the trim.
+    pub(super) fn trim_floor(&self, lpn: Lpn) -> u64 {
+        self.trims.get(&lpn).copied().unwrap_or(0)
     }
 
     /// Start a checkpoint when the interval elapsed, no snapshot is in
@@ -170,8 +165,7 @@ impl Controller {
         // is mapped again, every scanned copy that could win for it
         // outranks the barrier by itself, so the filter is redundant.
         let ftl = &self.ftl;
-        let ck = self.ckpt.as_mut().expect("checked above");
-        ck.trims.retain(|&lpn, _| ftl.peek(lpn).is_none());
+        self.trims.retain(|&lpn, _| ftl.peek(lpn).is_none());
         let record = self.snapshot_record(slot);
         let ck = self.ckpt.as_mut().expect("checked above");
         ck.last_stamp = self.stamps.next;
@@ -196,7 +190,7 @@ impl Controller {
             trans,
             slot: slot as u8,
             blocks: ck.slots[slot].clone(),
-            trims: ck.trims.iter().map(|(&l, &s)| (l, s)).collect(),
+            trims: self.trims.iter().map(|(&l, &s)| (l, s)).collect(),
         }
     }
 

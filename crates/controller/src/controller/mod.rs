@@ -25,7 +25,8 @@
 //! * `reclaim` — GC / static-WL / scrub victim jobs and every erase's end;
 //! * `merge` — hybrid log-block merge jobs;
 //! * `mapio` — DFTL translation fetches and writebacks;
-//! * `checkpoint` — reserved slots, committed record, trim journal;
+//! * `checkpoint` — reserved slots, committed record, and the rules of the
+//!   trim journal;
 //! * `stamps` — the OOB program-stamp counter and in-flight stamps;
 //! * `mount` — (no state) the one assembly path behind `new` / `remount`;
 //! * `stats` — the counter structs and derived reports.
@@ -51,7 +52,7 @@ mod reclaim;
 mod stamps;
 mod stats;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use eagletree_core::{Obs, ObsConfig, SimTime};
 use eagletree_flash::{
@@ -91,6 +92,13 @@ pub struct Controller {
     mapio: mapio::MapIo,
     /// Periodic mapping checkpoint, when configured.
     ckpt: Option<checkpoint::CkptState>,
+    /// The trim journal: lpn → the content version (`seq`) of the newest
+    /// copy a trim discarded. The one floor that a live commit
+    /// ([`Self::drop_if_behind`]) and checkpoint replay both read: a copy
+    /// of the page at or below it is stale. Pruned at each checkpoint
+    /// once the page is mapped again. Deterministically ordered, so
+    /// snapshots are reproducible.
+    trims: BTreeMap<Lpn, u64>,
     stamps: stamps::Stamps,
 }
 

@@ -185,7 +185,6 @@ impl Controller {
             &mut mem,
             &mut alloc,
             resumed.ckpt_epoch,
-            resumed.trims,
         )?;
         let cap = cfg.obs.span_capacity;
         let obs = cfg
@@ -210,6 +209,7 @@ impl Controller {
             obs,
             host,
             ckpt,
+            trims: resumed.trims,
             stamps,
         };
         // Kick background flushes for a re-installed buffer already at

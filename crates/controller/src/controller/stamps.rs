@@ -102,13 +102,15 @@ impl Controller {
     }
 
     /// Drop the program that just landed at `new`, holding `tag` at content
-    /// version `seq`, if it lands behind `cur`, the copy mapped now:
-    /// invalidate it and count it in `CtrlStats::gc_stale`. Returns whether
-    /// it did. Two programs of one page in flight on different LUNs can
-    /// land out of issue order. The copy with the higher content version
-    /// (`seq`, assigned at issue) is the one recovery keeps, so it is the
-    /// one the live device keeps too, and a clean power cut changes no
-    /// answer. Asked only of an overtaken program ([`Self::landed`]).
+    /// version `seq`, if it lands behind `cur`, the copy mapped now, or,
+    /// with the page unmapped, behind a copy a trim discarded
+    /// ([`Self::trim_floor`]): invalidate it and count it in
+    /// `CtrlStats::gc_stale`. Returns whether it did. Two programs of one
+    /// page in flight on different LUNs can land out of issue order. The
+    /// copy with the higher content version (`seq`, assigned at issue) is
+    /// the one recovery keeps, so it is the one the live device keeps too,
+    /// and a clean power cut changes no answer. Asked only of an overtaken
+    /// program ([`Self::landed`]).
     pub(super) fn drop_if_behind(
         &mut self,
         tag: OobTag,
@@ -116,10 +118,13 @@ impl Controller {
         seq: u64,
         cur: Option<Ppn>,
     ) -> bool {
-        let behind = cur.is_some_and(|c| {
-            self.array.page_state_at(c) == PageState::Valid
-                && self.array.oob_at(c).is_some_and(|e| e.seq > seq && e.tag == tag)
-        });
+        let behind = match cur {
+            Some(c) => {
+                self.array.page_state_at(c) == PageState::Valid
+                    && self.array.oob_at(c).is_some_and(|e| e.seq > seq && e.tag == tag)
+            }
+            None => matches!(tag, OobTag::Data { lpn } if self.trim_floor(lpn) > seq),
+        };
         if behind {
             self.invalidate_ppn(new);
             self.stats.gc_stale += 1;

@@ -16,10 +16,12 @@ use crate::types::{Completion, IoTags, Lpn, RequestId, RequestKind, SsdRequest};
 /// from what it submits and what comes back.
 #[derive(Debug, Default)]
 pub struct Ledger {
-    /// Completion instant of the last acknowledged write per lpn.
-    write_ack: BTreeMap<Lpn, SimTime>,
-    /// Instant of the last trim per lpn (a trim acks when submitted).
-    trim_ack: BTreeMap<Lpn, SimTime>,
+    /// Per lpn, over its acknowledged writes: the last submitted one's id
+    /// and the last completion instant.
+    write_ack: BTreeMap<Lpn, (RequestId, SimTime)>,
+    /// The last trim per lpn: its id and instant (a trim acks when
+    /// submitted).
+    trim_ack: BTreeMap<Lpn, (RequestId, SimTime)>,
     /// Writes submitted and not yet acknowledged.
     inflight: BTreeMap<RequestId, Lpn>,
 }
@@ -31,7 +33,7 @@ impl Ledger {
                 self.inflight.insert(req.id, req.lpn);
             }
             RequestKind::Trim => {
-                self.trim_ack.insert(req.lpn, now);
+                self.trim_ack.insert(req.lpn, (req.id, now));
             }
             RequestKind::Read => {}
         }
@@ -39,7 +41,8 @@ impl Ledger {
 
     fn completed(&mut self, comp: &Completion) {
         if let Some(lpn) = self.inflight.remove(&comp.id) {
-            let at = self.write_ack.entry(lpn).or_insert(comp.at);
+            let (id, at) = self.write_ack.entry(lpn).or_insert((comp.id, comp.at));
+            *id = (*id).max(comp.id);
             *at = (*at).max(comp.at);
         }
     }
@@ -49,27 +52,27 @@ impl Ledger {
         self.write_ack.keys().copied()
     }
 
-    /// Logical pages whose last acknowledgment was strictly a write: the
-    /// device must map them, across a power cut too. A write ack and a
-    /// trim at the same instant bind neither this set nor
-    /// [`Ledger::must_be_unmapped`].
+    /// Logical pages with an acknowledged write submitted after their last
+    /// trim: the device must map them, across a power cut too. A write in
+    /// flight when the trim came has no order with it, so it binds neither
+    /// this set nor [`Ledger::must_be_unmapped`], whenever it is acked.
     pub fn must_be_mapped(&self) -> Vec<Lpn> {
         let acks = self.write_ack.iter();
-        acks.filter(|&(lpn, w)| self.trim_ack.get(lpn).is_none_or(|t| w > t))
+        acks.filter(|&(lpn, w)| self.trim_ack.get(lpn).is_none_or(|t| w.0 > t.0))
             .map(|(&lpn, _)| lpn)
             .collect()
     }
 
     /// Logical pages below `logical_pages` never write-acknowledged, or
-    /// whose last acknowledgment was strictly a trim: a live device must
-    /// not map them. Only meaningful with no write in flight and on a
-    /// ledger never [`Ledger::clear`]ed.
+    /// trimmed strictly after their last write was acknowledged: a live
+    /// device must not map them. Only meaningful with no write in flight
+    /// and on a ledger never [`Ledger::clear`]ed.
     pub fn must_be_unmapped(&self, logical_pages: u64) -> Vec<Lpn> {
         assert!(self.inflight.is_empty(), "a write in flight may map its page at any instant");
         (0..logical_pages)
             .filter(|lpn| match (self.write_ack.get(lpn), self.trim_ack.get(lpn)) {
                 (None, _) => true,
-                (Some(w), Some(t)) => t > w,
+                (Some(w), Some(t)) => t.1 > w.1,
                 (Some(_), None) => false,
             })
             .collect()
@@ -213,8 +216,8 @@ mod tests {
         SsdRequest { id, kind: RequestKind::Write, lpn, tags: IoTags::none() }
     }
 
-    fn trim(lpn: Lpn) -> SsdRequest {
-        SsdRequest { id: 99, kind: RequestKind::Trim, lpn, tags: IoTags::none() }
+    fn trim(id: RequestId, lpn: Lpn) -> SsdRequest {
+        SsdRequest { id, kind: RequestKind::Trim, lpn, tags: IoTags::none() }
     }
 
     fn us(t: u64) -> SimTime {
@@ -352,20 +355,24 @@ mod tests {
         // lpn 1: write acked at 10, trimmed at 10.
         l.submitted(&write(0, 1), us(0));
         l.completed(&Completion { id: 0, at: us(10) });
-        l.submitted(&trim(1), us(10));
-        // lpn 2: trimmed at 10, a write acked at 20.
-        l.submitted(&trim(2), us(10));
-        l.submitted(&write(1, 2), us(10));
-        l.completed(&Completion { id: 1, at: us(20) });
+        l.submitted(&trim(1, 1), us(10));
+        // lpn 2: trimmed at 10, then a write submitted, acked at 20.
+        l.submitted(&trim(2, 2), us(10));
+        l.submitted(&write(3, 2), us(10));
+        l.completed(&Completion { id: 3, at: us(20) });
         // lpn 3: write acked at 10, trimmed at 20.
-        l.submitted(&write(2, 3), us(0));
-        l.completed(&Completion { id: 2, at: us(10) });
-        l.submitted(&trim(3), us(20));
+        l.submitted(&write(4, 3), us(0));
+        l.completed(&Completion { id: 4, at: us(10) });
+        l.submitted(&trim(5, 3), us(20));
+        // lpn 5: a write in flight across a trim at 10, acked at 20.
+        l.submitted(&write(6, 5), us(0));
+        l.submitted(&trim(7, 5), us(10));
+        l.completed(&Completion { id: 6, at: us(20) });
         // lpn 4: only read; lpn 0: never touched.
-        l.completed(&Completion { id: 7, at: us(20) });
-        assert_eq!(l.acked_writes().collect::<Vec<_>>(), [1, 2, 3]);
+        l.completed(&Completion { id: 8, at: us(20) });
+        assert_eq!(l.acked_writes().collect::<Vec<_>>(), [1, 2, 3, 5]);
         assert_eq!(l.must_be_mapped(), [2]);
-        assert_eq!(l.must_be_unmapped(5), [0, 3, 4]);
+        assert_eq!(l.must_be_unmapped(6), [0, 3, 4]);
     }
 
     #[test]
@@ -373,12 +380,12 @@ mod tests {
         let mut l = Ledger::default();
         l.submitted(&write(0, 1), us(0));
         l.completed(&Completion { id: 0, at: us(10) });
-        l.submitted(&trim(2), us(10));
-        l.submitted(&write(1, 3), us(10));
+        l.submitted(&trim(1, 2), us(10));
+        l.submitted(&write(2, 3), us(10));
         l.clear();
         assert_eq!(l.acked_writes().count(), 0);
         assert!(l.must_be_mapped().is_empty());
-        l.completed(&Completion { id: 1, at: us(20) });
+        l.completed(&Completion { id: 2, at: us(20) });
         assert_eq!(l.must_be_mapped(), [3]);
     }
 
