@@ -260,6 +260,7 @@ impl Controller {
                     }
                 }
                 Some(base) => {
+                    self.hybrid_mut().fold_started(plan.lbn);
                     self.merge.live_mut().cur = Some(FoldState {
                         lbn: plan.lbn,
                         dest: base,
@@ -277,6 +278,7 @@ impl Controller {
                 None => match self.alloc.take_block() {
                     Some((block, _)) => {
                         let dest = self.array.geometry().page_index(block.page(0));
+                        self.hybrid_mut().fold_started(plan.lbn);
                         self.merge.live_mut().cur = Some(FoldState {
                             lbn: plan.lbn,
                             dest,

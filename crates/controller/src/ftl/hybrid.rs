@@ -166,6 +166,10 @@ pub struct Hybrid {
     budget: usize,
     /// Events awaiting the controller (switch-merge erases).
     events: Vec<HybridEvent>,
+    /// The logical block the running merge is folding, if any: its
+    /// sequential stream must not switch under the fold, whose end would
+    /// then retire the switched block with live pages in it.
+    folding: Option<u64>,
     stats: HybridStats,
 }
 
@@ -217,6 +221,7 @@ impl Hybrid {
             rw,
             budget: log_blocks,
             events: Vec::new(),
+            folding: None,
             stats: HybridStats::default(),
         }
     }
@@ -448,10 +453,17 @@ impl Hybrid {
         self.stats.refresh_merges += 1;
     }
 
+    /// The controller started copying `lbn` into a destination block; until
+    /// [`Hybrid::fold_finished`], its sequential stream does not switch.
+    pub fn fold_started(&mut self, lbn: u64) {
+        self.folding = Some(lbn);
+    }
+
     /// A fold of `lbn` finished with `dest` as its new data block (`None`:
     /// the logical block had no live pages and keeps no data block).
     /// Returns the superseded data block to erase, if any.
     pub fn fold_finished(&mut self, lbn: u64, dest: Option<Ppn>) -> Option<Ppn> {
+        self.folding = None;
         let old = self.dir.get(lbn);
         self.dir.set(lbn, dest);
         old.filter(|&o| Some(o) != dest)
@@ -488,6 +500,9 @@ impl Hybrid {
             return;
         }
         let (base, lbn) = (sw.lb.base, sw.lbn);
+        if self.folding == Some(lbn) {
+            return;
+        }
         let complete = (0..self.ppb).all(|o| self.map.get(lbn * self.ppb + o) == Some(base + o));
         if !complete {
             return;

@@ -23,6 +23,11 @@
 //! lazily-journaled deallocations; the property suite therefore still
 //! does not require *every* trimmed page to stay unmapped across a cut.
 //!
+//! The workload is submitted in chunks, and each property draws how many
+//! agenda instants run between two chunks, running the agenda dry being
+//! one choice. So a trim can land between two landings of one page, and
+//! new writes arrive while a merge is folding their logical block.
+//!
 //! A third property injects program failures. A failed program reports
 //! its status when it completes, and a cut inside its window tears the
 //! page like any in-flight program's: recovery needs no case of its own
@@ -97,15 +102,21 @@ fn program_fails(d: &Driver) -> u64 {
     d.c.reliability().map_or(0, |r| r.program_fails)
 }
 
-/// Drive `ops`, cut power after `crash_step` event boundaries (or at
-/// quiescence if the workload is shorter), and verify both recovery modes
-/// from the same captured medium. `faults`: the fault arm.
+/// Drive `ops` in chunks of `qd`, cut power after `crash_step` event
+/// boundaries (or at quiescence if the workload is shorter), and verify
+/// both recovery modes from the same captured medium. After chunk `i`,
+/// `pace[i % pace.len()]` agenda instants run before the next chunk is
+/// submitted, 0 running the agenda dry: a later chunk's trim can land
+/// between two landings of an earlier chunk's writes. `faults`: the fault
+/// arm.
+#[expect(clippy::too_many_arguments, reason = "one property's drawn inputs, named")]
 fn check_crash(
     name: &str,
     mapping: MappingKind,
     checkpoint_interval: u64,
     ops: &[Op],
     qd: usize,
+    pace: &[u64],
     crash_step: u64,
     faults: Option<Faults>,
 ) -> Result<(), TestCaseError> {
@@ -131,7 +142,9 @@ fn check_crash(
     let mut budget = crash_step;
     // Every write submitted: `(id, lpn)`.
     let mut writes = Vec::new();
-    'drive: for chunk in ops.chunks(qd) {
+    // The chunks, each with its pace, then a last round that runs dry.
+    let rounds = ops.chunks(qd).zip(pace.iter().cycle().copied());
+    'drive: for (chunk, pace) in rounds.chain([(&[][..], 0)]) {
         for op in chunk {
             let (kind, lpn) = match *op {
                 Op::Write(l) => (RequestKind::Write, l % logical),
@@ -143,12 +156,14 @@ fn check_crash(
                 writes.push((id, lpn));
             }
         }
-        while budget > 0 {
+        let mut steps = if pace == 0 { u64::MAX } else { pace };
+        while budget > 0 && steps > 0 {
             let failed = program_fails(&d);
             if d.step().is_none() {
                 break;
             }
             budget -= 1;
+            steps -= 1;
             // A program that failed at this instant runs past it: cut now.
             if in_window && program_fails(&d) > failed {
                 budget = 0;
@@ -268,6 +283,12 @@ fn check_crash(
     Ok(())
 }
 
+/// Agenda instants to run after each chunk, cycled: mostly a few, so
+/// chunks overlap, and sometimes 0, running the agenda dry.
+fn pace() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(prop_oneof![1 => Just(0u64), 3 => 1u64..32], 1..6)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -283,11 +304,12 @@ proptest! {
             300..700,
         ),
         qd in 1usize..24,
+        pace in pace(),
         crash_step in 1u64..1500,
     ) {
         for (name, mapping) in schemes() {
             // Checkpoints every 64 programs: several commit before the cut.
-            check_crash(name, mapping, 64, &ops, qd, crash_step, None)?;
+            check_crash(name, mapping, 64, &ops, qd, &pace, crash_step, None)?;
         }
     }
 
@@ -302,10 +324,11 @@ proptest! {
             200..500,
         ),
         qd in 1usize..32,
+        pace in pace(),
         crash_step in 1u64..1000,
     ) {
         for (name, mapping) in schemes() {
-            check_crash(name, mapping, 0, &ops, qd, crash_step, None)?;
+            check_crash(name, mapping, 0, &ops, qd, &pace, crash_step, None)?;
         }
     }
 }
@@ -329,13 +352,14 @@ proptest! {
             300..700,
         ),
         qd in 1usize..24,
+        pace in pace(),
         crash_step in 1u64..1500,
         seed in 0u64..1_000_000,
         in_window in any::<bool>(),
     ) {
         for (name, mapping) in schemes() {
             let faults = Some(Faults { seed, in_window });
-            check_crash(name, mapping, 64, &ops, qd, crash_step, faults)?;
+            check_crash(name, mapping, 64, &ops, qd, &pace, crash_step, faults)?;
         }
     }
 }
@@ -349,7 +373,7 @@ proptest! {
 fn two_writes_of_one_page_in_flight_survive_a_clean_cut_as_they_were() {
     let ops = [Op::Write(4), Op::Write(1), Op::Write(1), Op::Write(2), Op::Write(2)];
     for (name, mapping) in schemes() {
-        check_crash(name, mapping, 0, &ops, ops.len(), u64::MAX, None).unwrap();
+        check_crash(name, mapping, 0, &ops, ops.len(), &[0], u64::MAX, None).unwrap();
     }
 }
 
