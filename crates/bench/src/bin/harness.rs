@@ -27,7 +27,7 @@
 //! Row columns are emitted exactly as the experiments produce them: the
 //! media-reliability columns (`uber`, `corrected_bits`, `retries`, …)
 //! appear only in rows of fault-model-enabled runs (E25/E26), and the
-//! stage-attribution columns (`st_queue_us`, `explained_p999`, …) only in
+//! stage-attribution columns (`st_queue_us`, `p999_outliers`, …) only in
 //! rows of observability-enabled runs (E27) — other experiments emit no
 //! such keys at all. Every cell is deterministic, and the result gate
 //! (`diff -u BENCH_pr22.json NEW.json`) covers all of them. The harness

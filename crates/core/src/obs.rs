@@ -61,11 +61,10 @@
 //!   it is kept. Retention never changes what a span records, so a
 //!   retained span is the same whatever the capacity; and a short run
 //!   keeps the most recent spans, as a plain ring would.
-//! * [`StageBreakdown`] — per-stage time sums and an end-to-end latency
-//!   histogram, whose stage sums equal end-to-end latency *by
-//!   construction*: every attribution call
-//!   advances a single cursor (`last`), forward only, so no nanosecond is
-//!   counted twice or dropped.
+//! * [`StageBreakdown`] — per-stage time sums and a count, whose stage
+//!   sums equal end-to-end latency *by construction*: every attribution
+//!   call advances a single cursor (`last`), forward only, so no
+//!   nanosecond is counted twice or dropped. Every close asserts it.
 //! * [`Timeline`] — fixed-interval rows of named telemetry columns
 //!   (IOPS, write amplification, queue depths, GC/merge/scrub activity,
 //!   error rates), kept as one varint log and exportable as CSV or JSON.
@@ -78,7 +77,7 @@
 use std::collections::{TryReserveError, VecDeque};
 
 use crate::idtable::IdTable;
-use crate::stats::{Histogram, Tail};
+use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 
 /// Sentinel span id: "no span" (ids start at 1).
@@ -1120,28 +1119,19 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// Per-stage time sums plus an end-to-end total histogram fed from the
-/// same [`StageNs`] records — so `total` and the stage means describe
-/// exactly the same population of IOs.
-#[derive(Debug, Clone)]
+/// Per-stage time sums over a population of IOs, and its size. The
+/// end-to-end latency of the same IOs is recorded once, by whoever
+/// acknowledges them (the OS's per-thread and per-tenant histograms).
+#[derive(Debug, Clone, Default)]
 pub struct StageBreakdown {
     /// Nanoseconds spent in each stage, summed over the IOs recorded.
     stage_ns: [u128; Stage::COUNT],
-    total: Histogram,
-}
-
-impl Default for StageBreakdown {
-    fn default() -> Self {
-        Self::new()
-    }
+    count: u64,
 }
 
 impl StageBreakdown {
     pub fn new() -> Self {
-        StageBreakdown {
-            stage_ns: [0; Stage::COUNT],
-            total: Histogram::new(),
-        }
+        Self::default()
     }
 
     /// Record one IO's breakdown.
@@ -1149,37 +1139,19 @@ impl StageBreakdown {
         for (sum, &ns) in self.stage_ns.iter_mut().zip(st.0.iter()) {
             *sum += u128::from(ns);
         }
-        self.total.record(SimDuration::from_nanos(st.total()));
+        self.count += 1;
     }
 
     /// IOs recorded.
     pub fn count(&self) -> u64 {
-        self.total.count()
-    }
-
-    /// Histogram of end-to-end latency (stage sums).
-    pub fn total(&self) -> &Histogram {
-        &self.total
+        self.count
     }
 
     /// Mean microseconds spent in `stage` per IO, from the mean's whole
     /// nanoseconds (as a histogram's mean is).
     pub fn mean_us(&self, stage: Stage) -> f64 {
-        let mean = self.stage_ns[stage as usize].checked_div(self.count().into()).unwrap_or(0);
+        let mean = self.stage_ns[stage as usize].checked_div(self.count.into()).unwrap_or(0);
         SimDuration::from_nanos(mean as u64).as_micros_f64()
-    }
-
-    /// Tail summary of the stage sums.
-    pub fn total_tail(&self) -> Tail {
-        self.total.tail()
-    }
-
-    /// Merge another breakdown into this one.
-    pub fn merge(&mut self, other: &StageBreakdown) {
-        for (a, b) in self.stage_ns.iter_mut().zip(other.stage_ns.iter()) {
-            *a += b;
-        }
-        self.total.merge(&other.total);
     }
 }
 
@@ -1410,7 +1382,7 @@ mod tests {
             (bd.mean_us(Stage::Media), bd.mean_us(Stage::Retry)),
             (30.0, 20.0)
         );
-        assert_eq!(bd.total().mean().as_nanos(), 75_000);
+        assert_eq!(Stage::ALL.map(|st| bd.mean_us(st)).iter().sum::<f64>(), 75.0);
     }
 
     #[test]
@@ -1629,12 +1601,12 @@ mod tests {
         }
         let mean_us = |o: &Obs, tenant, kind| {
             let bd = o.stage_breakdown(tenant, kind).unwrap();
-            (bd.count(), bd.total().mean().as_nanos() / 1_000)
+            (bd.count(), bd.mean_us(Stage::SchedPending))
         };
-        assert_eq!(mean_us(&o, Some(0), "AppWrite"), (2, 2));
-        assert_eq!(mean_us(&o, Some(1), "AppWrite"), (1, 2));
-        assert_eq!(mean_us(&o, Some(1), "AppRead"), (1, 4));
-        assert_eq!(mean_us(&o, None, "AppWrite"), (1, 5));
+        assert_eq!(mean_us(&o, Some(0), "AppWrite"), (2, 2.0));
+        assert_eq!(mean_us(&o, Some(1), "AppWrite"), (1, 2.0));
+        assert_eq!(mean_us(&o, Some(1), "AppRead"), (1, 4.0));
+        assert_eq!(mean_us(&o, None, "AppWrite"), (1, 5.0));
         for (tenant, kind) in [
             (Some(0), "AppRead"),
             (Some(2), "AppWrite"),
@@ -1651,7 +1623,7 @@ mod tests {
         assert!(!o.close_host(w, t(31)));
         assert!(!o.close_host(NO_SPAN, t(31)));
         assert!(o.stage_breakdown(None, "GcRead").is_none());
-        assert_eq!(mean_us(&o, Some(0), "AppWrite"), (2, 2));
+        assert_eq!(mean_us(&o, Some(0), "AppWrite"), (2, 2.0));
         assert_eq!(o.closed_count() as u64 + o.dropped(), 7);
     }
 
@@ -1816,19 +1788,13 @@ mod tests {
         assert_eq!(b.mean_us(Stage::Media), 65.0);
         assert_eq!(b.mean_us(Stage::QueueWait), 5.0);
         assert_eq!(b.mean_us(Stage::Retry), 0.0);
-        assert_eq!(b.total().mean().as_nanos(), 70_000);
-        let mut c = StageBreakdown::new();
-        assert_eq!(c.mean_us(Stage::Media), 0.0, "no IO recorded");
-        c.merge(&b);
-        c.merge(&b);
-        assert_eq!(c.count(), 4);
-        assert_eq!(c.total_tail().count, 4);
-        assert_eq!(c.mean_us(Stage::Media), 65.0);
+        assert_eq!(StageBreakdown::new().mean_us(Stage::Media), 0.0, "no IO recorded");
         // A mean's fraction of a nanosecond is dropped, as a histogram's is.
         let mut st3 = StageNs::default();
         st3.add(Stage::Media, 1);
-        c.record(st3);
-        assert_eq!(c.mean_us(Stage::Media), 52.0);
+        b.record(st3);
+        assert_eq!(b.count(), 3);
+        assert_eq!(b.mean_us(Stage::Media), 43.333);
     }
 
     #[test]
@@ -1944,8 +1910,8 @@ mod tests {
         live: Vec<u64>,
         /// Ids in close order, each with its close instant.
         closes: Vec<(u64, SimTime)>,
-        /// Per kind: the latency of every host close.
-        host: [Histogram; 2],
+        /// Per kind: how many host closes.
+        host: [u64; 2],
         /// What the log must hold by the admission rule: `(id, close
         /// instant)`, in close order.
         kept: VecDeque<(u64, SimTime)>,
@@ -1961,12 +1927,9 @@ mod tests {
     const KINDS: [&str; 2] = ["AppRead", "GcRead"];
     const TENANTS: [Option<u32>; 2] = [Some(1), None];
 
-    /// `(count, mean, p999)` of the host breakdown of kind `k`.
-    fn host_summary(o: &Obs, k: usize) -> (u64, SimDuration, SimDuration) {
-        o.stage_breakdown(TENANTS[k], KINDS[k])
-            .map_or((0, SimDuration::ZERO, SimDuration::ZERO), |b| {
-                (b.count(), b.total().mean(), b.total().p999())
-            })
+    /// IOs the host breakdown of kind `k` recorded.
+    fn host_count(o: &Obs, k: usize) -> u64 {
+        o.stage_breakdown(TENANTS[k], KINDS[k]).map_or(0, StageBreakdown::count)
     }
 
     impl Script {
@@ -2064,7 +2027,7 @@ mod tests {
                 let footprint = |o: &Obs| {
                     let closes = o.closed_count() as u64 + o.dropped();
                     let table = (o.open.window_len(), o.open.slots());
-                    let host = (host_summary(o, 0), host_summary(o, 1));
+                    let host = (host_count(o, 0), host_count(o, 1));
                     (o.open_count(), closes, table, o.log.bytes.len(), o.spare_busy.len(), host)
                 };
                 let before = footprint(&o);
@@ -2091,9 +2054,8 @@ mod tests {
                     }
                     // Each kind's host breakdown is every host close of it.
                     4 => {
-                        for (k, hist) in sc.host.iter().enumerate() {
-                            let want = (hist.count(), hist.mean(), hist.p999());
-                            prop_assert_eq!(host_summary(&o, k), want);
+                        for (k, &closes) in sc.host.iter().enumerate() {
+                            prop_assert_eq!(host_count(&o, k), closes);
                         }
                     }
                     _ => {
@@ -2110,8 +2072,7 @@ mod tests {
                             let last = o.spans().last().map(|s| s.id);
                             prop_assert_eq!(last == Some(id), admitted, "#{} admitted", id);
                             if which == 5 {
-                                let (start, _, kind) = sc.opened[id as usize - 1];
-                                sc.host[kind].record(sc.now.since(start));
+                                sc.host[sc.opened[id as usize - 1].2] += 1;
                             }
                         }
                     }

@@ -9,9 +9,8 @@
 //!   cursor construction makes attribution exhaustive — nothing is lost
 //!   and nothing double-charged);
 //! * every acknowledged application IO has a closed span, and the
-//!   per-tenant stage breakdowns saw exactly the completed IOs: their
-//!   end-to-end histograms equal the tenant's latency histograms, which
-//!   are fed the same enqueue → completion latency;
+//!   per-tenant stage breakdowns saw exactly the completed IOs (the
+//!   tenant's latency histograms hold their end-to-end latency, once);
 //! * nothing stays open once the simulation quiesces.
 //!
 //! Half the cases run with a ring of 64: spans are folded and evicted and
@@ -28,7 +27,7 @@
 //! `fault_injection.rs`'s sweeps.
 
 use eagletree_controller::RequestKind;
-use eagletree_core::{Histogram, ObsConfig};
+use eagletree_core::ObsConfig;
 use eagletree_experiments::Setup;
 use eagletree_flash::FaultConfig;
 use eagletree_os::Os;
@@ -90,12 +89,6 @@ fn run(
     os
 }
 
-/// What two latency histograms must agree on: count, mean, p50, p99, p999.
-fn summary(h: &Histogram) -> [u64; 5] {
-    let ns = [h.mean(), h.p50(), h.p99(), h.p999()].map(|d| d.as_nanos());
-    [h.count(), ns[0], ns[1], ns[2], ns[3]]
-}
-
 /// What every run's spans must satisfy (see the module docs).
 fn spans_account_exactly(os: &Os, span_capacity: usize) -> Result<(), TestCaseError> {
     let stats = os.tenant_stats(0);
@@ -155,21 +148,12 @@ fn spans_account_exactly(os: &Os, span_capacity: usize) -> Result<(), TestCaseEr
         prop_assert_eq!(app_writes, writes, "acked writes without a closed span");
     }
     // …and the tenant stage breakdowns saw exactly those IOs, whatever
-    // the ring has dropped since: the same count, and end to end the
-    // same latencies as the tenant's own histograms.
+    // the ring has dropped since.
     for t in 0..os.tenant_names().len() {
         let stats = os.tenant_stats(t);
-        for (kind, completed, hist) in [
-            (
-                RequestKind::Read,
-                stats.reads_completed,
-                &stats.read_latency,
-            ),
-            (
-                RequestKind::Write,
-                stats.writes_completed,
-                &stats.write_latency,
-            ),
+        for (kind, completed) in [
+            (RequestKind::Read, stats.reads_completed),
+            (RequestKind::Write, stats.writes_completed),
         ] {
             let bd = obs.stage_breakdown(Some(t as u32), kind.name());
             prop_assert_eq!(
@@ -179,15 +163,6 @@ fn spans_account_exactly(os: &Os, span_capacity: usize) -> Result<(), TestCaseEr
                 t,
                 kind
             );
-            if let Some(bd) = bd {
-                prop_assert_eq!(
-                    summary(bd.total()),
-                    summary(hist),
-                    "tenant {} {:?}",
-                    t,
-                    kind
-                );
-            }
         }
     }
     Ok(())
