@@ -56,7 +56,6 @@ fn run_fingerprint_obs(qos: QosPolicy, obs: eagletree_core::ObsConfig) -> Finger
         .weight(1)
         .tier(2)
         .iops_limit(8_000.0)
-        .page_bw_limit(8_000.0)
         .burst(4.0)
         .thread(Pumped::new(RandReadGen::new(Region::whole(), 400), 8, 0xA2))
         .install(&mut os);

@@ -11,10 +11,11 @@
 //!   the backlogged tenant with the smallest virtual time is served, so
 //!   long-run dispatch shares converge to the weight ratio regardless of
 //!   how greedily any tenant floods its queues.
-//! * [`QosPolicy::TokenBucket`] — per-tenant rate caps (IOPS and
-//!   page-bandwidth buckets with burst credits) refilled in virtual time;
-//!   a tenant without a full token is ineligible and the OS sleeps until
-//!   the earliest refill when nothing else is runnable.
+//! * [`QosPolicy::TokenBucket`] — a per-tenant IOPS cap (a bucket with
+//!   burst credits) refilled in virtual time; every IO is one page, so
+//!   the cap is the tenant's page bandwidth too. A tenant without a full
+//!   token is ineligible and the OS sleeps until the earliest refill when
+//!   nothing else is runnable.
 //! * [`QosPolicy::StrictTiers`] — strict priority by tenant tier with
 //!   starvation-freedom: a lower-tier tenant whose head-of-queue has
 //!   waited longer than `starvation_us` is aged up to the top tier for
@@ -70,10 +71,8 @@ pub struct QosParams {
     pub tier: u8,
     /// IOPS cap (tokens/virtual-second); `None` = unlimited.
     pub iops_limit: Option<f64>,
-    /// Page-bandwidth cap (pages/virtual-second); `None` = unlimited.
-    pub page_bw_limit: Option<f64>,
-    /// Burst credits: how many IOs (and pages) may be dispatched
-    /// back-to-back from a full bucket before the rate caps bite.
+    /// Burst credits: how many IOs may be dispatched back-to-back from a
+    /// full bucket before the rate cap bites.
     pub burst: f64,
 }
 
@@ -83,7 +82,6 @@ impl Default for QosParams {
             weight: 1,
             tier: 0,
             iops_limit: None,
-            page_bw_limit: None,
             burst: 8.0,
         }
     }
@@ -97,8 +95,6 @@ pub(crate) struct QosSlot {
     vtime: f64,
     /// IOPS-bucket fill.
     tok_ios: f64,
-    /// Bandwidth-bucket fill (pages).
-    tok_pages: f64,
     last_refill: SimTime,
 }
 
@@ -109,22 +105,17 @@ impl QosSlot {
             params.iops_limit.is_none_or(|l| l > 0.0),
             "iops_limit must be positive"
         );
-        assert!(
-            params.page_bw_limit.is_none_or(|l| l > 0.0),
-            "page_bw_limit must be positive"
-        );
         assert!(params.burst >= 1.0, "burst must allow at least one IO");
         let burst = params.burst;
         QosSlot {
             params,
             vtime: 0.0,
             tok_ios: burst,
-            tok_pages: burst,
             last_refill: SimTime::ZERO,
         }
     }
 
-    /// Bring both buckets up to date at `now`.
+    /// Bring the bucket up to date at `now`.
     fn refill(&mut self, now: SimTime) {
         if now <= self.last_refill {
             return;
@@ -133,17 +124,13 @@ impl QosSlot {
         if let Some(rate) = self.params.iops_limit {
             self.tok_ios = (self.tok_ios + dt * rate).min(self.params.burst);
         }
-        if let Some(rate) = self.params.page_bw_limit {
-            self.tok_pages = (self.tok_pages + dt * rate).min(self.params.burst);
-        }
         self.last_refill = now;
     }
 
     /// Whether a one-page IO may be dispatched at `now`.
     fn eligible(&mut self, now: SimTime) -> bool {
         self.refill(now);
-        (self.params.iops_limit.is_none() || self.tok_ios >= 1.0)
-            && (self.params.page_bw_limit.is_none() || self.tok_pages >= 1.0)
+        self.params.iops_limit.is_none() || self.tok_ios >= 1.0
     }
 
     /// Wait, in whole nanoseconds, until a bucket refills `deficit` tokens
@@ -176,13 +163,10 @@ impl QosSlot {
     /// Earliest instant at which a one-page IO becomes dispatchable, for a
     /// slot currently ineligible at `now`.
     fn ready_at(&self, now: SimTime) -> SimTime {
-        let mut wait_ns = 0u64;
-        if let Some(rate) = self.params.iops_limit {
-            wait_ns = wait_ns.max(Self::refill_wait_ns(1.0 - self.tok_ios, rate));
-        }
-        if let Some(rate) = self.params.page_bw_limit {
-            wait_ns = wait_ns.max(Self::refill_wait_ns(1.0 - self.tok_pages, rate));
-        }
+        let mut wait_ns = self
+            .params
+            .iops_limit
+            .map_or(0, |rate| Self::refill_wait_ns(1.0 - self.tok_ios, rate));
         // Floating-point rounding in the division must never yield a
         // wakeup at which the bucket is still short — the main loop would
         // spin on a zero-progress wake time. Verify with the exact
@@ -284,9 +268,6 @@ pub(crate) fn charge(
             slot.refill(now);
             if slot.params.iops_limit.is_some() {
                 slot.tok_ios -= 1.0;
-            }
-            if slot.params.page_bw_limit.is_some() {
-                slot.tok_pages -= 1.0;
             }
             vclock
         }

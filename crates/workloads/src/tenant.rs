@@ -1,6 +1,7 @@
-//! Tenant-profile builder: describe a tenant (namespace size, QoS
-//! parameters, member workload threads) declaratively and install it onto
-//! an [`Os`] in one call.
+//! Tenant-profile builder: describe a tenant declaratively — its
+//! namespace size, its QoS parameters (WFQ weight, strict tier, one IOPS
+//! cap and its burst) and its member workload threads — and install it
+//! onto an [`Os`] in one call.
 //!
 //! ```
 //! use eagletree_workloads::{TenantProfile, Pumped, RandReadGen, Region};
@@ -50,19 +51,14 @@ impl TenantProfile {
         self
     }
 
-    /// IOPS cap (token bucket).
+    /// IOPS cap (token bucket). Every IO is one page, so this caps the
+    /// tenant's page bandwidth too.
     pub fn iops_limit(mut self, limit: f64) -> Self {
         self.cfg.qos.iops_limit = Some(limit);
         self
     }
 
-    /// Page-bandwidth cap in pages/second (token bucket).
-    pub fn page_bw_limit(mut self, limit: f64) -> Self {
-        self.cfg.qos.page_bw_limit = Some(limit);
-        self
-    }
-
-    /// Burst credits for the token buckets.
+    /// Burst credits for the token bucket.
     pub fn burst(mut self, credits: f64) -> Self {
         self.cfg.qos.burst = credits;
         self
@@ -133,7 +129,6 @@ mod tests {
         let mut os = os(QosPolicy::TokenBucket);
         let (t, _) = TenantProfile::new("capped", 64)
             .iops_limit(5_000.0)
-            .page_bw_limit(5_000.0)
             .burst(2.0)
             .thread(Pumped::new(RandWriteGen::new(Region::whole(), 20), 8, 9))
             .install(&mut os);
