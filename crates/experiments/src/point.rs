@@ -2,8 +2,8 @@
 //!
 //! §2.3's template — "(1) an SSD parameter or policy, (2) a strategy for
 //! how to vary it, (3) a workload definition" — as data: a [`Point`] is a
-//! label, the [`Setup`] with the knob already turned, whether the device
-//! is aged by a sequential fill first, and the measured [`Actor`]s.
+//! label, the [`Setup`] with the knob already turned, the workloads that
+//! precondition the device, and the measured [`Actor`]s.
 //! [`run_point`] alone owns the lifecycle build → fill → install →
 //! snapshot → run → measure; an experiment is the values it sweeps, the
 //! point each value makes, and the columns it reads off each [`Ran`]
@@ -34,32 +34,40 @@ impl Actor {
 pub(crate) struct Point {
     pub label: String,
     pub setup: Setup,
-    /// Write the whole logical space sequentially before the measured
-    /// phase, so the device starts full and every overwrite costs GC.
-    pub fill: bool,
+    /// Preconditioning threads, in the default tenant: run together to
+    /// quiescence before the measured phase, and not measured.
+    pub fill: Vec<Box<dyn Workload>>,
     /// Installed in order after the fill: thread and tenant ids follow
-    /// this order (the fill thread, when there is one, creates the
-    /// default tenant first).
+    /// this order (the fill threads, when there are any, create the
+    /// default tenant first and take the first ids).
     pub actors: Vec<Actor>,
 }
 
 impl Point {
-    /// A point measured on a sequentially pre-filled device.
-    pub(crate) fn filled(label: impl Into<String>, setup: Setup, actors: Vec<Actor>) -> Self {
+    /// A point measured on a device aged by `fill`.
+    pub(crate) fn aged(
+        label: impl Into<String>,
+        setup: Setup,
+        fill: Vec<Box<dyn Workload>>,
+        actors: Vec<Actor>,
+    ) -> Self {
         Point {
             label: label.into(),
             setup,
-            fill: true,
+            fill,
             actors,
         }
     }
 
+    /// A point measured on a device whose whole logical space was written
+    /// sequentially first, so it starts full and every overwrite costs GC.
+    pub(crate) fn filled(label: impl Into<String>, setup: Setup, actors: Vec<Actor>) -> Self {
+        Point::aged(label, setup, vec![sequential_fill(32)], actors)
+    }
+
     /// A point measured on a factory-fresh device.
     pub(crate) fn fresh(label: impl Into<String>, setup: Setup, actors: Vec<Actor>) -> Self {
-        Point {
-            fill: false,
-            ..Point::filled(label, setup, actors)
-        }
+        Point::aged(label, setup, Vec::new(), actors)
     }
 }
 
@@ -117,14 +125,16 @@ impl Ran {
     }
 }
 
-/// Build the point's device, age it if asked, install the actors, run to
+/// Build the point's device, run its fill, install the actors, run to
 /// quiescence and measure each actor (and all of them together) over the
 /// measured phase only. A stop in either phase is [`Ran::stalled`].
 pub(crate) fn run_point(p: Point) -> Ran {
     let mut os = p.setup.build();
     let mut filled = Ok(());
-    if p.fill {
-        os.add_thread(sequential_fill(32));
+    if !p.fill.is_empty() {
+        for w in p.fill {
+            os.add_thread(w);
+        }
         filled = os.run();
     }
     let ids: Vec<(Option<TenantId>, Vec<ThreadId>)> = p

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use crate::columns::*;
 use crate::experiment::{Experiment, Scale};
-use crate::metrics::{measure_since, snapshot, Measured, Row, Table};
+use crate::metrics::{Measured, Row, Table};
 use crate::point::{run_point, sweep, Actor, Point, Ran};
 use crate::setup::Setup;
 
@@ -498,33 +498,28 @@ fn e10_grace_join(scale: Scale) -> Table {
         // Relations sized so inputs + 2x-slack partitions fit.
         let r = (logical / 8).min(scale.ios(1024));
         let s = r;
-        let mut os = setup.build();
         let sink = std::rc::Rc::new(std::cell::RefCell::new((None, None)));
         let region_r = Region::new(0, r);
         let region_s = Region::new(r, s);
         let out_len = ((r + s) * 2).div_ceil(8) * 8;
         let region_out = Region::new(r + s, out_len);
-        // Pre-write the inputs.
-        os.add_thread(region_fill(region_r, 32));
-        os.add_thread(region_fill(region_s, 32));
-        let filled = os.run();
         let join = GraceHashJoin::new(region_r, region_s, region_out, 8, 32)
             .with_phase_sink(sink.clone());
-        let t0 = os.now();
-        let tid = os.add_thread(Box::new(join));
-        let base = snapshot(&os);
-        t.note(name, &os.run().and(filled));
-        let m = measure_since(&os, &[tid], &base);
+        // Pre-write the inputs.
+        let fill = vec![region_fill(region_r, 32), region_fill(region_s, 32)];
+        let ran = run_point(Point::aged(name, setup, fill, vec![Actor::thread(join)]));
+        t.note(name, &ran.stalled);
+        let t0 = ran.started;
         let (part, probe) = *sink.borrow();
         let part_ms = part.map_or(0.0, |p: SimTime| p.since(t0).as_millis_f64());
         let probe_ms = probe.map_or(0.0, |p: SimTime| {
             p.since(part.unwrap_or(t0)).as_millis_f64()
         });
         t.rows.push(
-            Row::new(name.to_string())
+            ran.row()
                 .push("partition_ms", part_ms)
                 .push("probe_ms", probe_ms)
-                .cols(&m, &[TOTAL_MS, IOPS]),
+                .cols(&ran.all, &[TOTAL_MS, IOPS]),
         );
     }
     t
@@ -887,33 +882,25 @@ fn e21_mount_time(scale: Scale) -> Table {
             )]
             let pages = ((logical as f64) * fill) as u64;
             let region = Region::new(0, pages);
-            let mut os = setup.build();
-            os.add_thread(Box::new(
-                Pumped::new(SeqWriteGen::new(region, pages), 32, 0xE21).named("filler"),
-            ));
-            let filled = os.run();
+            let ctrl = setup.ctrl.clone();
+            let filler = Pumped::new(SeqWriteGen::new(region, pages), 32, 0xE21).named("filler");
             // Overwrite churn: garbage + post-checkpoint entries to replay.
-            os.add_thread(Box::new(
-                Pumped::new(RandWriteGen::new(region, pages / 2), 32, 0x21E)
-                    .named("churner"),
-            ));
+            let churner =
+                Pumped::new(RandWriteGen::new(region, pages / 2), 32, 0x21E).named("churner");
             let label = format!("f{:.0}/i{interval}", fill * 100.0);
-            t.note(&label, &os.run().and(filled));
-            let ckpt_writes = os.controller().stats().checkpoint_pages;
-            let image = os.power_cut();
-            let (_, full) = Controller::remount(
-                image.clone(),
-                setup.ctrl.clone(),
-                RecoveryMode::FullScan,
-            )
-            .expect("full-scan remount");
-            let (c2, ck) =
-                Controller::remount(image, setup.ctrl.clone(), RecoveryMode::Checkpoint)
-                    .expect("checkpoint remount");
+            let fill = vec![Box::new(filler) as Box<dyn Workload>];
+            let ran = run_point(Point::aged(label, setup, fill, vec![Actor::thread(churner)]));
+            t.note(&ran.label, &ran.stalled);
+            let ckpt_writes = ran.os.controller().stats().checkpoint_pages;
+            let row = ran.row();
+            let image = ran.os.power_cut();
+            let (_, full) = Controller::remount(image.clone(), ctrl.clone(), RecoveryMode::FullScan)
+                .expect("full-scan remount");
+            let (c2, ck) = Controller::remount(image, ctrl, RecoveryMode::Checkpoint)
+                .expect("checkpoint remount");
             c2.check_invariants();
             t.rows.push(
-                Row::new(label)
-                    .push("entries", full.data_entries as f64)
+                row.push("entries", full.data_entries as f64)
                     .push("full_oob", full.oob_scanned as f64)
                     .push("full_mount_us", full.mount_time.as_micros_f64())
                     .push("ckpt_oob", ck.oob_scanned as f64)
