@@ -988,36 +988,37 @@ fn e22_crash_sweep(scale: Scale) -> Table {
         }
         let internal_erases =
             d.c.stats().gc_erases + d.c.stats().merge_erases + d.c.stats().wl_erases;
-        for mode in [RecoveryMode::FullScan, RecoveryMode::Checkpoint] {
-            let mut verified = 0u64;
-            let mut lost = 0u64;
-            let mut torn = 0u64;
-            let mut interrupted = 0u64;
-            let mut mount_us = 0.0f64;
-            let mut oob = 0u64;
-            for k in 1..=points {
-                let crash_step = (k * total_steps / (points + 1)).max(1);
-                let mut d = Driver::tiny(cfg.clone());
-                // The rehearsal's fill, to the event: its stop is noted above.
-                let _ = e22_fill(&mut d);
-                e22_churn(&mut d, &ops, qd, crash_step);
-                let ledger = std::mem::take(&mut d.ledger);
-                let image = d.c.power_cut(d.now);
-                let (c2, rep) = Controller::remount(image, cfg.clone(), mode)
+        // Per recovery mode: acked writes verified and lost, torn pages,
+        // interrupted erases, mount µs and OOB records read, over the cuts.
+        let modes = [RecoveryMode::FullScan, RecoveryMode::Checkpoint];
+        let mut sums = [(0u64, 0u64, 0u64, 0u64, 0.0f64, 0u64); 2];
+        for k in 1..=points {
+            let crash_step = (k * total_steps / (points + 1)).max(1);
+            let mut d = Driver::tiny(cfg.clone());
+            // The rehearsal's fill, to the event: its stop is noted above.
+            let _ = e22_fill(&mut d);
+            e22_churn(&mut d, &ops, qd, crash_step);
+            let ledger = std::mem::take(&mut d.ledger);
+            let image = d.c.power_cut(d.now);
+            for (mode, sum) in modes.into_iter().zip(&mut sums) {
+                let (c2, rep) = Controller::remount(image.clone(), cfg.clone(), mode)
                     .expect("E22 remount");
                 for lpn in ledger.acked_writes() {
                     if Ledger::survives(&c2, lpn) {
-                        verified += 1;
+                        sum.0 += 1;
                     } else {
-                        lost += 1;
+                        sum.1 += 1;
                     }
                 }
                 c2.check_invariants();
-                torn += rep.torn_pages;
-                interrupted += rep.interrupted_erases;
-                mount_us += rep.mount_time.as_micros_f64();
-                oob += rep.oob_scanned;
+                sum.2 += rep.torn_pages;
+                sum.3 += rep.interrupted_erases;
+                sum.4 += rep.mount_time.as_micros_f64();
+                sum.5 += rep.oob_scanned;
             }
+        }
+        for (mode, sum) in modes.into_iter().zip(sums) {
+            let (verified, lost, torn, interrupted, mount_us, oob) = sum;
             t.rows.push(
                 Row::new(format!("{sname}/{}", mode.name()))
                     .push("crash_points", points as f64)
