@@ -455,7 +455,7 @@ impl Hybrid {
 
     /// The controller started copying `lbn` into a destination block; until
     /// [`Hybrid::fold_finished`], its sequential stream does not switch.
-    pub fn fold_started(&mut self, lbn: u64) {
+    pub(crate) fn fold_started(&mut self, lbn: u64) {
         self.folding = Some(lbn);
     }
 
