@@ -12,8 +12,8 @@
 //!   random cases drawn from the argument strategies;
 //! * case generation is deterministic (fixed base seed perturbed per
 //!   case), so failures are reproducible;
-//! * a `prop_assert*` failure is shrunk, then reported with the failing
-//!   case's seed and each input as `pat = {:?}`.
+//! * a failing case, by `prop_assert*` or by a panic, is shrunk, then
+//!   reported with its seed and each input as `pat = {:?}`.
 //!
 //! Shrinking works on the sequence of draws a case took from [`TestRng`]
 //! (internal shrinking, as in Hypothesis): the runner replays edited
@@ -22,8 +22,10 @@
 //! them so the draws after it keep their meaning; then it sets each draw
 //! to 0, or halves it. Every strategy maps a smaller draw to a value
 //! nearer its range's start, so no strategy carries shrinking code; a
-//! `vec` only records where its draws lie. A panic inside a body (a plain
-//! `assert!`) is reported unshrunk.
+//! `vec` only records where its draws lie. A vec shrinks below its length
+//! range's start, down to no elements: a replay then carries the length
+//! itself, as no length draw can name it. The range only decides what is
+//! sampled, so the drawn cases stay as they were.
 //!
 //! Not implemented: persistence files, `prop_compose!`, recursive
 //! strategies. Swap this crate for the real `proptest` in the workspace
@@ -73,6 +75,9 @@ pub mod test_runner {
     pub struct TestRng {
         state: u64,
         replay: Option<Vec<u64>>,
+        /// Per vec, in the order the vecs start: a length below its
+        /// range's start that a replay imposes.
+        short: Vec<Option<usize>>,
         pub(crate) draws: Vec<u64>,
         pub(crate) vecs: Vec<VecDraws>,
     }
@@ -81,6 +86,7 @@ pub mod test_runner {
     /// length draw, the length range's start, the `below` bound the length
     /// draw took, and the index where each element's draws start, then
     /// where the last one's end.
+    #[derive(Default)]
     pub(crate) struct VecDraws {
         pub(crate) len_at: usize,
         pub(crate) min_len: usize,
@@ -93,16 +99,23 @@ pub mod test_runner {
             TestRng {
                 state: seed,
                 replay: None,
+                short: Vec::new(),
                 draws: Vec::new(),
                 vecs: Vec::new(),
             }
         }
 
-        fn replaying(draws: Vec<u64>) -> Self {
+        fn replaying(draws: Vec<u64>, short: Vec<Option<usize>>) -> Self {
             TestRng {
                 replay: Some(draws),
+                short,
                 ..TestRng::new(0)
             }
+        }
+
+        /// The length a replay imposes on the `v`th vec, if any.
+        pub(crate) fn short_len(&self, v: usize) -> Option<usize> {
+            self.short.get(v).copied().flatten()
         }
 
         pub fn next_u64(&mut self) -> u64 {
@@ -133,9 +146,58 @@ pub mod test_runner {
         }
     }
 
-    /// Run `cases` deterministic cases of `body`. On the first failure,
-    /// shrink it and panic with the case seed and the inputs `describe`
-    /// renders from the shrunk draws.
+    /// How a case failed: a `prop_assert*` or a panic, and its message.
+    struct Failure {
+        panicked: bool,
+        message: String,
+    }
+
+    impl Failure {
+        /// Whether `other` is this failure again: the same kind, and the
+        /// same first line up to its first digit (digits name the case's
+        /// pages, blocks and counts). A shrink that slipped to another
+        /// failure, such as an index panic on an input shorter than the
+        /// body expects, would report a fault other than the one found.
+        fn recurs_in(&self, other: &Failure) -> bool {
+            let key = |f: &Failure| {
+                let line = f.message.lines().next().unwrap_or_default();
+                (f.panicked, line.split(|c: char| c.is_ascii_digit()).next().map(str::to_owned))
+            };
+            key(self) == key(other)
+        }
+    }
+
+    /// Run `body` on `rng`, a panic caught as a failure.
+    fn outcome<F>(body: &mut F, rng: &mut TestRng) -> Result<(), Failure>
+    where
+        F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
+    {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(rng))) {
+            Ok(Ok(())) => Ok(()),
+            Ok(Err(err)) => Err(Failure { panicked: false, message: err.0 }),
+            Err(payload) => {
+                let message = match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+                    (Some(s), _) => (*s).to_owned(),
+                    (None, Some(s)) => s.clone(),
+                    (None, None) => "a panic without a message".to_owned(),
+                };
+                Err(Failure { panicked: true, message })
+            }
+        }
+    }
+
+    /// The lengths a replay of `vecs` must impose: those below their
+    /// range's start.
+    fn short_lens(vecs: &[VecDraws]) -> Vec<Option<usize>> {
+        vecs.iter()
+            .map(|v| Some(v.bounds.len() - 1).filter(|&len| len < v.min_len))
+            .collect()
+    }
+
+    /// Run `cases` deterministic cases of `body`. On the first failure, a
+    /// failed `prop_assert*` or a panic, shrink it and panic with the case
+    /// seed, the inputs `describe` renders from the shrunk draws and the
+    /// shrunk case's message.
     pub fn run<F, D>(config: &Config, name: &str, mut body: F, describe: D)
     where
         F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
@@ -146,34 +208,35 @@ pub mod test_runner {
         for case in 0..config.cases as u64 {
             let seed = BASE_SEED ^ (case.wrapping_mul(0x2545_F491_4F6C_DD1D));
             let mut rng = TestRng::new(seed);
-            if let Err(err) = body(&mut rng) {
+            if let Err(failure) = outcome(&mut body, &mut rng) {
                 let mut s = Shrink {
                     body: &mut body,
                     budget: config.max_shrink_iters,
                     best: rng.draws,
                     vecs: rng.vecs,
-                    err,
+                    failure,
                     kept: 0,
                 };
                 s.run();
-                let inputs = describe(&mut TestRng::replaying(s.best));
+                let inputs = describe(&mut TestRng::replaying(s.best, short_lens(&s.vecs)));
+                let how = if s.failure.panicked { "panicked" } else { "failed" };
                 panic!(
-                    "proptest case failed: {name} (case {case}, seed {seed:#x}), \
+                    "proptest case {how}: {name} (case {case}, seed {seed:#x}), \
                      shrunk by {} edits to:\n{inputs}{}",
-                    s.kept, s.err,
+                    s.kept, s.failure.message,
                 );
             }
         }
     }
 
-    /// A failing case's smallest draw sequence so far, its vecs, and its
-    /// error.
+    /// A failing case's smallest draw sequence so far, its vecs, and how
+    /// it failed.
     struct Shrink<'a, F> {
         body: &'a mut F,
         budget: u32,
         best: Vec<u64>,
         vecs: Vec<VecDraws>,
-        err: TestCaseError,
+        failure: Failure,
         kept: u32,
     }
 
@@ -184,50 +247,50 @@ pub mod test_runner {
     }
 
     impl<F: FnMut(&mut TestRng) -> Result<(), TestCaseError>> Shrink<'_, F> {
-        /// Replays `draws` if the budget allows, and keeps the draws the
-        /// body took if it still fails and they are shortlex-smaller.
-        fn attempt(&mut self, draws: Vec<u64>) -> bool {
+        /// Replays `draws` under the lengths `short` imposes if the budget
+        /// allows, and keeps the draws the body took if it fails the same
+        /// way and they are shortlex-smaller.
+        fn attempt(&mut self, draws: Vec<u64>, short: Vec<Option<usize>>) -> bool {
             if self.budget == 0 {
                 return false;
             }
             self.budget -= 1;
-            let mut rng = TestRng::replaying(draws);
-            let body = &mut *self.body;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut rng)));
+            let mut rng = TestRng::replaying(draws, short);
+            let outcome = outcome(self.body, &mut rng);
             let smaller = (rng.draws.len(), &rng.draws) < (self.best.len(), &self.best);
-            let Ok(Err(err)) = outcome else { return false };
-            if smaller {
-                (self.best, self.vecs, self.err) = (rng.draws, rng.vecs, err);
+            let Err(failure) = outcome else { return false };
+            let kept = smaller && self.failure.recurs_in(&failure);
+            if kept {
+                (self.best, self.vecs, self.failure) = (rng.draws, rng.vecs, failure);
                 self.kept += 1;
             }
-            smaller
+            kept
         }
 
         /// Replays the best draws without elements `[from, from + n)` of
         /// vec `v` (`from + n` at most its length), its length draw lowered
-        /// by `n`, if that keeps the length in range.
+        /// by `n`, or imposed when that takes it below the range's start.
         fn delete_elements(&mut self, v: usize, from: usize, n: usize) -> bool {
             let vec = &self.vecs[v];
-            let len = vec.bounds.len() - 1;
-            if len - n < vec.min_len {
-                return false;
-            }
+            let len = vec.bounds.len() - 1 - n;
+            let mut short = short_lens(&self.vecs);
+            short[v] = Some(len).filter(|&len| len < vec.min_len);
             let mut draws = self.best.clone();
-            draws[vec.len_at] = draw_for((len - n - vec.min_len) as u64, vec.span);
+            draws[vec.len_at] = draw_for(len.saturating_sub(vec.min_len) as u64, vec.span);
             draws.drain(vec.bounds[from]..vec.bounds[from + n]);
-            self.attempt(draws)
+            self.attempt(draws, short)
         }
 
         /// Rounds of edits until one keeps nothing or the budget runs out:
-        /// delete each vec's elements in chunks of all it may lose, then
-        /// halves of that, down to single elements; then set each draw to
-        /// 0, or halve it while that still fails.
+        /// delete each vec's elements in chunks of all of them, then halves
+        /// of that, down to single elements; then set each draw to 0, or
+        /// halve it while that still fails.
         fn run(&mut self) {
             while self.budget > 0 {
                 let before = self.best.clone();
                 let mut v = 0;
                 while v < self.vecs.len() {
-                    let mut size = self.vecs[v].bounds.len() - 1 - self.vecs[v].min_len;
+                    let mut size = self.vecs[v].bounds.len() - 1;
                     while size > 0 {
                         let mut from = 0;
                         while from + size < self.vecs[v].bounds.len() {
@@ -243,11 +306,11 @@ pub mod test_runner {
                 while i < self.best.len() {
                     let mut zeroed = self.best.clone();
                     zeroed[i] = 0;
-                    if self.best[i] == 0 || !self.attempt(zeroed) {
+                    if self.best[i] == 0 || !self.attempt(zeroed, short_lens(&self.vecs)) {
                         while self.best.get(i).is_some_and(|&d| d > 0) {
                             let mut halved = self.best.clone();
                             halved[i] /= 2;
-                            if !self.attempt(halved) {
+                            if !self.attempt(halved, short_lens(&self.vecs)) {
                                 break;
                             }
                         }
@@ -463,8 +526,13 @@ pub mod collection {
         type Value = Vec<S::Value>;
         fn sample(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.size.end - self.size.start).max(1) as u64;
+            // Claim this vec's place in start order before its elements,
+            // which may hold vecs of their own.
+            let v = rng.vecs.len();
+            rng.vecs.push(VecDraws::default());
             let len_at = rng.draws.len();
-            let len = self.size.start + rng.below(span) as usize;
+            let drawn = self.size.start + rng.below(span) as usize;
+            let len = rng.short_len(v).unwrap_or(drawn);
             let mut bounds = vec![rng.draws.len()];
             let values = (0..len)
                 .map(|_| {
@@ -474,7 +542,7 @@ pub mod collection {
                 })
                 .collect();
             let min_len = self.size.start;
-            rng.vecs.push(VecDraws { len_at, min_len, span, bounds });
+            rng.vecs[v] = VecDraws { len_at, min_len, span, bounds };
             values
         }
     }
@@ -652,6 +720,37 @@ mod tests {
         let err = std::panic::catch_unwind(fails_once_v_holds_7_and_k_is_3).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("a formatted panic");
         assert!(msg.contains("edits to:\nv = [7]\nk = 3\nassertion failed"), "{msg}");
+    }
+
+    proptest! {
+        // Not a test itself: `a_panic_is_shrunk_and_prints_its_inputs` runs it.
+        fn panics_once_v_holds_7(v in prop::collection::vec(0u32..100, 0..400)) {
+            assert!(!v.contains(&7), "v holds 7");
+        }
+
+        // Not a test itself: `a_vec_shrinks_below_its_sampled_minimum` runs it.
+        fn fails_once_a_long_v_holds_7(v in prop::collection::vec(0u32..100, 50..400)) {
+            prop_assert!(!v.contains(&7));
+        }
+    }
+
+    /// A body that panics is shrunk like a failed `prop_assert`, and the
+    /// panic it raises again names the shrunk input and the message.
+    #[test]
+    fn a_panic_is_shrunk_and_prints_its_inputs() {
+        let err = std::panic::catch_unwind(panics_once_v_holds_7).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.starts_with("proptest case panicked: panics_once_v_holds_7"), "{msg}");
+        assert!(msg.contains("edits to:\nv = [7]\nv holds 7"), "{msg}");
+    }
+
+    /// The length range decides what is sampled, not how far a vec
+    /// shrinks: a failure that needs one element shrinks to one.
+    #[test]
+    fn a_vec_shrinks_below_its_sampled_minimum() {
+        let err = std::panic::catch_unwind(fails_once_a_long_v_holds_7).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("edits to:\nv = [7]\nassertion failed"), "{msg}");
     }
 
     #[test]
