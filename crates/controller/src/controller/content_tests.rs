@@ -87,7 +87,7 @@ fn a_page_holds_its_tag_while_valid_and_nothing_once_dead() {
     d.submit(RequestKind::Write, 9);
     let torn = tagged(&d.c, 9);
     assert_eq!(d.c.content_at(torn), data(9));
-    let image = d.c.power_cut(d.now);
+    let image = d.power_cut();
     let cfg = ControllerConfig::default();
     let (c, _) = Controller::remount(image, cfg, RecoveryMode::FullScan).unwrap();
     assert!(c.array.is_torn_at(torn));

@@ -316,11 +316,11 @@ fn power_cut_with_moves_queued_remounts_with_clean_bookkeeping() {
     for mode in [RecoveryMode::FullScan, RecoveryMode::Checkpoint] {
         let mut d = Driver::tiny(cfg());
         age_until(&mut d, |c, now| deep_blocked_lane(c, now).is_some());
-        let image = d.c.power_cut(d.now);
+        let cut_at = d.now;
+        let image = d.power_cut();
         let (c, _) = Controller::remount(image, cfg(), mode).unwrap();
         assert!(c.disp.pending.is_empty());
         c.check_invariants();
-        let cut_at = d.now;
         let mut d = Driver::new(c);
         d.now = cut_at;
         let n = d.c.logical_pages();

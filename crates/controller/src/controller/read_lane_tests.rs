@@ -475,7 +475,8 @@ fn power_cut_with_reads_queued_remounts_with_clean_bookkeeping() {
             submit(&mut d, RequestKind::Read, lpn);
         }
         assert_eq!(queued_reads(&d.c).len(), 4);
-        let image = d.c.power_cut(d.now);
+        let cut_at = d.now;
+        let image = d.power_cut();
         let cfg = reads_last(MappingKind::PageMap);
         let (c, _) = Controller::remount(image, cfg, mode).unwrap();
         assert!(c.disp.pending.is_empty());
@@ -484,7 +485,6 @@ fn power_cut_with_reads_queued_remounts_with_clean_bookkeeping() {
             "{mode:?}: a page is still noted"
         );
         c.check_invariants();
-        let cut_at = d.now;
         let mut d = Driver::new(c);
         d.now = cut_at;
         for lpn in used {

@@ -1,14 +1,17 @@
-//! The minimal host of a bare [`Controller`]: request ids, a clock, agenda
-//! stepping and a ledger of what the device acknowledged. Every controller
-//! test and the E22 crash sweep drive the device with this and nothing else.
+//! The one host of a [`Controller`]: request ids, a clock, agenda stepping,
+//! completions, liveness, the power cut, and a ledger of what the device
+//! acknowledged. `Os`, every controller test and the E22 crash sweep drive
+//! the device through this and nothing else.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use eagletree_core::SimTime;
+use eagletree_core::{SimTime, NO_SPAN};
 use eagletree_flash::{Geometry, PageState, TimingSpec};
 
 use crate::config::ControllerConfig;
 use crate::controller::{Controller, Stuck};
+use crate::recovery::CrashImage;
 use crate::types::{Completion, IoTags, Lpn, RequestId, RequestKind, SsdRequest};
 
 /// What the host was promised, per logical page: the reference model the
@@ -95,8 +98,8 @@ impl Ledger {
 }
 
 /// A controller with the least a host needs around it. Fields are public
-/// and there is no `Drop`: a crash test takes the ledger and moves `c`
-/// out with `c.power_cut(now)`.
+/// and there is no `Drop`: a crash test takes the ledger, then cuts power
+/// with [`Driver::power_cut`].
 ///
 /// ```
 /// use eagletree_controller::{ControllerConfig, Driver, RequestKind};
@@ -112,7 +115,8 @@ pub struct Driver {
     pub c: Controller,
     /// The instant of the last agenda step; submissions happen at it.
     pub now: SimTime,
-    /// Every completion handed out so far, in order.
+    /// Every completion handed out so far, in order, until the host clears
+    /// it (`Os` does after each advance).
     pub done: Vec<Completion>,
     /// What those completions (and the trims submitted) promised.
     pub ledger: Ledger,
@@ -120,6 +124,9 @@ pub struct Driver {
     /// The buffer [`Controller::advance_into`] swaps with, empty between
     /// steps.
     batch: Vec<Completion>,
+    /// [`Driver::stuck`]'s last answer, keyed by how far the device had
+    /// got then (events processed + requests submitted).
+    dry: Option<(u64, Option<Arc<Stuck>>)>,
 }
 
 impl Driver {
@@ -132,6 +139,7 @@ impl Driver {
             ledger: Ledger::default(),
             next_id: 0,
             batch: Vec::new(),
+            dry: None,
         }
     }
 
@@ -149,18 +157,26 @@ impl Driver {
 
     /// [`Driver::submit`] with open-interface hints.
     pub fn submit_tagged(&mut self, kind: RequestKind, lpn: Lpn, tags: IoTags) -> RequestId {
-        let id = self.next_id;
-        self.next_id += 1;
-        let req = SsdRequest { id, kind, lpn, tags };
-        self.ledger.submitted(&req, self.now);
-        self.c.submit(req, self.now);
+        let id = self.submit_spanned(kind, lpn, tags, NO_SPAN);
+        self.ledger.submitted(&SsdRequest { id, kind, lpn, tags }, self.now);
         id
     }
 
-    /// Hand out what the device has completed up to `now`.
-    fn collect(&mut self) -> &[Completion] {
+    /// Submit at `now` a request whose lifecycle span the host opened
+    /// ([`Controller::submit_spanned`]), and which the ledger never sees.
+    pub fn submit_spanned(&mut self, kind: RequestKind, lpn: Lpn, tags: IoTags, span: u64) -> RequestId {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.c.submit_spanned(SsdRequest { id, kind, lpn, tags }, span, self.now);
+        id
+    }
+
+    /// Move the clock to `at`, process the agenda up to it, and hand out
+    /// what the device completed.
+    pub fn advance_to(&mut self, at: SimTime) -> &[Completion] {
+        self.now = at;
         let from = self.done.len();
-        self.c.advance_into(self.now, &mut self.batch);
+        self.c.advance_into(at, &mut self.batch);
         self.done.append(&mut self.batch);
         for comp in &self.done[from..] {
             self.ledger.completed(comp);
@@ -168,12 +184,17 @@ impl Driver {
         &self.done[from..]
     }
 
+    /// The next agenda instant, `None` when the agenda is dry.
+    pub fn next_wake(&self) -> Option<SimTime> {
+        self.c.next_event_time()
+    }
+
     /// Process the next agenda instant and return its completions; `None`
     /// once the agenda is dry (requests that completed inside `submit`
     /// are then still to be handed out — [`Driver::run`] does).
     pub fn step(&mut self) -> Option<&[Completion]> {
-        self.now = self.c.next_event_time()?;
-        Some(self.collect())
+        let at = self.next_wake()?;
+        Some(self.advance_to(at))
     }
 
     /// Up to `budget` agenda instants; returns the budget left over, so
@@ -186,11 +207,31 @@ impl Driver {
     }
 
     /// Run the agenda dry and hand out every completion; `Err` when the
-    /// device stopped with work left ([`Controller::liveness`]).
+    /// device stopped with work left ([`Driver::stuck`]).
     pub fn run(&mut self) -> Result<(), Stuck> {
         while self.step().is_some() {}
-        self.collect();
-        self.c.liveness()
+        self.advance_to(self.now);
+        self.stuck().map_or(Ok(()), |s| Err(Stuck::clone(&s)))
+    }
+
+    /// What the device holds and can never issue, when it stopped with
+    /// work left ([`Controller::liveness`]). The answer is kept until the
+    /// device moves, so asking again allocates nothing: the repo
+    /// benchmark's per-round allocation check relies on it, as its
+    /// planning round runs dry in `Os::run_until` and again in `Os::run`.
+    pub fn stuck(&mut self) -> Option<Arc<Stuck>> {
+        let moved = self.c.events_processed() + self.next_id;
+        if self.dry.as_ref().is_none_or(|(at, _)| *at != moved) {
+            self.dry = Some((moved, self.c.liveness().err().map(Arc::new)));
+        }
+        self.dry.as_ref().and_then(|(_, stuck)| stuck.clone())
+    }
+
+    /// Pull the plug at `now`: the device loses the flash operations in
+    /// flight, and the host everything else. Returns the dead medium for
+    /// [`Controller::remount`].
+    pub fn power_cut(self) -> CrashImage {
+        self.c.power_cut(self.now)
     }
 
     /// Submit `reqs` in windows of `qd`, running the agenda dry between

@@ -42,7 +42,7 @@ fn an_unreservable_span_ring_refuses_the_mount() {
         };
         let fresh = Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg.clone());
         let d = Driver::tiny(ControllerConfig::default());
-        let image = d.c.power_cut(SimTime::ZERO);
+        let image = d.power_cut();
         let remounted = Controller::remount(image, cfg, RecoveryMode::FullScan).map(|(c, _)| c);
         for mounted in [fresh, remounted] {
             match mounted {

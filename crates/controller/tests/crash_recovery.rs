@@ -191,7 +191,7 @@ fn check_crash(
     }
     let cut_at = d.now;
     let must_mapped = d.ledger.must_be_mapped();
-    let image = d.c.power_cut(cut_at);
+    let image = d.power_cut();
 
     for mode in [RecoveryMode::FullScan, RecoveryMode::Checkpoint] {
         let (c2, report) = Controller::remount(image.clone(), cfg.clone(), mode)
@@ -404,7 +404,7 @@ fn a_trim_between_two_landings_of_one_page_leaves_it_unmapped() {
         d.run().unwrap();
         assert_eq!(d.c.peek_mapping(2).is_some(), hybrid, "{name}: page 2 after the trim");
         let live: Vec<_> = (0..d.c.logical_pages()).map(|l| d.c.peek_mapping(l)).collect();
-        let image = d.c.power_cut(d.now);
+        let image = d.power_cut();
         for mode in [RecoveryMode::FullScan, RecoveryMode::Checkpoint] {
             let (c2, _) = Controller::remount(image.clone(), cfg.clone(), mode).unwrap();
             for (lpn, &ppn) in live.iter().enumerate().filter(|(_, p)| p.is_some()) {
@@ -477,7 +477,7 @@ fn checkpoint_recovery_keeps_trimmed_pages_dead() {
         for &v in &victims {
             assert!(d.c.peek_mapping(v).is_none(), "{name}: lpn {v} mapped pre-cut");
         }
-        let image = d.c.power_cut(d.now);
+        let image = d.power_cut();
         assert!(image.has_checkpoint(), "{name}: no checkpoint committed");
         let (c2, report) =
             Controller::remount(image, cfg, RecoveryMode::Checkpoint).unwrap();
@@ -506,9 +506,9 @@ fn battery_backed_buffer_survives_power_cut() {
         d.submit(RequestKind::Write, lpn);
     }
     // Buffered writes acknowledge instantly; cut before anything flushes.
-    let batch = d.c.advance(SimTime::ZERO);
+    let batch = d.advance_to(SimTime::ZERO);
     assert_eq!(batch.len(), 4);
-    let image = d.c.power_cut(SimTime::ZERO);
+    let image = d.power_cut();
     let (c2, _) = Controller::remount(image, cfg, RecoveryMode::FullScan).unwrap();
     for lpn in 0..4 {
         assert!(c2.is_buffered(lpn), "buffered write of lpn {lpn} lost");
@@ -526,7 +526,7 @@ fn remount_across_mapping_schemes() {
     }
     d.run().unwrap();
     let expected: Vec<Option<u64>> = (0..logical).map(|l| d.c.peek_mapping(l)).collect();
-    let image = d.c.power_cut(d.now);
+    let image = d.power_cut();
     let (c2, report) = Controller::remount(
         image,
         config(MappingKind::Dftl { cmt_entries: 24 }, 0),
@@ -562,7 +562,7 @@ fn remount_rejects_a_hybrid_log_budget_new_rejects() {
         .err()
         .expect("new must reject a log budget that leaves no merge headroom");
     assert!(from_new.contains("does not fit"), "{from_new}");
-    let image = d.c.power_cut(d.now);
+    let image = d.power_cut();
     for mode in [RecoveryMode::FullScan, RecoveryMode::Checkpoint] {
         let from_remount = Controller::remount(image.clone(), oversized.clone(), mode)
             .err()

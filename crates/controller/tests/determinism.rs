@@ -190,7 +190,7 @@ fn crash_remount_fingerprints(mapping: MappingKind) -> [Fingerprint; 2] {
     d.step_n(12);
     let reclaimed = d.c.stats().gc_erases + d.c.stats().merge_erases;
     assert!(reclaimed > 0, "{mapping:?}: the churn never reclaimed a block");
-    let image = d.c.power_cut(d.now);
+    let image = d.power_cut();
     assert!(image.has_checkpoint(), "{mapping:?}: no checkpoint committed");
     [RecoveryMode::FullScan, RecoveryMode::Checkpoint].map(|mode| {
         let (c, report) = Controller::remount(image.clone(), cfg.clone(), mode).unwrap();

@@ -228,7 +228,7 @@ fn remount_tolerates_grown_bad_blocks() {
         );
         let ledger = std::mem::take(&mut d.ledger);
         let pre_lost: BTreeSet<u64> = d.c.lost_data().collect();
-        let image = d.c.power_cut(d.now);
+        let image = d.power_cut();
         let (c2, rep) = Controller::remount(image, cfg, mode).expect("remount scarred medium");
         c2.check_invariants();
         // The wear scars survive the remount.

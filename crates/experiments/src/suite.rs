@@ -999,7 +999,7 @@ fn e22_crash_sweep(scale: Scale) -> Table {
             let _ = e22_fill(&mut d);
             e22_churn(&mut d, &ops, qd, crash_step);
             let ledger = std::mem::take(&mut d.ledger);
-            let image = d.c.power_cut(d.now);
+            let image = d.power_cut();
             for (mode, sum) in modes.into_iter().zip(&mut sums) {
                 let (c2, rep) = Controller::remount(image.clone(), cfg.clone(), mode)
                     .expect("E22 remount");

@@ -1,12 +1,12 @@
 //! The OS dispatcher and main simulation loop.
 //!
-//! [`Os`] owns the [`Controller`] and the simulated threads. Threads hand
-//! IOs to per-thread queues; the OS dispatches up to
-//! [`OsConfig::queue_depth`] outstanding requests to the SSD, choosing the
-//! next one per [`OsSchedPolicy`]. When the SSD completes a request the OS
-//! "interrupts": it updates the dispatching thread's statistics and invokes
-//! its `call_back`, which may submit further IOs — the paper's reactive
-//! thread model.
+//! [`Os`] owns the simulated threads and drives the [`Controller`] through
+//! a [`Driver`]. Threads hand IOs to per-thread queues; the OS dispatches
+//! up to [`OsConfig::queue_depth`] outstanding requests to the SSD,
+//! choosing the next one per [`OsSchedPolicy`]. When the SSD completes a
+//! request the OS "interrupts": it updates the dispatching thread's
+//! statistics and invokes its `call_back`, which may submit further IOs —
+//! the paper's reactive thread model.
 //!
 //! Threads are grouped into [tenants](crate::tenant): each tenant owns a
 //! namespace (tenant-relative LBAs, translated and bounds-checked here at
@@ -21,8 +21,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use eagletree_controller::{
-    class_index, Completion, Controller, CrashImage, IoTags, OpClass, RequestId, RequestKind,
-    SsdRequest, Stuck,
+    class_index, Completion, Controller, CrashImage, Driver, IoTags, OpClass, RequestKind, Stuck,
 };
 use eagletree_core::{
     EventQueue, Histogram, IdTable, Obs, OnlineStats, SimDuration, SimTime, Tail, Timeline, NO_SPAN,
@@ -225,7 +224,9 @@ struct Inflight {
 
 /// The simulated operating system.
 pub struct Os {
-    ctrl: Controller,
+    /// The device and the host clock, request ids, completions and
+    /// liveness that go with it.
+    d: Driver,
     cfg: OsConfig,
     threads: Vec<ThreadState>,
     tenants: Vec<TenantEntry>,
@@ -239,8 +240,6 @@ pub struct Os {
     /// The dispatched IOs, by the request id `dispatch` counted up to.
     inflight: IdTable<Inflight>,
     timers: EventQueue<ThreadId>,
-    now: SimTime,
-    next_req_id: RequestId,
     next_seq: u64,
     last_served: ThreadId,
     /// Dispatch scratch (reused; no per-IO allocation).
@@ -250,16 +249,6 @@ pub struct Os {
     /// applies it (reused likewise; empty between callbacks).
     scratch_submissions: Vec<OsIo>,
     scratch_timers: Vec<SimDuration>,
-    /// The completions of one `Controller::advance_into` (reused likewise;
-    /// empty between advances).
-    scratch_done: Vec<Completion>,
-    /// The device half of the last loop that ran dry, keyed by how far the
-    /// device had got (events processed + requests submitted): until it
-    /// moves, a run reports the same stall again without building a copy.
-    /// Asking twice then allocates as asking once, which the repo
-    /// benchmark's per-round allocation check relies on (its planning
-    /// round runs dry in `run_until` and again in `run`).
-    dry: Option<(u64, Option<Arc<Stuck>>)>,
     /// Time-sliced telemetry, when `ObsConfig::timeline_interval_us` is
     /// set on the controller.
     timeline: Option<Timeline>,
@@ -313,7 +302,7 @@ impl Os {
             )
         });
         Os {
-            ctrl,
+            d: Driver::new(ctrl),
             cfg,
             threads: Vec::new(),
             tenants: Vec::new(),
@@ -323,16 +312,12 @@ impl Os {
             vclock: 0.0,
             inflight: IdTable::default(),
             timers: EventQueue::new(),
-            now: SimTime::ZERO,
-            next_req_id: 0,
             next_seq: 0,
             last_served: 0,
             scratch_heads: Vec::new(),
             scratch_tenants: Vec::new(),
             scratch_submissions: Vec::new(),
             scratch_timers: Vec::new(),
-            scratch_done: Vec::new(),
-            dry: None,
             timeline,
             tl_next: SimTime::ZERO,
             tl_prev: TlSnap::default(),
@@ -346,12 +331,12 @@ impl Os {
         assert!(cfg.namespace_pages > 0, "namespace must have pages");
         let base = self.ns_watermark;
         assert!(
-            base + cfg.namespace_pages <= self.ctrl.logical_pages(),
+            base + cfg.namespace_pages <= self.d.c.logical_pages(),
             "tenant `{}`: namespace of {} pages does not fit ({} of {} logical pages already carved)",
             cfg.name,
             cfg.namespace_pages,
             base,
-            self.ctrl.logical_pages()
+            self.d.c.logical_pages()
         );
         self.ns_watermark = base + cfg.namespace_pages;
         self.push_tenant(cfg.name, Namespace { base, len: cfg.namespace_pages }, cfg.qos)
@@ -364,7 +349,7 @@ impl Os {
         if let Some(t) = self.default_tenant {
             return t;
         }
-        let whole = Namespace { base: 0, len: self.ctrl.logical_pages() };
+        let whole = Namespace { base: 0, len: self.d.c.logical_pages() };
         let t = self.push_tenant("default".to_string(), whole, crate::QosParams::default());
         self.default_tenant = Some(t);
         t
@@ -429,18 +414,18 @@ impl Os {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.d.now
     }
 
     /// The controller (counters, wear metrics, write amplification …).
     pub fn controller(&self) -> &Controller {
-        &self.ctrl
+        &self.d.c
     }
 
     /// The structured span collector, when observability is enabled on
     /// the controller (`ObsConfig::span_capacity > 0`).
     pub fn obs(&self) -> Option<&Obs> {
-        self.ctrl.obs()
+        self.d.c.obs()
     }
 
     /// The sampled telemetry timeline, when enabled
@@ -457,14 +442,14 @@ impl Os {
     /// Simulation events processed so far: controller agenda events plus
     /// OS timer firings.
     pub fn events_simulated(&self) -> u64 {
-        self.ctrl.events_processed() + self.timers.popped()
+        self.d.c.events_processed() + self.timers.popped()
     }
 
     /// Total event-queue operations (schedules + pops) across the
     /// controller agenda and the OS timer queue: the event-engine work
     /// metric reported by the E18 sweep.
     pub fn queue_ops(&self) -> u64 {
-        self.ctrl.queue_ops() + self.timers.scheduled() + self.timers.popped()
+        self.d.c.queue_ops() + self.timers.scheduled() + self.timers.popped()
     }
 
     /// Statistics of one thread.
@@ -516,8 +501,7 @@ impl Os {
     /// Typically used after [`Os::run_until`], which stops the simulation
     /// at the chosen crash instant.
     pub fn power_cut(self) -> CrashImage {
-        let now = self.now;
-        self.ctrl.power_cut(now)
+        self.d.power_cut()
     }
 
     /// Run until no further progress is possible (no in-flight IOs, no
@@ -542,18 +526,14 @@ impl Os {
         self.pump();
         loop {
             let wake = [
-                self.ctrl.next_event_time(),
+                self.d.next_wake(),
                 self.timers.peek_time(),
                 self.qos_next_ready(),
             ];
             let Some(next) = wake.into_iter().flatten().min() else {
                 let unfinished_threads: Vec<ThreadId> =
                     (0..self.threads.len()).filter(|&t| !self.threads[t].finished).collect();
-                let moved = self.ctrl.events_processed() + self.next_req_id;
-                if self.dry.as_ref().is_none_or(|(at, _)| *at != moved) {
-                    self.dry = Some((moved, self.ctrl.liveness().err().map(Arc::new)));
-                }
-                let device = self.dry.as_ref().and_then(|(_, stuck)| stuck.clone());
+                let device = self.d.stuck();
                 if device.is_none() && unfinished_threads.is_empty() {
                     return Ok(());
                 }
@@ -561,11 +541,11 @@ impl Os {
             };
             if let Some(h) = horizon {
                 if next > h {
-                    self.now = h;
+                    self.d.now = h;
                     return Ok(());
                 }
             }
-            self.now = next;
+            self.d.now = next;
             self.timeline_tick();
             self.advance_ctrl();
             while self.timers.peek_time() == Some(next) {
@@ -586,16 +566,15 @@ impl Os {
         }
     }
 
-    /// Advance the controller to `now` and handle what it completed;
-    /// returns how many requests that was.
+    /// Advance the device to `now` and handle what it completed; returns
+    /// how many requests that was. `d.done` is empty between advances.
     fn advance_ctrl(&mut self) -> usize {
-        let mut done = std::mem::take(&mut self.scratch_done);
-        self.ctrl.advance_into(self.now, &mut done);
-        let n = done.len();
+        let n = self.d.advance_to(self.d.now).len();
+        let mut done = std::mem::take(&mut self.d.done);
         for c in done.drain(..) {
             self.handle_completion(c);
         }
-        self.scratch_done = done;
+        self.d.done = done;
         n
     }
 
@@ -606,7 +585,7 @@ impl Os {
     fn timeline_tick(&mut self) {
         let Some(tl) = &self.timeline else { return };
         let interval = tl.interval();
-        while self.now >= self.tl_next + interval {
+        while self.d.now >= self.tl_next + interval {
             let end = self.tl_next + interval;
             self.timeline_row(self.tl_next, end);
             self.tl_next = end;
@@ -618,8 +597,8 @@ impl Os {
         if self.timeline.is_none() {
             return;
         }
-        if self.now > self.tl_next {
-            let end = self.now;
+        if self.d.now > self.tl_next {
+            let end = self.d.now;
             self.timeline_row(self.tl_next, end);
             self.tl_next = end;
         }
@@ -627,8 +606,8 @@ impl Os {
 
     /// Compute and append one telemetry row covering `[from, to)`.
     fn timeline_row(&mut self, from: SimTime, to: SimTime) {
-        let issued = self.ctrl.stats().issued;
-        let (cb, rr, gb) = self.ctrl.reliability().map_or((0, 0, 0), |r| {
+        let issued = self.d.c.stats().issued;
+        let (cb, rr, gb) = self.d.c.reliability().map_or((0, 0, 0), |r| {
             (r.corrected_bits, r.read_retries, r.grown_bad_blocks)
         });
         let completions: u64 = self.threads.iter().map(|t| t.stats.completed()).sum();
@@ -643,7 +622,7 @@ impl Os {
         let backlog: usize = self.tenants.iter().map(|t| t.backlog).sum();
         let row = [
             iops,
-            self.ctrl.write_amplification(),
+            self.d.c.write_amplification(),
             backlog as f64,
             self.inflight.len() as f64,
             d(OpClass::AppRead),
@@ -694,7 +673,7 @@ impl Os {
             &self.cfg.qos,
             &self.scratch_tenants,
             &mut self.qos_slots,
-            self.now,
+            self.d.now,
         )
     }
 
@@ -746,7 +725,7 @@ impl Os {
             &self.cfg.qos,
             &self.scratch_tenants,
             &mut self.qos_slots,
-            self.now,
+            self.d.now,
             self.vclock,
         )?;
         let tenant = self.scratch_tenants[pick].tenant;
@@ -776,52 +755,41 @@ impl Os {
                 &self.cfg.qos,
                 &mut self.qos_slots,
                 tenant,
-                self.now,
+                self.d.now,
                 self.vclock,
             );
             self.last_served = tid;
-            let id = self.next_req_id;
-            self.next_req_id += 1;
             let tags = if self.cfg.open_interface {
                 q.io.tags
             } else {
                 IoTags::none()
             };
-            let wait_us = self.now.saturating_since(q.enqueued_at).as_micros_f64();
+            let wait_us = self.d.now.saturating_since(q.enqueued_at).as_micros_f64();
             self.threads[tid].stats.queue_wait_us.record(wait_us);
             if q.span != NO_SPAN {
                 // The span's host wait splits into QoS hold (while the
                 // tenant was rate-blocked) and plain queue wait.
                 let hold = match self.tenants[tenant].held_since.take() {
-                    Some(since) => self.now.saturating_since(since),
+                    Some(since) => self.d.now.saturating_since(since),
                     None => SimDuration::ZERO,
                 };
-                if let Some(o) = self.ctrl.obs_mut() {
-                    o.acc_queue(q.span, self.now, hold);
+                if let Some(o) = self.d.c.obs_mut() {
+                    o.acc_queue(q.span, self.d.now, hold);
                 }
             }
             // Namespace translation: queues hold tenant-relative LBAs
             // (bounds-checked at submission); the device sees absolute ones.
             let lpn = self.tenants[tenant].ns.base + q.io.lpn;
+            // The controller continues the span the IO was queued under.
+            let id = self.d.submit_spanned(q.io.kind, lpn, tags, q.span);
             self.inflight.insert(
                 id,
                 Inflight {
                     thread: tid,
                     io: q.io,
                     enqueued_at: q.enqueued_at,
-                    dispatched_at: self.now,
+                    dispatched_at: self.d.now,
                 },
-            );
-            // The controller continues the span the IO was queued under.
-            self.ctrl.submit_spanned(
-                SsdRequest {
-                    id,
-                    kind: q.io.kind,
-                    lpn,
-                    tags,
-                },
-                q.span,
-                self.now,
             );
         }
         // Dispatch stopped with device slots free: under a token bucket
@@ -829,9 +797,9 @@ impl Os {
         // hold began so its next dispatch can attribute the wait.
         if self.cfg.qos == QosPolicy::TokenBucket
             && self.inflight.len() < self.cfg.queue_depth
-            && self.ctrl.obs().is_some()
+            && self.d.c.obs().is_some()
         {
-            let now = self.now;
+            let now = self.d.now;
             for e in &mut self.tenants {
                 if e.backlog > 0 {
                     e.held_since.get_or_insert(now);
@@ -893,7 +861,7 @@ impl Os {
         let mut finished = self.threads[tid].finished;
         {
             let mut ctx = ThreadCtx {
-                now: self.now,
+                now: self.d.now,
                 logical_pages: ns.len,
                 submissions: &mut submissions,
                 timers: &mut timer_delays,
@@ -912,13 +880,13 @@ impl Os {
                 ns.translate(io.lpn, &self.tenants[tenant].name);
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                let now = self.now;
-                let span = self.ctrl.obs_mut().map_or(NO_SPAN, |o| {
+                let now = self.d.now;
+                let span = self.d.c.obs_mut().map_or(NO_SPAN, |o| {
                     o.open(io.kind.name(), Some(tenant as u32), now)
                 });
                 self.threads[tid].queue.push_back(QueuedIo {
                     io,
-                    enqueued_at: self.now,
+                    enqueued_at: self.d.now,
                     seq,
                     span,
                 });
@@ -926,7 +894,7 @@ impl Os {
             }
         }
         for d in timer_delays.drain(..) {
-            self.timers.schedule(self.now + d, tid);
+            self.timers.schedule(self.d.now + d, tid);
         }
         // Back before a finished thread starts its dependants, whose
         // callbacks come through here again.
