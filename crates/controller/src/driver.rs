@@ -16,27 +16,32 @@ use crate::types::{Completion, IoTags, Lpn, RequestId, RequestKind, SsdRequest};
 
 /// What the host was promised, per logical page: the reference model the
 /// property suites check a device against. The [`Driver`] maintains it
-/// from what it submits and what comes back.
+/// from what it submits and what comes back, and orders a trim against a
+/// write by what it saw first: submission ids order two submissions, and
+/// its count of events an acknowledgment and a later trim.
 #[derive(Debug, Default)]
 pub struct Ledger {
     /// Per lpn, over its acknowledged writes: the last submitted one's id
-    /// and the last completion instant.
-    write_ack: BTreeMap<Lpn, (RequestId, SimTime)>,
-    /// The last trim per lpn: its id and instant (a trim acks when
+    /// and the event that acknowledged the last of them.
+    write_ack: BTreeMap<Lpn, (RequestId, u64)>,
+    /// The last trim per lpn: its id and its event (a trim acks when
     /// submitted).
-    trim_ack: BTreeMap<Lpn, (RequestId, SimTime)>,
+    trim_ack: BTreeMap<Lpn, (RequestId, u64)>,
     /// Writes submitted and not yet acknowledged.
     inflight: BTreeMap<RequestId, Lpn>,
+    /// Submissions and write acknowledgments seen so far.
+    events: u64,
 }
 
 impl Ledger {
-    fn submitted(&mut self, req: &SsdRequest, now: SimTime) {
+    fn submitted(&mut self, req: &SsdRequest) {
+        self.events += 1;
         match req.kind {
             RequestKind::Write => {
                 self.inflight.insert(req.id, req.lpn);
             }
             RequestKind::Trim => {
-                self.trim_ack.insert(req.lpn, (req.id, now));
+                self.trim_ack.insert(req.lpn, (req.id, self.events));
             }
             RequestKind::Read => {}
         }
@@ -44,9 +49,10 @@ impl Ledger {
 
     fn completed(&mut self, comp: &Completion) {
         if let Some(lpn) = self.inflight.remove(&comp.id) {
-            let (id, at) = self.write_ack.entry(lpn).or_insert((comp.id, comp.at));
+            self.events += 1;
+            let (id, at) = self.write_ack.entry(lpn).or_insert((comp.id, self.events));
             *id = (*id).max(comp.id);
-            *at = (*at).max(comp.at);
+            *at = self.events;
         }
     }
 
@@ -67,7 +73,7 @@ impl Ledger {
     }
 
     /// Logical pages below `logical_pages` never write-acknowledged, or
-    /// trimmed strictly after their last write was acknowledged: a live
+    /// trimmed after the ledger saw their last write acknowledged: a live
     /// device must not map them. Only meaningful with no write in flight
     /// and on a ledger never [`Ledger::clear`]ed.
     pub fn must_be_unmapped(&self, logical_pages: u64) -> Vec<Lpn> {
@@ -158,7 +164,7 @@ impl Driver {
     /// [`Driver::submit`] with open-interface hints.
     pub fn submit_tagged(&mut self, kind: RequestKind, lpn: Lpn, tags: IoTags) -> RequestId {
         let id = self.submit_spanned(kind, lpn, tags, NO_SPAN);
-        self.ledger.submitted(&SsdRequest { id, kind, lpn, tags }, self.now);
+        self.ledger.submitted(&SsdRequest { id, kind, lpn, tags });
         id
     }
 
@@ -261,8 +267,9 @@ mod tests {
         SsdRequest { id, kind: RequestKind::Trim, lpn, tags: IoTags::none() }
     }
 
-    fn us(t: u64) -> SimTime {
-        SimTime::from_nanos(t * 1_000)
+    /// An acknowledgment; the ledger reads no instant.
+    fn ack(id: RequestId) -> Completion {
+        Completion { id, at: SimTime::ZERO }
     }
 
     #[test]
@@ -391,42 +398,42 @@ mod tests {
     }
 
     #[test]
-    fn the_later_acknowledgment_binds_and_a_tie_binds_neither() {
+    fn what_the_ledger_saw_last_binds_a_page() {
         let mut l = Ledger::default();
-        // lpn 1: write acked at 10, trimmed at 10.
-        l.submitted(&write(0, 1), us(0));
-        l.completed(&Completion { id: 0, at: us(10) });
-        l.submitted(&trim(1, 1), us(10));
-        // lpn 2: trimmed at 10, then a write submitted, acked at 20.
-        l.submitted(&trim(2, 2), us(10));
-        l.submitted(&write(3, 2), us(10));
-        l.completed(&Completion { id: 3, at: us(20) });
-        // lpn 3: write acked at 10, trimmed at 20.
-        l.submitted(&write(4, 3), us(0));
-        l.completed(&Completion { id: 4, at: us(10) });
-        l.submitted(&trim(5, 3), us(20));
-        // lpn 5: a write in flight across a trim at 10, acked at 20.
-        l.submitted(&write(6, 5), us(0));
-        l.submitted(&trim(7, 5), us(10));
-        l.completed(&Completion { id: 6, at: us(20) });
+        // lpn 1: write acked, then trimmed.
+        l.submitted(&write(0, 1));
+        l.completed(&ack(0));
+        l.submitted(&trim(1, 1));
+        // lpn 2: trimmed, then a write submitted and acked.
+        l.submitted(&trim(2, 2));
+        l.submitted(&write(3, 2));
+        l.completed(&ack(3));
+        // lpn 3: write acked, then trimmed.
+        l.submitted(&write(4, 3));
+        l.completed(&ack(4));
+        l.submitted(&trim(5, 3));
+        // lpn 5: a write in flight across a trim, acked after it.
+        l.submitted(&write(6, 5));
+        l.submitted(&trim(7, 5));
+        l.completed(&ack(6));
         // lpn 4: only read; lpn 0: never touched.
-        l.completed(&Completion { id: 8, at: us(20) });
+        l.completed(&ack(8));
         assert_eq!(l.acked_writes().collect::<Vec<_>>(), [1, 2, 3, 5]);
         assert_eq!(l.must_be_mapped(), [2]);
-        assert_eq!(l.must_be_unmapped(6), [0, 3, 4]);
+        assert_eq!(l.must_be_unmapped(6), [0, 1, 3, 4]);
     }
 
     #[test]
     fn clear_forgets_acknowledgments_but_not_writes_in_flight() {
         let mut l = Ledger::default();
-        l.submitted(&write(0, 1), us(0));
-        l.completed(&Completion { id: 0, at: us(10) });
-        l.submitted(&trim(1, 2), us(10));
-        l.submitted(&write(2, 3), us(10));
+        l.submitted(&write(0, 1));
+        l.completed(&ack(0));
+        l.submitted(&trim(1, 2));
+        l.submitted(&write(2, 3));
         l.clear();
         assert_eq!(l.acked_writes().count(), 0);
         assert!(l.must_be_mapped().is_empty());
-        l.completed(&Completion { id: 2, at: us(20) });
+        l.completed(&ack(2));
         assert_eq!(l.must_be_mapped(), [3]);
     }
 
@@ -443,8 +450,9 @@ mod tests {
         d.run().unwrap();
         assert_eq!(d.ledger.must_be_mapped(), [1, 3]);
         let unmapped = d.ledger.must_be_unmapped(d.c.logical_pages());
-        assert!(unmapped.contains(&0) && unmapped.contains(&2));
-        assert!(!unmapped.contains(&1) && !unmapped.contains(&4));
+        // lpn 4's trim came after its write's acknowledgment.
+        assert!(unmapped.contains(&0) && unmapped.contains(&2) && unmapped.contains(&4));
+        assert!(!unmapped.contains(&1) && !unmapped.contains(&3));
         for lpn in 0..5 {
             assert_eq!(Ledger::survives(&d.c, lpn), lpn == 1 || lpn == 3, "lpn {lpn}");
         }
