@@ -1003,7 +1003,7 @@ fn e22_crash_sweep(scale: Scale) -> Table {
             for (mode, sum) in modes.into_iter().zip(&mut sums) {
                 let (c2, rep) = Controller::remount(image.clone(), cfg.clone(), mode)
                     .expect("E22 remount");
-                for lpn in ledger.acked_writes() {
+                for lpn in ledger.must_be_mapped() {
                     if Ledger::survives(&c2, lpn) {
                         sum.0 += 1;
                     } else {
