@@ -9,7 +9,7 @@
 //! [`Scale`].
 
 use eagletree_controller::{
-    Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, RecoveryMode, RequestKind,
+    Controller, ControllerConfig, Driver, IoTags, Ledger, Lpn, MappingKind, RecoveryMode, RequestKind,
     SchedPolicy, ScrubConfig, Stuck, TemperatureMode, WriteAllocPolicy,
 };
 use eagletree_core::{SimDuration, SimRng, SimTime, Stage};
@@ -927,15 +927,15 @@ fn e22_fill(d: &mut Driver) -> Result<(), Stuck> {
     filled
 }
 
-/// Overwrite `ops` in windows of `qd`, one agenda instant at a time, so a
+/// Submit `ops` in windows of `qd`, one agenda instant at a time, so a
 /// power cut can land anywhere in the event stream — mid-GC and mid-merge
 /// included: stop after `crash_step` instants (`u64::MAX` = run to
 /// quiescence). Returns the instants left of `crash_step`.
-fn e22_churn(d: &mut Driver, ops: &[u64], qd: usize, crash_step: u64) -> u64 {
+fn e22_churn(d: &mut Driver, ops: &[(RequestKind, Lpn)], qd: usize, crash_step: u64) -> u64 {
     let mut budget = crash_step;
     for window in ops.chunks(qd) {
-        for &lpn in window {
-            d.submit(RequestKind::Write, lpn);
+        for &(kind, lpn) in window {
+            d.submit(kind, lpn);
         }
         budget = d.step_n(budget);
         if budget == 0 {
@@ -947,12 +947,19 @@ fn e22_churn(d: &mut Driver, ops: &[u64], qd: usize, crash_step: u64) -> u64 {
 
 /// The churn script: clustered overwrites on a full device — every write
 /// forces reclamation (generic GC or log-block merges), so crash points
-/// land inside GC reads/writes/erases and merge folds.
-fn e22_ops(scale: Scale) -> Vec<u64> {
+/// land inside GC reads/writes/erases and merge folds. One op in 8 is a
+/// trim, mixed in besides the writes, so a cut also lands between a trim
+/// and the writes around it.
+fn e22_ops(scale: Scale) -> Vec<(RequestKind, Lpn)> {
     let mut rng = SimRng::new(0xE22);
-    (0..scale.ios(2048))
-        .map(|_| rng.gen_range(96))
-        .collect()
+    let mut ops = Vec::new();
+    let mut writes = 0;
+    while writes < scale.ios(2048) {
+        let kind = if rng.gen_range(8) == 0 { RequestKind::Trim } else { RequestKind::Write };
+        writes += u64::from(kind == RequestKind::Write);
+        ops.push((kind, rng.gen_range(96)));
+    }
+    ops
 }
 
 /// Pull the plug at evenly spaced points of a GC/merge-heavy event
