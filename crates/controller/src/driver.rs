@@ -18,30 +18,31 @@ use crate::types::{Completion, IoTags, Lpn, RequestId, RequestKind, SsdRequest};
 /// property suites check a device against. The [`Driver`] maintains it
 /// from what it submits and what comes back, and orders a trim against a
 /// write by what it saw first: submission ids order two submissions, and
-/// its count of events an acknowledgment and a later trim.
+/// its count of submissions an acknowledgment and a trim.
 #[derive(Debug, Default)]
 pub struct Ledger {
     /// Per lpn, over its acknowledged writes: the last submitted one's id
-    /// and the event that acknowledged the last of them.
+    /// and the submissions seen when the last of them was acknowledged.
     write_ack: BTreeMap<Lpn, (RequestId, u64)>,
-    /// The last trim per lpn: its id and its event (a trim acks when
-    /// submitted).
+    /// The last trim per lpn: its id and the submissions seen with it (a
+    /// trim acks when submitted), so it counts more than any
+    /// acknowledgment seen before it and no more than any seen after.
     trim_ack: BTreeMap<Lpn, (RequestId, u64)>,
     /// Writes submitted and not yet acknowledged.
     inflight: BTreeMap<RequestId, Lpn>,
-    /// Submissions and write acknowledgments seen so far.
-    events: u64,
+    /// Submissions seen so far.
+    submissions: u64,
 }
 
 impl Ledger {
     fn submitted(&mut self, req: &SsdRequest) {
-        self.events += 1;
+        self.submissions += 1;
         match req.kind {
             RequestKind::Write => {
                 self.inflight.insert(req.id, req.lpn);
             }
             RequestKind::Trim => {
-                self.trim_ack.insert(req.lpn, (req.id, self.events));
+                self.trim_ack.insert(req.lpn, (req.id, self.submissions));
             }
             RequestKind::Read => {}
         }
@@ -49,10 +50,9 @@ impl Ledger {
 
     fn completed(&mut self, comp: &Completion) {
         if let Some(lpn) = self.inflight.remove(&comp.id) {
-            self.events += 1;
-            let (id, at) = self.write_ack.entry(lpn).or_insert((comp.id, self.events));
+            let (id, seen) = self.write_ack.entry(lpn).or_insert((comp.id, self.submissions));
             *id = (*id).max(comp.id);
-            *at = self.events;
+            *seen = self.submissions;
         }
     }
 
