@@ -1487,4 +1487,51 @@ mod tests {
             "every completion lands in some interval, got {total}"
         );
     }
+
+    /// Writes page 0 once, when its timer fires at 500 µs.
+    struct WriteAt500;
+
+    impl Workload for WriteAt500 {
+        fn init(&mut self, ctx: &mut ThreadCtx) {
+            ctx.set_timer_at(SimTime::from_nanos(500_000));
+        }
+        fn on_timer(&mut self, ctx: &mut ThreadCtx) {
+            ctx.submit(OsIo::write(0));
+        }
+        fn call_back(&mut self, ctx: &mut ThreadCtx, _done: CompletedIo) {
+            ctx.finish();
+        }
+        fn name(&self) -> &str {
+            "write-at-500"
+        }
+    }
+
+    #[test]
+    fn a_timeline_row_ends_before_the_events_at_its_end() {
+        let mut ccfg = ControllerConfig::default();
+        ccfg.obs.timeline_interval_us = 500;
+        let ctrl = Controller::new(Geometry::tiny(), TimingSpec::slc(), ccfg).unwrap();
+        let mut o = Os::new(ctrl, OsConfig::default());
+        o.add_thread(Box::new(WriteAt500));
+        o.run().unwrap();
+        let tl = o.timeline().expect("timeline on");
+        let writes = tl.columns().iter().position(|&c| c == "app_write_issues").unwrap();
+        let rows: Vec<_> = tl.rows().map(|(at, v)| (at, v[writes])).collect();
+        // The write issued at 500 µs belongs to the interval that starts
+        // there, not to the one that ends there.
+        assert_eq!(rows, [(SimTime::ZERO, 0.0), (SimTime::from_nanos(500_000), 1.0)]);
+        // A run with nothing left to do ends where the last row did: it
+        // adds no empty row.
+        o.run().unwrap();
+        assert_eq!(o.timeline().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_tenant_namespace_may_fill_the_device() {
+        use crate::tenant::TenantConfig;
+        let mut o = os(OsConfig::default());
+        let pages = o.controller().logical_pages();
+        let t = o.add_tenant(TenantConfig::new("all", pages));
+        assert_eq!(o.namespace(t), Namespace { base: 0, len: pages });
+    }
 }
