@@ -77,7 +77,7 @@ pub mod test_runner {
         replay: Option<Vec<u64>>,
         /// Per vec, in the order the vecs start: a length below its
         /// range's start that a replay imposes.
-        short: Vec<Option<usize>>,
+        pub(crate) short: Vec<Option<usize>>,
         pub(crate) draws: Vec<u64>,
         pub(crate) vecs: Vec<VecDraws>,
     }
@@ -111,11 +111,6 @@ pub mod test_runner {
                 short,
                 ..TestRng::new(0)
             }
-        }
-
-        /// The length a replay imposes on the `v`th vec, if any.
-        pub(crate) fn short_len(&self, v: usize) -> Option<usize> {
-            self.short.get(v).copied().flatten()
         }
 
         pub fn next_u64(&mut self) -> u64 {
@@ -532,7 +527,7 @@ pub mod collection {
             rng.vecs.push(VecDraws::default());
             let len_at = rng.draws.len();
             let drawn = self.size.start + rng.below(span) as usize;
-            let len = rng.short_len(v).unwrap_or(drawn);
+            let len = rng.short.get(v).copied().flatten().unwrap_or(drawn);
             let mut bounds = vec![rng.draws.len()];
             let values = (0..len)
                 .map(|_| {
