@@ -23,8 +23,10 @@
 //!   read-disturbed / retention-aged blocks before their raw bit errors
 //!   outgrow the ECC (pairs with `eagletree_flash::fault`).
 //! * [`Controller`] — the orchestrator tying it all to the flash array.
-//! * [`Driver`] / [`Ledger`] — the minimal host of a bare controller (ids,
-//!   clock, agenda stepping) and the acknowledged-write reference model.
+//! * [`Driver`] / [`Ledger`] — the one host of a controller (ids, clock,
+//!   agenda stepping, completions, liveness, power cut), which `Os`, every
+//!   controller test and E22 drive it through, and the acknowledged-write
+//!   reference model.
 
 pub mod alloc;
 mod bits;
