@@ -1,9 +1,11 @@
 //! The one host of a [`Controller`]: request ids, a clock, agenda stepping,
 //! completions, liveness, the power cut, and a ledger of what the device
 //! acknowledged. `Os`, every controller test and the E22 crash sweep drive
-//! the device through this and nothing else.
+//! the device through this and nothing else. The ledger's promises are
+//! checked here too, once: live ([`Driver::check_promises`]) and across a
+//! power cut ([`Promised::check`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use eagletree_core::{SimTime, NO_SPAN};
@@ -12,7 +14,7 @@ use eagletree_flash::{Geometry, PageState, TimingSpec};
 use crate::config::ControllerConfig;
 use crate::controller::{Controller, Stuck};
 use crate::recovery::CrashImage;
-use crate::types::{Completion, IoTags, Lpn, RequestId, RequestKind, SsdRequest};
+use crate::types::{Completion, IoTags, Lpn, Ppn, RequestId, RequestKind, SsdRequest};
 
 /// What the host was promised, per logical page: the reference model the
 /// property suites check a device against. The [`Driver`] maintains it
@@ -56,16 +58,11 @@ impl Ledger {
         }
     }
 
-    /// Logical pages with at least one acknowledged write, ascending.
-    pub fn acked_writes(&self) -> impl Iterator<Item = Lpn> + '_ {
-        self.write_ack.keys().copied()
-    }
-
     /// Logical pages with an acknowledged write submitted after their last
-    /// trim: the device must map them, across a power cut too. A write in
+    /// trim: the device must keep them, across a power cut too. A write in
     /// flight when the trim came has no order with it, so it binds neither
     /// this set nor [`Ledger::must_be_unmapped`], whenever it is acked.
-    pub fn must_be_mapped(&self) -> Vec<Lpn> {
+    fn must_be_mapped(&self) -> Vec<Lpn> {
         let acks = self.write_ack.iter();
         acks.filter(|&(lpn, w)| self.trim_ack.get(lpn).is_none_or(|t| w.0 > t.0))
             .map(|(&lpn, _)| lpn)
@@ -76,7 +73,7 @@ impl Ledger {
     /// trimmed after the ledger saw their last write acknowledged: a live
     /// device must not map them. Only meaningful with no write in flight
     /// and on a ledger never [`Ledger::clear`]ed.
-    pub fn must_be_unmapped(&self, logical_pages: u64) -> Vec<Lpn> {
+    fn must_be_unmapped(&self, logical_pages: u64) -> Vec<Lpn> {
         assert!(self.inflight.is_empty(), "a write in flight may map its page at any instant");
         (0..logical_pages)
             .filter(|lpn| match (self.write_ack.get(lpn), self.trim_ack.get(lpn)) {
@@ -87,14 +84,6 @@ impl Ledger {
             .collect()
     }
 
-    /// Whether `lpn`'s data is there to read: mapped to a `Valid` page
-    /// that no power cut tore.
-    pub fn survives(c: &Controller, lpn: Lpn) -> bool {
-        c.peek_mapping(lpn).is_some_and(|ppn| {
-            c.array().page_state_at(ppn) == PageState::Valid && !c.array().is_torn_at(ppn)
-        })
-    }
-
     /// Forget every acknowledgment so far (writes still in flight stay
     /// known): what comes after is measured on its own.
     pub fn clear(&mut self) {
@@ -103,9 +92,52 @@ impl Ledger {
     }
 }
 
+/// What the device had promised at an instant, for [`Promised::check`]:
+/// taken by [`Driver::promised`] before a power cut, and checked after
+/// the remount.
+#[derive(Debug, Clone)]
+pub struct Promised {
+    /// [`Ledger::must_be_mapped`] then.
+    mapped: Vec<Lpn>,
+    /// The lost-data ledger then.
+    lost: BTreeSet<Lpn>,
+    /// Every page mapped then with no write of it in flight and no loss
+    /// ledgered, and where: a cut changes no answer that nothing was
+    /// writing.
+    live: Vec<(Lpn, Ppn)>,
+}
+
+impl Promised {
+    /// The cut check, on `c` remounted from the cut: the invariants hold;
+    /// every page that had to be mapped is kept — buffered, or mapped to a
+    /// `Valid` page no power cut tore — or ledgered lost; and every page
+    /// mapped with no write in flight maps where it did. Returns how many
+    /// acknowledged pages `c` kept, or names the first broken promise.
+    pub fn check(&self, c: &Controller) -> Result<u64, String> {
+        c.check_invariants();
+        let a = c.array();
+        let readable = |ppn| a.page_state_at(ppn) == PageState::Valid && !a.is_torn_at(ppn);
+        let mut kept = 0;
+        for &lpn in &self.mapped {
+            if c.is_buffered(lpn) || c.peek_mapping(lpn).is_some_and(readable) {
+                kept += 1;
+            } else if !self.lost.contains(&lpn) {
+                return Err(format!("acknowledged write of lpn {lpn} lost, and no ledger says so"));
+            }
+        }
+        for &(lpn, ppn) in &self.live {
+            let now = c.peek_mapping(lpn);
+            if now != Some(ppn) {
+                return Err(format!("lpn {lpn} moved from ppn {ppn} to {now:?}, not being written"));
+            }
+        }
+        Ok(kept)
+    }
+}
+
 /// A controller with the least a host needs around it. Fields are public
-/// and there is no `Drop`: a crash test takes the ledger, then cuts power
-/// with [`Driver::power_cut`].
+/// and there is no `Drop`: a crash test takes [`Driver::promised`], then
+/// cuts power with [`Driver::power_cut`].
 ///
 /// ```
 /// use eagletree_controller::{ControllerConfig, Driver, RequestKind};
@@ -113,8 +145,7 @@ impl Ledger {
 /// let mut d = Driver::tiny(ControllerConfig::default());
 /// d.submit(RequestKind::Write, 7);
 /// d.run().expect("one write on an empty device completes");
-/// assert_eq!(d.ledger.must_be_mapped(), [7]);
-/// assert!(d.c.peek_mapping(7).is_some());
+/// assert_eq!(d.check_promises(), Ok(1), "lpn 7 is kept, and nothing else is mapped");
 /// ```
 pub struct Driver {
     /// The device under test.
@@ -231,6 +262,34 @@ impl Driver {
             self.dry = Some((moved, self.c.liveness().err().map(Arc::new)));
         }
         self.dry.as_ref().and_then(|(_, stuck)| stuck.clone())
+    }
+
+    /// The live check: [`Promised::check`] of the device against what it
+    /// promises now, and, with no write in flight, every page the ledger
+    /// says must be unmapped is. Returns how many acknowledged pages the
+    /// device keeps.
+    pub fn check_promises(&self) -> Result<u64, String> {
+        let kept = self.promised().check(&self.c)?;
+        if self.ledger.inflight.is_empty() {
+            for lpn in self.ledger.must_be_unmapped(self.c.logical_pages()) {
+                if let Some(ppn) = self.c.peek_mapping(lpn) {
+                    return Err(format!("lpn {lpn}, trimmed or never written, maps to ppn {ppn}"));
+                }
+            }
+        }
+        Ok(kept)
+    }
+
+    /// What the device has promised now, for [`Promised::check`] once
+    /// [`Driver::power_cut`] has cut it.
+    pub fn promised(&self) -> Promised {
+        let lost: BTreeSet<Lpn> = self.c.lost_data().collect();
+        let writing: BTreeSet<Lpn> = self.ledger.inflight.values().copied().collect();
+        let live = (0..self.c.logical_pages())
+            .filter(|lpn| !writing.contains(lpn) && !lost.contains(lpn))
+            .filter_map(|lpn| Some((lpn, self.c.peek_mapping(lpn)?)))
+            .collect();
+        Promised { mapped: self.ledger.must_be_mapped(), lost, live }
     }
 
     /// Pull the plug at `now`: the device loses the flash operations in
@@ -418,7 +477,6 @@ mod tests {
         l.completed(&ack(6));
         // lpn 4: only read; lpn 0: never touched.
         l.completed(&ack(8));
-        assert_eq!(l.acked_writes().collect::<Vec<_>>(), [1, 2, 3, 5]);
         assert_eq!(l.must_be_mapped(), [2]);
         assert_eq!(l.must_be_unmapped(6), [0, 1, 3, 4]);
     }
@@ -431,7 +489,6 @@ mod tests {
         l.submitted(&trim(1, 2));
         l.submitted(&write(2, 3));
         l.clear();
-        assert_eq!(l.acked_writes().count(), 0);
         assert!(l.must_be_mapped().is_empty());
         l.completed(&ack(2));
         assert_eq!(l.must_be_mapped(), [3]);
@@ -453,8 +510,78 @@ mod tests {
         // lpn 4's trim came after its write's acknowledgment.
         assert!(unmapped.contains(&0) && unmapped.contains(&2) && unmapped.contains(&4));
         assert!(!unmapped.contains(&1) && !unmapped.contains(&3));
-        for lpn in 0..5 {
-            assert_eq!(Ledger::survives(&d.c, lpn), lpn == 1 || lpn == 3, "lpn {lpn}");
+        assert_eq!(d.check_promises(), Ok(2));
+    }
+
+    /// Writes of lpns `0..n` in `order`, run dry.
+    fn written(order: impl IntoIterator<Item = Lpn>) -> Driver {
+        let mut d = Driver::tiny(ControllerConfig::default());
+        for lpn in order {
+            d.submit(RequestKind::Write, lpn);
+            d.run().unwrap();
         }
+        d
+    }
+
+    #[test]
+    fn the_live_check_waives_the_unmapped_test_while_a_write_is_in_flight() {
+        // A buffered write acknowledges inside `submit`, and the ledger
+        // sees it at the next advance; no program runs before then.
+        let cfg = ControllerConfig { write_buffer_pages: 8, ..ControllerConfig::default() };
+        let mut d = Driver::tiny(cfg);
+        d.submit(RequestKind::Write, 9);
+        assert!(d.c.is_buffered(9) && d.next_wake().is_none(), "nothing flushes yet");
+        assert_eq!(d.check_promises(), Ok(0), "lpn 9 may be mapped at any instant");
+        d.advance_to(d.now);
+        assert_eq!(d.check_promises(), Ok(1), "kept in the buffer");
+        d.submit(RequestKind::Trim, 9);
+        d.run().unwrap();
+        assert_eq!(d.check_promises(), Ok(0));
+    }
+
+    #[test]
+    fn the_cut_check_sees_a_lost_write_and_a_moved_page() {
+        let d = written(0..4);
+        let promised = d.promised();
+        assert_eq!(promised.check(&d.c), Ok(4));
+        let fresh = Driver::tiny(ControllerConfig::default());
+        let lost = promised.check(&fresh.c).unwrap_err();
+        assert!(lost.starts_with("acknowledged write of lpn 0 lost"), "{lost}");
+        // The same pages, written in another order, sit elsewhere.
+        let moved = promised.check(&written([3, 2, 1, 0]).c);
+        let said = moved.as_ref().is_err_and(|e| e.starts_with("lpn 0 moved from ppn"));
+        assert!(said, "a page that moved passes: {moved:?}");
+    }
+
+    #[test]
+    fn a_write_the_lost_data_ledger_names_may_be_gone_after_a_cut() {
+        // Every read is uncorrectable, the OOB reads of a remount too.
+        let cfg = ControllerConfig {
+            fault: Some(eagletree_flash::FaultConfig {
+                raw_bits_base: 1e4,
+                ..eagletree_flash::FaultConfig::default()
+            }),
+            ..ControllerConfig::default()
+        };
+        let remount = |d: Driver| {
+            let promised = d.promised();
+            let image = d.power_cut();
+            let (c2, _) = Controller::remount(image, cfg.clone(), crate::RecoveryMode::FullScan)
+                .expect("remount");
+            promised.check(&c2)
+        };
+        let mut d = Driver::tiny(cfg.clone());
+        d.submit(RequestKind::Write, 5);
+        d.run().unwrap();
+        let unread = remount(d).unwrap_err();
+        assert!(unread.starts_with("acknowledged write of lpn 5 lost"), "{unread}");
+        let mut d = Driver::tiny(cfg.clone());
+        d.submit(RequestKind::Write, 5);
+        d.run().unwrap();
+        d.submit(RequestKind::Read, 5);
+        d.run().unwrap();
+        assert_eq!(d.c.lost_data().collect::<Vec<_>>(), [5]);
+        assert_eq!(d.check_promises(), Ok(1), "a ledgered page may still be mapped");
+        assert_eq!(remount(d), Ok(0));
     }
 }

@@ -7,10 +7,11 @@
 //!   shared RNG stream: a fixed-seed faulty run reproduces its committed
 //!   golden, exactly like a fault-free one. (`FAULTS=on` widens the matrix
 //!   to every scheme × policy — the CI fault-matrix job sets it.)
-//! * **No silent loss.** Every acknowledged write either remains mapped
-//!   to a valid page or its logical page appears in the controller's
-//!   lost-data ledger. Program failures remap in flight; uncorrectable
-//!   reads are ledgered — nothing just vanishes.
+//! * **No silent loss.** The driver's live and cut checks: every
+//!   acknowledged write either remains mapped to a valid page or its
+//!   logical page appears in the controller's lost-data ledger. Program
+//!   failures remap in flight; uncorrectable reads are ledgered — nothing
+//!   just vanishes.
 //! * **Structural invariants.** `check_invariants` holds after heavy
 //!   churn with failures injected, for every mapping scheme, and across
 //!   a power-cut + remount of a medium that already carries grown bad
@@ -18,11 +19,9 @@
 
 mod common;
 
-use std::collections::BTreeSet;
-
 use common::{fingerprint, mappings, policies};
 use eagletree_controller::{
-    Controller, ControllerConfig, Driver, IoTags, Ledger, MappingKind, RecoveryMode, RequestKind,
+    Controller, ControllerConfig, Driver, IoTags, MappingKind, RecoveryMode, RequestKind,
     SchedPolicy, ScrubConfig, Stuck,
 };
 use eagletree_core::digest::Golden;
@@ -174,23 +173,12 @@ fn faults_actually_fired_and_reliability_reports_them() {
 fn no_acknowledged_write_is_lost_without_a_ledger_entry() {
     for (_, mapping) in mappings() {
         let d = faulty_churn(faulty_cfg(mapping, SchedPolicy::Fifo), 2000);
-        let lost: BTreeSet<u64> = d.c.lost_data().collect();
-        let mut verified = 0u64;
-        for lpn in d.ledger.acked_writes() {
-            let survives = Ledger::survives(&d.c, lpn);
-            assert!(
-                survives || lost.contains(&lpn),
-                "{mapping:?}: acked lpn {lpn} neither mapped-valid nor ledgered"
-            );
-            if survives {
-                verified += 1;
-            }
-        }
-        assert!(verified > 0, "{mapping:?}: nothing verified");
+        let kept = d.check_promises().unwrap_or_else(|e| panic!("{mapping:?}: {e}"));
+        assert!(kept > 0, "{mapping:?}: nothing verified");
         // The ledger only ever names logical pages the device actually
         // served — it cannot invent losses.
         let logical = d.c.logical_pages();
-        for &lpn in &lost {
+        for lpn in d.c.lost_data() {
             assert!(lpn < logical, "{mapping:?}: ledgered out-of-range lpn {lpn}");
         }
     }
@@ -220,27 +208,20 @@ fn remount_tolerates_grown_bad_blocks() {
             fault: Some(remount_faults()),
             ..faulty_cfg(MappingKind::PageMap, SchedPolicy::Fifo)
         };
-        let mut d = faulty_churn(cfg.clone(), 2500);
+        let d = faulty_churn(cfg.clone(), 2500);
         let rel = d.c.reliability().unwrap();
         assert!(
             rel.grown_bad_blocks > 0,
             "churn must retire blocks before the cut: {rel:?}"
         );
-        let ledger = std::mem::take(&mut d.ledger);
-        let pre_lost: BTreeSet<u64> = d.c.lost_data().collect();
+        let promised = d.promised();
         let image = d.power_cut();
         let (c2, rep) = Controller::remount(image, cfg, mode).expect("remount scarred medium");
-        c2.check_invariants();
+        // Acked writes still survive (or were already ledgered pre-cut).
+        promised.check(&c2).unwrap_or_else(|e| panic!("{mode:?}: scarred medium: {e}"));
         // The wear scars survive the remount.
         let rel2 = c2.reliability().expect("fault model carried across");
         assert_eq!(rel2.grown_bad_blocks, rel.grown_bad_blocks);
-        // Acked writes still survive (or were already ledgered pre-cut).
-        for lpn in ledger.acked_writes() {
-            assert!(
-                Ledger::survives(&c2, lpn) || pre_lost.contains(&lpn),
-                "{mode:?}: acked lpn {lpn} lost across remount of scarred medium"
-            );
-        }
         // The report is coherent; uncorrectable OOB reads (if any) were
         // skipped, not fatal.
         assert!(rep.oob_scanned > 0);

@@ -1,17 +1,16 @@
 //! FTL-invariant property tests: for every mapping scheme — page map,
 //! DFTL, and the hybrid log-block FTL — random write/trim/read sequences
-//! must preserve:
+//! must pass the driver's live check (`Driver::check_promises`) at the
+//! quiescent point:
 //!
-//! 1. **No lost writes** — after quiescing, a written (and not-trimmed)
-//!    logical page is mapped and its read completes; a trimmed or
-//!    never-written page is unmapped (zero-fill read).
-//! 2. **Live-mapping bijectivity** — no two logical pages map to the same
-//!    physical page.
-//! 3. **Valid targets** — every `lookup` hit resolves to a physical page
-//!    the flash array holds in the `Valid` state.
+//! 1. **No lost writes** — a written (and not-trimmed) logical page is
+//!    kept; a trimmed or never-written page is unmapped (zero-fill read).
+//! 2. **Consistency** — `Controller::check_invariants`: each mapping
+//!    points at a valid page whose OOB names its logical page, so no two
+//!    logical pages share one.
 //!
-//! The same generator drives all three schemes (plus cross-structure
-//! `Controller::check_invariants`), so a regression in any scheme's
+//! Every submitted request must also complete. The same generator drives
+//! all three schemes, so a regression in any scheme's
 //! bookkeeping — easy to introduce with multi-step merge machinery — fails
 //! here first. One property queues a burst of reads ahead of every window
 //! under a reads-last policy, so that dozens of reads wait in their LUN's
@@ -20,13 +19,12 @@
 //! scheduling round that each queued read sits in the lane of the LUN its
 //! page is on now).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use eagletree_controller::{
     class_index, class_table, ControllerConfig, Driver, MappingKind, OpClass, RequestKind,
     SchedPolicy, WlConfig,
 };
-use eagletree_flash::PageState;
 use proptest::prelude::*;
 
 /// One step of the generated workload.
@@ -63,8 +61,8 @@ fn build(mapping: MappingKind, sched: SchedPolicy) -> Driver {
     Driver::tiny(cfg)
 }
 
-/// Drive `ops` in windows; then check all three invariant families at the
-/// quiescent point, the first against the driver's own ledger.
+/// Drive `ops` in windows; then run the driver's live check at the
+/// quiescent point.
 fn check_scheme(name: &str, mapping: MappingKind, ops: &[Op], qd: usize) -> Result<(), TestCaseError> {
     check_scheme_with(name, build(mapping, SchedPolicy::Fifo), ops, qd, 0)
 }
@@ -131,57 +129,9 @@ fn check_scheme_with(
         prop_assert!(done_ids.contains(id), "{}: read {} never completed", name, id);
     }
 
-    // 1. No lost writes: ledger and mapping agree page by page.
-    for lpn in d.ledger.must_be_mapped() {
-        prop_assert!(
-            d.c.peek_mapping(lpn).is_some(),
-            "{}: lpn {} written but unmapped (lost write)",
-            name,
-            lpn
-        );
-    }
-    for lpn in d.ledger.must_be_unmapped(logical) {
-        let mapped = d.c.peek_mapping(lpn);
-        prop_assert!(
-            mapped.is_none(),
-            "{}: lpn {} trimmed/unwritten but mapped to {:?}",
-            name,
-            lpn,
-            mapped
-        );
-    }
-
-    // 2. Bijectivity: no two logical pages share a physical page.
-    let mut owners: BTreeMap<u64, u64> = BTreeMap::new();
-    for lpn in 0..logical {
-        if let Some(ppn) = d.c.peek_mapping(lpn) {
-            if let Some(prev) = owners.insert(ppn, lpn) {
-                return Err(TestCaseError::fail(format!(
-                    "{name}: lpns {prev} and {lpn} both map to ppn {ppn}"
-                )));
-            }
-        }
-    }
-
-    // 3. Every mapping hit targets a Valid flash page.
-    let g = *d.c.array().geometry();
-    for lpn in 0..logical {
-        if let Some(ppn) = d.c.peek_mapping(lpn) {
-            let state = d.c.array().page_state(g.page_at(ppn));
-            prop_assert_eq!(
-                state,
-                PageState::Valid,
-                "{}: lpn {} maps to a {:?} page",
-                name,
-                lpn,
-                state
-            );
-        }
-    }
-
-    // Cross-structure invariants (each valid page's OOB tag against the
-    // maps, allocator accounting, and the hybrid block-mapping discipline).
-    d.c.check_invariants();
+    // The driver's live check: invariants, no lost write, and no page
+    // mapped that was trimmed or never written.
+    d.check_promises().map_err(|e| TestCaseError::fail(format!("{name}: {e}")))?;
     Ok(())
 }
 

@@ -9,7 +9,7 @@
 //! [`Scale`].
 
 use eagletree_controller::{
-    Controller, ControllerConfig, Driver, IoTags, Ledger, Lpn, MappingKind, RecoveryMode, RequestKind,
+    Controller, ControllerConfig, Driver, IoTags, Lpn, MappingKind, RecoveryMode, RequestKind,
     SchedPolicy, ScrubConfig, Stuck, TemperatureMode, WriteAllocPolicy,
 };
 use eagletree_core::{SimDuration, SimRng, SimTime, Stage};
@@ -963,10 +963,12 @@ fn e22_ops(scale: Scale) -> Vec<(RequestKind, Lpn)> {
 }
 
 /// Pull the plug at evenly spaced points of a GC/merge-heavy event
-/// stream, remount under both recovery modes, and verify that *every*
-/// acknowledged write survives — the crash-atomicity proof for GC and
-/// merge relocation (copies are sequence-stamped; victims are erased only
-/// after all live copies landed). `lost` must be zero everywhere.
+/// stream, remount under both recovery modes, and check the device with
+/// the driver's cut check: *every* acknowledged write survives, and no
+/// page with no write in flight moves — the crash-atomicity proof for GC
+/// and merge relocation (copies are sequence-stamped; victims are erased
+/// only after all live copies landed). `lost` counts the cuts that broke
+/// a promise, and must be zero everywhere.
 fn e22_crash_sweep(scale: Scale) -> Table {
     let mut t = Table::new(
         "E22",
@@ -995,8 +997,9 @@ fn e22_crash_sweep(scale: Scale) -> Table {
         }
         let internal_erases =
             d.c.stats().gc_erases + d.c.stats().merge_erases + d.c.stats().wl_erases;
-        // Per recovery mode: acked writes verified and lost, torn pages,
-        // interrupted erases, mount µs and OOB records read, over the cuts.
+        // Per recovery mode, over the cuts: acked writes kept, cuts that
+        // broke a promise (`Promised::check`), torn pages, interrupted
+        // erases, mount µs and OOB records read.
         let modes = [RecoveryMode::FullScan, RecoveryMode::Checkpoint];
         let mut sums = [(0u64, 0u64, 0u64, 0u64, 0.0f64, 0u64); 2];
         for k in 1..=points {
@@ -1005,19 +1008,15 @@ fn e22_crash_sweep(scale: Scale) -> Table {
             // The rehearsal's fill, to the event: its stop is noted above.
             let _ = e22_fill(&mut d);
             e22_churn(&mut d, &ops, qd, crash_step);
-            let ledger = std::mem::take(&mut d.ledger);
+            let promised = d.promised();
             let image = d.power_cut();
             for (mode, sum) in modes.into_iter().zip(&mut sums) {
                 let (c2, rep) = Controller::remount(image.clone(), cfg.clone(), mode)
                     .expect("E22 remount");
-                for lpn in ledger.must_be_mapped() {
-                    if Ledger::survives(&c2, lpn) {
-                        sum.0 += 1;
-                    } else {
-                        sum.1 += 1;
-                    }
+                match promised.check(&c2) {
+                    Ok(kept) => sum.0 += kept,
+                    Err(_) => sum.1 += 1,
                 }
-                c2.check_invariants();
                 sum.2 += rep.torn_pages;
                 sum.3 += rep.interrupted_erases;
                 sum.4 += rep.mount_time.as_micros_f64();

@@ -79,13 +79,7 @@ proptest! {
         // lpn in one window resolve by acknowledgment order — the trim
         // acks at once, the write after its flash latency — and that
         // order is what the ledger recorded.
-        for lpn in d.ledger.must_be_mapped() {
-            prop_assert!(d.c.peek_mapping(lpn).is_some(), "acked write of lpn {} unmapped", lpn);
-        }
-        for lpn in d.ledger.must_be_unmapped(logical) {
-            prop_assert!(d.c.peek_mapping(lpn).is_none(), "trimmed/unwritten lpn {} mapped", lpn);
-        }
-        d.c.check_invariants();
+        d.check_promises().map_err(TestCaseError::fail)?;
     }
 
     #[test]
