@@ -927,22 +927,29 @@ fn e22_fill(d: &mut Driver) -> Result<(), Stuck> {
     filled
 }
 
-/// Submit `ops` in windows of `qd`, one agenda instant at a time, so a
-/// power cut can land anywhere in the event stream — mid-GC and mid-merge
-/// included: stop after `crash_step` instants (`u64::MAX` = run to
-/// quiescence). Returns the instants left of `crash_step`.
+/// Agenda instants E22's churn runs between two windows: fewer than a
+/// window takes to drain, so windows overlap, and a trim can land between
+/// two landings of one page.
+const E22_PACE: u64 = 4;
+
+/// Submit `ops` in windows of `qd`, [`E22_PACE`] agenda instants apart,
+/// then run the agenda dry, one instant at a time, so a power cut can
+/// land anywhere in the event stream — mid-GC and mid-merge included:
+/// stop after `crash_step` instants (`u64::MAX` = run to quiescence).
+/// Returns the instants left of `crash_step`.
 fn e22_churn(d: &mut Driver, ops: &[(RequestKind, Lpn)], qd: usize, crash_step: u64) -> u64 {
     let mut budget = crash_step;
     for window in ops.chunks(qd) {
         for &(kind, lpn) in window {
             d.submit(kind, lpn);
         }
-        budget = d.step_n(budget);
+        let pace = E22_PACE.min(budget);
+        budget -= pace - d.step_n(pace);
         if budget == 0 {
-            break;
+            return 0;
         }
     }
-    budget
+    d.step_n(budget)
 }
 
 /// The churn script: clustered overwrites on a full device — every write
