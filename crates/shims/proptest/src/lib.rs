@@ -13,7 +13,8 @@
 //! * case generation is deterministic (fixed base seed perturbed per
 //!   case), so failures are reproducible;
 //! * a failing case, by `prop_assert*` or by a panic, is shrunk, then
-//!   reported with its seed and each input as `pat = {:?}`.
+//!   reported with its seed and each input as `pat = {:?}`; the panics of
+//!   shrink candidates print nothing.
 //!
 //! Shrinking works on the sequence of draws a case took from [`TestRng`]
 //! (internal shrinking, as in Hypothesis): the runner replays edited
@@ -162,6 +163,28 @@ pub mod test_runner {
         }
     }
 
+    std::thread_local! {
+        /// Whether this thread is replaying a shrink candidate.
+        static SHRINKING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Install, once per process, a panic hook that stays silent while
+    /// this thread replays a shrink candidate and defers to the hook it
+    /// replaced otherwise: a failing case reports its first panic and the
+    /// shrunk case, not every candidate. Tests run on parallel threads, so
+    /// the silence is this thread's alone.
+    fn quiet_while_shrinking() {
+        static INSTALL: std::sync::Once = std::sync::Once::new();
+        INSTALL.call_once(|| {
+            let previous = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if !SHRINKING.with(|s| s.get()) {
+                    previous(info);
+                }
+            }));
+        });
+    }
+
     /// Run `body` on `rng`, a panic caught as a failure.
     fn outcome<F>(body: &mut F, rng: &mut TestRng) -> Result<(), Failure>
     where
@@ -204,6 +227,7 @@ pub mod test_runner {
             let seed = BASE_SEED ^ (case.wrapping_mul(0x2545_F491_4F6C_DD1D));
             let mut rng = TestRng::new(seed);
             if let Err(failure) = outcome(&mut body, &mut rng) {
+                quiet_while_shrinking();
                 let mut s = Shrink {
                     body: &mut body,
                     budget: config.max_shrink_iters,
@@ -251,7 +275,9 @@ pub mod test_runner {
             }
             self.budget -= 1;
             let mut rng = TestRng::replaying(draws, short);
+            SHRINKING.with(|s| s.set(true));
             let outcome = outcome(self.body, &mut rng);
+            SHRINKING.with(|s| s.set(false));
             let smaller = (rng.draws.len(), &rng.draws) < (self.best.len(), &self.best);
             let Err(failure) = outcome else { return false };
             let kept = smaller && self.failure.recurs_in(&failure);
