@@ -23,11 +23,11 @@
 //!   read-disturbed / retention-aged blocks before their raw bit errors
 //!   outgrow the ECC (pairs with `eagletree_flash::fault`).
 //! * [`Controller`] — the orchestrator tying it all to the flash array.
-//! * [`Driver`] / [`Ledger`] / [`Promised`] — the one host of a controller
-//!   (ids, clock, agenda stepping, completions, liveness, power cut), which
-//!   `Os`, every controller test and E22 drive it through; the
-//!   acknowledged-write reference model; and the one check of what it
-//!   promised, live and across a power cut.
+//! * [`Driver`] / [`Promised`] — the one host of a controller (ids, clock,
+//!   agenda stepping, completions, liveness, power cut), which `Os`, every
+//!   controller test and E22 drive it through, with its ledger of what the
+//!   device acknowledged and the one check of those promises, live and
+//!   across a power cut.
 
 pub mod alloc;
 mod bits;
@@ -52,7 +52,7 @@ pub use config::{
     WriteAllocPolicy,
 };
 pub use controller::{Controller, CtrlStats, MergeCounters, ReliabilityStats, Stuck};
-pub use driver::{Driver, Ledger, Promised};
+pub use driver::{Driver, Promised};
 pub use ftl::HybridStats;
 pub use recovery::{CheckpointRecord, CrashImage, RecoveryMode, RecoveryReport};
 pub use sched::{class_index, class_table, ClassTable, SchedPolicy};

@@ -918,25 +918,21 @@ fn e21_mount_time(scale: Scale) -> Table {
 // E22 — crash-point sweep during GC/merge
 
 /// Sequentially fill the whole logical space of `d` (GC
-/// preconditioning); the ledger starts over after it, so a crash point
-/// is judged on the churn phase alone.
+/// preconditioning): each cut must keep these pages too, whichever of
+/// them GC was moving.
 fn e22_fill(d: &mut Driver) -> Result<(), Stuck> {
     let fill: Vec<_> = (0..d.c.logical_pages()).map(|lpn| (RequestKind::Write, lpn)).collect();
-    let filled = d.submit_windowed(&fill, 32);
-    d.ledger.clear();
-    filled
+    d.submit_windowed(&fill, 32)
 }
 
-/// Agenda instants E22's churn runs between two windows: fewer than a
-/// window takes to drain, so windows overlap, and a trim can land between
-/// two landings of one page.
+/// Agenda instants between two windows of E22's churn: fewer than a
+/// window takes to drain, so windows overlap.
 const E22_PACE: u64 = 4;
 
 /// Submit `ops` in windows of `qd`, [`E22_PACE`] agenda instants apart,
-/// then run the agenda dry, one instant at a time, so a power cut can
-/// land anywhere in the event stream — mid-GC and mid-merge included:
-/// stop after `crash_step` instants (`u64::MAX` = run to quiescence).
-/// Returns the instants left of `crash_step`.
+/// then run the agenda dry, so a power cut can land anywhere in the event
+/// stream — mid-GC and mid-merge included: stop after `crash_step`
+/// instants (`u64::MAX` = run to quiescence). Returns the instants left.
 fn e22_churn(d: &mut Driver, ops: &[(RequestKind, Lpn)], qd: usize, crash_step: u64) -> u64 {
     let mut budget = crash_step;
     for window in ops.chunks(qd) {
@@ -970,12 +966,10 @@ fn e22_ops(scale: Scale) -> Vec<(RequestKind, Lpn)> {
 }
 
 /// Pull the plug at evenly spaced points of a GC/merge-heavy event
-/// stream, remount under both recovery modes, and check the device with
-/// the driver's cut check: *every* acknowledged write survives, and no
-/// page with no write in flight moves — the crash-atomicity proof for GC
-/// and merge relocation (copies are sequence-stamped; victims are erased
-/// only after all live copies landed). `lost` counts the cuts that broke
-/// a promise, and must be zero everywhere.
+/// stream, remount under both recovery modes, and run the driver's cut
+/// check — the crash-atomicity proof for GC and merge relocation (copies
+/// are sequence-stamped; victims are erased only after all live copies
+/// landed). `lost` counts the cuts that broke a promise: zero everywhere.
 fn e22_crash_sweep(scale: Scale) -> Table {
     let mut t = Table::new(
         "E22",
@@ -1004,9 +998,8 @@ fn e22_crash_sweep(scale: Scale) -> Table {
         }
         let internal_erases =
             d.c.stats().gc_erases + d.c.stats().merge_erases + d.c.stats().wl_erases;
-        // Per recovery mode, over the cuts: acked writes kept, cuts that
-        // broke a promise (`Promised::check`), torn pages, interrupted
-        // erases, mount µs and OOB records read.
+        // Per recovery mode: acked writes kept, cuts that broke a promise,
+        // torn pages, interrupted erases, mount µs and OOB records read.
         let modes = [RecoveryMode::FullScan, RecoveryMode::Checkpoint];
         let mut sums = [(0u64, 0u64, 0u64, 0u64, 0.0f64, 0u64); 2];
         for k in 1..=points {

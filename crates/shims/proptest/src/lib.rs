@@ -168,11 +168,9 @@ pub mod test_runner {
         static SHRINKING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }
 
-    /// Install, once per process, a panic hook that stays silent while
-    /// this thread replays a shrink candidate and defers to the hook it
-    /// replaced otherwise: a failing case reports its first panic and the
-    /// shrunk case, not every candidate. Tests run on parallel threads, so
-    /// the silence is this thread's alone.
+    /// Install, once, a panic hook that is silent while this thread replays
+    /// a shrink candidate and defers to the hook it replaced otherwise
+    /// (tests run on parallel threads, so the silence is per thread).
     fn quiet_while_shrinking() {
         static INSTALL: std::sync::Once = std::sync::Once::new();
         INSTALL.call_once(|| {
