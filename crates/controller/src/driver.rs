@@ -82,7 +82,6 @@ impl Ledger {
             })
             .collect()
     }
-
 }
 
 /// What the device had promised at an instant ([`Driver::promised`]), for
@@ -277,9 +276,8 @@ impl Driver {
     pub fn promised(&self) -> Promised {
         let lost: BTreeSet<Lpn> = self.c.lost_data().collect();
         let writing: BTreeSet<Lpn> = self.ledger.inflight.values().copied().collect();
-        let answers = |lpn| !writing.contains(&lpn) && !lost.contains(&lpn) && !self.c.is_buffered(lpn);
         let live = (0..self.c.logical_pages())
-            .filter(|&lpn| answers(lpn))
+            .filter(|lpn| !writing.contains(lpn) && !lost.contains(lpn) && !self.c.is_buffered(*lpn))
             .filter_map(|lpn| Some((lpn, self.c.peek_mapping(lpn)?)))
             .collect();
         Promised { mapped: self.ledger.must_be_mapped(), lost, live }
