@@ -189,9 +189,9 @@ fn check_crash(
 
         // The remounted device keeps working.
         let mut d2 = Driver::new(c2);
-        for i in 0..16 {
-            d2.submit(RequestKind::Read, (i * 37 + 1) % logical);
-            d2.submit(RequestKind::Write, (i * 37) % logical);
+        for (i, &lpn) in promised.mapped().iter().take(16).enumerate() {
+            d2.submit(RequestKind::Read, lpn);
+            d2.submit(RequestKind::Write, (i as u64 * 37) % logical);
         }
         d2.submit(RequestKind::Write, 0);
         d2.run().unwrap();

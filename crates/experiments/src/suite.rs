@@ -969,7 +969,7 @@ fn e22_ops(scale: Scale) -> Vec<(RequestKind, Lpn)> {
 /// stream, remount under both recovery modes, and run the driver's cut
 /// check — the crash-atomicity proof for GC and merge relocation (copies
 /// are sequence-stamped; victims are erased only after all live copies
-/// landed). `lost` counts the cuts that broke a promise: zero everywhere.
+/// landed). `broken_cuts` must be zero; stderr names each broken promise.
 fn e22_crash_sweep(scale: Scale) -> Table {
     let mut t = Table::new(
         "E22",
@@ -1015,7 +1015,10 @@ fn e22_crash_sweep(scale: Scale) -> Table {
                     .expect("E22 remount");
                 match promised.check(&c2) {
                     Ok(kept) => sum.0 += kept,
-                    Err(_) => sum.1 += 1,
+                    Err(e) => {
+                        eprintln!("E22 {sname}/{}: cut {k} broke a promise: {e}", mode.name());
+                        sum.1 += 1;
+                    }
                 }
                 sum.2 += rep.torn_pages;
                 sum.3 += rep.interrupted_erases;
@@ -1024,12 +1027,12 @@ fn e22_crash_sweep(scale: Scale) -> Table {
             }
         }
         for (mode, sum) in modes.into_iter().zip(sums) {
-            let (verified, lost, torn, interrupted, mount_us, oob) = sum;
+            let (verified, broken, torn, interrupted, mount_us, oob) = sum;
             t.rows.push(
                 Row::new(format!("{sname}/{}", mode.name()))
                     .push("crash_points", points as f64)
                     .push("acked_verified", verified as f64)
-                    .push("lost", lost as f64)
+                    .push("broken_cuts", broken as f64)
                     .push("torn_pages", torn as f64)
                     .push("interrupted_erases", interrupted as f64)
                     .push("mean_mount_us", mount_us / points as f64)
@@ -1565,9 +1568,9 @@ mod tests {
         let mut torn_total = 0.0;
         for r in &t.rows {
             assert_eq!(
-                r.get("lost").unwrap(),
+                r.get("broken_cuts").unwrap(),
                 0.0,
-                "acknowledged writes lost across a power cut: {}",
+                "a power cut broke a promise (stderr names it): {}",
                 t.render()
             );
             assert!(r.get("acked_verified").unwrap() > 0.0);
